@@ -22,6 +22,7 @@ package lace
 // Run with: go test -bench=. -benchmem
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -47,11 +48,11 @@ func BenchmarkFigure1RunningExample(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ms, err := eng.MaximalSolutions()
+		ms, err := eng.MaximalSolutionsCtx(context.Background())
 		if err != nil || len(ms) != 2 {
 			b.Fatalf("maximal = %d, err %v", len(ms), err)
 		}
-		cm, err := eng.CertainMerges()
+		cm, err := eng.CertainMergesCtx(context.Background())
 		if err != nil || len(cm) != 6 {
 			b.Fatalf("certain = %d, err %v", len(cm), err)
 		}
@@ -65,7 +66,7 @@ func BenchmarkJustifyKappa(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ms, err := eng.MaximalSolutions()
+	ms, err := eng.MaximalSolutionsCtx(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func BenchmarkTable1ExistenceGeneral(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, _, err := eng.Existence(); err != nil {
+				if _, _, err := eng.ExistenceCtx(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -162,7 +163,7 @@ func BenchmarkTable1ExistenceRestricted(b *testing.B) {
 			eng := restrictedEngine(b, scale)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := eng.Existence(); err != nil {
+				if _, _, err := eng.ExistenceCtx(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -186,7 +187,7 @@ func BenchmarkTable1ExistenceFDOnly(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, _, err := eng.Existence(); err != nil {
+				if _, _, err := eng.ExistenceCtx(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -209,7 +210,7 @@ func BenchmarkTable1MaxRecGeneral(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.IsMaximalSolution(eng.Identity()); err != nil {
+				if _, err := eng.IsMaximalSolution(context.Background(), eng.Identity()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -223,13 +224,13 @@ func BenchmarkTable1MaxRecRestricted(b *testing.B) {
 	for _, scale := range []int{20, 40} {
 		b.Run(fmt.Sprintf("scale=%d", scale), func(b *testing.B) {
 			eng := restrictedEngine(b, scale)
-			sol, ok, err := eng.GreedySolution()
+			sol, ok, err := eng.GreedySolutionCtx(context.Background())
 			if err != nil || !ok {
 				b.Fatalf("greedy: %v %v", ok, err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.IsMaximalSolution(sol); err != nil {
+				if _, err := eng.IsMaximalSolution(context.Background(), sol); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -253,7 +254,7 @@ func BenchmarkTable1CertMerge(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.IsCertainMerge(cm, cmp); err != nil {
+				if _, err := eng.IsCertainMergeCtx(context.Background(), cm, cmp); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -276,7 +277,7 @@ func BenchmarkTable1PossMerge(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.IsPossibleMerge(c1, c2); err != nil {
+				if _, err := eng.IsPossibleMergeCtx(context.Background(), c1, c2); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -297,7 +298,7 @@ func BenchmarkTable1PossAnswer(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.IsPossibleAnswer(q, nil); err != nil {
+		if _, err := eng.IsPossibleAnswerCtx(context.Background(), q, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -316,7 +317,7 @@ func BenchmarkTable1CertAnswer(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.IsCertainAnswer(q, nil); err != nil {
+		if _, err := eng.IsCertainAnswerCtx(context.Background(), q, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -340,7 +341,7 @@ func BenchmarkTheorem9HardOnly(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.MaximalSolutions(); err != nil {
+				if _, err := eng.MaximalSolutionsCtx(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -365,7 +366,7 @@ func BenchmarkTheorem9DenialFree(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.MaximalSolutions(); err != nil {
+				if _, err := eng.MaximalSolutionsCtx(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -409,7 +410,7 @@ func BenchmarkNativeSolve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		count := 0
-		if err := eng.Solutions(func(*eqrel.Partition) bool { count++; return false }); err != nil {
+		if err := eng.SolutionsCtx(context.Background(), func(*eqrel.Partition) bool { count++; return false }); err != nil {
 			b.Fatal(err)
 		}
 		if count != 6 {
@@ -432,7 +433,7 @@ func BenchmarkTheorem11LACE(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.CertainMerges(); err != nil {
+		if _, err := eng.CertainMergesCtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -464,7 +465,7 @@ func BenchmarkProposition1(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		count := 0
-		if err := eng.Solutions(func(*eqrel.Partition) bool { count++; return false }); err != nil {
+		if err := eng.SolutionsCtx(context.Background(), func(*eqrel.Partition) bool { count++; return false }); err != nil {
 			b.Fatal(err)
 		}
 		if count != 6 {
@@ -490,7 +491,7 @@ func BenchmarkWorkloadLACE(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sol, ok, err := eng.GreedySolution()
+				sol, ok, err := eng.GreedySolutionCtx(context.Background())
 				if err != nil || !ok {
 					b.Fatalf("greedy: %v %v", ok, err)
 				}
@@ -572,7 +573,7 @@ func BenchmarkExplainMerge(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		x, err := eng.ExplainMerge(f.Const("c3"), f.Const("c4"))
+		x, err := eng.ExplainMergeCtx(context.Background(), f.Const("c3"), f.Const("c4"))
 		if err != nil || x.Status != core.Impossible {
 			b.Fatalf("explain: %+v %v", x, err)
 		}

@@ -32,11 +32,11 @@
 //
 // -shards resolves by similarity-connected components instead of one
 // monolithic search: the decision tasks (existence, maxsolve, merges,
-// certmerge, possmerge) then solve each component independently and
-// stitch the results, which is exact and dramatically faster on large
-// instances with many small duplicate clusters. -shard-seed picks the
-// blocking scheme that seeds the components (auto, off, tokens,
-// qgrams, prefix).
+// certmerge, possmerge, justify) then solve each component
+// independently and stitch the results, which is exact and
+// dramatically faster on large instances with many small duplicate
+// clusters. -shard-seed picks the blocking scheme that seeds the
+// components (auto, off, tokens, qgrams, prefix).
 package main
 
 import (
@@ -45,6 +45,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	lace "repro"
@@ -63,12 +64,13 @@ type env struct {
 	d    *lace.Database
 	spec *lace.Spec
 	sims *lace.SimRegistry
+	// snap answers the decision tasks (existence, maxsolve, merges,
+	// certmerge, possmerge, and the maximal solutions justify searches);
+	// under -shards it resolves similarity-connected components
+	// independently and stitches the results. eng is its engine, which
+	// runs the remaining tasks.
+	snap *lace.EpochSnapshot
 	eng  *lace.Engine
-	// se is non-nil when -shards is set; the decision tasks (existence,
-	// maxsolve, merges, certmerge, possmerge) then run through the
-	// sharded engine, which resolves similarity-connected components
-	// independently and stitches the results.
-	se *lace.ShardedEngine
 }
 
 func run(args []string) error {
@@ -86,7 +88,7 @@ func run(args []string) error {
 	budget := fs.Int("budget", 0, "search state budget (0 = default)")
 	parallel := fs.Int("parallel", 0, "search parallelism (0 = GOMAXPROCS, 1 = sequential)")
 	timeout := fs.Duration("timeout", 0, "wall-clock deadline for the search tasks (0 = none)")
-	shards := fs.Bool("shards", false, "resolve by similarity-connected components (existence, maxsolve, merges, certmerge, possmerge)")
+	shards := fs.Bool("shards", false, "resolve by similarity-connected components (existence, maxsolve, merges, certmerge, possmerge, justify)")
 	shardSeed := fs.String("shard-seed", "auto", "component seeding under -shards: auto, off, tokens, qgrams, prefix")
 	statsFlag := fs.Bool("stats", false, "print solver statistics to stderr after the task")
 	statsJSON := fs.Bool("stats-json", false, "print solver statistics as JSON to stderr after the task")
@@ -111,23 +113,21 @@ func run(args []string) error {
 		}
 	}
 
-	e, err := load(*dataPath, *specPath, *simTable, *budget, *parallel, rec)
+	opts := lace.Options{MaxStates: *budget, Parallelism: *parallel}
+	if rec != nil {
+		opts.Recorder = rec
+	}
+	var sopts *lace.ShardOptions
+	if *shards {
+		so, err := shardOptions(*shardSeed)
+		if err != nil {
+			return err
+		}
+		sopts = &so
+	}
+	e, err := load(*dataPath, *specPath, *simTable, opts, sopts)
 	if err != nil {
 		return err
-	}
-	if *shards {
-		sopts, err := shardOptions(*shardSeed)
-		if err != nil {
-			return err
-		}
-		opts := lace.Options{MaxStates: *budget, Parallelism: *parallel}
-		if rec != nil {
-			opts.Recorder = rec
-		}
-		e.se, err = lace.NewShardedEngine(e.d, e.spec, e.sims, opts, sopts)
-		if err != nil {
-			return err
-		}
 	}
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -140,8 +140,8 @@ func run(args []string) error {
 		if rec == nil {
 			return
 		}
-		if e.se != nil && *statsFlag {
-			if st, err := e.se.Stats(); err == nil {
+		if se := e.snap.Sharded(); se != nil && *statsFlag {
+			if st, err := se.Stats(); err == nil {
 				fmt.Fprintf(os.Stderr, "shards: %d (largest %d members), %d stitch rounds, %d solves, %d reused, monolithic fallback: %v\n",
 					st.Shards, maxInt(st.Sizes), st.Rounds, st.Solves, st.Reused, st.Monolithic)
 			}
@@ -190,16 +190,7 @@ func run(args []string) error {
 			return nil
 
 		case "existence":
-			var (
-				sol *eqrel.Partition
-				ok  bool
-				err error
-			)
-			if e.se != nil {
-				sol, ok, err = e.se.ExistenceCtx(ctx)
-			} else {
-				sol, ok, err = e.eng.ExistenceCtx(ctx)
-			}
+			sol, ok, err := e.snap.ExistenceCtx(ctx)
 			if err != nil {
 				return err
 			}
@@ -224,15 +215,7 @@ func run(args []string) error {
 			return nil
 
 		case "maxsolve":
-			var (
-				ms  []*eqrel.Partition
-				err error
-			)
-			if e.se != nil {
-				ms, err = e.se.MaximalSolutionsCtx(ctx)
-			} else {
-				ms, err = e.eng.MaximalSolutionsCtx(ctx)
-			}
+			ms, err := e.snap.MaximalSolutionsCtx(ctx)
 			if err != nil {
 				return err
 			}
@@ -243,7 +226,11 @@ func run(args []string) error {
 			return nil
 
 		case "merges":
-			cm, pm, err := e.merges(ctx)
+			cm, err := e.snap.CertainMergesCtx(ctx)
+			if err != nil {
+				return err
+			}
+			pm, err := e.snap.PossibleMergesCtx(ctx)
 			if err != nil {
 				return err
 			}
@@ -266,31 +253,15 @@ func run(args []string) error {
 			if err != nil {
 				return err
 			}
-			var ok bool
-			switch {
-			case e.se != nil:
-				cm, pm, merr := e.merges(ctx)
-				if merr != nil {
-					return merr
-				}
-				list := pm
-				if task == "certmerge" {
-					list = cm
-				}
-				for _, p := range list {
-					if (p.A == a && p.B == b) || (p.A == b && p.B == a) {
-						ok = true
-					}
-				}
-			case task == "certmerge":
-				ok, err = e.eng.IsCertainMergeCtx(ctx, a, b)
-			default:
-				ok, err = e.eng.IsPossibleMergeCtx(ctx, a, b)
+			merges := e.snap.PossibleMergesCtx
+			if task == "certmerge" {
+				merges = e.snap.CertainMergesCtx
 			}
+			pairs, err := merges(ctx)
 			if err != nil {
 				return err
 			}
-			fmt.Println(verdict(ok))
+			fmt.Println(verdict(slices.Contains(pairs, eqrel.MakePair(a, b))))
 			return nil
 
 		case "certans", "possans":
@@ -329,7 +300,7 @@ func run(args []string) error {
 			if err != nil {
 				return err
 			}
-			ms, err := e.eng.MaximalSolutionsCtx(ctx)
+			ms, err := e.snap.MaximalSolutionsCtx(ctx)
 			if err != nil {
 				return err
 			}
@@ -375,31 +346,6 @@ func run(args []string) error {
 	return taskErr
 }
 
-// merges returns (certain, possible) through whichever engine the
-// flags selected.
-func (e *env) merges(ctx context.Context) ([]lace.Pair, []lace.Pair, error) {
-	if e.se != nil {
-		cm, err := e.se.CertainMergesCtx(ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		pm, err := e.se.PossibleMergesCtx(ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		return cm, pm, nil
-	}
-	cm, err := e.eng.CertainMergesCtx(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	pm, err := e.eng.PossibleMergesCtx(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	return cm, pm, nil
-}
-
 // shardOptions maps the -shard-seed flag to a blocking configuration.
 func shardOptions(seed string) (lace.ShardOptions, error) {
 	switch seed {
@@ -438,7 +384,9 @@ func verdict(ok bool) string {
 	return "NO"
 }
 
-func load(dataPath, specPath, simTable string, budget, parallel int, rec *lace.StatsRegistry) (*env, error) {
+// load reads the inputs and builds the resolution snapshot: sharded
+// under sopts, monolithic when sopts is nil.
+func load(dataPath, specPath, simTable string, opts lace.Options, sopts *lace.ShardOptions) (*env, error) {
 	data, err := os.ReadFile(dataPath)
 	if err != nil {
 		return nil, err
@@ -475,13 +423,15 @@ func load(dataPath, specPath, simTable string, budget, parallel int, rec *lace.S
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", specPath, err)
 	}
-	opts := lace.Options{MaxStates: budget, Parallelism: parallel}
-	if rec != nil {
-		opts.Recorder = rec
+	var ms *lace.MutableSession
+	if sopts != nil {
+		ms, err = lace.NewMutableShardedSession(d, spec, sims, opts, *sopts)
+	} else {
+		ms, err = lace.NewMutableSession(d, spec, sims, opts)
 	}
-	eng, err := lace.NewEngine(d, spec, sims, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &env{d: d, spec: spec, sims: sims, eng: eng}, nil
+	snap := ms.Snapshot()
+	return &env{d: d, spec: spec, sims: sims, snap: snap, eng: snap.Engine()}, nil
 }

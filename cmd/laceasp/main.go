@@ -148,7 +148,7 @@ func run(files []string, o cliOpts, out io.Writer) error {
 
 	switch {
 	case o.brave || o.cautious:
-		bv, cv, found, err := ss.BraveCautiousErr()
+		bv, cv, found, err := ss.BraveCautious()
 		if err != nil {
 			fmt.Fprintf(out, "interrupted: %v (consequences below cover the models found so far)\n", err)
 		}
@@ -172,7 +172,7 @@ func run(files []string, o cliOpts, out io.Writer) error {
 			return fmt.Errorf("no ground atoms for predicate %q", o.maxPred)
 		}
 		count := 0
-		err := ss.MaximalProjectionsErr(proj, func(m []bool) bool {
+		err := ss.MaximalProjections(proj, func(m []bool) bool {
 			count++
 			fmt.Fprintf(out, "Answer %d (max %s): %s\n", count, o.maxPred, show(m))
 			return o.n == 0 || count < o.n
@@ -189,7 +189,7 @@ func run(files []string, o cliOpts, out io.Writer) error {
 
 	default:
 		count := 0
-		err := ss.EnumerateErr(func(m []bool) bool {
+		err := ss.Enumerate(func(m []bool) bool {
 			count++
 			fmt.Fprintf(out, "Answer %d: %s\n", count, show(m))
 			return o.n == 0 || count < o.n

@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -238,7 +239,7 @@ func e1Figure1() error {
 	if err != nil {
 		return err
 	}
-	ms, err := eng.MaximalSolutions()
+	ms, err := eng.MaximalSolutionsCtx(context.Background())
 	if err != nil {
 		return err
 	}
@@ -246,17 +247,17 @@ func e1Figure1() error {
 	for i, m := range ms {
 		fmt.Printf("  M%d = %s\n", i+1, m.Format(f.DB.Interner()))
 	}
-	cm, err := eng.CertainMerges()
+	cm, err := eng.CertainMergesCtx(context.Background())
 	if err != nil {
 		return err
 	}
-	pm, err := eng.PossibleMerges()
+	pm, err := eng.PossibleMergesCtx(context.Background())
 	if err != nil {
 		return err
 	}
 	fmt.Printf("certain merges: %d (paper: alpha,beta,(a1,a3),zeta,theta,kappa = 6)\n", len(cm))
 	fmt.Printf("possible merges: %d (paper: certain + chi + lambda = 8)\n", len(pm))
-	eta, err := eng.IsPossibleMerge(f.Const("c3"), f.Const("c4"))
+	eta, err := eng.IsPossibleMergeCtx(context.Background(), f.Const("c3"), f.Const("c4"))
 	if err != nil {
 		return err
 	}
@@ -271,7 +272,7 @@ func e2Justifications() error {
 	if err != nil {
 		return err
 	}
-	ms, err := eng.MaximalSolutions()
+	ms, err := eng.MaximalSolutionsCtx(context.Background())
 	if err != nil {
 		return err
 	}
@@ -344,7 +345,7 @@ func e4Existence() error {
 		var got bool
 		dt, err := timeIt(func() error {
 			var err error
-			_, got, err = eng.Existence()
+			_, got, err = eng.ExistenceCtx(context.Background())
 			return err
 		})
 		if err != nil {
@@ -361,7 +362,7 @@ func e4Existence() error {
 			return err
 		}
 		dt, err := timeIt(func() error {
-			_, _, err := eng.Existence()
+			_, _, err := eng.ExistenceCtx(context.Background())
 			return err
 		})
 		if err != nil {
@@ -400,7 +401,7 @@ func e4Existence() error {
 			return err
 		}
 		dt, err := timeIt(func() error {
-			_, ok, err := eng.Existence()
+			_, ok, err := eng.ExistenceCtx(context.Background())
 			if err == nil && ok {
 				return fmt.Errorf("UNSAT instance reported a solution")
 			}
@@ -464,7 +465,7 @@ func e5MaxRec() error {
 		var got bool
 		dt, err := timeIt(func() error {
 			var err error
-			got, err = eng.IsMaximalSolution(eng.Identity())
+			got, err = eng.IsMaximalSolution(context.Background(), eng.Identity())
 			return err
 		})
 		if err != nil {
@@ -478,12 +479,12 @@ func e5MaxRec() error {
 		if err != nil {
 			return err
 		}
-		sol, ok, err := eng.GreedySolution()
+		sol, ok, err := eng.GreedySolutionCtx(context.Background())
 		if err != nil || !ok {
 			return fmt.Errorf("greedy failed: %v", err)
 		}
 		dt, err := timeIt(func() error {
-			_, err := eng.IsMaximalSolution(sol)
+			_, err := eng.IsMaximalSolution(context.Background(), sol)
 			return err
 		})
 		if err != nil {
@@ -516,7 +517,7 @@ func e6CertMerge() error {
 		var got bool
 		dt, err := timeIt(func() error {
 			var err error
-			got, err = eng.IsCertainMerge(cm, cmp)
+			got, err = eng.IsCertainMergeCtx(context.Background(), cm, cmp)
 			return err
 		})
 		if err != nil {
@@ -546,7 +547,7 @@ func e7PossMerge() error {
 		var got bool
 		dt, err := timeIt(func() error {
 			var err error
-			got, err = eng.IsPossibleMerge(c1, c2)
+			got, err = eng.IsPossibleMergeCtx(context.Background(), c1, c2)
 			return err
 		})
 		if err != nil {
@@ -573,7 +574,7 @@ func e8Answers() error {
 	var got bool
 	dt, err := timeIt(func() error {
 		var err error
-		got, err = eng.IsPossibleAnswer(q, nil)
+		got, err = eng.IsPossibleAnswerCtx(context.Background(), q, nil)
 		return err
 	})
 	if err != nil {
@@ -593,7 +594,7 @@ func e8Answers() error {
 	}
 	dt, err = timeIt(func() error {
 		var err error
-		got, err = eng2.IsCertainAnswer(q2, nil)
+		got, err = eng2.IsCertainAnswerCtx(context.Background(), q2, nil)
 		return err
 	})
 	if err != nil {
@@ -612,7 +613,7 @@ func e9ASP() error {
 	}
 	nativeCount := 0
 	nativeTime, err := timeIt(func() error {
-		return eng.Solutions(func(*eqrel.Partition) bool { nativeCount++; return false })
+		return eng.SolutionsCtx(context.Background(), func(*eqrel.Partition) bool { nativeCount++; return false })
 	})
 	if err != nil {
 		return err
@@ -622,10 +623,12 @@ func e9ASP() error {
 		return err
 	}
 	aspCount := 0
-	aspTime, _ := timeIt(func() error {
-		solver.Solutions(func(*eqrel.Partition) bool { aspCount++; return true })
-		return nil
+	aspTime, err := timeIt(func() error {
+		return solver.Solutions(func(*eqrel.Partition) bool { aspCount++; return true })
 	})
+	if err != nil {
+		return err
+	}
 	fmt.Printf("Figure 1 solutions: native %d in %v, ASP %d in %v\n",
 		nativeCount, nativeTime.Round(time.Microsecond), aspCount, aspTime.Round(time.Microsecond))
 
@@ -634,10 +637,12 @@ func e9ASP() error {
 	if err != nil {
 		return err
 	}
-	maxTime, _ := timeIt(func() error {
-		solver2.MaximalSolutions(func(*eqrel.Partition) bool { aspMax++; return true })
-		return nil
+	maxTime, err := timeIt(func() error {
+		return solver2.MaximalSolutions(func(*eqrel.Partition) bool { aspMax++; return true })
 	})
+	if err != nil {
+		return err
+	}
 	fmt.Printf("subset-maximal eq-projections: %d in %v (native: 2)\n", aspMax, maxTime.Round(time.Microsecond))
 	prog, err := lace.EncodeASP(f.DB, f.Spec, f.Sims)
 	if err != nil {
@@ -665,7 +670,7 @@ func e10Theorem11() error {
 		if err != nil {
 			return err
 		}
-		cm, err := eng.CertainMerges()
+		cm, err := eng.CertainMergesCtx(context.Background())
 		if err != nil {
 			return err
 		}
@@ -710,7 +715,7 @@ func e11Prop1() error {
 	collect := func(e *core.Engine) (map[string]bool, time.Duration, error) {
 		set := map[string]bool{}
 		dt, err := timeIt(func() error {
-			return e.Solutions(func(E *eqrel.Partition) bool { set[E.Key()] = true; return false })
+			return e.SolutionsCtx(context.Background(), func(E *eqrel.Partition) bool { set[E.Key()] = true; return false })
 		})
 		return set, dt, err
 	}
@@ -750,7 +755,7 @@ func e12Tractable() error {
 		if err != nil {
 			return err
 		}
-		dtH, err := timeIt(func() error { _, err := engH.MaximalSolutions(); return err })
+		dtH, err := timeIt(func() error { _, err := engH.MaximalSolutionsCtx(context.Background()); return err })
 		if err != nil {
 			return err
 		}
@@ -762,7 +767,7 @@ func e12Tractable() error {
 		if err != nil {
 			return err
 		}
-		dtD, err := timeIt(func() error { _, err := engD.MaximalSolutions(); return err })
+		dtD, err := timeIt(func() error { _, err := engD.MaximalSolutionsCtx(context.Background()); return err })
 		if err != nil {
 			return err
 		}
@@ -796,7 +801,7 @@ func e13Workload() error {
 		laceTime, err := timeIt(func() error {
 			var ok bool
 			var err error
-			sol, ok, err = eng.GreedySolution()
+			sol, ok, err = eng.GreedySolutionCtx(context.Background())
 			if err == nil && !ok {
 				return fmt.Errorf("greedy inconsistent")
 			}
@@ -872,7 +877,7 @@ func e13ParSweep(label string, scale, maxStates int) error {
 		var cm []eqrel.Pair
 		dt, err := timeIt(func() error {
 			var err error
-			cm, err = eng.CertainMerges()
+			cm, err = eng.CertainMergesCtx(context.Background())
 			if maxStates > 0 && errors.Is(err, core.ErrBudget) {
 				err = nil
 			}
@@ -915,7 +920,7 @@ func e14FDOnly() error {
 		var got bool
 		dt, err := timeIt(func() error {
 			var err error
-			_, got, err = eng.Existence()
+			_, got, err = eng.ExistenceCtx(context.Background())
 			return err
 		})
 		if err != nil {
@@ -939,7 +944,7 @@ func e15Extensions() error {
 			r.Weight = 10
 		}
 	}
-	best, err := eng.BestSolutions()
+	best, err := eng.BestSolutions(context.Background())
 	if err != nil {
 		return err
 	}
@@ -947,7 +952,7 @@ func e15Extensions() error {
 
 	// Explanations: classify the named pairs of Example 6.
 	for _, pr := range [][2]string{{"p2", "p3"}, {"a6", "a7"}, {"c3", "c4"}} {
-		x, err := eng.ExplainMerge(f.Const(pr[0]), f.Const(pr[1]))
+		x, err := eng.ExplainMergeCtx(context.Background(), f.Const(pr[0]), f.Const(pr[1]))
 		if err != nil {
 			return err
 		}
@@ -1032,13 +1037,13 @@ func e17Shards() error {
 		var pm []eqrel.Pair
 		dt, err := timeIt(func() error {
 			var err error
-			pm, err = se.PossibleMerges()
+			pm, err = se.PossibleMergesCtx(context.Background())
 			return err
 		})
 		if err != nil {
 			return err
 		}
-		cm, err := se.CertainMerges()
+		cm, err := se.CertainMergesCtx(context.Background())
 		if err != nil {
 			return err
 		}
@@ -1089,7 +1094,7 @@ func e17Shards() error {
 		return err
 	}
 	monoTime, err := timeIt(func() error {
-		_, err := mono.PossibleMerges()
+		_, err := mono.PossibleMergesCtx(context.Background())
 		if errors.Is(err, core.ErrBudget) {
 			return nil
 		}

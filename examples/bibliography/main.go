@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,6 +18,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	f := fixtures.New()
 	in := f.DB.Interner()
 	eng, err := lace.NewEngine(f.DB, f.Spec, f.Sims, lace.Options{})
@@ -31,7 +33,7 @@ func main() {
 	fmt.Print(fixtures.SpecText)
 
 	fmt.Println("\n== Example 4: maximal solutions ==")
-	maximal, err := eng.MaximalSolutions()
+	maximal, err := eng.MaximalSolutionsCtx(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,11 +57,11 @@ func main() {
 	for _, name := range order {
 		pr := named[name]
 		a, b := f.Const(pr[0]), f.Const(pr[1])
-		cert, err := eng.IsCertainMerge(a, b)
+		cert, err := eng.IsCertainMergeCtx(ctx, a, b)
 		if err != nil {
 			log.Fatal(err)
 		}
-		poss, err := eng.IsPossibleMerge(a, b)
+		poss, err := eng.IsPossibleMergeCtx(ctx, a, b)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -94,14 +96,18 @@ func main() {
 		log.Fatal(err)
 	}
 	nativeCount := 0
-	if err := eng.Solutions(func(*eqrel.Partition) bool { nativeCount++; return false }); err != nil {
+	if err := eng.SolutionsCtx(ctx, func(*eqrel.Partition) bool { nativeCount++; return false }); err != nil {
 		log.Fatal(err)
 	}
 	aspCount := 0
-	solver.Solutions(func(*eqrel.Partition) bool { aspCount++; return true })
+	if err := solver.Solutions(func(*eqrel.Partition) bool { aspCount++; return true }); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("native solutions: %d, stable models of Pi_Sol: %d\n", nativeCount, aspCount)
 	aspMax := 0
-	solver.MaximalSolutions(func(*eqrel.Partition) bool { aspMax++; return true })
+	if err := solver.MaximalSolutions(func(*eqrel.Partition) bool { aspMax++; return true }); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("native maximal: %d, subset-maximal eq-projections: %d\n", len(maximal), aspMax)
 
 	prog, err := lace.EncodeASP(f.DB, f.Spec, f.Sims)

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -41,7 +42,7 @@ func quantitative() {
 			r.Weight = 10 // trust shared-author title evidence strongly
 		}
 	}
-	best, err := eng.BestSolutions()
+	best, err := eng.BestSolutions(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func explanations() {
 		log.Fatal(err)
 	}
 	for _, pr := range [][2]string{{"p2", "p3"}, {"a6", "a7"}, {"c3", "c4"}, {"a1", "a4"}} {
-		x, err := eng.ExplainMerge(f.Const(pr[0]), f.Const(pr[1]))
+		x, err := eng.ExplainMergeCtx(context.Background(), f.Const(pr[0]), f.Const(pr[1]))
 		if err != nil {
 			log.Fatal(err)
 		}

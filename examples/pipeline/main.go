@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -38,7 +39,7 @@ func main() {
 			log.Fatal(err)
 		}
 		t0 := time.Now()
-		sol, ok, err := eng.GreedySolution()
+		sol, ok, err := eng.GreedySolutionCtx(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,6 +13,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// 1. Schema and data: person records with emails and a shared-phone
 	// relation. p1/p2 differ by an email typo; p3 is unrelated.
 	schema := lace.NewSchema()
@@ -43,7 +45,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	merges, err := eng.CertainMerges()
+	merges, err := eng.CertainMergesCtx(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,7 +59,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ans, err := eng.CertainAnswers(q)
+	ans, err := eng.CertainAnswersCtx(ctx, q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,7 +69,7 @@ func main() {
 	}
 
 	// 5. Justify the merge.
-	maximal, err := eng.MaximalSolutions()
+	maximal, err := eng.MaximalSolutionsCtx(ctx)
 	if err != nil || len(maximal) == 0 {
 		log.Fatalf("no maximal solutions: %v", err)
 	}

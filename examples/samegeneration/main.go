@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,7 +37,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cm, err := eng.CertainMerges()
+		cm, err := eng.CertainMergesCtx(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -202,7 +202,7 @@ func TestBraveCautious(t *testing.T) {
 		t.Fatal(err)
 	}
 	ss := NewStableSolver(gp)
-	brave, cautious, found := ss.BraveCautious()
+	brave, cautious, found, _ := ss.BraveCautious()
 	if !found {
 		t.Fatal("coherent program reported incoherent")
 	}
@@ -231,7 +231,7 @@ func TestBraveCautiousIncoherent(t *testing.T) {
 		t.Fatal(err)
 	}
 	ss := NewStableSolver(gp)
-	if _, _, found := ss.BraveCautious(); found {
+	if _, _, found, _ := ss.BraveCautious(); found {
 		t.Error("incoherent program reported stable models")
 	}
 }

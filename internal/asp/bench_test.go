@@ -68,7 +68,7 @@ func BenchmarkFirstStableModel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ss := NewStableSolver(gp)
-		if _, ok := ss.Next(); !ok {
+		if _, ok, _ := ss.Next(); !ok {
 			b.Fatal("no model")
 		}
 	}

@@ -175,7 +175,7 @@ func FuzzCDCLvsDPLL(f *testing.F) {
 		for i, c := range clauses {
 			cdcl.AddClause(c...)
 			ref.AddClause(toRefLits(c)...)
-			gm, gok := cdcl.Solve()
+			gm, gok, _ := cdcl.Solve()
 			wm, wok := ref.Solve()
 			if gok != wok {
 				t.Fatalf("after clause %d: CDCL sat=%v, DPLL sat=%v\nclauses: %v",
@@ -189,7 +189,7 @@ func FuzzCDCLvsDPLL(f *testing.F) {
 		if len(data) > 0 && len(clauses) > 0 {
 			v := int(data[0]) % cdclVars
 			pos := data[0]%2 == 0
-			gm, gok := cdcl.Solve(MkLit(v, pos))
+			gm, gok, _ := cdcl.Solve(MkLit(v, pos))
 			wm, wok := ref.Solve(dpllref.MkLit(v, pos))
 			if gok != wok {
 				t.Fatalf("under assumption v%d=%v: CDCL sat=%v, DPLL sat=%v\nclauses: %v",
@@ -203,7 +203,7 @@ func FuzzCDCLvsDPLL(f *testing.F) {
 		// Destructive finale: lock-step blocking-clause enumeration —
 		// the sequences, not just the sets, must match.
 		for step := 0; step < 256; step++ {
-			gm, gok := cdcl.Solve()
+			gm, gok, _ := cdcl.Solve()
 			wm, wok := ref.Solve()
 			if gok != wok {
 				t.Fatalf("enumeration step %d: CDCL sat=%v, DPLL sat=%v", step, gok, wok)
@@ -251,7 +251,7 @@ func TestCDCLStructuredInstances(t *testing.T) {
 				s.AddClause(c...)
 				ref.AddClause(toRefLits(c)...)
 			}
-			gm, gok := s.Solve()
+			gm, gok, _ := s.Solve()
 			wm, wok := ref.Solve()
 			if gok != tc.wantSAT || wok != tc.wantSAT {
 				t.Fatalf("CDCL sat=%v, DPLL sat=%v, want %v", gok, wok, tc.wantSAT)
@@ -266,7 +266,7 @@ func TestCDCLStructuredInstances(t *testing.T) {
 	for _, c := range pigeonholeClauses(4, 3) {
 		s.AddClause(c...)
 	}
-	if _, ok := s.Solve(); ok {
+	if _, ok, _ := s.Solve(); ok {
 		t.Fatal("PHP(4,3) satisfiable")
 	}
 	if s.Conflicts() == 0 || s.Learned() == 0 {

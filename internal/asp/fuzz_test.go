@@ -83,7 +83,7 @@ func FuzzGround(f *testing.F) {
 		ss := NewStableSolver(gp)
 		ss.SetBudget(b)
 		count := 0
-		_ = ss.EnumerateErr(func(m []bool) bool {
+		_ = ss.Enumerate(func(m []bool) bool {
 			count++
 			checkClassicalModel(t, gp, m)
 			for a := 0; a < n; a++ {
@@ -219,7 +219,7 @@ func FuzzDPLL(f *testing.F) {
 		s := NewSolver(dpllVars)
 		for i, c := range clauses {
 			s.AddClause(c...)
-			model, ok := s.Solve()
+			model, ok, _ := s.Solve()
 			wantSat, _ := ttSat(clauses[:i+1], nil)
 			if ok != wantSat {
 				t.Fatalf("after clause %d: solver says sat=%v, truth table says %v\nclauses: %v",
@@ -235,7 +235,7 @@ func FuzzDPLL(f *testing.F) {
 			// truth table restricted to that assignment.
 			v := int(data[0]) % dpllVars
 			pos := data[0]%2 == 0
-			model, ok := s.Solve(MkLit(v, pos))
+			model, ok, _ := s.Solve(MkLit(v, pos))
 			wantSat, _ := ttSat(clauses, map[int]bool{v: pos})
 			if ok != wantSat {
 				t.Fatalf("under assumption v%d=%v: solver sat=%v, truth table %v\nclauses: %v",
@@ -250,7 +250,7 @@ func FuzzDPLL(f *testing.F) {
 		_, wantCount := ttSat(clauses, nil)
 		got := 0
 		for {
-			model, ok := s.Solve()
+			model, ok, _ := s.Solve()
 			if !ok {
 				break
 			}

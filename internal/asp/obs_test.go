@@ -16,7 +16,7 @@ func TestSolverCountersFlush(t *testing.T) {
 	s.SetRecorder(reg)
 	s.AddClause(MkLit(0, true), MkLit(1, true))
 	s.AddClause(MkLit(0, false), MkLit(1, false))
-	if _, ok := s.Solve(); !ok {
+	if _, ok, _ := s.Solve(); !ok {
 		t.Fatal("satisfiable formula reported unsat")
 	}
 	snap := reg.Snapshot()
@@ -31,7 +31,7 @@ func TestSolverCountersFlush(t *testing.T) {
 	}
 	// A second Solve must flush only the delta, not the running total.
 	s.AddClause(MkLit(0, true))
-	if _, ok := s.Solve(); !ok {
+	if _, ok, _ := s.Solve(); !ok {
 		t.Fatal("still-satisfiable formula reported unsat")
 	}
 	if got := reg.Snapshot().Counter(obs.ASPDecisions); got != s.Decisions() {
@@ -77,9 +77,9 @@ func TestStableSolverGauges(t *testing.T) {
 	if got := snap.Counter(obs.ASPModels); got != 2 {
 		t.Errorf("models counter = %d, want 2", got)
 	}
-	if int64(ss.LoopClauses()) != snap.Counter(obs.ASPLoopFormulas) {
-		t.Errorf("LoopClauses() = %d but counter = %d",
-			ss.LoopClauses(), snap.Counter(obs.ASPLoopFormulas))
+	if learned := snap.Histogram(obs.HistASPLearnedPerSolve).Sum; learned != snap.Counter(obs.ASPLoopFormulas) {
+		t.Errorf("per-solve loop formulas sum to %d but counter = %d",
+			learned, snap.Counter(obs.ASPLoopFormulas))
 	}
 	if snap.Counter(obs.ASPDecisions) == 0 {
 		t.Error("expected DPLL decisions during enumeration")

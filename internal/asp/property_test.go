@@ -177,7 +177,7 @@ func TestBraveCautiousAgainstEnumeration(t *testing.T) {
 			}
 			return true
 		})
-		brave, cautious, ok := NewStableSolver(gp).BraveCautious()
+		brave, cautious, ok, _ := NewStableSolver(gp).BraveCautious()
 		if ok != found {
 			t.Fatalf("trial %d: coherence mismatch", trial)
 		}

@@ -29,7 +29,7 @@ func TestGroundArityMixRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 	ss := NewStableSolver(gp)
-	m, ok := ss.Next()
+	m, ok, _ := ss.Next()
 	if !ok {
 		t.Fatal("no stable model")
 	}

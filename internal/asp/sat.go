@@ -232,7 +232,7 @@ func (s *Solver) SetRecorder(rec obs.Recorder) { s.rec = obs.OrNop(rec) }
 
 // SetBudget attaches a resource budget: AddClause charges its clause
 // count (problem clauses only — learned clauses are bounded by the
-// deletion policy instead), SolveErr charges a decision per decision
+// deletion policy instead), Solve charges a decision per decision
 // point and polls the budget on every conflict, stopping with a typed
 // error matching limits.ErrBudget or limits.ErrCanceled. A nil budget
 // (the default) is unlimited.
@@ -301,7 +301,7 @@ func (s *Solver) SetPhase(v int, positive bool) { s.phase[v] = positive }
 // makes the solver permanently unsatisfiable. Must not be called while
 // a Solve is in progress. When a budget is attached, each stored clause
 // is charged against MaxClauses; an exhausted budget latches and the
-// error surfaces from the next SolveErr (AddClause itself stays
+// error surfaces from the next Solve (AddClause itself stays
 // void so incremental loops need no per-call error plumbing).
 func (s *Solver) AddClause(lits ...Lit) {
 	seen := make(map[Lit]bool, len(lits))
@@ -327,7 +327,7 @@ func (s *Solver) AddClause(lits ...Lit) {
 	} else {
 		s.attach(cl)
 	}
-	_ = s.budget.AddClauses(1) // latches; surfaces at the next SolveErr
+	_ = s.budget.AddClauses(1) // latches; surfaces at the next Solve
 }
 
 func (s *Solver) attach(c *clause) {
@@ -769,22 +769,15 @@ func (s *Solver) search(assumps []Lit, canonical bool, maxConflicts int64) (int8
 // models in the same order on every run, on every solver holding the
 // same clauses in the same insertion order.
 //
-// Solve ignores any attached budget error; resource-bounded callers use
-// SolveErr.
-func (s *Solver) Solve(assumptions ...Lit) ([]bool, bool) {
-	model, ok, _ := s.SolveErr(assumptions...)
-	return model, ok
-}
-
-// SolveErr is Solve under the attached budget (SetBudget): it charges
-// one decision per decision point, polls the budget on every conflict,
-// and stops early with a typed error matching limits.ErrBudget when
-// MaxDecisions or MaxClauses is exhausted, or limits.ErrCanceled when
-// the budget's context is done. On error the model is nil and ok is
-// false, and the partial assignment is fully undone, leaving the
-// solver reusable under a fresh budget (clauses learned before the cut
-// are entailed and are kept).
-func (s *Solver) SolveErr(assumptions ...Lit) ([]bool, bool, error) {
+// Under an attached budget (SetBudget) Solve charges one decision per
+// decision point, polls the budget on every conflict, and stops early
+// with a typed error matching limits.ErrBudget when MaxDecisions or
+// MaxClauses is exhausted, or limits.ErrCanceled when the budget's
+// context is done. On error the model is nil and ok is false, and the
+// partial assignment is fully undone, leaving the solver reusable under
+// a fresh budget (clauses learned before the cut are entailed and are
+// kept). Without a budget the error is always nil.
+func (s *Solver) Solve(assumptions ...Lit) ([]bool, bool, error) {
 	if err := s.budget.Err(); err != nil {
 		return nil, false, err
 	}

@@ -79,7 +79,7 @@ func runSATBenchInstance(tb testing.TB, inst satBenchInstance) *Solver {
 	for _, c := range inst.clauses {
 		s.AddClause(c...)
 	}
-	m, ok := s.Solve()
+	m, ok, _ := s.Solve()
 	if ok != inst.wantSAT {
 		tb.Fatalf("%s: sat=%v, want %v", inst.name, ok, inst.wantSAT)
 	}
@@ -89,7 +89,7 @@ func runSATBenchInstance(tb testing.TB, inst satBenchInstance) *Solver {
 			block[v] = MkLit(v, !m[v])
 		}
 		s.AddClause(block...)
-		m, ok = s.Solve()
+		m, ok, _ = s.Solve()
 	}
 	return s
 }
@@ -227,7 +227,7 @@ func TestE23Table(t *testing.T) {
 			s.AddClause(c...)
 		}
 		t0 := time.Now()
-		_, cok := s.Solve()
+		_, cok, _ := s.Solve()
 		cd := time.Since(t0)
 		line := fmt.Sprintf("%-14s sat=%-5v | CDCL d=%-6d c=%-6d learned=%-6d %10v",
 			r.name, cok, s.Decisions(), s.Conflicts(), s.Learned(), cd)

@@ -19,17 +19,17 @@ import (
 func TestIncrementalEmptyClauseAfterModel(t *testing.T) {
 	s := NewSolver(2)
 	s.AddClause(MkLit(0, true), MkLit(1, true))
-	if _, ok := s.Solve(); !ok {
+	if _, ok, _ := s.Solve(); !ok {
 		t.Fatal("satisfiable formula reported UNSAT")
 	}
 	s.AddClause() // empty clause
-	if _, ok := s.Solve(); ok {
+	if _, ok, _ := s.Solve(); ok {
 		t.Fatal("solver found a model after the empty clause")
 	}
-	if _, ok := s.Solve(MkLit(0, true)); ok {
+	if _, ok, _ := s.Solve(MkLit(0, true)); ok {
 		t.Fatal("assumptions revived a solver holding the empty clause")
 	}
-	if _, _, err := s.SolveErr(); err != nil {
+	if _, _, err := s.Solve(); err != nil {
 		t.Fatalf("empty clause is UNSAT, not an error: %v", err)
 	}
 }
@@ -40,7 +40,7 @@ func TestIncrementalEmptyClauseAfterModel(t *testing.T) {
 func TestIncrementalUnitAfterModel(t *testing.T) {
 	s := NewSolver(2)
 	s.AddClause(MkLit(0, true), MkLit(1, true))
-	m, ok := s.Solve()
+	m, ok, _ := s.Solve()
 	if !ok {
 		t.Fatal("UNSAT")
 	}
@@ -48,7 +48,7 @@ func TestIncrementalUnitAfterModel(t *testing.T) {
 		t.Fatal("phase preference should pick v0 true first")
 	}
 	s.AddClause(MkLit(0, false)) // force v0 false
-	m, ok = s.Solve()
+	m, ok, _ = s.Solve()
 	if !ok {
 		t.Fatal("UNSAT after unit")
 	}
@@ -71,13 +71,13 @@ func TestIncrementalDuplicateAndTautology(t *testing.T) {
 	if s.NumClauses() != before+1 {
 		t.Fatal("duplicate literals not collapsed into one clause")
 	}
-	m, ok := s.Solve()
+	m, ok, _ := s.Solve()
 	if !ok || !m[0] {
 		t.Fatalf("model %v ok=%v, want v0 forced true", m, ok)
 	}
 	// The collapsed unit must behave as one under later conflict.
 	s.AddClause(MkLit(0, false))
-	if _, ok := s.Solve(); ok {
+	if _, ok, _ := s.Solve(); ok {
 		t.Fatal("contradictory units still satisfiable")
 	}
 }
@@ -88,10 +88,10 @@ func TestIncrementalDuplicateAndTautology(t *testing.T) {
 func TestIncrementalAssumptionsDoNotStick(t *testing.T) {
 	s := NewSolver(3)
 	s.AddClause(MkLit(0, true), MkLit(1, true))
-	if _, ok := s.Solve(MkLit(0, false), MkLit(1, false)); ok {
+	if _, ok, _ := s.Solve(MkLit(0, false), MkLit(1, false)); ok {
 		t.Fatal("contradictory assumptions satisfied")
 	}
-	m, ok := s.Solve()
+	m, ok, _ := s.Solve()
 	if !ok {
 		t.Fatal("solver poisoned by failed assumptions")
 	}
@@ -99,7 +99,7 @@ func TestIncrementalAssumptionsDoNotStick(t *testing.T) {
 		t.Fatalf("model %v violates the only clause", m)
 	}
 	s.AddClause(MkLit(2, true))
-	m, ok = s.Solve(MkLit(0, false))
+	m, ok, _ = s.Solve(MkLit(0, false))
 	if !ok || m[0] || !m[1] || !m[2] {
 		t.Fatalf("model %v ok=%v, want v0 false v1 true v2 true", m, ok)
 	}
@@ -111,23 +111,23 @@ func TestIncrementalAssumptionsDoNotStick(t *testing.T) {
 func TestIncrementalNewVarAfterSolve(t *testing.T) {
 	s := NewSolver(1)
 	s.AddClause(MkLit(0, true))
-	if _, ok := s.Solve(); !ok {
+	if _, ok, _ := s.Solve(); !ok {
 		t.Fatal("UNSAT")
 	}
 	v := s.NewVar()
 	s.AddClause(MkLit(v, false), MkLit(0, true)) // act -> v0
-	m, ok := s.Solve(MkLit(v, true))
+	m, ok, _ := s.Solve(MkLit(v, true))
 	if !ok || len(m) != 2 || !m[v] {
 		t.Fatalf("model %v ok=%v, want length 2 with activation true", m, ok)
 	}
 	s.AddClause(MkLit(v, false)) // retire the activation
-	m, ok = s.Solve()
+	m, ok, _ = s.Solve()
 	if !ok || m[v] {
 		t.Fatalf("model %v ok=%v, want activation retired to false", m, ok)
 	}
 }
 
-// TestSolveErrDecisionBudget: the decision budget stops SolveErr with a
+// TestSolveErrDecisionBudget: the decision budget stops Solve with a
 // typed error, the error latches, and the solver becomes usable again
 // once the budget is detached.
 func TestSolveErrDecisionBudget(t *testing.T) {
@@ -138,7 +138,7 @@ func TestSolveErrDecisionBudget(t *testing.T) {
 	}
 	b := limits.NewBudget(nil, limits.Limits{MaxDecisions: 2})
 	s.SetBudget(b)
-	_, ok, err := s.SolveErr()
+	_, ok, err := s.Solve()
 	if ok || !errors.Is(err, limits.ErrBudget) {
 		t.Fatalf("ok=%v err=%v, want decision budget error", ok, err)
 	}
@@ -146,18 +146,18 @@ func TestSolveErrDecisionBudget(t *testing.T) {
 	if !errors.As(err, &be) || be.Resource != "decisions" {
 		t.Fatalf("typed error wrong: %#v", err)
 	}
-	if _, _, err2 := s.SolveErr(); !errors.Is(err2, limits.ErrBudget) {
+	if _, _, err2 := s.Solve(); !errors.Is(err2, limits.ErrBudget) {
 		t.Fatalf("latched error lost: %v", err2)
 	}
 	s.SetBudget(nil)
-	if _, ok, err := s.SolveErr(); !ok || err != nil {
+	if _, ok, err := s.Solve(); !ok || err != nil {
 		t.Fatalf("solver unusable after budget detached: ok=%v err=%v", ok, err)
 	}
 }
 
 // TestSolveErrClauseBudgetSurfacesLater: AddClause has no error path;
 // a clause-budget overrun latches silently and surfaces at the next
-// SolveErr.
+// Solve.
 func TestSolveErrClauseBudgetSurfacesLater(t *testing.T) {
 	s := NewSolver(4)
 	b := limits.NewBudget(nil, limits.Limits{MaxClauses: 2})
@@ -165,7 +165,7 @@ func TestSolveErrClauseBudgetSurfacesLater(t *testing.T) {
 	s.AddClause(MkLit(0, true))
 	s.AddClause(MkLit(1, true))
 	s.AddClause(MkLit(2, true)) // over budget, latches
-	_, ok, err := s.SolveErr()
+	_, ok, err := s.Solve()
 	if ok || !errors.Is(err, limits.ErrBudget) {
 		t.Fatalf("ok=%v err=%v, want clause budget error", ok, err)
 	}
@@ -179,7 +179,7 @@ func TestSolveErrCancellation(t *testing.T) {
 	s.AddClause(MkLit(0, true), MkLit(1, true))
 	s.SetBudget(limits.NewBudget(ctx, limits.Limits{}))
 	cancel()
-	_, ok, err := s.SolveErr()
+	_, ok, err := s.Solve()
 	if ok || !errors.Is(err, limits.ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("ok=%v err=%v, want cancellation error", ok, err)
 	}
@@ -189,7 +189,7 @@ func TestSolveErrCancellation(t *testing.T) {
 }
 
 // TestStableSolverBudgetedEnumerate: a stable solver under a tight
-// decision budget reports the typed error from EnumerateErr while the
+// decision budget reports the typed error from Enumerate while the
 // unbudgeted variant on the same program enumerates fully.
 func TestStableSolverBudgetedEnumerate(t *testing.T) {
 	src := `node(a). node(b). node(c). node(d).
@@ -207,7 +207,7 @@ out(X) :- node(X), not in(X).`
 	ss := NewStableSolver(gp)
 	ss.SetBudget(limits.NewBudget(nil, limits.Limits{MaxDecisions: 10}))
 	partial := 0
-	err = ss.EnumerateErr(func([]bool) bool { partial++; return true })
+	err = ss.Enumerate(func([]bool) bool { partial++; return true })
 	if !errors.Is(err, limits.ErrBudget) {
 		t.Fatalf("want budget error, got %v after %d models", err, partial)
 	}
@@ -233,7 +233,7 @@ func TestLearnedClausesSurviveAddClause(t *testing.T) {
 		s.AddClause(c...)
 		ref.AddClause(toRefLits(c)...)
 	}
-	m, ok := s.Solve()
+	m, ok, _ := s.Solve()
 	if !ok {
 		t.Fatal("PHP(3,3) is satisfiable")
 	}
@@ -250,7 +250,7 @@ func TestLearnedClausesSurviveAddClause(t *testing.T) {
 	if s.NumLearnts() != kept {
 		t.Fatalf("AddClause changed the learned database: %d -> %d", kept, s.NumLearnts())
 	}
-	m2, ok2 := s.Solve()
+	m2, ok2, _ := s.Solve()
 	w2, wok2 := ref.Solve()
 	if ok2 != wok2 {
 		t.Fatalf("after blocking clause: CDCL sat=%v, DPLL sat=%v", ok2, wok2)
@@ -272,14 +272,14 @@ func TestAssumptionsOverLearnedClauses(t *testing.T) {
 		s.AddClause(c...)
 		ref.AddClause(toRefLits(c)...)
 	}
-	if _, ok := s.Solve(); !ok {
+	if _, ok, _ := s.Solve(); !ok {
 		t.Fatal("PHP(3,3) is satisfiable")
 	}
 	if s.Learned() == 0 {
 		t.Fatal("no clauses learned before the assumption solves")
 	}
 	// Pigeon 0 in hole 2: satisfiable, same model both engines.
-	m, ok := s.Solve(MkLit(2, true))
+	m, ok, _ := s.Solve(MkLit(2, true))
 	w, wok := ref.Solve(dpllref.MkLit(2, true))
 	if !ok || !wok {
 		t.Fatalf("assumption v2: CDCL sat=%v, DPLL sat=%v", ok, wok)
@@ -289,13 +289,13 @@ func TestAssumptionsOverLearnedClauses(t *testing.T) {
 	}
 	// Pigeons 0 and 1 both in hole 0: refuted, and only under the
 	// assumptions — the formula itself stays satisfiable.
-	if _, ok := s.Solve(MkLit(0, true), MkLit(3, true)); ok {
+	if _, ok, _ := s.Solve(MkLit(0, true), MkLit(3, true)); ok {
 		t.Fatal("two pigeons in one hole satisfied")
 	}
 	if _, ok := ref.Solve(dpllref.MkLit(0, true), dpllref.MkLit(3, true)); ok {
 		t.Fatal("reference disagrees: two pigeons in one hole satisfied")
 	}
-	if _, ok := s.Solve(); !ok {
+	if _, ok, _ := s.Solve(); !ok {
 		t.Fatal("failed assumptions poisoned the solver")
 	}
 }
@@ -319,7 +319,7 @@ func TestRestartDuringEnumerationDeterminism(t *testing.T) {
 		}
 		var seq [][]bool
 		for len(seq) < 40 {
-			m, ok := s.Solve()
+			m, ok, _ := s.Solve()
 			if !ok {
 				break
 			}
@@ -349,7 +349,7 @@ func TestRestartDuringEnumerationDeterminism(t *testing.T) {
 }
 
 // TestBudgetPollsOnConflicts: the conflict-path budget poll. The
-// context expires after SolveErr's entry check, and the instance stays
+// context expires after Solve's entry check, and the instance stays
 // under pollEvery decisions, so the every-256 decision poll never fires
 // — only the per-conflict poll can see the expiry. The DPLL-era solver
 // would have run to UNSAT oblivious.
@@ -361,7 +361,7 @@ func TestBudgetPollsOnConflicts(t *testing.T) {
 	ctx := &errAfterCtx{Context: context.Background(), allow: 1}
 	b := limits.NewBudget(ctx, limits.Limits{})
 	s.SetBudget(b)
-	_, ok, err := s.SolveErr()
+	_, ok, err := s.Solve()
 	if ok || !errors.Is(err, limits.ErrCanceled) {
 		t.Fatalf("ok=%v err=%v, want prompt cancellation", ok, err)
 	}
@@ -376,7 +376,7 @@ func TestBudgetPollsOnConflicts(t *testing.T) {
 	}
 	// The solver stays reusable once the budget is detached.
 	s.SetBudget(nil)
-	if _, ok := s.Solve(); ok {
+	if _, ok, _ := s.Solve(); ok {
 		t.Fatal("PHP(4,3) became satisfiable after cancellation")
 	}
 }
@@ -392,7 +392,7 @@ func TestDecisionBudgetInterruptsConflictHeavyInstance(t *testing.T) {
 	}
 	b := limits.NewBudget(nil, limits.Limits{MaxDecisions: 3})
 	s.SetBudget(b)
-	_, ok, err := s.SolveErr()
+	_, ok, err := s.Solve()
 	if ok || !errors.Is(err, limits.ErrBudget) {
 		t.Fatalf("ok=%v err=%v, want decision budget error", ok, err)
 	}

@@ -9,7 +9,7 @@ func TestSolverBasicSAT(t *testing.T) {
 	s := NewSolver(2)
 	s.AddClause(MkLit(0, true), MkLit(1, true))
 	s.AddClause(MkLit(0, false), MkLit(1, true))
-	m, ok := s.Solve()
+	m, ok, _ := s.Solve()
 	if !ok {
 		t.Fatal("satisfiable formula reported UNSAT")
 	}
@@ -22,7 +22,7 @@ func TestSolverUNSAT(t *testing.T) {
 	s := NewSolver(1)
 	s.AddClause(MkLit(0, true))
 	s.AddClause(MkLit(0, false))
-	if _, ok := s.Solve(); ok {
+	if _, ok, _ := s.Solve(); ok {
 		t.Error("contradictory units reported SAT")
 	}
 }
@@ -30,7 +30,7 @@ func TestSolverUNSAT(t *testing.T) {
 func TestSolverEmptyClause(t *testing.T) {
 	s := NewSolver(1)
 	s.AddClause()
-	if _, ok := s.Solve(); ok {
+	if _, ok, _ := s.Solve(); ok {
 		t.Error("empty clause reported SAT")
 	}
 }
@@ -38,7 +38,7 @@ func TestSolverEmptyClause(t *testing.T) {
 func TestSolverTautologyDropped(t *testing.T) {
 	s := NewSolver(1)
 	s.AddClause(MkLit(0, true), MkLit(0, false))
-	if _, ok := s.Solve(); !ok {
+	if _, ok, _ := s.Solve(); !ok {
 		t.Error("tautology made formula UNSAT")
 	}
 }
@@ -46,15 +46,15 @@ func TestSolverTautologyDropped(t *testing.T) {
 func TestSolverAssumptions(t *testing.T) {
 	s := NewSolver(2)
 	s.AddClause(MkLit(0, true), MkLit(1, true))
-	if _, ok := s.Solve(MkLit(0, false), MkLit(1, false)); ok {
+	if _, ok, _ := s.Solve(MkLit(0, false), MkLit(1, false)); ok {
 		t.Error("assumptions violating the clause reported SAT")
 	}
-	m, ok := s.Solve(MkLit(0, false))
+	m, ok, _ := s.Solve(MkLit(0, false))
 	if !ok || !m[1] {
 		t.Error("assumption x0=false should force x1")
 	}
 	// Solver reusable after assumption calls.
-	if _, ok := s.Solve(); !ok {
+	if _, ok, _ := s.Solve(); !ok {
 		t.Error("solver not reusable after assumption solve")
 	}
 }
@@ -72,7 +72,7 @@ func TestSolverPigeonhole(t *testing.T) {
 			}
 		}
 	}
-	if _, ok := s.Solve(); ok {
+	if _, ok, _ := s.Solve(); ok {
 		t.Error("pigeonhole 4/3 reported SAT")
 	}
 }
@@ -80,17 +80,17 @@ func TestSolverPigeonhole(t *testing.T) {
 func TestSolverIncremental(t *testing.T) {
 	s := NewSolver(3)
 	s.AddClause(MkLit(0, true), MkLit(1, true), MkLit(2, true))
-	if _, ok := s.Solve(); !ok {
+	if _, ok, _ := s.Solve(); !ok {
 		t.Fatal("UNSAT at step 1")
 	}
 	s.AddClause(MkLit(0, false))
 	s.AddClause(MkLit(1, false))
-	m, ok := s.Solve()
+	m, ok, _ := s.Solve()
 	if !ok || !m[2] {
 		t.Error("incremental narrowing failed")
 	}
 	s.AddClause(MkLit(2, false))
-	if _, ok := s.Solve(); ok {
+	if _, ok, _ := s.Solve(); ok {
 		t.Error("fully blocked formula reported SAT")
 	}
 }
@@ -99,7 +99,7 @@ func TestSolverNewVar(t *testing.T) {
 	s := NewSolver(1)
 	v := s.NewVar()
 	s.AddClause(MkLit(0, true), MkLit(v, true))
-	m, ok := s.Solve(MkLit(0, false))
+	m, ok, _ := s.Solve(MkLit(0, false))
 	if !ok || !m[v] {
 		t.Error("fresh variable not usable")
 	}
@@ -124,7 +124,7 @@ func TestSolverRandom3SAT(t *testing.T) {
 		for _, c := range clauses {
 			s.AddClause(c...)
 		}
-		m, got := s.Solve()
+		m, got, _ := s.Solve()
 		want := bruteForceSAT(n, clauses)
 		if got != want {
 			t.Fatalf("trial %d: solver=%v brute=%v clauses=%v", trial, got, want, clauses)

@@ -25,8 +25,7 @@ type StableSolver struct {
 	// defRules lists the indices of rules with heads.
 	defRules []int
 
-	loopClauses int64
-	rec         obs.Recorder
+	rec obs.Recorder
 
 	budget        *limits.Budget // nil = unlimited
 	budgetCounted bool           // asp.budget.* counter already bumped
@@ -127,21 +126,13 @@ func NewStableSolverRec(gp *GroundProgram, rec obs.Recorder) *StableSolver {
 	return ss
 }
 
-// LoopClauses returns the number of loop formulas added so far.
-//
-// Deprecated: LoopClauses was an exported field; it is now an accessor
-// over the obs-backed counter. Attach an obs.Recorder via
-// NewStableSolverRec and read the asp.stable.loop_formulas counter
-// instead.
-func (ss *StableSolver) LoopClauses() int { return int(ss.loopClauses) }
-
 // SAT exposes the underlying SAT solver (for adding domain-specific
 // constraints such as blocking clauses over atom variables).
 func (ss *StableSolver) SAT() *Solver { return ss.sat }
 
 // SetBudget attaches a resource budget to the stability search and the
 // underlying SAT solver. Exhaustion or cancellation surfaces from the
-// *Err methods as typed errors matching limits.ErrBudget or
+// solving methods as typed errors matching limits.ErrBudget or
 // limits.ErrCanceled. A nil budget (the default) is unlimited.
 //
 // The budget does not cover the completion construction itself (the
@@ -213,32 +204,24 @@ func (ss *StableSolver) reductLM(model []bool) []bool {
 // Next returns the atom assignment of a stable model consistent with
 // the assumptions, or ok=false if none exists. Loop formulas discovered
 // along the way are retained (they are consequences of the program).
-// Next ignores any attached budget error; resource-bounded callers use
-// NextErr.
-func (ss *StableSolver) Next(assumptions ...Lit) ([]bool, bool) {
-	m, ok, _ := ss.NextErr(assumptions...)
-	return m, ok
-}
-
-// NextErr is Next under the attached budget (SetBudget): the search
-// stops early with a typed error matching limits.ErrBudget or
-// limits.ErrCanceled, in which case the model is nil and ok is false.
-func (ss *StableSolver) NextErr(assumptions ...Lit) ([]bool, bool, error) {
-	learned0 := ss.loopClauses
-	restarts := 0
+// Under an attached budget (SetBudget) the search stops early with a
+// typed error matching limits.ErrBudget or limits.ErrCanceled, in which
+// case the model is nil and ok is false.
+func (ss *StableSolver) Next(assumptions ...Lit) ([]bool, bool, error) {
+	learned, restarts := 0, 0
 	defer func() {
 		// Stability-effort distributions for this model search: how
 		// many completion models assat rejected and how many loop
 		// formulas it had to learn.
 		ss.rec.Observe(obs.HistASPRestartsPerSolve, time.Duration(int64(restarts)))
-		ss.rec.Observe(obs.HistASPLearnedPerSolve, time.Duration(ss.loopClauses-learned0))
+		ss.rec.Observe(obs.HistASPLearnedPerSolve, time.Duration(int64(learned)))
 	}()
 	for restart := 0; ; restart++ {
 		if restart > 0 {
 			restarts++
 			ss.rec.Inc(obs.ASPRestarts, 1)
 		}
-		full, ok, err := ss.sat.SolveErr(assumptions...)
+		full, ok, err := ss.sat.Solve(assumptions...)
 		if err != nil {
 			return nil, false, ss.noteErr(err)
 		}
@@ -286,7 +269,7 @@ func (ss *StableSolver) NextErr(assumptions ...Lit) ([]bool, bool, error) {
 			}
 		}
 		ss.sat.AddClause(clause...)
-		ss.loopClauses++
+		learned++
 		ss.rec.Inc(obs.ASPLoopFormulas, 1)
 	}
 }
@@ -311,19 +294,15 @@ func TrueAtoms(model []bool) []int {
 // phases (lowest-numbered variable first — see the package comment in
 // sat.go), each excluded by a blocking clause before the next search,
 // so the same program yields the same model sequence on every run,
-// independent of clause learning, restarts and deletion. Enumerate ignores any attached budget error;
-// resource-bounded callers use EnumerateErr.
-func (ss *StableSolver) Enumerate(visit func(model []bool) bool) {
-	_ = ss.EnumerateErr(visit)
-}
-
-// EnumerateErr is Enumerate under the attached budget (SetBudget): it
-// returns a typed error matching limits.ErrBudget or limits.ErrCanceled
-// when the search is cut short. Models already visited are unaffected —
-// callers keep the partial enumeration.
-func (ss *StableSolver) EnumerateErr(visit func(model []bool) bool) error {
+// independent of clause learning, restarts and deletion.
+//
+// Under an attached budget (SetBudget) Enumerate returns a typed error
+// matching limits.ErrBudget or limits.ErrCanceled when the search is
+// cut short. Models already visited are unaffected — callers keep the
+// partial enumeration.
+func (ss *StableSolver) Enumerate(visit func(model []bool) bool) error {
 	for {
-		m, ok, err := ss.NextErr()
+		m, ok, err := ss.Next()
 		if err != nil {
 			return err
 		}
@@ -345,19 +324,12 @@ func (ss *StableSolver) EnumerateErr(visit func(model []bool) bool) error {
 
 // BraveCautious enumerates all stable models and returns the union and
 // intersection of their atom sets; found is false when the program is
-// incoherent (no stable model). BraveCautious ignores any attached
-// budget error; resource-bounded callers use BraveCautiousErr.
-func (ss *StableSolver) BraveCautious() (brave, cautious []bool, found bool) {
-	brave, cautious, found, _ = ss.BraveCautiousErr()
-	return brave, cautious, found
-}
-
-// BraveCautiousErr is BraveCautious under the attached budget
-// (SetBudget). On a budget or cancellation error the returned sets
-// cover only the models enumerated before the cut — the brave set is an
-// under-approximation and the cautious set an over-approximation.
-func (ss *StableSolver) BraveCautiousErr() (brave, cautious []bool, found bool, err error) {
-	err = ss.EnumerateErr(func(m []bool) bool {
+// incoherent (no stable model). On a budget or cancellation error
+// (SetBudget) the returned sets cover only the models enumerated before
+// the cut — the brave set is an under-approximation and the cautious
+// set an over-approximation.
+func (ss *StableSolver) BraveCautious() (brave, cautious []bool, found bool, err error) {
+	err = ss.Enumerate(func(m []bool) bool {
 		if !found {
 			found = true
 			brave = append([]bool(nil), m...)
@@ -381,22 +353,18 @@ func (ss *StableSolver) BraveCautiousErr() (brave, cautious []bool, found bool, 
 // preference of Section 5.3 (metasp / asprin). Exactly one model per
 // maximal projection is visited. visit returning false stops early.
 // The visiting order is deterministic for the same reason as
-// Enumerate's. MaximalProjections ignores any attached budget error;
-// resource-bounded callers use MaximalProjectionsErr.
-func (ss *StableSolver) MaximalProjections(proj []int, visit func(model []bool) bool) {
-	_ = ss.MaximalProjectionsErr(proj, visit)
-}
-
-// MaximalProjectionsErr is MaximalProjections under the attached budget
-// (SetBudget): it returns a typed error matching limits.ErrBudget or
-// limits.ErrCanceled when the search is cut short. Projections already
-// visited were fully improved and remain maximal; a cut mid-improvement
-// discards the candidate rather than visiting a non-maximal one.
-func (ss *StableSolver) MaximalProjectionsErr(proj []int, visit func(model []bool) bool) error {
+// Enumerate's.
+//
+// Under an attached budget (SetBudget) MaximalProjections returns a
+// typed error matching limits.ErrBudget or limits.ErrCanceled when the
+// search is cut short. Projections already visited were fully improved
+// and remain maximal; a cut mid-improvement discards the candidate
+// rather than visiting a non-maximal one.
+func (ss *StableSolver) MaximalProjections(proj []int, visit func(model []bool) bool) error {
 	proj = append([]int(nil), proj...)
 	sort.Ints(proj)
 	for {
-		m, ok, err := ss.NextErr()
+		m, ok, err := ss.Next()
 		if err != nil {
 			return err
 		}
@@ -422,7 +390,7 @@ func (ss *StableSolver) MaximalProjectionsErr(proj []int, visit func(model []boo
 			// requirement can be retracted after this round.
 			act := ss.sat.NewVar()
 			ss.sat.AddClause(append([]Lit{MkLit(act, false)}, missing...)...)
-			m2, ok, err := ss.NextErr(append(assume, MkLit(act, true))...)
+			m2, ok, err := ss.Next(append(assume, MkLit(act, true))...)
 			ss.sat.AddClause(MkLit(act, false)) // retire the activation
 			if err != nil {
 				return err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/db"
@@ -18,7 +19,7 @@ func TestMaxSolutionsOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := 0
-	if err := e.Solutions(func(*eqrel.Partition) bool {
+	if err := e.SolutionsCtx(context.Background(), func(*eqrel.Partition) bool {
 		count++
 		return false
 	}); err != nil {
@@ -37,14 +38,14 @@ func TestQueryWithFreshConstant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	poss, err := e.IsPossibleAnswer(q, nil)
+	poss, err := e.IsPossibleAnswerCtx(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if poss {
 		t.Error("query over a fresh constant reported possible")
 	}
-	cert, err := e.IsCertainAnswer(q, nil)
+	cert, err := e.IsCertainAnswerCtx(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestPossibleAnswersExpansion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := e.PossibleAnswers(q)
+	ans, err := e.PossibleAnswersCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestPossibleAnswersExpansion(t *testing.T) {
 		t.Errorf("papers at unchaired conferences wrongly answered: %v", ans)
 	}
 	// Certain answers coincide here (the chair structure is certain).
-	cert, err := e.CertainAnswers(q)
+	cert, err := e.CertainAnswersCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestAnswersInTupleArityMismatch(t *testing.T) {
 func TestEngineReuse(t *testing.T) {
 	e, f := fig1Engine(t)
 	for i := 0; i < 3; i++ {
-		cm, err := e.CertainMerges()
+		cm, err := e.CertainMergesCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +121,7 @@ func TestEngineReuse(t *testing.T) {
 			t.Fatalf("iteration %d: certain merges = %d", i, len(cm))
 		}
 	}
-	ok, err := e.IsPossibleMerge(f.Const("a6"), f.Const("a7"))
+	ok, err := e.IsPossibleMergeCtx(context.Background(), f.Const("a6"), f.Const("a7"))
 	if err != nil || !ok {
 		t.Errorf("possible merge after reuse: %v %v", ok, err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -139,7 +140,7 @@ func BenchmarkGreedyFigure1(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, ok, err := e.GreedySolution()
+		_, ok, err := e.GreedySolutionCtx(context.Background())
 		if err != nil || !ok {
 			b.Fatalf("greedy: %v %v", ok, err)
 		}

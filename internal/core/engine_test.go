@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -57,25 +58,25 @@ func TestNoSolution(t *testing.T) {
 		`soft R(x,y) ~> EQ(x,y).
 		 denial P(v), Q(v).`,
 		nil)
-	_, ok, err := e.Existence()
+	_, ok, err := e.ExistenceCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok {
 		t.Error("unrepairable instance reported a solution")
 	}
-	maximal, err := e.MaximalSolutions()
+	maximal, err := e.MaximalSolutionsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(maximal) != 0 {
 		t.Errorf("got %d maximal solutions, want 0", len(maximal))
 	}
-	cm, err := e.CertainMerges()
+	cm, err := e.CertainMergesCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pm, err := e.PossibleMerges()
+	pm, err := e.PossibleMergesCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestRepairByMerge(t *testing.T) {
 	if ok {
 		t.Fatal("FD should be violated initially")
 	}
-	sol, exists, err := e.Existence()
+	sol, exists, err := e.ExistenceCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestRepairByMerge(t *testing.T) {
 		t.Error("solution does not contain the repairing merge")
 	}
 	// The merge is certain: every solution needs it.
-	cm, err := e.IsCertainMerge(lookup(t, d, "u"), lookup(t, d, "w"))
+	cm, err := e.IsCertainMergeCtx(context.Background(), lookup(t, d, "u"), lookup(t, d, "w"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestRecursiveMerges(t *testing.T) {
 	}
 	// But it is a possible (indeed certain) merge thanks to the dynamic
 	// semantics.
-	ok, err := e.IsCertainMerge(lookup(t, d, "p1"), lookup(t, d, "p2"))
+	ok, err := e.IsCertainMergeCtx(context.Background(), lookup(t, d, "p1"), lookup(t, d, "p2"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestProp1Equivalence(t *testing.T) {
 	}
 	collect := func(en *Engine) map[string]bool {
 		out := make(map[string]bool)
-		if err := en.Solutions(func(E *eqrel.Partition) bool {
+		if err := en.SolutionsCtx(context.Background(), func(E *eqrel.Partition) bool {
 			out[E.Key()] = true
 			return false
 		}); err != nil {
@@ -215,7 +216,7 @@ func TestTheorem9HardOnly(t *testing.T) {
 		},
 		`hard L(x,y) => EQ(x,y).`,
 		nil)
-	maximal, err := e.MaximalSolutions()
+	maximal, err := e.MaximalSolutionsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestTheorem9HardOnly(t *testing.T) {
 		t.Error("hard closure missing transitive merge (x,z)")
 	}
 	// All decision problems agree with the closure.
-	ok, err := e.IsCertainMerge(lookup(t, d, "x"), lookup(t, d, "y"))
+	ok, err := e.IsCertainMergeCtx(context.Background(), lookup(t, d, "x"), lookup(t, d, "y"))
 	if err != nil || !ok {
 		t.Errorf("hard merge not certain: %v %v", ok, err)
 	}
@@ -244,7 +245,7 @@ func TestTheorem9HardOnly(t *testing.T) {
 		`hard L(x,y) => EQ(x,y).
 		 denial R(a,b).`,
 		nil)
-	maximal, err = e2.MaximalSolutions()
+	maximal, err = e2.MaximalSolutionsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +272,7 @@ func TestTheorem9DenialFree(t *testing.T) {
 		},
 		`soft E(z,x), E(z,y) ~> EQ(x,y).`,
 		nil)
-	maximal, err := e.MaximalSolutions()
+	maximal, err := e.MaximalSolutionsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +286,7 @@ func TestTheorem9DenialFree(t *testing.T) {
 		t.Error("(u,v) missing from the unique maximal solution")
 	}
 	// Certain merges equal the closure's pairs.
-	cm, err := e.CertainMerges()
+	cm, err := e.CertainMergesCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,14 +328,14 @@ func TestRestrictedPruning(t *testing.T) {
 		t.Fatalf("identity should be consistent: %v %v", ok, err)
 	}
 	// Merging (u,v) induces S(u,w): violation. So (u,v) possible?
-	pm, err := e.IsPossibleMerge(u, v)
+	pm, err := e.IsPossibleMergeCtx(context.Background(), u, v)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pm {
 		t.Error("(u,v) merge leads to a persistent violation; must be impossible")
 	}
-	pm, err = e.IsPossibleMerge(v, w)
+	pm, err = e.IsPossibleMergeCtx(context.Background(), v, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,14 +343,14 @@ func TestRestrictedPruning(t *testing.T) {
 		t.Error("(v,w) merge also induces the violation; must be impossible")
 	}
 	// The identity is the unique (maximal) solution.
-	maximal, err := e.MaximalSolutions()
+	maximal, err := e.MaximalSolutionsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(maximal) != 1 || !maximal[0].IsIdentity() {
 		t.Errorf("maximal solutions = %v, want just the identity", maximal)
 	}
-	isMax, err := e.IsMaximalSolution(e.Identity())
+	isMax, err := e.IsMaximalSolution(context.Background(), e.Identity())
 	if err != nil || !isMax {
 		t.Errorf("identity not recognized as maximal: %v %v", isMax, err)
 	}
@@ -362,7 +363,7 @@ func TestBudgetExceeded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = e.MaximalSolutions()
+	_, err = e.MaximalSolutionsCtx(context.Background())
 	if !errors.Is(err, ErrBudget) {
 		t.Errorf("err = %v, want ErrBudget", err)
 	}
@@ -383,7 +384,7 @@ func TestReflexiveRuleHead(t *testing.T) {
 	if len(act) != 0 {
 		t.Errorf("reflexive rule produced active pairs: %v", act)
 	}
-	maximal, err := e.MaximalSolutions()
+	maximal, err := e.MaximalSolutionsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +398,7 @@ func TestReflexiveRuleHead(t *testing.T) {
 func TestSolutionsEnumerationCount(t *testing.T) {
 	e, _ := fig1Engine(t)
 	count := 0
-	if err := e.Solutions(func(*eqrel.Partition) bool {
+	if err := e.SolutionsCtx(context.Background(), func(*eqrel.Partition) bool {
 		count++
 		return false
 	}); err != nil {

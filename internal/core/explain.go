@@ -82,14 +82,9 @@ func (x *MergeExplanation) Format(in *db.Interner) string {
 	return b.String()
 }
 
-// ExplainMerge computes the status of the pair (a, b) together with
+// ExplainMergeCtx computes the status of the pair (a, b) together with
 // supporting evidence. It enumerates the maximal solutions, so it has
 // the complexity of CertMerge (Π^p_2 in general).
-func (e *Engine) ExplainMerge(a, b db.Const) (*MergeExplanation, error) {
-	return e.ExplainMergeCtx(context.Background(), a, b)
-}
-
-// ExplainMergeCtx is ExplainMerge with cancellation.
 func (e *Engine) ExplainMergeCtx(ctx context.Context, a, b db.Const) (*MergeExplanation, error) {
 	if a == b {
 		return nil, fmt.Errorf("core: reflexive pairs are trivially certain")

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/db"
 	"repro/internal/rules"
+	"repro/internal/workload"
 )
 
 func TestScoreSolutionWeights(t *testing.T) {
@@ -92,7 +94,7 @@ func TestNegSoftScoring(t *testing.T) {
 		t.Errorf("score = %v, want -4", score)
 	}
 	// BestSolutions prefers the identity (score 0) over merging (-4).
-	best, err := e.BestSolutions()
+	best, err := e.BestSolutions(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +114,7 @@ func TestBestSolutionsOnFigure1(t *testing.T) {
 			r.Weight = 10
 		}
 	}
-	best, err := e.BestSolutions()
+	best, err := e.BestSolutions(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +152,7 @@ func TestNegSoftParsing(t *testing.T) {
 
 func TestExplainCertain(t *testing.T) {
 	e, f := fig1Engine(t)
-	x, err := e.ExplainMerge(f.Const("p2"), f.Const("p3"))
+	x, err := e.ExplainMergeCtx(context.Background(), f.Const("p2"), f.Const("p3"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +167,7 @@ func TestExplainCertain(t *testing.T) {
 
 func TestExplainPossibleOnly(t *testing.T) {
 	e, f := fig1Engine(t)
-	x, err := e.ExplainMerge(f.Const("a6"), f.Const("a7"))
+	x, err := e.ExplainMergeCtx(context.Background(), f.Const("a6"), f.Const("a7"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +187,7 @@ func TestExplainPossibleOnly(t *testing.T) {
 
 func TestExplainImpossibleBlocked(t *testing.T) {
 	e, f := fig1Engine(t)
-	x, err := e.ExplainMerge(f.Const("c3"), f.Const("c4"))
+	x, err := e.ExplainMergeCtx(context.Background(), f.Const("c3"), f.Const("c4"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,14 +205,59 @@ func TestExplainImpossibleBlocked(t *testing.T) {
 
 func TestExplainNeverDerivable(t *testing.T) {
 	e, f := fig1Engine(t)
-	x, err := e.ExplainMerge(f.Const("a1"), f.Const("a4"))
+	x, err := e.ExplainMergeCtx(context.Background(), f.Const("a1"), f.Const("a4"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if x.Status != Impossible || !x.NeverDerivable {
 		t.Fatalf("(a1,a4) explanation = %+v, want never-derivable", x)
 	}
-	if _, err := e.ExplainMerge(f.Const("a1"), f.Const("a1")); err == nil {
+	if _, err := e.ExplainMergeCtx(context.Background(), f.Const("a1"), f.Const("a1")); err == nil {
 		t.Error("reflexive explanation accepted")
+	}
+}
+
+// TestExplainDeterministic: explaining the same pair twice yields the
+// same text — step order and "joining via" pairs included — for every
+// duplicate pair of a generated instance. The instance is small enough
+// for monolithic enumeration and has justifications with several join
+// dependencies per step.
+func TestExplainDeterministic(t *testing.T) {
+	cfg := workload.DefaultConfig(2)
+	cfg.Authors, cfg.Papers, cfg.Conferences = 6, 6, 2
+	ds, err := workload.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(ds.DB, ds.Spec, ds.Sims, Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := ds.DB.Interner()
+	ctx := context.Background()
+	pairs := 0
+	for _, cls := range ds.Truth.NontrivialClasses() {
+		for i, a := range cls {
+			for _, b := range cls[i+1:] {
+				pairs++
+				var want string
+				for run := 0; run < 20; run++ {
+					x, err := eng.Fork().ExplainMergeCtx(ctx, a, b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := x.Format(in)
+					if run == 0 {
+						want = got
+					} else if got != want {
+						t.Fatalf("(%s,%s) run %d differs:\n%s\nfirst run:\n%s",
+							in.Name(a), in.Name(b), run, got, want)
+					}
+				}
+			}
+		}
+	}
+	if pairs == 0 {
+		t.Fatal("generated instance has no duplicate pairs")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/db"
@@ -47,7 +48,7 @@ func m2(e *Engine, f *fixtures.Figure1) *eqrel.Partition {
 // TestExample4MaximalSolutions verifies MaxSol(Dex, Σex) = {M1, M2}.
 func TestExample4MaximalSolutions(t *testing.T) {
 	e, f := fig1Engine(t)
-	maximal, err := e.MaximalSolutions()
+	maximal, err := e.MaximalSolutionsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestExample4SolutionRecognition(t *testing.T) {
 	if !ok {
 		t.Error("E2 should be a solution")
 	}
-	maxOK, err := e.IsMaximalSolution(e2)
+	maxOK, err := e.IsMaximalSolution(context.Background(), e2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestExample4SolutionRecognition(t *testing.T) {
 	if !ok {
 		t.Error("M1 should be a solution")
 	}
-	maxOK, err = e.IsMaximalSolution(w1)
+	maxOK, err = e.IsMaximalSolution(context.Background(), w1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +268,7 @@ func TestExample6Merges(t *testing.T) {
 		pairOf(f, "a1", "a4"),
 	}
 	for _, p := range certain {
-		ok, err := e.IsCertainMerge(p.A, p.B)
+		ok, err := e.IsCertainMergeCtx(context.Background(), p.A, p.B)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,11 +277,11 @@ func TestExample6Merges(t *testing.T) {
 		}
 	}
 	for _, p := range possibleOnly {
-		cm, err := e.IsCertainMerge(p.A, p.B)
+		cm, err := e.IsCertainMergeCtx(context.Background(), p.A, p.B)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pm, err := e.IsPossibleMerge(p.A, p.B)
+		pm, err := e.IsPossibleMergeCtx(context.Background(), p.A, p.B)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +290,7 @@ func TestExample6Merges(t *testing.T) {
 		}
 	}
 	for _, p := range impossible {
-		pm, err := e.IsPossibleMerge(p.A, p.B)
+		pm, err := e.IsPossibleMergeCtx(context.Background(), p.A, p.B)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,7 +304,7 @@ func TestExample6Merges(t *testing.T) {
 // against Example 6 (including transitive closure pairs like (a1,a3)).
 func TestMergeSets(t *testing.T) {
 	e, f := fig1Engine(t)
-	cm, err := e.CertainMerges()
+	cm, err := e.CertainMergesCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +312,7 @@ func TestMergeSets(t *testing.T) {
 	if len(cm) != 6 {
 		t.Errorf("got %d certain merges, want 6: %v", len(cm), cm)
 	}
-	pm, err := e.PossibleMerges()
+	pm, err := e.PossibleMergesCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +345,7 @@ func TestMergeSets(t *testing.T) {
 // TestExistenceFigure1: solutions exist.
 func TestExistenceFigure1(t *testing.T) {
 	e, _ := fig1Engine(t)
-	sol, ok, err := e.Existence()
+	sol, ok, err := e.ExistenceCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,11 +373,11 @@ func TestQueryAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	poss, err := e.IsPossibleAnswer(qChi, nil)
+	poss, err := e.IsPossibleAnswerCtx(context.Background(), qChi, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cert, err := e.IsCertainAnswer(qChi, nil)
+	cert, err := e.IsCertainAnswerCtx(context.Background(), qChi, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +392,7 @@ func TestQueryAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cert, err = e.IsCertainAnswer(qTheta, nil)
+	cert, err = e.IsCertainAnswerCtx(context.Background(), qTheta, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +405,7 @@ func TestQueryAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	poss, err = e.IsPossibleAnswer(qNo, []db.Const{f.Const("c1")})
+	poss, err = e.IsPossibleAnswerCtx(context.Background(), qNo, []db.Const{f.Const("c1")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +419,7 @@ func TestQueryAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := e.CertainAnswers(qChair)
+	ans, err := e.CertainAnswersCtx(context.Background(), qChair)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +445,7 @@ func TestAnswersMonotoneUnderSolutions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	maximal, err := e.MaximalSolutions()
+	maximal, err := e.MaximalSolutionsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

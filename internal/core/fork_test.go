@@ -16,15 +16,15 @@ import (
 // many forks run concurrently.
 func TestForkMatchesOriginal(t *testing.T) {
 	e, _ := fig1Engine(t)
-	wantCM, err := e.CertainMerges()
+	wantCM, err := e.CertainMergesCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPM, err := e.PossibleMerges()
+	wantPM, err := e.PossibleMergesCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantMS, err := e.MaximalSolutions()
+	wantMS, err := e.MaximalSolutionsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,17 +37,17 @@ func TestForkMatchesOriginal(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cm, err := w.CertainMerges()
+			cm, err := w.CertainMergesCtx(context.Background())
 			if err != nil {
 				errs <- err
 				return
 			}
-			pm, err := w.PossibleMerges()
+			pm, err := w.PossibleMergesCtx(context.Background())
 			if err != nil {
 				errs <- err
 				return
 			}
-			ms, err := w.MaximalSolutions()
+			ms, err := w.MaximalSolutionsCtx(context.Background())
 			if err != nil {
 				errs <- err
 				return

@@ -2,13 +2,12 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/eqrel"
 	"repro/internal/limits"
 )
 
-// GreedySolution computes a single solution by greedy extension: from
+// GreedySolutionCtx computes a single solution by greedy extension: from
 // the hard closure of the identity, it repeatedly adds active pairs
 // whose hard closure does not increase the number of violated denial
 // constraints, until a fixpoint. The result is a solution whenever the
@@ -21,14 +20,11 @@ import (
 // single-pair extension. It is used by the workload experiments, which
 // mirror how the paper's envisioned prototype would be deployed on
 // real ER benchmarks (Section 7).
-func (e *Engine) GreedySolution() (*eqrel.Partition, bool, error) {
-	return e.GreedySolutionCtx(context.Background())
-}
-
-// GreedySolutionCtx is GreedySolution with cancellation: the context is
-// polled once per candidate pair, so a deadline interrupts the pass
-// between extensions. The error matches limits.ErrCanceled (and the
-// underlying context error) when the context fires.
+//
+// The context is polled once per candidate pair, so a deadline
+// interrupts the pass between extensions. The error matches
+// limits.ErrCanceled (and the underlying context error) when the
+// context fires.
 func (e *Engine) GreedySolutionCtx(ctx context.Context) (*eqrel.Partition, bool, error) {
 	E := e.Identity()
 	if err := e.HardClose(E); err != nil {
@@ -74,18 +70,4 @@ func (e *Engine) GreedySolutionCtx(ctx context.Context) (*eqrel.Partition, bool,
 		}
 	}
 	return E, cur == 0, nil
-}
-
-// MustGreedySolution is GreedySolution returning an error when the
-// greedy pass ends in an inconsistent state.
-func (e *Engine) MustGreedySolution() (*eqrel.Partition, error) {
-	E, ok, err := e.GreedySolution()
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		viol, _ := e.ViolatedDenials(E)
-		return nil, fmt.Errorf("core: greedy pass ended with violated denials %v", viol)
-	}
-	return E, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -193,7 +194,7 @@ func TestJustifyErrors(t *testing.T) {
 // exactly.
 func TestReplayReconstructsSolutions(t *testing.T) {
 	e, _ := fig1Engine(t)
-	maximal, err := e.MaximalSolutions()
+	maximal, err := e.MaximalSolutionsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

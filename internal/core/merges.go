@@ -9,16 +9,11 @@ import (
 	"repro/internal/eqrel"
 )
 
-// IsPossibleMerge decides PossMerge (Theorem 5: NP-complete): whether
+// IsPossibleMergeCtx decides PossMerge (Theorem 5: NP-complete): whether
 // (a, b) belongs to some maximal solution. Since every solution extends
 // to a maximal one, it suffices to find any solution containing the
 // pair, so the search stops (and, under parallelism, cancels the other
 // workers) at the first hit.
-func (e *Engine) IsPossibleMerge(a, b db.Const) (bool, error) {
-	return e.IsPossibleMergeCtx(context.Background(), a, b)
-}
-
-// IsPossibleMergeCtx is IsPossibleMerge with cancellation.
 func (e *Engine) IsPossibleMergeCtx(ctx context.Context, a, b db.Const) (bool, error) {
 	found := false
 	err := e.enumSolutions(ctx, func(E *eqrel.Partition) bool {
@@ -31,15 +26,10 @@ func (e *Engine) IsPossibleMergeCtx(ctx context.Context, a, b db.Const) (bool, e
 	return found, err
 }
 
-// IsCertainMerge decides CertMerge (Theorem 4: Π^p_2-complete): whether
+// IsCertainMergeCtx decides CertMerge (Theorem 4: Π^p_2-complete): whether
 // (a, b) belongs to every maximal solution, the set of maximal solutions
 // being nonempty. Certain merges are possible merges by definition, so
 // the answer is false when no solution exists.
-func (e *Engine) IsCertainMerge(a, b db.Const) (bool, error) {
-	return e.IsCertainMergeCtx(context.Background(), a, b)
-}
-
-// IsCertainMergeCtx is IsCertainMerge with cancellation.
 func (e *Engine) IsCertainMergeCtx(ctx context.Context, a, b db.Const) (bool, error) {
 	maximal, err := e.MaximalSolutionsCtx(ctx)
 	if err != nil {
@@ -56,16 +46,11 @@ func (e *Engine) IsCertainMergeCtx(ctx context.Context, a, b db.Const) (bool, er
 	return true, nil
 }
 
-// PossibleMerges returns possMerge(D, Σ): the union of the merge sets of
+// PossibleMergesCtx returns possMerge(D, Σ): the union of the merge sets of
 // all maximal solutions, sorted. Maximal solutions have the same pair
 // union as all solutions, so plain solution enumeration suffices. The
 // output is a sorted set, so sequential and parallel runs return
 // identical results.
-func (e *Engine) PossibleMerges() ([]eqrel.Pair, error) {
-	return e.PossibleMergesCtx(context.Background())
-}
-
-// PossibleMergesCtx is PossibleMerges with cancellation.
 func (e *Engine) PossibleMergesCtx(ctx context.Context) ([]eqrel.Pair, error) {
 	seen := make(map[eqrel.Pair]bool)
 	err := e.enumSolutions(ctx, func(E *eqrel.Partition) bool {
@@ -80,13 +65,8 @@ func (e *Engine) PossibleMergesCtx(ctx context.Context) ([]eqrel.Pair, error) {
 	return sortedPairs(seen), nil
 }
 
-// CertainMerges returns certMerge(D, Σ): the intersection of the merge
+// CertainMergesCtx returns certMerge(D, Σ): the intersection of the merge
 // sets of all maximal solutions (empty when no solution exists), sorted.
-func (e *Engine) CertainMerges() ([]eqrel.Pair, error) {
-	return e.CertainMergesCtx(context.Background())
-}
-
-// CertainMergesCtx is CertainMerges with cancellation.
 func (e *Engine) CertainMergesCtx(ctx context.Context) ([]eqrel.Pair, error) {
 	maximal, err := e.MaximalSolutionsCtx(ctx)
 	if err != nil {
@@ -169,15 +149,10 @@ func (e *Engine) HoldsIn(q *cq.CQ, tuple []db.Const, E *eqrel.Partition) (bool, 
 	return pq.plan.Holds(e.Induced(E), e.sims, cq.RunSpec{Rec: e.rec, Rep: e.repFor(E), Bind: bind}), nil
 }
 
-// IsPossibleAnswer decides PossAnswer (Theorem 7: NP-complete): whether
+// IsPossibleAnswerCtx decides PossAnswer (Theorem 7: NP-complete): whether
 // ā ∈ q(D, E) for some maximal solution E. Query answers are preserved
 // under extension of E (queries are homomorphism-preserved), so any
 // solution witnesses possibility.
-func (e *Engine) IsPossibleAnswer(q *cq.CQ, tuple []db.Const) (bool, error) {
-	return e.IsPossibleAnswerCtx(context.Background(), q, tuple)
-}
-
-// IsPossibleAnswerCtx is IsPossibleAnswer with cancellation.
 func (e *Engine) IsPossibleAnswerCtx(ctx context.Context, q *cq.CQ, tuple []db.Const) (bool, error) {
 	found := false
 	var inner error
@@ -199,14 +174,9 @@ func (e *Engine) IsPossibleAnswerCtx(ctx context.Context, q *cq.CQ, tuple []db.C
 	return found, err
 }
 
-// IsCertainAnswer decides CertAnswer (Theorem 6: Π^p_2-complete):
+// IsCertainAnswerCtx decides CertAnswer (Theorem 6: Π^p_2-complete):
 // whether ā ∈ q(D, E) for every maximal solution E, there being at
 // least one. Empty when no solution exists, per Definition 6.
-func (e *Engine) IsCertainAnswer(q *cq.CQ, tuple []db.Const) (bool, error) {
-	return e.IsCertainAnswerCtx(context.Background(), q, tuple)
-}
-
-// IsCertainAnswerCtx is IsCertainAnswer with cancellation.
 func (e *Engine) IsCertainAnswerCtx(ctx context.Context, q *cq.CQ, tuple []db.Const) (bool, error) {
 	maximal, err := e.MaximalSolutionsCtx(ctx)
 	if err != nil {
@@ -227,14 +197,9 @@ func (e *Engine) IsCertainAnswerCtx(ctx context.Context, q *cq.CQ, tuple []db.Co
 	return true, nil
 }
 
-// PossibleAnswers returns possAns(q, D, Σ): the union of q(D, E) over
+// PossibleAnswersCtx returns possAns(q, D, Σ): the union of q(D, E) over
 // all maximal solutions E, with each representative answer expanded to
 // every original-constant tuple in its equivalence classes.
-func (e *Engine) PossibleAnswers(q *cq.CQ) ([][]db.Const, error) {
-	return e.PossibleAnswersCtx(context.Background(), q)
-}
-
-// PossibleAnswersCtx is PossibleAnswers with cancellation.
 func (e *Engine) PossibleAnswersCtx(ctx context.Context, q *cq.CQ) ([][]db.Const, error) {
 	maximal, err := e.MaximalSolutionsCtx(ctx)
 	if err != nil {
@@ -259,13 +224,8 @@ func (e *Engine) PossibleAnswersCtx(ctx context.Context, q *cq.CQ) ([][]db.Const
 	return out, nil
 }
 
-// CertainAnswers returns certAns(q, D, Σ): the tuples that are answers
+// CertainAnswersCtx returns certAns(q, D, Σ): the tuples that are answers
 // in every maximal solution (empty when none exists).
-func (e *Engine) CertainAnswers(q *cq.CQ) ([][]db.Const, error) {
-	return e.CertainAnswersCtx(context.Background(), q)
-}
-
-// CertainAnswersCtx is CertainAnswers with cancellation.
 func (e *Engine) CertainAnswersCtx(ctx context.Context, q *cq.CQ) ([][]db.Const, error) {
 	maximal, err := e.MaximalSolutionsCtx(ctx)
 	if err != nil {

@@ -62,17 +62,18 @@ type ApplyResult struct {
 }
 
 // EpochSnapshot is one epoch's immutable resolution handle: the frozen
-// database, its fingerprint, and the engines resolving it. Snapshots
+// database, its fingerprint, and the engine resolving it. Snapshots
 // taken before a mutation keep answering against their own epoch.
 //
-// The result methods are safe for concurrent use: sharded resolution
-// is once-guarded and its results are read-only afterwards, and the
-// monolithic paths run on a private Fork per call.
+// The snapshot is the one place that decides how an epoch is resolved:
+// a sharded session answers through the epoch's ShardedEngine, a
+// monolithic one through a private Fork of the epoch's Engine per call.
+// Either way the result methods are safe for concurrent use.
 type EpochSnapshot struct {
 	epoch uint64
 	d     *db.Database
 	fp    string
-	eng   *Engine
+	eng   *Engine        // se's own engine for sharded sessions
 	se    *ShardedEngine // nil for monolithic sessions
 }
 
@@ -85,74 +86,50 @@ func (s *EpochSnapshot) DB() *db.Database { return s.d }
 // Fingerprint returns the snapshot database's content fingerprint.
 func (s *EpochSnapshot) Fingerprint() string { return s.fp }
 
-// Engine returns the snapshot's monolithic engine. Callers running
-// queries concurrently must Fork it per goroutine, as always.
+// Engine returns the snapshot's engine (the sharded engine's own for
+// sharded sessions). Callers running queries concurrently must Fork it
+// per goroutine, as always.
 func (s *EpochSnapshot) Engine() *Engine { return s.eng }
 
 // Sharded returns the snapshot's sharded engine, nil for monolithic
 // sessions.
 func (s *EpochSnapshot) Sharded() *ShardedEngine { return s.se }
 
-// sharded reports whether results should come from the sharded engine:
-// it resolves (once) and checks the engine did not fall back to a
-// monolithic solve. Reading se.mono after resolve is safe — sync.Once
-// orders run's writes before every returning Do.
-func (s *EpochSnapshot) sharded(ctx context.Context) (bool, error) {
-	if s.se == nil {
-		return false, nil
+// resolver is the question set both engines answer.
+type resolver interface {
+	CertainMergesCtx(ctx context.Context) ([]eqrel.Pair, error)
+	PossibleMergesCtx(ctx context.Context) ([]eqrel.Pair, error)
+	MaximalSolutionsCtx(ctx context.Context) ([]*eqrel.Partition, error)
+	ExistenceCtx(ctx context.Context) (*eqrel.Partition, bool, error)
+}
+
+// resolver returns the sharded engine, or a private fork of the
+// monolithic one.
+func (s *EpochSnapshot) resolver() resolver {
+	if s.se != nil {
+		return s.se
 	}
-	if err := s.se.resolve(ctx); err != nil {
-		return false, err
-	}
-	return !s.se.mono, nil
+	return s.eng.Fork()
 }
 
 // CertainMergesCtx returns the snapshot's certain merges.
 func (s *EpochSnapshot) CertainMergesCtx(ctx context.Context) ([]eqrel.Pair, error) {
-	sharded, err := s.sharded(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if sharded {
-		return s.se.CertainMergesCtx(ctx)
-	}
-	return s.eng.Fork().CertainMergesCtx(ctx)
+	return s.resolver().CertainMergesCtx(ctx)
 }
 
 // PossibleMergesCtx returns the snapshot's possible merges.
 func (s *EpochSnapshot) PossibleMergesCtx(ctx context.Context) ([]eqrel.Pair, error) {
-	sharded, err := s.sharded(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if sharded {
-		return s.se.PossibleMergesCtx(ctx)
-	}
-	return s.eng.Fork().PossibleMergesCtx(ctx)
+	return s.resolver().PossibleMergesCtx(ctx)
 }
 
 // MaximalSolutionsCtx returns the snapshot's maximal solutions.
 func (s *EpochSnapshot) MaximalSolutionsCtx(ctx context.Context) ([]*eqrel.Partition, error) {
-	sharded, err := s.sharded(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if sharded {
-		return s.se.MaximalSolutionsCtx(ctx)
-	}
-	return s.eng.Fork().MaximalSolutionsCtx(ctx)
+	return s.resolver().MaximalSolutionsCtx(ctx)
 }
 
 // ExistenceCtx reports whether the snapshot's instance has a solution.
 func (s *EpochSnapshot) ExistenceCtx(ctx context.Context) (*eqrel.Partition, bool, error) {
-	sharded, err := s.sharded(ctx)
-	if err != nil {
-		return nil, false, err
-	}
-	if sharded {
-		return s.se.ExistenceCtx(ctx)
-	}
-	return s.eng.Fork().ExistenceCtx(ctx)
+	return s.resolver().ExistenceCtx(ctx)
 }
 
 // MutableSession accepts batched fact mutations against a fixed
@@ -291,22 +268,26 @@ func (m *MutableSession) ApplyDurable(b Batch, precommit func(ApplyResult) error
 	return res, snap, nil
 }
 
-// newSnapshot builds the engines for one epoch. The monolithic engine
-// and the sharded engine hold separate Sessions over the same frozen
-// database — Freeze is idempotent, so their freezeShared calls never
-// race.
+// newSnapshot builds one epoch's engine — a ShardedEngine for sharded
+// sessions, whose own Engine then serves the snapshot too — over a fork
+// of the session's similarity registry. Epochs may resolve concurrently,
+// and each root engine writes its registry's unsynchronized memo tier;
+// forks still share the memoized verdicts.
 func (m *MutableSession) newSnapshot(epoch uint64, d *db.Database) (*EpochSnapshot, error) {
-	eng, err := New(d, m.spec, m.sims, m.opts)
-	if err != nil {
-		return nil, err
-	}
-	snap := &EpochSnapshot{epoch: epoch, d: d, fp: d.Fingerprint(), eng: eng}
+	snap := &EpochSnapshot{epoch: epoch, d: d, fp: d.Fingerprint()}
+	sims := m.sims.Fork()
 	if m.sharded {
-		se, err := NewSharded(d, m.spec, m.sims, m.opts, m.sopts)
+		se, err := NewSharded(d, m.spec, sims, m.opts, m.sopts)
 		if err != nil {
 			return nil, err
 		}
-		snap.se = se
+		snap.se, snap.eng = se, se.Engine()
+		return snap, nil
 	}
+	eng, err := New(d, m.spec, sims, m.opts)
+	if err != nil {
+		return nil, err
+	}
+	snap.eng = eng
 	return snap, nil
 }

@@ -58,7 +58,7 @@ func assertEpochEquals(t *testing.T, label string, oracle *Engine, snap *EpochSn
 	t.Helper()
 	ctx := context.Background()
 
-	oc, err := oracle.CertainMerges()
+	oc, err := oracle.CertainMergesCtx(context.Background())
 	if err != nil {
 		t.Fatalf("%s: oracle certain: %v", label, err)
 	}
@@ -70,7 +70,7 @@ func assertEpochEquals(t *testing.T, label string, oracle *Engine, snap *EpochSn
 		t.Fatalf("%s: certain merges diverge:\n  oracle   %v\n  snapshot %v", label, oc, sc)
 	}
 
-	op, err := oracle.PossibleMerges()
+	op, err := oracle.PossibleMergesCtx(context.Background())
 	if err != nil {
 		t.Fatalf("%s: oracle possible: %v", label, err)
 	}
@@ -82,7 +82,7 @@ func assertEpochEquals(t *testing.T, label string, oracle *Engine, snap *EpochSn
 		t.Fatalf("%s: possible merges diverge:\n  oracle   %v\n  snapshot %v", label, op, sp)
 	}
 
-	om, err := oracle.MaximalSolutions()
+	om, err := oracle.MaximalSolutionsCtx(context.Background())
 	if err != nil {
 		t.Fatalf("%s: oracle maximal: %v", label, err)
 	}
@@ -100,7 +100,7 @@ func assertEpochEquals(t *testing.T, label string, oracle *Engine, snap *EpochSn
 		}
 	}
 
-	_, ook, err := oracle.Existence()
+	_, ook, err := oracle.ExistenceCtx(context.Background())
 	if err != nil {
 		t.Fatalf("%s: oracle existence: %v", label, err)
 	}
@@ -116,22 +116,22 @@ func assertEpochEquals(t *testing.T, label string, oracle *Engine, snap *EpochSn
 	// copy-on-write overlay database.
 	seng := snap.Engine().Fork()
 	for qi, q := range queries {
-		oca, err := oracle.CertainAnswers(q)
+		oca, err := oracle.CertainAnswersCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: oracle certain answers %d: %v", label, qi, err)
 		}
-		sca, err := seng.CertainAnswers(q)
+		sca, err := seng.CertainAnswersCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: snapshot certain answers %d: %v", label, qi, err)
 		}
 		if fmt.Sprintf("%v", oca) != fmt.Sprintf("%v", sca) {
 			t.Fatalf("%s: certain answers %d diverge:\n  oracle   %v\n  snapshot %v", label, qi, oca, sca)
 		}
-		opa, err := oracle.PossibleAnswers(q)
+		opa, err := oracle.PossibleAnswersCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: oracle possible answers %d: %v", label, qi, err)
 		}
-		spa, err := seng.PossibleAnswers(q)
+		spa, err := seng.PossibleAnswersCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: snapshot possible answers %d: %v", label, qi, err)
 		}
@@ -464,5 +464,48 @@ func TestMutableApplyRejects(t *testing.T) {
 	}
 	if got := m.Snapshot().Epoch(); got != 0 {
 		t.Fatalf("rejected batches advanced the epoch to %d", got)
+	}
+}
+
+// TestMutableConcurrentEpochResolves: snapshots of different epochs may
+// resolve at the same time. Every batch inserts an Author whose email
+// no epoch has seen, so each epoch's resolution computes fresh
+// similarity verdicts; under -race this catches any unsynchronized
+// memo tier shared between the epochs' engines.
+func TestMutableConcurrentEpochResolves(t *testing.T) {
+	ctx := context.Background()
+	ds, err := workload.GenerateScale(workload.DefaultScaleConfig(7, 400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMutableSharded(ds.DB, ds.Spec, ds.Sims, Options{Parallelism: 1}, ShardOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := ds.DB.Interner()
+	inst := in.Name(ds.DB.Tuples("Author")[0][2])
+	snaps := []*EpochSnapshot{m.Snapshot()}
+	for i := 0; i < 4; i++ {
+		_, snap, err := m.Apply(Batch{Insert: []db.FactSpec{{Rel: "Author", Args: []string{
+			fmt.Sprintf("fresh_a%d", i), fmt.Sprintf("never.seen.%d@%s.org", i, inst), inst}}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, snap)
+	}
+	errs := make([]error, len(snaps))
+	var wg sync.WaitGroup
+	for i, snap := range snaps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = snap.PossibleMergesCtx(ctx)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("epoch %d: %v", i, err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/db"
@@ -126,7 +127,7 @@ func TestPlanAndFixpointCounters(t *testing.T) {
 func TestSearchStats(t *testing.T) {
 	e, _, _ := obsSetup(t, Options{})
 	n := 0
-	if err := e.Solutions(func(*eqrel.Partition) bool { n++; return false }); err != nil {
+	if err := e.SolutionsCtx(context.Background(), func(*eqrel.Partition) bool { n++; return false }); err != nil {
 		t.Fatal(err)
 	}
 	snap := e.Stats()

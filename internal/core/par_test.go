@@ -28,11 +28,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		seqMax, err := seq.MaximalSolutions()
+		seqMax, err := seq.MaximalSolutionsCtx(context.Background())
 		if err != nil {
 			t.Fatalf("trial %d: sequential MaximalSolutions: %v", trial, err)
 		}
-		parMax, err := par.MaximalSolutions()
+		parMax, err := par.MaximalSolutionsCtx(context.Background())
 		if err != nil {
 			t.Fatalf("trial %d: parallel MaximalSolutions: %v", trial, err)
 		}
@@ -47,11 +47,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 			}
 		}
 
-		seqCert, err := seq.CertainMerges()
+		seqCert, err := seq.CertainMergesCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		parCert, err := par.CertainMerges()
+		parCert, err := par.CertainMergesCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,11 +59,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("trial %d: CertainMerges differ: seq %v, par %v", trial, seqCert, parCert)
 		}
 
-		seqPoss, err := seq.PossibleMerges()
+		seqPoss, err := seq.PossibleMergesCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		parPoss, err := par.PossibleMerges()
+		parPoss, err := par.PossibleMergesCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,11 +71,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("trial %d: PossibleMerges differ: seq %v, par %v", trial, seqPoss, parPoss)
 		}
 
-		_, seqOK, err := seq.Existence()
+		_, seqOK, err := seq.ExistenceCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		parW, parOK, err := par.Existence()
+		parW, parOK, err := par.ExistenceCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestParallelBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = par.MaximalSolutions()
+		_, err = par.MaximalSolutionsCtx(context.Background())
 		if err == nil {
 			// A space of exactly one state fits the budget; verify that
 			// is the case via a sequential engine.
@@ -126,7 +126,7 @@ func TestParallelBudget(t *testing.T) {
 				t.Fatal(nerr)
 			}
 			states := 0
-			if serr := seqE.Solutions(func(*eqrel.Partition) bool { states++; return false }); serr != nil && !errors.Is(serr, ErrBudget) {
+			if serr := seqE.SolutionsCtx(context.Background(), func(*eqrel.Partition) bool { states++; return false }); serr != nil && !errors.Is(serr, ErrBudget) {
 				t.Fatal(serr)
 			}
 			continue
@@ -182,10 +182,10 @@ func TestParallelSolutionsOrderUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ka, kb []string
-	if err := a.Solutions(func(E *eqrel.Partition) bool { ka = append(ka, E.Key()); return false }); err != nil {
+	if err := a.SolutionsCtx(context.Background(), func(E *eqrel.Partition) bool { ka = append(ka, E.Key()); return false }); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Solutions(func(E *eqrel.Partition) bool { kb = append(kb, E.Key()); return false }); err != nil {
+	if err := b.SolutionsCtx(context.Background(), func(E *eqrel.Partition) bool { kb = append(kb, E.Key()); return false }); err != nil {
 		t.Fatal(err)
 	}
 	if len(ka) != len(kb) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -77,7 +78,7 @@ func TestPropertyEverySolutionRecognized(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		e := randomEngine(t, rng)
 		var sols []*eqrel.Partition
-		if err := e.Solutions(func(E *eqrel.Partition) bool {
+		if err := e.SolutionsCtx(context.Background(), func(E *eqrel.Partition) bool {
 			sols = append(sols, E.Clone())
 			return false
 		}); err != nil {
@@ -92,12 +93,12 @@ func TestPropertyEverySolutionRecognized(t *testing.T) {
 				t.Fatalf("trial %d: enumerated solution fails Rec: %v", trial, s)
 			}
 		}
-		maximal, err := e.MaximalSolutions()
+		maximal, err := e.MaximalSolutionsCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, m := range maximal {
-			ok, err := e.IsMaximalSolution(m)
+			ok, err := e.IsMaximalSolution(context.Background(), m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +114,7 @@ func TestPropertyEverySolutionRecognized(t *testing.T) {
 					isMax = true
 				}
 			}
-			got, err := e.IsMaximalSolution(s)
+			got, err := e.IsMaximalSolution(context.Background(), s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,11 +132,11 @@ func TestPropertyEverySolutionInSomeMaximal(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 	for trial := 0; trial < 25; trial++ {
 		e := randomEngine(t, rng)
-		maximal, err := e.MaximalSolutions()
+		maximal, err := e.MaximalSolutionsCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Solutions(func(E *eqrel.Partition) bool {
+		if err := e.SolutionsCtx(context.Background(), func(E *eqrel.Partition) bool {
 			for _, m := range maximal {
 				if E.Subset(m) {
 					return false
@@ -155,11 +156,11 @@ func TestPropertyCertainSubsetPossible(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
 	for trial := 0; trial < 20; trial++ {
 		e := randomEngine(t, rng)
-		cm, err := e.CertainMerges()
+		cm, err := e.CertainMergesCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		pm, err := e.PossibleMerges()
+		pm, err := e.PossibleMergesCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +172,7 @@ func TestPropertyCertainSubsetPossible(t *testing.T) {
 			if !poss[p] {
 				t.Fatalf("trial %d: certain pair %v not possible", trial, p)
 			}
-			ok, err := e.IsCertainMerge(p.A, p.B)
+			ok, err := e.IsCertainMergeCtx(context.Background(), p.A, p.B)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -180,7 +181,7 @@ func TestPropertyCertainSubsetPossible(t *testing.T) {
 			}
 		}
 		for _, p := range pm {
-			ok, err := e.IsPossibleMerge(p.A, p.B)
+			ok, err := e.IsPossibleMergeCtx(context.Background(), p.A, p.B)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -237,7 +238,7 @@ func TestPropertyJustifyAllMergesOfAllMaximal(t *testing.T) {
 	rng := rand.New(rand.NewSource(505))
 	for trial := 0; trial < 15; trial++ {
 		e := randomEngine(t, rng)
-		maximal, err := e.MaximalSolutions()
+		maximal, err := e.MaximalSolutionsCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +262,7 @@ func TestPropertyGreedyIsSolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(606))
 	for trial := 0; trial < 25; trial++ {
 		e := randomEngine(t, rng)
-		sol, ok, err := e.GreedySolution()
+		sol, ok, err := e.GreedySolutionCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +291,7 @@ func TestPropertyProp1SolutionSets(t *testing.T) {
 		}
 		collect := func(en *Engine) map[string]bool {
 			out := map[string]bool{}
-			if err := en.Solutions(func(E *eqrel.Partition) bool {
+			if err := en.SolutionsCtx(context.Background(), func(E *eqrel.Partition) bool {
 				out[E.Key()] = true
 				return false
 			}); err != nil {
@@ -390,7 +391,7 @@ func TestPropertyInducedMatchesFullMap(t *testing.T) {
 		e := randomEngine(t, rng)
 		// Populate the cache through the search path (seedInduced/MapFrom).
 		var sols []*eqrel.Partition
-		if err := e.Solutions(func(E *eqrel.Partition) bool {
+		if err := e.SolutionsCtx(context.Background(), func(E *eqrel.Partition) bool {
 			sols = append(sols, E.Clone())
 			return false
 		}); err != nil {
@@ -425,7 +426,7 @@ func TestPropertyAnswerPreservation(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		e := randomEngine(t, rng)
 		var sols []*eqrel.Partition
-		if err := e.Solutions(func(E *eqrel.Partition) bool {
+		if err := e.SolutionsCtx(context.Background(), func(E *eqrel.Partition) bool {
 			sols = append(sols, E.Clone())
 			return false
 		}); err != nil {

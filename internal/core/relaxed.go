@@ -51,6 +51,22 @@ func (e *Engine) relaxedMatches(r *rules.Rule, E *eqrel.Partition, cb func(relax
 			simAtoms = append(simAtoms, a)
 		}
 	}
+	// occKeys lists the occurrence keys in body order, so dependencies
+	// (and the justifications built from them) come out in a fixed order.
+	var occKeys []string
+	seenKey := make(map[string]bool)
+	for _, a := range relAtoms {
+		for _, t := range a.Args {
+			k := t.Name
+			if !t.IsVar {
+				k = constKey(t.Const)
+			}
+			if !seenKey[k] {
+				seenKey[k] = true
+				occKeys = append(occKeys, k)
+			}
+		}
+	}
 
 	emit := func() bool {
 		m := relaxedMatch{
@@ -60,7 +76,8 @@ func (e *Engine) relaxedMatches(r *rules.Rule, E *eqrel.Partition, cb func(relax
 		m.headA = occurrences[r.X()][0]
 		m.headB = occurrences[r.Y()][0]
 		seen := make(map[eqrel.Pair]bool)
-		for _, occ := range occurrences {
+		for _, k := range occKeys {
+			occ := occurrences[k]
 			for i := 0; i < len(occ); i++ {
 				for j := i + 1; j < len(occ); j++ {
 					if occ[i] != occ[j] {
@@ -152,7 +169,7 @@ func (e *Engine) relaxedMatches(r *rules.Rule, E *eqrel.Partition, cb func(relax
 						// merge is a dependency of the application, like
 						// a shared-variable join. Track it via a
 						// synthetic occurrence key.
-						key := fmt.Sprintf("#%d", t.Const)
+						key := constKey(t.Const)
 						occurrences[key] = append(occurrences[key], t.Const, tup[pos])
 						occAdded = append(occAdded, key, key)
 					}
@@ -176,3 +193,6 @@ func (e *Engine) relaxedMatches(r *rules.Rule, E *eqrel.Partition, cb func(relax
 	rec(0)
 	return nil
 }
+
+// constKey is the synthetic occurrence key of a body constant.
+func constKey(c db.Const) string { return fmt.Sprintf("#%d", c) }

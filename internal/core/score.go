@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"repro/internal/eqrel"
 	"repro/internal/rules"
 )
@@ -64,10 +66,10 @@ type Scored struct {
 }
 
 // BestSolutions returns the maximal solutions with the highest evidence
-// score (several in case of ties), ordered as MaximalSolutions returns
-// them.
-func (e *Engine) BestSolutions() ([]Scored, error) {
-	maximal, err := e.MaximalSolutions()
+// score (several in case of ties), ordered as MaximalSolutionsCtx
+// returns them.
+func (e *Engine) BestSolutions(ctx context.Context) ([]Scored, error) {
+	maximal, err := e.MaximalSolutionsCtx(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,7 @@ import (
 // work-queue variant used when Options.Parallelism > 1.
 type searcher struct {
 	c   *Context
-	ctx context.Context // optional cancellation; nil means run to completion
+	ctx context.Context
 	// visited doubles as the dedup set and the state counter.
 	visited map[string]bool
 	budget  int
@@ -53,13 +53,11 @@ func (s *searcher) run(start *eqrel.Partition) error {
 }
 
 func (s *searcher) rec(E *eqrel.Partition) (stop bool, err error) {
-	if s.ctx != nil {
-		if err := s.ctx.Err(); err != nil {
-			// Wrapped so callers can match limits.ErrCanceled uniformly
-			// across the native search and the ASP pipeline;
-			// errors.Is(err, context.Canceled) still holds via Unwrap.
-			return true, limits.Wrap(err)
-		}
+	if err := s.ctx.Err(); err != nil {
+		// Wrapped so callers can match limits.ErrCanceled uniformly
+		// across the native search and the ASP pipeline;
+		// errors.Is(err, context.Canceled) still holds via Unwrap.
+		return true, limits.Wrap(err)
 	}
 	key := E.Key()
 	if s.visited[key] {
@@ -109,18 +107,13 @@ func (s *searcher) rec(E *eqrel.Partition) (stop bool, err error) {
 	return false, nil
 }
 
-// Solutions enumerates solutions of (D, Σ), invoking visit for each (the
+// SolutionsCtx enumerates solutions of (D, Σ), invoking visit for each (the
 // partition is live; clone to retain). Enumeration stops early when
 // visit returns true. The error is ErrBudget when the search budget was
-// exhausted before the space was fully explored. Solutions always uses
-// the sequential searcher — its visit order is part of its contract —
-// regardless of Options.Parallelism.
-func (e *Engine) Solutions(visit func(E *eqrel.Partition) bool) error {
-	return e.SolutionsCtx(context.Background(), visit)
-}
-
-// SolutionsCtx is Solutions with cancellation: when ctx is done the
-// enumeration stops and ctx.Err() is returned.
+// exhausted before the space was fully explored, and wraps ctx.Err()
+// when ctx is done first. SolutionsCtx always uses the sequential
+// searcher — its visit order is part of its contract — regardless of
+// Options.Parallelism.
 func (e *Engine) SolutionsCtx(ctx context.Context, visit func(E *eqrel.Partition) bool) error {
 	sp := e.rec.Start(obs.SpanCoreSearch)
 	count := 0
@@ -152,16 +145,11 @@ func (e *Engine) enumSolutions(ctx context.Context, visit func(E *eqrel.Partitio
 	return e.SolutionsCtx(ctx, visit)
 }
 
-// Existence decides whether Sol(D, Σ) ≠ ∅ and returns a witness
+// ExistenceCtx decides whether Sol(D, Σ) ≠ ∅ and returns a witness
 // solution when one exists (Theorem 2: NP-complete in general). For
 // restricted specifications it uses the polynomial algorithm of
 // Theorem 8 instead of search. Under parallelism the witness found
 // first may differ between runs; the boolean is deterministic.
-func (e *Engine) Existence() (*eqrel.Partition, bool, error) {
-	return e.ExistenceCtx(context.Background())
-}
-
-// ExistenceCtx is Existence with cancellation.
 func (e *Engine) ExistenceCtx(ctx context.Context) (*eqrel.Partition, bool, error) {
 	if e.sess.spec.IsRestricted() {
 		return e.existenceRestricted()
@@ -195,18 +183,13 @@ func (e *Engine) existenceRestricted() (*eqrel.Partition, bool, error) {
 	return h, true, nil
 }
 
-// MaximalSolutions returns all ⊆-maximal solutions, ordered by
+// MaximalSolutionsCtx returns all ⊆-maximal solutions, ordered by
 // canonical partition key. For the tractable classes of Theorem 9 (no
 // soft rules, or no denial constraints) the unique maximal solution is
 // computed directly; otherwise the solution space is enumerated —
 // in parallel when Options.Parallelism > 1 — and filtered to its
 // maximal antichain. The antichain is a set, so sequential and parallel
 // runs return identical output.
-func (e *Engine) MaximalSolutions() ([]*eqrel.Partition, error) {
-	return e.MaximalSolutionsCtx(context.Background())
-}
-
-// MaximalSolutionsCtx is MaximalSolutions with cancellation.
 func (e *Engine) MaximalSolutionsCtx(ctx context.Context) ([]*eqrel.Partition, error) {
 	sp := e.rec.Start(obs.SpanCoreMaxSol)
 	defer sp.End()
@@ -275,7 +258,7 @@ func (e *Engine) uniqueMaximal() (sol *eqrel.Partition, ok bool, err error, done
 
 // IsMaximalSolution decides MaxRec (Theorem 3: coNP-complete in
 // general; Theorem 8: polynomial for restricted specifications).
-func (e *Engine) IsMaximalSolution(E *eqrel.Partition) (bool, error) {
+func (e *Engine) IsMaximalSolution(ctx context.Context, E *eqrel.Partition) (bool, error) {
 	isSol, err := e.IsSolution(E)
 	if err != nil || !isSol {
 		return false, err
@@ -309,12 +292,12 @@ func (e *Engine) IsMaximalSolution(E *eqrel.Partition) (bool, error) {
 		// soft-active pair, so this is complete.
 		found := false
 		if e.parallelEnabled() {
-			err = e.parSolutions(context.Background(), ext, func(*eqrel.Partition) bool {
+			err = e.parSolutions(ctx, ext, func(*eqrel.Partition) bool {
 				found = true
 				return true
 			})
 		} else {
-			s := e.newSearcher(nil, func(*eqrel.Partition) (bool, error) {
+			s := e.newSearcher(ctx, func(*eqrel.Partition) (bool, error) {
 				found = true
 				return true, nil
 			})

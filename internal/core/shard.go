@@ -133,7 +133,10 @@ type couplingPlan struct {
 // Engine on the same instance.
 //
 // The first result call resolves the whole instance once (under that
-// call's context); later calls reuse the per-shard results.
+// call's context); later calls reuse the per-shard results. The result
+// methods are safe for concurrent use: the resolved results are
+// read-only, and an instance that falls back to a monolithic solve runs
+// it on a private Fork per call.
 type ShardedEngine struct {
 	eng   *Engine
 	sopts ShardOptions
@@ -1079,21 +1082,16 @@ func (se *ShardedEngine) permanentViolation(mergeable func(db.Const) bool) (bool
 
 // --- results ----------------------------------------------------------
 
-// MaximalSolutions composes the per-shard maximal solutions into the
+// MaximalSolutionsCtx composes the per-shard maximal solutions into the
 // instance's maximal solutions: independence of shards makes the global
 // set the product of the per-shard sets. The product size is capped by
 // Options.MaxStates; exceeding it returns ErrBudget.
-func (se *ShardedEngine) MaximalSolutions() ([]*eqrel.Partition, error) {
-	return se.MaximalSolutionsCtx(context.Background())
-}
-
-// MaximalSolutionsCtx is MaximalSolutions with cancellation.
 func (se *ShardedEngine) MaximalSolutionsCtx(ctx context.Context) ([]*eqrel.Partition, error) {
 	if err := se.resolve(ctx); err != nil {
 		return nil, err
 	}
 	if se.mono {
-		return se.eng.MaximalSolutionsCtx(ctx)
+		return se.eng.Fork().MaximalSolutionsCtx(ctx)
 	}
 	if se.unsolvable {
 		return nil, nil
@@ -1121,20 +1119,15 @@ func (se *ShardedEngine) MaximalSolutionsCtx(ctx context.Context) ([]*eqrel.Part
 	return sols, nil
 }
 
-// CertainMerges is the union of the shards' certain merges: a pair is
+// CertainMergesCtx is the union of the shards' certain merges: a pair is
 // in every maximal solution iff it is in every maximal solution of its
 // own shard. Empty when no solution exists.
-func (se *ShardedEngine) CertainMerges() ([]eqrel.Pair, error) {
-	return se.CertainMergesCtx(context.Background())
-}
-
-// CertainMergesCtx is CertainMerges with cancellation.
 func (se *ShardedEngine) CertainMergesCtx(ctx context.Context) ([]eqrel.Pair, error) {
 	if err := se.resolve(ctx); err != nil {
 		return nil, err
 	}
 	if se.mono {
-		return se.eng.CertainMergesCtx(ctx)
+		return se.eng.Fork().CertainMergesCtx(ctx)
 	}
 	if se.unsolvable {
 		return nil, nil
@@ -1148,18 +1141,13 @@ func (se *ShardedEngine) CertainMergesCtx(ctx context.Context) ([]eqrel.Pair, er
 	return sortedPairs(set), nil
 }
 
-// PossibleMerges is the union of the shards' possible merges.
-func (se *ShardedEngine) PossibleMerges() ([]eqrel.Pair, error) {
-	return se.PossibleMergesCtx(context.Background())
-}
-
-// PossibleMergesCtx is PossibleMerges with cancellation.
+// PossibleMergesCtx is the union of the shards' possible merges.
 func (se *ShardedEngine) PossibleMergesCtx(ctx context.Context) ([]eqrel.Pair, error) {
 	if err := se.resolve(ctx); err != nil {
 		return nil, err
 	}
 	if se.mono {
-		return se.eng.PossibleMergesCtx(ctx)
+		return se.eng.Fork().PossibleMergesCtx(ctx)
 	}
 	set := make(map[eqrel.Pair]bool)
 	if !se.unsolvable {
@@ -1174,19 +1162,14 @@ func (se *ShardedEngine) PossibleMergesCtx(ctx context.Context) ([]eqrel.Pair, e
 	return sortedPairs(set), nil
 }
 
-// Existence reports whether a solution exists, with a witness composed
+// ExistenceCtx reports whether a solution exists, with a witness composed
 // from each shard's first maximal solution.
-func (se *ShardedEngine) Existence() (*eqrel.Partition, bool, error) {
-	return se.ExistenceCtx(context.Background())
-}
-
-// ExistenceCtx is Existence with cancellation.
 func (se *ShardedEngine) ExistenceCtx(ctx context.Context) (*eqrel.Partition, bool, error) {
 	if err := se.resolve(ctx); err != nil {
 		return nil, false, err
 	}
 	if se.mono {
-		return se.eng.ExistenceCtx(ctx)
+		return se.eng.Fork().ExistenceCtx(ctx)
 	}
 	if se.unsolvable {
 		return nil, false, nil

@@ -16,6 +16,7 @@ package core
 // run) so the guard trips on real regressions, not on CI noise.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -55,7 +56,7 @@ func BenchmarkShardWorkload(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pm, err := se.PossibleMerges()
+		pm, err := se.PossibleMergesCtx(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}

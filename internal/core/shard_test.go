@@ -7,6 +7,7 @@ package core
 // byte-identical to the monolithic engine's.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -24,11 +25,11 @@ import (
 func assertShardedEquals(t *testing.T, label string, mono *Engine, se *ShardedEngine) {
 	t.Helper()
 
-	mc, err := mono.CertainMerges()
+	mc, err := mono.CertainMergesCtx(context.Background())
 	if err != nil {
 		t.Fatalf("%s: monolithic certain: %v", label, err)
 	}
-	sc, err := se.CertainMerges()
+	sc, err := se.CertainMergesCtx(context.Background())
 	if err != nil {
 		t.Fatalf("%s: sharded certain: %v", label, err)
 	}
@@ -36,11 +37,11 @@ func assertShardedEquals(t *testing.T, label string, mono *Engine, se *ShardedEn
 		t.Fatalf("%s: certain merges diverge:\n  monolithic %v\n  sharded    %v", label, mc, sc)
 	}
 
-	mp, err := mono.PossibleMerges()
+	mp, err := mono.PossibleMergesCtx(context.Background())
 	if err != nil {
 		t.Fatalf("%s: monolithic possible: %v", label, err)
 	}
-	sp, err := se.PossibleMerges()
+	sp, err := se.PossibleMergesCtx(context.Background())
 	if err != nil {
 		t.Fatalf("%s: sharded possible: %v", label, err)
 	}
@@ -48,11 +49,11 @@ func assertShardedEquals(t *testing.T, label string, mono *Engine, se *ShardedEn
 		t.Fatalf("%s: possible merges diverge:\n  monolithic %v\n  sharded    %v", label, mp, sp)
 	}
 
-	mm, err := mono.MaximalSolutions()
+	mm, err := mono.MaximalSolutionsCtx(context.Background())
 	if err != nil {
 		t.Fatalf("%s: monolithic maximal: %v", label, err)
 	}
-	sm, err := se.MaximalSolutions()
+	sm, err := se.MaximalSolutionsCtx(context.Background())
 	if err != nil {
 		t.Fatalf("%s: sharded maximal: %v", label, err)
 	}
@@ -66,11 +67,11 @@ func assertShardedEquals(t *testing.T, label string, mono *Engine, se *ShardedEn
 		}
 	}
 
-	_, mok, err := mono.Existence()
+	_, mok, err := mono.ExistenceCtx(context.Background())
 	if err != nil {
 		t.Fatalf("%s: monolithic existence: %v", label, err)
 	}
-	sw, sok, err := se.Existence()
+	sw, sok, err := se.ExistenceCtx(context.Background())
 	if err != nil {
 		t.Fatalf("%s: sharded existence: %v", label, err)
 	}
@@ -174,7 +175,7 @@ denial d1: R(x,x).`, sch, d.Interner(), reg)
 		t.Fatal(err)
 	}
 	assertShardedEquals(t, "unsolvable", mono, se)
-	ms, err := se.MaximalSolutions()
+	ms, err := se.MaximalSolutionsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestShardStatsShape(t *testing.T) {
 		}
 	}
 	// Possible merges must live inside shard members.
-	pm, err := se.PossibleMerges()
+	pm, err := se.PossibleMergesCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +251,7 @@ func TestShardDeterministicAcrossParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ms, err := se.MaximalSolutions()
+		ms, err := se.MaximalSolutionsCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -117,7 +117,7 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := se.PossibleMerges(); err != nil {
+		if _, err := se.PossibleMergesCtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 		rebuildTotal += time.Since(t0)

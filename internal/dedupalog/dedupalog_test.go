@@ -1,6 +1,7 @@
 package dedupalog
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -58,11 +59,11 @@ func TestStaticSemanticsOnFigure1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	certTheta, err := e.IsCertainMerge(f.Const("p2"), f.Const("p3"))
+	certTheta, err := e.IsCertainMergeCtx(context.Background(), f.Const("p2"), f.Const("p3"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	possEta, err := e.IsPossibleMerge(f.Const("c3"), f.Const("c4"))
+	possEta, err := e.IsPossibleMergeCtx(context.Background(), f.Const("c3"), f.Const("c4"))
 	if err != nil {
 		t.Fatal(err)
 	}

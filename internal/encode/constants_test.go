@@ -1,6 +1,7 @@
 package encode
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -113,7 +114,7 @@ func TestConstantsTheorem10(t *testing.T) {
 			t.Fatal("ASP misses a native solution on the constants instance")
 		}
 	}
-	nat, err := e.MaximalSolutions()
+	nat, err := e.MaximalSolutionsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestConstantInDenialOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ok, err := e.Existence()
+	_, ok, err := e.ExistenceCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestConstantInDenialOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sv.Existence(); ok {
+	if _, ok, _ := sv.Existence(); ok {
 		t.Error("ASP pipeline disagrees on the constant-inequality denial")
 	}
 }

@@ -42,7 +42,7 @@ func diffCheck(t *testing.T, name string, d *db.Database, spec *rules.Spec, reg 
 		}
 	}
 
-	nat, err := e.MaximalSolutions()
+	nat, err := e.MaximalSolutionsCtx(context.Background())
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -157,7 +157,7 @@ func solutionOrder(t *testing.T, f *fixtures.Figure1) string {
 }
 
 // TestSolverBudgetCutsEnumeration: a tight decision budget stops
-// SolutionsErr with a typed error after a partial enumeration.
+// Solutions with a typed error after a partial enumeration.
 func TestSolverBudgetCutsEnumeration(t *testing.T) {
 	f := fixtures.New()
 	b := limits.NewBudget(nil, limits.Limits{MaxDecisions: 5})
@@ -166,7 +166,7 @@ func TestSolverBudgetCutsEnumeration(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := 0
-	err = s.SolutionsErr(func(*eqrel.Partition) bool { seen++; return true })
+	err = s.Solutions(func(*eqrel.Partition) bool { seen++; return true })
 	if !errors.Is(err, limits.ErrBudget) {
 		t.Fatalf("want budget error, got %v after %d solutions", err, seen)
 	}
@@ -194,7 +194,7 @@ func TestSolverDeadlineSurfacesQuickly(t *testing.T) {
 			t.Fatal(err2)
 		}
 		if err2 == nil {
-			err = s.SolutionsErr(func(*eqrel.Partition) bool { return true })
+			err = s.Solutions(func(*eqrel.Partition) bool { return true })
 			if !errors.Is(err, limits.ErrCanceled) {
 				t.Fatalf("expired deadline never surfaced: %v", err)
 			}
@@ -227,7 +227,7 @@ func TestNoGoroutineLeakOnCancel(t *testing.T) {
 
 		b := limits.NewBudget(ctx, limits.Limits{})
 		if s, err := NewSolverBudget(New(f.DB, f.Spec, f.Sims), b, nil); err == nil {
-			_ = s.SolutionsErr(func(*eqrel.Partition) bool { return true })
+			_ = s.Solutions(func(*eqrel.Partition) bool { return true })
 		}
 	}
 	// Workers drain asynchronously after cancellation; poll briefly.

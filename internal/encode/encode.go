@@ -399,8 +399,8 @@ func NewSolverRec(en *Encoder, rec obs.Recorder) (*Solver, error) {
 // and decisions against the same budget. Exhaustion or cancellation
 // surfaces as a typed error matching limits.ErrBudget or
 // limits.ErrCanceled — from NewSolverBudget itself when grounding is
-// cut short, or from the *Err enumeration methods afterwards. A nil
-// budget is unlimited.
+// cut short, or from the enumeration methods afterwards. A nil budget
+// is unlimited.
 func NewSolverBudget(en *Encoder, b *limits.Budget, rec obs.Recorder) (*Solver, error) {
 	rec = obs.OrNop(rec)
 	prog, err := en.Program()
@@ -454,58 +454,38 @@ func (s *Solver) stable() *asp.StableSolver {
 }
 
 // Solutions enumerates Sol(D, Σ) via stable models (Theorem 10),
-// calling visit with each solution; visit returning false stops.
-// Solutions ignores any attached budget error; resource-bounded
-// callers use SolutionsErr.
-func (s *Solver) Solutions(visit func(E *eqrel.Partition) bool) {
-	_ = s.SolutionsErr(visit)
-}
-
-// SolutionsErr is Solutions under the solver's budget
-// (NewSolverBudget): enumeration stops early with a typed error
-// matching limits.ErrBudget or limits.ErrCanceled. Solutions already
-// visited are a sound partial enumeration.
-func (s *Solver) SolutionsErr(visit func(E *eqrel.Partition) bool) error {
+// calling visit with each solution; visit returning false stops. Under
+// the solver's budget (NewSolverBudget) enumeration stops early with a
+// typed error matching limits.ErrBudget or limits.ErrCanceled; solutions
+// already visited are a sound partial enumeration.
+func (s *Solver) Solutions(visit func(E *eqrel.Partition) bool) error {
 	sp := s.rec.Start(obs.SpanASPSolve).AttrStr("mode", "solutions")
 	defer sp.End()
-	return s.stable().EnumerateErr(func(m []bool) bool {
+	return s.stable().Enumerate(func(m []bool) bool {
 		return visit(s.extract(m))
 	})
 }
 
 // MaximalSolutions enumerates MaxSol(D, Σ) via ⊆-maximal eq-projections
-// (Section 5.3). It ignores any attached budget error;
-// resource-bounded callers use MaximalSolutionsErr.
-func (s *Solver) MaximalSolutions(visit func(E *eqrel.Partition) bool) {
-	_ = s.MaximalSolutionsErr(visit)
-}
-
-// MaximalSolutionsErr is MaximalSolutions under the solver's budget
-// (NewSolverBudget). Solutions visited before a budget or cancellation
-// error are genuinely maximal; the enumeration may miss others.
-func (s *Solver) MaximalSolutionsErr(visit func(E *eqrel.Partition) bool) error {
+// (Section 5.3). Under the solver's budget (NewSolverBudget), solutions
+// visited before a budget or cancellation error are genuinely maximal;
+// the enumeration may miss others.
+func (s *Solver) MaximalSolutions(visit func(E *eqrel.Partition) bool) error {
 	sp := s.rec.Start(obs.SpanASPSolve).AttrStr("mode", "maximal")
 	defer sp.End()
-	return s.stable().MaximalProjectionsErr(s.eqAtoms, func(m []bool) bool {
+	return s.stable().MaximalProjections(s.eqAtoms, func(m []bool) bool {
 		return visit(s.extract(m))
 	})
 }
 
 // Existence reports coherence of (Π_Sol, D): whether any solution
-// exists, with a witness. It ignores any attached budget error;
-// resource-bounded callers use ExistenceErr.
-func (s *Solver) Existence() (*eqrel.Partition, bool) {
-	E, ok, _ := s.ExistenceErr()
-	return E, ok
-}
-
-// ExistenceErr is Existence under the solver's budget
-// (NewSolverBudget): on a budget or cancellation error the witness is
-// nil, ok is false, and the question remains undecided.
-func (s *Solver) ExistenceErr() (*eqrel.Partition, bool, error) {
+// exists, with a witness. Under the solver's budget (NewSolverBudget) a
+// budget or cancellation error leaves the witness nil, ok false, and
+// the question undecided.
+func (s *Solver) Existence() (*eqrel.Partition, bool, error) {
 	sp := s.rec.Start(obs.SpanASPSolve).AttrStr("mode", "existence")
 	defer sp.End()
-	m, ok, err := s.stable().NextErr()
+	m, ok, err := s.stable().Next()
 	if err != nil || !ok {
 		return nil, false, err
 	}

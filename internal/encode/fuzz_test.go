@@ -1,6 +1,7 @@
 package encode
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -121,7 +122,7 @@ func FuzzTheorem10(f *testing.F) {
 		}
 
 		native := make(map[string]bool)
-		if err := e.Solutions(func(E *eqrel.Partition) bool {
+		if err := e.SolutionsCtx(context.Background(), func(E *eqrel.Partition) bool {
 			native[E.Key()] = true
 			return false
 		}); err != nil {
@@ -131,7 +132,7 @@ func FuzzTheorem10(f *testing.F) {
 			t.Fatal(err)
 		}
 		aspSols := make(map[string]bool)
-		if err := s.SolutionsErr(func(E *eqrel.Partition) bool {
+		if err := s.Solutions(func(E *eqrel.Partition) bool {
 			aspSols[E.Key()] = true
 			return true
 		}); err != nil {
@@ -149,7 +150,7 @@ func FuzzTheorem10(f *testing.F) {
 			}
 		}
 
-		nat, err := e.MaximalSolutions()
+		nat, err := e.MaximalSolutionsCtx(context.Background())
 		if err != nil {
 			if errors.Is(err, core.ErrBudget) {
 				t.Skip("native maximal search over budget")
@@ -169,7 +170,7 @@ func FuzzTheorem10(f *testing.F) {
 			t.Fatal(err)
 		}
 		count := 0
-		if err := s2.MaximalSolutionsErr(func(E *eqrel.Partition) bool {
+		if err := s2.MaximalSolutions(func(E *eqrel.Partition) bool {
 			count++
 			if !natKeys[E.Key()] {
 				t.Fatalf("ASP maximal solution not native-maximal\nDB:\n%s\nSpec:\n%s", d, spec)

@@ -1,6 +1,7 @@
 package encode
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -16,7 +17,7 @@ import (
 func collectNative(t *testing.T, e *core.Engine) map[string]bool {
 	t.Helper()
 	out := make(map[string]bool)
-	if err := e.Solutions(func(E *eqrel.Partition) bool {
+	if err := e.SolutionsCtx(context.Background(), func(E *eqrel.Partition) bool {
 		out[E.Key()] = true
 		return false
 	}); err != nil {
@@ -76,7 +77,7 @@ func TestTheorem10Figure1Maximal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nativeMax, err := e.MaximalSolutions()
+	nativeMax, err := e.MaximalSolutionsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestTheorem10Coherence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Existence(); !ok {
+	if _, ok, _ := s.Existence(); !ok {
 		t.Error("Figure 1 encoding incoherent")
 	}
 
@@ -128,7 +129,7 @@ func TestTheorem10Coherence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s2.Existence(); ok {
+	if _, ok, _ := s2.Existence(); ok {
 		t.Error("unrepairable instance coherent in ASP")
 	}
 }
@@ -228,7 +229,7 @@ func TestTheorem10RandomMaximal(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		nat, err := e.MaximalSolutions()
+		nat, err := e.MaximalSolutionsCtx(context.Background())
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

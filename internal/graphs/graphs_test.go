@@ -1,6 +1,7 @@
 package graphs
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -83,7 +84,7 @@ func TestProposition2(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cm, err := e.CertainMerges()
+		cm, err := e.CertainMergesCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +131,7 @@ func TestSigmaSGUniqueMaximal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := e.MaximalSolutions()
+	ms, err := e.MaximalSolutionsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

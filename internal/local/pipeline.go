@@ -1,6 +1,7 @@
 package local
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -58,7 +59,7 @@ func Resolve(d *db.Database, localRules []*Rule, spec *rules.Spec, sims *sim.Reg
 		if err != nil {
 			return nil, err
 		}
-		sol, ok, err := eng.GreedySolution()
+		sol, ok, err := eng.GreedySolutionCtx(context.TODO())
 		if err != nil {
 			return nil, err
 		}

@@ -13,14 +13,7 @@ import "time"
 type Local struct {
 	shared Recorder
 	counts map[string]int64
-	obs    map[string]*localObs
-}
-
-// localObs buffers the samples observed under one name: exact summary
-// stats plus the mergeable log-bucketed histogram.
-type localObs struct {
-	stats DurationStats
-	hist  Hist
+	hists  map[string]*Hist // buffered samples per name
 }
 
 // ObservationMerger is implemented by recorders that can fold a
@@ -29,7 +22,7 @@ type localObs struct {
 // it when available; against any other Recorder, Observe delegates
 // directly instead of buffering, so no samples are ever lost.
 type ObservationMerger interface {
-	MergeObservations(name string, ds DurationStats, h *Hist)
+	MergeObservations(name string, h *Hist)
 }
 
 // NewLocal returns a buffering view of shared (Nop if shared is nil).
@@ -56,41 +49,28 @@ func (l *Local) Observe(name string, d time.Duration) {
 		l.shared.Observe(name, d)
 		return
 	}
-	if l.obs == nil {
-		l.obs = make(map[string]*localObs)
-	}
-	o := l.obs[name]
-	if o == nil {
-		o = &localObs{}
-		l.obs[name] = o
-	}
-	o.stats.observe(d)
-	o.hist.Observe(int64(d))
+	l.hist(name).Observe(int64(d))
 }
 
 // MergeObservations folds an already-buffered distribution into this
 // Local's buffer (nested Local flushing through a parent Local).
-func (l *Local) MergeObservations(name string, ds DurationStats, h *Hist) {
-	if ds.Count == 0 {
-		return
+func (l *Local) MergeObservations(name string, h *Hist) {
+	if h.Count() > 0 {
+		l.hist(name).Merge(h)
 	}
-	if l.obs == nil {
-		l.obs = make(map[string]*localObs)
+}
+
+// hist returns the buffer for name, creating it.
+func (l *Local) hist(name string) *Hist {
+	if l.hists == nil {
+		l.hists = make(map[string]*Hist)
 	}
-	o := l.obs[name]
-	if o == nil {
-		o = &localObs{}
-		l.obs[name] = o
+	h := l.hists[name]
+	if h == nil {
+		h = &Hist{}
+		l.hists[name] = h
 	}
-	if o.stats.Count == 0 || ds.Min < o.stats.Min {
-		o.stats.Min = ds.Min
-	}
-	if ds.Max > o.stats.Max {
-		o.stats.Max = ds.Max
-	}
-	o.stats.Count += ds.Count
-	o.stats.Total += ds.Total
-	o.hist.Merge(h)
+	return h
 }
 
 // Start delegates to the shared recorder. Spans are single-goroutine
@@ -109,11 +89,11 @@ func (l *Local) Flush() {
 		l.shared.Inc(n, v)
 	}
 	clear(l.counts)
-	if len(l.obs) > 0 {
+	if len(l.hists) > 0 {
 		m := l.shared.(ObservationMerger) // Observe only buffers when this holds
-		for n, o := range l.obs {
-			m.MergeObservations(n, o.stats, &o.hist)
+		for n, h := range l.hists {
+			m.MergeObservations(n, h)
 		}
-		clear(l.obs)
+		clear(l.hists)
 	}
 }

@@ -204,7 +204,7 @@ const ServeRequestPrefix = "serve.request."
 const (
 	// HistASPDecisionsPerSolve / HistASPConflictsPerSolve /
 	// HistASPPropagationsPerSolve distribute the CDCL effort of
-	// individual SolveErr calls — the shape behind the asp.sat.*
+	// individual Solve calls — the shape behind the asp.sat.*
 	// running totals. HistASPSATLearnedPerSolve /
 	// HistASPSATRestartsPerSolve distribute clauses learned and Luby
 	// restarts per solve, and HistASPSATLBDPerSolve the solve's mean

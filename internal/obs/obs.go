@@ -12,8 +12,8 @@
 //   - Nop, the zero-cost default: every method is an empty body and
 //     Start returns a nil *Span whose methods are nil-safe, so
 //     uninstrumented runs allocate nothing and pay only a static call.
-//   - Registry, the live recorder: thread-safe counters/gauges/duration
-//     stats plus an optional JSONL trace sink for spans.
+//   - Registry, the live recorder: thread-safe counters, gauges and
+//     sample histograms plus an optional JSONL trace sink for spans.
 //
 // Hot loops (unit propagation, decision points) must NOT call the
 // Recorder per event; they keep plain integer fields and flush deltas
@@ -88,23 +88,14 @@ func Live(r Recorder) bool {
 	return !nop
 }
 
-// DurationStats summarizes the samples observed under one name.
+// DurationStats summarizes the samples observed under one name: the
+// histogram's count, sum and extrema read as durations. Snapshot derives
+// one for every histogram name.
 type DurationStats struct {
 	Count int64         `json:"count"`
 	Total time.Duration `json:"total_ns"`
 	Min   time.Duration `json:"min_ns"`
 	Max   time.Duration `json:"max_ns"`
-}
-
-func (d *DurationStats) observe(sample time.Duration) {
-	if d.Count == 0 || sample < d.Min {
-		d.Min = sample
-	}
-	if sample > d.Max {
-		d.Max = sample
-	}
-	d.Count++
-	d.Total += sample
 }
 
 // Mean is the average sample (0 when empty).
@@ -117,8 +108,9 @@ func (d DurationStats) Mean() time.Duration {
 
 // Snapshot is a point-in-time copy of a recorder's metrics, suitable
 // for JSON encoding. All maps are copied under one lock acquisition, so
-// a snapshot is internally consistent: for every name, Durations[name]
-// and Histograms[name] describe the same sample set.
+// a snapshot is internally consistent. Durations is a view of
+// Histograms: for every name, Durations[name] is derived from
+// Histograms[name].
 type Snapshot struct {
 	Counters   map[string]int64          `json:"counters,omitempty"`
 	Gauges     map[string]int64          `json:"gauges,omitempty"`
@@ -212,15 +204,12 @@ func sortedKeys[V any](m map[string]V) []string {
 
 // Registry is the live Recorder: mutex-guarded metric maps plus an
 // optional JSONL trace sink for spans. One mutex guards counters,
-// gauges, duration stats and histograms together, so Snapshot returns
-// a consistent point-in-time view even under concurrent writers — in
-// particular, the duration stats and the histogram of a name always
-// agree on count and total.
+// gauges and histograms together, so Snapshot returns a consistent
+// point-in-time view even under concurrent writers.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]int64
 	gauges   map[string]int64
-	durs     map[string]*DurationStats
 	hists    map[string]*Hist
 	strict   atomic.Bool
 
@@ -238,7 +227,6 @@ func NewRegistry() *Registry {
 	r := &Registry{
 		counters: make(map[string]int64),
 		gauges:   make(map[string]int64),
-		durs:     make(map[string]*DurationStats),
 		hists:    make(map[string]*Hist),
 		epoch:    time.Now(),
 	}
@@ -289,57 +277,36 @@ func (r *Registry) Gauge(name string, v int64) {
 	r.mu.Unlock()
 }
 
-// Observe records one sample under name, into both the duration stats
-// and the log-bucketed histogram (they share one lock acquisition, so
-// snapshots see them in agreement).
+// Observe records one sample under name into its log-bucketed
+// histogram.
 func (r *Registry) Observe(name string, d time.Duration) {
 	r.checkName(name)
 	r.mu.Lock()
-	ds := r.durs[name]
-	if ds == nil {
-		ds = &DurationStats{}
-		r.durs[name] = ds
+	r.hist(name).Observe(int64(d))
+	r.mu.Unlock()
+}
+
+// MergeObservations folds a worker's buffered samples for name into the
+// registry in one lock acquisition. obs.Local flushes through this, so
+// per-worker histograms merge without replaying individual samples.
+func (r *Registry) MergeObservations(name string, h *Hist) {
+	if h.Count() == 0 {
+		return
 	}
-	ds.observe(d)
+	r.checkName(name)
+	r.mu.Lock()
+	r.hist(name).Merge(h)
+	r.mu.Unlock()
+}
+
+// hist returns the histogram of name, creating it; r.mu must be held.
+func (r *Registry) hist(name string) *Hist {
 	h := r.hists[name]
 	if h == nil {
 		h = &Hist{}
 		r.hists[name] = h
 	}
-	h.Observe(int64(d))
-	r.mu.Unlock()
-}
-
-// MergeObservations folds a worker's buffered samples for name into the
-// registry in one lock acquisition: ds carries the exact count, total
-// and extrema, h the bucket counts. obs.Local flushes through this, so
-// per-worker histograms merge without replaying individual samples.
-func (r *Registry) MergeObservations(name string, ds DurationStats, h *Hist) {
-	if ds.Count == 0 {
-		return
-	}
-	r.checkName(name)
-	r.mu.Lock()
-	cur := r.durs[name]
-	if cur == nil {
-		cur = &DurationStats{}
-		r.durs[name] = cur
-	}
-	if cur.Count == 0 || ds.Min < cur.Min {
-		cur.Min = ds.Min
-	}
-	if ds.Max > cur.Max {
-		cur.Max = ds.Max
-	}
-	cur.Count += ds.Count
-	cur.Total += ds.Total
-	ch := r.hists[name]
-	if ch == nil {
-		ch = &Hist{}
-		r.hists[name] = ch
-	}
-	ch.Merge(h)
-	r.mu.Unlock()
+	return h
 }
 
 // Start opens a span. The parent is the innermost span still open on
@@ -359,9 +326,9 @@ func (r *Registry) Start(name string) *Span {
 }
 
 // Snapshot copies the current metric state under one lock acquisition,
-// so the result is a consistent point-in-time view: counters, gauges,
-// duration stats and histograms all reflect the same instant, and
-// derived metrics are computed from that same instant.
+// so the result is a consistent point-in-time view: counters, gauges
+// and histograms (with their duration views) all reflect the same
+// instant, and derived metrics are computed from that same instant.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -378,30 +345,26 @@ func (r *Registry) Snapshot() Snapshot {
 			s.Gauges[k] = v
 		}
 	}
-	if len(r.durs) > 0 {
-		s.Durations = make(map[string]DurationStats, len(r.durs))
-		for k, v := range r.durs {
-			s.Durations[k] = *v
-		}
-	}
 	if len(r.hists) > 0 {
 		s.Histograms = make(map[string]HistogramStats, len(r.hists))
-		for k, v := range r.hists {
-			s.Histograms[k] = v.Stats()
+		s.Durations = make(map[string]DurationStats, len(r.hists))
+		for k, h := range r.hists {
+			s.Histograms[k] = h.Stats()
+			s.Durations[k] = DurationStats{Count: h.count, Total: time.Duration(h.sum),
+				Min: time.Duration(h.min), Max: time.Duration(h.max)}
 		}
 	}
 	s.Derived = DerivedMetrics(s)
 	return s
 }
 
-// Reset clears counters, gauges, duration stats and histograms. The
+// Reset clears counters, gauges and histograms. The
 // trace sink and span id sequence are kept, so a long run can emit
 // per-phase stats blocks while accumulating one coherent trace.
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	r.counters = make(map[string]int64)
 	r.gauges = make(map[string]int64)
-	r.durs = make(map[string]*DurationStats)
 	r.hists = make(map[string]*Hist)
 	r.mu.Unlock()
 }

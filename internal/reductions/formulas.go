@@ -83,7 +83,8 @@ func (c CNF) Satisfiable() (assignment []bool, ok bool) {
 		}
 		s.AddClause(lits...)
 	}
-	return s.Solve()
+	assignment, ok, _ = s.Solve() // unbudgeted: never fails
+	return assignment, ok
 }
 
 // HornClause is b1 ∧ b2 → h over 1-based variables; b1 = b2 = 0 encodes
@@ -176,7 +177,7 @@ func (q QBF) Valid() bool {
 		for v := 0; v < q.NumX; v++ {
 			assumps[v] = asp.MkLit(v, mask>>v&1 == 1)
 		}
-		if _, ok := s.Solve(assumps...); !ok {
+		if _, ok, _ := s.Solve(assumps...); !ok {
 			return false
 		}
 	}

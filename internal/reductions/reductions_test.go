@@ -1,6 +1,7 @@
 package reductions
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -73,7 +74,7 @@ func TestTheorem2Existence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, got, err := e.Existence()
+		_, got, err := e.ExistenceCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +111,7 @@ func TestTheorem12ExistenceFD(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, got, err := e.Existence()
+		_, got, err := e.ExistenceCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +137,7 @@ func TestTheorem3MaxRec(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.IsMaximalSolution(e.Identity())
+		got, err := e.IsMaximalSolution(context.Background(), e.Identity())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +162,7 @@ func TestTheorem5PossMerge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.IsPossibleMerge(c1, c2)
+		got, err := e.IsPossibleMergeCtx(context.Background(), c1, c2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +189,7 @@ func TestTheorem4CertMerge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.IsCertainMerge(cm, cmp)
+		got, err := e.IsCertainMergeCtx(context.Background(), cm, cmp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +222,7 @@ func TestTheorem6CertAnswer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.IsCertainAnswer(query, nil)
+		got, err := e.IsCertainAnswerCtx(context.Background(), query, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +248,7 @@ func TestTheorem7PossAnswer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.IsPossibleAnswer(query, nil)
+		got, err := e.IsPossibleAnswerCtx(context.Background(), query, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ package serve
 // oracle engine built from scratch over the same final instance.
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -182,9 +183,9 @@ func TestMutableE2EMatchesOracle(t *testing.T) {
 					if code, _ := post(t, ts, "/v1/merges/"+sem, nil, &mr); code != http.StatusOK {
 						t.Fatalf("epoch %d: merges/%s status = %d", epoch, sem, code)
 					}
-					pairs, err := oeng.CertainMerges()
+					pairs, err := oeng.CertainMergesCtx(context.Background())
 					if sem == "possible" {
-						pairs, err = oeng.PossibleMerges()
+						pairs, err = oeng.PossibleMergesCtx(context.Background())
 					}
 					if err != nil {
 						t.Fatal(err)
@@ -213,7 +214,7 @@ func TestMutableE2EMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				tuples, err := oeng.PossibleAnswers(oq)
+				tuples, err := oeng.PossibleAnswersCtx(context.Background(), oq)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -3,8 +3,8 @@
 // specification) pair at startup, pre-builds a shared core.Session, and
 // answers the paper's reasoning problems as online queries —
 // certain/possible merges, certain/possible conjunctive-query answers,
-// maximal solutions and merge explanations — from a bounded pool of
-// forked engines.
+// maximal solutions and merge explanations — under a bounded pool of
+// worker tokens.
 //
 // Request handling reuses the repository's concurrency and budget
 // layers: every request runs under a context deadline (the PR 4 budget
@@ -53,7 +53,7 @@ type Config struct {
 	Sims *sim.Registry
 
 	// Workers bounds the number of requests evaluated concurrently (the
-	// engine pool size); excess requests queue. 0 means GOMAXPROCS.
+	// worker pool size); excess requests queue. 0 means GOMAXPROCS.
 	Workers int
 	// Parallelism is passed to core.Options: the fan-out of the
 	// solution-space search inside one request. 0 means GOMAXPROCS,
@@ -88,7 +88,8 @@ type Config struct {
 	// construction under ShardOptions, and the merge and
 	// maximal-solution endpoints serve the stitched results once ready.
 	// Requests arriving before resolution completes wait under their own
-	// deadline. Answer and explain endpoints always use the engine pool.
+	// deadline. Answer and explain endpoints run on a per-request fork of
+	// the epoch's engine.
 	Sharded      bool
 	ShardOptions core.ShardOptions
 	// Mutable accepts POST /v1/facts mutation batches: every applied
@@ -140,8 +141,8 @@ type Server struct {
 	cur     atomic.Pointer[epochState]
 	writeMu sync.Mutex
 
-	// pool is the worker-token semaphore: requests take a token, fork
-	// their epoch's engine, and return the token when done.
+	// pool is the worker-token semaphore: requests take a token before
+	// evaluating and return it when done.
 	pool chan struct{}
 
 	cache *responseCache
@@ -159,6 +160,9 @@ type Server struct {
 	abort    context.CancelFunc
 	draining atomic.Bool
 	inflight sync.WaitGroup
+	// admitMu orders every inflight.Add before Shutdown's Wait, as
+	// sync.WaitGroup requires of an Add from zero.
+	admitMu sync.Mutex
 
 	// Request-scoped telemetry (telemetry.go). now and nextID are
 	// replaceable from tests for deterministic golden output.
@@ -253,20 +257,21 @@ func New(cfg Config) (*Server, error) {
 }
 
 // epochState is one served epoch: its snapshot plus the readiness
-// signal of the background sharded resolution (closed immediately for
-// monolithic servers). Result endpoints wait on ready under their own
-// deadline; the resolution itself runs under the server-lifetime
-// context, so no request's deadline can poison it for everyone else.
+// signal of the snapshot's background sharded resolution (closed
+// immediately for monolithic snapshots). Result endpoints wait on ready
+// under their own deadline; the resolution itself runs under the
+// server-lifetime context, so no request's deadline can poison it for
+// everyone else.
 type epochState struct {
 	snap  *core.EpochSnapshot
 	ready chan struct{}
 }
 
-// newEpochState wraps a snapshot and, for sharded servers, starts its
+// newEpochState wraps a snapshot and, when it is sharded, starts its
 // background resolution.
 func (s *Server) newEpochState(snap *core.EpochSnapshot) *epochState {
 	st := &epochState{snap: snap, ready: make(chan struct{})}
-	if !s.cfg.Sharded {
+	if snap.Sharded() == nil {
 		close(st.ready)
 		return st
 	}
@@ -311,7 +316,9 @@ func (s *Server) Stats() obs.Snapshot { return s.rec.Snapshot() }
 // error is nil when every in-flight request completed within the grace
 // period, ctx.Err() when the abort path fired.
 func (s *Server) Shutdown(ctx context.Context) error {
+	s.admitMu.Lock()
 	s.draining.Store(true)
+	s.admitMu.Unlock()
 	done := make(chan struct{})
 	go func() {
 		s.inflight.Wait()
@@ -329,27 +336,44 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // --- request plumbing -------------------------------------------------
 
-// acquire takes a worker token and forks the request's epoch engine,
-// honoring request cancellation and drain while queued. Forks share the
-// epoch's session (and so its prepared-plan caches); the fork itself is
-// cheap and keeps every request's evaluation state private.
-func (s *Server) acquire(ctx context.Context, st *epochState) (*core.Engine, error) {
+// acquire takes a worker token, honoring request cancellation and
+// drain while queued.
+func (s *Server) acquire(ctx context.Context) error {
 	select {
 	case <-s.pool:
-		return st.snap.Engine().Fork(), nil
+		return nil
 	default:
 	}
 	select {
 	case <-s.pool:
-		return st.snap.Engine().Fork(), nil
+		return nil
 	case <-ctx.Done():
-		return nil, limits.Wrap(ctx.Err())
+		return limits.Wrap(ctx.Err())
 	case <-s.baseCtx.Done():
-		return nil, errDraining
+		return errDraining
 	}
 }
 
 func (s *Server) release() { s.pool <- struct{}{} }
+
+// admit counts a request in flight unless the server is draining, in
+// which case it answers 503 and reports false. Admitted requests must
+// call inflight.Done.
+func (s *Server) admit(w http.ResponseWriter, meta *reqMeta) bool {
+	s.admitMu.Lock()
+	draining := s.draining.Load()
+	if !draining {
+		s.inflight.Add(1)
+	}
+	s.admitMu.Unlock()
+	if draining {
+		if meta != nil {
+			meta.outcome = "draining"
+		}
+		writeJSON(w, http.StatusServiceUnavailable, Envelope{Error: errDraining.Error()})
+	}
+	return !draining
+}
 
 var errDraining = errors.New("server is shutting down")
 
@@ -411,10 +435,10 @@ func (s *Server) statusFor(err error) int {
 }
 
 // endpoint wraps the shared request lifecycle: drain check, in-flight
-// tracking, request counting, cache lookup, engine checkout, error
+// tracking, request counting, cache lookup, worker checkout, error
 // mapping and cache fill. decode produces the canonical cache key (or
 // a 400 error); task runs the reasoning problem against the captured
-// epoch state st on a forked engine and fills resp (envelope cleared),
+// epoch state st and fills resp (envelope cleared),
 // returning the task error if any. resp must be a pointer to the
 // endpoint's response struct with its Envelope addressable via env.
 // The cache key includes st's fingerprint, so responses computed under
@@ -422,21 +446,16 @@ func (s *Server) statusFor(err error) int {
 // data.
 func (s *Server) endpoint(w http.ResponseWriter, r *http.Request, name string,
 	timeoutMS int, key string, st *epochState,
-	task func(ctx context.Context, st *epochState, eng *core.Engine) error,
+	task func(ctx context.Context, st *epochState) error,
 	resp any, env *Envelope) {
 
 	meta := metaFrom(r.Context())
 	if meta != nil {
 		meta.endpoint = name
 	}
-	if s.draining.Load() {
-		if meta != nil {
-			meta.outcome = "draining"
-		}
-		writeJSON(w, http.StatusServiceUnavailable, Envelope{Error: errDraining.Error()})
+	if !s.admit(w, meta) {
 		return
 	}
-	s.inflight.Add(1)
 	defer s.inflight.Done()
 	s.rec.Inc(obs.ServeRequests, 1)
 	sp := s.rec.Start(obs.SpanServeRequest)
@@ -463,7 +482,7 @@ func (s *Server) endpoint(w http.ResponseWriter, r *http.Request, name string,
 	ctx, cancel := s.requestCtx(r, timeoutMS)
 	defer cancel()
 	waitStart := s.now()
-	eng, err := s.acquire(ctx, st)
+	err := s.acquire(ctx)
 	wait := s.now().Sub(waitStart)
 	s.rec.Observe(obs.ServePoolWait, wait)
 	if meta != nil {
@@ -486,7 +505,7 @@ func (s *Server) endpoint(w http.ResponseWriter, r *http.Request, name string,
 	}
 	defer s.release()
 
-	if err := task(ctx, st, eng); err != nil {
+	if err := task(ctx, st); err != nil {
 		status := s.statusFor(err)
 		env.Error = err.Error()
 		if status == http.StatusRequestEntityTooLarge || status == http.StatusGatewayTimeout ||
@@ -570,23 +589,16 @@ func (s *Server) mergesHandler(semantics string) http.HandlerFunc {
 		}
 		resp := &MergesResponse{Semantics: semantics, Merges: []MergePair{}}
 		s.endpoint(w, r, "merges/"+semantics, req.TimeoutMS, "", s.cur.Load(),
-			func(ctx context.Context, st *epochState, eng *core.Engine) error {
+			func(ctx context.Context, st *epochState) error {
+				if err := s.epochReady(ctx, st); err != nil {
+					return err
+				}
 				var pairs []eqrel.Pair
 				var err error
-				switch {
-				case s.cfg.Sharded:
-					if err = s.epochReady(ctx, st); err != nil {
-						return err
-					}
-					if semantics == "certain" {
-						pairs, err = st.snap.CertainMergesCtx(ctx)
-					} else {
-						pairs, err = st.snap.PossibleMergesCtx(ctx)
-					}
-				case semantics == "certain":
-					pairs, err = eng.CertainMergesCtx(ctx)
-				default:
-					pairs, err = eng.PossibleMergesCtx(ctx)
+				if semantics == "certain" {
+					pairs, err = st.snap.CertainMergesCtx(ctx)
+				} else {
+					pairs, err = st.snap.PossibleMergesCtx(ctx)
 				}
 				if err != nil {
 					return err
@@ -596,7 +608,7 @@ func (s *Server) mergesHandler(semantics string) http.HandlerFunc {
 				resp.Count = len(resp.Merges)
 				// Audit after the payload is complete, so recording
 				// never alters the response.
-				s.auditMerges(ctx, eng, in, metaFrom(r.Context()), semantics, pairs)
+				s.auditMerges(ctx, st.snap, metaFrom(r.Context()), semantics, pairs)
 				return nil
 			}, resp, &resp.Envelope)
 	}
@@ -610,17 +622,11 @@ func (s *Server) handleMaximal(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := &SolutionsResponse{Solutions: []SolutionJSON{}}
 	s.endpoint(w, r, "solutions/maximal", req.TimeoutMS, "", s.cur.Load(),
-		func(ctx context.Context, st *epochState, eng *core.Engine) error {
-			var ms []*eqrel.Partition
-			var err error
-			if s.cfg.Sharded {
-				if err = s.epochReady(ctx, st); err != nil {
-					return err
-				}
-				ms, err = st.snap.MaximalSolutionsCtx(ctx)
-			} else {
-				ms, err = eng.MaximalSolutionsCtx(ctx)
+		func(ctx context.Context, st *epochState) error {
+			if err := s.epochReady(ctx, st); err != nil {
+				return err
 			}
+			ms, err := st.snap.MaximalSolutionsCtx(ctx)
 			if err != nil {
 				return err
 			}
@@ -668,7 +674,8 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := &AnswersResponse{Semantics: sem, Query: req.Query}
 	s.endpoint(w, r, "answers", req.TimeoutMS, key, st,
-		func(ctx context.Context, st *epochState, eng *core.Engine) error {
+		func(ctx context.Context, st *epochState) error {
+			eng := st.snap.Engine().Fork()
 			var tuples [][]db.Const
 			var err error
 			if sem == "certain" {
@@ -728,7 +735,8 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := &ExplainResponse{Pair: MergePair{A: req.A, B: req.B}}
 	s.endpoint(w, r, "explain", req.TimeoutMS, key, st,
-		func(ctx context.Context, st *epochState, eng *core.Engine) error {
+		func(ctx context.Context, st *epochState) error {
+			eng := st.snap.Engine().Fork()
 			x, err := eng.ExplainMergeCtx(ctx, a, b)
 			if err != nil {
 				return err
@@ -758,20 +766,15 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusForbidden, Envelope{Error: "server is read-only (start with mutations enabled to accept /v1/facts)"})
 		return
 	}
-	if s.draining.Load() {
-		if meta != nil {
-			meta.outcome = "draining"
-		}
-		writeJSON(w, http.StatusServiceUnavailable, Envelope{Error: errDraining.Error()})
+	if !s.admit(w, meta) {
 		return
 	}
+	defer s.inflight.Done()
 	var req FactsRequest
 	if err := decodeBody(r, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, Envelope{Error: err.Error()})
 		return
 	}
-	s.inflight.Add(1)
-	defer s.inflight.Done()
 	s.rec.Inc(obs.ServeRequests, 1)
 
 	batch := core.Batch{Insert: factSpecs(req.Insert), Retract: factSpecs(req.Retract)}

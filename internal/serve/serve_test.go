@@ -169,13 +169,13 @@ func TestMergesEndpointsMatchOracle(t *testing.T) {
 				var want []MergePair
 				var err error
 				if sem == "certain" {
-					cm, err2 := eng.CertainMerges()
+					cm, err2 := eng.CertainMergesCtx(context.Background())
 					err = err2
 					for _, p := range cm {
 						want = append(want, MergePair{A: inn.Name(p.A), B: inn.Name(p.B)})
 					}
 				} else {
-					pm, err2 := eng.PossibleMerges()
+					pm, err2 := eng.PossibleMergesCtx(context.Background())
 					err = err2
 					for _, p := range pm {
 						want = append(want, MergePair{A: inn.Name(p.A), B: inn.Name(p.B)})
@@ -208,7 +208,7 @@ func TestMaximalSolutionsMatchOracle(t *testing.T) {
 	eng := loadBib(t).oracle(t)
 	_, ts := newTestServer(t, in, nil)
 
-	ms, err := eng.MaximalSolutions()
+	ms, err := eng.MaximalSolutionsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestExplainMatchesOracle(t *testing.T) {
 	for _, pair := range [][2]string{{"a1", "a2"}, {"p4", "p5"}, {"c3", "c4"}} {
 		a, _ := oin.Lookup(pair[0])
 		b, _ := oin.Lookup(pair[1])
-		ox, err := oeng.ExplainMerge(a, b)
+		ox, err := oeng.ExplainMergeCtx(context.Background(), a, b)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -241,12 +241,13 @@ func (s *Server) auditDrop(n int64, err error) {
 // that first contains them. Best-effort by design: an audit failure
 // never fails the request, and the response is already fully built —
 // but every record lost to a write error is counted as dropped.
-func (s *Server) auditMerges(ctx context.Context, eng *core.Engine, in *db.Interner,
+func (s *Server) auditMerges(ctx context.Context, snap *core.EpochSnapshot,
 	meta *reqMeta, decision string, pairs []eqrel.Pair) {
 
 	if s.audit == nil || len(pairs) == 0 {
 		return
 	}
+	eng, in := snap.Engine().Fork(), snap.DB().Interner()
 	just := make(map[eqrel.Pair]*core.Justification, len(pairs))
 	if decision == audit.DecisionCertain {
 		if E, ok, err := eng.GreedySolutionCtx(ctx); err == nil && ok {

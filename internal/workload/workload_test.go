@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -77,7 +78,7 @@ func TestGreedyLACEQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, ok, err := e.GreedySolution()
+	sol, ok, err := e.GreedySolutionCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestDirtyWroteRepair(t *testing.T) {
 	if consistent {
 		t.Skip("no dirty rows generated at this seed")
 	}
-	sol, ok, err := e.GreedySolution()
+	sol, ok, err := e.GreedySolutionCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@
 //	    `soft Person(x,e), Person(y,e2), lev08(e,e2) ~> EQ(x,y).`,
 //	    schema, d.Interner(), sims)
 //	eng, _ := lace.NewEngine(d, spec, sims, lace.Options{})
-//	merges, _ := eng.CertainMerges()
+//	merges, _ := eng.CertainMergesCtx(context.Background())
 //
 // See the examples directory for complete programs, including the
 // paper's Figure 1 running example.
@@ -95,11 +95,11 @@ type (
 	// Engine evaluates a specification over a database.
 	Engine = core.Engine
 	// Options tunes solution search budgets and parallelism. Set
-	// Parallelism > 1 to fan the solution-space search of Existence,
-	// MaximalSolutions and Certain/PossibleMerges out over that many
-	// workers (0 = GOMAXPROCS); results are identical to the sequential
-	// search. Context-accepting variants (ExistenceCtx,
-	// MaximalSolutionsCtx, ...) support early cancellation.
+	// Parallelism > 1 to fan the solution-space search of ExistenceCtx,
+	// MaximalSolutionsCtx and Certain/PossibleMergesCtx out over that
+	// many workers (0 = GOMAXPROCS); results are identical to the
+	// sequential search. Every search method takes a context, which
+	// cancels it early.
 	Options = core.Options
 	// Justification is a Definition-4 derivation of a merge.
 	Justification = core.Justification
@@ -354,9 +354,9 @@ func NewBudget(ctx context.Context, lim Limits) *Budget {
 }
 
 // NewASPSolverBudget is NewASPSolverRec under a resource budget:
-// grounding and the ASPSolver's *Err enumeration methods stop early
-// with a typed error matching ErrBudget or ErrCanceled once the budget
-// trips. A nil budget is unlimited.
+// grounding and the ASPSolver's solving methods stop early with a typed
+// error matching ErrBudget or ErrCanceled once the budget trips. A nil
+// budget is unlimited.
 func NewASPSolverBudget(d *Database, spec *Spec, sims *SimRegistry, b *Budget, rec Recorder) (*ASPSolver, error) {
 	return encode.NewSolverBudget(encode.New(d, spec, sims), b, rec)
 }

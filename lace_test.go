@@ -4,6 +4,7 @@ package lace
 // downstream user consumes — independent of the internal tests.
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -40,7 +41,7 @@ func facadeSetup(t *testing.T) (*Database, *Spec, *SimRegistry, *Engine) {
 
 func TestFacadeQuickstart(t *testing.T) {
 	d, _, _, eng := facadeSetup(t)
-	merges, err := eng.CertainMerges()
+	merges, err := eng.CertainMergesCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestFacadeParseDatabaseAndQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := eng.CertainAnswers(q)
+	ans, err := eng.CertainAnswersCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestFacadeASPPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	nativeCount := 0
-	if err := eng.Solutions(func(*eqrel.Partition) bool { nativeCount++; return false }); err != nil {
+	if err := eng.SolutionsCtx(context.Background(), func(*eqrel.Partition) bool { nativeCount++; return false }); err != nil {
 		t.Fatal(err)
 	}
 	aspCount := 0
@@ -125,7 +126,7 @@ func TestFacadeSimBuilders(t *testing.T) {
 func TestFacadeExplainAndScore(t *testing.T) {
 	_, spec, _, eng := facadeSetup(t)
 	spec.Rules[0].Weight = 2.5
-	best, err := eng.BestSolutions()
+	best, err := eng.BestSolutions(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestFacadeExplainAndScore(t *testing.T) {
 	d := eng.DB()
 	p1, _ := d.Interner().Lookup("p1")
 	p3, _ := d.Interner().Lookup("p3")
-	x, err := eng.ExplainMerge(p1, p3)
+	x, err := eng.ExplainMergeCtx(context.Background(), p1, p3)
 	if err != nil {
 		t.Fatal(err)
 	}
