@@ -19,8 +19,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cq"
 	"repro/internal/db"
@@ -173,7 +174,12 @@ func (c *Context) Induced(E *eqrel.Partition) *db.Database {
 	if E.IsIdentity() {
 		return c.sess.d
 	}
-	key := E.Key()
+	return c.inducedKey(E, E.Key())
+}
+
+// inducedKey is Induced for a non-identity partition whose canonical
+// key the caller already holds.
+func (c *Context) inducedKey(E *eqrel.Partition, key string) *db.Database {
 	if ind, ok := c.cache.get(key); ok {
 		c.rec.Inc(obs.CoreCacheHits, 1)
 		return ind
@@ -182,14 +188,6 @@ func (c *Context) Induced(E *eqrel.Partition) *db.Database {
 	ind := c.sess.d.Map(E.Rep)
 	c.storeKey(key, ind)
 	return ind
-}
-
-// storeInduced caches ind as the induced database of E.
-func (c *Context) storeInduced(E *eqrel.Partition, ind *db.Database) {
-	if E.IsIdentity() {
-		return
-	}
-	c.storeKey(E.Key(), ind)
 }
 
 func (c *Context) storeKey(key string, ind *db.Database) {
@@ -207,20 +205,52 @@ func (c *Context) deriveInduced(parent *db.Database, E *eqrel.Partition, dirty [
 	return db.MapFrom(parent, dirty, E.Rep)
 }
 
-// seedInduced pre-populates the cache entry for child, which extends
-// parent by merging the classes of representatives u and v, by deriving
-// D_child incrementally from D_parent. Search-state expansion uses this
-// so that only the root state ever pays a full db.Map.
-func (c *Context) seedInduced(parent, child *eqrel.Partition, u, v db.Const) {
-	if child.IsIdentity() {
-		return
+// state is a node of the candidate lattice: a hard-closed partition
+// together with its canonical key and its induced database. The key is
+// computed once per state and travels with it, so the visited set, the
+// induced-database cache and the closure never rebuild it.
+type state struct {
+	E   *eqrel.Partition
+	key string
+	ind *db.Database
+}
+
+// stateOf wraps a hard-closed partition E as a search state.
+func (c *Context) stateOf(E *eqrel.Partition) state {
+	key := E.Key()
+	if E.IsIdentity() {
+		return state{E: E, key: key, ind: c.sess.d}
 	}
-	key := child.Key()
-	if _, ok := c.cache.get(key); ok {
-		return
+	return state{E: E, key: key, ind: c.inducedKey(E, key)}
+}
+
+// expand returns the child of s that merges the classes of pr and then
+// closes under the hard rules. The child's induced database is derived
+// incrementally from s's — so only the root state ever pays a full
+// db.Map — and cached under the child's key before and after the
+// closure.
+func (c *Context) expand(s state, pr eqrel.Pair) (state, error) {
+	E := s.E.Clone()
+	u, v := s.E.Rep(pr.A), s.E.Rep(pr.B)
+	E.Add(pr)
+	key := E.Key()
+	ind, ok := c.cache.get(key)
+	if ok {
+		c.rec.Inc(obs.CoreCacheHits, 1)
+	} else {
+		c.rec.Inc(obs.CoreCacheMisses, 1)
+		ind = c.deriveInduced(s.ind, E, []db.Const{u, v})
+		c.storeKey(key, ind)
 	}
-	ind := c.deriveInduced(c.Induced(parent), child, []db.Const{u, v})
-	c.storeKey(key, ind)
+	ind, merged, err := c.closeFrom(E, ind, c.sess.hardRules, nil)
+	if err != nil {
+		return state{}, err
+	}
+	if merged {
+		key = E.Key()
+		c.storeKey(key, ind)
+	}
+	return state{E: E, key: key, ind: ind}, nil
 }
 
 // repFor returns the constant-substitution function evaluation uses for
@@ -265,49 +295,45 @@ type Active struct {
 // specification's rules, deduplicated, sorted, and annotated with the
 // deriving rules. Pairs already in E are excluded.
 func (c *Context) ActivePairs(E *eqrel.Partition) ([]Active, error) {
-	return c.activePairs(E, c.sess.spec.MergeRules())
+	return c.activePairs(E, c.Induced(E))
 }
 
-func (c *Context) activePairs(E *eqrel.Partition, rs []*rules.Rule) ([]Active, error) {
-	ind := c.Induced(E)
+// activePairs is ActivePairs over ind, the induced database of E.
+func (c *Context) activePairs(E *eqrel.Partition, ind *db.Database) ([]Active, error) {
 	rep := c.repFor(E)
-	found := make(map[eqrel.Pair]*Active)
-	for _, r := range rs {
-		r := r
+	var out []Active
+	at := make(map[eqrel.Pair]int) // pair -> index in out
+	var r *rules.Rule              // the rule being evaluated
+	note := func(ans []db.Const, _ []cq.Match) bool {
+		u, v := ans[0], ans[1]
+		if u == v || E.Same(u, v) {
+			return true
+		}
+		p := eqrel.MakePair(u, v)
+		i, ok := at[p]
+		if !ok {
+			i = len(out)
+			at[p] = i
+			out = append(out, Active{Pair: p})
+		}
+		a := &out[i]
+		if r.Kind == rules.Hard {
+			a.Hard = true
+		}
+		if len(a.Rules) == 0 || a.Rules[len(a.Rules)-1] != r.Name {
+			a.Rules = append(a.Rules, r.Name)
+		}
+		return true
+	}
+	for _, r = range c.sess.mergeRules {
 		pq, err := c.planFor(r, r.Body.Atoms, r.Body.Head)
 		if err != nil {
 			return nil, fmt.Errorf("core: rule %s: %w", r.Name, err)
 		}
-		pq.plan.RunWith(ind, c.sims, cq.RunSpec{Rec: c.rec, Rep: rep},
-			func(ans []db.Const, _ []cq.Match) bool {
-				u, v := ans[0], ans[1]
-				if u == v || E.Same(u, v) {
-					return true
-				}
-				p := eqrel.MakePair(u, v)
-				a := found[p]
-				if a == nil {
-					a = &Active{Pair: p}
-					found[p] = a
-				}
-				if r.Kind == rules.Hard {
-					a.Hard = true
-				}
-				if len(a.Rules) == 0 || a.Rules[len(a.Rules)-1] != r.Name {
-					a.Rules = append(a.Rules, r.Name)
-				}
-				return true
-			})
+		pq.plan.RunWith(ind, c.sims, cq.RunSpec{Rec: c.rec, Rep: rep}, note)
 	}
-	out := make([]Active, 0, len(found))
-	for _, a := range found {
-		out = append(out, *a)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Pair.A != out[j].Pair.A {
-			return out[i].Pair.A < out[j].Pair.A
-		}
-		return out[i].Pair.B < out[j].Pair.B
+	slices.SortFunc(out, func(a, b Active) int {
+		return cmp.Or(cmp.Compare(a.Pair.A, b.Pair.A), cmp.Compare(a.Pair.B, b.Pair.B))
 	})
 	return out, nil
 }
@@ -324,18 +350,29 @@ func (c *Context) activePairs(E *eqrel.Partition, rs []*rules.Rule) ([]Active, e
 // class (see DESIGN.md). accept must be stable under growth of E
 // (e.g. membership in a fixed target partition).
 func (c *Context) closeFixpoint(E *eqrel.Partition, rs []*rules.Rule, accept func(u, v db.Const) bool) error {
+	ind, merged, err := c.closeFrom(E, c.Induced(E), rs, accept)
+	if err == nil && merged {
+		c.storeKey(E.Key(), ind)
+	}
+	return err
+}
+
+// closeFrom is closeFixpoint starting from ind, the induced database of
+// E. It returns the induced database of the closed E and whether the
+// closure merged anything; the caller decides what to cache.
+func (c *Context) closeFrom(E *eqrel.Partition, ind *db.Database, rs []*rules.Rule, accept func(u, v db.Const) bool) (*db.Database, bool, error) {
 	if len(rs) == 0 {
-		return nil
+		return ind, false, nil
 	}
 	prepared := make([]*preparedQuery, len(rs))
 	for i, r := range rs {
 		pq, err := c.planFor(r, r.Body.Atoms, r.Body.Head)
 		if err != nil {
-			return fmt.Errorf("core: rule %s: %w", r.Name, err)
+			return nil, false, fmt.Errorf("core: rule %s: %w", r.Name, err)
 		}
 		prepared[i] = pq
 	}
-	ind := c.Induced(E)
+	merged := false
 	var pending []eqrel.Pair
 	collect := func(ans []db.Const) bool {
 		u, v := ans[0], ans[1]
@@ -344,10 +381,10 @@ func (c *Context) closeFixpoint(E *eqrel.Partition, rs []*rules.Rule, accept fun
 		}
 		return true
 	}
+	collectMatch := func(ans []db.Const, _ []cq.Match) bool { return collect(ans) }
 	rep := c.repFor(E)
 	for _, pq := range prepared {
-		pq.plan.RunWith(ind, c.sims, cq.RunSpec{Rec: c.rec, Rep: rep},
-			func(ans []db.Const, _ []cq.Match) bool { return collect(ans) })
+		pq.plan.RunWith(ind, c.sims, cq.RunSpec{Rec: c.rec, Rep: rep}, collectMatch)
 	}
 	for len(pending) > 0 {
 		// Union this round's pairs; both old representatives of every
@@ -359,6 +396,7 @@ func (c *Context) closeFixpoint(E *eqrel.Partition, rs []*rules.Rule, accept fun
 				continue
 			}
 			E.Union(ra, rb)
+			merged = true
 			touched[ra] = true
 			touched[rb] = true
 		}
@@ -376,29 +414,27 @@ func (c *Context) closeFixpoint(E *eqrel.Partition, rs []*rules.Rule, accept fun
 		delta := cq.NewDelta(ind, func(cst db.Const) bool { return touched[cst] })
 		for _, pq := range prepared {
 			if pq.deltaUnsafe {
-				pq.plan.RunWith(ind, c.sims, cq.RunSpec{Rec: c.rec, Rep: rep},
-					func(ans []db.Const, _ []cq.Match) bool { return collect(ans) })
+				pq.plan.RunWith(ind, c.sims, cq.RunSpec{Rec: c.rec, Rep: rep}, collectMatch)
 			} else {
 				pq.plan.RunDelta(ind, c.sims, cq.RunSpec{Rec: c.rec, Rep: rep}, delta, collect)
 			}
 		}
 	}
-	c.storeInduced(E, ind)
-	return nil
+	return ind, merged, nil
 }
 
 // HardClose extends E in place with all hard-rule-derivable merges until
 // fixpoint. Every solution containing E also contains the result, so the
 // search only branches on soft choices.
 func (c *Context) HardClose(E *eqrel.Partition) error {
-	return c.closeFixpoint(E, c.sess.spec.HardRules(), nil)
+	return c.closeFixpoint(E, c.sess.hardRules, nil)
 }
 
 // AllClose extends E in place with every derivable merge (hard and
 // soft) until fixpoint; with Δ = ∅ the result is the unique maximal
 // solution (Theorem 9).
 func (c *Context) AllClose(E *eqrel.Partition) error {
-	return c.closeFixpoint(E, c.sess.spec.MergeRules(), nil)
+	return c.closeFixpoint(E, c.sess.mergeRules, nil)
 }
 
 // SatisfiesHard reports (D, E) |= Γh: every hard-rule answer pair is
@@ -406,7 +442,7 @@ func (c *Context) AllClose(E *eqrel.Partition) error {
 func (c *Context) SatisfiesHard(E *eqrel.Partition) (bool, error) {
 	ind := c.Induced(E)
 	rep := c.repFor(E)
-	for _, r := range c.sess.spec.HardRules() {
+	for _, r := range c.sess.hardRules {
 		pq, err := c.planFor(r, r.Body.Atoms, r.Body.Head)
 		if err != nil {
 			return false, fmt.Errorf("core: rule %s: %w", r.Name, err)
@@ -430,7 +466,12 @@ func (c *Context) SatisfiesHard(E *eqrel.Partition) (bool, error) {
 // SatisfiesDenials reports (D, E) |= Δ: no denial constraint body has a
 // homomorphism into the induced database D_E.
 func (c *Context) SatisfiesDenials(E *eqrel.Partition) (bool, error) {
-	ind := c.Induced(E)
+	return c.satisfiesDenials(E, c.Induced(E))
+}
+
+// satisfiesDenials is SatisfiesDenials over ind, the induced database
+// of E.
+func (c *Context) satisfiesDenials(E *eqrel.Partition, ind *db.Database) (bool, error) {
 	c.rec.Inc(obs.CoreDenialChecks, 1)
 	rep := c.repFor(E)
 	for _, dn := range c.sess.spec.Denials {
@@ -448,7 +489,12 @@ func (c *Context) SatisfiesDenials(E *eqrel.Partition) (bool, error) {
 // ViolatedDenials returns the names of the denial constraints violated in
 // (D, E), for diagnostics.
 func (c *Context) ViolatedDenials(E *eqrel.Partition) ([]string, error) {
-	ind := c.Induced(E)
+	return c.violatedDenials(E, c.Induced(E))
+}
+
+// violatedDenials is ViolatedDenials over ind, the induced database of
+// E.
+func (c *Context) violatedDenials(E *eqrel.Partition, ind *db.Database) ([]string, error) {
 	rep := c.repFor(E)
 	var out []string
 	for _, dn := range c.sess.spec.Denials {
@@ -470,7 +516,7 @@ func (c *Context) ViolatedDenials(E *eqrel.Partition) ([]string, error) {
 // semi-naive closure applies.
 func (c *Context) IsCandidate(E *eqrel.Partition) (bool, error) {
 	cur := c.Identity()
-	if err := c.closeFixpoint(cur, c.sess.spec.MergeRules(), E.Same); err != nil {
+	if err := c.closeFixpoint(cur, c.sess.mergeRules, E.Same); err != nil {
 		return false, err
 	}
 	return cur.Equal(E), nil

@@ -30,13 +30,14 @@ func (e *Engine) GreedySolutionCtx(ctx context.Context) (*eqrel.Partition, bool,
 	if err := e.HardClose(E); err != nil {
 		return nil, false, err
 	}
-	viol, err := e.ViolatedDenials(E)
+	st := e.stateOf(E)
+	viol, err := e.violatedDenials(st.E, st.ind)
 	if err != nil {
 		return nil, false, err
 	}
 	cur := len(viol)
 	for {
-		act, err := e.ActivePairs(E)
+		act, err := e.activePairs(st.E, st.ind)
 		if err != nil {
 			return nil, false, err
 		}
@@ -45,22 +46,19 @@ func (e *Engine) GreedySolutionCtx(ctx context.Context) (*eqrel.Partition, bool,
 			if err := ctx.Err(); err != nil {
 				return nil, false, limits.Wrap(err)
 			}
-			if E.Same(a.Pair.A, a.Pair.B) {
+			if st.E.Same(a.Pair.A, a.Pair.B) {
 				continue // merged by an earlier acceptance this sweep
 			}
-			cand := E.Clone()
-			ru, rv := E.Rep(a.Pair.A), E.Rep(a.Pair.B)
-			cand.Add(a.Pair)
-			e.seedInduced(E, cand, ru, rv)
-			if err := e.HardClose(cand); err != nil {
+			cand, err := e.expand(st, a.Pair)
+			if err != nil {
 				return nil, false, err
 			}
-			v, err := e.ViolatedDenials(cand)
+			v, err := e.violatedDenials(cand.E, cand.ind)
 			if err != nil {
 				return nil, false, err
 			}
 			if len(v) <= cur {
-				E = cand
+				st = cand
 				cur = len(v)
 				progressed = true
 			}
@@ -69,5 +67,5 @@ func (e *Engine) GreedySolutionCtx(ctx context.Context) (*eqrel.Partition, bool,
 			break
 		}
 	}
-	return E, cur == 0, nil
+	return st.E, cur == 0, nil
 }

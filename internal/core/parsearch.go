@@ -5,21 +5,10 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/db"
 	"repro/internal/eqrel"
 	"repro/internal/limits"
 	"repro/internal/obs"
 )
-
-// parTask is one node of the search lattice handed to a worker: a
-// hard-closed candidate partition, exclusively owned by the consuming
-// worker, plus its induced database. The induced database is frozen by
-// the producer before the hand-off, so any number of workers may read
-// it (and derive children from it) concurrently.
-type parTask struct {
-	E   *eqrel.Partition
-	ind *db.Database // nil when E is the identity
-}
 
 // parSearcher explores the candidate-solution lattice with a pool of
 // workers over a shared bounded work queue; it is the parallel
@@ -38,7 +27,11 @@ type parSearcher struct {
 	prune  bool
 	budget int64
 
-	tasks     chan parTask
+	// tasks carries states to the workers. A queued state's partition
+	// is owned by the consuming worker; its induced database is frozen
+	// before the hand-off, so any number of workers may read it (and
+	// derive children from it) concurrently.
+	tasks     chan state
 	open      sync.WaitGroup // tasks queued or in flight
 	states    atomic.Int64
 	solutions atomic.Int64
@@ -81,11 +74,8 @@ func (e *Engine) parSolutions(ctx context.Context, start *eqrel.Partition, visit
 		sp.End()
 		return err
 	}
-	var rootInd *db.Database
-	if !root.IsIdentity() {
-		rootInd = e.Induced(root)
-		rootInd.Freeze()
-	}
+	rootState := e.stateOf(root)
+	rootState.ind.Freeze()
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -95,11 +85,11 @@ func (e *Engine) parSolutions(ctx context.Context, start *eqrel.Partition, visit
 		cancel: cancel,
 		prune:  e.sess.spec.IsRestricted(),
 		budget: int64(e.sess.opts.MaxStates),
-		tasks:  make(chan parTask, workers*64),
+		tasks:  make(chan state, workers*64),
 		visit:  visit,
 	}
 	s.open.Add(1)
-	s.tasks <- parTask{E: root, ind: rootInd}
+	s.tasks <- rootState
 
 	var wg sync.WaitGroup
 	ws := make([]*parWorker, workers)
@@ -160,7 +150,7 @@ func (s *parSearcher) fail(err error) {
 // deadlock: a send either succeeds immediately or the submitting worker
 // makes progress itself, recursing depth-first like the sequential
 // searcher.
-func (s *parSearcher) submit(w *parWorker, t parTask) {
+func (s *parSearcher) submit(w *parWorker, t state) {
 	s.open.Add(1)
 	select {
 	case s.tasks <- t:
@@ -191,14 +181,12 @@ func (s *parSearcher) visitSolution(w *parWorker, E *eqrel.Partition) bool {
 // process consumes one task: dedup, budget, consistency check, visit,
 // then expansion of the active pairs into child tasks. It mirrors
 // searcher.rec step for step.
-func (w *parWorker) process(t parTask) {
+func (w *parWorker) process(t state) {
 	s := w.s
 	if s.ctx.Err() != nil {
 		return // cancelled: drain without work
 	}
-	E := t.E
-	key := E.Key()
-	if _, dup := s.visited.LoadOrStore(key, struct{}{}); dup {
+	if _, dup := s.visited.LoadOrStore(t.key, struct{}{}); dup {
 		return
 	}
 	if s.states.Add(1) > s.budget {
@@ -208,25 +196,25 @@ func (w *parWorker) process(t parTask) {
 	}
 	w.rec.Inc(obs.CoreSearchStates, 1)
 	w.rec.Inc(obs.CoreSearchTasks, 1)
-	if t.ind != nil {
-		// Warm this worker's cache with the producer's induced DB so
-		// the consistency check and expansions below hit.
-		w.cx.storeKey(key, t.ind)
+	if !t.E.IsIdentity() {
+		// Warm this worker's cache with the producer's induced DB, so
+		// an expansion that lands on this state skips the derivation.
+		w.cx.storeKey(t.key, t.ind)
 	}
 
-	consistent, err := w.cx.SatisfiesDenials(E)
+	consistent, err := w.cx.satisfiesDenials(t.E, t.ind)
 	if err != nil {
 		s.fail(err)
 		return
 	}
 	if consistent {
-		if s.visitSolution(w, E) {
+		if s.visitSolution(w, t.E) {
 			return
 		}
 	} else if s.prune {
 		return
 	}
-	act, err := w.cx.ActivePairs(E)
+	act, err := w.cx.activePairs(t.E, t.ind)
 	if err != nil {
 		s.fail(err)
 		return
@@ -235,19 +223,12 @@ func (w *parWorker) process(t parTask) {
 		if s.ctx.Err() != nil {
 			return
 		}
-		child := E.Clone()
-		u, v := E.Rep(a.Pair.A), E.Rep(a.Pair.B)
-		child.Add(a.Pair)
-		w.cx.seedInduced(E, child, u, v)
-		if err := w.cx.HardClose(child); err != nil {
+		child, err := w.cx.expand(t, a.Pair)
+		if err != nil {
 			s.fail(err)
 			return
 		}
-		var ind *db.Database
-		if !child.IsIdentity() {
-			ind = w.cx.Induced(child)
-			ind.Freeze()
-		}
-		s.submit(w, parTask{E: child, ind: ind})
+		child.ind.Freeze()
+		s.submit(w, child)
 	}
 }

@@ -2,7 +2,8 @@ package core
 
 import (
 	"context"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/eqrel"
 	"repro/internal/limits"
@@ -48,29 +49,28 @@ func (s *searcher) run(start *eqrel.Partition) error {
 	if err := s.c.HardClose(root); err != nil {
 		return err
 	}
-	_, err := s.rec(root)
+	_, err := s.rec(s.c.stateOf(root))
 	return err
 }
 
-func (s *searcher) rec(E *eqrel.Partition) (stop bool, err error) {
+func (s *searcher) rec(st state) (stop bool, err error) {
 	if err := s.ctx.Err(); err != nil {
 		// Wrapped so callers can match limits.ErrCanceled uniformly
 		// across the native search and the ASP pipeline;
 		// errors.Is(err, context.Canceled) still holds via Unwrap.
 		return true, limits.Wrap(err)
 	}
-	key := E.Key()
-	if s.visited[key] {
+	if s.visited[st.key] {
 		return false, nil
 	}
 	if len(s.visited) >= s.budget {
 		s.c.rec.Inc(obs.CoreSearchBudget, 1)
 		return true, ErrBudget
 	}
-	s.visited[key] = true
+	s.visited[st.key] = true
 	s.c.rec.Inc(obs.CoreSearchStates, 1)
 
-	consistent, err := s.c.SatisfiesDenials(E)
+	consistent, err := s.c.satisfiesDenials(st.E, st.ind)
 	if err != nil {
 		return true, err
 	}
@@ -78,7 +78,7 @@ func (s *searcher) rec(E *eqrel.Partition) (stop bool, err error) {
 		// Hard rules are satisfied by construction (states are
 		// hard-closed), and every state is a candidate solution, so a
 		// consistent state is a solution.
-		if stop, err := s.visit(E); stop || err != nil {
+		if stop, err := s.visit(st.E); stop || err != nil {
 			return true, err
 		}
 	} else if s.prune {
@@ -87,17 +87,14 @@ func (s *searcher) rec(E *eqrel.Partition) (stop bool, err error) {
 		// can be a solution.
 		return false, nil
 	}
-	act, err := s.c.ActivePairs(E)
+	act, err := s.c.activePairs(st.E, st.ind)
 	if err != nil {
 		return true, err
 	}
 	for _, a := range act {
-		// Hard-active pairs cannot appear here: E is hard-closed.
-		child := E.Clone()
-		u, v := E.Rep(a.Pair.A), E.Rep(a.Pair.B)
-		child.Add(a.Pair)
-		s.c.seedInduced(E, child, u, v)
-		if err := s.c.HardClose(child); err != nil {
+		// Hard-active pairs cannot appear here: the state is hard-closed.
+		child, err := s.c.expand(st, a.Pair)
+		if err != nil {
 			return true, err
 		}
 		if stop, err := s.rec(child); stop || err != nil {
@@ -223,9 +220,17 @@ func (e *Engine) MaximalSolutionsCtx(ctx context.Context) ([]*eqrel.Partition, e
 }
 
 // sortPartitions orders partitions by canonical key: the deterministic
-// output order shared by the sequential and parallel searches.
+// output order shared by the sequential and parallel searches. Each key
+// is built once, not once per comparison.
 func sortPartitions(ps []*eqrel.Partition) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Key() < ps[j].Key() })
+	keyed := make([]state, len(ps))
+	for i, p := range ps {
+		keyed[i] = state{E: p, key: p.Key()}
+	}
+	slices.SortFunc(keyed, func(a, b state) int { return strings.Compare(a.key, b.key) })
+	for i := range keyed {
+		ps[i] = keyed[i].E
+	}
 }
 
 // uniqueMaximal handles the Theorem 9 fragments. done is false when the
@@ -263,22 +268,20 @@ func (e *Engine) IsMaximalSolution(ctx context.Context, E *eqrel.Partition) (boo
 	if err != nil || !isSol {
 		return false, err
 	}
-	act, err := e.ActivePairs(E)
+	cur := e.stateOf(E)
+	act, err := e.activePairs(E, cur.ind)
 	if err != nil {
 		return false, err
 	}
 	for _, a := range act {
-		ext := E.Clone()
-		u, v := E.Rep(a.Pair.A), E.Rep(a.Pair.B)
-		ext.Add(a.Pair)
-		e.seedInduced(E, ext, u, v)
-		if err := e.HardClose(ext); err != nil {
+		ext, err := e.expand(cur, a.Pair)
+		if err != nil {
 			return false, err
 		}
 		if e.sess.spec.IsRestricted() {
 			// Theorem 8: the minimal extension suffices — if it is
 			// inconsistent, every further extension stays inconsistent.
-			cons, err := e.SatisfiesDenials(ext)
+			cons, err := e.satisfiesDenials(ext.E, ext.ind)
 			if err != nil {
 				return false, err
 			}
@@ -292,7 +295,7 @@ func (e *Engine) IsMaximalSolution(ctx context.Context, E *eqrel.Partition) (boo
 		// soft-active pair, so this is complete.
 		found := false
 		if e.parallelEnabled() {
-			err = e.parSolutions(ctx, ext, func(*eqrel.Partition) bool {
+			err = e.parSolutions(ctx, ext.E, func(*eqrel.Partition) bool {
 				found = true
 				return true
 			})
@@ -301,7 +304,7 @@ func (e *Engine) IsMaximalSolution(ctx context.Context, E *eqrel.Partition) (boo
 				found = true
 				return true, nil
 			})
-			err = s.run(ext)
+			err = s.run(ext.E)
 		}
 		if err != nil {
 			return false, err

@@ -27,6 +27,11 @@ type Session struct {
 	opts Options       // normalized: MaxStates/CacheSize/Parallelism resolved
 	rec  obs.Recorder
 
+	// hardRules and mergeRules are the specification's Γh and Γ, listed
+	// once so the per-state closures and active-pair queries do not
+	// rebuild them.
+	hardRules, mergeRules []*rules.Rule
+
 	// plans maps every rule and denial pointer of the specification to
 	// its prepared plan. The map is filled by newSession and never
 	// written again, so lock-free concurrent lookups are safe.
@@ -84,8 +89,11 @@ func buildSession(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Opt
 		opts:  opts,
 		rec:   obs.OrNop(opts.Recorder),
 		plans: make(map[any]*preparedQuery),
+
+		hardRules:  spec.HardRules(),
+		mergeRules: spec.MergeRules(),
 	}
-	for _, r := range spec.MergeRules() {
+	for _, r := range s.mergeRules {
 		if err := s.compile(r, r.Body.Atoms, r.Body.Head); err != nil {
 			return nil, fmt.Errorf("core: rule %s: %w", r.Name, err)
 		}

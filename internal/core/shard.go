@@ -1106,12 +1106,17 @@ func (se *ShardedEngine) MaximalSolutionsCtx(ctx context.Context) ([]*eqrel.Part
 	for _, sh := range se.shards {
 		next := make([]*eqrel.Partition, 0, len(sols)*len(sh.maximal))
 		for _, base := range sols {
-			for _, pairs := range sh.maximal {
+			for j, pairs := range sh.maximal {
 				if len(next) >= se.eng.sess.opts.MaxStates {
 					return nil, fmt.Errorf("core: %w: maximal-solution product exceeds MaxStates=%d",
 						ErrBudget, se.eng.sess.opts.MaxStates)
 				}
-				e := base.Clone()
+				// The last extension of base takes base itself: no other
+				// product member refers to it any more.
+				e := base
+				if j < len(sh.maximal)-1 {
+					e = base.Clone()
+				}
 				e.AddAll(pairs)
 				next = append(next, e)
 			}

@@ -32,6 +32,7 @@ func BenchmarkJoinChain(b *testing.B) {
 				Rel("R", Var("y"), Var("z")),
 				Rel("R", Var("z"), Var("w")),
 			}}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ans, err := Eval(q, d, nil)
@@ -51,6 +52,7 @@ func BenchmarkJoinUnselective(b *testing.B) {
 		Rel("R", Var("x"), Var("y")),
 		Rel("R", Var("y"), Var("z")),
 	}}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ans, err := Eval(q, d, nil)
@@ -64,6 +66,7 @@ func BenchmarkJoinUnselective(b *testing.B) {
 func BenchmarkBooleanEarlyExit(b *testing.B) {
 	d := chainDB(1000)
 	atoms := []Atom{Rel("R", Var("x"), Var("y"))}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ok, err := Satisfiable(atoms, d, nil)
@@ -83,6 +86,7 @@ func BenchmarkWitnessOverhead(b *testing.B) {
 	}
 	for _, wit := range []bool{false, true} {
 		b.Run(fmt.Sprintf("witness=%v", wit), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				count := 0
 				err := ForEachMatch(atoms, nil, d, nil, wit, func([]db.Const, []Match) bool {

@@ -2,6 +2,8 @@ package cq
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/db"
 	"repro/internal/obs"
@@ -10,11 +12,11 @@ import (
 
 // Plan is a prepared evaluation plan for a conjunction of atoms with a
 // head projection. Preparation (variable numbering, greedy atom
-// ordering, filter scheduling, safety checks) happens once; the plan
-// binds to a database only at run time, so one plan can be cached per
-// rule or denial and reused against every induced database the dynamic
-// semantics visits. Plans are immutable after Prepare and safe to share
-// across sequential runs.
+// ordering, filter scheduling, safety checks, the bind/check layout of
+// every step) happens once; the plan binds to a database only at run
+// time, so one plan can be cached per rule or denial and reused against
+// every induced database the dynamic semantics visits. Plans are
+// immutable after Prepare and safe to share across goroutines.
 type Plan struct {
 	atoms   []Atom
 	head    []string
@@ -26,6 +28,14 @@ type Plan struct {
 	// order.
 	steps    []planStep
 	relSteps []int
+	// nconst counts constant arguments (see planArg.ci).
+	nconst int
+	// layout is the per-step bind/check layout of a run with no
+	// pre-bound variables.
+	layout []stepLayout
+	// execs recycles execution states, so a run allocates nothing once
+	// the pool is warm.
+	execs sync.Pool
 }
 
 // planArg is one compiled atom argument: a binding slot for variables,
@@ -33,6 +43,7 @@ type Plan struct {
 type planArg struct {
 	vi int // binding slot, or -1 for a constant
 	c  db.Const
+	ci int // index of the constant's run-time value in exec.consts
 }
 
 type planStep struct {
@@ -40,6 +51,58 @@ type planStep struct {
 	kind Kind
 	pred string
 	args []planArg
+}
+
+// stepLayout is what a relational step does with each argument, fixed
+// by which variables are bound when the step starts: those and the
+// constants are checked against a candidate tuple (and can select an
+// index), while the first occurrence of every other variable binds it.
+// A repeated variable such as R(x,x) binds at its first position and
+// is checked at the later ones.
+type stepLayout struct {
+	bind   []bool // per argument: bind rather than check
+	binds  []int  // slots the step binds, reset after each tuple
+	probes []int  // argument positions known at step entry
+}
+
+// layoutFor computes the per-step layout for a run in which the slots
+// marked in bound are set before the first step. The steps' slices
+// share two backing arrays.
+func (p *Plan) layoutFor(bound []bool) []stepLayout {
+	bound = append([]bool(nil), bound...)
+	nargs := 0
+	for _, st := range p.steps {
+		nargs += len(st.args)
+	}
+	flags := make([]bool, nargs)
+	slots := make([]int, 0, nargs)
+	out := make([]stepLayout, len(p.steps))
+	for i, st := range p.steps {
+		if st.kind != KindRel {
+			continue
+		}
+		ly := &out[i]
+		ly.bind, flags = flags[:len(st.args):len(st.args)], flags[len(st.args):]
+		start := len(slots)
+		for k, ag := range st.args {
+			if ag.vi < 0 || bound[ag.vi] {
+				slots = append(slots, k)
+			}
+		}
+		ly.probes = slots[start:len(slots):len(slots)]
+		start = len(slots)
+		for k, ag := range st.args {
+			if ag.vi >= 0 && !bound[ag.vi] && !slices.Contains(slots[start:], ag.vi) {
+				ly.bind[k] = true
+				slots = append(slots, ag.vi)
+			}
+		}
+		ly.binds = slots[start:len(slots):len(slots)]
+		for _, vi := range ly.binds {
+			bound[vi] = true
+		}
+	}
+	return out
 }
 
 // Prepare compiles atoms with the given head projection into a Plan.
@@ -92,7 +155,8 @@ func Prepare(atoms []Atom, head []string, schema *db.Schema) (*Plan, error) {
 			if t.IsVar {
 				st.args[k] = planArg{vi: p.varIdx[t.Name]}
 			} else {
-				st.args[k] = planArg{vi: -1, c: t.Const}
+				st.args[k] = planArg{vi: -1, c: t.Const, ci: p.nconst}
+				p.nconst++
 			}
 		}
 		p.steps = append(p.steps, st)
@@ -148,6 +212,7 @@ func Prepare(atoms []Atom, head []string, schema *db.Schema) (*Plan, error) {
 			return nil, fmt.Errorf("cq: unsafe atom %s: variables never bound by a relational atom", a)
 		}
 	}
+	p.layout = p.layoutFor(make([]bool, len(p.varIdx)))
 	return p, nil
 }
 
@@ -182,35 +247,31 @@ func (p *Plan) Run(d *db.Database, sims *sim.Registry, cb func(ans []db.Const, w
 }
 
 // RunWith is Run with a full RunSpec (instrumentation, constant
-// remapping, pre-bound variables, witness tracking). The wit slice is
-// reused between calls; callers must copy if they retain it.
+// remapping, pre-bound variables, witness tracking). The ans and wit
+// slices are reused between calls; callers must copy if they retain
+// them.
 func (p *Plan) RunWith(d *db.Database, sims *sim.Registry, rs RunSpec, cb func(ans []db.Const, wit []Match) bool) {
 	rec := obs.OrNop(rs.Rec)
 	rec.Inc(obs.CQEvalCalls, 1)
-	ex := p.newExec(d, sims, rs)
-	ans := make([]db.Const, len(p.head))
-	var matches int64
-	ex.cb = func(binding []db.Const, wit []Match) bool {
-		matches++
-		for i, vi := range p.headIdx {
-			ans[i] = binding[vi]
-		}
-		return cb(ans, wit)
-	}
+	ex := p.getExec(d, sims, rs)
+	ex.cb = cb
 	ex.run(0)
-	rec.Inc(obs.CQEvalMatches, matches)
+	rec.Inc(obs.CQEvalMatches, ex.matches)
+	p.putExec(ex)
 }
 
 // Holds reports whether the plan has at least one homomorphism into d
 // under the given RunSpec (Boolean satisfiability; stops at the first
 // match).
 func (p *Plan) Holds(d *db.Database, sims *sim.Registry, rs RunSpec) bool {
-	found := false
+	rec := obs.OrNop(rs.Rec)
+	rec.Inc(obs.CQEvalCalls, 1)
 	rs.Witness = false
-	p.RunWith(d, sims, rs, func([]db.Const, []Match) bool {
-		found = true
-		return false
-	})
+	ex := p.getExec(d, sims, rs)
+	ex.run(0) // no callback: the first match stops the run
+	found := ex.matches > 0
+	rec.Inc(obs.CQEvalMatches, ex.matches)
+	p.putExec(ex)
 	return found
 }
 
@@ -268,9 +329,14 @@ func NewDelta(d *db.Database, touched func(db.Const) bool) *Delta {
 func (p *Plan) RunDelta(d *db.Database, sims *sim.Registry, rs RunSpec, delta *Delta, cb func(ans []db.Const) bool) {
 	rec := obs.OrNop(rs.Rec)
 	rec.Inc(obs.CQEvalCalls, 1)
-	var matches int64
-	stopped := false
-	modes := make([]int8, len(p.steps))
+	rs.Witness = false
+	ex := p.getExec(d, sims, rs)
+	ex.deltaCB = cb
+	if ex.modeBuf == nil {
+		ex.modeBuf = make([]int8, len(p.steps))
+	}
+	ex.modes = ex.modeBuf
+	ex.marks = delta.marks
 	for di, si := range p.relSteps {
 		if delta.marks[p.steps[si].pred] == nil {
 			continue // no touched tuple can seed this split
@@ -278,34 +344,19 @@ func (p *Plan) RunDelta(d *db.Database, sims *sim.Registry, rs RunSpec, delta *D
 		for j, sj := range p.relSteps {
 			switch {
 			case j < di:
-				modes[sj] = modeClean
+				ex.modes[sj] = modeClean
 			case j == di:
-				modes[sj] = modeDelta
+				ex.modes[sj] = modeDelta
 			default:
-				modes[sj] = modeAny
+				ex.modes[sj] = modeAny
 			}
 		}
-		ex := p.newExec(d, sims, rs)
-		ex.modes = modes
-		ex.marks = delta.marks
-		ans := make([]db.Const, len(p.head))
-		ex.cb = func(binding []db.Const, _ []Match) bool {
-			matches++
-			for i, vi := range p.headIdx {
-				ans[i] = binding[vi]
-			}
-			if !cb(ans) {
-				stopped = true
-				return false
-			}
-			return true
-		}
-		ex.run(0)
-		if stopped {
+		if !ex.run(0) {
 			break
 		}
 	}
-	rec.Inc(obs.CQEvalMatches, matches)
+	rec.Inc(obs.CQEvalMatches, ex.matches)
+	p.putExec(ex)
 }
 
 // Execution-time restrictions on relational steps for RunDelta.
@@ -316,91 +367,145 @@ const (
 )
 
 // exec is the state of one backtracking-join execution of a plan. The
-// database's tables and the registry's sim predicates are resolved once
-// at construction, so the join loop performs no string-keyed lookups.
+// database's tables, the registry's sim predicates and the run-time
+// value of every constant argument are resolved once at the start of a
+// run, so the join loop performs no string-keyed lookups and no
+// allocation. Execs are recycled through Plan.execs.
 type exec struct {
-	p   *Plan
-	in  *db.Interner
-	rep func(db.Const) db.Const
+	p      *Plan
+	in     *db.Interner
+	layout []stepLayout
 
 	tables   []*db.Table     // per step (nil for non-relational steps)
 	simPreds []sim.Predicate // per step (nil unless a resolvable sim step)
+	consts   []db.Const      // per constant argument, after RunSpec.Rep
 
 	binding     []db.Const
+	ans         []db.Const
 	wit         []Match
 	withWitness bool
-	// Delta-run restrictions (nil for ordinary runs).
-	modes []int8
-	marks map[string][]bool
+	// Delta-run restrictions (nil for ordinary runs); modeBuf is the
+	// recycled backing of modes.
+	modes   []int8
+	modeBuf []int8
+	marks   map[string][]bool
 
-	cb func(binding []db.Const, wit []Match) bool
+	// At most one of cb and deltaCB is set; with neither, the first
+	// match stops the run (Holds).
+	cb      func(ans []db.Const, wit []Match) bool
+	deltaCB func(ans []db.Const) bool
+	matches int64
 }
 
-func (p *Plan) newExec(d *db.Database, sims *sim.Registry, rs RunSpec) *exec {
-	ex := &exec{p: p, in: d.Interner(), rep: rs.Rep, withWitness: rs.Witness}
-	ex.tables = make([]*db.Table, len(p.steps))
+// getExec returns an exec bound to d, sims and rs, recycled from the
+// plan's pool when one is free.
+func (p *Plan) getExec(d *db.Database, sims *sim.Registry, rs RunSpec) *exec {
+	ex, _ := p.execs.Get().(*exec)
+	if ex == nil {
+		n, nv := len(p.steps), len(p.varIdx)
+		vals := make([]db.Const, p.nconst+nv+len(p.head))
+		ex = &exec{
+			p:        p,
+			tables:   make([]*db.Table, n),
+			simPreds: make([]sim.Predicate, n),
+			consts:   vals[:p.nconst:p.nconst],
+			binding:  vals[p.nconst : p.nconst+nv : p.nconst+nv],
+			ans:      vals[p.nconst+nv:],
+		}
+	}
+	ex.in = d.Interner()
+	ex.withWitness = rs.Witness
+	if rs.Witness && ex.wit == nil {
+		ex.wit = make([]Match, 0, len(p.steps))
+	}
 	for i := range p.steps {
 		st := &p.steps[i]
 		switch st.kind {
 		case KindRel:
 			ex.tables[i] = d.Table(st.pred)
 		case KindSim:
-			if sims == nil {
-				continue
+			if sims != nil {
+				ex.simPreds[i], _ = sims.Lookup(st.pred)
 			}
-			if pr, ok := sims.Lookup(st.pred); ok {
-				if ex.simPreds == nil {
-					ex.simPreds = make([]sim.Predicate, len(p.steps))
+		}
+		for _, ag := range st.args {
+			if ag.vi < 0 {
+				v := ag.c
+				if rs.Rep != nil {
+					v = rs.Rep(v)
 				}
-				ex.simPreds[i] = pr
+				ex.consts[ag.ci] = v
 			}
 		}
 	}
-	ex.binding = make([]db.Const, len(p.varIdx))
 	for i := range ex.binding {
 		ex.binding[i] = db.NoConst
 	}
+	ex.layout = p.layout
+	var bound []bool
 	for v, c := range rs.Bind {
 		if vi, ok := p.varIdx[v]; ok && c != db.NoConst {
 			ex.binding[vi] = c
+			if bound == nil {
+				bound = make([]bool, len(ex.binding))
+			}
+			bound[vi] = true
 		}
 	}
-	if rs.Witness {
-		ex.wit = make([]Match, 0, len(p.steps))
+	if bound != nil {
+		ex.layout = p.layoutFor(bound)
 	}
 	return ex
 }
 
-// constVal resolves a constant atom argument through the optional
-// substitution.
-func (e *exec) constVal(c db.Const) db.Const {
-	if e.rep != nil {
-		return e.rep(c)
-	}
-	return c
+// putExec drops ex's references to the run's data and returns it to
+// the pool.
+func (p *Plan) putExec(ex *exec) {
+	clear(ex.tables)
+	clear(ex.simPreds)
+	ex.in, ex.layout, ex.modes, ex.marks = nil, nil, nil, nil
+	ex.cb, ex.deltaCB, ex.matches = nil, nil, 0
+	ex.wit = ex.wit[:0]
+	p.execs.Put(ex)
 }
 
 func (e *exec) argVal(a planArg) db.Const {
 	if a.vi >= 0 {
 		return e.binding[a.vi]
 	}
-	return e.constVal(a.c)
+	return e.consts[a.ci]
 }
 
-// run enumerates homomorphisms from plan step `step` onward; the
-// callback returns false to stop.
+// emit handles one complete match.
+func (e *exec) emit() bool {
+	e.matches++
+	if e.cb == nil && e.deltaCB == nil {
+		return false
+	}
+	for i, vi := range e.p.headIdx {
+		e.ans[i] = e.binding[vi]
+	}
+	if e.deltaCB != nil {
+		return e.deltaCB(e.ans)
+	}
+	return e.cb(e.ans, e.wit)
+}
+
+// run enumerates homomorphisms from plan step `step` onward; it
+// returns false when the callback stopped the enumeration.
 func (e *exec) run(step int) bool {
 	if step == len(e.p.steps) {
-		return e.cb(e.binding, e.wit)
+		return e.emit()
 	}
 	st := &e.p.steps[step]
 	switch st.kind {
 	case KindSim:
-		if e.simPreds == nil || e.simPreds[step] == nil {
+		pr := e.simPreds[step]
+		if pr == nil {
 			return true // unknown predicate (or nil registry): non-match
 		}
 		x, y := e.argVal(st.args[0]), e.argVal(st.args[1])
-		if e.simPreds[step].Holds(e.in.Name(x), e.in.Name(y)) {
+		if pr.Holds(e.in.Name(x), e.in.Name(y)) {
 			return e.run(step + 1)
 		}
 		return true
@@ -410,12 +515,13 @@ func (e *exec) run(step int) bool {
 		}
 		return true
 	}
-	// Relational atom: pick candidates via the most selective index over
-	// bound positions, else scan.
+	// Relational atom: take candidates from the most selective index
+	// over the positions known at entry, else scan.
 	table := e.tables[step]
 	if table == nil {
 		return true // empty relation: no matches
 	}
+	ly := &e.layout[step]
 	var mode int8
 	var mark []bool
 	if e.modes != nil {
@@ -424,79 +530,61 @@ func (e *exec) run(step int) bool {
 			mark = e.marks[st.pred]
 		}
 	}
-	bestLen := -1
-	var bestList []int
-	for pos, ag := range st.args {
-		v := db.NoConst
-		if ag.vi < 0 {
-			v = e.constVal(ag.c)
-		} else if bv := e.binding[ag.vi]; bv != db.NoConst {
-			v = bv
-		}
-		if v == db.NoConst {
-			continue
-		}
-		list := table.Index(pos)[v]
-		if bestLen < 0 || len(list) < bestLen {
-			bestLen, bestList = len(list), list
-		}
+	// A nil mark slice means the relation has no touched tuples: all
+	// clean, none delta.
+	skip := func(ti int) bool {
+		return mode == modeClean && mark != nil && mark[ti] ||
+			mode == modeDelta && (mark == nil || !mark[ti])
 	}
 	tuples := table.Tuples()
-	tryTuple := func(ti int) bool {
-		// A nil mark slice means the relation has no touched tuples: all
-		// clean, none delta.
-		if mode == modeClean && mark != nil && mark[ti] ||
-			mode == modeDelta && (mark == nil || !mark[ti]) {
-			return true
-		}
-		tup := tuples[ti]
-		// Check bound positions and bind free variables.
-		var newlyBound []int
-		ok := true
-		for pos, ag := range st.args {
-			want := db.NoConst
-			if ag.vi < 0 {
-				want = e.constVal(ag.c)
-			} else if bv := e.binding[ag.vi]; bv != db.NoConst {
-				want = bv
-			}
-			if want != db.NoConst {
-				if tup[pos] != want {
-					ok = false
-					break
-				}
-				continue
-			}
-			e.binding[ag.vi] = tup[pos]
-			newlyBound = append(newlyBound, ag.vi)
-		}
-		cont := true
-		if ok {
-			if e.withWitness {
-				e.wit = append(e.wit, Match{AtomIndex: st.atom, Tuple: tup})
-			}
-			cont = e.run(step + 1)
-			if e.withWitness {
-				e.wit = e.wit[:len(e.wit)-1]
+	if len(ly.probes) > 0 {
+		var list []int32
+		for i, k := range ly.probes {
+			if l := table.Lookup(k, e.argVal(st.args[k])); i == 0 || len(l) < len(list) {
+				list = l
 			}
 		}
-		for _, vi := range newlyBound {
-			e.binding[vi] = db.NoConst
-		}
-		return cont
-	}
-	if bestLen >= 0 {
-		for _, ti := range bestList {
-			if !tryTuple(ti) {
+		for _, ti := range list {
+			if !skip(int(ti)) && !e.try(step, st, ly, tuples[ti]) {
 				return false
 			}
 		}
 		return true
 	}
-	for ti := range tuples {
-		if !tryTuple(ti) {
+	for ti, tup := range tuples {
+		if !skip(ti) && !e.try(step, st, ly, tup) {
 			return false
 		}
 	}
 	return true
+}
+
+// try matches tup against relational step st: it binds the step's free
+// variables, checks every other argument and, on success, continues
+// with the next step. It returns false when the callback stopped the
+// enumeration.
+func (e *exec) try(step int, st *planStep, ly *stepLayout, tup []db.Const) bool {
+	cont := true
+	ok := true
+	for k, ag := range st.args {
+		if ly.bind[k] {
+			e.binding[ag.vi] = tup[k]
+		} else if tup[k] != e.argVal(ag) {
+			ok = false
+			break
+		}
+	}
+	if ok {
+		if e.withWitness {
+			e.wit = append(e.wit, Match{AtomIndex: st.atom, Tuple: tup})
+		}
+		cont = e.run(step + 1)
+		if e.withWitness {
+			e.wit = e.wit[:len(e.wit)-1]
+		}
+	}
+	for _, vi := range ly.binds {
+		e.binding[vi] = db.NoConst
+	}
+	return cont
 }

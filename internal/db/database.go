@@ -12,94 +12,12 @@ type Fact struct {
 	Args []Const
 }
 
-// Table holds the extension of one relation: a duplicate-free list of
-// tuples in insertion order plus lazily built per-column hash indexes.
-type Table struct {
-	rel    *Relation
-	tuples [][]Const
-	seen   map[string]int // tuple key -> index in tuples
-	// colIndex[i] maps a constant to the (sorted) positions of tuples
-	// whose i-th column holds that constant. Built lazily; inserts
-	// append to already-built indexes instead of invalidating them.
-	colIndex []map[Const][]int
-	// frozen tables reject inserts; see Database.Freeze.
-	frozen bool
-}
-
-// Relation returns the table's relation symbol.
-func (t *Table) Relation() *Relation { return t.rel }
-
-// Len returns the number of tuples.
-func (t *Table) Len() int { return len(t.tuples) }
-
-// Tuples returns all tuples in insertion order. The returned slice and
-// its elements are shared; callers must not modify them.
-func (t *Table) Tuples() [][]Const { return t.tuples }
-
-// TupleKey returns a compact byte-string key uniquely identifying a
-// tuple of constants (four little-endian bytes per component). It is
-// the canonical tuple encoding shared by every deduplication map in the
-// repository (table extensions, query answers, expanded answer sets).
-func TupleKey(args []Const) string {
-	var b strings.Builder
-	b.Grow(len(args) * 4)
-	for _, c := range args {
-		v := uint32(c)
-		b.WriteByte(byte(v))
-		b.WriteByte(byte(v >> 8))
-		b.WriteByte(byte(v >> 16))
-		b.WriteByte(byte(v >> 24))
-	}
-	return b.String()
-}
-
-func (t *Table) insert(args []Const) bool {
-	if t.frozen {
-		panic("db: insert into frozen table " + t.rel.Name)
-	}
-	k := TupleKey(args)
-	if _, dup := t.seen[k]; dup {
-		return false
-	}
-	pos := len(t.tuples)
-	t.seen[k] = pos
-	t.tuples = append(t.tuples, args)
-	// Built column indexes stay valid under append: the new position is
-	// the largest so far, so per-constant position lists remain sorted.
-	for i, idx := range t.colIndex {
-		if idx != nil {
-			idx[args[i]] = append(idx[args[i]], pos)
-		}
-	}
-	return true
-}
-
-func (t *Table) contains(args []Const) bool {
-	_, ok := t.seen[TupleKey(args)]
-	return ok
-}
-
-// Index returns the hash index for column i, building it if necessary.
-func (t *Table) Index(i int) map[Const][]int {
-	if t.colIndex == nil {
-		t.colIndex = make([]map[Const][]int, t.rel.Arity())
-	}
-	if t.colIndex[i] == nil {
-		idx := make(map[Const][]int)
-		for pos, tup := range t.tuples {
-			idx[tup[i]] = append(idx[tup[i]], pos)
-		}
-		t.colIndex[i] = idx
-	}
-	return t.colIndex[i]
-}
-
 // Database is a finite set of facts over a schema, with all constants
 // interned in a shared Interner. Databases that are compared or merged
 // must share both schema and interner.
 //
 // Concurrency: a Database is not safe for concurrent use while it is
-// being populated, and even read paths may mutate it (Index builds
+// being populated, and even read paths may mutate it (Lookup builds
 // column indexes lazily). Freeze converts it into a value that is safe
 // for any number of concurrent readers.
 type Database struct {
@@ -156,7 +74,7 @@ func (d *Database) Tuples(rel string) [][]Const {
 }
 
 // Freeze makes the database immutable and safe for concurrent readers:
-// every per-column hash index is built eagerly (so Index never writes
+// every column index is built eagerly (so Lookup never writes
 // again) and subsequent inserts fail. This is the invariant MapFrom
 // relies on when induced databases are shared across search workers —
 // untouched tables are shared by reference into the derived database,
@@ -179,22 +97,6 @@ func (d *Database) Freeze() {
 // Frozen reports whether Freeze has been called.
 func (d *Database) Frozen() bool { return d.frozen }
 
-func (t *Table) freeze() {
-	// Already-frozen tables must not be written again: a frozen parent
-	// shares tables by reference into many derived databases, and
-	// freezing those derived databases happens on different search
-	// workers. The first freeze always runs in the goroutine that built
-	// the table, before the database is shared (the task channel then
-	// orders this write before any reader), so the flag check is safe.
-	if t.frozen {
-		return
-	}
-	for i := 0; i < t.rel.Arity(); i++ {
-		t.Index(i)
-	}
-	t.frozen = true
-}
-
 // Insert adds the fact rel(args...) if not already present, reporting
 // whether it was added. It returns an error for undeclared relations or
 // arity mismatches.
@@ -211,7 +113,7 @@ func (d *Database) Insert(rel string, args ...Const) (bool, error) {
 	}
 	t := d.tables[rel]
 	if t == nil {
-		t = &Table{rel: r, seen: make(map[string]int)}
+		t = newTable(r, 0)
 		d.tables[rel] = t
 	}
 	cp := append([]Const(nil), args...)
@@ -288,7 +190,7 @@ func (d *Database) ActiveDomain() []Const {
 func (d *Database) Clone() *Database {
 	nd := New(d.schema, d.interner)
 	for name, t := range d.tables {
-		nt := &Table{rel: t.rel, seen: make(map[string]int, len(t.seen))}
+		nt := newTable(t.rel, t.Len())
 		for _, tup := range t.tuples {
 			nt.insert(append([]Const(nil), tup...))
 		}
@@ -328,7 +230,7 @@ func (d *Database) Map(rep func(Const) Const) *Database {
 // MapFrom computes parent.Map(rep) incrementally. dirty must list every
 // constant of parent that rep moves (rep(c) != c); a superset is fine.
 // Tables containing no dirty constant are shared with parent wholesale
-// (tuples, dedup map and any built indexes); in rebuilt tables, tuples
+// (tuples, hash set and any built indexes); in rebuilt tables, tuples
 // containing no dirty constant are copied by reference. Deriving the
 // induced database D_{E∪{α}} from D_E therefore only pays for the
 // relations the newly merged classes occur in. Both parent and result
@@ -348,26 +250,8 @@ func MapFrom(parent *Database, dirty []Const, rep func(Const) Const) *Database {
 			nd.nfacts += t.Len()
 			continue
 		}
-		nt := &Table{rel: t.rel, seen: make(map[string]int, len(t.seen))}
-		for _, tup := range t.tuples {
-			touched := false
-			for _, c := range tup {
-				if isDirty(c) {
-					touched = true
-					break
-				}
-			}
-			if touched {
-				m := make([]Const, len(tup))
-				for i, c := range tup {
-					m[i] = rep(c)
-				}
-				tup = m
-			}
-			if nt.insert(tup) {
-				nd.nfacts++
-			}
-		}
+		nt := t.mapDirty(isDirty, rep)
+		nd.nfacts += nt.Len()
 		nd.tables[name] = nt
 	}
 	return nd
@@ -393,39 +277,6 @@ func dirtyPredicate(dirty []Const) func(Const) bool {
 	return func(c Const) bool { return ds[c] }
 }
 
-// touchesAny reports whether any tuple mentions a dirty constant. Fully
-// built column indexes answer with one lookup per (column, constant)
-// instead of a scan.
-func (t *Table) touchesAny(dirty []Const, isDirty func(Const) bool) bool {
-	if t.colIndex != nil {
-		complete := true
-		for _, idx := range t.colIndex {
-			if idx == nil {
-				complete = false
-				break
-			}
-		}
-		if complete {
-			for _, idx := range t.colIndex {
-				for _, c := range dirty {
-					if len(idx[c]) > 0 {
-						return true
-					}
-				}
-			}
-			return false
-		}
-	}
-	for _, tup := range t.tuples {
-		for _, c := range tup {
-			if isDirty(c) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Equal reports whether two databases over the same schema and interner
 // contain exactly the same facts.
 func (d *Database) Equal(o *Database) bool {
@@ -443,8 +294,8 @@ func (d *Database) Equal(o *Database) bool {
 		if t.Len() != ot.Len() {
 			return false
 		}
-		for k := range t.seen {
-			if _, ok := ot.seen[k]; !ok {
+		for _, tup := range t.tuples {
+			if !ot.contains(tup) {
 				return false
 			}
 		}

@@ -2,6 +2,7 @@ package db
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -179,49 +180,64 @@ func TestTableIndex(t *testing.T) {
 	d.MustInsert("R", "a", "c")
 	d.MustInsert("R", "b", "c")
 	a, _ := d.Interner().Lookup("a")
-	idx := d.Table("R").Index(0)
-	if got := len(idx[a]); got != 2 {
-		t.Errorf("index[a] has %d tuples, want 2", got)
+	if got := len(d.Table("R").Lookup(0, a)); got != 2 {
+		t.Errorf("Lookup(0, a) has %d tuples, want 2", got)
 	}
-	// Index invalidated by insert.
+	// The index follows later inserts.
 	d.MustInsert("R", "a", "d")
-	idx = d.Table("R").Index(0)
-	if got := len(idx[a]); got != 3 {
-		t.Errorf("index[a] after insert has %d tuples, want 3", got)
+	if got := len(d.Table("R").Lookup(0, a)); got != 3 {
+		t.Errorf("Lookup(0, a) after insert has %d tuples, want 3", got)
 	}
 }
 
 // TestInsertMaintainsIndexes checks that inserting after an index is
-// built appends to it instead of dropping it: the index object is
-// reused and stays consistent with the tuple list.
+// built updates it instead of dropping it, and keeps it consistent with
+// the tuple list: every lookup returns exactly the matching positions,
+// in ascending order.
 func TestInsertMaintainsIndexes(t *testing.T) {
 	d := newTestDB(t)
 	d.MustInsert("R", "a", "b")
 	d.MustInsert("R", "a", "c")
 	tbl := d.Table("R")
-	idx0 := tbl.Index(0)
-	tbl.Index(1)
+	a, _ := d.Interner().Lookup("a")
+	tbl.Lookup(0, a)
+	tbl.Lookup(1, a)
 	d.MustInsert("R", "a", "d")
 	d.MustInsert("R", "e", "d")
-	a, _ := d.Interner().Lookup("a")
-	// The pre-built index object was updated in place, not rebuilt.
-	if got := len(idx0[a]); got != 3 {
-		t.Errorf("pre-built index0[a] has %d positions, want 3", got)
+	if !tbl.cols[0].built || !tbl.cols[1].built {
+		t.Fatal("insert dropped a built column index")
+	}
+	if got := len(tbl.Lookup(0, a)); got != 3 {
+		t.Errorf("Lookup(0, a) has %d positions, want 3", got)
 	}
 	dd, _ := d.Interner().Lookup("d")
-	if got := len(tbl.Index(1)[dd]); got != 2 {
-		t.Errorf("index1[d] has %d positions, want 2", got)
+	if got := len(tbl.Lookup(1, dd)); got != 2 {
+		t.Errorf("Lookup(1, d) has %d positions, want 2", got)
 	}
-	// Positions stay strictly increasing and point at matching tuples.
-	for col := 0; col < 2; col++ {
-		for c, positions := range tbl.Index(col) {
-			for i, pos := range positions {
-				if i > 0 && positions[i-1] >= pos {
-					t.Fatalf("col %d positions for %d not strictly increasing: %v", col, c, positions)
+	checkLookups(t, tbl)
+}
+
+// checkLookups asserts that every column lookup of tbl, for every id up
+// to one past the largest constant in it, returns exactly the ascending
+// positions a scan finds.
+func checkLookups(t *testing.T, tbl *Table) {
+	t.Helper()
+	maxC := Const(0)
+	for _, tup := range tbl.Tuples() {
+		for _, c := range tup {
+			maxC = max(maxC, c)
+		}
+	}
+	for col := 0; col < tbl.Relation().Arity(); col++ {
+		for c := Const(0); c <= maxC+1; c++ {
+			var want []int32
+			for pos, tup := range tbl.Tuples() {
+				if tup[col] == c {
+					want = append(want, int32(pos))
 				}
-				if tbl.Tuples()[pos][col] != c {
-					t.Fatalf("col %d index entry %d points at tuple %v", col, c, tbl.Tuples()[pos])
-				}
+			}
+			if got := tbl.Lookup(col, c); !slices.Equal(got, want) {
+				t.Fatalf("%s column %d value %d: Lookup = %v, scan = %v", tbl.Relation().Name, col, c, got, want)
 			}
 		}
 	}
@@ -231,7 +247,10 @@ func TestInsertMaintainsIndexes(t *testing.T) {
 // incremental induced-database derivation: on random databases and
 // random merge steps, MapFrom(parent, dirty, rep) must equal the full
 // parent.Map(rep), including when dirty is a strict superset of the
-// constants that actually move.
+// constants that actually move. Every derived table, rebuilt or shared
+// from a (sometimes frozen) parent, must also hold each mapped tuple
+// exactly once and answer every column lookup with exactly the
+// ascending positions a scan finds.
 func TestMapFromMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	names := []string{"c0", "c1", "c2", "c3", "c4", "c5", "c6", "c7"}
@@ -272,6 +291,10 @@ func TestMapFromMatchesMap(t *testing.T) {
 			}
 		}
 		parent := d.Map(repOf)
+		if rng.Intn(2) == 0 {
+			// Frozen parents share tables with built indexes.
+			parent.Freeze()
+		}
 		// Then one incremental merge step on top of it.
 		var dirty []Const
 		for i := 0; i < 1+rng.Intn(2); i++ {
@@ -299,6 +322,58 @@ func TestMapFromMatchesMap(t *testing.T) {
 		if scratch := d.Map(repOf); !got.Equal(scratch) {
 			t.Fatalf("trial %d: MapFrom != original.Map\ngot:\n%s\nwant:\n%s", trial, got, scratch)
 		}
+		checkDerived(t, d, got, repOf)
+		if rng.Intn(2) == 0 {
+			got.Freeze()
+			checkDerived(t, d, got, repOf)
+		}
+	}
+}
+
+// checkDerived asserts that every table of got, derived from d through
+// rep, holds each distinct mapped tuple of d exactly once and answers
+// every column lookup as a scan does.
+func checkDerived(t *testing.T, d, got *Database, rep func(Const) Const) {
+	t.Helper()
+	total := 0
+	for _, r := range d.Schema().Relations() {
+		want := make(map[string]bool)
+		for _, tup := range d.Tuples(r.Name) {
+			m := make([]Const, len(tup))
+			for i, c := range tup {
+				m[i] = rep(c)
+			}
+			want[TupleKey(m)] = true
+		}
+		tbl := got.Table(r.Name)
+		if tbl == nil {
+			if len(want) > 0 {
+				t.Fatalf("%s: derived table missing", r.Name)
+			}
+			continue
+		}
+		seen := make(map[string]bool)
+		for _, tup := range tbl.Tuples() {
+			k := TupleKey(tup)
+			if seen[k] {
+				t.Fatalf("%s: tuple %v kept twice", r.Name, tup)
+			}
+			if !want[k] {
+				t.Fatalf("%s: tuple %v is not a mapped tuple", r.Name, tup)
+			}
+			if !got.Contains(r.Name, tup...) {
+				t.Fatalf("%s: Contains(%v) = false", r.Name, tup)
+			}
+			seen[k] = true
+		}
+		if len(seen) != len(want) {
+			t.Fatalf("%s: %d distinct tuples, want %d", r.Name, len(seen), len(want))
+		}
+		total += len(seen)
+		checkLookups(t, tbl)
+	}
+	if got.NumFacts() != total {
+		t.Fatalf("NumFacts = %d, want %d", got.NumFacts(), total)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package db implements the relational substrate of the LACE framework:
-// schemas, interned constants, facts, databases with per-column hash
+// schemas, interned constants, facts, databases with per-column
 // indexes, and a parser for fact files.
 //
 // Databases are in-memory, deterministic (iteration order is insertion

@@ -67,7 +67,7 @@ func TestFreeze(t *testing.T) {
 	}
 	tbl := d.Table("R")
 	for i := 0; i < 2; i++ {
-		if tbl.Index(i) == nil {
+		if !tbl.cols[i].built {
 			t.Fatalf("column index %d not built by Freeze", i)
 		}
 	}

@@ -120,14 +120,14 @@ func Apply(parent *Database, insert, retract []FactSpec) (nd *Database, inserted
 
 	for name, t := range parent.tables {
 		if !touched[name] {
-			// Both sides frozen: sharing tuples, dedup map and indexes
+			// Both sides frozen: sharing tuples, hash set and indexes
 			// by reference is sound because neither ever changes again.
 			nd.tables[name] = t
 			nd.nfacts += t.Len()
 			continue
 		}
 		set := tombs[name]
-		nt := &Table{rel: t.rel, seen: make(map[string]int, len(t.seen))}
+		nt := newTable(t.rel, t.Len())
 		for _, tup := range t.tuples {
 			if set != nil && set[TupleKey(tup)] {
 				retracted++
@@ -147,7 +147,7 @@ func Apply(parent *Database, insert, retract []FactSpec) (nd *Database, inserted
 		t := nd.tables[p.rel]
 		if t == nil {
 			r, _ := parent.schema.Relation(p.rel)
-			t = &Table{rel: r, seen: make(map[string]int)}
+			t = newTable(r, 0)
 			nd.tables[p.rel] = t
 		}
 		if t.insert(p.args) {

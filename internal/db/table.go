@@ -1,0 +1,318 @@
+package db
+
+import (
+	"slices"
+	"strings"
+)
+
+// Table holds the extension of one relation: a duplicate-free list of
+// tuples in insertion order, a hash set over those tuples for
+// deduplication, and lazily built per-column indexes. Every structure
+// is a flat slice, so building or deriving a table allocates a constant
+// number of objects however many tuples and distinct constants it
+// holds.
+type Table struct {
+	rel    *Relation
+	tuples [][]Const
+	// slots is an open-addressing (linear probing) hash set over
+	// tuples: a slot holds a tuple position plus one, 0 marks it empty.
+	// Its length is a power of two at least twice the tuple count.
+	// Probes compare the candidate tuple element-wise, so a hash
+	// collision never merges two distinct tuples.
+	slots []int32
+	// cols[i] indexes column i once built. Inserts keep built indexes
+	// up to date instead of invalidating them.
+	cols []colIndex
+	// frozen tables reject inserts; see Database.Freeze.
+	frozen bool
+}
+
+// colIndex is a sorted-position column index: the positions of every
+// tuple ordered by (column value, position), with the values alongside
+// for binary search. The positions holding one value are therefore a
+// contiguous run, in ascending order.
+type colIndex struct {
+	built bool
+	vals  []Const
+	pos   []int32
+}
+
+// newTable returns an empty table for rel sized for about n tuples.
+func newTable(rel *Relation, n int) *Table {
+	t := &Table{rel: rel, tuples: make([][]Const, 0, n)}
+	t.slots = make([]int32, slotsFor(n))
+	return t
+}
+
+// slotsFor returns the hash-set size for n tuples: the smallest power
+// of two of at least 2n, and at least 8.
+func slotsFor(n int) int {
+	size := 8
+	for size < 2*n {
+		size <<= 1
+	}
+	return size
+}
+
+// Relation returns the table's relation symbol.
+func (t *Table) Relation() *Relation { return t.rel }
+
+// Len returns the number of tuples.
+func (t *Table) Len() int { return len(t.tuples) }
+
+// Tuples returns all tuples in insertion order. The returned slice and
+// its elements are shared; callers must not modify them.
+func (t *Table) Tuples() [][]Const { return t.tuples }
+
+// TupleKey returns a compact byte-string key uniquely identifying a
+// tuple of constants (four little-endian bytes per component). It is
+// the canonical tuple encoding for string-keyed deduplication maps
+// (query answers, expanded answer sets, write-batch tombstones); tables
+// deduplicate through their own hash set instead.
+func TupleKey(args []Const) string {
+	var b strings.Builder
+	b.Grow(len(args) * 4)
+	for _, c := range args {
+		v := uint32(c)
+		b.WriteByte(byte(v))
+		b.WriteByte(byte(v >> 8))
+		b.WriteByte(byte(v >> 16))
+		b.WriteByte(byte(v >> 24))
+	}
+	return b.String()
+}
+
+// hashTuple mixes the components of a tuple into a 64-bit hash.
+func hashTuple(tup []Const) uint64 {
+	h := uint64(len(tup))
+	for _, c := range tup {
+		h = (h ^ uint64(uint32(c))) * 0x9e3779b97f4a7c15
+		h ^= h >> 29
+	}
+	return h
+}
+
+// probe returns the slot holding tup, or the empty slot where it would
+// go, and whether tup is present.
+func (t *Table) probe(tup []Const) (int, bool) {
+	mask := len(t.slots) - 1
+	for i := int(hashTuple(tup)) & mask; ; i = (i + 1) & mask {
+		s := t.slots[i]
+		if s == 0 {
+			return i, false
+		}
+		if slices.Equal(t.tuples[s-1], tup) {
+			return i, true
+		}
+	}
+}
+
+// grow doubles the hash set and re-inserts every tuple.
+func (t *Table) grow() {
+	t.slots = make([]int32, slotsFor(len(t.tuples)+1))
+	mask := len(t.slots) - 1
+	for pos, tup := range t.tuples {
+		i := int(hashTuple(tup)) & mask
+		for t.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = int32(pos + 1)
+	}
+}
+
+// insert appends args unless an equal tuple is present, reporting
+// whether it was added. The table keeps args itself, not a copy.
+func (t *Table) insert(args []Const) bool {
+	if t.frozen {
+		panic("db: insert into frozen table " + t.rel.Name)
+	}
+	if 2*(len(t.tuples)+1) > len(t.slots) {
+		t.grow()
+	}
+	i, dup := t.probe(args)
+	if dup {
+		return false
+	}
+	pos := len(t.tuples)
+	t.slots[i] = int32(pos + 1)
+	t.tuples = append(t.tuples, args)
+	// The new position is the largest so far, so it goes at the end of
+	// its value's run and every run stays in ascending order.
+	for c := range t.cols {
+		ix := &t.cols[c]
+		if ix.built {
+			at := upperBound(ix.vals, args[c])
+			ix.vals = slices.Insert(ix.vals, at, args[c])
+			ix.pos = slices.Insert(ix.pos, at, int32(pos))
+		}
+	}
+	return true
+}
+
+func (t *Table) contains(args []Const) bool {
+	_, ok := t.probe(args)
+	return ok
+}
+
+// Lookup returns the positions of the tuples whose column col holds v,
+// in ascending order, building the column's index on first use. The
+// slice is shared with the table; callers must not modify it.
+func (t *Table) Lookup(col int, v Const) []int32 {
+	ix := t.index(col)
+	lo := lowerBound(ix.vals, v)
+	hi := lo + upperBound(ix.vals[lo:], v)
+	return ix.pos[lo:hi:hi]
+}
+
+// index returns column col's index, building it if necessary.
+func (t *Table) index(col int) *colIndex {
+	if t.cols == nil || !t.cols[col].built {
+		t.build(col, col+1)
+	}
+	return &t.cols[col]
+}
+
+// build builds the missing indexes of columns [from, to), all sharing
+// one values array and one positions array.
+func (t *Table) build(from, to int) {
+	if t.cols == nil {
+		t.cols = make([]colIndex, t.rel.Arity())
+	}
+	n := len(t.tuples)
+	vals := make([]Const, (to-from)*n)
+	pos := make([]int32, (to-from)*n)
+	tuples := t.tuples
+	for col := from; col < to; col++ {
+		cv, cp := vals[:n:n], pos[:n:n]
+		vals, pos = vals[n:], pos[n:]
+		if t.cols[col].built {
+			continue
+		}
+		for i := range cp {
+			cp[i] = int32(i)
+		}
+		slices.SortFunc(cp, func(a, b int32) int {
+			if va, vb := tuples[a][col], tuples[b][col]; va != vb {
+				if va < vb {
+					return -1
+				}
+				return 1
+			}
+			return int(a - b)
+		})
+		for i, p := range cp {
+			cv[i] = tuples[p][col]
+		}
+		t.cols[col] = colIndex{built: true, vals: cv, pos: cp}
+	}
+}
+
+// lowerBound returns the first index of sorted vals holding a value
+// >= v.
+func lowerBound(vals []Const, v Const) int {
+	lo, hi := 0, len(vals)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if vals[m] < v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// upperBound returns the first index of sorted vals holding a value
+// > v.
+func upperBound(vals []Const, v Const) int {
+	lo, hi := 0, len(vals)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if vals[m] <= v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+func (t *Table) freeze() {
+	// Already-frozen tables must not be written again: a frozen parent
+	// shares tables by reference into many derived databases, and
+	// freezing those derived databases happens on different search
+	// workers. The first freeze always runs in the goroutine that built
+	// the table, before the database is shared (the task channel then
+	// orders this write before any reader), so the flag check is safe.
+	if t.frozen {
+		return
+	}
+	t.build(0, t.rel.Arity())
+	t.frozen = true
+}
+
+// touchesAny reports whether any tuple mentions a dirty constant. A
+// table with every column index built answers with one lookup per
+// (column, constant) instead of a scan.
+func (t *Table) touchesAny(dirty []Const, isDirty func(Const) bool) bool {
+	complete := t.cols != nil
+	for i := range t.cols {
+		complete = complete && t.cols[i].built
+	}
+	if complete {
+		for col := range t.cols {
+			for _, c := range dirty {
+				if len(t.Lookup(col, c)) > 0 {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	for _, tup := range t.tuples {
+		for _, c := range tup {
+			if isDirty(c) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// mapDirty returns the table obtained by applying rep to every tuple
+// that holds a constant isDirty accepts, sharing every other tuple by
+// reference and suppressing the duplicates the remapping creates. The
+// remapped tuples share one backing array.
+func (t *Table) mapDirty(isDirty func(Const) bool, rep func(Const) Const) *Table {
+	touches := func(tup []Const) bool {
+		for _, c := range tup {
+			if isDirty(c) {
+				return true
+			}
+		}
+		return false
+	}
+	touched := 0
+	for _, tup := range t.tuples {
+		if touches(tup) {
+			touched++
+		}
+	}
+	arity := t.rel.Arity()
+	arena := make([]Const, touched*arity)
+	nt := newTable(t.rel, len(t.tuples))
+	for _, tup := range t.tuples {
+		if !touches(tup) {
+			nt.insert(tup)
+			continue
+		}
+		m := arena[:arity:arity]
+		for i, c := range tup {
+			m[i] = rep(c)
+		}
+		if nt.insert(m) {
+			arena = arena[arity:]
+		}
+	}
+	return nt
+}

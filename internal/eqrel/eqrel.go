@@ -248,12 +248,12 @@ func (p *Partition) Subset(o *Partition) bool {
 	if p.n != o.n {
 		return false
 	}
-	for _, cls := range p.classes(2) {
-		r := o.Rep(cls[0])
-		for _, c := range cls[1:] {
-			if o.Rep(c) != r {
-				return false
-			}
+	// Every class of p lies inside one class of o iff each element
+	// shares its o-class with its p-representative.
+	for i := 0; i < p.n; i++ {
+		c := db.Const(i)
+		if r := p.Rep(c); r != c && !o.Same(c, r) {
+			return false
 		}
 	}
 	return true

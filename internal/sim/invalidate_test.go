@@ -29,4 +29,19 @@ func TestInvalidateDropsSharedEntries(t *testing.T) {
 	if got := nilReg.Invalidate("x"); got != 0 {
 		t.Errorf("nil registry dropped %d", got)
 	}
+
+	// A name containing NUL is one name: invalidating its prefix must
+	// leave its pairs alone, and invalidating it drops exactly its own.
+	p.Holds("x\x00y", "z")
+	p.Holds("x", "w")
+	p.Holds("q", "r")
+	if got := r.Invalidate("x"); got != 1 {
+		t.Errorf("Invalidate(x) dropped %d entries, want 1", got)
+	}
+	if got := r.Invalidate("x\x00y"); got != 1 {
+		t.Errorf("Invalidate(x\\x00y) dropped %d entries, want 1", got)
+	}
+	if got := r.Invalidate("q"); got != 1 {
+		t.Errorf("Invalidate(q) dropped %d entries, want 1", got)
+	}
 }

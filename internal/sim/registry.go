@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -36,8 +35,14 @@ type Metric func(a, b string) float64
 // shares the computed results without sharing the unsynchronized tier.
 func Threshold(name string, metric Metric, theta float64) Predicate {
 	return &thresholdPred{name: name, metric: metric, theta: theta,
-		local: make(map[string]bool), shared: &sync.Map{}, sharedLen: &atomic.Int64{}}
+		local: make(map[memoKey]bool), shared: &sync.Map{}, sharedLen: &atomic.Int64{}}
 }
+
+// memoKey is the memo key of an unordered name pair, stored with
+// a <= b. Keeping the names as separate fields (rather than joining
+// them with a separator that may itself occur in a name) makes distinct
+// pairs distinct keys, and a local-tier hit allocates nothing.
+type memoKey struct{ a, b string }
 
 // memoCap bounds each memo tier so a pathological workload cannot hold
 // the cross product of its active domain in memory.
@@ -48,8 +53,8 @@ type thresholdPred struct {
 	metric Metric
 	theta  float64
 	// local is the per-instance tier: unsynchronized, single goroutine.
-	local map[string]bool
-	// shared and sharedLen form the cross-fork tier.
+	local map[memoKey]bool
+	// shared and sharedLen form the cross-fork tier, keyed by memoKey.
 	shared    *sync.Map
 	sharedLen *atomic.Int64
 }
@@ -63,7 +68,7 @@ func (p *thresholdPred) Holds(a, b string) bool {
 	if a > b {
 		a, b = b, a
 	}
-	key := a + "\x00" + b
+	key := memoKey{a, b}
 	if v, ok := p.local[key]; ok {
 		return v
 	}
@@ -90,7 +95,7 @@ func (p *thresholdPred) Holds(a, b string) bool {
 // read-mostly tier, safe to use from a different goroutine than p.
 func (p *thresholdPred) fork() Predicate {
 	return &thresholdPred{name: p.name, metric: p.metric, theta: p.theta,
-		local: make(map[string]bool), shared: p.shared, sharedLen: p.sharedLen}
+		local: make(map[memoKey]bool), shared: p.shared, sharedLen: p.sharedLen}
 }
 
 // Table is a predicate given by an explicit extension; its Holds is the
@@ -238,8 +243,7 @@ func (r *Registry) Invalidate(names ...string) int {
 		}
 		seen[tp.shared] = true
 		tp.shared.Range(func(k, _ any) bool {
-			key := k.(string)
-			if i := strings.IndexByte(key, 0); i >= 0 && (set[key[:i]] || set[key[i+1:]]) {
+			if key := k.(memoKey); set[key.a] || set[key.b] {
 				tp.shared.Delete(k)
 				tp.sharedLen.Add(-1)
 				dropped++

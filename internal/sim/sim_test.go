@@ -170,3 +170,26 @@ func TestRegistry(t *testing.T) {
 		}
 	}
 }
+
+// TestThresholdMemoKeysNamesApart pins that the memo keys a pair by its
+// two names, not by a joined string: names may contain NUL (they
+// arrive from JSON fact batches, where \u0000 is legal), so
+// ("a\x00b", "c") and ("a", "b\x00c") must be memoized apart.
+func TestThresholdMemoKeysNamesApart(t *testing.T) {
+	only := func(a, b string) float64 {
+		if a == "a\x00b" && b == "c" || a == "c" && b == "a\x00b" {
+			return 1
+		}
+		return 0
+	}
+	p := Threshold("only", only, 0.5)
+	if !p.Holds("a\x00b", "c") {
+		t.Fatal(`Holds("a\x00b", "c") = false, want true`)
+	}
+	if p.Holds("a", "b\x00c") {
+		t.Error(`Holds("a", "b\x00c") = true after memoizing ("a\x00b", "c"), want false`)
+	}
+	if f := p.(*thresholdPred).fork(); f.Holds("a", "b\x00c") {
+		t.Error(`fork: Holds("a", "b\x00c") = true from the shared tier, want false`)
+	}
+}
