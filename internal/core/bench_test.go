@@ -8,6 +8,7 @@ import (
 	"repro/internal/db"
 	"repro/internal/eqrel"
 	"repro/internal/fixtures"
+	"repro/internal/workload"
 )
 
 // benchEngine builds a Figure 1 engine and a mid-sized solution state.
@@ -143,6 +144,33 @@ func BenchmarkGreedyFigure1(b *testing.B) {
 		_, ok, err := e.GreedySolutionCtx(context.Background())
 		if err != nil || !ok {
 			b.Fatalf("greedy: %v %v", ok, err)
+		}
+	}
+}
+
+// BenchmarkReplayReadCold replays the maximal solution of the read-sized
+// seed-22 workload instance (6 authors, 9 papers, 3 conferences): the
+// relaxed join behind every explanation.
+func BenchmarkReplayReadCold(b *testing.B) {
+	cfg := workload.DefaultConfig(22)
+	cfg.Authors, cfg.Papers, cfg.Conferences = 6, 9, 3
+	ds, err := workload.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := New(ds.DB, ds.Spec, ds.Sims, Options{Parallelism: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	maximal, err := e.MaximalSolutionsCtx(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Replay(maximal[0]); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -43,11 +43,15 @@ type Options struct {
 	// MaxStates bounds the number of distinct candidate states explored
 	// by a single search; 0 means DefaultMaxStates. The decision
 	// problems are NP- or Π^p_2-hard (Table 1), so a budget guards
-	// against pathological instances.
+	// against pathological instances. A maximal-solution question whose
+	// lattice top is consistent is answered without a search, so the
+	// budget does not apply there.
 	MaxStates int
 	// MaxSolutions, when positive, stops enumeration after that many
 	// solutions have been visited. It implies sequential search: the
-	// truncation is defined by the sequential visit order.
+	// truncation is defined by the sequential visit order. A consistent
+	// lattice top is the complete answer to a maximal-solution question
+	// and is never truncated.
 	MaxSolutions int
 	// CacheSize bounds the induced-database cache in entries; 0 means
 	// DefaultCacheSize. When full, the least recently used entry is

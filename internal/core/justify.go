@@ -101,45 +101,37 @@ func (e *Engine) Replay(E *eqrel.Partition) (*derivation, error) {
 	e.rec.Inc(obs.CoreJustifyReplays, 1)
 	d := &derivation{adj: make(map[db.Const][]edgeRef)}
 	cur := e.Identity()
+	j := e.newRelaxedJoin()
+	var rule string
+	// keep admits a head pair of E that no earlier step, this stage's
+	// included, has merged, so each pair keeps its first derivation.
+	keep := func(a, b db.Const) bool { return a != b && !cur.Same(a, b) && E.Same(a, b) }
+	record := func(m relaxedMatch) bool {
+		s := JustStep{
+			Pair:  eqrel.MakePair(m.headA, m.headB),
+			Kind:  RuleApp,
+			Rule:  rule,
+			Facts: m.facts,
+			Sims:  m.sims,
+			Deps:  m.deps,
+		}
+		cur.Union(s.Pair.A, s.Pair.B)
+		idx := len(d.steps)
+		d.steps = append(d.steps, s)
+		d.adj[s.Pair.A] = append(d.adj[s.Pair.A], edgeRef{idx, s.Pair.B})
+		d.adj[s.Pair.B] = append(d.adj[s.Pair.B], edgeRef{idx, s.Pair.A})
+		return true
+	}
 	for {
-		var stage []JustStep
-		for _, r := range e.sess.spec.MergeRules() {
-			err := e.relaxedMatches(r, cur, func(m relaxedMatch) bool {
-				if m.headA == m.headB || cur.Same(m.headA, m.headB) {
-					return true
-				}
-				if !E.Same(m.headA, m.headB) {
-					return true // outside the target solution
-				}
-				stage = append(stage, JustStep{
-					Pair:  eqrel.MakePair(m.headA, m.headB),
-					Kind:  RuleApp,
-					Rule:  r.Name,
-					Facts: m.facts,
-					Sims:  m.sims,
-					Deps:  m.deps,
-				})
-				return true
-			})
-			if err != nil {
-				return nil, err
-			}
+		// A stage matches every rule modulo the relation as it was when
+		// the stage began.
+		j.reset(cur)
+		before := len(d.steps)
+		for _, r := range e.sess.mergeRules {
+			rule = r.Name
+			j.matches(r, keep, record)
 		}
-		progressed := false
-		for _, s := range stage {
-			if cur.Same(s.Pair.A, s.Pair.B) {
-				// Another step of this stage already merged the classes;
-				// keep the first derivation only.
-				continue
-			}
-			cur.Union(s.Pair.A, s.Pair.B)
-			idx := len(d.steps)
-			d.steps = append(d.steps, s)
-			d.adj[s.Pair.A] = append(d.adj[s.Pair.A], edgeRef{idx, s.Pair.B})
-			d.adj[s.Pair.B] = append(d.adj[s.Pair.B], edgeRef{idx, s.Pair.A})
-			progressed = true
-		}
-		if !progressed {
+		if len(d.steps) == before {
 			break
 		}
 	}

@@ -54,20 +54,18 @@ func (e *Engine) witnesses(ctx context.Context, pairs []eqrel.Pair) (with, witho
 }
 
 // PossibleMergesCtx returns possMerge(D, Σ): the union of the merge sets of
-// all maximal solutions, sorted. Maximal solutions have the same pair
-// union as all solutions, so plain solution enumeration suffices. The
-// output is a sorted set, so sequential and parallel runs return
-// identical results.
+// all maximal solutions, sorted. The output is a sorted set, so
+// sequential and parallel runs return identical results.
 func (e *Engine) PossibleMergesCtx(ctx context.Context) ([]eqrel.Pair, error) {
-	seen := make(map[eqrel.Pair]bool)
-	err := e.enumSolutions(ctx, func(E *eqrel.Partition) bool {
-		for _, p := range E.Pairs() {
-			seen[p] = true
-		}
-		return false
-	})
+	maximal, err := e.MaximalSolutionsCtx(ctx)
 	if err != nil {
 		return nil, err
+	}
+	seen := make(map[eqrel.Pair]bool)
+	for _, m := range maximal {
+		for _, p := range m.Pairs() {
+			seen[p] = true
+		}
 	}
 	return sortedPairs(seen), nil
 }

@@ -2,11 +2,16 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/db"
 	"repro/internal/eqrel"
+	"repro/internal/fixtures"
+	"repro/internal/obs"
 	"repro/internal/rules"
 	"repro/internal/sim"
 )
@@ -147,6 +152,99 @@ func TestPropertyEverySolutionInSomeMaximal(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestPropertyMaximalFromTop: MaximalSolutionsCtx is the maximal
+// antichain of SolutionsCtx and PossibleMergesCtx its pair union, on
+// both branches of the top test — a consistent top answered without a
+// walk, and an inconsistent one (Figure 1's among them) that walks.
+func TestPropertyMaximalFromTop(t *testing.T) {
+	ctx := context.Background()
+	check := func(name string, e *Engine) (consistentTop bool) {
+		t.Helper()
+		var sols []*eqrel.Partition
+		if err := e.SolutionsCtx(ctx, func(E *eqrel.Partition) bool {
+			sols = append(sols, E.Clone())
+			return false
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		union := make(map[eqrel.Pair]bool)
+		for _, s := range sols {
+			dominated := false
+			for _, o := range sols {
+				dominated = dominated || s.ProperSubset(o)
+			}
+			if !dominated {
+				want = append(want, s.Key())
+			}
+			for _, p := range s.Pairs() {
+				union[p] = true
+			}
+		}
+		sort.Strings(want)
+		states := e.Stats().Counter(obs.CoreSearchStates)
+		maximal, err := e.MaximalSolutionsCtx(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		walked := e.Stats().Counter(obs.CoreSearchStates) - states
+		var got []string
+		for _, m := range maximal {
+			got = append(got, m.Key())
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: MaximalSolutionsCtx = %v, want the antichain %v", name, got, want)
+		}
+		pm, err := e.PossibleMergesCtx(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantPM := sortedPairs(union); !slices.Equal(pm, wantPM) {
+			t.Fatalf("%s: PossibleMergesCtx = %v, want the pair union %v", name, pm, wantPM)
+		}
+		top, err := e.consistentTop(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if top != nil && walked != 0 {
+			t.Fatalf("%s: consistent top, but MaximalSolutionsCtx explored %d states", name, walked)
+		}
+		if top == nil && walked == 0 {
+			t.Fatalf("%s: inconsistent top, but MaximalSolutionsCtx explored no state", name)
+		}
+		return top != nil
+	}
+	f := fixtures.New()
+	fe, err := New(f.DB, f.Spec, f.Sims, Options{Recorder: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if check("figure 1", fe) {
+		t.Fatal("figure 1: top is consistent, want the walk")
+	}
+	rng := rand.New(rand.NewSource(909))
+	branches := [2]int{}
+	for trial := 0; trial < 60; trial++ {
+		d, spec, reg := randomInstance(t, rng)
+		for _, par := range []int{1, 2} {
+			e, err := New(d, spec, reg, Options{Parallelism: par, Recorder: obs.NewRegistry()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if check(fmt.Sprintf("trial %d, parallelism %d", trial, par), e) {
+				branches[1]++
+			} else {
+				branches[0]++
+			}
+		}
+	}
+	t.Logf("inconsistent top %d times, consistent top %d times", branches[0], branches[1])
+	if branches[0] == 0 || branches[1] == 0 {
+		t.Fatalf("random instances hit the inconsistent top %d times and the consistent top %d times; want both",
+			branches[0], branches[1])
 	}
 }
 

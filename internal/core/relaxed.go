@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cq"
 	"repro/internal/db"
 	"repro/internal/eqrel"
 	"repro/internal/rules"
+	"repro/internal/sim"
 )
 
 // SimFact records a similarity atom used by a rule application, over
@@ -30,169 +32,352 @@ type relaxedMatch struct {
 	deps         []eqrel.Pair // previously derived merges joining the facts
 }
 
-// relaxedMatches enumerates relaxed homomorphisms of r's body into the
-// engine's original database w.r.t. E. cb returning false stops the
-// enumeration. Match contents are fresh copies.
-func (e *Engine) relaxedMatches(r *rules.Rule, E *eqrel.Partition, cb func(relaxedMatch) bool) error {
-	// occurrences[v] collects the original constants bound to variable v.
-	binding := make(map[string]db.Const) // variable -> class representative
-	occurrences := make(map[string][]db.Const)
-	var facts []db.Fact
-	var sims []SimFact
+// relaxedJoin enumerates relaxed matches of rule bodies on the engine's
+// original database modulo a snapshot of one equivalence relation E,
+// taken by reset. The join is indexed: each relational atom draws its
+// candidate tuples from the column index of its first argument that is
+// a constant or a variable bound by an earlier atom, over every member
+// of that value's E-class, and visits them in ascending tuple position.
+// That is exactly the order of a full-table nested loop, so matches
+// come out in the same order. Variables live in slots, their original
+// occurrences in per-slot stacks, and similarity atoms are checked as
+// soon as their variables are bound. The match under construction is
+// scratch reused across calls; only a match the caller keeps is copied.
+type relaxedJoin struct {
+	e *Engine
+	// rep, start and members snapshot E: rep[c] is c's representative
+	// and members[start[r]:start[r+1]] the ascending members of the
+	// class represented by r (empty for non-representatives).
+	rep     []db.Const
+	start   []int32
+	members []db.Const
 
-	atoms := r.Body.Atoms
-	// Order: relational atoms first (in order), then similarity atoms.
-	// Rule bodies are safe, so similarity variables are bound by then.
-	var relAtoms, simAtoms []cq.Atom
-	for _, a := range atoms {
-		if a.Kind == cq.KindRel {
-			relAtoms = append(relAtoms, a)
-		} else {
+	// The match under construction.
+	p     *relaxedPlan
+	preds []sim.Predicate // the similarity predicates of p.sim
+	bind  []db.Const      // variable slot -> class representative
+	occ   [][]db.Const    // occurrence slot -> original constants, body order
+	facts []db.Fact
+	sims  []SimFact
+	cand  [][]int32 // per relational atom: merged candidate positions
+	keep  func(a, b db.Const) bool
+	cb    func(relaxedMatch) bool
+}
+
+// relaxedPlan is a rule body compiled for the relaxed join. Occurrence
+// slots number the body's variables and constants in order of first
+// occurrence among the relational atoms, which fixes the order of the
+// join dependencies a match reports.
+type relaxedPlan struct {
+	rel    []relaxedAtom
+	sim    []relaxedSim
+	nslots int
+	x, y   int // occurrence slots of the head variables
+	// simAt[i] lists the similarity atoms whose variables are all bound
+	// once relational atom i-1 has matched (simAt[0]: constant-only).
+	simAt [][]int
+}
+
+type relaxedAtom struct {
+	pred string
+	args []relaxedArg
+	seek int // argument position whose column index seeds the candidates, -1 to scan
+}
+
+type relaxedArg struct {
+	slot  int
+	isVar bool
+	cst   db.Const // the constant, when !isVar
+	binds bool     // first occurrence of the variable: bind it here
+}
+
+type relaxedSim struct {
+	pred string
+	args [2]relaxedArg
+}
+
+func (e *Engine) newRelaxedJoin() *relaxedJoin { return &relaxedJoin{e: e} }
+
+// reset snapshots the classes of E; later changes to E are not seen
+// until the next reset.
+func (j *relaxedJoin) reset(E *eqrel.Partition) {
+	n := E.N()
+	if cap(j.rep) < n {
+		j.rep = make([]db.Const, n)
+		j.members = make([]db.Const, n)
+		j.start = make([]int32, n+1)
+	}
+	j.rep, j.members, j.start = j.rep[:n], j.members[:n], j.start[:n+1]
+	clear(j.start)
+	for c := range j.rep {
+		r := E.Rep(db.Const(c))
+		j.rep[c] = r
+		j.start[r+1]++
+	}
+	for r := 1; r <= n; r++ {
+		j.start[r] += j.start[r-1]
+	}
+	// Fill in ascending constant order, using start[r] as r's cursor.
+	// Afterwards start[r] holds the end of r's block, which is where
+	// block r+1 starts, so shifting the offsets up by one restores them.
+	for c, r := range j.rep {
+		j.members[j.start[r]] = db.Const(c)
+		j.start[r]++
+	}
+	copy(j.start[1:], j.start[:n])
+	j.start[0] = 0
+}
+
+// class returns the members of the class whose representative is r.
+func (j *relaxedJoin) class(r db.Const) []db.Const {
+	return j.members[j.start[r]:j.start[r+1]]
+}
+
+// relaxedPlanFor returns r's compiled body, compiling it on first use
+// into the session's shared plan map.
+func (s *Session) relaxedPlanFor(r *rules.Rule) *relaxedPlan {
+	if p, ok := s.relaxedPlans.Load(r); ok {
+		return p.(*relaxedPlan)
+	}
+	p, _ := s.relaxedPlans.LoadOrStore(r, compileRelaxed(r))
+	return p.(*relaxedPlan)
+}
+
+// compileRelaxed compiles r's body for the relaxed join.
+func compileRelaxed(r *rules.Rule) *relaxedPlan {
+	p := &relaxedPlan{}
+	// Variables are keyed by name, constants by value.
+	slots := make(map[any]int)
+	boundAt := make(map[string]int) // variable -> relational atom binding it
+	slotOf := func(t cq.Term) int {
+		key := any(t.Const)
+		if t.IsVar {
+			key = t.Name
+		}
+		s, ok := slots[key]
+		if !ok {
+			s = p.nslots
+			slots[key] = s
+			p.nslots++
+		}
+		return s
+	}
+	var simAtoms []cq.Atom
+	for _, a := range r.Body.Atoms {
+		if a.Kind != cq.KindRel {
 			simAtoms = append(simAtoms, a)
+			continue
 		}
-	}
-	// occKeys lists the occurrence keys in body order, so dependencies
-	// (and the justifications built from them) come out in a fixed order.
-	var occKeys []string
-	seenKey := make(map[string]bool)
-	for _, a := range relAtoms {
-		for _, t := range a.Args {
-			k := t.Name
-			if !t.IsVar {
-				k = constKey(t.Const)
-			}
-			if !seenKey[k] {
-				seenKey[k] = true
-				occKeys = append(occKeys, k)
-			}
-		}
-	}
-
-	emit := func() bool {
-		m := relaxedMatch{
-			facts: append([]db.Fact(nil), facts...),
-			sims:  append([]SimFact(nil), sims...),
-		}
-		m.headA = occurrences[r.X()][0]
-		m.headB = occurrences[r.Y()][0]
-		seen := make(map[eqrel.Pair]bool)
-		for _, k := range occKeys {
-			occ := occurrences[k]
-			for i := 0; i < len(occ); i++ {
-				for j := i + 1; j < len(occ); j++ {
-					if occ[i] != occ[j] {
-						p := eqrel.MakePair(occ[i], occ[j])
-						if !seen[p] {
-							seen[p] = true
-							m.deps = append(m.deps, p)
-						}
-					}
+		i := len(p.rel)
+		ra := relaxedAtom{pred: a.Pred, seek: -1}
+		for pos, t := range a.Args {
+			arg := relaxedArg{slot: slotOf(t), isVar: t.IsVar, cst: t.Const}
+			if t.IsVar {
+				if _, ok := boundAt[t.Name]; !ok {
+					boundAt[t.Name] = i
+					arg.binds = true
 				}
 			}
+			if ra.seek < 0 && (!t.IsVar || boundAt[t.Name] < i) {
+				ra.seek = pos
+			}
+			ra.args = append(ra.args, arg)
 		}
-		return cb(m)
+		p.rel = append(p.rel, ra)
 	}
-
-	var checkSims func(i int) bool
-	checkSims = func(i int) bool {
-		if i == len(simAtoms) {
-			return emit()
-		}
-		a := simAtoms[i]
-		p, ok := e.sims.Lookup(a.Pred)
-		if !ok {
-			return true
-		}
-		vals := make([]db.Const, 2)
-		for j, t := range a.Args {
+	p.x, p.y = slots[r.X()], slots[r.Y()]
+	p.simAt = make([][]int, len(p.rel)+1)
+	for k, a := range simAtoms {
+		s := relaxedSim{pred: a.Pred}
+		level := 0
+		for i, t := range a.Args {
+			s.args[i] = relaxedArg{isVar: t.IsVar, cst: t.Const}
 			if t.IsVar {
-				vals[j] = binding[t.Name]
-			} else {
-				vals[j] = t.Const
+				// Rule bodies are safe: every similarity variable
+				// occurs in a relational atom.
+				s.args[i].slot = slots[t.Name]
+				level = max(level, boundAt[t.Name]+1)
 			}
 		}
-		// Sim-safety guarantees the bound representatives are original
-		// values (sim attributes never merge), so evaluating the
-		// predicate on the representative names is faithful.
-		in := e.sess.d.Interner()
-		na, nb := in.Name(vals[0]), in.Name(vals[1])
-		if p.Holds(na, nb) {
-			sims = append(sims, SimFact{Pred: a.Pred, A: na, B: nb})
-			cont := checkSims(i + 1)
-			sims = sims[:len(sims)-1]
-			return cont
+		p.sim = append(p.sim, s)
+		p.simAt[level] = append(p.simAt[level], k)
+	}
+	return p
+}
+
+// matches enumerates the relaxed matches of r's body w.r.t. the
+// snapshot taken by reset. keep is asked first with the original
+// constants at the head variables; only when it returns true is the
+// match copied and passed to cb. cb returning false stops the
+// enumeration.
+func (j *relaxedJoin) matches(r *rules.Rule, keep func(a, b db.Const) bool, cb func(relaxedMatch) bool) {
+	p := j.e.sess.relaxedPlanFor(r)
+	j.preds = j.preds[:0]
+	for _, s := range p.sim {
+		pred, ok := j.e.sims.Lookup(s.pred)
+		if !ok {
+			return // no match satisfies an unregistered predicate
 		}
+		j.preds = append(j.preds, pred)
+	}
+	j.p, j.keep, j.cb = p, keep, cb
+	j.bind = slices.Grow(j.bind[:0], p.nslots)[:p.nslots]
+	for len(j.occ) < p.nslots {
+		j.occ = append(j.occ, nil)
+	}
+	for len(j.cand) < len(p.rel) {
+		j.cand = append(j.cand, nil)
+	}
+	j.facts = slices.Grow(j.facts[:0], len(p.rel))[:len(p.rel)]
+	j.sims = slices.Grow(j.sims[:0], len(p.sim))[:len(p.sim)]
+	if j.checkSims(0) {
+		j.match(0)
+	}
+}
+
+// match extends the match under construction with relational atom i
+// and everything after it. It returns false to stop the enumeration.
+func (j *relaxedJoin) match(i int) bool {
+	p := j.p
+	if i == len(p.rel) {
+		return j.emit()
+	}
+	a := &p.rel[i]
+	table := j.e.sess.d.Table(a.pred)
+	if table == nil {
 		return true
 	}
-
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(relAtoms) {
-			return checkSims(0)
-		}
-		a := relAtoms[i]
-		table := e.sess.d.Table(a.Pred)
-		if table == nil {
-			return true
-		}
-		for _, tup := range table.Tuples() {
-			ok := true
-			var bound []string
-			for pos, t := range a.Args {
-				val := tup[pos]
-				if !t.IsVar {
-					if E.Rep(val) != E.Rep(t.Const) {
-						ok = false
-						break
-					}
-					continue
-				}
-				if rep, have := binding[t.Name]; have {
-					if E.Rep(val) != rep {
-						ok = false
-						break
-					}
-				} else {
-					binding[t.Name] = E.Rep(val)
-					bound = append(bound, t.Name)
-				}
-			}
-			cont := true
-			if ok {
-				var occAdded []string
-				for pos, t := range a.Args {
-					if t.IsVar {
-						occurrences[t.Name] = append(occurrences[t.Name], tup[pos])
-						occAdded = append(occAdded, t.Name)
-					} else if tup[pos] != t.Const {
-						// A body constant matched a merged variant: that
-						// merge is a dependency of the application, like
-						// a shared-variable join. Track it via a
-						// synthetic occurrence key.
-						key := constKey(t.Const)
-						occurrences[key] = append(occurrences[key], t.Const, tup[pos])
-						occAdded = append(occAdded, key, key)
-					}
-				}
-				facts = append(facts, db.Fact{Rel: a.Pred, Args: tup})
-				cont = rec(i + 1)
-				facts = facts[:len(facts)-1]
-				for _, v := range occAdded {
-					occurrences[v] = occurrences[v][:len(occurrences[v])-1]
-				}
-			}
-			for _, v := range bound {
-				delete(binding, v)
-			}
-			if !cont {
+	tuples := table.Tuples()
+	if a.seek < 0 {
+		for pos := range tuples {
+			if !j.try(i, tuples[pos]) {
 				return false
 			}
 		}
 		return true
 	}
-	rec(0)
-	return nil
+	for _, pos := range j.candidates(i, table) {
+		if !j.try(i, tuples[pos]) {
+			return false
+		}
+	}
+	return true
 }
 
-// constKey is the synthetic occurrence key of a body constant.
-func constKey(c db.Const) string { return fmt.Sprintf("#%d", c) }
+// candidates returns the positions, ascending, of the tuples of table
+// whose seek column holds a member of the class of atom i's seek value.
+func (j *relaxedJoin) candidates(i int, table *db.Table) []int32 {
+	a := &j.p.rel[i]
+	arg := a.args[a.seek]
+	r := j.bind[arg.slot]
+	if !arg.isVar {
+		r = j.rep[arg.cst]
+	}
+	cls := j.class(r)
+	if len(cls) == 1 {
+		return table.Lookup(a.seek, cls[0])
+	}
+	buf := j.cand[i][:0]
+	for _, m := range cls {
+		buf = append(buf, table.Lookup(a.seek, m)...)
+	}
+	slices.Sort(buf)
+	j.cand[i] = buf
+	return buf
+}
+
+// try matches relational atom i against tup and, on success, recurses
+// into atom i+1. It returns false to stop the enumeration.
+func (j *relaxedJoin) try(i int, tup []db.Const) bool {
+	a := &j.p.rel[i]
+	for pos, arg := range a.args {
+		r := j.rep[tup[pos]]
+		switch {
+		case !arg.isVar:
+			if r != j.rep[arg.cst] {
+				return true
+			}
+		case arg.binds:
+			j.bind[arg.slot] = r
+		case j.bind[arg.slot] != r:
+			return true
+		}
+	}
+	if !j.checkSims(i + 1) {
+		return true
+	}
+	for pos, arg := range a.args {
+		if arg.isVar {
+			j.occ[arg.slot] = append(j.occ[arg.slot], tup[pos])
+		} else if tup[pos] != arg.cst {
+			// A body constant matched a merged variant: that merge
+			// is a dependency of the application, like a
+			// shared-variable join.
+			j.occ[arg.slot] = append(j.occ[arg.slot], arg.cst, tup[pos])
+		}
+	}
+	j.facts[i] = db.Fact{Rel: a.pred, Args: tup}
+	cont := j.match(i + 1)
+	for pos, arg := range a.args {
+		if arg.isVar {
+			j.occ[arg.slot] = j.occ[arg.slot][:len(j.occ[arg.slot])-1]
+		} else if tup[pos] != arg.cst {
+			j.occ[arg.slot] = j.occ[arg.slot][:len(j.occ[arg.slot])-2]
+		}
+	}
+	return cont
+}
+
+// checkSims evaluates the similarity atoms that become fully bound once
+// i relational atoms have matched, recording each in its body slot.
+func (j *relaxedJoin) checkSims(i int) bool {
+	in := j.e.sess.d.Interner()
+	for _, k := range j.p.simAt[i] {
+		s := &j.p.sim[k]
+		var vals [2]db.Const
+		for n, arg := range s.args {
+			if arg.isVar {
+				vals[n] = j.bind[arg.slot]
+			} else {
+				vals[n] = arg.cst
+			}
+		}
+		// Sim-safety guarantees the bound representatives are original
+		// values (sim attributes never merge), so evaluating the
+		// predicate on the representative names is faithful.
+		na, nb := in.Name(vals[0]), in.Name(vals[1])
+		if !j.preds[k].Holds(na, nb) {
+			return false
+		}
+		j.sims[k] = SimFact{Pred: s.pred, A: na, B: nb}
+	}
+	return true
+}
+
+// emit hands a complete match to the callbacks: the head pair to keep,
+// then, if kept, a copy of the match to cb.
+func (j *relaxedJoin) emit() bool {
+	p := j.p
+	headA, headB := j.occ[p.x][0], j.occ[p.y][0]
+	if !j.keep(headA, headB) {
+		return true
+	}
+	m := relaxedMatch{
+		headA: headA,
+		headB: headB,
+		facts: append([]db.Fact(nil), j.facts...),
+		sims:  append([]SimFact(nil), j.sims...),
+	}
+	for _, occ := range j.occ[:p.nslots] {
+		for a := 0; a < len(occ); a++ {
+			for b := a + 1; b < len(occ); b++ {
+				if occ[a] != occ[b] {
+					if pr := eqrel.MakePair(occ[a], occ[b]); !slices.Contains(m.deps, pr) {
+						m.deps = append(m.deps, pr)
+					}
+				}
+			}
+		}
+	}
+	return j.cb(m)
+}

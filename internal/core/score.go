@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 
+	"repro/internal/db"
 	"repro/internal/eqrel"
 	"repro/internal/rules"
 )
@@ -39,22 +40,17 @@ func (e *Engine) ScoreSolution(E *eqrel.Partition) (float64, error) {
 		}
 	}
 	// Negative evidence: merged pairs matched by NegSoft bodies.
+	j := e.newRelaxedJoin()
+	j.reset(E)
 	for _, r := range e.sess.spec.NegSoftRules() {
 		seen := make(map[eqrel.Pair]bool)
-		err := e.relaxedMatches(r, E, func(m relaxedMatch) bool {
-			if m.headA == m.headB || !E.Same(m.headA, m.headB) {
-				return true
-			}
-			p := eqrel.MakePair(m.headA, m.headB)
-			if !seen[p] {
-				seen[p] = true
-				score -= r.EffectiveWeight()
-			}
+		j.matches(r, func(a, b db.Const) bool {
+			return a != b && E.Same(a, b) && !seen[eqrel.MakePair(a, b)]
+		}, func(m relaxedMatch) bool {
+			seen[eqrel.MakePair(m.headA, m.headB)] = true
+			score -= r.EffectiveWeight()
 			return true
 		})
-		if err != nil {
-			return 0, err
-		}
 	}
 	return score, nil
 }

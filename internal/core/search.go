@@ -181,23 +181,25 @@ func (e *Engine) existenceRestricted() (*eqrel.Partition, bool, error) {
 }
 
 // MaximalSolutionsCtx returns all ⊆-maximal solutions, ordered by
-// canonical partition key. For the tractable classes of Theorem 9 (no
-// soft rules, or no denial constraints) the unique maximal solution is
-// computed directly; otherwise the solution space is enumerated —
-// in parallel when Options.Parallelism > 1 — and filtered to its
-// maximal antichain. The antichain is a set, so sequential and parallel
-// runs return identical output.
+// canonical partition key. It first tries the top of the candidate
+// lattice (see consistentTop): when the closure of the identity under
+// every merge rule satisfies Δ, that closure is the unique maximal
+// solution and no state is explored. Otherwise the solution space is
+// enumerated — in parallel when Options.Parallelism > 1 — and filtered
+// to its maximal antichain. The antichain is a set, so sequential and
+// parallel runs return identical output.
 func (e *Engine) MaximalSolutionsCtx(ctx context.Context) ([]*eqrel.Partition, error) {
 	sp := e.rec.Start(obs.SpanCoreMaxSol)
 	defer sp.End()
-	if sol, ok, err, done := e.uniqueMaximal(); done {
-		if err != nil || !ok {
-			return nil, err
-		}
-		return []*eqrel.Partition{sol}, nil
+	top, err := e.consistentTop(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if top != nil {
+		return []*eqrel.Partition{top}, nil
 	}
 	var maximal []*eqrel.Partition
-	err := e.enumSolutions(ctx, func(E *eqrel.Partition) bool {
+	err = e.enumSolutions(ctx, func(E *eqrel.Partition) bool {
 		for i := 0; i < len(maximal); i++ {
 			if E.Subset(maximal[i]) {
 				return false // dominated
@@ -219,6 +221,30 @@ func (e *Engine) MaximalSolutionsCtx(ctx context.Context) ([]*eqrel.Partition, e
 	return maximal, nil
 }
 
+// consistentTop returns the top T of the candidate lattice, the closure
+// of the identity under every merge rule, when T satisfies Δ, and nil
+// otherwise. Activity is monotone (rule bodies are negation-free), so
+// every candidate solution lies below T; T is hard-closed, so a
+// consistent T is a solution containing every solution, i.e. the unique
+// maximal one. Both tractable classes of Theorem 9 are instances: with
+// Δ = ∅ T is always consistent, and with Γs = ∅ T is the hard closure,
+// whose inconsistency leaves a one-state walk that finds no solution.
+func (e *Engine) consistentTop(ctx context.Context) (*eqrel.Partition, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, limits.Wrap(err)
+	}
+	top := e.Identity()
+	ind, _, err := e.closeFrom(top, e.sess.d, e.sess.mergeRules, nil)
+	if err != nil {
+		return nil, err
+	}
+	ok, err := e.satisfiesDenials(top, ind)
+	if err != nil || !ok {
+		return nil, err
+	}
+	return top, nil
+}
+
 // sortPartitions orders partitions by canonical key: the deterministic
 // output order shared by the sequential and parallel searches. Each key
 // is built once, not once per comparison.
@@ -231,34 +257,6 @@ func sortPartitions(ps []*eqrel.Partition) {
 	for i := range keyed {
 		ps[i] = keyed[i].E
 	}
-}
-
-// uniqueMaximal handles the Theorem 9 fragments. done is false when the
-// specification is not in a tractable class.
-func (e *Engine) uniqueMaximal() (sol *eqrel.Partition, ok bool, err error, done bool) {
-	switch {
-	case e.sess.spec.IsHardOnly():
-		// Γs = ∅: the hard closure of the identity is the unique
-		// solution candidate; it is a solution iff consistent.
-		h := e.Identity()
-		if err := e.HardClose(h); err != nil {
-			return nil, false, err, true
-		}
-		cons, err := e.SatisfiesDenials(h)
-		if err != nil {
-			return nil, false, err, true
-		}
-		return h, cons, nil, true
-	case e.sess.spec.IsDenialFree():
-		// Δ = ∅: the closure under all rules is the unique maximal
-		// solution and always exists.
-		h := e.Identity()
-		if err := e.AllClose(h); err != nil {
-			return nil, false, err, true
-		}
-		return h, true, nil, true
-	}
-	return nil, false, nil, false
 }
 
 // IsMaximalSolution decides MaxRec (Theorem 3: coNP-complete in

@@ -40,6 +40,9 @@ type Session struct {
 	// keyed by *cq.CQ pointer; concurrent because worker contexts share
 	// it.
 	dynPlans sync.Map
+	// relaxedPlans caches the relaxed-join compilation of each rule
+	// (relaxed.go), keyed by *rules.Rule pointer, on first use.
+	relaxedPlans sync.Map
 
 	// freezeOnce freezes the base database the first time a parallel
 	// phase starts (eager column indexes, immutable tables), making it
