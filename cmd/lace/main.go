@@ -30,13 +30,12 @@
 // wall-clock deadline on the search tasks (existence, solve, maxsolve,
 // merges, justify); a tripped bound exits 1 with a typed error message.
 //
-// -shards resolves by similarity-connected components instead of one
-// monolithic search: the tasks over maximal solutions (existence,
-// maxsolve, merges, certmerge, possmerge, certans, possans, justify)
-// then solve each component independently and stitch the results,
-// which is exact and dramatically faster on large instances with many
-// small duplicate clusters. -shard-seed picks the blocking scheme that
-// seeds the components (auto, off, tokens, qgrams, prefix).
+// -shards resolves by coupled components instead of one monolithic
+// search: the tasks over maximal solutions (existence, maxsolve,
+// merges, certmerge, possmerge, certans, possans, justify) then solve
+// each component independently and stitch the results, which is exact
+// and dramatically faster on large instances with many small duplicate
+// clusters.
 package main
 
 import (
@@ -66,9 +65,9 @@ type env struct {
 	sims *lace.SimRegistry
 	// snap answers every task defined over the maximal solutions
 	// (existence, maxsolve, merges, certmerge, possmerge, certans,
-	// possans, justify); under -shards it resolves similarity-connected
-	// components independently and stitches the results. eng is its
-	// engine, which runs the enumeration tasks (solve, greedy).
+	// possans, justify); under -shards it resolves coupled components
+	// independently and stitches the results. eng is its engine, which
+	// runs the enumeration tasks (solve, greedy).
 	snap *lace.EpochSnapshot
 	eng  *lace.Engine
 }
@@ -88,8 +87,7 @@ func run(args []string) error {
 	budget := fs.Int("budget", 0, "search state budget (0 = default)")
 	parallel := fs.Int("parallel", 0, "search parallelism (0 = GOMAXPROCS, 1 = sequential)")
 	timeout := fs.Duration("timeout", 0, "wall-clock deadline for the search tasks (0 = none)")
-	shards := fs.Bool("shards", false, "resolve by similarity-connected components (the tasks over maximal solutions)")
-	shardSeed := fs.String("shard-seed", "auto", "component seeding under -shards: auto, off, tokens, qgrams, prefix")
+	shards := fs.Bool("shards", false, "resolve by coupled components (the tasks over maximal solutions)")
 	statsFlag := fs.Bool("stats", false, "print solver statistics to stderr after the task")
 	statsJSON := fs.Bool("stats-json", false, "print solver statistics as JSON to stderr after the task")
 	tracePath := fs.String("trace", "", "write a JSONL span trace to FILE")
@@ -117,15 +115,7 @@ func run(args []string) error {
 	if rec != nil {
 		opts.Recorder = rec
 	}
-	var sopts *lace.ShardOptions
-	if *shards {
-		so, err := shardOptions(*shardSeed)
-		if err != nil {
-			return err
-		}
-		sopts = &so
-	}
-	e, err := load(*dataPath, *specPath, *simTable, opts, sopts)
+	e, err := load(*dataPath, *specPath, *simTable, opts, *shards)
 	if err != nil {
 		return err
 	}
@@ -338,27 +328,6 @@ func run(args []string) error {
 	return taskErr
 }
 
-// shardOptions maps the -shard-seed flag to a blocking configuration.
-func shardOptions(seed string) (lace.ShardOptions, error) {
-	switch seed {
-	case "", "auto":
-		return lace.ShardOptions{}, nil
-	case "off":
-		// A 1-constant bound disables the quadratic fallback, so no
-		// similarity seeding runs at all; the coupling analysis still
-		// discovers every component that matters.
-		return lace.ShardOptions{BruteForceDomain: 1}, nil
-	case "tokens":
-		return lace.ShardOptions{Keys: lace.KeyTokens}, nil
-	case "qgrams":
-		return lace.ShardOptions{Keys: lace.KeyQGrams(3)}, nil
-	case "prefix":
-		return lace.ShardOptions{Keys: lace.KeyPrefix(4)}, nil
-	default:
-		return lace.ShardOptions{}, fmt.Errorf("unknown -shard-seed %q (auto, off, tokens, qgrams, prefix)", seed)
-	}
-}
-
 func maxInt(xs []int) int {
 	m := 0
 	for _, x := range xs {
@@ -377,47 +346,15 @@ func verdict(ok bool) string {
 }
 
 // load reads the inputs and builds the resolution snapshot: sharded
-// under sopts, monolithic when sopts is nil.
-func load(dataPath, specPath, simTable string, opts lace.Options, sopts *lace.ShardOptions) (*env, error) {
-	data, err := os.ReadFile(dataPath)
+// under -shards, monolithic otherwise.
+func load(dataPath, specPath, simTable string, opts lace.Options, sharded bool) (*env, error) {
+	d, spec, sims, err := lace.LoadFiles(dataPath, specPath, simTable)
 	if err != nil {
 		return nil, err
-	}
-	d, err := lace.ParseDatabase(string(data), nil, nil)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", dataPath, err)
-	}
-	sims := lace.DefaultSims()
-	if simTable != "" {
-		tbl := lace.NewSimTable("approx")
-		raw, err := os.ReadFile(simTable)
-		if err != nil {
-			return nil, err
-		}
-		for ln, line := range strings.Split(string(raw), "\n") {
-			line = strings.TrimSpace(line)
-			if line == "" || strings.HasPrefix(line, "#") {
-				continue
-			}
-			parts := strings.Split(line, "\t")
-			if len(parts) != 2 {
-				return nil, fmt.Errorf("%s:%d: expected value<TAB>value", simTable, ln+1)
-			}
-			tbl.Add(parts[0], parts[1])
-		}
-		sims.Register(tbl)
-	}
-	specSrc, err := os.ReadFile(specPath)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := lace.ParseSpec(string(specSrc), d.Schema(), d.Interner(), sims)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", specPath, err)
 	}
 	var ms *lace.MutableSession
-	if sopts != nil {
-		ms, err = lace.NewMutableShardedSession(d, spec, sims, opts, *sopts)
+	if sharded {
+		ms, err = lace.NewMutableShardedSession(d, spec, sims, opts, lace.ShardOptions{})
 	} else {
 		ms, err = lace.NewMutableSession(d, spec, sims, opts)
 	}

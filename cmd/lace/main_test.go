@@ -268,7 +268,7 @@ func TestCLIErrors(t *testing.T) {
 }
 
 // TestCLIShards: the tasks over maximal solutions agree between -shards
-// and the monolithic default, for every seeding scheme the flag accepts.
+// and the monolithic default.
 func TestCLIShards(t *testing.T) {
 	for _, args := range [][]string{
 		{"existence"}, {"maxsolve"}, {"merges"},
@@ -281,28 +281,21 @@ func TestCLIShards(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", task, err)
 		}
-		for _, seed := range []string{"auto", "off", "tokens", "qgrams", "prefix"} {
-			sharded, err := capture(t, cli(task, append(args[1:], "-shards", "-shard-seed", seed)...)...)
-			if err != nil {
-				t.Fatalf("%s -shards -shard-seed %s: %v", task, seed, err)
-			}
-			if task == "existence" {
-				// The witness is any solution, not a canonical one; only
-				// the verdict is pinned.
-				if strings.SplitN(sharded, ":", 2)[0] != strings.SplitN(mono, ":", 2)[0] {
-					t.Errorf("existence verdict diverges under -shards -shard-seed %s:\nmonolithic %q\nsharded %q",
-						seed, mono, sharded)
-				}
-				continue
-			}
-			if sharded != mono {
-				t.Errorf("%s diverges under -shards -shard-seed %s:\nmonolithic:\n%s\nsharded:\n%s",
-					task, seed, mono, sharded)
-			}
+		sharded, err := capture(t, cli(task, append(args[1:], "-shards")...)...)
+		if err != nil {
+			t.Fatalf("%s -shards: %v", task, err)
 		}
-	}
-	if _, err := capture(t, cli("merges", "-shards", "-shard-seed", "bogus")...); err == nil {
-		t.Error("bogus -shard-seed accepted")
+		if task == "existence" {
+			// The witness is any solution, not a canonical one; only the
+			// verdict is pinned.
+			if strings.SplitN(sharded, ":", 2)[0] != strings.SplitN(mono, ":", 2)[0] {
+				t.Errorf("existence verdict diverges under -shards:\nmonolithic %q\nsharded %q", mono, sharded)
+			}
+			continue
+		}
+		if sharded != mono {
+			t.Errorf("%s diverges under -shards:\nmonolithic:\n%s\nsharded:\n%s", task, mono, sharded)
+		}
 	}
 }
 

@@ -150,7 +150,7 @@ func benchMain() int {
 		{"E14", "Theorem 12: hardness survives FD-only denials", e14FDOnly},
 		{"E15", "Section 7 extensions: scoring, explanations, local merges", e15Extensions},
 		{"E16", "Section 7 blocking: candidate reduction for similarity tables", e16Blocking},
-		{"E17", "Sharded resolution scaling (similarity-connected components)", e17Shards},
+		{"E17", "Sharded resolution scaling (coupled components)", e17Shards},
 	}
 
 	want := map[string]bool{}
@@ -1013,9 +1013,9 @@ func e15Extensions() error {
 
 // e17Shards is the sharded-resolution scaling run (EXPERIMENTS.md E20):
 // Zipf-skewed bibliographic instances of 10^3..10^5 entities resolved
-// exactly by similarity-connected components, against a budgeted
-// monolithic baseline that demonstrates why whole-instance enumeration
-// is infeasible at any of these sizes. Set LACE_E17_HUGE=1 to append a
+// exactly by coupled components. At the smallest size the monolithic
+// engine resolves the same instance, and its certain and possible
+// merges must equal the sharded ones. Set LACE_E17_HUGE=1 to append a
 // 10^6-entity row (hours of single-core wall-clock).
 func e17Shards() error {
 	sizes := []int{1_000, 10_000, 100_000}
@@ -1028,7 +1028,10 @@ func e17Shards() error {
 
 	fmt.Printf("%-9s %-8s %-8s %-7s %-9s %-9s %-7s %-7s %-11s %-8s %s\n",
 		"entities", "facts", "shards", "rounds", "solves", "p50/p99", "largest", "frac", "time", "F1", "peak RSS")
-	for _, n := range sizes {
+	// The sharded merges of the smallest instance, for the monolithic
+	// differential check after the sweep.
+	var pm0, cm0 []eqrel.Pair
+	for i, n := range sizes {
 		ds, err := workload.GenerateScale(workload.DefaultScaleConfig(seedOr(20), n))
 		if err != nil {
 			return err
@@ -1073,46 +1076,43 @@ func e17Shards() error {
 			fmt.Sprintf("%d(+%dr)", st.Solves, st.Reused),
 			fmt.Sprintf("%d/%d", p50, p99), largest, frac,
 			dt.Round(time.Millisecond), q.F1, peakRSS())
-		_ = pm
+		if i == 0 {
+			pm0, cm0 = pm, cm
+		}
 	}
 	fmt.Println("peak RSS is the process high-water mark (VmHWM): monotone across the sweep,")
 	fmt.Println("so each row bounds the memory of its own run from above.")
 
-	// Monolithic baseline at the smallest size, after the sweep so its
-	// heap does not inflate the rows' RSS column. The full
-	// solution-space enumeration is exponential in the total duplicate
-	// count, so it cannot terminate even at n=10^3; run it under a
-	// state budget and report the exhaustion honestly.
-	monoBudget := 5_000
-	if *quick {
-		monoBudget = 1_000
-	}
+	// Monolithic differential check at the smallest size, after the
+	// sweep so its heap does not inflate the rows' RSS column. The
+	// instance is generated again (same seed, same constant ids) so the
+	// monolithic run starts from a cold similarity memo.
 	ds, err := workload.GenerateScale(workload.DefaultScaleConfig(seedOr(20), sizes[0]))
 	if err != nil {
 		return err
 	}
-	mono, err := core.New(ds.DB, ds.Spec, ds.Sims,
-		core.Options{Recorder: rec, Parallelism: *parallel, MaxStates: monoBudget})
+	mono, err := core.New(ds.DB, ds.Spec, ds.Sims, engineOpts())
 	if err != nil {
 		return err
 	}
+	var mpm, mcm []eqrel.Pair
 	monoTime, err := timeIt(func() error {
-		_, err := mono.PossibleMergesCtx(context.Background())
-		if errors.Is(err, core.ErrBudget) {
-			return nil
+		var err error
+		if mpm, err = mono.PossibleMergesCtx(context.Background()); err != nil {
+			return err
 		}
-		if err == nil {
-			return fmt.Errorf("monolithic enumeration unexpectedly finished")
-		}
+		mcm, err = mono.CertainMergesCtx(context.Background())
 		return err
 	})
 	if err != nil {
-		return err
+		return fmt.Errorf("monolithic baseline, n=%d: %w", sizes[0], err)
 	}
-	fmt.Printf("\nmonolithic baseline, n=%d: budget of %d search states exhausted after %v\n",
-		sizes[0], monoBudget, monoTime.Round(time.Millisecond))
-	fmt.Println("shape: sharded wall-clock grows near-linearly in n — per-shard search cost is")
-	fmt.Println("bounded by the community structure, while monolithic enumeration never terminates.")
+	if !slices.Equal(mpm, pm0) || !slices.Equal(mcm, cm0) {
+		return fmt.Errorf("monolithic baseline, n=%d: merges diverge from sharded (possible %d vs %d, certain %d vs %d)",
+			sizes[0], len(mpm), len(pm0), len(mcm), len(cm0))
+	}
+	fmt.Printf("\nmonolithic baseline, n=%d: %d possible and %d certain merges, equal to sharded, in %v\n",
+		sizes[0], len(mpm), len(mcm), monoTime.Round(time.Millisecond))
 	return nil
 }
 

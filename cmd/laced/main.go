@@ -19,11 +19,9 @@
 // finish, then their searches are cancelled.
 //
 // -shards serves every reasoning endpoint from the sharded resolver:
-// the instance is partitioned into similarity-connected components at
-// startup (in the background), each component is solved independently,
-// and requests read the stitched — provably identical — results.
-// -shard-seed picks the blocking scheme seeding the components (auto,
-// off, tokens, qgrams, prefix).
+// the instance is partitioned into coupled components at startup (in
+// the background), each component is solved independently, and
+// requests read the stitched — provably identical — results.
 //
 // -mutable turns the instance into a streaming one: POST /v1/facts
 // applies an atomic batch of retractions and insertions, advancing the
@@ -64,7 +62,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -119,8 +116,7 @@ func run(args []string, stop <-chan struct{}, ready func(addr string), out io.Wr
 		tracePath  = fs.String("trace", "", "stream span trace JSONL to this file (- for stdout)")
 		auditPath  = fs.String("audit", "", "append hash-chained merge-decision records to this file")
 		verifyPath = fs.String("verify-audit", "", "verify an audit log's hash chain and exit")
-		shards     = fs.Bool("shards", false, "resolve every reasoning endpoint by similarity-connected components")
-		shardSeed  = fs.String("shard-seed", "auto", "component seeding under -shards: auto, off, tokens, qgrams, prefix")
+		shards     = fs.Bool("shards", false, "resolve every reasoning endpoint by coupled components")
 		mutable    = fs.Bool("mutable", false, "accept POST /v1/facts mutation batches (each advances the served epoch)")
 		wal        = fs.Bool("wal", false, "write-ahead durable mutations: fsync the audit record before a batch is published or acknowledged (requires -mutable and -audit)")
 		recovr     = fs.Bool("recover", false, "verify the -audit chain at startup, replay its mutation batches over -data, and resume serving at the recovered epoch")
@@ -154,15 +150,15 @@ func run(args []string, stop <-chan struct{}, ready func(addr string), out io.Wr
 		return errors.New("-recover requires -audit (the log to recover from)")
 	}
 
-	inst, err := load(*dataPath, *specPath, *simTable)
+	d, spec, sims, err := lace.LoadFiles(*dataPath, *specPath, *simTable)
 	if err != nil {
 		return err
 	}
 	rec := lace.NewRecorder()
 	cfg := serve.Config{
-		DB:             inst.db,
-		Spec:           inst.spec,
-		Sims:           inst.sims,
+		DB:             d,
+		Spec:           spec,
+		Sims:           sims,
 		Workers:        *workers,
 		Parallelism:    *parallel,
 		MaxStates:      *budget,
@@ -170,16 +166,9 @@ func run(args []string, stop <-chan struct{}, ready func(addr string), out io.Wr
 		MaxTimeout:     *maxTimeout,
 		CacheSize:      *cacheSize,
 		Recorder:       rec,
+		Sharded:        *shards,
+		Mutable:        *mutable,
 	}
-	if *shards {
-		sopts, err := shardOptions(*shardSeed)
-		if err != nil {
-			return err
-		}
-		cfg.Sharded = true
-		cfg.ShardOptions = sopts
-	}
-	cfg.Mutable = *mutable
 	if *accessLog != "" {
 		w, closeFn, err := openSink(*accessLog, out)
 		if err != nil {
@@ -217,14 +206,14 @@ func run(args []string, stop <-chan struct{}, ready func(addr string), out io.Wr
 		cfg.Audit = alog
 		cfg.WAL = *wal
 		if *recovr {
-			d, epoch, replayed, err := replayRecords(info.Records, inst.db)
+			rd, epoch, replayed, err := replayRecords(info.Records, d)
 			if err != nil {
 				return fmt.Errorf("recover: %w", err)
 			}
-			cfg.DB = d
+			cfg.DB = rd
 			cfg.InitialEpoch = epoch
 			fmt.Fprintf(out, "laced: recovered %d mutation batch(es), resuming at epoch %d, fingerprint %s\n",
-				replayed, epoch, d.Fingerprint())
+				replayed, epoch, rd.Fingerprint())
 		} else if *mutable && hasMutations(info.Records) {
 			fmt.Fprintf(out, "laced: warning: %s already holds mutation records; without -recover new epochs will renumber from 1 and replay will not reproduce (start with -recover to resume the lineage)\n", *auditPath)
 		}
@@ -239,7 +228,7 @@ func run(args []string, stop <-chan struct{}, ready func(addr string), out io.Wr
 		return err
 	}
 	fmt.Fprintf(out, "laced: %d facts, fingerprint %s, listening on %s\n",
-		inst.db.NumFacts(), srv.DBFingerprint(), ln.Addr())
+		d.NumFacts(), srv.DBFingerprint(), ln.Addr())
 	if ready != nil {
 		ready(ln.Addr().String())
 	}
@@ -353,25 +342,6 @@ func rowSpecs(rows [][]string) []lace.FactSpec {
 	return out
 }
 
-// shardOptions maps the -shard-seed flag to a blocking configuration
-// (same vocabulary as the lace CLI).
-func shardOptions(seed string) (lace.ShardOptions, error) {
-	switch seed {
-	case "", "auto":
-		return lace.ShardOptions{}, nil
-	case "off":
-		return lace.ShardOptions{BruteForceDomain: 1}, nil
-	case "tokens":
-		return lace.ShardOptions{Keys: lace.KeyTokens}, nil
-	case "qgrams":
-		return lace.ShardOptions{Keys: lace.KeyQGrams(3)}, nil
-	case "prefix":
-		return lace.ShardOptions{Keys: lace.KeyPrefix(4)}, nil
-	default:
-		return lace.ShardOptions{}, fmt.Errorf("unknown -shard-seed %q (auto, off, tokens, qgrams, prefix)", seed)
-	}
-}
-
 // openSink opens a telemetry output: "-" means the server's own output
 // stream, anything else a file created (or truncated) for this run.
 func openSink(path string, out io.Writer) (io.Writer, func(), error) {
@@ -383,52 +353,4 @@ func openSink(path string, out io.Writer) (io.Writer, func(), error) {
 		return nil, nil, err
 	}
 	return f, func() { f.Close() }, nil
-}
-
-type instance struct {
-	db   *lace.Database
-	spec *lace.Spec
-	sims *lace.SimRegistry
-}
-
-// load reads and parses the served instance (same file formats as the
-// lace CLI: a fact file, a spec file, an optional approx() TSV).
-func load(dataPath, specPath, simTable string) (*instance, error) {
-	data, err := os.ReadFile(dataPath)
-	if err != nil {
-		return nil, err
-	}
-	d, err := lace.ParseDatabase(string(data), nil, nil)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", dataPath, err)
-	}
-	sims := lace.DefaultSims()
-	if simTable != "" {
-		tbl := lace.NewSimTable("approx")
-		raw, err := os.ReadFile(simTable)
-		if err != nil {
-			return nil, err
-		}
-		for ln, line := range strings.Split(string(raw), "\n") {
-			line = strings.TrimSpace(line)
-			if line == "" || strings.HasPrefix(line, "#") {
-				continue
-			}
-			parts := strings.Split(line, "\t")
-			if len(parts) != 2 {
-				return nil, fmt.Errorf("%s:%d: expected value<TAB>value", simTable, ln+1)
-			}
-			tbl.Add(parts[0], parts[1])
-		}
-		sims.Register(tbl)
-	}
-	specSrc, err := os.ReadFile(specPath)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := lace.ParseSpec(string(specSrc), d.Schema(), d.Interner(), sims)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", specPath, err)
-	}
-	return &instance{db: d, spec: spec, sims: sims}, nil
 }

@@ -3,6 +3,7 @@ package blocking
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -165,5 +166,31 @@ func BenchmarkBlockedVsBrute(b *testing.B) {
 				BruteTable("b", vals, sim.NormalizedLevenshtein, 0.8)
 			}
 		})
+	}
+}
+
+// TestKeyDedup pins the satellite fix: a value with repeated tokens or
+// q-grams emits each block key once, so candidate-pair Stats are not
+// inflated by self-blocking.
+func TestKeyDedup(t *testing.T) {
+	if got, want := Tokens("the the end"), []string{"the", "end"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Tokens(\"the the end\") = %v, want %v", got, want)
+	}
+	if got := QGrams(2)("aaaa"); !reflect.DeepEqual(got, []string{"aa"}) {
+		t.Errorf("QGrams(2)(\"aaaa\") = %v, want [aa]", got)
+	}
+	u := Union(Tokens, Prefix(3))
+	if got, want := u("the theory"), []string{"the", "theory"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Union(Tokens, Prefix(3))(\"the theory\") = %v, want %v", got, want)
+	}
+}
+
+// TestKeyDedupStats checks the observable consequence: with two values
+// sharing a repeated token, the candidate pair is counted once.
+func TestKeyDedupStats(t *testing.T) {
+	vals := []string{"the the end", "the the ending"}
+	_, st := BuildTable("t", vals, sim.NormalizedLevenshtein, 0.8, Tokens)
+	if st.CandidatePairs != 1 {
+		t.Errorf("CandidatePairs = %d, want 1", st.CandidatePairs)
 	}
 }

@@ -2,18 +2,19 @@ package core
 
 // shard.go re-architects resolution around partitioning: instead of one
 // monolithic solution-space search over the whole instance, the domain
-// is split into similarity-connected components, each component is
-// solved as an independent Shard (its own projected database, rewritten
-// spec, sim-registry slice and Session), and a stitching fixpoint
+// is split into coupled components, each component is solved as an
+// independent Shard (its own projected database, rewritten spec,
+// sim-registry slice and Session), and a stitching fixpoint
 // re-partitions on the merges the shards discover until no cross-shard
 // interaction remains.
 //
-// Exactness does not rest on blocking recall. The similarity components
-// only seed the partition; what guarantees sharded ≡ monolithic is the
-// coupling analysis run on every stitch round: each merge rule and each
-// denial constraint is evaluated on D_G (G = all possible merges found
-// so far) with its inequality atoms dropped and every variable exposed
-// in the head. Sim-safety (enforced by Spec.Validate) makes rule and
+// The partition starts at the identity and is built by the coupling
+// analysis alone. A merge only ever comes from a match of a rule body,
+// similarity atoms included, so what guarantees sharded ≡ monolithic is
+// the coupling analysis run on every stitch round: each merge rule and
+// each denial constraint is evaluated on D_G (G = all possible merges
+// found so far) with its inequality atoms dropped and every variable
+// exposed in the head. Sim-safety (enforced by Spec.Validate) makes rule and
 // denial matches forward-map under merging, so every match any solution
 // can ever exhibit is the image of one of these relaxed matches; the
 // constants of each relaxed match that can merge at all are unioned
@@ -32,7 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/blocking"
 	"repro/internal/cq"
 	"repro/internal/db"
 	"repro/internal/eqrel"
@@ -44,16 +44,6 @@ import (
 
 // ShardOptions tunes the partition layer of a ShardedEngine.
 type ShardOptions struct {
-	// Keys is the blocking scheme used to seed the similarity components
-	// over the constant space. Nil means: compare all pairs when the
-	// domain is small (at most BruteForceDomain constants), otherwise
-	// skip the similarity seeding entirely — the coupling analysis
-	// rebuilds every component that matters, seeding only saves stitch
-	// rounds, so correctness never depends on this choice.
-	Keys blocking.KeyFunc
-	// BruteForceDomain overrides the domain-size bound under which a nil
-	// Keys falls back to quadratic seeding; 0 means DefaultBruteForceDomain.
-	BruteForceDomain int
 	// SolveCache, when non-nil, memoizes per-shard solve results across
 	// engines keyed by the projected instance's content. Share one cache
 	// only between engines whose databases form an epoch lineage (ids
@@ -62,13 +52,9 @@ type ShardOptions struct {
 	SolveCache *ShardSolveCache
 }
 
-// DefaultBruteForceDomain bounds the quadratic similarity seeding used
-// when no blocking KeyFunc is configured.
-const DefaultBruteForceDomain = 4096
-
-// Shard is one unit of resolution: a similarity-connected component of
-// the constant space together with its projected sub-instance and the
-// per-shard Session solving it.
+// Shard is one unit of resolution: a coupled component of the constant
+// space together with its projected sub-instance and the per-shard
+// Session solving it.
 type Shard struct {
 	// Root is the component representative (minimum constant id).
 	Root db.Const
@@ -125,12 +111,12 @@ type couplingPlan struct {
 	consts []db.Const
 }
 
-// ShardedEngine resolves an instance by partitioning it into
-// similarity-connected components, solving each component as a Shard
-// over the PR 3 parallel work-queue, and stitching: any merges a round
-// discovers coarsen the partition, dirty shards are re-solved, and the
-// loop runs to fixpoint. Results are byte-identical to the monolithic
-// Engine on the same instance.
+// ShardedEngine resolves an instance by partitioning it into coupled
+// components, solving each component as a Shard over the parallel work
+// queue, and stitching: any merges a round discovers coarsen the
+// partition, dirty shards are re-solved, and the loop runs to fixpoint.
+// Results are byte-identical to the monolithic Engine on the same
+// instance.
 //
 // The first result call resolves the whole instance once (under that
 // call's context); later calls reuse the per-shard results. The result
@@ -145,8 +131,7 @@ type ShardedEngine struct {
 	err  error
 	done atomic.Bool // run completed without error
 
-	comp        *eqrel.Partition // final component partition
-	shards      []*Shard         // ordered by root
+	shards      []*Shard // ordered by root
 	rounds      int
 	solves      int
 	reused      int
@@ -194,8 +179,8 @@ func (se *ShardedEngine) Stats() (ShardStats, error) {
 	return st, nil
 }
 
-// resolve runs the full pipeline once: seed components, stitch to
-// fixpoint, remember per-shard results.
+// resolve runs the full pipeline once: stitch components to fixpoint,
+// remember per-shard results.
 func (se *ShardedEngine) resolve(ctx context.Context) error {
 	se.once.Do(func() {
 		se.err = se.run(ctx)
@@ -238,20 +223,9 @@ func (se *ShardedEngine) run(ctx context.Context) error {
 	sp := rec.Start(obs.SpanShardPlan)
 	defer sp.End()
 
-	// Stage 1: similarity components over the constant space.
-	in := e.sess.d.Interner()
-	dom := e.sess.dom
-	bound := se.sopts.BruteForceDomain
-	if bound <= 0 {
-		bound = DefaultBruteForceDomain
-	}
-	var comp *eqrel.Partition
-	if preds := se.specSims(); se.sopts.Keys != nil || dom <= bound {
-		comp, _ = blocking.SimComponents(in, preds, se.sopts.Keys, rec)
-	} else {
-		comp = eqrel.New(dom)
-	}
-	se.comp = comp
+	// The component partition starts at the identity; the coupling
+	// analysis of the stitch fixpoint builds every component from there.
+	comp := eqrel.New(e.sess.dom)
 
 	plans, err := se.couplingPlans()
 	if err != nil {
@@ -279,7 +253,7 @@ func (se *ShardedEngine) run(ctx context.Context) error {
 		return true
 	}
 
-	// Stage 2: stitch fixpoint.
+	// Stage 1: stitch fixpoint.
 	G := e.Identity()
 	prev := make(map[db.Const]*Shard)
 	for {
@@ -400,7 +374,7 @@ func (se *ShardedEngine) run(ctx context.Context) error {
 
 	sort.Slice(se.shards, func(i, j int) bool { return se.shards[i].Root < se.shards[j].Root })
 
-	// Stage 3: choice-independent denial violations. A real denial match
+	// Stage 2: choice-independent denial violations. A real denial match
 	// on the base database none of whose constants can ever merge is
 	// violated in every reachable state, so no solution exists.
 	unsolvable, err := se.permanentViolation(mergeable)
@@ -429,36 +403,6 @@ func (se *ShardedEngine) run(ctx context.Context) error {
 	rec.Gauge(obs.CoreShardLargest, int64(largest))
 	sp.AttrInt("shards", int64(len(se.shards))).AttrInt("rounds", int64(se.rounds))
 	return nil
-}
-
-// specSims returns the predicates the specification's sim atoms use.
-func (se *ShardedEngine) specSims() []sim.Predicate {
-	names := make(map[string]bool)
-	each := func(atoms []cq.Atom) {
-		for _, a := range atoms {
-			if a.Kind == cq.KindSim {
-				names[a.Pred] = true
-			}
-		}
-	}
-	for _, r := range se.eng.sess.spec.MergeRules() {
-		each(r.Body.Atoms)
-	}
-	for _, dn := range se.eng.sess.spec.Denials {
-		each(dn.Atoms)
-	}
-	sorted := make([]string, 0, len(names))
-	for n := range names {
-		sorted = append(sorted, n)
-	}
-	sort.Strings(sorted)
-	var preds []sim.Predicate
-	for _, n := range sorted {
-		if p, ok := se.eng.sess.sims.Lookup(n); ok {
-			preds = append(preds, p)
-		}
-	}
-	return preds
 }
 
 // couplingPlans compiles the relaxed form of every merge rule and

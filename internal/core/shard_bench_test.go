@@ -1,10 +1,9 @@
 package core
 
 // shard_bench_test.go measures end-to-end sharded resolution on the
-// scale workload: one iteration is one complete resolve — component
-// seeding, the stitch fixpoint with its per-shard solves, and the
-// merge-set composition — of a fresh ShardedEngine over a 2000-entity
-// Zipf-skewed instance.
+// scale workload: one iteration is one complete resolve — the stitch
+// fixpoint with its per-shard solves and the merge-set composition —
+// of a fresh ShardedEngine over a 2000-entity Zipf-skewed instance.
 //
 // When LACE_BENCH_GUARD=1 (set by the CI shard job, not by the normal
 // test run), BenchmarkShardWorkload additionally writes

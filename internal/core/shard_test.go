@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/db"
@@ -329,3 +330,61 @@ func TestShardDeterministicAcrossParallelism(t *testing.T) {
 }
 
 var _ = eqrel.MakePair // keep the import if assertions above change
+
+// TestShardSimilarityCallsMatchMonolithic: sharded resolution evaluates
+// the similarity metric no more often than the monolithic engine on the
+// same instance. The partition is built by the coupling analysis alone,
+// which only evaluates similarity atoms inside rule and denial bodies,
+// so no all-pairs comparison over the constant space may creep in.
+func TestShardSimilarityCallsMatchMonolithic(t *testing.T) {
+	for _, entities := range []int{200, 400} {
+		cfg := workload.DefaultScaleConfig(1, entities)
+		cfg.MaxDup = 1
+		ds, err := workload.GenerateScale(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Each run gets a fresh registry, so neither starts from the
+		// other's similarity memo.
+		counting := func(calls *atomic.Int64) *sim.Registry {
+			metric := func(a, b string) float64 {
+				calls.Add(1)
+				return sim.NormalizedLevenshtein(a, b)
+			}
+			return sim.NewRegistry(sim.Threshold("approx", metric, 0.82))
+		}
+		resolve := func(sharded bool) int64 {
+			var calls atomic.Int64
+			sims := counting(&calls)
+			opts := Options{Parallelism: 1}
+			var r resolver
+			if sharded {
+				se, err := NewSharded(ds.DB, ds.Spec, sims, opts, ShardOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				r = se
+			} else {
+				eng, err := New(ds.DB, ds.Spec, sims, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r = eng
+			}
+			if _, err := r.PossibleMergesCtx(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.CertainMergesCtx(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			return calls.Load()
+		}
+		mono, sharded := resolve(false), resolve(true)
+		t.Logf("%d entities, %d constants: monolithic %d metric calls, sharded %d",
+			entities, ds.DB.Interner().Size(), mono, sharded)
+		if sharded > mono {
+			t.Errorf("%d entities: sharded resolution made %d metric calls, monolithic %d",
+				entities, sharded, mono)
+		}
+	}
+}

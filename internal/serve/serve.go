@@ -83,13 +83,12 @@ type Config struct {
 	// decision the server reports, with its Definition-4 justification,
 	// into the hash-chained audit log.
 	Audit *audit.Log
-	// Sharded resolves the instance by similarity-connected components
+	// Sharded resolves the instance by coupled components
 	// (core.ShardedEngine): resolution starts in the background at
-	// construction under ShardOptions, and every reasoning endpoint
-	// serves from the stitched results once ready. Requests arriving
-	// before resolution completes wait under their own deadline.
-	Sharded      bool
-	ShardOptions core.ShardOptions
+	// construction, and every reasoning endpoint serves from the
+	// stitched results once ready. Requests arriving before resolution
+	// completes wait under their own deadline.
+	Sharded bool
 	// Mutable accepts POST /v1/facts mutation batches: every applied
 	// batch advances the served epoch, and readers keep the epoch they
 	// started on. Without it the endpoint answers 403 and the instance
@@ -208,7 +207,7 @@ func New(cfg Config) (*Server, error) {
 	var ms *core.MutableSession
 	var err error
 	if cfg.Sharded {
-		ms, err = core.NewMutableShardedAt(cfg.DB, cfg.Spec, cfg.Sims, opts, cfg.ShardOptions, cfg.InitialEpoch)
+		ms, err = core.NewMutableShardedAt(cfg.DB, cfg.Spec, cfg.Sims, opts, core.ShardOptions{}, cfg.InitialEpoch)
 	} else {
 		ms, err = core.NewMutableAt(cfg.DB, cfg.Spec, cfg.Sims, opts, cfg.InitialEpoch)
 	}

@@ -49,7 +49,7 @@ type ScaleConfig struct {
 	TypoRate float64
 	// CommunitySize is the number of authors per community. Papers and
 	// venues stay inside their community, which bounds the size of
-	// similarity-connected components independent of n.
+	// coupled components independent of n.
 	CommunitySize int
 	// DirtyWrote injects δ1 violations exactly as in the small
 	// generator (see Config.DirtyWrote).
@@ -133,9 +133,9 @@ func GenerateScale(cfg ScaleConfig) (*Dataset, error) {
 		return int(zipf.Uint64())
 	}
 	// Duplicate reference ids carry a random tail: a "_d1" counter
-	// suffix would leave "p123_d1" and "p124_d1" one edit apart, and
-	// brute-force similarity seeding would chain every duplicated
-	// entity's references into one giant component.
+	// suffix would leave "p123_d1" and "p124_d1" one edit apart, and an
+	// all-pairs similarity closure would chain every duplicated entity's
+	// references into one giant component.
 	mkRefs := func(prefix string, i int) []string {
 		refs := []string{fmt.Sprintf("%s%d", prefix, i)}
 		for k := dups(); k > 0; k-- {
@@ -148,7 +148,7 @@ func GenerateScale(cfg ScaleConfig) (*Dataset, error) {
 
 	// Institution names are random words, not numbered labels: "inst11"
 	// and "inst12" sit one edit apart and would chain every institution
-	// into a single similarity component under brute-force seeding.
+	// into a single similarity component under an all-pairs closure.
 	instNames := make([]string, nInst)
 	for i := range instNames {
 		instNames[i] = randWord(10)

@@ -40,9 +40,11 @@ package lace
 
 import (
 	"context"
+	"fmt"
+	"os"
+	"strings"
 
 	"repro/internal/asp"
-	"repro/internal/blocking"
 	"repro/internal/core"
 	"repro/internal/cq"
 	"repro/internal/db"
@@ -225,29 +227,68 @@ func SimThreshold(name string, metric sim.Metric, theta float64) SimPredicate {
 	return sim.Threshold(name, metric, theta)
 }
 
+// LoadFiles reads an instance from the file formats the command-line
+// tools share: a fact file, a specification file and, when simTablePath
+// is non-empty, a tab-separated extension (value<TAB>value per line;
+// blank lines and # comments skipped) registered as the predicate
+// approx next to the DefaultSims built-ins.
+func LoadFiles(dataPath, specPath, simTablePath string) (*Database, *Spec, *SimRegistry, error) {
+	data, err := os.ReadFile(dataPath)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	d, err := db.ParseDatabase(string(data), nil, nil)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("%s: %w", dataPath, err)
+	}
+	sims := sim.Default()
+	if simTablePath != "" {
+		tbl := sim.NewTable("approx")
+		raw, err := os.ReadFile(simTablePath)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		for ln, line := range strings.Split(string(raw), "\n") {
+			line = strings.TrimSpace(line)
+			if line == "" || strings.HasPrefix(line, "#") {
+				continue
+			}
+			parts := strings.Split(line, "\t")
+			if len(parts) != 2 {
+				return nil, nil, nil, fmt.Errorf("%s:%d: expected value<TAB>value", simTablePath, ln+1)
+			}
+			tbl.Add(parts[0], parts[1])
+		}
+		sims.Register(tbl)
+	}
+	specSrc, err := os.ReadFile(specPath)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	spec, err := rules.ParseSpec(string(specSrc), d.Schema(), d.Interner(), sims)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("%s: %w", specPath, err)
+	}
+	return d, spec, sims, nil
+}
+
 // NewEngine validates the specification and returns a semantics engine.
 func NewEngine(d *Database, spec *Spec, sims *SimRegistry, opts Options) (*Engine, error) {
 	return core.New(d, spec, sims, opts)
 }
 
-// Sharded resolution: the instance is partitioned into
-// similarity-connected components, each component is solved as its own
-// Shard, and a stitching fixpoint recombines the per-shard results.
+// Sharded resolution: the instance is partitioned into coupled
+// components, each component is solved as its own Shard, and a
+// stitching fixpoint recombines the per-shard results.
 // Results are identical to the monolithic Engine on the same instance.
 type (
 	// ShardedEngine resolves an instance shard by shard.
 	ShardedEngine = core.ShardedEngine
-	// ShardOptions tunes the partition layer (blocking key scheme,
-	// brute-force seeding bound).
+	// ShardOptions tunes the partition layer (the cross-epoch solve
+	// cache).
 	ShardOptions = core.ShardOptions
 	// ShardStats summarizes a finished sharded resolution.
 	ShardStats = core.ShardStats
-	// BlockingKeyFunc maps a value to its blocking keys (see
-	// internal/blocking: Tokens, QGrams, Prefix, Union).
-	BlockingKeyFunc = blocking.KeyFunc
-	// ComponentStats summarizes a component partition (sizes, largest
-	// fraction, p50/p99).
-	ComponentStats = blocking.ComponentStats
 )
 
 // NewShardedEngine validates the specification and returns a sharded
@@ -294,16 +335,6 @@ func NewMutableShardedSession(d *Database, spec *Spec, sims *SimRegistry, opts O
 func ApplyFacts(parent *Database, insert, retract []FactSpec) (nd *Database, inserted, retracted int, err error) {
 	return db.Apply(parent, insert, retract)
 }
-
-// Blocking key schemes re-exported for ShardOptions.Keys.
-var (
-	// KeyTokens blocks on lower-cased whitespace tokens.
-	KeyTokens = blocking.Tokens
-	// KeyQGrams blocks on character q-grams.
-	KeyQGrams = blocking.QGrams
-	// KeyPrefix blocks on a fixed-length prefix.
-	KeyPrefix = blocking.Prefix
-)
 
 // EncodeASP returns the Π_Sol logic program of Section 5.2 for
 // (D, Σ), renderable in clingo-compatible syntax via its String method.
