@@ -379,7 +379,7 @@ func BenchmarkTheorem9DenialFree(b *testing.B) {
 func BenchmarkASPGround(b *testing.B) {
 	f := fixtures.New()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewASPSolver(f.DB, f.Spec, f.Sims); err != nil {
+		if _, err := NewASPSolver(f.DB, f.Spec, f.Sims, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -387,7 +387,7 @@ func BenchmarkASPGround(b *testing.B) {
 
 func BenchmarkASPSolve(b *testing.B) {
 	f := fixtures.New()
-	solver, err := NewASPSolver(f.DB, f.Spec, f.Sims)
+	solver, err := NewASPSolver(f.DB, f.Spec, f.Sims, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

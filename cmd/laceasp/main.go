@@ -17,7 +17,7 @@
 //	-max-rules N     stop grounding after N ground rule instances
 //	-max-clauses N   stop solving after N CNF clauses (completion, loop
 //	                 formulas and blocking clauses combined)
-//	-max-decisions N stop solving after N DPLL decisions
+//	-max-decisions N stop solving after N SAT decisions
 //
 // When a resource budget or the deadline trips, the models found so far
 // are printed, an "interrupted" line reports how far the run got, and
@@ -68,7 +68,7 @@ func main() {
 	flag.DurationVar(&o.timeout, "timeout", 0, "wall-clock deadline for the whole run (0 = none)")
 	flag.IntVar(&o.maxRules, "max-rules", 0, "ground rule budget (0 = unlimited)")
 	flag.IntVar(&o.maxClauses, "max-clauses", 0, "CNF clause budget (0 = unlimited)")
-	flag.Int64Var(&o.maxDecisions, "max-decisions", 0, "DPLL decision budget (0 = unlimited)")
+	flag.Int64Var(&o.maxDecisions, "max-decisions", 0, "SAT decision budget (0 = unlimited)")
 	flag.Parse()
 
 	if err := run(flag.Args(), o, os.Stdout); err != nil {
@@ -125,17 +125,14 @@ func run(files []string, o cliOpts, out io.Writer) error {
 	}
 	b, cancel := o.budget()
 	defer cancel()
-	gp, err := asp.GroundBudget(prog, b, rec)
+	gp, err := asp.Ground(prog, b, rec)
 	if err != nil {
 		if isStop(err) {
 			fmt.Fprintf(out, "interrupted during grounding: %v\n", err)
 		}
 		return err
 	}
-	ss := asp.NewStableSolverRec(gp, rec)
-	if b != nil {
-		ss.SetBudget(b)
-	}
+	ss := asp.NewStableSolver(gp, b, rec)
 
 	show := func(m []bool) string {
 		var atoms []string

@@ -170,6 +170,34 @@ func TestMaxRulesFlag(t *testing.T) {
 	}
 }
 
+// TestMaxClausesFlag: the clause budget covers the completion, so a
+// budget smaller than the completion (55 clauses here) stops the run
+// before any model is printed.
+func TestMaxClausesFlag(t *testing.T) {
+	p := writeProgram(t, `
+		a :- not b. b :- not a. c :- a. d :- b.
+		e(1). e(2). e(3).
+		f(X) :- e(X), not g(X).
+		g(X) :- e(X), not f(X).
+	`)
+	var out strings.Builder
+	err := run([]string{p}, cliOpts{maxClauses: 1}, &out)
+	if !errors.Is(err, limits.ErrBudget) {
+		t.Fatalf("want ErrBudget, got %v", err)
+	}
+	var be *limits.BudgetError
+	if !errors.As(err, &be) || be.Resource != "clauses" {
+		t.Fatalf("typed error wrong: %#v", err)
+	}
+	s := out.String()
+	if strings.Contains(s, "Answer") {
+		t.Errorf("models printed under a 1-clause budget:\n%s", s)
+	}
+	if !strings.Contains(s, "interrupted after 0 model(s)") {
+		t.Errorf("no interrupted summary:\n%s", s)
+	}
+}
+
 // TestMaxDecisionsPartialModels: a tight decision budget prints the
 // models found before the stop, then the interrupted line with a count.
 func TestMaxDecisionsPartialModels(t *testing.T) {

@@ -621,7 +621,7 @@ func e9ASP() error {
 	if err != nil {
 		return err
 	}
-	solver, err := lace.NewASPSolverRec(f.DB, f.Spec, f.Sims, rec)
+	solver, err := lace.NewASPSolver(f.DB, f.Spec, f.Sims, nil, rec)
 	if err != nil {
 		return err
 	}
@@ -636,7 +636,7 @@ func e9ASP() error {
 		nativeCount, nativeTime.Round(time.Microsecond), aspCount, aspTime.Round(time.Microsecond))
 
 	aspMax := 0
-	solver2, err := lace.NewASPSolverRec(f.DB, f.Spec, f.Sims, rec)
+	solver2, err := lace.NewASPSolver(f.DB, f.Spec, f.Sims, nil, rec)
 	if err != nil {
 		return err
 	}
@@ -1176,7 +1176,7 @@ func e16Blocking() error {
 			{"tokens", blocking.Tokens},
 			{"tok+4grams", blocking.Union(blocking.Tokens, blocking.QGrams(4))},
 		} {
-			blocked, st := blocking.BuildTableRec("approx", vals, sim.NormalizedLevenshtein, 0.82, scheme.fn, rec)
+			blocked, st := blocking.BuildTable("approx", vals, sim.NormalizedLevenshtein, 0.82, scheme.fn, rec)
 			fmt.Printf("%-8d %-12s %-8d %-12d %-12d %-10.3f %.3f\n",
 				st.Values, scheme.name, st.Matches, st.CandidatePairs, st.TotalPairs,
 				st.ReductionRatio(), blocking.Recall(blocked, brute))

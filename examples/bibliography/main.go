@@ -93,7 +93,7 @@ func main() {
 	fmt.Print(j.Format(in))
 
 	fmt.Println("\n== Section 5: ASP cross-check (Theorem 10) ==")
-	solver, err := lace.NewASPSolver(f.DB, f.Spec, f.Sims)
+	solver, err := lace.NewASPSolver(f.DB, f.Spec, f.Sims, nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

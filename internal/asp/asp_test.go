@@ -10,11 +10,11 @@ import (
 // sets.
 func models(t *testing.T, p *Program) [][]string {
 	t.Helper()
-	gp, err := Ground(p)
+	gp, err := Ground(p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := NewStableSolver(gp)
+	ss := NewStableSolver(gp, nil, nil)
 	var out [][]string
 	ss.Enumerate(func(m []bool) bool {
 		var atoms []string
@@ -153,12 +153,12 @@ func TestGroundingWithVariables(t *testing.T) {
 func TestUnsafeRuleRejected(t *testing.T) {
 	p := &Program{}
 	p.Add(NewRule(A("p", V("X")), Not(A("q", V("X")))))
-	if _, err := Ground(p); err == nil {
+	if _, err := Ground(p, nil, nil); err == nil {
 		t.Error("unsafe rule grounded without error")
 	}
 	p2 := &Program{}
 	p2.Add(NewRule(A("p", V("Y")), Pos(A("q", V("X")))))
-	if _, err := Ground(p2); err == nil {
+	if _, err := Ground(p2, nil, nil); err == nil {
 		t.Error("unsafe head variable accepted")
 	}
 }
@@ -197,11 +197,11 @@ func TestBraveCautious(t *testing.T) {
 	p.Add(NewRule(A("a"), Not(A("b"))))
 	p.Add(NewRule(A("b"), Not(A("a"))))
 	p.AddFact(A("c"))
-	gp, err := Ground(p)
+	gp, err := Ground(p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := NewStableSolver(gp)
+	ss := NewStableSolver(gp, nil, nil)
 	brave, cautious, found, _ := ss.BraveCautious()
 	if !found {
 		t.Fatal("coherent program reported incoherent")
@@ -226,11 +226,11 @@ func TestBraveCautious(t *testing.T) {
 func TestBraveCautiousIncoherent(t *testing.T) {
 	p := &Program{}
 	p.Add(NewRule(A("a"), Not(A("a"))))
-	gp, err := Ground(p)
+	gp, err := Ground(p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := NewStableSolver(gp)
+	ss := NewStableSolver(gp, nil, nil)
 	if _, _, found, _ := ss.BraveCautious(); found {
 		t.Error("incoherent program reported stable models")
 	}
@@ -246,11 +246,11 @@ func TestMaximalProjections(t *testing.T) {
 	p.Add(NewRule(A("sel", V("X")), Pos(A("cand", V("X"))), Not(A("nsel", V("X")))))
 	p.Add(NewRule(A("nsel", V("X")), Pos(A("cand", V("X"))), Not(A("sel", V("X")))))
 	p.Add(Constraint(Pos(A("sel", K("c1"))), Pos(A("sel", K("c2")))))
-	gp, err := Ground(p)
+	gp, err := Ground(p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := NewStableSolver(gp)
+	ss := NewStableSolver(gp, nil, nil)
 	proj := gp.AtomsOf("sel")
 	if len(proj) != 3 {
 		t.Fatalf("sel atoms = %d, want 3", len(proj))
@@ -287,11 +287,11 @@ func TestMaximalProjectionsFullSet(t *testing.T) {
 	p.AddFact(A("cand", K("c2")))
 	p.Add(NewRule(A("sel", V("X")), Pos(A("cand", V("X"))), Not(A("nsel", V("X")))))
 	p.Add(NewRule(A("nsel", V("X")), Pos(A("cand", V("X"))), Not(A("sel", V("X")))))
-	gp, err := Ground(p)
+	gp, err := Ground(p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := NewStableSolver(gp)
+	ss := NewStableSolver(gp, nil, nil)
 	count := 0
 	ss.MaximalProjections(gp.AtomsOf("sel"), func(m []bool) bool {
 		count++
@@ -329,7 +329,7 @@ func TestGroundRuleDedup(t *testing.T) {
 	p.Add(NewRule(A("p", V("X")), Pos(A("q", V("X")))))
 	p.Add(NewRule(A("p", V("X")), Pos(A("r", V("X")))))
 	p.Add(NewRule(A("s", V("X")), Pos(A("p", V("X"))), Pos(A("q", V("X")))))
-	gp, err := Ground(p)
+	gp, err := Ground(p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func BenchmarkGroundChoice(b *testing.B) {
 			p := choiceProgram(n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Ground(p); err != nil {
+				if _, err := Ground(p, nil, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -47,7 +47,7 @@ func BenchmarkGroundDatalog(b *testing.B) {
 			p.Add(NewRule(A("tc", V("X"), V("Z")), Pos(A("tc", V("X"), V("Y"))), Pos(A("e", V("Y"), V("Z")))))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				gp, err := Ground(p)
+				gp, err := Ground(p, nil, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -61,13 +61,13 @@ func BenchmarkGroundDatalog(b *testing.B) {
 }
 
 func BenchmarkFirstStableModel(b *testing.B) {
-	gp, err := Ground(choiceProgram(50))
+	gp, err := Ground(choiceProgram(50), nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ss := NewStableSolver(gp)
+		ss := NewStableSolver(gp, nil, nil)
 		if _, ok, _ := ss.Next(); !ok {
 			b.Fatal("no model")
 		}
@@ -76,14 +76,14 @@ func BenchmarkFirstStableModel(b *testing.B) {
 
 func BenchmarkEnumerate(b *testing.B) {
 	// 6 choices with one exclusion: 2^6 - 2^4 = 48 models.
-	gp, err := Ground(choiceProgram(6))
+	gp, err := Ground(choiceProgram(6), nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		count := 0
-		NewStableSolver(gp).Enumerate(func([]bool) bool {
+		NewStableSolver(gp, nil, nil).Enumerate(func([]bool) bool {
 			count++
 			return true
 		})
@@ -94,7 +94,7 @@ func BenchmarkEnumerate(b *testing.B) {
 }
 
 func BenchmarkMaximalProjection(b *testing.B) {
-	gp, err := Ground(choiceProgram(12))
+	gp, err := Ground(choiceProgram(12), nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func BenchmarkMaximalProjection(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		count := 0
-		NewStableSolver(gp).MaximalProjections(proj, func([]bool) bool {
+		NewStableSolver(gp, nil, nil).MaximalProjections(proj, func([]bool) bool {
 			count++
 			return true
 		})
@@ -127,12 +127,12 @@ func BenchmarkLoopFormulas(b *testing.B) {
 	p.AddFact(A("seed"))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gp, err := Ground(p)
+		gp, err := Ground(p, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		count := 0
-		NewStableSolver(gp).Enumerate(func([]bool) bool {
+		NewStableSolver(gp, nil, nil).Enumerate(func([]bool) bool {
 			count++
 			return true
 		})

@@ -60,7 +60,7 @@ func FuzzGround(f *testing.F) {
 			MaxClauses:     40000,
 			MaxDecisions:   20000,
 		})
-		gp, err := GroundBudget(p, b, nil)
+		gp, err := Ground(p, b, nil)
 		if err != nil {
 			return // budget stop or a grounding error — both fine, no panic
 		}
@@ -80,8 +80,7 @@ func FuzzGround(f *testing.F) {
 				t.Fatalf("atom %d renders empty", id)
 			}
 		}
-		ss := NewStableSolver(gp)
-		ss.SetBudget(b)
+		ss := NewStableSolver(gp, b, nil)
 		count := 0
 		_ = ss.Enumerate(func(m []bool) bool {
 			count++
@@ -291,7 +290,7 @@ func TestDecodeDPLLTerminators(t *testing.T) {
 func TestFuzzErrorsStayTyped(t *testing.T) {
 	p := MustParse("edge(a,b). edge(b,c). edge(c,a). reach(X,Y) :- edge(X,Y). reach(X,Z) :- reach(X,Y), edge(Y,Z).")
 	b := limits.NewBudget(nil, limits.Limits{MaxGroundRules: 2})
-	_, err := GroundBudget(p, b, nil)
+	_, err := Ground(p, b, nil)
 	if !errors.Is(err, limits.ErrBudget) {
 		t.Fatalf("want ErrBudget, got %v", err)
 	}

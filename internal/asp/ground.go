@@ -136,24 +136,15 @@ type grounder struct {
 	seen  map[string]bool // ground rule dedup
 }
 
-// Ground instantiates the program. The program must be safe (Validate).
-func Ground(p *Program) (*GroundProgram, error) {
-	return GroundRec(p, obs.Nop{})
-}
-
-// GroundRec is Ground with instrumentation: it records the grounding
-// phase as an asp.ground span and publishes the resulting program size
-// as the asp.ground.rules / asp.ground.atoms gauges.
-func GroundRec(p *Program, rec obs.Recorder) (*GroundProgram, error) {
-	return GroundBudget(p, nil, rec)
-}
-
-// GroundBudget is GroundRec under a resource budget: grounding stops
-// with a typed error matching limits.ErrBudget when the emitted ground
-// rules exceed the budget's MaxGroundRules, or limits.ErrCanceled when
-// the budget's context is cancelled or its deadline expires. A nil
-// budget is unlimited.
-func GroundBudget(p *Program, b *limits.Budget, rec obs.Recorder) (*GroundProgram, error) {
+// Ground instantiates the program. The program must be safe
+// (Validate). Grounding runs under an asp.ground span and publishes the
+// resulting program size as the asp.ground.rules / asp.ground.atoms
+// gauges. It stops with a typed error matching limits.ErrBudget when the
+// emitted ground rules exceed the budget's MaxGroundRules, or
+// limits.ErrCanceled when the budget's context is cancelled or its
+// deadline expires. A nil budget is unlimited and a nil recorder is a
+// no-op.
+func Ground(p *Program, b *limits.Budget, rec obs.Recorder) (*GroundProgram, error) {
 	rec = obs.OrNop(rec)
 	sp := rec.Start(obs.SpanASPGround)
 	defer sp.End()

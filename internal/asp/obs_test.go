@@ -57,11 +57,11 @@ func TestStableSolverGauges(t *testing.T) {
 	p.Add(NewRule(A("noseed"), Not(A("yesseed"))))
 	p.Add(NewRule(A("yesseed"), Not(A("noseed"))))
 	p.AddFact(A("seed"))
-	gp, err := GroundRec(p, reg)
+	gp, err := Ground(p, nil, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := NewStableSolverRec(gp, reg)
+	ss := NewStableSolver(gp, nil, reg)
 	models := 0
 	ss.Enumerate(func([]bool) bool { models++; return true })
 	if models != 2 {

@@ -130,13 +130,13 @@ func TestStableModelsAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 300; trial++ {
 		prog := randomGroundProgram(rng, 3+rng.Intn(4), 3+rng.Intn(8))
-		gp, err := Ground(prog)
+		gp, err := Ground(prog, nil, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		want := bruteStableModels(gp)
 		got := make(map[string]bool)
-		NewStableSolver(gp).Enumerate(func(m []bool) bool {
+		NewStableSolver(gp, nil, nil).Enumerate(func(m []bool) bool {
 			got[maskKey(m)] = true
 			return true
 		})
@@ -158,13 +158,13 @@ func TestBraveCautiousAgainstEnumeration(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	for trial := 0; trial < 60; trial++ {
 		prog := randomGroundProgram(rng, 3+rng.Intn(3), 3+rng.Intn(6))
-		gp, err := Ground(prog)
+		gp, err := Ground(prog, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var union, inter []bool
 		found := false
-		NewStableSolver(gp).Enumerate(func(m []bool) bool {
+		NewStableSolver(gp, nil, nil).Enumerate(func(m []bool) bool {
 			if !found {
 				found = true
 				union = append([]bool(nil), m...)
@@ -177,7 +177,7 @@ func TestBraveCautiousAgainstEnumeration(t *testing.T) {
 			}
 			return true
 		})
-		brave, cautious, ok, _ := NewStableSolver(gp).BraveCautious()
+		brave, cautious, ok, _ := NewStableSolver(gp, nil, nil).BraveCautious()
 		if ok != found {
 			t.Fatalf("trial %d: coherence mismatch", trial)
 		}

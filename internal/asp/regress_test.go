@@ -24,11 +24,11 @@ func TestGroundArityMixRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gp, err := Ground(p)
+	gp, err := Ground(p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := NewStableSolver(gp)
+	ss := NewStableSolver(gp, nil, nil)
 	m, ok, _ := ss.Next()
 	if !ok {
 		t.Fatal("no stable model")
@@ -119,12 +119,12 @@ in(X) :- node(X), not out(X).
 out(X) :- node(X), not in(X).
 :- in(a), in(b), in(c).`
 	runOnce := func() []string {
-		gp, err := Ground(MustParse(src))
+		gp, err := Ground(MustParse(src), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var order []string
-		NewStableSolver(gp).Enumerate(func(m []bool) bool {
+		NewStableSolver(gp, nil, nil).Enumerate(func(m []bool) bool {
 			var atoms []string
 			for _, id := range TrueAtoms(m) {
 				atoms = append(atoms, gp.AtomString(id))
@@ -151,12 +151,40 @@ out(X) :- node(X), not in(X).
 func TestGroundBudgetTypedError(t *testing.T) {
 	p := MustParse("e(a,b). e(b,c). e(c,d). r(X,Y) :- e(X,Y). r(X,Z) :- r(X,Y), e(Y,Z).")
 	b := limits.NewBudget(nil, limits.Limits{MaxGroundRules: 3})
-	_, err := GroundBudget(p, b, nil)
+	_, err := Ground(p, b, nil)
 	if !errors.Is(err, limits.ErrBudget) {
 		t.Fatalf("want ErrBudget, got %v", err)
 	}
 	var be *limits.BudgetError
 	if !errors.As(err, &be) || be.Resource != "ground rules" {
+		t.Fatalf("typed error wrong: %#v", err)
+	}
+}
+
+// TestClauseBudgetCoversCompletion: MaxClauses counts the completion
+// clauses NewStableSolver adds, not only the loop formulas and blocking
+// clauses added while solving. A budget one clause short of the
+// completion yields no model and a clause-budget error.
+func TestClauseBudgetCoversCompletion(t *testing.T) {
+	gp, err := Ground(MustParse("a :- not b. b :- not a. c :- a. d :- b."), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := NewStableSolver(gp, nil, nil).SAT().NumClauses()
+	if k < 2 {
+		t.Fatalf("completion has %d clauses, want at least 2", k)
+	}
+	b := limits.NewBudget(nil, limits.Limits{MaxClauses: k - 1})
+	models := 0
+	err = NewStableSolver(gp, b, nil).Enumerate(func([]bool) bool { models++; return true })
+	if models != 0 {
+		t.Errorf("enumerated %d models under a budget below the %d-clause completion", models, k)
+	}
+	if !errors.Is(err, limits.ErrBudget) {
+		t.Fatalf("want ErrBudget, got %v", err)
+	}
+	var be *limits.BudgetError
+	if !errors.As(err, &be) || be.Resource != "clauses" {
 		t.Fatalf("typed error wrong: %#v", err)
 	}
 }

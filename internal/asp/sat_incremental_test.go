@@ -195,17 +195,16 @@ func TestStableSolverBudgetedEnumerate(t *testing.T) {
 	src := `node(a). node(b). node(c). node(d).
 in(X) :- node(X), not out(X).
 out(X) :- node(X), not in(X).`
-	gp, err := Ground(MustParse(src))
+	gp, err := Ground(MustParse(src), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	full := 0
-	NewStableSolver(gp).Enumerate(func([]bool) bool { full++; return true })
+	NewStableSolver(gp, nil, nil).Enumerate(func([]bool) bool { full++; return true })
 	if full != 16 {
 		t.Fatalf("full enumeration = %d models, want 16", full)
 	}
-	ss := NewStableSolver(gp)
-	ss.SetBudget(limits.NewBudget(nil, limits.Limits{MaxDecisions: 10}))
+	ss := NewStableSolver(gp, limits.NewBudget(nil, limits.Limits{MaxDecisions: 10}), nil)
 	partial := 0
 	err = ss.Enumerate(func([]bool) bool { partial++; return true })
 	if !errors.Is(err, limits.ErrBudget) {

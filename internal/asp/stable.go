@@ -27,20 +27,20 @@ type StableSolver struct {
 
 	rec obs.Recorder
 
-	budget        *limits.Budget // nil = unlimited
-	budgetCounted bool           // asp.budget.* counter already bumped
+	budgetCounted bool // asp.budget.* counter already bumped
 }
 
-// NewStableSolver builds the completion of gp.
-func NewStableSolver(gp *GroundProgram) *StableSolver {
-	return NewStableSolverRec(gp, obs.Nop{})
-}
-
-// NewStableSolverRec is NewStableSolver with instrumentation: the
-// recorder receives the completion size gauges (asp.completion.clauses,
-// asp.completion.vars), the stability-loop counters (asp.stable.*), and
-// the underlying CDCL solver's counters (asp.sat.*).
-func NewStableSolverRec(gp *GroundProgram, rec obs.Recorder) *StableSolver {
+// NewStableSolver builds the completion of gp under a resource budget.
+// The budget is attached before the completion is added, so every CNF
+// clause — completion, loop formulas and blocking clauses — is charged
+// against its MaxClauses; an exhausted budget latches and surfaces as a
+// typed error matching limits.ErrBudget or limits.ErrCanceled from the
+// first solving method. The recorder receives the completion size
+// gauges (asp.completion.clauses, asp.completion.vars), the
+// stability-loop counters (asp.stable.*), and the underlying CDCL
+// solver's counters (asp.sat.*). A nil budget is unlimited and a nil
+// recorder is a no-op.
+func NewStableSolver(gp *GroundProgram, b *limits.Budget, rec obs.Recorder) *StableSolver {
 	n := gp.NumAtoms()
 	ss := &StableSolver{
 		gp:      gp,
@@ -72,6 +72,8 @@ func NewStableSolverRec(gp *GroundProgram, rec obs.Recorder) *StableSolver {
 		}
 	}
 	ss.sat = NewSolver(nvars)
+	// Attach before the completion so its clauses are charged too.
+	ss.sat.SetBudget(b)
 	// Prefer false for body variables (smaller search noise).
 	for v := n; v < nvars; v++ {
 		ss.sat.SetPhase(v, false)
@@ -129,19 +131,6 @@ func NewStableSolverRec(gp *GroundProgram, rec obs.Recorder) *StableSolver {
 // SAT exposes the underlying SAT solver (for adding domain-specific
 // constraints such as blocking clauses over atom variables).
 func (ss *StableSolver) SAT() *Solver { return ss.sat }
-
-// SetBudget attaches a resource budget to the stability search and the
-// underlying SAT solver. Exhaustion or cancellation surfaces from the
-// solving methods as typed errors matching limits.ErrBudget or
-// limits.ErrCanceled. A nil budget (the default) is unlimited.
-//
-// The budget does not cover the completion construction itself (the
-// clauses NewStableSolverRec adds before SetBudget can run); bound that
-// phase with GroundBudget's MaxGroundRules, which caps completion size.
-func (ss *StableSolver) SetBudget(b *limits.Budget) {
-	ss.budget = b
-	ss.sat.SetBudget(b)
-}
 
 // noteErr counts the first budget/cancel abort on the asp.budget.*
 // counters. The budget latches, so later calls resurface the same
@@ -204,9 +193,9 @@ func (ss *StableSolver) reductLM(model []bool) []bool {
 // Next returns the atom assignment of a stable model consistent with
 // the assumptions, or ok=false if none exists. Loop formulas discovered
 // along the way are retained (they are consequences of the program).
-// Under an attached budget (SetBudget) the search stops early with a
-// typed error matching limits.ErrBudget or limits.ErrCanceled, in which
-// case the model is nil and ok is false.
+// Under the solver's budget the search stops early with a typed error
+// matching limits.ErrBudget or limits.ErrCanceled, in which case the
+// model is nil and ok is false.
 func (ss *StableSolver) Next(assumptions ...Lit) ([]bool, bool, error) {
 	learned, restarts := 0, 0
 	defer func() {
@@ -296,10 +285,10 @@ func TrueAtoms(model []bool) []int {
 // so the same program yields the same model sequence on every run,
 // independent of clause learning, restarts and deletion.
 //
-// Under an attached budget (SetBudget) Enumerate returns a typed error
-// matching limits.ErrBudget or limits.ErrCanceled when the search is
-// cut short. Models already visited are unaffected — callers keep the
-// partial enumeration.
+// Under the solver's budget Enumerate returns a typed error matching
+// limits.ErrBudget or limits.ErrCanceled when the search is cut short.
+// Models already visited are unaffected — callers keep the partial
+// enumeration.
 func (ss *StableSolver) Enumerate(visit func(model []bool) bool) error {
 	for {
 		m, ok, err := ss.Next()
@@ -324,10 +313,10 @@ func (ss *StableSolver) Enumerate(visit func(model []bool) bool) error {
 
 // BraveCautious enumerates all stable models and returns the union and
 // intersection of their atom sets; found is false when the program is
-// incoherent (no stable model). On a budget or cancellation error
-// (SetBudget) the returned sets cover only the models enumerated before
-// the cut — the brave set is an under-approximation and the cautious
-// set an over-approximation.
+// incoherent (no stable model). On a budget or cancellation error the
+// returned sets cover only the models enumerated before the cut — the
+// brave set is an under-approximation and the cautious set an
+// over-approximation.
 func (ss *StableSolver) BraveCautious() (brave, cautious []bool, found bool, err error) {
 	err = ss.Enumerate(func(m []bool) bool {
 		if !found {
@@ -355,9 +344,9 @@ func (ss *StableSolver) BraveCautious() (brave, cautious []bool, found bool, err
 // The visiting order is deterministic for the same reason as
 // Enumerate's.
 //
-// Under an attached budget (SetBudget) MaximalProjections returns a
-// typed error matching limits.ErrBudget or limits.ErrCanceled when the
-// search is cut short. Projections already visited were fully improved
+// Under the solver's budget MaximalProjections returns a typed error
+// matching limits.ErrBudget or limits.ErrCanceled when the search is
+// cut short. Projections already visited were fully improved
 // and remain maximal; a cut mid-improvement discards the candidate
 // rather than visiting a non-maximal one.
 func (ss *StableSolver) MaximalProjections(proj []int, visit func(model []bool) bool) error {

@@ -108,17 +108,12 @@ func (s Stats) ReductionRatio() float64 {
 
 // BuildTable materialises the extension of the threshold predicate
 // metric >= theta over the given values, comparing only pairs that
-// share a blocking key. Values are deduplicated first.
-func BuildTable(name string, values []string, metric sim.Metric, theta float64, keys KeyFunc) (*sim.Table, Stats) {
-	return BuildTableRec(name, values, metric, theta, keys, obs.Nop{})
-}
-
-// BuildTableRec is BuildTable with instrumentation: the build runs under
-// a blocking.build span, and the recorder's blocking.pairs.kept /
+// share a blocking key. Values are deduplicated first. The build runs
+// under a blocking.build span, and the recorder's blocking.pairs.kept /
 // blocking.pairs.pruned / blocking.pairs.matched counters advance by the
 // candidate pairs compared, the pairs skipped by blocking, and the
-// pairs admitted into the table.
-func BuildTableRec(name string, values []string, metric sim.Metric, theta float64, keys KeyFunc, rec obs.Recorder) (*sim.Table, Stats) {
+// pairs admitted into the table. A nil recorder is a no-op.
+func BuildTable(name string, values []string, metric sim.Metric, theta float64, keys KeyFunc, rec obs.Recorder) (*sim.Table, Stats) {
 	rec = obs.OrNop(rec)
 	sp := rec.Start(obs.SpanBlockingBuild).AttrStr("table", name)
 	defer sp.End()

@@ -63,7 +63,7 @@ func TestKeyFuncs(t *testing.T) {
 func TestBlockedSubsetOfBrute(t *testing.T) {
 	vals, _ := typoValues(40, 7)
 	brute := BruteTable("b", vals, sim.NormalizedLevenshtein, 0.8)
-	blocked, st := BuildTable("b", vals, sim.NormalizedLevenshtein, 0.8, Tokens)
+	blocked, st := BuildTable("b", vals, sim.NormalizedLevenshtein, 0.8, Tokens, nil)
 	if blocked.Len() > brute.Len() {
 		t.Fatalf("blocked %d pairs > brute %d", blocked.Len(), brute.Len())
 	}
@@ -83,7 +83,7 @@ func TestTokenBlockingRecall(t *testing.T) {
 		t.Fatal("no duplicates generated")
 	}
 	brute := BruteTable("b", vals, sim.NormalizedLevenshtein, 0.8)
-	blocked, st := BuildTable("b", vals, sim.NormalizedLevenshtein, 0.8, Tokens)
+	blocked, st := BuildTable("b", vals, sim.NormalizedLevenshtein, 0.8, Tokens, nil)
 	if r := Recall(blocked, brute); r < 1 {
 		t.Errorf("token blocking lost pairs: recall = %.3f", r)
 	}
@@ -97,7 +97,7 @@ func TestTokenBlockingRecall(t *testing.T) {
 func TestQGramBlockingRecall(t *testing.T) {
 	vals, _ := typoValues(60, 13)
 	brute := BruteTable("b", vals, sim.NormalizedLevenshtein, 0.8)
-	blocked, _ := BuildTable("b", vals, sim.NormalizedLevenshtein, 0.8, QGrams(4))
+	blocked, _ := BuildTable("b", vals, sim.NormalizedLevenshtein, 0.8, QGrams(4), nil)
 	if r := Recall(blocked, brute); r < 1 {
 		t.Errorf("4-gram blocking lost pairs: recall = %.3f", r)
 	}
@@ -111,12 +111,12 @@ func TestPrefixBlockingTradeoff(t *testing.T) {
 	if brute.Len() != 1 {
 		t.Fatalf("brute should match the pair, got %d", brute.Len())
 	}
-	blocked, _ := BuildTable("b", vals, sim.NormalizedLevenshtein, 0.8, Prefix(4))
+	blocked, _ := BuildTable("b", vals, sim.NormalizedLevenshtein, 0.8, Prefix(4), nil)
 	if blocked.Len() != 0 {
 		t.Error("prefix blocking unexpectedly caught a prefix-typo pair")
 	}
 	// But the union with q-grams recovers it.
-	rescued, _ := BuildTable("b", vals, sim.NormalizedLevenshtein, 0.8, Union(Prefix(4), QGrams(4)))
+	rescued, _ := BuildTable("b", vals, sim.NormalizedLevenshtein, 0.8, Union(Prefix(4), QGrams(4)), nil)
 	if rescued.Len() != 1 {
 		t.Error("union blocking missed the pair")
 	}
@@ -125,7 +125,7 @@ func TestPrefixBlockingTradeoff(t *testing.T) {
 // TestDuplicateValuesDeduped: repeated values don't inflate stats.
 func TestDuplicateValuesDeduped(t *testing.T) {
 	vals := []string{"same", "same", "same", "other"}
-	_, st := BuildTable("b", vals, sim.NormalizedLevenshtein, 0.8, Prefix(2))
+	_, st := BuildTable("b", vals, sim.NormalizedLevenshtein, 0.8, Prefix(2), nil)
 	if st.Values != 2 {
 		t.Errorf("Values = %d, want 2", st.Values)
 	}
@@ -138,7 +138,7 @@ func TestDuplicateValuesDeduped(t *testing.T) {
 // predicate (reflexive, symmetric).
 func TestBlockedTableUsableAsPredicate(t *testing.T) {
 	vals := []string{"hello world", "hallo world"}
-	tbl, _ := BuildTable("approx", vals, sim.NormalizedLevenshtein, 0.8, Tokens)
+	tbl, _ := BuildTable("approx", vals, sim.NormalizedLevenshtein, 0.8, Tokens, nil)
 	if !tbl.Holds("hello world", "hallo world") || !tbl.Holds("hallo world", "hello world") {
 		t.Error("pair or flip missing")
 	}
@@ -158,7 +158,7 @@ func BenchmarkBlockedVsBrute(b *testing.B) {
 		vals, _ := typoValues(n, 3)
 		b.Run(fmt.Sprintf("blocked_n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				BuildTable("b", vals, sim.NormalizedLevenshtein, 0.8, Tokens)
+				BuildTable("b", vals, sim.NormalizedLevenshtein, 0.8, Tokens, nil)
 			}
 		})
 		b.Run(fmt.Sprintf("brute_n=%d", n), func(b *testing.B) {
@@ -189,7 +189,7 @@ func TestKeyDedup(t *testing.T) {
 // sharing a repeated token, the candidate pair is counted once.
 func TestKeyDedupStats(t *testing.T) {
 	vals := []string{"the the end", "the the ending"}
-	_, st := BuildTable("t", vals, sim.NormalizedLevenshtein, 0.8, Tokens)
+	_, st := BuildTable("t", vals, sim.NormalizedLevenshtein, 0.8, Tokens, nil)
 	if st.CandidatePairs != 1 {
 		t.Errorf("CandidatePairs = %d, want 1", st.CandidatePairs)
 	}

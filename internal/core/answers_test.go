@@ -5,30 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/db"
-	"repro/internal/eqrel"
-	"repro/internal/fixtures"
 	"repro/internal/rules"
 )
-
-// TestMaxSolutionsOption: enumeration stops after the configured number
-// of solutions.
-func TestMaxSolutionsOption(t *testing.T) {
-	f := fixtures.New()
-	e, err := New(f.DB, f.Spec, f.Sims, Options{MaxSolutions: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := 0
-	if err := e.SolutionsCtx(context.Background(), func(*eqrel.Partition) bool {
-		count++
-		return false
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if count != 3 {
-		t.Errorf("visited %d solutions, want 3", count)
-	}
-}
 
 // TestQueryWithFreshConstant: a query constant interned after engine
 // construction must not panic and must simply never match.

@@ -47,12 +47,6 @@ type Options struct {
 	// lattice top is consistent is answered without a search, so the
 	// budget does not apply there.
 	MaxStates int
-	// MaxSolutions, when positive, stops enumeration after that many
-	// solutions have been visited. It implies sequential search: the
-	// truncation is defined by the sequential visit order. A consistent
-	// lattice top is the complete answer to a maximal-solution question
-	// and is never truncated.
-	MaxSolutions int
 	// CacheSize bounds the induced-database cache in entries; 0 means
 	// DefaultCacheSize. When full, the least recently used entry is
 	// evicted. Parallel workers split this budget between them.
@@ -157,10 +151,9 @@ func (e *Engine) Recorder() obs.Recorder { return e.rec }
 func (e *Engine) Stats() obs.Snapshot { return e.rec.Snapshot() }
 
 // parallelEnabled reports whether solution-space searches should use
-// the parallel work-queue. MaxSolutions implies sequential order, so it
-// disables parallelism.
+// the parallel work-queue.
 func (e *Engine) parallelEnabled() bool {
-	return e.sess.opts.Parallelism > 1 && e.sess.opts.MaxSolutions == 0
+	return e.sess.opts.Parallelism > 1
 }
 
 // Identity returns the trivial equivalence relation EqRel(∅, D) sized to

@@ -117,13 +117,7 @@ func (e *Engine) SolutionsCtx(ctx context.Context, visit func(E *eqrel.Partition
 	s := e.newSearcher(ctx, func(E *eqrel.Partition) (bool, error) {
 		count++
 		e.rec.Inc(obs.CoreSearchSolutions, 1)
-		if visit(E) {
-			return true, nil
-		}
-		if e.sess.opts.MaxSolutions > 0 && count >= e.sess.opts.MaxSolutions {
-			return true, nil
-		}
-		return false, nil
+		return visit(E), nil
 	})
 	err := s.run(e.Identity())
 	sp.AttrInt("solutions", int64(count)).AttrInt("states", int64(len(s.visited))).End()

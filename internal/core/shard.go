@@ -143,13 +143,8 @@ type ShardedEngine struct {
 
 // NewSharded builds a sharded engine over (d, spec, sims). The core
 // Options apply per shard (MaxStates bounds each shard's search;
-// Parallelism bounds concurrent shard solves). MaxSolutions is
-// incompatible with sharding — truncated enumeration has no meaning
-// across independent components — and is rejected.
+// Parallelism bounds concurrent shard solves).
 func NewSharded(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Options, sopts ShardOptions) (*ShardedEngine, error) {
-	if opts.MaxSolutions > 0 {
-		return nil, fmt.Errorf("core: ShardedEngine does not support Options.MaxSolutions")
-	}
 	eng, err := New(d, spec, sims, opts)
 	if err != nil {
 		return nil, err

@@ -247,15 +247,6 @@ denial d1: R(x,x).`, sch, d.Interner(), reg)
 	}
 }
 
-// TestShardRejectsMaxSolutions: truncated enumeration cannot compose
-// across shards, so the option is rejected up front.
-func TestShardRejectsMaxSolutions(t *testing.T) {
-	f := fixtures.New()
-	if _, err := NewSharded(f.DB, f.Spec, f.Sims, Options{MaxSolutions: 3}, ShardOptions{}); err == nil {
-		t.Fatal("NewSharded accepted Options.MaxSolutions")
-	}
-}
-
 // TestShardStatsShape: stats reflect the resolved partition.
 func TestShardStatsShape(t *testing.T) {
 	ds, err := workload.Generate(workload.DefaultConfig(7))

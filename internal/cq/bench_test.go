@@ -69,8 +69,8 @@ func BenchmarkBooleanEarlyExit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ok, err := Satisfiable(atoms, d, nil)
-		if err != nil || !ok {
+		p, err := Prepare(atoms, nil, d.Schema())
+		if err != nil || !p.Holds(d, nil, RunSpec{}) {
 			b.Fatal("unsatisfiable")
 		}
 	}
@@ -88,12 +88,16 @@ func BenchmarkWitnessOverhead(b *testing.B) {
 		b.Run(fmt.Sprintf("witness=%v", wit), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				p, err := Prepare(atoms, nil, d.Schema())
+				if err != nil {
+					b.Fatal(err)
+				}
 				count := 0
-				err := ForEachMatch(atoms, nil, d, nil, wit, func([]db.Const, []Match) bool {
+				p.RunWith(d, nil, RunSpec{Witness: wit}, func([]db.Const, []Match) bool {
 					count++
 					return true
 				})
-				if err != nil || count != 199 {
+				if count != 199 {
 					b.Fatalf("count=%d err=%v", count, err)
 				}
 			}

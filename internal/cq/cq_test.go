@@ -125,20 +125,23 @@ func TestEvalSimilarityAtom(t *testing.T) {
 
 func TestSatisfiable(t *testing.T) {
 	d := bibDB(t)
-	ok, err := Satisfiable([]Atom{Rel("Paper", Var("p"), Var("t"), Var("c"))}, d, nil)
-	if err != nil || !ok {
-		t.Fatalf("Satisfiable = %v, %v", ok, err)
+	holds := func(atoms []Atom) bool {
+		t.Helper()
+		p, err := Prepare(atoms, nil, d.Schema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Holds(d, nil, RunSpec{})
+	}
+	if !holds([]Atom{Rel("Paper", Var("p"), Var("t"), Var("c"))}) {
+		t.Fatal("Holds = false, want a Paper match")
 	}
 	nyu := lookup(t, d, "NYU")
 	ox := lookup(t, d, "Oxford")
-	ok, err = Satisfiable([]Atom{
+	if holds([]Atom{
 		Rel("Author", Var("x"), Var("e"), C(nyu)),
 		Rel("Author", Var("x"), Var("e2"), C(ox)),
-	}, d, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
+	}) {
 		t.Error("author in both NYU and Oxford found, want none")
 	}
 }
@@ -149,8 +152,12 @@ func TestWitness(t *testing.T) {
 		Rel("Wrote", Var("p"), Var("a"), Var("z")),
 		Rel("Paper", Var("p"), Var("t"), Var("c")),
 	}
+	p, err := Prepare(atoms, []string{"a"}, d.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
 	count := 0
-	err := ForEachMatch(atoms, []string{"a"}, d, nil, true, func(ans []db.Const, wit []Match) bool {
+	p.RunWith(d, nil, RunSpec{Witness: true}, func(ans []db.Const, wit []Match) bool {
 		count++
 		if len(wit) != 2 {
 			t.Fatalf("witness has %d matches, want 2", len(wit))
@@ -168,9 +175,6 @@ func TestWitness(t *testing.T) {
 		}
 		return true
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if count != 3 {
 		t.Errorf("got %d homomorphisms, want 3", count)
 	}
@@ -178,15 +182,15 @@ func TestWitness(t *testing.T) {
 
 func TestEarlyStop(t *testing.T) {
 	d := bibDB(t)
-	calls := 0
-	err := ForEachMatch([]Atom{Rel("Author", Var("x"), Var("e"), Var("u"))},
-		[]string{"x"}, d, nil, false, func(_ []db.Const, _ []Match) bool {
-			calls++
-			return false
-		})
+	p, err := Prepare([]Atom{Rel("Author", Var("x"), Var("e"), Var("u"))}, []string{"x"}, d.Schema())
 	if err != nil {
 		t.Fatal(err)
 	}
+	calls := 0
+	p.RunWith(d, nil, RunSpec{}, func(_ []db.Const, _ []Match) bool {
+		calls++
+		return false
+	})
 	if calls != 1 {
 		t.Errorf("early stop ignored: %d calls", calls)
 	}

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/db"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -15,38 +14,16 @@ type Match struct {
 	Tuple     []db.Const
 }
 
-// ForEachMatch enumerates every homomorphism from atoms into d,
-// calling cb with the head bindings and (when withWitness) the matched
-// tuple per relational atom. cb returning false stops enumeration. The
-// ans and wit slices are reused across calls; copy to retain.
-//
-// It is a compatibility wrapper that prepares a fresh Plan per call;
-// hot paths should Prepare once and reuse the plan.
-func ForEachMatch(atoms []Atom, head []string, d *db.Database, sims *sim.Registry,
-	withWitness bool, cb func(ans []db.Const, wit []Match) bool) error {
-	return ForEachMatchRec(atoms, head, d, sims, obs.Nop{}, withWitness, cb)
-}
-
-// ForEachMatchRec is ForEachMatch with instrumentation: the recorder's
-// cq.eval.calls counter advances once per evaluation and
-// cq.eval.matches by the number of homomorphisms enumerated (the join
-// output size).
-func ForEachMatchRec(atoms []Atom, head []string, d *db.Database, sims *sim.Registry,
-	rec obs.Recorder, withWitness bool, cb func(ans []db.Const, wit []Match) bool) error {
-	p, err := Prepare(atoms, head, d.Schema())
-	if err != nil {
-		return err
-	}
-	p.RunWith(d, sims, RunSpec{Rec: rec, Witness: withWitness}, cb)
-	return nil
-}
-
 // Eval returns the set of answers to q over d (no duplicates), sorted
 // lexicographically.
 func Eval(q *CQ, d *db.Database, sims *sim.Registry) ([][]db.Const, error) {
 	seen := make(map[string]bool)
 	var out [][]db.Const
-	err := ForEachMatch(q.Atoms, q.Head, d, sims, false, func(ans []db.Const, _ []Match) bool {
+	p, err := Prepare(q.Atoms, q.Head, d.Schema())
+	if err != nil {
+		return nil, err
+	}
+	p.RunWith(d, sims, RunSpec{}, func(ans []db.Const, _ []Match) bool {
 		k := db.TupleKey(ans)
 		if !seen[k] {
 			seen[k] = true
@@ -54,9 +31,6 @@ func Eval(q *CQ, d *db.Database, sims *sim.Registry) ([][]db.Const, error) {
 		}
 		return true
 	})
-	if err != nil {
-		return nil, err
-	}
 	sort.Slice(out, func(i, j int) bool {
 		for k := range out[i] {
 			if out[i][k] != out[j][k] {
@@ -66,20 +40,4 @@ func Eval(q *CQ, d *db.Database, sims *sim.Registry) ([][]db.Const, error) {
 		return false
 	})
 	return out, nil
-}
-
-// Satisfiable reports whether the Boolean query given by atoms has at
-// least one homomorphism into d.
-func Satisfiable(atoms []Atom, d *db.Database, sims *sim.Registry) (bool, error) {
-	return SatisfiableRec(atoms, d, sims, obs.Nop{})
-}
-
-// SatisfiableRec is Satisfiable with instrumentation (see
-// ForEachMatchRec).
-func SatisfiableRec(atoms []Atom, d *db.Database, sims *sim.Registry, rec obs.Recorder) (bool, error) {
-	p, err := Prepare(atoms, nil, d.Schema())
-	if err != nil {
-		return false, err
-	}
-	return p.Holds(d, sims, RunSpec{Rec: rec}), nil
 }

@@ -239,17 +239,14 @@ type RunSpec struct {
 	Witness bool
 }
 
-// Run enumerates every homomorphism from the plan's atoms into d,
-// calling cb with the head bindings. cb returning false stops the
-// enumeration. The ans slice is reused across calls; copy to retain.
-func (p *Plan) Run(d *db.Database, sims *sim.Registry, cb func(ans []db.Const, wit []Match) bool) {
-	p.RunWith(d, sims, RunSpec{}, cb)
-}
-
-// RunWith is Run with a full RunSpec (instrumentation, constant
-// remapping, pre-bound variables, witness tracking). The ans and wit
-// slices are reused between calls; callers must copy if they retain
-// them.
+// RunWith enumerates every homomorphism from the plan's atoms into d
+// under the RunSpec (instrumentation, constant remapping, pre-bound
+// variables, witness tracking), calling cb with the head bindings and,
+// when rs.Witness is set, the matched tuple per relational atom. cb
+// returning false stops the enumeration. The recorder's cq.eval.calls
+// counter advances once per run and cq.eval.matches by the number of
+// homomorphisms enumerated. The ans and wit slices are reused between
+// calls; callers must copy if they retain them.
 func (p *Plan) RunWith(d *db.Database, sims *sim.Registry, rs RunSpec, cb func(ans []db.Const, wit []Match) bool) {
 	rec := obs.OrNop(rs.Rec)
 	rec.Inc(obs.CQEvalCalls, 1)

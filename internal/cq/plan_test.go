@@ -11,8 +11,8 @@ import (
 
 // oracleMatches enumerates homomorphisms by brute force: every
 // assignment of body variables to active-domain constants is checked
-// against all atoms. It is the specification Plan.Run is differentially
-// tested against.
+// against all atoms. It is the specification Plan.RunWith is
+// differentially tested against.
 func oracleMatches(t *testing.T, atoms []Atom, head []string, d *db.Database,
 	sims *sim.Registry, rep func(db.Const) db.Const, bind map[string]db.Const) [][]db.Const {
 	t.Helper()
@@ -136,7 +136,7 @@ func randomInstance(rng *rand.Rand) (*db.Database, []Atom, []string, *sim.Regist
 	return d, atoms, heads[rng.Intn(len(heads))], reg
 }
 
-// TestPlanRunMatchesOracle differentially tests Plan.Run against the
+// TestPlanRunMatchesOracle differentially tests Plan.RunWith against the
 // brute-force oracle and the Eval wrapper on randomized instances.
 func TestPlanRunMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -147,7 +147,7 @@ func TestPlanRunMatchesOracle(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		var got [][]db.Const
-		p.Run(d, reg, func(ans []db.Const, _ []Match) bool {
+		p.RunWith(d, reg, RunSpec{}, func(ans []db.Const, _ []Match) bool {
 			got = append(got, append([]db.Const(nil), ans...))
 			return true
 		})
@@ -199,7 +199,7 @@ func TestPlanReuseAcrossDatabases(t *testing.T) {
 	}
 	count := func(d *db.Database) int {
 		n := 0
-		p.Run(d, nil, func([]db.Const, []Match) bool { n++; return true })
+		p.RunWith(d, nil, RunSpec{}, func([]db.Const, []Match) bool { n++; return true })
 		return n
 	}
 	if got := count(d1); got != 2 {

@@ -71,7 +71,7 @@ func Cluster(d *db.Database, spec *Spec, sims *sim.Registry, seed int64) (*eqrel
 			if err != nil {
 				return err
 			}
-			p.Run(d, sims, func(ans []db.Const, _ []cq.Match) bool {
+			p.RunWith(d, sims, cq.RunSpec{}, func(ans []db.Const, _ []cq.Match) bool {
 				if ans[0] != ans[1] {
 					f(eqrel.MakePair(ans[0], ans[1]))
 				}

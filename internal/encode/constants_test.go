@@ -97,7 +97,7 @@ func TestConstantsTheorem10(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSolver(New(d, spec, nil))
+	s, err := NewSolver(New(d, spec, nil), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestConstantsTheorem10(t *testing.T) {
 	for _, m := range nat {
 		keys[m.Key()] = true
 	}
-	s2, err := NewSolver(New(d, spec, nil))
+	s2, err := NewSolver(New(d, spec, nil), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestConstantInDenialOnly(t *testing.T) {
 	if ok {
 		t.Error("denial with constant inequality not enforced")
 	}
-	sv, err := NewSolver(New(d, spec, nil))
+	sv, err := NewSolver(New(d, spec, nil), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func diffCheck(t *testing.T, name string, d *db.Database, spec *rules.Spec, reg 
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	s, err := NewSolver(New(d, spec, reg))
+	s, err := NewSolver(New(d, spec, reg), nil, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -50,7 +50,7 @@ func diffCheck(t *testing.T, name string, d *db.Database, spec *rules.Spec, reg 
 	for _, m := range nat {
 		natKeys[m.Key()] = true
 	}
-	s2, err := NewSolver(New(d, spec, reg))
+	s2, err := NewSolver(New(d, spec, reg), nil, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -144,7 +144,7 @@ func TestEncodeDeterministic(t *testing.T) {
 
 func solutionOrder(t *testing.T, f *fixtures.Figure1) string {
 	t.Helper()
-	s, err := NewSolver(New(f.DB, f.Spec, f.Sims))
+	s, err := NewSolver(New(f.DB, f.Spec, f.Sims), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func solutionOrder(t *testing.T, f *fixtures.Figure1) string {
 func TestSolverBudgetCutsEnumeration(t *testing.T) {
 	f := fixtures.New()
 	b := limits.NewBudget(nil, limits.Limits{MaxDecisions: 5})
-	s, err := NewSolverBudget(New(f.DB, f.Spec, f.Sims), b, nil)
+	s, err := NewSolver(New(f.DB, f.Spec, f.Sims), b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +185,11 @@ func TestSolverDeadlineSurfacesQuickly(t *testing.T) {
 	<-ctx.Done()
 	b := limits.NewBudget(ctx, limits.Limits{})
 	start := time.Now()
-	_, err := NewSolverBudget(New(f.DB, f.Spec, f.Sims), b, nil)
+	_, err := NewSolver(New(f.DB, f.Spec, f.Sims), b, nil)
 	if !errors.Is(err, limits.ErrCanceled) {
 		// Grounding may finish between polls; the enumeration must
 		// then stop instead.
-		s, err2 := NewSolverBudget(New(f.DB, f.Spec, f.Sims), b, nil)
+		s, err2 := NewSolver(New(f.DB, f.Spec, f.Sims), b, nil)
 		if err2 != nil && !errors.Is(err2, limits.ErrCanceled) {
 			t.Fatal(err2)
 		}
@@ -226,7 +226,7 @@ func TestNoGoroutineLeakOnCancel(t *testing.T) {
 		}
 
 		b := limits.NewBudget(ctx, limits.Limits{})
-		if s, err := NewSolverBudget(New(f.DB, f.Spec, f.Sims), b, nil); err == nil {
+		if s, err := NewSolver(New(f.DB, f.Spec, f.Sims), b, nil); err == nil {
 			_ = s.Solutions(func(*eqrel.Partition) bool { return true })
 		}
 	}

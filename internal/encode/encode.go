@@ -381,33 +381,23 @@ type Solver struct {
 	budget  *limits.Budget // nil = unlimited
 }
 
-// NewSolver builds and grounds the encoding.
-func NewSolver(en *Encoder) (*Solver, error) {
-	return NewSolverRec(en, obs.Nop{})
-}
-
-// NewSolverRec is NewSolver with instrumentation: grounding is recorded
-// as an asp.ground span with size gauges, and every enumeration method
-// runs under an asp.solve span with the stable-model solver's counters
-// directed at rec.
-func NewSolverRec(en *Encoder, rec obs.Recorder) (*Solver, error) {
-	return NewSolverBudget(en, nil, rec)
-}
-
-// NewSolverBudget is NewSolverRec under a resource budget: grounding
-// charges MaxGroundRules, and the enumeration methods charge clauses
-// and decisions against the same budget. Exhaustion or cancellation
-// surfaces as a typed error matching limits.ErrBudget or
-// limits.ErrCanceled — from NewSolverBudget itself when grounding is
-// cut short, or from the enumeration methods afterwards. A nil budget
-// is unlimited.
-func NewSolverBudget(en *Encoder, b *limits.Budget, rec obs.Recorder) (*Solver, error) {
+// NewSolver builds and grounds the encoding under a resource budget.
+// Grounding is recorded as an asp.ground span with size gauges and
+// charges MaxGroundRules; every enumeration method runs under an
+// asp.solve span on a fresh stable-model solver whose completion,
+// loop formulas and blocking clauses are charged against the same
+// budget's MaxClauses, and its decisions against MaxDecisions.
+// Exhaustion or cancellation surfaces as a typed error matching
+// limits.ErrBudget or limits.ErrCanceled — from NewSolver itself when
+// grounding is cut short, or from the enumeration methods afterwards.
+// A nil budget is unlimited and a nil recorder is a no-op.
+func NewSolver(en *Encoder, b *limits.Budget, rec obs.Recorder) (*Solver, error) {
 	rec = obs.OrNop(rec)
 	prog, err := en.Program()
 	if err != nil {
 		return nil, err
 	}
-	gp, err := asp.GroundBudget(prog, b, rec)
+	gp, err := asp.Ground(prog, b, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -443,49 +433,39 @@ func (s *Solver) extract(model []bool) *eqrel.Partition {
 	return part
 }
 
-// stable builds a fresh stable-model solver over the grounding,
-// attached to the solver's recorder and budget.
-func (s *Solver) stable() *asp.StableSolver {
-	ss := asp.NewStableSolverRec(s.gp, s.rec)
-	if s.budget != nil {
-		ss.SetBudget(s.budget)
-	}
-	return ss
-}
-
 // Solutions enumerates Sol(D, Σ) via stable models (Theorem 10),
 // calling visit with each solution; visit returning false stops. Under
-// the solver's budget (NewSolverBudget) enumeration stops early with a
+// the solver's budget (NewSolver) enumeration stops early with a
 // typed error matching limits.ErrBudget or limits.ErrCanceled; solutions
 // already visited are a sound partial enumeration.
 func (s *Solver) Solutions(visit func(E *eqrel.Partition) bool) error {
 	sp := s.rec.Start(obs.SpanASPSolve).AttrStr("mode", "solutions")
 	defer sp.End()
-	return s.stable().Enumerate(func(m []bool) bool {
+	return asp.NewStableSolver(s.gp, s.budget, s.rec).Enumerate(func(m []bool) bool {
 		return visit(s.extract(m))
 	})
 }
 
 // MaximalSolutions enumerates MaxSol(D, Σ) via ⊆-maximal eq-projections
-// (Section 5.3). Under the solver's budget (NewSolverBudget), solutions
+// (Section 5.3). Under the solver's budget (NewSolver), solutions
 // visited before a budget or cancellation error are genuinely maximal;
 // the enumeration may miss others.
 func (s *Solver) MaximalSolutions(visit func(E *eqrel.Partition) bool) error {
 	sp := s.rec.Start(obs.SpanASPSolve).AttrStr("mode", "maximal")
 	defer sp.End()
-	return s.stable().MaximalProjections(s.eqAtoms, func(m []bool) bool {
+	return asp.NewStableSolver(s.gp, s.budget, s.rec).MaximalProjections(s.eqAtoms, func(m []bool) bool {
 		return visit(s.extract(m))
 	})
 }
 
 // Existence reports coherence of (Π_Sol, D): whether any solution
-// exists, with a witness. Under the solver's budget (NewSolverBudget) a
+// exists, with a witness. Under the solver's budget (NewSolver) a
 // budget or cancellation error leaves the witness nil, ok false, and
 // the question undecided.
 func (s *Solver) Existence() (*eqrel.Partition, bool, error) {
 	sp := s.rec.Start(obs.SpanASPSolve).AttrStr("mode", "existence")
 	defer sp.End()
-	m, ok, err := s.stable().Next()
+	m, ok, err := asp.NewStableSolver(s.gp, s.budget, s.rec).Next()
 	if err != nil || !ok {
 		return nil, false, err
 	}

@@ -113,7 +113,7 @@ func FuzzTheorem10(f *testing.F) {
 			MaxClauses:     500_000,
 			MaxDecisions:   2_000_000,
 		})
-		s, err := NewSolverBudget(New(d, spec, reg), b, nil)
+		s, err := NewSolver(New(d, spec, reg), b, nil)
 		if err != nil {
 			if errors.Is(err, limits.ErrBudget) {
 				t.Skip("grounding over budget")
@@ -165,7 +165,7 @@ func FuzzTheorem10(f *testing.F) {
 		// fresh one; reuse the grounding through a second Solver under a
 		// fresh budget.
 		b2 := limits.NewBudget(nil, limits.Limits{MaxClauses: 500_000, MaxDecisions: 2_000_000})
-		s2, err := NewSolverBudget(New(d, spec, reg), b2, nil)
+		s2, err := NewSolver(New(d, spec, reg), b2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

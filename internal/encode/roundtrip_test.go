@@ -31,11 +31,11 @@ func TestEncodingTextRoundTrip(t *testing.T) {
 
 	collect := func(p *asp.Program) map[string]bool {
 		t.Helper()
-		gp, err := asp.Ground(p)
+		gp, err := asp.Ground(p, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ss := asp.NewStableSolver(gp)
+		ss := asp.NewStableSolver(gp, nil, nil)
 		eqAtoms := gp.AtomsOf(PredEq)
 		out := make(map[string]bool)
 		ss.Enumerate(func(m []bool) bool {

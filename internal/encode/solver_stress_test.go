@@ -51,7 +51,7 @@ func TestWorkloadStressEnumerationStable(t *testing.T) {
 	}
 	ds := stressInstance(t)
 	order := func() string {
-		s, err := NewSolver(New(ds.DB, ds.Spec, ds.Sims))
+		s, err := NewSolver(New(ds.DB, ds.Spec, ds.Sims), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,7 +46,7 @@ func TestTheorem10Figure1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSolver(New(f.DB, f.Spec, f.Sims))
+	s, err := NewSolver(New(f.DB, f.Spec, f.Sims), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestTheorem10Figure1Maximal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSolver(New(f.DB, f.Spec, f.Sims))
+	s, err := NewSolver(New(f.DB, f.Spec, f.Sims), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestTheorem10Figure1Maximal(t *testing.T) {
 // on both a coherent and an incoherent instance.
 func TestTheorem10Coherence(t *testing.T) {
 	f := fixtures.New()
-	s, err := NewSolver(New(f.DB, f.Spec, f.Sims))
+	s, err := NewSolver(New(f.DB, f.Spec, f.Sims), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestTheorem10Coherence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := NewSolver(New(d, spec, nil))
+	s2, err := NewSolver(New(d, spec, nil), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestTheorem10Random(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		s, err := NewSolver(New(d, spec, reg))
+		s, err := NewSolver(New(d, spec, reg), nil, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -225,7 +225,7 @@ func TestTheorem10RandomMaximal(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		s, err := NewSolver(New(d, spec, reg))
+		s, err := NewSolver(New(d, spec, reg), nil, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -346,25 +346,22 @@ func EncodeASP(d *Database, spec *Spec, sims *SimRegistry) (*ASPProgram, error) 
 // (Theorem 10): Solutions, MaximalSolutions, Existence.
 type ASPSolver = encode.Solver
 
-// NewASPSolver builds and grounds the encoding of (D, Σ).
-func NewASPSolver(d *Database, spec *Spec, sims *SimRegistry) (*ASPSolver, error) {
-	return encode.NewSolver(encode.New(d, spec, sims))
-}
-
-// NewASPSolverRec is NewASPSolver with instrumentation: grounding and
-// solving report to rec (see NewRecorder).
-func NewASPSolverRec(d *Database, spec *Spec, sims *SimRegistry, rec Recorder) (*ASPSolver, error) {
-	return encode.NewSolverRec(encode.New(d, spec, sims), rec)
+// NewASPSolver builds and grounds the encoding of (D, Σ). Grounding and
+// the ASPSolver's solving methods report to rec (see NewRecorder) and
+// stop early with a typed error matching ErrBudget or ErrCanceled once
+// the budget trips (see NewBudget). A nil budget is unlimited and a nil
+// recorder is a no-op.
+func NewASPSolver(d *Database, spec *Spec, sims *SimRegistry, b *Budget, rec Recorder) (*ASPSolver, error) {
+	return encode.NewSolver(encode.New(d, spec, sims), b, rec)
 }
 
 // Resource budgets for the ASP pipeline and shared error sentinels.
 type (
 	// Limits bounds one ASP pipeline run (ground rules, CNF clauses,
-	// DPLL decisions); zero fields are unlimited.
+	// SAT decisions); zero fields are unlimited.
 	Limits = limits.Limits
 	// Budget tracks consumption against Limits under a context. Build
-	// one with NewBudget and pass it to NewASPSolverBudget; nil is
-	// unlimited.
+	// one with NewBudget and pass it to NewASPSolver; nil is unlimited.
 	Budget = limits.Budget
 )
 
@@ -384,16 +381,8 @@ func NewBudget(ctx context.Context, lim Limits) *Budget {
 	return limits.NewBudget(ctx, lim)
 }
 
-// NewASPSolverBudget is NewASPSolverRec under a resource budget:
-// grounding and the ASPSolver's solving methods stop early with a typed
-// error matching ErrBudget or ErrCanceled once the budget trips. A nil
-// budget is unlimited.
-func NewASPSolverBudget(d *Database, spec *Spec, sims *SimRegistry, b *Budget, rec Recorder) (*ASPSolver, error) {
-	return encode.NewSolverBudget(encode.New(d, spec, sims), b, rec)
-}
-
 // NewRecorder returns a live statistics registry. Use it as
-// Options.Recorder (or with NewASPSolverRec), then read the collected
+// Options.Recorder (or with NewASPSolver), then read the collected
 // metrics with its Snapshot method — or with Engine.Stats /
 // ASPSolver.Stats, which snapshot the attached recorder.
 func NewRecorder() *StatsRegistry { return obs.NewRegistry() }

@@ -92,7 +92,7 @@ func TestFacadeASPPipeline(t *testing.T) {
 	if !strings.Contains(prog.String(), "r_person(") {
 		t.Error("encoding missing relation facts")
 	}
-	solver, err := NewASPSolver(d, spec, sims)
+	solver, err := NewASPSolver(d, spec, sims, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
