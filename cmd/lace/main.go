@@ -132,8 +132,8 @@ func run(args []string) error {
 		}
 		if se := e.snap.Sharded(); se != nil && *statsFlag {
 			if st, err := se.Stats(); err == nil {
-				fmt.Fprintf(os.Stderr, "shards: %d (largest %d members), %d stitch rounds, %d solves, %d reused, monolithic fallback: %v\n",
-					st.Shards, maxInt(st.Sizes), st.Rounds, st.Solves, st.Reused, st.Monolithic)
+				fmt.Fprintf(os.Stderr, "shards: %d (largest %d members), %d stitch rounds (0: answered by the top), %d solves, monolithic fallback: %v\n",
+					st.Shards, maxInt(st.Sizes), st.Rounds, st.Solves, st.Monolithic)
 			}
 		}
 		snap := rec.Snapshot()

@@ -1071,9 +1071,9 @@ func e17Shards() error {
 			sol.Union(p.A, p.B)
 		}
 		q := workload.Score(sol, ds.Truth)
-		fmt.Printf("%-9d %-8d %-8d %-7d %-9s %-9s %-7d %-7.3f %-11v %-8.2f %s\n",
+		fmt.Printf("%-9d %-8d %-8d %-7d %-9d %-9s %-7d %-7.3f %-11v %-8.2f %s\n",
 			n, ds.DB.NumFacts(), st.Shards, st.Rounds,
-			fmt.Sprintf("%d(+%dr)", st.Solves, st.Reused),
+			st.Solves,
 			fmt.Sprintf("%d/%d", p50, p99), largest, frac,
 			dt.Round(time.Millisecond), q.F1, peakRSS())
 		if i == 0 {

@@ -20,9 +20,10 @@ package core
 //     are computed once per lineage, not once per epoch;
 //   - sharded snapshots share one ShardSolveCache, so a shard whose
 //     projected instance a batch did not touch replays its solved
-//     results instead of re-searching. Planning — the coupling
-//     fixpoint that makes sharded ≡ monolithic — is re-run from
-//     scratch every epoch; only solved search spaces are memoized.
+//     results instead of re-searching. The top of the candidate
+//     lattice — and, when it is inconsistent, the one-round stitch it
+//     seeds — is recomputed every epoch; only solved search spaces are
+//     memoized.
 
 import (
 	"context"
@@ -55,10 +56,16 @@ type ApplyResult struct {
 	// Fingerprint is the new database's content fingerprint.
 	Fingerprint string
 	// DirtyShards is the number of the previous epoch's shard
-	// components whose support mentions a constant of the batch — the
-	// re-solve surface the batch dirtied. It is -1 when unavailable:
-	// monolithic sessions, a previous epoch that never resolved, or a
-	// previous epoch that fell back to a monolithic solve.
+	// components whose support mentions a constant of the batch. After
+	// a stitched epoch that is the re-solve surface the batch dirtied.
+	// After an epoch answered by the top (ShardStats.Rounds == 0) the
+	// shards are the nontrivial T-classes, each supported by its own
+	// members only, so it counts the T-classes the batch names: a lower
+	// bound, since a batch constant reaching a class only through a
+	// rule body is not counted (an inserted Author tuple that σ2 joins
+	// to a class member by a similar email at the same institution). It is -1 when unavailable: monolithic
+	// sessions, a previous epoch that never resolved, or a previous
+	// epoch that fell back to a monolithic solve.
 	DirtyShards int
 }
 

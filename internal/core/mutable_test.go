@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/cq"
 	"repro/internal/db"
+	"repro/internal/eqrel"
 	"repro/internal/fixtures"
 	"repro/internal/rules"
 	"repro/internal/sim"
@@ -26,9 +27,19 @@ import (
 )
 
 // rebuildFromSnapshot builds the oracle: a from-scratch database with
-// exactly the snapshot's facts (interner cloned so constant ids align)
-// under a sequential monolithic engine.
+// exactly the snapshot's facts under a sequential monolithic engine.
 func rebuildFromSnapshot(t *testing.T, snap *EpochSnapshot, spec *rules.Spec, sims *sim.Registry) *Engine {
+	t.Helper()
+	eng, err := New(rebuildDB(t, snap), spec, sims, Options{Parallelism: 1})
+	if err != nil {
+		t.Fatalf("oracle engine: %v", err)
+	}
+	return eng
+}
+
+// rebuildDB builds a from-scratch database with exactly the snapshot's
+// facts (interner cloned so constant ids align).
+func rebuildDB(t *testing.T, snap *EpochSnapshot) *db.Database {
 	t.Helper()
 	d := snap.DB()
 	in := d.Interner()
@@ -43,11 +54,7 @@ func rebuildFromSnapshot(t *testing.T, snap *EpochSnapshot, spec *rules.Spec, si
 	if nd.Fingerprint() != snap.Fingerprint() {
 		t.Fatalf("rebuilt fingerprint %s != snapshot fingerprint %s", nd.Fingerprint(), snap.Fingerprint())
 	}
-	eng, err := New(nd, spec, sims, Options{Parallelism: 1})
-	if err != nil {
-		t.Fatalf("oracle engine: %v", err)
-	}
-	return eng
+	return nd
 }
 
 // assertEpochEquals compares every result surface of the snapshot with
@@ -113,45 +120,77 @@ func assertEpochEquals(t *testing.T, label string, oracle *Engine, snap *EpochSn
 		t.Fatalf("%s: existence %v (oracle) vs %v (snapshot)", label, ook, sok)
 	}
 
-	for qi, q := range queries {
-		oca, err := oracle.CertainAnswersCtx(context.Background(), q)
+	if queries != nil {
+		assertAnswersEqual(t, label, engineAnswers{oracle}, snap, queries, op)
+	}
+}
+
+// answerer is the query-answer and explanation surface of a reference
+// resolution: the monolithic oracle, or a snapshot rebuilt from scratch.
+type answerer interface {
+	CertainAnswersCtx(ctx context.Context, q *cq.CQ) ([][]db.Const, error)
+	PossibleAnswersCtx(ctx context.Context, q *cq.CQ) ([][]db.Const, error)
+	ExplainMergesCtx(ctx context.Context, pairs []eqrel.Pair) ([]*MergeExplanation, error)
+}
+
+// engineAnswers adapts the monolithic oracle to answerer, explaining
+// one pair at a time.
+type engineAnswers struct{ *Engine }
+
+func (e engineAnswers) ExplainMergesCtx(ctx context.Context, pairs []eqrel.Pair) ([]*MergeExplanation, error) {
+	out := make([]*MergeExplanation, len(pairs))
+	for i, p := range pairs {
+		x, err := e.ExplainMergeCtx(ctx, p.A, p.B)
 		if err != nil {
-			t.Fatalf("%s: oracle certain answers %d: %v", label, qi, err)
+			return nil, fmt.Errorf("%v: %w", p, err)
+		}
+		out[i] = x
+	}
+	return out, nil
+}
+
+// assertAnswersEqual compares the snapshot's certain and possible
+// answers to each query, and its explanation of each pair, with the
+// reference's.
+func assertAnswersEqual(t *testing.T, label string, ref answerer, snap *EpochSnapshot, queries []*cq.CQ, pairs []eqrel.Pair) {
+	t.Helper()
+	ctx := context.Background()
+	for qi, q := range queries {
+		rca, err := ref.CertainAnswersCtx(ctx, q)
+		if err != nil {
+			t.Fatalf("%s: reference certain answers %d: %v", label, qi, err)
 		}
 		sca, err := snap.CertainAnswersCtx(ctx, q)
 		if err != nil {
 			t.Fatalf("%s: snapshot certain answers %d: %v", label, qi, err)
 		}
-		if fmt.Sprintf("%v", oca) != fmt.Sprintf("%v", sca) {
-			t.Fatalf("%s: certain answers %d diverge:\n  oracle   %v\n  snapshot %v", label, qi, oca, sca)
+		if fmt.Sprintf("%v", rca) != fmt.Sprintf("%v", sca) {
+			t.Fatalf("%s: certain answers %d diverge:\n  reference %v\n  snapshot  %v", label, qi, rca, sca)
 		}
-		opa, err := oracle.PossibleAnswersCtx(context.Background(), q)
+		rpa, err := ref.PossibleAnswersCtx(ctx, q)
 		if err != nil {
-			t.Fatalf("%s: oracle possible answers %d: %v", label, qi, err)
+			t.Fatalf("%s: reference possible answers %d: %v", label, qi, err)
 		}
 		spa, err := snap.PossibleAnswersCtx(ctx, q)
 		if err != nil {
 			t.Fatalf("%s: snapshot possible answers %d: %v", label, qi, err)
 		}
-		if fmt.Sprintf("%v", opa) != fmt.Sprintf("%v", spa) {
-			t.Fatalf("%s: possible answers %d diverge:\n  oracle   %v\n  snapshot %v", label, qi, opa, spa)
+		if fmt.Sprintf("%v", rpa) != fmt.Sprintf("%v", spa) {
+			t.Fatalf("%s: possible answers %d diverge:\n  reference %v\n  snapshot  %v", label, qi, rpa, spa)
 		}
 	}
-	if queries == nil {
-		return
-	}
 	in := snap.DB().Interner()
-	sxs, err := snap.ExplainMergesCtx(ctx, op)
+	rxs, err := ref.ExplainMergesCtx(ctx, pairs)
+	if err != nil {
+		t.Fatalf("%s: reference explain: %v", label, err)
+	}
+	sxs, err := snap.ExplainMergesCtx(ctx, pairs)
 	if err != nil {
 		t.Fatalf("%s: snapshot explain: %v", label, err)
 	}
-	for i, p := range op {
-		ox, err := oracle.ExplainMergeCtx(context.Background(), p.A, p.B)
-		if err != nil {
-			t.Fatalf("%s: oracle explain %v: %v", label, p, err)
-		}
-		if sx := sxs[i]; ox.Format(in) != sx.Format(in) {
-			t.Fatalf("%s: explanations of %v diverge:\n  oracle   %s\n  snapshot %s", label, p, ox.Format(in), sx.Format(in))
+	for i, p := range pairs {
+		if rx, sx := rxs[i].Format(in), sxs[i].Format(in); rx != sx {
+			t.Fatalf("%s: explanations of %v diverge:\n  reference %s\n  snapshot  %s", label, p, rx, sx)
 		}
 	}
 }
@@ -412,13 +451,50 @@ func TestMutableNoOpBatch(t *testing.T) {
 	}
 }
 
+// figure1Copies builds one instance holding a renamed copy of Figure 1
+// per prefix: every constant of copy k is renamed prefixes[k]+name, and
+// the similarity table relates only names within one copy, so the
+// copies share no constant and never couple.
+func figure1Copies(t *testing.T, prefixes ...string) (*db.Database, *rules.Spec, *sim.Registry) {
+	t.Helper()
+	f := fixtures.New()
+	fin := f.DB.Interner()
+	d := db.New(f.Schema, nil)
+	approx := sim.NewTable("approx")
+	similar := [][2]string{
+		{fixtures.E1, fixtures.E2}, {fixtures.E2, fixtures.E3}, {fixtures.E6, fixtures.E7},
+		{fixtures.T2, fixtures.T3}, {fixtures.T4, fixtures.T5},
+		{fixtures.N2, fixtures.N3}, {fixtures.N3, fixtures.N4},
+	}
+	for _, pre := range prefixes {
+		for _, fact := range f.DB.Facts() {
+			names := make([]string, len(fact.Args))
+			for i, c := range fact.Args {
+				names[i] = pre + fin.Name(c)
+			}
+			d.MustInsert(fact.Rel, names...)
+		}
+		for _, p := range similar {
+			approx.Add(pre+p[0], pre+p[1])
+		}
+	}
+	reg := sim.NewRegistry(approx)
+	spec, err := rules.ParseSpec(fixtures.SpecText, f.Schema, d.Interner(), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, spec, reg
+}
+
 // TestMutableDirtyScopedResolve: a batch touching one component
 // re-solves only dirtied shards; untouched shards hit the cache, and
-// DirtyShards reports the touched component count.
+// DirtyShards reports the touched component count. The instance is two
+// disjoint copies of Figure 1, so its lattice top is inconsistent and
+// every epoch runs the stitch over at least two shards.
 func TestMutableDirtyScopedResolve(t *testing.T) {
 	ctx := context.Background()
-	f := fixtures.New()
-	m, err := NewMutableSharded(f.DB, f.Spec, f.Sims, Options{Parallelism: 1}, ShardOptions{})
+	d, spec, sims := figure1Copies(t, "x.", "y.")
+	m, err := NewMutableSharded(d, spec, sims, Options{Parallelism: 1}, ShardOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,12 +505,15 @@ func TestMutableDirtyScopedResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if st0.Shards < 2 || st0.Monolithic {
+		t.Fatalf("epoch 0: %d shards (monolithic fallback %v), want at least one per copy", st0.Shards, st0.Monolithic)
+	}
 
-	// Move a6 to a different institution: breaks the sigma2 support of
-	// the a6~a7 merge without touching the other components.
+	// Move copy x's a6 to a different institution: breaks the sigma2
+	// support of its a6~a7 merge without touching copy y.
 	res, snap, err := m.Apply(Batch{
-		Retract: []db.FactSpec{{Rel: "Author", Args: []string{"a6", fixtures.E6, "Tokyo"}}},
-		Insert:  []db.FactSpec{{Rel: "Author", Args: []string{"a6", fixtures.E6, "Osaka"}}},
+		Retract: []db.FactSpec{{Rel: "Author", Args: []string{"x.a6", "x." + fixtures.E6, "x.Tokyo"}}},
+		Insert:  []db.FactSpec{{Rel: "Author", Args: []string{"x.a6", "x." + fixtures.E6, "x.Osaka"}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -442,8 +521,8 @@ func TestMutableDirtyScopedResolve(t *testing.T) {
 	if res.Inserted != 1 || res.Retracted != 1 {
 		t.Fatalf("apply counts: %+v", res)
 	}
-	if res.DirtyShards < 1 || res.DirtyShards > st0.Shards {
-		t.Fatalf("DirtyShards = %d with %d shards", res.DirtyShards, st0.Shards)
+	if res.DirtyShards != 1 {
+		t.Fatalf("DirtyShards = %d with %d shards, want 1", res.DirtyShards, st0.Shards)
 	}
 	if _, err := snap.PossibleMergesCtx(ctx); err != nil {
 		t.Fatal(err)
@@ -452,15 +531,116 @@ func TestMutableDirtyScopedResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st1.CacheHits == 0 {
+	if st1.CacheHits < 1 {
 		t.Fatal("localized batch produced no solve-cache hits — untouched components re-solved")
 	}
-	if st1.Solves >= st0.Solves+st0.CacheHits && st0.Shards > 1 {
-		t.Fatalf("localized batch re-solved everything: %d solves vs epoch 0's %d", st1.Solves, st0.Solves)
+	if st1.Solves > 1 {
+		t.Fatalf("localized batch re-solved %d shards, want at most the one it touched", st1.Solves)
 	}
 
-	// The oracle agrees on the changed instance.
-	assertEpochEquals(t, "dirty-scope", rebuildFromSnapshot(t, snap, f.Spec, f.Sims), snap, bibQueries(t, f.Schema))
+	// The oracle agrees on the changed instance: the monolithic engine
+	// on merges, maximal solutions and existence. Its query answers and
+	// explanations each walk the two copies' product lattice (together
+	// over a minute under -race), so those surfaces are
+	// checked against a sharded session rebuilt from scratch, which
+	// shares no solve cache or epoch lineage with this one.
+	assertEpochEquals(t, "dirty-scope", rebuildFromSnapshot(t, snap, spec, sims), snap, nil)
+	fresh, err := NewMutableSharded(rebuildDB(t, snap), spec, sims, Options{Parallelism: 1}, ShardOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	possible, err := snap.PossibleMergesCtx(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertAnswersEqual(t, "dirty-scope", fresh.Snapshot(), snap, bibQueries(t, d.Schema()), possible)
+}
+
+// TestMutableTopFlips: one-fact Author retractions and re-insertions
+// flip the lattice top of a generated instance between consistent and
+// inconsistent, so successive epochs alternate between the
+// top-answered path and the top-seeded stitch. Every epoch must equal a
+// fresh sharded rebuild and the monolithic oracle.
+func TestMutableTopFlips(t *testing.T) {
+	ctx := context.Background()
+	cfg := workload.DefaultScaleConfig(5, 100)
+	cfg.MaxDup = 1
+	ds, err := workload.GenerateScale(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMutableSharded(ds.DB, ds.Spec, ds.Sims, Options{Parallelism: 1}, ShardOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Retracting Author tuples 0–10 in order makes the top inconsistent
+	// at the 11th; re-inserting that tuple flips it back, and
+	// retracting it again flips it once more.
+	in := ds.DB.Interner()
+	var authors []db.FactSpec
+	for _, tu := range ds.DB.Tuples("Author")[:11] {
+		args := make([]string, len(tu))
+		for i, c := range tu {
+			args[i] = in.Name(c)
+		}
+		authors = append(authors, db.FactSpec{Rel: "Author", Args: args})
+	}
+	var batches []Batch
+	for _, f := range authors {
+		batches = append(batches, Batch{Retract: []db.FactSpec{f}})
+	}
+	last := authors[len(authors)-1]
+	batches = append(batches, Batch{Insert: []db.FactSpec{last}}, Batch{Retract: []db.FactSpec{last}})
+
+	byRounds := make(map[int]int) // stitch rounds -> epochs
+	check := func(snap *EpochSnapshot) {
+		label := fmt.Sprintf("epoch %d", snap.Epoch())
+		st, err := snap.Sharded().Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Monolithic || st.Rounds > 1 {
+			t.Fatalf("%s: %d stitch rounds, monolithic fallback %v", label, st.Rounds, st.Monolithic)
+		}
+		byRounds[st.Rounds]++
+		fresh, err := NewSharded(snap.DB(), ds.Spec, ds.Sims, Options{Parallelism: 1}, ShardOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []struct {
+			name string
+			get  func(resolver) (any, error)
+		}{
+			{"certain", func(r resolver) (any, error) { return r.CertainMergesCtx(ctx) }},
+			{"possible", func(r resolver) (any, error) { return r.PossibleMergesCtx(ctx) }},
+			{"maximal", func(r resolver) (any, error) { return r.MaximalSolutionsCtx(ctx) }},
+		} {
+			got, err := q.get(snap.resolver())
+			if err != nil {
+				t.Fatalf("%s: snapshot %s: %v", label, q.name, err)
+			}
+			want, err := q.get(fresh)
+			if err != nil {
+				t.Fatalf("%s: rebuild %s: %v", label, q.name, err)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s: %s diverges from a fresh rebuild:\n  incremental %v\n  rebuild     %v", label, q.name, got, want)
+			}
+		}
+		assertEpochEquals(t, label, rebuildFromSnapshot(t, snap, ds.Spec, ds.Sims), snap, nil)
+	}
+	check(m.Snapshot())
+	for _, b := range batches {
+		_, snap, err := m.Apply(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(snap)
+	}
+	t.Logf("epochs by stitch rounds: %v", byRounds)
+	if byRounds[0] == 0 || byRounds[1] == 0 {
+		t.Fatalf("epochs by stitch rounds %v: want both top-answered (0) and stitched (1) epochs", byRounds)
+	}
 }
 
 // TestMutableApplyRejects: a validation error rejects the batch whole

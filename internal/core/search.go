@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 
+	"repro/internal/db"
 	"repro/internal/eqrel"
 	"repro/internal/limits"
 	"repro/internal/obs"
@@ -224,19 +225,32 @@ func (e *Engine) MaximalSolutionsCtx(ctx context.Context) ([]*eqrel.Partition, e
 // Δ = ∅ T is always consistent, and with Γs = ∅ T is the hard closure,
 // whose inconsistency leaves a one-state walk that finds no solution.
 func (e *Engine) consistentTop(ctx context.Context) (*eqrel.Partition, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, limits.Wrap(err)
-	}
-	top := e.Identity()
-	ind, _, err := e.closeFrom(top, e.sess.d, e.sess.mergeRules, nil)
-	if err != nil {
-		return nil, err
-	}
-	ok, err := e.satisfiesDenials(top, ind)
+	top, _, ok, err := e.top(ctx)
 	if err != nil || !ok {
 		return nil, err
 	}
 	return top, nil
+}
+
+// top computes the top T of the candidate lattice by closing the
+// identity under every merge rule over the base database, and returns
+// T, its induced database D_T and whether (D, T) satisfies Δ. It is the
+// one closure both consistentTop and the sharded engine's planning
+// start from.
+func (c *Context) top(ctx context.Context) (*eqrel.Partition, *db.Database, bool, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, false, limits.Wrap(err)
+	}
+	T := c.Identity()
+	ind, _, err := c.closeFrom(T, c.sess.d, c.sess.mergeRules, nil)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	ok, err := c.satisfiesDenials(T, ind)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	return T, ind, ok, nil
 }
 
 // sortPartitions orders partitions by canonical key: the deterministic

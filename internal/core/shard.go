@@ -8,22 +8,31 @@ package core
 // re-partitions on the merges the shards discover until no cross-shard
 // interaction remains.
 //
-// The partition starts at the identity and is built by the coupling
-// analysis alone. A merge only ever comes from a match of a rule body,
+// Planning asks the top T of the candidate lattice first: the closure
+// of the identity under every merge rule. Every solution lies below T,
+// so a consistent T is the unique maximal solution and answers the
+// instance with no components, coupling analysis or shard solves; it is
+// recorded as one single-choice shard per nontrivial T-class. Only an
+// inconsistent T runs the stitch, seeded with G = T and the components
+// at T's classes. A merge only ever comes from a match of a rule body,
 // similarity atoms included, so what guarantees sharded ≡ monolithic is
-// the coupling analysis run on every stitch round: each merge rule and
-// each denial constraint is evaluated on D_G (G = all possible merges
-// found so far) with its inequality atoms dropped and every variable
-// exposed in the head. Sim-safety (enforced by Spec.Validate) makes rule and
-// denial matches forward-map under merging, so every match any solution
-// can ever exhibit is the image of one of these relaxed matches; the
-// constants of each relaxed match that can merge at all are unioned
-// into one component, hence no rule application or denial violation can
-// ever span two shards. Inequality atoms are the one non-monotone
-// ingredient, and dropping them is conservative; the only matches
-// skipped are those whose dropped inequality binds one constant that
-// provably never merges (a trivial class in G), which can never become
-// a real match in any state. See DESIGN.md §11 for the full argument.
+// the coupling analysis: each merge rule and each denial constraint is
+// evaluated on D_G with its inequality atoms dropped and every variable
+// exposed in the head. Sim-safety (enforced by Spec.Validate) makes rule
+// and denial matches forward-map under merging, and every solution lies
+// below T = G, so every match any solution can ever exhibit is the image
+// of one of these relaxed matches; the constants of each relaxed match
+// that can merge at all are unioned into one component, hence no rule
+// application or denial violation can ever span two shards. Inequality
+// atoms are the one non-monotone ingredient, and dropping them is
+// conservative; the only matches skipped are those whose dropped
+// inequality binds one constant that provably never merges (a singleton
+// class of T), which can never become a real match in any state. The
+// shards can only rediscover merges already in G, so the stitch closes
+// after one round. A component's local top is T restricted to it, so a
+// component no violated denial match of D_T touches is answered by T
+// too; only the others are solved. See DESIGN.md §11 for the full
+// argument.
 
 import (
 	"context"
@@ -79,15 +88,18 @@ type Shard struct {
 
 // ShardStats summarizes a finished sharded resolution.
 type ShardStats struct {
-	// Shards is the number of nontrivial components solved; Sizes their
-	// member counts, ordered by component root.
+	// Shards is the number of nontrivial components, solved or answered
+	// by the top; Sizes their member counts, ordered by component root.
 	Shards int
 	Sizes  []int
-	// Rounds is the number of stitch-fixpoint rounds; Solves the
-	// per-shard solves performed across them; Reused the shards carried
-	// over unchanged between rounds.
-	Rounds, Solves, Reused int
-	// CacheHits / CacheMisses count dirty shards served from (resp.
+	// Rounds is the number of stitch-fixpoint rounds: 0 when the
+	// instance was answered by the top (a consistent lattice top, with
+	// one shard per nontrivial class of it), 1 when an inconsistent top
+	// seeded the stitch. Solves counts the per-shard solves performed;
+	// a shard the top answers is neither solved nor looked up in the
+	// solve cache.
+	Rounds, Solves int
+	// CacheHits / CacheMisses count shards served from (resp.
 	// missed in) the cross-epoch solve cache; both stay zero when no
 	// ShardOptions.SolveCache is configured.
 	CacheHits, CacheMisses int
@@ -111,12 +123,13 @@ type couplingPlan struct {
 	consts []db.Const
 }
 
-// ShardedEngine resolves an instance by partitioning it into coupled
-// components, solving each component as a Shard over the parallel work
-// queue, and stitching: any merges a round discovers coarsen the
-// partition, dirty shards are re-solved, and the loop runs to fixpoint.
-// Results are byte-identical to the monolithic Engine on the same
-// instance.
+// ShardedEngine resolves an instance from the top of its candidate
+// lattice: a consistent top is the answer; an inconsistent one seeds a
+// partition into coupled components and a stitch that feeds the merges
+// the shards discover back until none is new. A component the top
+// answers is recorded as is; the rest are each solved as a Shard over
+// the parallel work queue. Results are byte-identical to the monolithic
+// Engine on the same instance.
 //
 // The first result call resolves the whole instance once (under that
 // call's context); later calls reuse the per-shard results. The result
@@ -134,7 +147,6 @@ type ShardedEngine struct {
 	shards      []*Shard // ordered by root
 	rounds      int
 	solves      int
-	reused      int
 	cacheHits   int
 	cacheMisses int
 	mono        bool // fell back to a single monolithic solve
@@ -164,7 +176,7 @@ func (se *ShardedEngine) Stats() (ShardStats, error) {
 	}
 	st := ShardStats{
 		Shards: len(se.shards), Rounds: se.rounds,
-		Solves: se.solves, Reused: se.reused,
+		Solves:    se.solves,
 		CacheHits: se.cacheHits, CacheMisses: se.cacheMisses,
 		Monolithic: se.mono,
 	}
@@ -174,8 +186,8 @@ func (se *ShardedEngine) Stats() (ShardStats, error) {
 	return st, nil
 }
 
-// resolve runs the full pipeline once: stitch components to fixpoint,
-// remember per-shard results.
+// resolve runs the full pipeline once: the top, then (when it is
+// inconsistent) the stitch to fixpoint; it remembers per-shard results.
 func (se *ShardedEngine) resolve(ctx context.Context) error {
 	se.once.Do(func() {
 		se.err = se.run(ctx)
@@ -192,10 +204,13 @@ func (se *ShardedEngine) resolve(ctx context.Context) error {
 func (se *ShardedEngine) Resolved() bool { return se.done.Load() }
 
 // TouchedShards counts resolved shards whose support contains any of
-// the given constants: the number of components a fact batch naming
-// those constants dirties. It returns -1 when no resolution has
-// completed yet, or when the engine fell back to a monolithic solve
-// (where per-shard accounting is meaningless).
+// the given constants: after a stitch, the number of components a fact
+// batch naming those constants dirties. For an instance answered by
+// the top, whose shards are the nontrivial T-classes supported by their
+// members only, it is the number of T-classes the constants name, a
+// lower bound on the classes such a batch can change. It returns -1
+// when no resolution has completed yet, or when the engine fell back to
+// a monolithic solve (where per-shard accounting is meaningless).
 func (se *ShardedEngine) TouchedShards(consts map[db.Const]bool) int {
 	if !se.Resolved() || se.mono {
 		return -1
@@ -218,9 +233,84 @@ func (se *ShardedEngine) run(ctx context.Context) error {
 	sp := rec.Start(obs.SpanShardPlan)
 	defer sp.End()
 
-	// The component partition starts at the identity; the coupling
-	// analysis of the stitch fixpoint builds every component from there.
-	comp := eqrel.New(e.sess.dom)
+	// Stage 0: the top T of the candidate lattice. Every solution lies
+	// below T, so a consistent T is the unique maximal solution and
+	// answers the instance; an inconsistent one seeds the stitch.
+	T, indT, consistent, err := e.top(ctx)
+	if err != nil {
+		return err
+	}
+	if consistent {
+		se.shards = topShards(T)
+	} else {
+		if err := se.stitch(ctx, T, indT); err != nil {
+			return err
+		}
+		if se.mono {
+			return nil
+		}
+	}
+
+	rec.Gauge(obs.CoreShardCount, int64(len(se.shards)))
+	rec.Gauge(obs.CoreShardRounds, int64(se.rounds))
+	largest := 0
+	for _, sh := range se.shards {
+		rec.Observe(obs.HistShardSize, time.Duration(int64(len(sh.Members))))
+		if len(sh.Members) > largest {
+			largest = len(sh.Members)
+		}
+	}
+	rec.Gauge(obs.CoreShardLargest, int64(largest))
+	topConsistent := int64(0)
+	if consistent {
+		topConsistent = 1
+	}
+	sp.AttrInt("shards", int64(len(se.shards))).AttrInt("rounds", int64(se.rounds)).
+		AttrInt("top_consistent", topConsistent)
+	return nil
+}
+
+// topShards records a consistent top T as the resolution: one
+// single-choice shard per nontrivial T-class, whose members, support,
+// only maximal choice, possible merges and certain merges are all that
+// class. Composition, witnesses and TouchedShards then read it like any
+// solved shard, with no round, plan or solve behind it.
+func topShards(T *eqrel.Partition) []*Shard {
+	classes := T.NontrivialClasses()
+	shards := make([]*Shard, len(classes))
+	for i, cls := range classes {
+		shards[i] = &Shard{Root: cls[0], Members: cls, support: cls}
+		answerByTop(shards[i], T)
+	}
+	return shards
+}
+
+// answerByTop records T's restriction to the shard's members as its
+// only maximal choice, its possible merges and its certain merges.
+// Members ascend, so the pairs come out in canonical order.
+func answerByTop(sh *Shard, T *eqrel.Partition) {
+	var pairs []eqrel.Pair
+	for i, a := range sh.Members {
+		for _, b := range sh.Members[i+1:] {
+			if T.Same(a, b) {
+				pairs = append(pairs, eqrel.Pair{A: a, B: b})
+			}
+		}
+	}
+	sh.maximal = [][]eqrel.Pair{pairs}
+	sh.possible, sh.certain = pairs, pairs
+	sh.solvable = true
+}
+
+// stitch resolves an instance whose top T violates Δ: G starts at T and
+// the component partition at T's classes, every member a potential
+// merge endpoint. Every solution lies below T, so the shards can only
+// rediscover merges already in G and the fixpoint closes after one
+// round; only components a violated denial touches are solved
+// (DESIGN.md §11). indT is T's induced database.
+func (se *ShardedEngine) stitch(ctx context.Context, T *eqrel.Partition, indT *db.Database) error {
+	e := se.eng
+	comp := T.Clone()
 
 	plans, err := se.couplingPlans()
 	if err != nil {
@@ -231,8 +321,13 @@ func (se *ShardedEngine) run(ctx context.Context) error {
 	// potential merge endpoint; only such components become shards.
 	// Entries are keyed by class representative (the minimum id, which
 	// never changes owner), so stale keys of absorbed classes are never
-	// read back.
+	// read back. Every member of a nontrivial T-class is an endpoint: the
+	// rule branch below skips pairs already merged in G, so it would
+	// never mark them.
 	hasHead := make(map[db.Const]bool)
+	for _, cls := range T.NontrivialClasses() {
+		hasHead[cls[0]] = true
+	}
 	mergeable := func(c db.Const) bool { return hasHead[comp.Rep(c)] }
 	markHead := func(c db.Const) { hasHead[comp.Rep(c)] = true }
 	unionComp := func(a, b db.Const) bool {
@@ -249,8 +344,10 @@ func (se *ShardedEngine) run(ctx context.Context) error {
 	}
 
 	// Stage 1: stitch fixpoint.
-	G := e.Identity()
-	prev := make(map[db.Const]*Shard)
+	G := T
+	if !G.IsIdentity() {
+		e.storeKey(G.Key(), indT)
+	}
 	for {
 		se.rounds++
 		if err := ctx.Err(); err != nil {
@@ -273,8 +370,8 @@ func (se *ShardedEngine) run(ctx context.Context) error {
 				if cp.rule {
 					u, v := vals[cp.x], vals[cp.y]
 					if u == v {
-						// Either already merged in G (handled when the
-						// merge was first discovered) or a trivial
+						// Either already merged in G (a T-class, marked
+						// before the first round) or a trivial
 						// self-derivation: no new endpoint either way.
 						if G.ClassSize(u) == 1 {
 							return
@@ -326,19 +423,31 @@ func (se *ShardedEngine) run(ctx context.Context) error {
 			return nil
 		}
 
-		// (b) collect supports and project tuples now that this round's
-		// components are final.
-		supports := se.collectSupports(G, plans, comp, mergeable)
-		shards, dirty := se.planShards(comp, hasHead, supports, G, prev)
+		// (b) collect supports now that this round's components are
+		// final.
+		supports, violated := se.collectSupports(G, plans, comp, mergeable)
+		shards := se.planShards(comp, hasHead, supports)
 
-		// (c) solve dirty shards in parallel over the work queue; cache
-		// hits replay earlier epochs' solves without searching.
-		hits, err := se.solveDirty(ctx, dirty)
+		// (c) a component no violated denial match of D_G touches has
+		// G's restriction as its local top, and that top is consistent:
+		// it is the component's one maximal solution. Only the other
+		// components get projected tuples and are solved, in parallel
+		// over the work queue; cache hits replay earlier epochs' solves
+		// without searching.
+		var toSolve []*Shard
+		for _, sh := range shards {
+			if violated[sh.Root] {
+				toSolve = append(toSolve, sh)
+			} else {
+				answerByTop(sh, G)
+			}
+		}
+		se.project(toSolve, supports, G)
+		hits, err := se.solveShards(ctx, toSolve)
 		if err != nil {
 			return err
 		}
-		se.solves += len(dirty) - hits
-		se.reused += len(shards) - len(dirty)
+		se.solves += len(toSolve) - hits
 
 		// (d) feed discovered merges back; fixpoint when nothing new. A
 		// shard's closure may derive merges whose endpoints were plain
@@ -356,10 +465,6 @@ func (se *ShardedEngine) run(ctx context.Context) error {
 				markHead(p.B)
 				unionComp(p.A, p.B)
 			}
-		}
-		prev = make(map[db.Const]*Shard, len(shards))
-		for _, sh := range shards {
-			prev[sh.Root] = sh
 		}
 		if !changed {
 			se.shards = shards
@@ -385,18 +490,6 @@ func (se *ShardedEngine) run(ctx context.Context) error {
 		}
 	}
 	se.unsolvable = unsolvable
-
-	rec.Gauge(obs.CoreShardCount, int64(len(se.shards)))
-	rec.Gauge(obs.CoreShardRounds, int64(se.rounds))
-	largest := 0
-	for _, sh := range se.shards {
-		rec.Observe(obs.HistShardSize, time.Duration(int64(len(sh.Members))))
-		if len(sh.Members) > largest {
-			largest = len(sh.Members)
-		}
-	}
-	rec.Gauge(obs.CoreShardLargest, int64(largest))
-	sp.AttrInt("shards", int64(len(se.shards))).AttrInt("rounds", int64(se.rounds))
 	return nil
 }
 
@@ -559,11 +652,14 @@ func (se *ShardedEngine) simPositionsClash(mergeable func(db.Const) bool) bool {
 
 // collectSupports runs one more pass over the relaxed matches with the
 // final components of this round and gathers, per shard component, the
-// set of D_G constants any of its matches can reach.
+// set of D_G constants any of its matches can reach. It also reports
+// the components some denial match of D_G, inequalities included,
+// touches: those whose restriction of G violates Δ.
 func (se *ShardedEngine) collectSupports(G *eqrel.Partition, plans []*couplingPlan,
-	comp *eqrel.Partition, mergeable func(db.Const) bool) map[db.Const]map[db.Const]bool {
+	comp *eqrel.Partition, mergeable func(db.Const) bool) (supports map[db.Const]map[db.Const]bool, violated map[db.Const]bool) {
 
-	supports := make(map[db.Const]map[db.Const]bool)
+	supports = make(map[db.Const]map[db.Const]bool)
+	violated = make(map[db.Const]bool)
 	add := func(root, c db.Const) {
 		s := supports[root]
 		if s == nil {
@@ -573,11 +669,15 @@ func (se *ShardedEngine) collectSupports(G *eqrel.Partition, plans []*couplingPl
 		s[c] = true
 	}
 	se.forEachCouplingMatch(G, plans, func(cp *couplingPlan, vals []db.Const, constVals []db.Const) {
+		holds := true // every dropped inequality holds on D_G
 		for _, nq := range cp.neq {
 			a := termVal(nq[0], cp, vals, G)
 			b := termVal(nq[1], cp, vals, G)
-			if a == b && G.ClassSize(a) == 1 {
-				return
+			if a == b {
+				if G.ClassSize(a) == 1 {
+					return
+				}
+				holds = false
 			}
 		}
 		var root db.Const = -1
@@ -598,6 +698,9 @@ func (se *ShardedEngine) collectSupports(G *eqrel.Partition, plans []*couplingPl
 		if root < 0 {
 			return // no shard touched: spectator-only match
 		}
+		if !cp.rule && holds {
+			violated[root] = true
+		}
 		for _, c := range vals {
 			add(root, c)
 		}
@@ -613,31 +716,15 @@ func (se *ShardedEngine) collectSupports(G *eqrel.Partition, plans []*couplingPl
 			add(comp.Rep(c), G.Rep(c))
 		}
 	}
-	return supports
+	return supports, violated
 }
 
-// planShards materializes this round's shards from the component
-// partition and support sets, reusing any previous-round shard whose
-// membership and support did not change. It returns all shards plus the
-// dirty subset that must be (re-)solved.
+// planShards materializes this round's shards, ordered by root, from
+// the component partition and support sets.
 func (se *ShardedEngine) planShards(comp *eqrel.Partition, hasHead map[db.Const]bool,
-	supports map[db.Const]map[db.Const]bool, G *eqrel.Partition, prev map[db.Const]*Shard) (all, dirty []*Shard) {
+	supports map[db.Const]map[db.Const]bool) []*Shard {
 
-	d := se.eng.sess.d
-	// constToRoots: which shards' supports contain a given D_G constant,
-	// indexed by constant. Each (constant, root) pair is appended exactly
-	// once, so the per-constant lists are duplicate-free.
-	constToRoots := make([][]db.Const, d.Interner().Size())
-	for root, set := range supports {
-		if !hasHead[root] {
-			continue
-		}
-		for c := range set {
-			constToRoots[c] = append(constToRoots[c], root)
-		}
-	}
-
-	shards := make(map[db.Const]*Shard)
+	var all []*Shard
 	for _, cls := range comp.NontrivialClasses() {
 		root := cls[0]
 		if !hasHead[root] {
@@ -649,11 +736,27 @@ func (se *ShardedEngine) planShards(comp *eqrel.Partition, hasHead map[db.Const]
 			supList = append(supList, c)
 		}
 		sort.Slice(supList, func(i, j int) bool { return supList[i] < supList[j] })
-		shards[root] = &Shard{
-			Root:    root,
-			Members: cls,
-			support: supList,
-			tuples:  make(map[string][][]db.Const),
+		all = append(all, &Shard{Root: root, Members: cls, support: supList})
+	}
+	return all
+}
+
+// project gives each shard its projected base tuples.
+func (se *ShardedEngine) project(shards []*Shard, supports map[db.Const]map[db.Const]bool, G *eqrel.Partition) {
+	if len(shards) == 0 {
+		return
+	}
+	d := se.eng.sess.d
+	// constToRoots: which shards' supports contain a given D_G constant,
+	// indexed by constant. Each (constant, root) pair is appended exactly
+	// once, so the per-constant lists are duplicate-free.
+	constToRoots := make([][]db.Const, d.Interner().Size())
+	byRoot := make(map[db.Const]*Shard, len(shards))
+	for _, sh := range shards {
+		sh.tuples = make(map[string][][]db.Const)
+		byRoot[sh.Root] = sh
+		for c := range supports[sh.Root] {
+			constToRoots[c] = append(constToRoots[c], sh.Root)
 		}
 	}
 
@@ -692,59 +795,30 @@ func (se *ShardedEngine) planShards(comp *eqrel.Partition, hasHead map[db.Const]
 						continue nextRoot
 					}
 				}
-				if sh := shards[root]; sh != nil {
-					sh.tuples[rel.Name] = append(sh.tuples[rel.Name], t)
-				}
+				sh := byRoot[root]
+				sh.tuples[rel.Name] = append(sh.tuples[rel.Name], t)
 			}
 		}
 	}
-
-	for _, cls := range comp.NontrivialClasses() {
-		root := cls[0]
-		sh := shards[root]
-		if sh == nil {
-			continue
-		}
-		if p := prev[root]; p != nil && equalConsts(p.Members, sh.Members) && equalConsts(p.support, sh.support) {
-			// Same component, same projection: the previous results stand.
-			all = append(all, p)
-			continue
-		}
-		all = append(all, sh)
-		dirty = append(dirty, sh)
-	}
-	return all, dirty
 }
 
-func equalConsts(a, b []db.Const) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// solveDirty solves the dirty shards on a bounded worker pool,
+// solveShards solves the shards on a bounded worker pool,
 // returning how many were served from the cross-epoch solve cache
 // instead. Each worker buffers its instrumentation in an obs.Local
 // flushed on exit, mirroring the parallel searcher's discipline.
-func (se *ShardedEngine) solveDirty(ctx context.Context, dirty []*Shard) (int, error) {
-	if len(dirty) == 0 {
+func (se *ShardedEngine) solveShards(ctx context.Context, shards []*Shard) (int, error) {
+	if len(shards) == 0 {
 		return 0, nil
 	}
 	// Consult the solve cache first: a hit replays the cached result
 	// surfaces (shared frozen slices), only misses reach the pool.
-	toSolve := dirty
+	toSolve := shards
 	var keys map[*Shard]string
 	cache := se.sopts.SolveCache
 	if cache != nil {
-		toSolve = make([]*Shard, 0, len(dirty))
-		keys = make(map[*Shard]string, len(dirty))
-		for _, sh := range dirty {
+		toSolve = make([]*Shard, 0, len(shards))
+		keys = make(map[*Shard]string, len(shards))
+		for _, sh := range shards {
 			key := se.shardKey(sh)
 			keys[sh] = key
 			if res, ok := cache.get(key); ok {
@@ -754,7 +828,7 @@ func (se *ShardedEngine) solveDirty(ctx context.Context, dirty []*Shard) (int, e
 			}
 			toSolve = append(toSolve, sh)
 		}
-		hits := len(dirty) - len(toSolve)
+		hits := len(shards) - len(toSolve)
 		se.cacheHits += hits
 		se.cacheMisses += len(toSolve)
 		se.eng.rec.Inc(obs.CoreShardCacheHits, int64(hits))
@@ -770,7 +844,7 @@ func (se *ShardedEngine) solveDirty(ctx context.Context, dirty []*Shard) (int, e
 	}
 	inner := 1
 	if len(toSolve) == 1 {
-		// A single dirty shard may use the full configured parallelism
+		// A single shard to solve may use the full configured parallelism
 		// inside its own search.
 		inner = se.eng.sess.workers()
 	}
@@ -813,7 +887,7 @@ func (se *ShardedEngine) solveDirty(ctx context.Context, dirty []*Shard) (int, e
 	}
 	close(tasks)
 	wg.Wait()
-	return len(dirty) - len(toSolve), firstErr
+	return len(shards) - len(toSolve), firstErr
 }
 
 // solveShard builds the shard's local instance — renumbered projected

@@ -261,8 +261,18 @@ func TestShardStatsShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Rounds < 1 {
-		t.Fatalf("stats report %d stitch rounds", st.Rounds)
+	// A consistent lattice top answers the instance in zero rounds; an
+	// inconsistent one seeds a stitch that closes in one.
+	top, err := se.Engine().Fork().consistentTop(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 1
+	if top != nil {
+		want = 0
+	}
+	if st.Rounds != want {
+		t.Fatalf("stats report %d stitch rounds, want %d (consistent top: %v)", st.Rounds, want, top != nil)
 	}
 	if len(st.Sizes) != st.Shards {
 		t.Fatalf("stats report %d sizes for %d shards", len(st.Sizes), st.Shards)
@@ -320,7 +330,92 @@ func TestShardDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-var _ = eqrel.MakePair // keep the import if assertions above change
+// TestShardTopFirst: the sharded engine asks the lattice top first. A
+// consistent top is the answer, with no stitch round, shard solve or
+// solve-cache lookup behind it; an inconsistent one seeds a stitch that
+// closes in one round and solves only the components a violated denial
+// touches. Figure 1 is one such component. The generated instance with
+// eleven Author tuples retracted (the flip TestMutableTopFlips walks
+// through) has one among many, and the rest are answered by the top.
+// All agree with the monolithic engine.
+func TestShardTopFirst(t *testing.T) {
+	ctx := context.Background()
+	cfg := workload.DefaultScaleConfig(1, 200)
+	cfg.MaxDup = 1
+	ds, err := workload.GenerateScale(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg = workload.DefaultScaleConfig(5, 100)
+	cfg.MaxDup = 1
+	flip, err := workload.GenerateScale(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := flip.DB.Interner()
+	var retract []db.FactSpec
+	for _, tu := range flip.DB.Tuples("Author")[:11] {
+		args := make([]string, len(tu))
+		for i, c := range tu {
+			args[i] = in.Name(c)
+		}
+		retract = append(retract, db.FactSpec{Rel: "Author", Args: args})
+	}
+	flipped, _, _, err := db.Apply(flip.DB, nil, retract)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := fixtures.New()
+	for _, tc := range []struct {
+		name       string
+		d          *db.Database
+		spec       *rules.Spec
+		sims       *sim.Registry
+		consistent bool
+		rounds     int
+		solves     int
+	}{
+		{"scale 200", ds.DB, ds.Spec, ds.Sims, true, 0, 0},
+		{"figure1", f.DB, f.Spec, f.Sims, false, 1, 1},
+		{"scale 100, 11 retracted", flipped, flip.Spec, flip.Sims, false, 1, 1},
+	} {
+		mono, err := New(tc.d, tc.spec, tc.sims, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		top, err := mono.Fork().consistentTop(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (top != nil) != tc.consistent {
+			t.Fatalf("%s: consistent top %v, want %v", tc.name, top != nil, tc.consistent)
+		}
+		se, err := NewSharded(tc.d, tc.spec, tc.sims, Options{},
+			ShardOptions{SolveCache: NewShardSolveCache(DefaultShardCacheSize)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertShardedEquals(t, tc.name, mono, se)
+		st, err := se.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Monolithic || st.Shards == 0 {
+			t.Fatalf("%s: %d shards, monolithic fallback %v", tc.name, st.Shards, st.Monolithic)
+		}
+		if st.Rounds != tc.rounds {
+			t.Fatalf("%s: %d stitch rounds, want %d", tc.name, st.Rounds, tc.rounds)
+		}
+		t.Logf("%s: %d shards, %d solved", tc.name, st.Shards, st.Solves)
+		if st.Solves != tc.solves {
+			t.Fatalf("%s: %d of %d shards solved, want %d", tc.name, st.Solves, st.Shards, tc.solves)
+		}
+		if tc.consistent && (st.Solves != 0 || st.CacheMisses != 0 || st.CacheHits != 0) {
+			t.Fatalf("%s: top-answered epoch ran %d solves, %d cache misses, %d cache hits; want none",
+				tc.name, st.Solves, st.CacheMisses, st.CacheHits)
+		}
+	}
+}
 
 // TestShardSimilarityCallsMatchMonolithic: sharded resolution evaluates
 // the similarity metric no more often than the monolithic engine on the

@@ -44,11 +44,8 @@ const (
 	CoreJustifyChecks  = "core.justify.checks"
 	CoreJustifyReplays = "core.justify.replays"
 	// CoreShardSolves counts per-shard solution-space solves performed by
-	// the sharded engine (re-solves of dirty shards included);
-	// CoreShardReused counts shards whose previous-round results were
-	// reused because neither membership nor support changed.
+	// the sharded engine.
 	CoreShardSolves = "core.shard.solves"
-	CoreShardReused = "core.shard.reused"
 	// CoreShardCacheHits / CoreShardCacheMisses expose the cross-epoch
 	// per-shard solve cache, keyed by the projected instance's content:
 	// a hit replays a previous solve's results without re-searching.
@@ -241,7 +238,7 @@ func CanonicalCounters() []string {
 		CorePlanCacheHits, CorePlanCacheMisses,
 		CoreFixpointDeltaRounds, DBInducedIncremental,
 		CoreDenialChecks, CoreJustifyChecks, CoreJustifyReplays,
-		CoreShardSolves, CoreShardReused,
+		CoreShardSolves,
 		CoreShardCacheHits, CoreShardCacheMisses,
 		CQEvalCalls, CQEvalMatches,
 		ASPDecisions, ASPPropagations, ASPConflicts,

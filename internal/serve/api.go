@@ -135,8 +135,10 @@ type FactsResponse struct {
 	// no longer be served.
 	Fingerprint string `json:"db_fingerprint"`
 	// DirtyShards counts the previous epoch's shard components the batch
-	// touched (-1 when unavailable: monolithic server, or the previous
-	// epoch was never resolved).
+	// touched; after an epoch answered by the top, the lattice-top
+	// classes it names, a lower bound on what it changed (-1 when
+	// unavailable: monolithic server, or the previous epoch was never
+	// resolved).
 	DirtyShards int `json:"dirty_shards"`
 }
 
