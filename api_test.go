@@ -2,8 +2,9 @@ package lace
 
 // api_test.go pins the repository's one-shape API rule: no package
 // exports both X and a twin of it that differs only by a suffix naming
-// an extra parameter (XRec, XBudget, XCtx, XErr, XWith). A stage that
-// takes a recorder or a budget takes it in its one entry point.
+// an extra parameter (XRec, XBudget, XCtx, XErr, XWith, XAt). A stage
+// that takes a recorder, a budget or a starting point takes it in its
+// one entry point.
 
 import (
 	"go/ast"
@@ -18,7 +19,7 @@ import (
 
 // twinSuffixes are the suffixes that mark a second entry point of the
 // same operation.
-var twinSuffixes = []string{"Rec", "Budget", "Ctx", "Err", "With"}
+var twinSuffixes = []string{"Rec", "Budget", "Ctx", "Err", "With", "At"}
 
 // exportedFuncs parses the non-test Go files under roots (files or
 // directories; testdata directories are skipped) and returns, per
@@ -123,15 +124,16 @@ func TestAPIOneShape(t *testing.T) {
 }
 
 // TestTwinScanFindsPairs keeps the scan honest: a synthetic package
-// with a Rec twin, a Budget twin and a method twin is reported.
+// with a Rec twin, a Budget twin, an At twin and a method twin is
+// reported.
 func TestTwinScanFindsPairs(t *testing.T) {
 	funcs := map[string]map[string]bool{
-		"p":        {"Ground": true, "GroundRec": true, "GroundBudget": true, "Rec": true},
+		"p":        {"Ground": true, "GroundRec": true, "GroundBudget": true, "Rec": true, "NewMutable": true, "NewMutableAt": true},
 		"p.(Plan)": {"Run": true, "RunWith": true},
 		"q.(Plan)": {"RunWith": true},
 	}
 	got := strings.Join(twinPairs(funcs), "; ")
-	want := "p.(Plan): Run / RunWith; p: Ground / GroundBudget; p: Ground / GroundRec"
+	want := "p.(Plan): Run / RunWith; p: Ground / GroundBudget; p: Ground / GroundRec; p: NewMutable / NewMutableAt"
 	if got != want {
 		t.Fatalf("twinPairs = %q, want %q", got, want)
 	}

@@ -2,9 +2,9 @@ package main
 
 // golden_test.go pins the complete stdout of every CLI task on the
 // bibliography testdata (the Figure 1 instance in file form). Searches
-// run with -parallel=1: the sequential engine is the reference, and the
-// existence witness — the one output that is legitimately
-// nondeterministic under parallel search — becomes reproducible.
+// run with -parallel=1: the sequential engine is the reference. The
+// existence witness is the first maximal solution, so existence.golden
+// repeats the "maximal 1" line of maxsolve.golden.
 //
 // Regenerate after an intentional output change with:
 //

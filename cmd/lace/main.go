@@ -3,7 +3,7 @@
 // specification, then runs one of the reasoning tasks of the paper:
 //
 //	lace check     -data D -spec S              validate inputs, report classification
-//	lace existence -data D -spec S              does a solution exist?
+//	lace existence -data D -spec S              does a solution exist? (with a witness)
 //	lace solve     -data D -spec S [-n N]       enumerate solutions
 //	lace maxsolve  -data D -spec S              enumerate maximal solutions
 //	lace merges    -data D -spec S              certain and possible merges
@@ -26,16 +26,21 @@
 // always available; -simtable FILE adds explicit extension pairs to a
 // predicate named approx (lines: value1<TAB>value2).
 //
+// The tasks over maximal solutions (existence, maxsolve, merges,
+// certmerge, possmerge, certans, possans, justify) answer from one
+// resolution of the instance: the top of the candidate lattice when it
+// satisfies the denials, otherwise the coupled components it leaves in
+// conflict, each solved independently and stitched. The existence
+// witness is the first maximal solution in canonical order, the
+// "maximal 1" line of maxsolve, except for a restricted specification
+// (no inequalities in denials), which existence decides by Theorem 8
+// without resolving: its witness is the hard closure of the identity.
+//
 // -budget N bounds the number of search states and -timeout D puts a
 // wall-clock deadline on the search tasks (existence, solve, maxsolve,
 // merges, justify); a tripped bound exits 1 with a typed error message.
-//
-// -shards resolves by coupled components instead of one monolithic
-// search: the tasks over maximal solutions (existence, maxsolve,
-// merges, certmerge, possmerge, certans, possans, justify) then solve
-// each component independently and stitch the results, which is exact
-// and dramatically faster on large instances with many small duplicate
-// clusters.
+// -stats also prints the resolution's shard line to stderr when the
+// task resolved the instance.
 package main
 
 import (
@@ -65,9 +70,8 @@ type env struct {
 	sims *lace.SimRegistry
 	// snap answers every task defined over the maximal solutions
 	// (existence, maxsolve, merges, certmerge, possmerge, certans,
-	// possans, justify); under -shards it resolves coupled components
-	// independently and stitches the results. eng is its engine, which
-	// runs the enumeration tasks (solve, greedy).
+	// possans, justify). eng is its engine, which runs the enumeration
+	// tasks (solve, greedy).
 	snap *lace.EpochSnapshot
 	eng  *lace.Engine
 }
@@ -87,7 +91,6 @@ func run(args []string) error {
 	budget := fs.Int("budget", 0, "search state budget (0 = default)")
 	parallel := fs.Int("parallel", 0, "search parallelism (0 = GOMAXPROCS, 1 = sequential)")
 	timeout := fs.Duration("timeout", 0, "wall-clock deadline for the search tasks (0 = none)")
-	shards := fs.Bool("shards", false, "resolve by coupled components (the tasks over maximal solutions)")
 	statsFlag := fs.Bool("stats", false, "print solver statistics to stderr after the task")
 	statsJSON := fs.Bool("stats-json", false, "print solver statistics as JSON to stderr after the task")
 	tracePath := fs.String("trace", "", "write a JSONL span trace to FILE")
@@ -115,7 +118,7 @@ func run(args []string) error {
 	if rec != nil {
 		opts.Recorder = rec
 	}
-	e, err := load(*dataPath, *specPath, *simTable, opts, *shards)
+	e, err := load(*dataPath, *specPath, *simTable, opts)
 	if err != nil {
 		return err
 	}
@@ -130,7 +133,9 @@ func run(args []string) error {
 		if rec == nil {
 			return
 		}
-		if se := e.snap.Sharded(); se != nil && *statsFlag {
+		// Only a task that resolved the instance reports its shards;
+		// -stats never adds a resolution of its own.
+		if se := e.snap.Sharded(); *statsFlag && se.Resolved() {
 			if st, err := se.Stats(); err == nil {
 				fmt.Fprintf(os.Stderr, "shards: %d (largest %d members), %d stitch rounds (0: answered by the top), %d solves, monolithic fallback: %v\n",
 					st.Shards, maxInt(st.Sizes), st.Rounds, st.Solves, st.Monolithic)
@@ -345,19 +350,13 @@ func verdict(ok bool) string {
 	return "NO"
 }
 
-// load reads the inputs and builds the resolution snapshot: sharded
-// under -shards, monolithic otherwise.
-func load(dataPath, specPath, simTable string, opts lace.Options, sharded bool) (*env, error) {
+// load reads the inputs and builds the resolution snapshot.
+func load(dataPath, specPath, simTable string, opts lace.Options) (*env, error) {
 	d, spec, sims, err := lace.LoadFiles(dataPath, specPath, simTable)
 	if err != nil {
 		return nil, err
 	}
-	var ms *lace.MutableSession
-	if sharded {
-		ms, err = lace.NewMutableShardedSession(d, spec, sims, opts, lace.ShardOptions{})
-	} else {
-		ms, err = lace.NewMutableSession(d, spec, sims, opts)
-	}
+	ms, err := lace.NewMutableSession(d, spec, sims, opts, 0)
 	if err != nil {
 		return nil, err
 	}

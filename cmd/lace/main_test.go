@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	lace "repro"
+	"repro/internal/eqrel"
 	"repro/internal/limits"
 )
 
@@ -267,8 +271,105 @@ func TestCLIErrors(t *testing.T) {
 	}
 }
 
-// TestCLIShards: the tasks over maximal solutions agree between -shards
-// and the monolithic default.
+// monolithic renders what the CLI must print for a task over the
+// maximal solutions, computed on a monolithic engine over its own load
+// of the test data and formatted as the CLI formats it.
+func monolithic(t *testing.T, task string, flags ...string) string {
+	t.Helper()
+	d, spec, sims, err := lace.LoadFiles("testdata/bib.facts", "testdata/bib.spec", "testdata/approx.tsv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := lace.NewEngine(d, spec, sims, lace.Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	in := d.Interner()
+	arg := map[string]string{}
+	for i := 0; i+1 < len(flags); i += 2 {
+		arg[flags[i]] = flags[i+1]
+	}
+	pair := func() lace.Pair {
+		names := strings.SplitN(arg["-pair"], ",", 2)
+		a, _ := in.Lookup(names[0])
+		b, _ := in.Lookup(names[1])
+		return eqrel.MakePair(a, b)
+	}
+	var out strings.Builder
+	switch task {
+	case "existence", "maxsolve":
+		ms, err := eng.MaximalSolutionsCtx(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if task == "existence" {
+			return "YES: witness " + ms[0].Format(in) + "\n"
+		}
+		for i, m := range ms {
+			fmt.Fprintf(&out, "maximal %d: %s\n", i+1, m.Format(in))
+		}
+		fmt.Fprintf(&out, "%d maximal solution(s)\n", len(ms))
+	case "merges", "certmerge", "possmerge":
+		cm, err := eng.CertainMergesCtx(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pm, err := eng.PossibleMergesCtx(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch task {
+		case "certmerge":
+			return verdict(slices.Contains(cm, pair())) + "\n"
+		case "possmerge":
+			return verdict(slices.Contains(pm, pair())) + "\n"
+		}
+		for _, p := range pm {
+			status := "possible"
+			if slices.Contains(cm, p) {
+				status = "CERTAIN"
+			}
+			fmt.Fprintf(&out, "%-8s %s = %s\n", status, in.Name(p.A), in.Name(p.B))
+		}
+		fmt.Fprintf(&out, "%d certain, %d possible\n", len(cm), len(pm))
+	case "certans", "possans":
+		q, err := lace.ParseQuery(arg["-query"], d.Schema(), in, sims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers := eng.PossibleAnswersCtx
+		if task == "certans" {
+			answers = eng.CertainAnswersCtx
+		}
+		ans, err := answers(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tp := range ans {
+			names := make([]string, len(tp))
+			for i, c := range tp {
+				names[i] = in.Name(c)
+			}
+			fmt.Fprintln(&out, strings.Join(names, ", "))
+		}
+		fmt.Fprintf(&out, "%d answer(s)\n", len(ans))
+	case "justify":
+		p := pair()
+		x, err := eng.ExplainMergeCtx(ctx, p.A, p.B)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return x.Justification.Format(in)
+	default:
+		t.Fatalf("no monolithic reference for %s", task)
+	}
+	return out.String()
+}
+
+// TestCLIShards: the tasks over maximal solutions, which the CLI answers
+// from one sharded resolution, print what a monolithic engine computes.
+// The existence witness is maxsolve's first solution.
 func TestCLIShards(t *testing.T) {
 	for _, args := range [][]string{
 		{"existence"}, {"maxsolve"}, {"merges"},
@@ -277,47 +378,28 @@ func TestCLIShards(t *testing.T) {
 		{"justify", "-pair", "a6,a7"},
 	} {
 		task := args[0]
-		mono, err := capture(t, cli(task, args[1:]...)...)
+		got, err := capture(t, cli(task, args[1:]...)...)
 		if err != nil {
 			t.Fatalf("%s: %v", task, err)
 		}
-		sharded, err := capture(t, cli(task, append(args[1:], "-shards")...)...)
-		if err != nil {
-			t.Fatalf("%s -shards: %v", task, err)
-		}
-		if task == "existence" {
-			// The witness is any solution, not a canonical one; only the
-			// verdict is pinned.
-			if strings.SplitN(sharded, ":", 2)[0] != strings.SplitN(mono, ":", 2)[0] {
-				t.Errorf("existence verdict diverges under -shards:\nmonolithic %q\nsharded %q", mono, sharded)
-			}
-			continue
-		}
-		if sharded != mono {
-			t.Errorf("%s diverges under -shards:\nmonolithic:\n%s\nsharded:\n%s", task, mono, sharded)
+		if want := monolithic(t, task, args[1:]...); got != want {
+			t.Errorf("%s diverges from the monolithic engine:\ncli:\n%s\nmonolithic:\n%s", task, got, want)
 		}
 	}
 }
 
-// TestCLIShardMergeChecks: certmerge/possmerge route through the
-// sharded merge lists.
+// TestCLIShardMergeChecks: certmerge/possmerge answer from the sharded
+// merge lists what the monolithic engine's merge lists say.
 func TestCLIShardMergeChecks(t *testing.T) {
-	out, err := capture(t, cli("certmerge", "-shards", "-pair", "a1,a2")...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mono, err := capture(t, cli("certmerge", "-pair", "a1,a2")...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != mono {
-		t.Errorf("certmerge -shards %q vs monolithic %q", out, mono)
-	}
-	out, err = capture(t, cli("possmerge", "-shards", "-pair", "a1,a2")...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(out, "YES") && !strings.HasPrefix(out, "NO") {
-		t.Errorf("possmerge -shards output %q", out)
+	for _, task := range []string{"certmerge", "possmerge"} {
+		for _, pair := range []string{"a1,a2", "a6,a7", "c3,c4"} {
+			got, err := capture(t, cli(task, "-pair", pair)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := monolithic(t, task, "-pair", pair); got != want {
+				t.Errorf("%s %s = %q, monolithic %q", task, pair, got, want)
+			}
+		}
 	}
 }

@@ -18,10 +18,13 @@
 // SIGINT/SIGTERM the server drains: in-flight requests get -drain to
 // finish, then their searches are cancelled.
 //
-// -shards serves every reasoning endpoint from the sharded resolver:
-// the instance is partitioned into coupled components at startup (in
-// the background), each component is solved independently, and
-// requests read the stitched — provably identical — results.
+// Each epoch is resolved once, in the background, from the top of its
+// candidate lattice: a top that satisfies the denials is the answer;
+// otherwise the coupled components it leaves in conflict are solved
+// independently and stitched. Every reasoning endpoint reads that one
+// resolution. -budget bounds each shard search of it (a resolution
+// that exhausts the budget answers every request on its epoch with
+// 413) and the maximal-solution product a request composes.
 //
 // -mutable turns the instance into a streaming one: POST /v1/facts
 // applies an atomic batch of retractions and insertions, advancing the
@@ -106,7 +109,7 @@ func run(args []string, stop <-chan struct{}, ready func(addr string), out io.Wr
 		addr       = fs.String("addr", ":8080", "listen address")
 		workers    = fs.Int("workers", 0, "concurrent request limit (0 = GOMAXPROCS)")
 		parallel   = fs.Int("parallel", 0, "search parallelism per request (0 = GOMAXPROCS, 1 = sequential)")
-		budget     = fs.Int("budget", 0, "per-request search-state budget (0 = default)")
+		budget     = fs.Int("budget", 0, "search-state budget of each shard search and of a request's maximal-solution product (0 = default)")
 		reqTimeout = fs.Duration("req-timeout", 30*time.Second, "default per-request deadline (0 = none)")
 		maxTimeout = fs.Duration("max-timeout", time.Minute, "cap on client-requested deadlines")
 		cacheSize  = fs.Int("cache", serve.DefaultCacheSize, "response cache entries (negative disables)")
@@ -116,7 +119,6 @@ func run(args []string, stop <-chan struct{}, ready func(addr string), out io.Wr
 		tracePath  = fs.String("trace", "", "stream span trace JSONL to this file (- for stdout)")
 		auditPath  = fs.String("audit", "", "append hash-chained merge-decision records to this file")
 		verifyPath = fs.String("verify-audit", "", "verify an audit log's hash chain and exit")
-		shards     = fs.Bool("shards", false, "resolve every reasoning endpoint by coupled components")
 		mutable    = fs.Bool("mutable", false, "accept POST /v1/facts mutation batches (each advances the served epoch)")
 		wal        = fs.Bool("wal", false, "write-ahead durable mutations: fsync the audit record before a batch is published or acknowledged (requires -mutable and -audit)")
 		recovr     = fs.Bool("recover", false, "verify the -audit chain at startup, replay its mutation batches over -data, and resume serving at the recovered epoch")
@@ -166,7 +168,6 @@ func run(args []string, stop <-chan struct{}, ready func(addr string), out io.Wr
 		MaxTimeout:     *maxTimeout,
 		CacheSize:      *cacheSize,
 		Recorder:       rec,
-		Sharded:        *shards,
 		Mutable:        *mutable,
 	}
 	if *accessLog != "" {

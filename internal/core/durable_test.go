@@ -2,8 +2,8 @@ package core
 
 // durable_test.go pins the write-ahead contract of ApplyDurable: a
 // failing precommit hook discards the staged epoch entirely (readers
-// never observe it, the next batch renumbers over it), and *At
-// constructors resume a recovered lineage at its logged epoch.
+// never observe it, the next batch renumbers over it), and NewMutable
+// given an epoch resumes a recovered lineage at its logged epoch.
 
 import (
 	"context"
@@ -16,7 +16,7 @@ import (
 func TestApplyDurablePrecommitRollback(t *testing.T) {
 	ctx := context.Background()
 	f := fixtures.New()
-	m, err := NewMutable(f.DB, f.Spec, f.Sims, Options{Parallelism: 1})
+	m, err := NewMutable(f.DB, f.Spec, f.Sims, Options{Parallelism: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestApplyDurablePrecommitRollback(t *testing.T) {
 
 func TestNewMutableAtResumesEpoch(t *testing.T) {
 	f := fixtures.New()
-	m, err := NewMutableAt(f.DB, f.Spec, f.Sims, Options{Parallelism: 1}, 7)
+	m, err := NewMutable(f.DB, f.Spec, f.Sims, Options{Parallelism: 1}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,14 +75,5 @@ func TestNewMutableAtResumesEpoch(t *testing.T) {
 	}
 	if res.Epoch != 8 {
 		t.Fatalf("first apply after resume = epoch %d, want 8", res.Epoch)
-	}
-
-	fs := fixtures.New()
-	ms, err := NewMutableShardedAt(fs.DB, fs.Spec, fs.Sims, Options{Parallelism: 1}, ShardOptions{}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ms.Snapshot().Epoch(); got != 3 {
-		t.Fatalf("sharded initial epoch = %d, want 3", got)
 	}
 }

@@ -20,6 +20,7 @@ package core
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"slices"
 
@@ -239,7 +240,7 @@ func (c *Context) expand(s state, pr eqrel.Pair) (state, error) {
 		ind = c.deriveInduced(s.ind, E, []db.Const{u, v})
 		c.storeKey(key, ind)
 	}
-	ind, merged, err := c.closeFrom(E, ind, c.sess.hardRules, nil)
+	ind, merged, err := c.closeFrom(context.TODO(), E, ind, c.sess.hardRules, nil)
 	if err != nil {
 		return state{}, err
 	}
@@ -347,7 +348,7 @@ func (c *Context) activePairs(E *eqrel.Partition, ind *db.Database) ([]Active, e
 // class (see DESIGN.md). accept must be stable under growth of E
 // (e.g. membership in a fixed target partition).
 func (c *Context) closeFixpoint(E *eqrel.Partition, rs []*rules.Rule, accept func(u, v db.Const) bool) error {
-	ind, merged, err := c.closeFrom(E, c.Induced(E), rs, accept)
+	ind, merged, err := c.closeFrom(context.TODO(), E, c.Induced(E), rs, accept)
 	if err == nil && merged {
 		c.storeKey(E.Key(), ind)
 	}
@@ -356,8 +357,9 @@ func (c *Context) closeFixpoint(E *eqrel.Partition, rs []*rules.Rule, accept fun
 
 // closeFrom is closeFixpoint starting from ind, the induced database of
 // E. It returns the induced database of the closed E and whether the
-// closure merged anything; the caller decides what to cache.
-func (c *Context) closeFrom(E *eqrel.Partition, ind *db.Database, rs []*rules.Rule, accept func(u, v db.Const) bool) (*db.Database, bool, error) {
+// closure merged anything; the caller decides what to cache. It stops
+// between rounds once ctx is done.
+func (c *Context) closeFrom(ctx context.Context, E *eqrel.Partition, ind *db.Database, rs []*rules.Rule, accept func(u, v db.Const) bool) (*db.Database, bool, error) {
 	if len(rs) == 0 {
 		return ind, false, nil
 	}
@@ -384,6 +386,9 @@ func (c *Context) closeFrom(E *eqrel.Partition, ind *db.Database, rs []*rules.Ru
 		pq.plan.RunWith(ind, c.sims, cq.RunSpec{Rec: c.rec, Rep: rep}, collectMatch)
 	}
 	for len(pending) > 0 {
+		if err := ctx.Err(); err != nil {
+			return nil, false, limits.Wrap(err)
+		}
 		// Union this round's pairs; both old representatives of every
 		// merge form the touched set that seeds the next delta round.
 		touched := make(map[db.Const]bool)

@@ -8,7 +8,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/db"
+	"repro/internal/eqrel"
 	"repro/internal/limits"
+	"repro/internal/obs"
+	"repro/internal/workload"
 )
 
 // TestForkMatchesOriginal: forked engines share the session and return
@@ -75,6 +79,67 @@ func TestForkMatchesOriginal(t *testing.T) {
 	}
 	if !e.DB().Frozen() {
 		t.Error("Fork did not freeze the shared database")
+	}
+}
+
+// TestForksShareTopVerdict: over a frozen database the lattice top is
+// closed once per session. Forks running concurrently agree on it, a
+// fork asking after them evaluates no rule body, and each caller gets
+// its own copy of the top.
+func TestForksShareTopVerdict(t *testing.T) {
+	ds, err := workload.GenerateScale(workload.DefaultScaleConfig(1, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	e, err := New(ds.DB, ds.Spec, ds.Sims, Options{Recorder: reg, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const forks = 4
+	tops := make([]*eqrel.Partition, forks)
+	var wg sync.WaitGroup
+	for i := range tops {
+		w := e.Fork()
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if ms, err := w.MaximalSolutionsCtx(context.Background()); err == nil && len(ms) == 1 {
+				tops[i] = ms[0]
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, T := range tops {
+		if T == nil || !T.Equal(tops[0]) {
+			t.Fatalf("fork %d: top %v, want one maximal solution equal to fork 0's", i, T)
+		}
+	}
+	before := reg.Snapshot().Counter(obs.CQEvalMatches)
+	ms, err := e.Fork().MaximalSolutionsCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Snapshot().Counter(obs.CQEvalMatches) - before; n != 0 {
+		t.Errorf("a later fork matched %d rule bodies, want 0", n)
+	}
+	want := tops[0].Key()
+	if len(ms) != 1 || ms[0].Key() != want {
+		t.Fatalf("a later fork's top %v differs from the first forks' %s", ms, want)
+	}
+
+	// Changing a returned top must not reach the session's copy.
+	var a, b db.Const = 0, 1
+	for ms[0].Same(a, b) {
+		b++
+	}
+	ms[0].Union(a, b)
+	again, err := e.Fork().MaximalSolutionsCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again[0].Key() != want {
+		t.Errorf("changing a returned top changed the next fork's: %v", again[0])
 	}
 }
 

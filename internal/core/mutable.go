@@ -18,12 +18,12 @@ package core
 //   - the similarity memo's shared tier persists across epochs (minus
 //     the entries Invalidate drops for retracted names), so verdicts
 //     are computed once per lineage, not once per epoch;
-//   - sharded snapshots share one ShardSolveCache, so a shard whose
-//     projected instance a batch did not touch replays its solved
-//     results instead of re-searching. The top of the candidate
-//     lattice — and, when it is inconsistent, the one-round stitch it
-//     seeds — is recomputed every epoch; only solved search spaces are
-//     memoized.
+//   - every epoch's ShardedEngine shares the session's ShardSolveCache,
+//     so a shard whose projected instance a batch did not touch replays
+//     its solved results instead of re-searching. The top of the
+//     candidate lattice — and, when it is inconsistent, the one-round
+//     stitch it seeds — is recomputed every epoch; only solved search
+//     spaces are memoized.
 
 import (
 	"context"
@@ -63,26 +63,27 @@ type ApplyResult struct {
 	// members only, so it counts the T-classes the batch names: a lower
 	// bound, since a batch constant reaching a class only through a
 	// rule body is not counted (an inserted Author tuple that σ2 joins
-	// to a class member by a similar email at the same institution). It is -1 when unavailable: monolithic
-	// sessions, a previous epoch that never resolved, or a previous
-	// epoch that fell back to a monolithic solve.
+	// to a class member by a similar email at the same institution). It
+	// is -1 when unavailable: a previous epoch that never resolved, or
+	// one that fell back to a monolithic solve.
 	DirtyShards int
 }
 
 // EpochSnapshot is one epoch's immutable resolution handle: the frozen
-// database, its fingerprint, and the engine resolving it. Snapshots
-// taken before a mutation keep answering against their own epoch.
+// database, its fingerprint, and the ShardedEngine resolving it.
+// Snapshots taken before a mutation keep answering against their own
+// epoch.
 //
-// The snapshot is the one place that decides how an epoch is resolved:
-// a sharded session answers through the epoch's ShardedEngine, a
-// monolithic one through a private Fork of the epoch's Engine per call.
-// Either way the result methods are safe for concurrent use.
+// The snapshot is the one place an epoch is resolved: every result
+// method answers from the epoch's ShardedEngine, which asks the lattice
+// top first and resolves the epoch once, and evaluates queries and
+// derivations on a private Fork of its engine. The result methods are
+// safe for concurrent use.
 type EpochSnapshot struct {
 	epoch uint64
 	d     *db.Database
 	fp    string
-	eng   *Engine        // se's own engine for sharded sessions
-	se    *ShardedEngine // nil for monolithic sessions
+	se    *ShardedEngine
 }
 
 // Epoch returns the snapshot's epoch number (0 for the initial load).
@@ -94,16 +95,15 @@ func (s *EpochSnapshot) DB() *db.Database { return s.d }
 // Fingerprint returns the snapshot database's content fingerprint.
 func (s *EpochSnapshot) Fingerprint() string { return s.fp }
 
-// Engine returns the snapshot's engine (the sharded engine's own for
-// sharded sessions). Callers running queries concurrently must Fork it
-// per goroutine, as always.
-func (s *EpochSnapshot) Engine() *Engine { return s.eng }
+// Engine returns the sharded engine's own monolithic engine. Callers
+// running queries concurrently must Fork it per goroutine, as always.
+func (s *EpochSnapshot) Engine() *Engine { return s.se.eng }
 
-// Sharded returns the snapshot's sharded engine, nil for monolithic
-// sessions.
+// Sharded returns the snapshot's sharded engine.
 func (s *EpochSnapshot) Sharded() *ShardedEngine { return s.se }
 
-// resolver is the question set both engines answer.
+// resolver is the question set both engines answer; query answers and
+// explanations are evaluated over either one's solutions.
 type resolver interface {
 	CertainMergesCtx(ctx context.Context) ([]eqrel.Pair, error)
 	PossibleMergesCtx(ctx context.Context) ([]eqrel.Pair, error)
@@ -112,68 +112,44 @@ type resolver interface {
 	witnesses(ctx context.Context, pairs []eqrel.Pair) (with, without []*eqrel.Partition, err error)
 }
 
-// resolver returns the sharded engine, or a private fork of the
-// monolithic one.
-func (s *EpochSnapshot) resolver() resolver {
-	if s.se != nil {
-		return s.se
-	}
-	return s.eng.Fork()
-}
-
-// evaluator returns the epoch's resolver and a private engine
-// evaluating queries and derivations over its solutions. A monolithic
-// snapshot uses one fork for both, so the search and the evaluation
-// share its caches.
-func (s *EpochSnapshot) evaluator() (resolver, *Engine) {
-	if s.se != nil {
-		return s.se, s.eng.Fork()
-	}
-	e := s.eng.Fork()
-	return e, e
-}
-
 // CertainMergesCtx returns the snapshot's certain merges.
 func (s *EpochSnapshot) CertainMergesCtx(ctx context.Context) ([]eqrel.Pair, error) {
-	return s.resolver().CertainMergesCtx(ctx)
+	return s.se.CertainMergesCtx(ctx)
 }
 
 // PossibleMergesCtx returns the snapshot's possible merges.
 func (s *EpochSnapshot) PossibleMergesCtx(ctx context.Context) ([]eqrel.Pair, error) {
-	return s.resolver().PossibleMergesCtx(ctx)
+	return s.se.PossibleMergesCtx(ctx)
 }
 
 // MaximalSolutionsCtx returns the snapshot's maximal solutions.
 func (s *EpochSnapshot) MaximalSolutionsCtx(ctx context.Context) ([]*eqrel.Partition, error) {
-	return s.resolver().MaximalSolutionsCtx(ctx)
+	return s.se.MaximalSolutionsCtx(ctx)
 }
 
-// ExistenceCtx reports whether the snapshot's instance has a solution.
+// ExistenceCtx reports whether the snapshot's instance has a solution
+// (see ShardedEngine.ExistenceCtx for the witness).
 func (s *EpochSnapshot) ExistenceCtx(ctx context.Context) (*eqrel.Partition, bool, error) {
-	return s.resolver().ExistenceCtx(ctx)
+	return s.se.ExistenceCtx(ctx)
 }
 
 // CertainAnswersCtx returns the certain answers to q over the snapshot's
 // maximal solutions.
 func (s *EpochSnapshot) CertainAnswersCtx(ctx context.Context, q *cq.CQ) ([][]db.Const, error) {
-	r, e := s.evaluator()
-	return e.answers(ctx, r, q, true)
+	return s.se.eng.Fork().answers(ctx, s.se, q, true)
 }
 
 // PossibleAnswersCtx returns the possible answers to q over the
 // snapshot's maximal solutions.
 func (s *EpochSnapshot) PossibleAnswersCtx(ctx context.Context, q *cq.CQ) ([][]db.Const, error) {
-	r, e := s.evaluator()
-	return e.answers(ctx, r, q, false)
+	return s.se.eng.Fork().answers(ctx, s.se, q, false)
 }
 
 // ExplainMergesCtx explains each pair across the snapshot's maximal
-// solutions. A sharded snapshot picks each witness and counterexample
-// shard by shard, so it never composes the product of the shards'
-// maximal solutions.
+// solutions. It picks each witness and counterexample shard by shard,
+// so it never composes the product of the shards' maximal solutions.
 func (s *EpochSnapshot) ExplainMergesCtx(ctx context.Context, pairs []eqrel.Pair) ([]*MergeExplanation, error) {
-	r, e := s.evaluator()
-	return e.explainMerges(ctx, r, pairs)
+	return s.se.eng.Fork().explainMerges(ctx, s.se, pairs)
 }
 
 // MutableSession accepts batched fact mutations against a fixed
@@ -181,57 +157,41 @@ func (s *EpochSnapshot) ExplainMergesCtx(ctx context.Context, pairs []eqrel.Pair
 // EpochSnapshot per epoch. Apply is single-writer (internally
 // serialized); Snapshot may be called from any goroutine.
 type MutableSession struct {
-	spec    *rules.Spec
-	sims    *sim.Registry
-	opts    Options
-	sharded bool
-	sopts   ShardOptions
+	spec  *rules.Spec
+	sims  *sim.Registry
+	opts  Options
+	cache *ShardSolveCache // shared by every epoch's ShardedEngine
 
 	mu  sync.Mutex // serializes Apply
 	cur atomic.Pointer[EpochSnapshot]
 }
 
-// NewMutable builds a monolithic mutable session over the initial
-// database (epoch 0). The database is frozen; all later epochs are
-// copy-on-write overlays.
-func NewMutable(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Options) (*MutableSession, error) {
-	return newMutable(d, spec, sims, opts, false, ShardOptions{}, 0)
-}
-
-// NewMutableAt is NewMutable starting at a given epoch number instead
-// of 0. Recovery uses it: a database rebuilt by replaying a write-ahead
-// log through epoch N resumes its lineage at N, so the next Apply
-// yields N+1 and epoch numbers stay aligned with the log.
-func NewMutableAt(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Options, epoch uint64) (*MutableSession, error) {
-	return newMutable(d, spec, sims, opts, false, ShardOptions{}, epoch)
-}
-
-// NewMutableSharded builds a sharded mutable session: every epoch is
-// resolved by a ShardedEngine, and per-shard solves are shared across
-// epochs through one ShardSolveCache (sopts.SolveCache, or a fresh
-// cache of DefaultShardCacheSize entries when nil).
-func NewMutableSharded(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Options, sopts ShardOptions) (*MutableSession, error) {
-	return NewMutableShardedAt(d, spec, sims, opts, sopts, 0)
-}
-
-// NewMutableShardedAt is NewMutableSharded starting at a given epoch
-// number, for resuming a recovered lineage.
-func NewMutableShardedAt(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Options, sopts ShardOptions, epoch uint64) (*MutableSession, error) {
-	if sopts.SolveCache == nil {
-		sopts.SolveCache = NewShardSolveCache(DefaultShardCacheSize)
-	}
-	return newMutable(d, spec, sims, opts, true, sopts, epoch)
-}
-
-func newMutable(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Options, sharded bool, sopts ShardOptions, epoch uint64) (*MutableSession, error) {
+// NewMutable builds a mutable session over the initial database,
+// numbered epoch (0 for a fresh instance). Every epoch is resolved by a
+// ShardedEngine, and per-shard solves are shared across epochs through
+// one ShardSolveCache of DefaultShardCacheSize entries. The database is
+// frozen; all later epochs are copy-on-write overlays.
+//
+// Recovery passes a nonzero epoch: a database rebuilt by replaying a
+// write-ahead log through epoch N resumes its lineage at N, so the next
+// Apply yields N+1 and epoch numbers stay aligned with the log.
+func NewMutable(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Options, epoch uint64) (*MutableSession, error) {
 	d.Freeze()
-	m := &MutableSession{spec: spec, sims: sims, opts: opts, sharded: sharded, sopts: sopts}
+	m := &MutableSession{spec: spec, sims: sims, opts: opts, cache: NewShardSolveCache(DefaultShardCacheSize)}
 	snap, err := m.newSnapshot(epoch, d)
 	if err != nil {
 		return nil, err
 	}
 	m.cur.Store(snap)
 	return m, nil
+}
+
+// NewMutableSharded is NewMutable at epoch 0.
+//
+// Deprecated: every session resolves sharded; use NewMutable. sopts is
+// ignored.
+func NewMutableSharded(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Options, sopts ShardOptions) (*MutableSession, error) {
+	return NewMutable(d, spec, sims, opts, 0)
 }
 
 // Snapshot returns the current epoch's snapshot. The caller may hold
@@ -287,22 +247,19 @@ func (m *MutableSession) ApplyDurable(b Batch, precommit func(ApplyResult) error
 		Inserted:    ins,
 		Retracted:   ret,
 		Fingerprint: snap.fp,
-		DirtyShards: -1,
 	}
-	if prev.se != nil {
-		consts := make(map[db.Const]bool)
-		in := nd.Interner()
-		for _, fs := range [][]db.FactSpec{b.Insert, b.Retract} {
-			for _, f := range fs {
-				for _, n := range f.Args {
-					if c, ok := in.Lookup(n); ok {
-						consts[c] = true
-					}
+	consts := make(map[db.Const]bool)
+	in := nd.Interner()
+	for _, fs := range [][]db.FactSpec{b.Insert, b.Retract} {
+		for _, f := range fs {
+			for _, n := range f.Args {
+				if c, ok := in.Lookup(n); ok {
+					consts[c] = true
 				}
 			}
 		}
-		res.DirtyShards = prev.se.TouchedShards(consts)
 	}
+	res.DirtyShards = prev.se.TouchedShards(consts)
 	if precommit != nil {
 		if err := precommit(res); err != nil {
 			return ApplyResult{}, nil, err
@@ -312,26 +269,14 @@ func (m *MutableSession) ApplyDurable(b Batch, precommit func(ApplyResult) error
 	return res, snap, nil
 }
 
-// newSnapshot builds one epoch's engine — a ShardedEngine for sharded
-// sessions, whose own Engine then serves the snapshot too — over a fork
-// of the session's similarity registry. Epochs may resolve concurrently,
-// and each root engine writes its registry's unsynchronized memo tier;
+// newSnapshot builds one epoch's ShardedEngine over a fork of the
+// session's similarity registry. Epochs may resolve concurrently, and
+// each root engine writes its registry's unsynchronized memo tier;
 // forks still share the memoized verdicts.
 func (m *MutableSession) newSnapshot(epoch uint64, d *db.Database) (*EpochSnapshot, error) {
-	snap := &EpochSnapshot{epoch: epoch, d: d, fp: d.Fingerprint()}
-	sims := m.sims.Fork()
-	if m.sharded {
-		se, err := NewSharded(d, m.spec, sims, m.opts, m.sopts)
-		if err != nil {
-			return nil, err
-		}
-		snap.se, snap.eng = se, se.Engine()
-		return snap, nil
-	}
-	eng, err := New(d, m.spec, sims, m.opts)
+	se, err := NewSharded(d, m.spec, m.sims.Fork(), m.opts, ShardOptions{SolveCache: m.cache})
 	if err != nil {
 		return nil, err
 	}
-	snap.eng = eng
-	return snap, nil
+	return &EpochSnapshot{epoch: epoch, d: d, fp: d.Fingerprint(), se: se}, nil
 }

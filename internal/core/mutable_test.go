@@ -108,16 +108,27 @@ func assertEpochEquals(t *testing.T, label string, oracle *Engine, snap *EpochSn
 		}
 	}
 
-	_, ook, err := oracle.ExistenceCtx(context.Background())
+	ow, ook, err := oracle.ExistenceCtx(context.Background())
 	if err != nil {
 		t.Fatalf("%s: oracle existence: %v", label, err)
 	}
-	_, sok, err := snap.ExistenceCtx(ctx)
+	sw, sok, err := snap.ExistenceCtx(ctx)
 	if err != nil {
 		t.Fatalf("%s: snapshot existence: %v", label, err)
 	}
 	if ook != sok {
 		t.Fatalf("%s: existence %v (oracle) vs %v (snapshot)", label, ook, sok)
+	}
+	// The snapshot's witness is pinned: Theorem 8's hard closure on a
+	// restricted spec, the first maximal solution otherwise.
+	if sok {
+		want := om[0]
+		if oracle.Spec().IsRestricted() {
+			want = ow
+		}
+		if sw.Key() != want.Key() {
+			t.Fatalf("%s: existence witness %v, want %v", label, sw, want)
+		}
 	}
 
 	if queries != nil {
@@ -357,7 +368,7 @@ func TestMutableDifferentialSharded(t *testing.T) {
 
 	t.Run("figure1", func(t *testing.T) {
 		f := fixtures.New()
-		m, err := NewMutableSharded(f.DB, f.Spec, f.Sims, Options{Parallelism: 2}, ShardOptions{})
+		m, err := NewMutable(f.DB, f.Spec, f.Sims, Options{Parallelism: 2}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -373,7 +384,7 @@ func TestMutableDifferentialSharded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mw, err := NewMutableSharded(ds.DB, ds.Spec, ds.Sims, Options{Parallelism: 2}, ShardOptions{})
+		mw, err := NewMutable(ds.DB, ds.Spec, ds.Sims, Options{Parallelism: 2}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -381,27 +392,12 @@ func TestMutableDifferentialSharded(t *testing.T) {
 	})
 }
 
-// TestMutableDifferentialMonolithic: the monolithic mutable session
-// agrees with the oracle too (smaller sequence; no shard machinery).
-func TestMutableDifferentialMonolithic(t *testing.T) {
-	steps := 20
-	if testing.Short() {
-		steps = 6
-	}
-	f := fixtures.New()
-	m, err := NewMutable(f.DB, f.Spec, f.Sims, Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runMutableDifferential(t, "figure1-mono", m, f.Spec, f.Sims, bibQueries(t, f.Schema), 303, steps)
-}
-
 // TestMutableNoOpBatch: a batch that changes nothing advances the epoch
 // but re-solves nothing — every dirty shard hits the solve cache.
 func TestMutableNoOpBatch(t *testing.T) {
 	ctx := context.Background()
 	f := fixtures.New()
-	m, err := NewMutableSharded(f.DB, f.Spec, f.Sims, Options{Parallelism: 1}, ShardOptions{})
+	m, err := NewMutable(f.DB, f.Spec, f.Sims, Options{Parallelism: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +490,7 @@ func figure1Copies(t *testing.T, prefixes ...string) (*db.Database, *rules.Spec,
 func TestMutableDirtyScopedResolve(t *testing.T) {
 	ctx := context.Background()
 	d, spec, sims := figure1Copies(t, "x.", "y.")
-	m, err := NewMutableSharded(d, spec, sims, Options{Parallelism: 1}, ShardOptions{})
+	m, err := NewMutable(d, spec, sims, Options{Parallelism: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +541,7 @@ func TestMutableDirtyScopedResolve(t *testing.T) {
 	// checked against a sharded session rebuilt from scratch, which
 	// shares no solve cache or epoch lineage with this one.
 	assertEpochEquals(t, "dirty-scope", rebuildFromSnapshot(t, snap, spec, sims), snap, nil)
-	fresh, err := NewMutableSharded(rebuildDB(t, snap), spec, sims, Options{Parallelism: 1}, ShardOptions{})
+	fresh, err := NewMutable(rebuildDB(t, snap), spec, sims, Options{Parallelism: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,7 +565,7 @@ func TestMutableTopFlips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMutableSharded(ds.DB, ds.Spec, ds.Sims, Options{Parallelism: 1}, ShardOptions{})
+	m, err := NewMutable(ds.DB, ds.Spec, ds.Sims, Options{Parallelism: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -615,7 +611,7 @@ func TestMutableTopFlips(t *testing.T) {
 			{"possible", func(r resolver) (any, error) { return r.PossibleMergesCtx(ctx) }},
 			{"maximal", func(r resolver) (any, error) { return r.MaximalSolutionsCtx(ctx) }},
 		} {
-			got, err := q.get(snap.resolver())
+			got, err := q.get(snap.se)
 			if err != nil {
 				t.Fatalf("%s: snapshot %s: %v", label, q.name, err)
 			}
@@ -647,7 +643,7 @@ func TestMutableTopFlips(t *testing.T) {
 // and leaves the current epoch in place.
 func TestMutableApplyRejects(t *testing.T) {
 	f := fixtures.New()
-	m, err := NewMutable(f.DB, f.Spec, f.Sims, Options{Parallelism: 1})
+	m, err := NewMutable(f.DB, f.Spec, f.Sims, Options{Parallelism: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -673,7 +669,7 @@ func TestMutableConcurrentEpochResolves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMutableSharded(ds.DB, ds.Spec, ds.Sims, Options{Parallelism: 1}, ShardOptions{})
+	m, err := NewMutable(ds.DB, ds.Spec, ds.Sims, Options{Parallelism: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

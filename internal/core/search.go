@@ -224,12 +224,27 @@ func (e *Engine) MaximalSolutionsCtx(ctx context.Context) ([]*eqrel.Partition, e
 // maximal one. Both tractable classes of Theorem 9 are instances: with
 // Δ = ∅ T is always consistent, and with Γs = ∅ T is the hard closure,
 // whose inconsistency leaves a one-state walk that finds no solution.
+// Over a frozen database the verdict is computed once per session and
+// shared by every Fork; each caller gets its own copy of T.
 func (e *Engine) consistentTop(ctx context.Context) (*eqrel.Partition, error) {
-	top, _, ok, err := e.top(ctx)
-	if err != nil || !ok {
-		return nil, err
+	v := e.sess.top.Load()
+	if v == nil {
+		T, _, ok, err := e.top(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			T = nil
+		}
+		v = &topVerdict{T: T}
+		if e.sess.d.Frozen() {
+			e.sess.top.Store(v)
+		}
 	}
-	return top, nil
+	if v.T == nil {
+		return nil, nil
+	}
+	return v.T.Clone(), nil
 }
 
 // top computes the top T of the candidate lattice by closing the
@@ -242,7 +257,7 @@ func (c *Context) top(ctx context.Context) (*eqrel.Partition, *db.Database, bool
 		return nil, nil, false, limits.Wrap(err)
 	}
 	T := c.Identity()
-	ind, _, err := c.closeFrom(T, c.sess.d, c.sess.mergeRules, nil)
+	ind, _, err := c.closeFrom(ctx, T, c.sess.d, c.sess.mergeRules, nil)
 	if err != nil {
 		return nil, nil, false, err
 	}

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cq"
 	"repro/internal/db"
+	"repro/internal/eqrel"
 	"repro/internal/obs"
 	"repro/internal/rules"
 	"repro/internal/sim"
@@ -48,7 +50,16 @@ type Session struct {
 	// phase starts (eager column indexes, immutable tables), making it
 	// safe for concurrent readers. Sequential runs never pay for this.
 	freezeOnce sync.Once
+	// top memoizes consistentTop's verdict once the base database is
+	// frozen: the lattice top is a function of the session alone, so
+	// every Fork shares one closure instead of repeating it.
+	top atomic.Pointer[topVerdict]
 }
+
+// topVerdict is a memoized consistentTop result: the lattice top when
+// it satisfies Δ, nil when it does not. T is never handed out or
+// mutated; readers clone it.
+type topVerdict struct{ T *eqrel.Partition }
 
 // normalizeOptions resolves the zero values of Options to their
 // documented defaults. Session construction and the sharded engine both

@@ -1186,9 +1186,17 @@ func (se *ShardedEngine) PossibleMergesCtx(ctx context.Context) ([]eqrel.Pair, e
 	return sortedPairs(set), nil
 }
 
-// ExistenceCtx reports whether a solution exists, with a witness composed
-// from each shard's first maximal solution.
+// ExistenceCtx reports whether a solution exists. A restricted
+// specification is decided by Theorem 8's hard-closure check, without
+// resolving, and its witness is that hard closure; an instance that fell
+// back to a monolithic solve is decided by the monolithic search, which
+// stops at its first solution. Otherwise the witness is the first
+// maximal solution in canonical order: each shard's first maximal
+// solution, composed.
 func (se *ShardedEngine) ExistenceCtx(ctx context.Context) (*eqrel.Partition, bool, error) {
+	if se.eng.sess.spec.IsRestricted() {
+		return se.eng.Fork().ExistenceCtx(ctx)
+	}
 	if err := se.resolve(ctx); err != nil {
 		return nil, false, err
 	}

@@ -68,7 +68,7 @@ func assertShardedEquals(t *testing.T, label string, mono *Engine, se *ShardedEn
 		}
 	}
 
-	_, mok, err := mono.ExistenceCtx(context.Background())
+	mw, mok, err := mono.ExistenceCtx(context.Background())
 	if err != nil {
 		t.Fatalf("%s: monolithic existence: %v", label, err)
 	}
@@ -86,6 +86,21 @@ func assertShardedEquals(t *testing.T, label string, mono *Engine, se *ShardedEn
 		}
 		if !ok {
 			t.Fatalf("%s: sharded existence witness is not a solution: %v", label, sw)
+		}
+		// The witness is pinned to the first maximal solution, except
+		// where existence defers to the monolithic engine: Theorem 8's
+		// hard closure on a restricted spec, and on a fallback whatever
+		// solution the (possibly parallel) search reaches first.
+		st, err := se.Stats()
+		if err != nil {
+			t.Fatalf("%s: stats: %v", label, err)
+		}
+		want := mm[0]
+		if mono.Spec().IsRestricted() {
+			want = mw
+		}
+		if !st.Monolithic && sw.Key() != want.Key() {
+			t.Fatalf("%s: sharded existence witness %v, want %v", label, sw, want)
 		}
 	}
 
@@ -471,6 +486,83 @@ func TestShardSimilarityCallsMatchMonolithic(t *testing.T) {
 		if sharded > mono {
 			t.Errorf("%d entities: sharded resolution made %d metric calls, monolithic %d",
 				entities, sharded, mono)
+		}
+	}
+}
+
+// TestShardExistenceDefers: existence does not resolve the instance
+// when a cheaper exact decision exists. Each instance has four
+// components of five entities sharing a key; the key rule would merge
+// a p-typed with an n-typed entity, so every component has 2^3 maximal
+// solutions and the top is inconsistent. A restricted spec is decided
+// by Theorem 8 without resolving; when the instance falls back to a
+// monolithic solve, the monolithic search stops at its first solution,
+// where enumerating the 8^4 maximal solutions would exceed the budget.
+func TestShardExistenceDefers(t *testing.T) {
+	const comps, k = 4, 5
+	for _, fallback := range []bool{false, true} {
+		s := db.NewSchema()
+		s.MustAdd("A", "id", "key")
+		s.MustAdd("T", "id", "ty")
+		s.MustAdd("N", "id", "name")
+		d := db.New(s, nil)
+		for i := 0; i < comps; i++ {
+			for j := 0; j < k; j++ {
+				d.MustInsert("A", fmt.Sprintf("e%d_%d", i, j), fmt.Sprintf("k%d", i))
+			}
+			d.MustInsert("T", fmt.Sprintf("e%d_0", i), "p")
+			d.MustInsert("T", fmt.Sprintf("e%d_1", i), "n")
+			d.MustInsert("N", fmt.Sprintf("f%d", i), fmt.Sprintf("e%d_2", i))
+		}
+		src := `soft s: A(x,k), A(y,k) ~> EQ(x,y).
+			denial d: T(x,"p"), T(x,"n").`
+		if fallback {
+			// s2 compares names that are also mergeable entity ids, a
+			// configuration the coupling analysis does not shard.
+			src = `soft s: A(x,k), A(y,k) ~> EQ(x,y).
+				soft s2: N(x,n), N(y,m), approx(n,m) ~> EQ(x,y).
+				denial d: T(x,t), T(x,t2), t != t2.`
+		}
+		reg := sim.NewRegistry(sim.NewTable("approx"))
+		spec, err := rules.ParseSpec(src, s, d.Interner(), reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spec.IsRestricted() == fallback {
+			t.Fatalf("fallback=%v: restricted %v", fallback, spec.IsRestricted())
+		}
+		opts := Options{MaxStates: 2000, Parallelism: 1}
+		mono, err := New(d, spec, reg, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mw, mok, err := mono.ExistenceCtx(context.Background())
+		if err != nil || !mok {
+			t.Fatalf("fallback=%v: monolithic existence %v, %v", fallback, mok, err)
+		}
+		se, err := NewSharded(d, spec, reg, opts, ShardOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw, sok, err := se.ExistenceCtx(context.Background())
+		if err != nil || !sok {
+			t.Fatalf("fallback=%v: sharded existence %v, %v", fallback, sok, err)
+		}
+		if sw.Key() != mw.Key() {
+			t.Fatalf("fallback=%v: witness %v, want the monolithic %v", fallback, sw, mw)
+		}
+		if !fallback {
+			if se.Resolved() {
+				t.Fatal("restricted spec: existence resolved the instance")
+			}
+			continue
+		}
+		st, err := se.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.Monolithic {
+			t.Fatal("instance did not fall back to a monolithic solve")
 		}
 	}
 }

@@ -51,7 +51,7 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := NewMutableSharded(ds.DB, ds.Spec, ds.Sims, Options{Parallelism: 1}, ShardOptions{})
+	m, err := NewMutable(ds.DB, ds.Spec, ds.Sims, Options{Parallelism: 1}, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

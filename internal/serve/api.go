@@ -137,8 +137,8 @@ type FactsResponse struct {
 	// DirtyShards counts the previous epoch's shard components the batch
 	// touched; after an epoch answered by the top, the lattice-top
 	// classes it names, a lower bound on what it changed (-1 when
-	// unavailable: monolithic server, or the previous epoch was never
-	// resolved).
+	// unavailable: the previous epoch was never resolved, or fell back
+	// to a monolithic solve).
 	DirtyShards int `json:"dirty_shards"`
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"math/rand"
 	"net/http"
@@ -12,6 +13,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
+	wl "repro/internal/workload"
 )
 
 // wire is one request form of the randomized differential workload:
@@ -118,6 +122,75 @@ func TestConcurrentClientsMatchSequentialOracle(t *testing.T) {
 			wg.Wait()
 			close(errs)
 		})
+	}
+}
+
+// TestShutdownWaitsForResolution: a server with no request in flight
+// drains at once, and Shutdown still returns only after the served
+// epoch's background resolution has stopped, so no search outlives the
+// server. At 5 000 entities the resolution takes far longer than the
+// drain.
+func TestShutdownWaitsForResolution(t *testing.T) {
+	ds, err := wl.GenerateScale(wl.DefaultScaleConfig(3, 5000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{DB: ds.DB, Spec: ds.Spec, Sims: ds.Sims, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := s.cur.Load()
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown = %v", err)
+	}
+	select {
+	case <-st.ready:
+	default:
+		t.Fatal("Shutdown returned while the epoch's resolution was still running")
+	}
+}
+
+// TestShutdownBoundedByContext: Shutdown waits for a background
+// resolution only until its ctx is done. Here the resolution blocks in
+// its similarity metric until the test releases it: Shutdown with an
+// expired ctx returns ctx.Err() meanwhile, and the resolution, cancelled
+// by Shutdown, stops once released.
+func TestShutdownBoundedByContext(t *testing.T) {
+	ds, err := wl.GenerateScale(wl.DefaultScaleConfig(3, 200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	metric := func(a, b string) float64 {
+		once.Do(func() { close(entered) })
+		<-release
+		return sim.NormalizedLevenshtein(a, b)
+	}
+	sims := sim.NewRegistry(sim.Threshold("approx", metric, 0.82))
+	s, err := New(Config{DB: ds.DB, Spec: ds.Spec, Sims: sims, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := s.cur.Load()
+	<-entered
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	returned := make(chan error, 1)
+	go func() { returned <- s.Shutdown(ctx) }()
+	select {
+	case err := <-returned:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("Shutdown = %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("Shutdown with an expired context waited for the blocked resolution")
+	}
+	close(release)
+	select {
+	case <-st.ready:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the cancelled resolution did not stop")
 	}
 }
 

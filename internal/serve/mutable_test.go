@@ -138,9 +138,9 @@ func TestCacheStalenessAcrossMutation(t *testing.T) {
 }
 
 // TestMutableE2EMatchesOracle applies a batch sequence through POST
-// /v1/facts (monolithic and sharded servers) and, after each epoch,
-// checks merges and answers against a from-scratch oracle engine over
-// an independently built copy of the same instance.
+// /v1/facts and, after each epoch, checks merges and answers against a
+// from-scratch monolithic oracle engine over an independently built
+// copy of the same instance.
 func TestMutableE2EMatchesOracle(t *testing.T) {
 	batches := []FactsRequest{
 		{
@@ -155,107 +155,100 @@ func TestMutableE2EMatchesOracle(t *testing.T) {
 			Insert:  []FactJSON{{Rel: "Author", Args: []string{"a6", fixtures.E6, "Tokyo"}}},
 		},
 	}
-	for _, mode := range []struct {
-		name    string
-		sharded bool
-	}{{"monolithic", false}, {"sharded", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			in := loadFig1(t)
-			_, ts := newTestServer(t, in, func(c *Config) {
-				c.Mutable = true
-				c.Sharded = mode.sharded
-			})
+	// Every server is sharded; the subtest names the mode under test.
+	t.Run("sharded", func(t *testing.T) {
+		in := loadFig1(t)
+		_, ts := newTestServer(t, in, func(c *Config) { c.Mutable = true })
 
-			// The oracle lineage: an independent parse of the fixture,
-			// mutated by the same batches through db.Apply directly.
-			ofix := loadFig1(t)
-			od := ofix.db
+		// The oracle lineage: an independent parse of the fixture,
+		// mutated by the same batches through db.Apply directly.
+		ofix := loadFig1(t)
+		od := ofix.db
 
-			check := func(epoch uint64) {
-				t.Helper()
-				oeng, err := core.New(od, ofix.spec, ofix.sims, core.Options{Parallelism: 1})
+		check := func(epoch uint64) {
+			t.Helper()
+			oeng, err := core.New(od, ofix.spec, ofix.sims, core.Options{Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			oin := od.Interner()
+			for _, sem := range []string{"certain", "possible"} {
+				var mr MergesResponse
+				if code, _ := post(t, ts, "/v1/merges/"+sem, nil, &mr); code != http.StatusOK {
+					t.Fatalf("epoch %d: merges/%s status = %d", epoch, sem, code)
+				}
+				pairs, err := oeng.CertainMergesCtx(context.Background())
+				if sem == "possible" {
+					pairs, err = oeng.PossibleMergesCtx(context.Background())
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
-				oin := od.Interner()
-				for _, sem := range []string{"certain", "possible"} {
-					var mr MergesResponse
-					if code, _ := post(t, ts, "/v1/merges/"+sem, nil, &mr); code != http.StatusOK {
-						t.Fatalf("epoch %d: merges/%s status = %d", epoch, sem, code)
-					}
-					pairs, err := oeng.CertainMergesCtx(context.Background())
-					if sem == "possible" {
-						pairs, err = oeng.PossibleMergesCtx(context.Background())
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := make([]string, 0, len(pairs))
-					for _, p := range pairs {
-						want = append(want, oin.Name(p.A)+"|"+oin.Name(p.B))
-					}
-					got := make([]string, 0, len(mr.Merges))
-					for _, p := range mr.Merges {
-						got = append(got, p.A+"|"+p.B)
-					}
-					sort.Strings(got)
-					sort.Strings(want)
-					if strings.Join(got, ",") != strings.Join(want, ",") {
-						t.Errorf("epoch %d: merges/%s = %v, oracle %v", epoch, sem, got, want)
-					}
+				want := make([]string, 0, len(pairs))
+				for _, p := range pairs {
+					want = append(want, oin.Name(p.A)+"|"+oin.Name(p.B))
 				}
-
-				var ar AnswersResponse
-				q := AnswersRequest{Query: "(x, y) : CorrAuth(p, x), CorrAuth(p, y)", Semantics: "possible"}
-				if code, _ := post(t, ts, "/v1/answers", q, &ar); code != http.StatusOK {
-					t.Fatalf("epoch %d: answers status = %d", epoch, code)
-				}
-				oq, err := rules.ParseQuery(q.Query, od.Schema(), nil, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tuples, err := oeng.PossibleAnswersCtx(context.Background(), oq)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var want []string
-				for _, tp := range tuples {
-					row := make([]string, len(tp))
-					for i, c := range tp {
-						row[i] = oin.Name(c)
-					}
-					want = append(want, strings.Join(row, "|"))
-				}
-				var got []string
-				for _, row := range ar.Answers {
-					got = append(got, strings.Join(row, "|"))
+				got := make([]string, 0, len(mr.Merges))
+				for _, p := range mr.Merges {
+					got = append(got, p.A+"|"+p.B)
 				}
 				sort.Strings(got)
 				sort.Strings(want)
 				if strings.Join(got, ",") != strings.Join(want, ",") {
-					t.Errorf("epoch %d: answers = %v, oracle %v", epoch, got, want)
+					t.Errorf("epoch %d: merges/%s = %v, oracle %v", epoch, sem, got, want)
 				}
 			}
 
-			check(0)
-			for i, b := range batches {
-				code, fr := postFacts(t, ts, b)
-				if code != http.StatusOK {
-					t.Fatalf("batch %d: status = %d: %+v", i, code, fr)
-				}
-				if fr.Epoch != uint64(i+1) {
-					t.Fatalf("batch %d: epoch = %d, want %d", i, fr.Epoch, i+1)
-				}
-				nd, _, _, err := db.Apply(od, factSpecs(b.Insert), factSpecs(b.Retract))
-				if err != nil {
-					t.Fatalf("batch %d: oracle apply: %v", i, err)
-				}
-				od = nd
-				if got := Fingerprint(od); got != fr.Fingerprint {
-					t.Fatalf("batch %d: oracle fingerprint %q != server %q", i, got, fr.Fingerprint)
-				}
-				check(fr.Epoch)
+			var ar AnswersResponse
+			q := AnswersRequest{Query: "(x, y) : CorrAuth(p, x), CorrAuth(p, y)", Semantics: "possible"}
+			if code, _ := post(t, ts, "/v1/answers", q, &ar); code != http.StatusOK {
+				t.Fatalf("epoch %d: answers status = %d", epoch, code)
 			}
-		})
-	}
+			oq, err := rules.ParseQuery(q.Query, od.Schema(), nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tuples, err := oeng.PossibleAnswersCtx(context.Background(), oq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []string
+			for _, tp := range tuples {
+				row := make([]string, len(tp))
+				for i, c := range tp {
+					row[i] = oin.Name(c)
+				}
+				want = append(want, strings.Join(row, "|"))
+			}
+			var got []string
+			for _, row := range ar.Answers {
+				got = append(got, strings.Join(row, "|"))
+			}
+			sort.Strings(got)
+			sort.Strings(want)
+			if strings.Join(got, ",") != strings.Join(want, ",") {
+				t.Errorf("epoch %d: answers = %v, oracle %v", epoch, got, want)
+			}
+		}
+
+		check(0)
+		for i, b := range batches {
+			code, fr := postFacts(t, ts, b)
+			if code != http.StatusOK {
+				t.Fatalf("batch %d: status = %d: %+v", i, code, fr)
+			}
+			if fr.Epoch != uint64(i+1) {
+				t.Fatalf("batch %d: epoch = %d, want %d", i, fr.Epoch, i+1)
+			}
+			nd, _, _, err := db.Apply(od, factSpecs(b.Insert), factSpecs(b.Retract))
+			if err != nil {
+				t.Fatalf("batch %d: oracle apply: %v", i, err)
+			}
+			od = nd
+			if got := Fingerprint(od); got != fr.Fingerprint {
+				t.Fatalf("batch %d: oracle fingerprint %q != server %q", i, got, fr.Fingerprint)
+			}
+			check(fr.Epoch)
+		}
+	})
 }

@@ -59,9 +59,12 @@ type Config struct {
 	// solution-space search inside one request. 0 means GOMAXPROCS,
 	// 1 forces the sequential searcher.
 	Parallelism int
-	// MaxStates is the per-request search-state budget (core
-	// Options.MaxStates); a request that exhausts it gets a 413
-	// partial-result response. 0 means the core default.
+	// MaxStates is the search-state budget (core Options.MaxStates). It
+	// bounds each shard search of an epoch's one background resolution,
+	// and a resolution that exhausts it answers every request on that
+	// epoch with a 413 partial-result response. It also caps the
+	// maximal-solution product a request composes (413 for that
+	// request). 0 means the core default.
 	MaxStates int
 	// DefaultTimeout bounds requests that do not ask for a deadline;
 	// 0 means no default deadline.
@@ -83,11 +86,10 @@ type Config struct {
 	// decision the server reports, with its Definition-4 justification,
 	// into the hash-chained audit log.
 	Audit *audit.Log
-	// Sharded resolves the instance by coupled components
-	// (core.ShardedEngine): resolution starts in the background at
-	// construction, and every reasoning endpoint serves from the
-	// stitched results once ready. Requests arriving before resolution
-	// completes wait under their own deadline.
+	// Sharded is not read: every server resolves each epoch once, in
+	// the background, through core.ShardedEngine.
+	//
+	// Deprecated: ignored.
 	Sharded bool
 	// Mutable accepts POST /v1/facts mutation batches: every applied
 	// batch advances the served epoch, and readers keep the epoch they
@@ -157,6 +159,8 @@ type Server struct {
 	abort    context.CancelFunc
 	draining atomic.Bool
 	inflight sync.WaitGroup
+	// resolving tracks the epochs' background resolutions.
+	resolving sync.WaitGroup
 	// admitMu orders every inflight.Add before Shutdown's Wait, as
 	// sync.WaitGroup requires of an Add from zero.
 	admitMu sync.Mutex
@@ -204,13 +208,7 @@ func New(cfg Config) (*Server, error) {
 		Parallelism: cfg.Parallelism,
 		Recorder:    rec,
 	}
-	var ms *core.MutableSession
-	var err error
-	if cfg.Sharded {
-		ms, err = core.NewMutableShardedAt(cfg.DB, cfg.Spec, cfg.Sims, opts, core.ShardOptions{}, cfg.InitialEpoch)
-	} else {
-		ms, err = core.NewMutableAt(cfg.DB, cfg.Spec, cfg.Sims, opts, cfg.InitialEpoch)
-	}
+	ms, err := core.NewMutable(cfg.DB, cfg.Spec, cfg.Sims, opts, cfg.InitialEpoch)
 	if err != nil {
 		return nil, err
 	}
@@ -254,27 +252,24 @@ func New(cfg Config) (*Server, error) {
 }
 
 // epochState is one served epoch: its snapshot plus the readiness
-// signal of the snapshot's background sharded resolution (closed
-// immediately for monolithic snapshots). Result endpoints wait on ready
-// under their own deadline; the resolution itself runs under the
-// server-lifetime context, so no request's deadline can poison it for
-// everyone else.
+// signal of the snapshot's background resolution. Result endpoints wait
+// on ready under their own deadline; the resolution itself runs under
+// the server-lifetime context, so no request's deadline can poison it
+// for everyone else.
 type epochState struct {
 	snap  *core.EpochSnapshot
 	ready chan struct{}
 }
 
-// newEpochState wraps a snapshot and, when it is sharded, starts its
-// background resolution.
+// newEpochState wraps a snapshot and starts its background
+// resolution, which Shutdown waits for.
 func (s *Server) newEpochState(snap *core.EpochSnapshot) *epochState {
 	st := &epochState{snap: snap, ready: make(chan struct{})}
-	if snap.Sharded() == nil {
-		close(st.ready)
-		return st
-	}
+	s.resolving.Add(1)
 	go func() {
+		defer s.resolving.Done()
 		defer close(st.ready)
-		if _, err := snap.PossibleMergesCtx(s.baseCtx); err != nil {
+		if _, err := snap.PossibleMergesCtx(s.baseCtx); err != nil && s.baseCtx.Err() == nil {
 			s.rec.Inc(obs.ServeErrors, 1)
 		}
 	}()
@@ -309,9 +304,11 @@ func (s *Server) Stats() obs.Snapshot { return s.rec.Snapshot() }
 // Shutdown drains the server: new requests are refused with 503
 // immediately, in-flight requests run until ctx is done, then their
 // contexts are cancelled (cutting searches short with a typed
-// cancellation) and Shutdown waits for the handlers to return. The
-// error is nil when every in-flight request completed within the grace
-// period, ctx.Err() when the abort path fired.
+// cancellation) and Shutdown waits for the handlers to return. Either
+// way it then cancels any epoch resolution still running in the
+// background and waits, until ctx is done, for it to stop. The error is
+// nil when every in-flight request and resolution finished within the
+// grace period, ctx.Err() otherwise.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.admitMu.Lock()
 	s.draining.Store(true)
@@ -321,14 +318,26 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.inflight.Wait()
 		close(done)
 	}()
+	var err error
 	select {
 	case <-done:
-		return nil
 	case <-ctx.Done():
 		s.abort()
 		<-done
-		return ctx.Err()
+		err = ctx.Err()
 	}
+	s.abort()
+	resolved := make(chan struct{})
+	go func() {
+		s.resolving.Wait()
+		close(resolved)
+	}()
+	select {
+	case <-resolved:
+	case <-ctx.Done():
+		err = ctx.Err()
+	}
+	return err
 }
 
 // --- request plumbing -------------------------------------------------

@@ -1,21 +1,25 @@
 package serve
 
-// shard_test.go: end-to-end coverage of Config.Sharded — every
-// reasoning endpoint must return byte-identical payloads from a sharded
-// server and a monolithic one, merge audits must record the same
-// justifications, and the shard metrics must land in the registry.
+// shard_test.go: end-to-end coverage of the server's sharded
+// resolution — every reasoning endpoint must return the payload a
+// monolithic core.Engine computes, byte for byte, merge audits must
+// record the same justifications, resolved epochs must serve without
+// further search, and the shard metrics must land in the registry.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/audit"
+	"repro/internal/core"
+	"repro/internal/db"
+	"repro/internal/eqrel"
 	"repro/internal/obs"
+	"repro/internal/rules"
 	wl "repro/internal/workload"
 )
 
@@ -44,53 +48,177 @@ var shardFixtures = []struct {
 	{"bib", loadBib},
 }
 
-// explainRequests explains every possible merge the server reports,
-// plus two pairs no maximal solution merges.
-func explainRequests(t *testing.T, ts *httptest.Server) []ExplainRequest {
-	t.Helper()
-	var possible MergesResponse
-	post(t, ts, "/v1/merges/possible", nil, &possible)
+// explainRequests explains every given possible merge, plus two pairs
+// no maximal solution merges.
+func explainRequests(possible []MergePair) []ExplainRequest {
 	reqs := []ExplainRequest{{A: "c3", B: "c4"}, {A: "a1", B: "a4"}}
-	for _, p := range possible.Merges {
+	for _, p := range possible {
 		reqs = append(reqs, ExplainRequest{A: p.A, B: p.B})
 	}
 	return reqs
 }
 
-// TestShardedEndpointsDifferential: every reasoning endpoint agrees
-// between a sharded and a monolithic server over both fixtures, and so
-// do the merge decisions their audit logs record.
+// monolithic computes the replies a server over an instance must give,
+// by sequential calls on a monolithic core.Engine over its own parse of
+// that instance, rendered through serve's response types as the
+// handlers render them. It also collects the merge decisions the
+// server's audit log must record for those requests, in order.
+type monolithic struct {
+	t         *testing.T
+	in        instance
+	eng       *core.Engine
+	decisions []string
+}
+
+// reply returns the reference body for one request and records the
+// audit decisions the request makes.
+func (m *monolithic) reply(path string, req any) []byte {
+	m.t.Helper()
+	ctx := context.Background()
+	eng := m.eng.Fork()
+	in := m.in.db.Interner()
+	var resp any
+	var err error
+	switch path {
+	case "/v1/merges/certain", "/v1/merges/possible":
+		sem := strings.TrimPrefix(path, "/v1/merges/")
+		var pairs []eqrel.Pair
+		if sem == "certain" {
+			pairs, err = eng.CertainMergesCtx(ctx)
+		} else {
+			pairs, err = eng.PossibleMergesCtx(ctx)
+		}
+		r := MergesResponse{Semantics: sem, Merges: []MergePair{}, Count: len(pairs)}
+		for _, p := range pairs {
+			r.Merges = append(r.Merges, MergePair{A: in.Name(p.A), B: in.Name(p.B)})
+			m.audit("merges/"+sem, sem, p)
+		}
+		resp = r
+	case "/v1/solutions/maximal":
+		var ms []*eqrel.Partition
+		ms, err = eng.MaximalSolutionsCtx(ctx)
+		r := SolutionsResponse{Solutions: []SolutionJSON{}, Count: len(ms)}
+		for _, sol := range ms {
+			js := SolutionJSON{Classes: [][]string{}}
+			for _, cls := range sol.NontrivialClasses() {
+				js.Classes = append(js.Classes, constNames(in, cls))
+			}
+			r.Solutions = append(r.Solutions, js)
+		}
+		resp = r
+	case "/v1/answers":
+		ar := req.(AnswersRequest)
+		r := AnswersResponse{Semantics: ar.Semantics, Query: ar.Query}
+		if r.Semantics == "" {
+			r.Semantics = "certain"
+		}
+		q, perr := rules.ParseQuery(ar.Query, m.in.db.Schema(), in.Clone(), m.in.sims)
+		if perr != nil {
+			m.t.Fatal(perr)
+		}
+		answers := eng.PossibleAnswersCtx
+		if r.Semantics == "certain" {
+			answers = eng.CertainAnswersCtx
+		}
+		tuples, aerr := answers(ctx, q)
+		err = aerr
+		if len(q.Head) == 0 {
+			yes := len(tuples) > 0
+			r.Boolean = &yes
+		} else {
+			r.Answers = [][]string{}
+			for _, tp := range tuples {
+				r.Answers = append(r.Answers, constNames(in, tp))
+			}
+			r.Count = len(r.Answers)
+		}
+		resp = r
+	case "/v1/explain":
+		er := req.(ExplainRequest)
+		a, _ := in.Lookup(er.A)
+		b, _ := in.Lookup(er.B)
+		var x *core.MergeExplanation
+		x, err = eng.ExplainMergeCtx(ctx, a, b)
+		if err == nil {
+			resp = ExplainResponse{Pair: MergePair{A: er.A, B: er.B}, Status: x.Status.String(), Text: x.Format(in)}
+			switch x.Status {
+			case core.Certain:
+				m.audit("explain", audit.DecisionCertain, x.Pair)
+			case core.PossibleOnly:
+				m.audit("explain", audit.DecisionPossible, x.Pair)
+			}
+		}
+	default:
+		m.t.Fatalf("no reference for %s", path)
+	}
+	if err != nil {
+		m.t.Fatalf("monolithic %s %v: %v", path, req, err)
+	}
+	raw, err := json.Marshal(resp)
+	if err != nil {
+		m.t.Fatal(err)
+	}
+	return append(raw, '\n')
+}
+
+// audit records the decision the server must log for one merge pair,
+// justified by Engine.ExplainMergeCtx.
+func (m *monolithic) audit(endpoint, decision string, p eqrel.Pair) {
+	m.t.Helper()
+	x, err := m.eng.Fork().ExplainMergeCtx(context.Background(), p.A, p.B)
+	if err != nil {
+		m.t.Fatal(err)
+	}
+	rec := mergeRecord(&reqMeta{endpoint: endpoint}, m.in.db.Interner(), decision, p, x.Justification)
+	m.decisions = append(m.decisions, decisionLine(rec))
+}
+
+// constNames renders constants by name.
+func constNames(in *db.Interner, cs []db.Const) []string {
+	names := make([]string, len(cs))
+	for i, c := range cs {
+		names[i] = in.Name(c)
+	}
+	return names
+}
+
+// TestShardedEndpointsDifferential: every reasoning endpoint of a
+// server over both fixtures answers byte for byte what a monolithic
+// core.Engine computes, explanations included, and the server's audit
+// log records the same merge decisions and justifications.
 func TestShardedEndpointsDifferential(t *testing.T) {
 	for _, fixture := range shardFixtures {
 		t.Run(fixture.name, func(t *testing.T) {
-			var monoLog, shardLog bytes.Buffer
-			_, mono := newTestServer(t, fixture.load(t), func(cfg *Config) {
-				cfg.Audit = audit.New(&monoLog)
+			var log bytes.Buffer
+			_, ts := newTestServer(t, fixture.load(t), func(cfg *Config) {
+				cfg.Audit = audit.New(&log)
 			})
-			_, sharded := newTestServer(t, fixture.load(t), func(cfg *Config) {
-				cfg.Sharded = true
-				cfg.Audit = audit.New(&shardLog)
-			})
-			check := func(path string, req any) {
-				wantStatus, want := post(t, mono, path, req, nil)
-				gotStatus, got := post(t, sharded, path, req, nil)
-				if wantStatus != gotStatus || string(want) != string(got) {
-					t.Errorf("%s %v: monolithic (%d) %s vs sharded (%d) %s",
-						path, req, wantStatus, want, gotStatus, got)
+			ref := fixture.load(t)
+			mono := &monolithic{t: t, in: ref, eng: ref.oracle(t)}
+			check := func(path string, req any) []byte {
+				want := mono.reply(path, req)
+				status, got := post(t, ts, path, req, nil)
+				if status != 200 || string(want) != string(got) {
+					t.Errorf("%s %v: server (%d) %s\nmonolithic %s", path, req, status, got, want)
+				}
+				return want
+			}
+			var possible MergesResponse
+			for _, r := range shardedRequests {
+				if want := check(r.path, r.req); r.path == "/v1/merges/possible" {
+					if err := json.Unmarshal(want, &possible); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
-			for _, r := range shardedRequests {
-				check(r.path, r.req)
-			}
-			for _, r := range explainRequests(t, mono) {
+			for _, r := range explainRequests(possible.Merges) {
 				check("/v1/explain", r)
 			}
-			want, got := auditDecisions(t, monoLog.String()), auditDecisions(t, shardLog.String())
-			if len(want) == 0 {
-				t.Fatal("monolithic server audited no merge decisions")
+			if len(mono.decisions) == 0 {
+				t.Fatal("the reference audits no merge decisions")
 			}
-			if strings.Join(want, "\n") != strings.Join(got, "\n") {
-				t.Errorf("audit decisions diverge:\n  monolithic %q\n  sharded    %q", want, got)
+			if want, got := strings.Join(mono.decisions, "\n"), strings.Join(auditDecisions(t, log.String()), "\n"); want != got {
+				t.Errorf("audit decisions diverge:\n  monolithic %q\n  server     %q", want, got)
 			}
 		})
 	}
@@ -105,7 +233,6 @@ func TestShardedEndpointsSearchFree(t *testing.T) {
 			rec := obs.NewRegistry()
 			var log bytes.Buffer
 			s, ts := newTestServer(t, fixture.load(t), func(cfg *Config) {
-				cfg.Sharded = true
 				cfg.Recorder = rec
 				cfg.Audit = audit.New(&log)
 				cfg.CacheSize = -1
@@ -123,7 +250,9 @@ func TestShardedEndpointsSearchFree(t *testing.T) {
 					t.Fatalf("%s: status %d body %s", r.path, status, body)
 				}
 			}
-			for _, r := range explainRequests(t, ts) {
+			var possible MergesResponse
+			post(t, ts, "/v1/merges/possible", nil, &possible)
+			for _, r := range explainRequests(possible.Merges) {
 				if status, body := post(t, ts, "/v1/explain", r, nil); status != 200 {
 					t.Fatalf("explain %v: status %d body %s", r, status, body)
 				}
@@ -148,7 +277,6 @@ func TestShardedAuditAtScale(t *testing.T) {
 	}
 	var log syncBuffer
 	s, ts := newTestServer(t, instance{db: ds.DB, spec: ds.Spec, sims: ds.Sims}, func(cfg *Config) {
-		cfg.Sharded = true
 		cfg.Audit = audit.New(&log)
 	})
 	if err := s.epochReady(context.Background(), s.cur.Load()); err != nil {
@@ -187,10 +315,16 @@ func auditDecisions(t *testing.T, log string) []string {
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatalf("bad audit line %q: %v", line, err)
 		}
-		out = append(out, strings.Join(append([]string{rec.Endpoint, rec.Decision, rec.A, rec.B, rec.Rule},
-			rec.Justification...), " | "))
+		out = append(out, decisionLine(rec))
 	}
 	return out
+}
+
+// decisionLine renders a merge-decision record without its
+// request-scoped fields.
+func decisionLine(rec audit.Record) string {
+	return strings.Join(append([]string{rec.Endpoint, rec.Decision, rec.A, rec.B, rec.Rule},
+		rec.Justification...), " | ")
 }
 
 // TestShardedMetrics: resolution records the shard gauges into the
@@ -198,7 +332,6 @@ func auditDecisions(t *testing.T, log string) []string {
 func TestShardedMetrics(t *testing.T) {
 	rec := obs.NewRegistry()
 	s, ts := newTestServer(t, loadFig1(t), func(cfg *Config) {
-		cfg.Sharded = true
 		cfg.Recorder = rec
 	})
 	if status, body := post(t, ts, "/v1/merges/certain", nil, nil); status != 200 {

@@ -237,12 +237,12 @@ func (s *Server) auditDrop(n int64, err error) {
 // auditMerges records the merge decisions of one merges/{certain,
 // possible} response, each justified as /v1/explain justifies it: in the
 // first maximal solution of the epoch containing the pair. The snapshot
-// picks those witnesses from the resolution the response came from
-// (shard by shard on sharded servers), so auditing never runs a second
-// whole-instance search. Best-effort by design: an audit failure never
-// fails the request (records whose explanation failed are written
-// without a justification), and the response is already fully built —
-// but every record lost to a write error is counted as dropped.
+// picks those witnesses shard by shard from the resolution the response
+// came from, so auditing never runs a second whole-instance search.
+// Best-effort by design: an audit failure never fails the request
+// (records whose explanation failed are written without a
+// justification), and the response is already fully built — but every
+// record lost to a write error is counted as dropped.
 func (s *Server) auditMerges(ctx context.Context, snap *core.EpochSnapshot,
 	meta *reqMeta, decision string, pairs []eqrel.Pair) {
 

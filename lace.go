@@ -312,21 +312,14 @@ type (
 	EpochSnapshot = core.EpochSnapshot
 	// FactSpec names one fact by relation and argument constant names.
 	FactSpec = db.FactSpec
-	// ShardSolveCache shares per-shard solve results across the epochs
-	// of a mutable sharded session.
-	ShardSolveCache = core.ShardSolveCache
 )
 
-// NewMutableSession builds a monolithic mutable session over the
-// initial database (epoch 0).
-func NewMutableSession(d *Database, spec *Spec, sims *SimRegistry, opts Options) (*MutableSession, error) {
-	return core.NewMutable(d, spec, sims, opts)
-}
-
-// NewMutableShardedSession is NewMutableSession with sharded per-epoch
-// resolution and a cross-epoch per-shard solve cache.
-func NewMutableShardedSession(d *Database, spec *Spec, sims *SimRegistry, opts Options, sopts ShardOptions) (*MutableSession, error) {
-	return core.NewMutableSharded(d, spec, sims, opts, sopts)
+// NewMutableSession builds a mutable session over the initial database,
+// numbered epoch (0 for a fresh instance; a recovered lineage resumes
+// at its last logged epoch). Every epoch resolves through a
+// ShardedEngine sharing one cross-epoch per-shard solve cache.
+func NewMutableSession(d *Database, spec *Spec, sims *SimRegistry, opts Options, epoch uint64) (*MutableSession, error) {
+	return core.NewMutable(d, spec, sims, opts, epoch)
 }
 
 // ApplyFacts derives a new database from parent by one atomic batch:
