@@ -10,20 +10,17 @@ package core
 // overlay over its parent), the engines, and any resolved shard
 // results.
 //
-// Incrementality comes from three reuses, none of which weakens the
+// Incrementality comes from two reuses, neither of which weakens the
 // exactness argument of DESIGN.md §11:
 //   - db.Apply shares every untouched relation with the parent epoch
 //     and clones the interner with ids preserved, so constant ids —
 //     and everything keyed by them — stay valid along the lineage;
 //   - the similarity memo's shared tier persists across epochs (minus
 //     the entries Invalidate drops for retracted names), so verdicts
-//     are computed once per lineage, not once per epoch;
-//   - every epoch's ShardedEngine shares the session's ShardSolveCache,
-//     so a shard whose projected instance a batch did not touch replays
-//     its solved results instead of re-searching. The top of the
-//     candidate lattice — and, when it is inconsistent, the one-round
-//     stitch it seeds — is recomputed every epoch; only solved search
-//     spaces are memoized.
+//     are computed once per lineage, not once per epoch.
+//
+// Each epoch's resolution is computed afresh: the top of the candidate
+// lattice and, when it is inconsistent, the one-pass stitch it seeds.
 
 import (
 	"context"
@@ -56,16 +53,17 @@ type ApplyResult struct {
 	// Fingerprint is the new database's content fingerprint.
 	Fingerprint string
 	// DirtyShards is the number of the previous epoch's shard
-	// components whose support mentions a constant of the batch. After
-	// a stitched epoch that is the re-solve surface the batch dirtied.
-	// After an epoch answered by the top (ShardStats.Rounds == 0) the
-	// shards are the nontrivial T-classes, each supported by its own
-	// members only, so it counts the T-classes the batch names: a lower
-	// bound, since a batch constant reaching a class only through a
-	// rule body is not counted (an inserted Author tuple that σ2 joins
-	// to a class member by a similar email at the same institution). It
-	// is -1 when unavailable: a previous epoch that never resolved, or
-	// one that fell back to a monolithic solve.
+	// components whose support mentions a constant of the batch. It
+	// reports which components a batch names; it does not predict what
+	// the next epoch re-solves, since every epoch resolves afresh. After
+	// an epoch answered by the top (ShardStats.Rounds == 0) the shards
+	// are the nontrivial T-classes, each supported by its own members
+	// only, so it counts the T-classes the batch names: a lower bound on
+	// the classes the batch can change, since a batch constant reaching
+	// a class only through a rule body is not counted (an inserted
+	// Author tuple that σ2 joins to a class member by a similar email at
+	// the same institution). It is -1 when unavailable: a previous epoch
+	// that never resolved, or one that fell back to a monolithic solve.
 	DirtyShards int
 }
 
@@ -157,10 +155,9 @@ func (s *EpochSnapshot) ExplainMergesCtx(ctx context.Context, pairs []eqrel.Pair
 // EpochSnapshot per epoch. Apply is single-writer (internally
 // serialized); Snapshot may be called from any goroutine.
 type MutableSession struct {
-	spec  *rules.Spec
-	sims  *sim.Registry
-	opts  Options
-	cache *ShardSolveCache // shared by every epoch's ShardedEngine
+	spec *rules.Spec
+	sims *sim.Registry
+	opts Options
 
 	mu  sync.Mutex // serializes Apply
 	cur atomic.Pointer[EpochSnapshot]
@@ -168,16 +165,15 @@ type MutableSession struct {
 
 // NewMutable builds a mutable session over the initial database,
 // numbered epoch (0 for a fresh instance). Every epoch is resolved by a
-// ShardedEngine, and per-shard solves are shared across epochs through
-// one ShardSolveCache of DefaultShardCacheSize entries. The database is
-// frozen; all later epochs are copy-on-write overlays.
+// ShardedEngine. The database is frozen; all later epochs are
+// copy-on-write overlays.
 //
 // Recovery passes a nonzero epoch: a database rebuilt by replaying a
 // write-ahead log through epoch N resumes its lineage at N, so the next
 // Apply yields N+1 and epoch numbers stay aligned with the log.
 func NewMutable(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Options, epoch uint64) (*MutableSession, error) {
 	d.Freeze()
-	m := &MutableSession{spec: spec, sims: sims, opts: opts, cache: NewShardSolveCache(DefaultShardCacheSize)}
+	m := &MutableSession{spec: spec, sims: sims, opts: opts}
 	snap, err := m.newSnapshot(epoch, d)
 	if err != nil {
 		return nil, err
@@ -188,9 +184,9 @@ func NewMutable(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Optio
 
 // NewMutableSharded is NewMutable at epoch 0.
 //
-// Deprecated: every session resolves sharded; use NewMutable. sopts is
-// ignored.
-func NewMutableSharded(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Options, sopts ShardOptions) (*MutableSession, error) {
+// Deprecated: every session resolves sharded; use NewMutable. The
+// ShardOptions argument is ignored.
+func NewMutableSharded(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Options, _ ShardOptions) (*MutableSession, error) {
 	return NewMutable(d, spec, sims, opts, 0)
 }
 
@@ -274,7 +270,7 @@ func (m *MutableSession) ApplyDurable(b Batch, precommit func(ApplyResult) error
 // each root engine writes its registry's unsynchronized memo tier;
 // forks still share the memoized verdicts.
 func (m *MutableSession) newSnapshot(epoch uint64, d *db.Database) (*EpochSnapshot, error) {
-	se, err := NewSharded(d, m.spec, m.sims.Fork(), m.opts, ShardOptions{SolveCache: m.cache})
+	se, err := NewSharded(d, m.spec, m.sims.Fork(), m.opts, ShardOptions{})
 	if err != nil {
 		return nil, err
 	}

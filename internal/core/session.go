@@ -93,7 +93,7 @@ func newSession(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Optio
 // specification with already-normalized options. The sharded engine
 // builds one per shard from a projection of a validated instance, where
 // re-validating the (structurally identical) rewritten spec per shard
-// and per stitch round would be pure overhead.
+// would be pure overhead.
 func buildSession(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Options) (*Session, error) {
 	s := &Session{
 		d:     d,

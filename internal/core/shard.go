@@ -2,19 +2,17 @@ package core
 
 // shard.go re-architects resolution around partitioning: instead of one
 // monolithic solution-space search over the whole instance, the domain
-// is split into coupled components, each component is solved as an
-// independent Shard (its own projected database, rewritten spec,
-// sim-registry slice and Session), and a stitching fixpoint
-// re-partitions on the merges the shards discover until no cross-shard
-// interaction remains.
+// is split into coupled components, and each component is answered by
+// the lattice top or solved as an independent Shard (its own projected
+// database, rewritten spec, sim-registry slice and Session).
 //
-// Planning asks the top T of the candidate lattice first: the closure
-// of the identity under every merge rule. Every solution lies below T,
-// so a consistent T is the unique maximal solution and answers the
-// instance with no components, coupling analysis or shard solves; it is
-// recorded as one single-choice shard per nontrivial T-class. Only an
-// inconsistent T runs the stitch, seeded with G = T and the components
-// at T's classes. A merge only ever comes from a match of a rule body,
+// Resolution is one pass from the top T of the candidate lattice: the
+// closure of the identity under every merge rule. Every solution lies
+// below T, so a consistent T is the unique maximal solution and answers
+// the instance with no components, coupling analysis or shard solves; it
+// is recorded as one single-choice shard per nontrivial T-class. Only an
+// inconsistent T runs the stitch, with G = T and the components at T's
+// classes. A merge only ever comes from a match of a rule body,
 // similarity atoms included, so what guarantees sharded ≡ monolithic is
 // the coupling analysis: each merge rule and each denial constraint is
 // evaluated on D_G with its inequality atoms dropped and every variable
@@ -28,8 +26,9 @@ package core
 // conservative; the only matches skipped are those whose dropped
 // inequality binds one constant that provably never merges (a singleton
 // class of T), which can never become a real match in any state. The
-// shards can only rediscover merges already in G, so the stitch closes
-// after one round. A component's local top is T restricted to it, so a
+// shards can only derive merges already in G, so nothing they find is
+// fed back: the stitch is a single pass. A component's local top is T
+// restricted to it, so a
 // component no violated denial match of D_T touches is answered by T
 // too; only the others are solved. See DESIGN.md §11 for the full
 // argument.
@@ -51,15 +50,10 @@ import (
 	"repro/internal/sim"
 )
 
-// ShardOptions tunes the partition layer of a ShardedEngine.
-type ShardOptions struct {
-	// SolveCache, when non-nil, memoizes per-shard solve results across
-	// engines keyed by the projected instance's content. Share one cache
-	// only between engines whose databases form an epoch lineage (ids
-	// preserved by db.Apply) over the same spec and similarity registry —
-	// MutableSession arranges exactly this.
-	SolveCache *ShardSolveCache
-}
+// ShardOptions is accepted and ignored by NewSharded.
+//
+// Deprecated: the sharded engine has no options; pass ShardOptions{}.
+type ShardOptions struct{}
 
 // Shard is one unit of resolution: a coupled component of the constant
 // space together with its projected sub-instance and the per-shard
@@ -92,17 +86,12 @@ type ShardStats struct {
 	// by the top; Sizes their member counts, ordered by component root.
 	Shards int
 	Sizes  []int
-	// Rounds is the number of stitch-fixpoint rounds: 0 when the
-	// instance was answered by the top (a consistent lattice top, with
-	// one shard per nontrivial class of it), 1 when an inconsistent top
-	// seeded the stitch. Solves counts the per-shard solves performed;
-	// a shard the top answers is neither solved nor looked up in the
-	// solve cache.
+	// Rounds is the number of stitch passes: 0 when the instance was
+	// answered by the top (a consistent lattice top, with one shard per
+	// nontrivial class of it), 1 when an inconsistent top ran the
+	// stitch. Solves counts the per-shard solves performed; a shard the
+	// top answers is not solved.
 	Rounds, Solves int
-	// CacheHits / CacheMisses count shards served from (resp.
-	// missed in) the cross-epoch solve cache; both stay zero when no
-	// ShardOptions.SolveCache is configured.
-	CacheHits, CacheMisses int
 	// Monolithic reports that the engine fell back to one whole-instance
 	// solve (a mergeable constant occurred at a similarity position, the
 	// one case where the coupling analysis would be unsound).
@@ -124,11 +113,10 @@ type couplingPlan struct {
 }
 
 // ShardedEngine resolves an instance from the top of its candidate
-// lattice: a consistent top is the answer; an inconsistent one seeds a
-// partition into coupled components and a stitch that feeds the merges
-// the shards discover back until none is new. A component the top
-// answers is recorded as is; the rest are each solved as a Shard over
-// the parallel work queue. Results are byte-identical to the monolithic
+// lattice: a consistent top is the answer; an inconsistent one is
+// partitioned into coupled components in one stitch pass. A component
+// the top answers is recorded as is; the rest are each solved as a
+// Shard over the parallel work queue. Results are byte-identical to the monolithic
 // Engine on the same instance.
 //
 // The first result call resolves the whole instance once (under that
@@ -137,31 +125,29 @@ type couplingPlan struct {
 // read-only, and an instance that falls back to a monolithic solve runs
 // it on a private Fork per call.
 type ShardedEngine struct {
-	eng   *Engine
-	sopts ShardOptions
+	eng *Engine
 
 	once sync.Once
 	err  error
 	done atomic.Bool // run completed without error
 
-	shards      []*Shard // ordered by root
-	rounds      int
-	solves      int
-	cacheHits   int
-	cacheMisses int
-	mono        bool // fell back to a single monolithic solve
-	unsolvable  bool // Sol(D, Σ) = ∅
+	shards     []*Shard // ordered by root
+	stitched   bool     // the top was inconsistent and the stitch ran
+	solves     int
+	mono       bool // fell back to a single monolithic solve
+	unsolvable bool // Sol(D, Σ) = ∅
 }
 
 // NewSharded builds a sharded engine over (d, spec, sims). The core
 // Options apply per shard (MaxStates bounds each shard's search;
-// Parallelism bounds concurrent shard solves).
-func NewSharded(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Options, sopts ShardOptions) (*ShardedEngine, error) {
+// Parallelism bounds concurrent shard solves). The ShardOptions value is
+// ignored.
+func NewSharded(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Options, _ ShardOptions) (*ShardedEngine, error) {
 	eng, err := New(d, spec, sims, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &ShardedEngine{eng: eng, sopts: sopts}, nil
+	return &ShardedEngine{eng: eng}, nil
 }
 
 // Engine returns the underlying monolithic engine (the fallback target
@@ -174,20 +160,23 @@ func (se *ShardedEngine) Stats() (ShardStats, error) {
 	if err := se.resolve(context.Background()); err != nil {
 		return ShardStats{}, err
 	}
-	st := ShardStats{
-		Shards: len(se.shards), Rounds: se.rounds,
-		Solves:    se.solves,
-		CacheHits: se.cacheHits, CacheMisses: se.cacheMisses,
-		Monolithic: se.mono,
-	}
+	st := ShardStats{Shards: len(se.shards), Rounds: se.rounds(), Solves: se.solves, Monolithic: se.mono}
 	for _, sh := range se.shards {
 		st.Sizes = append(st.Sizes, len(sh.Members))
 	}
 	return st, nil
 }
 
+// rounds is ShardStats.Rounds: 1 when the stitch ran, else 0.
+func (se *ShardedEngine) rounds() int {
+	if se.stitched {
+		return 1
+	}
+	return 0
+}
+
 // resolve runs the full pipeline once: the top, then (when it is
-// inconsistent) the stitch to fixpoint; it remembers per-shard results.
+// inconsistent) the stitch; it remembers per-shard results.
 func (se *ShardedEngine) resolve(ctx context.Context) error {
 	se.once.Do(func() {
 		se.err = se.run(ctx)
@@ -243,6 +232,7 @@ func (se *ShardedEngine) run(ctx context.Context) error {
 	if consistent {
 		se.shards = topShards(T)
 	} else {
+		se.stitched = true
 		if err := se.stitch(ctx, T, indT); err != nil {
 			return err
 		}
@@ -252,7 +242,7 @@ func (se *ShardedEngine) run(ctx context.Context) error {
 	}
 
 	rec.Gauge(obs.CoreShardCount, int64(len(se.shards)))
-	rec.Gauge(obs.CoreShardRounds, int64(se.rounds))
+	rec.Gauge(obs.CoreShardRounds, int64(se.rounds()))
 	largest := 0
 	for _, sh := range se.shards {
 		rec.Observe(obs.HistShardSize, time.Duration(int64(len(sh.Members))))
@@ -265,7 +255,7 @@ func (se *ShardedEngine) run(ctx context.Context) error {
 	if consistent {
 		topConsistent = 1
 	}
-	sp.AttrInt("shards", int64(len(se.shards))).AttrInt("rounds", int64(se.rounds)).
+	sp.AttrInt("shards", int64(len(se.shards))).AttrInt("rounds", int64(se.rounds())).
 		AttrInt("top_consistent", topConsistent)
 	return nil
 }
@@ -274,7 +264,7 @@ func (se *ShardedEngine) run(ctx context.Context) error {
 // single-choice shard per nontrivial T-class, whose members, support,
 // only maximal choice, possible merges and certain merges are all that
 // class. Composition, witnesses and TouchedShards then read it like any
-// solved shard, with no round, plan or solve behind it.
+// solved shard, with no stitch, plan or solve behind it.
 func topShards(T *eqrel.Partition) []*Shard {
 	classes := T.NontrivialClasses()
 	shards := make([]*Shard, len(classes))
@@ -302,12 +292,12 @@ func answerByTop(sh *Shard, T *eqrel.Partition) {
 	sh.solvable = true
 }
 
-// stitch resolves an instance whose top T violates Δ: G starts at T and
-// the component partition at T's classes, every member a potential
-// merge endpoint. Every solution lies below T, so the shards can only
-// rediscover merges already in G and the fixpoint closes after one
-// round; only components a violated denial touches are solved
-// (DESIGN.md §11). indT is T's induced database.
+// stitch resolves an instance whose top T violates Δ in one pass: G is
+// T and the component partition starts at T's classes, every member a
+// potential merge endpoint. Every solution lies below T, so the shards
+// can only derive merges already in G and nothing is fed back; only
+// components a violated denial touches are solved (DESIGN.md §11). indT
+// is T's induced database.
 func (se *ShardedEngine) stitch(ctx context.Context, T *eqrel.Partition, indT *db.Database) error {
 	e := se.eng
 	comp := T.Clone()
@@ -343,136 +333,103 @@ func (se *ShardedEngine) stitch(ctx context.Context, T *eqrel.Partition, indT *d
 		return true
 	}
 
-	// Stage 1: stitch fixpoint.
+	// Stage 1: coupling analysis on D_G until the components stop
+	// growing. G = T is final: every solution lies below T, so no shard
+	// can derive a merge outside it.
 	G := T
 	if !G.IsIdentity() {
 		e.storeKey(G.Key(), indT)
 	}
+	if err := ctx.Err(); err != nil {
+		return limits.Wrap(err)
+	}
 	for {
-		se.rounds++
-		if err := ctx.Err(); err != nil {
-			return limits.Wrap(err)
-		}
-
-		// (a) coupling analysis on D_G until the components stop growing.
-		for {
-			changed := false
-			se.forEachCouplingMatch(G, plans, func(cp *couplingPlan, vals []db.Const, constVals []db.Const) {
-				// Skip matches whose dropped inequality binds a constant
-				// that provably never merges: they can never become real.
-				for _, nq := range cp.neq {
-					a := termVal(nq[0], cp, vals, G)
-					b := termVal(nq[1], cp, vals, G)
-					if a == b && G.ClassSize(a) == 1 {
-						return
-					}
+		changed := false
+		se.forEachCouplingMatch(G, plans, func(cp *couplingPlan, vals []db.Const, constVals []db.Const) {
+			// Skip matches whose dropped inequality binds a constant
+			// that provably never merges: they can never become real.
+			for _, nq := range cp.neq {
+				a := termVal(nq[0], cp, vals, G)
+				b := termVal(nq[1], cp, vals, G)
+				if a == b && G.ClassSize(a) == 1 {
+					return
 				}
-				if cp.rule {
-					u, v := vals[cp.x], vals[cp.y]
-					if u == v {
-						// Either already merged in G (a T-class, marked
-						// before the first round) or a trivial
-						// self-derivation: no new endpoint either way.
-						if G.ClassSize(u) == 1 {
-							return
-						}
-					} else {
-						markHead(u)
-						markHead(v)
-						if unionComp(u, v) {
-							changed = true
-						}
-					}
-				}
-				// Couple every mergeable constant of the match into one
-				// component: no rule application or denial violation may
-				// span two shards.
-				var first db.Const = -1
-				couple := func(c db.Const) {
-					if !mergeable(c) {
+			}
+			if cp.rule {
+				u, v := vals[cp.x], vals[cp.y]
+				if u == v {
+					// Either already merged in G (a T-class, marked
+					// above) or a trivial self-derivation: no new
+					// endpoint either way.
+					if G.ClassSize(u) == 1 {
 						return
 					}
-					if first < 0 {
-						first = c
-						return
-					}
-					if unionComp(first, c) {
+				} else {
+					markHead(u)
+					markHead(v)
+					if unionComp(u, v) {
 						changed = true
 					}
 				}
-				for _, c := range vals {
-					couple(c)
-				}
-				for _, c := range constVals {
-					couple(c)
-				}
-			})
-			if !changed {
-				break
 			}
-		}
-
-		// The coupling analysis evaluates similarity on representative
-		// names, which is faithful only while no mergeable constant sits
-		// at a similarity position (the value-level shadow of the
-		// attribute-level sim-safety check). If the instance violates
-		// that, fall back to one monolithic solve — exact, just unsharded.
-		if se.simPositionsClash(mergeable) {
-			se.mono = true
-			se.shards = nil
-			return nil
-		}
-
-		// (b) collect supports now that this round's components are
-		// final.
-		supports, violated := se.collectSupports(G, plans, comp, mergeable)
-		shards := se.planShards(comp, hasHead, supports)
-
-		// (c) a component no violated denial match of D_G touches has
-		// G's restriction as its local top, and that top is consistent:
-		// it is the component's one maximal solution. Only the other
-		// components get projected tuples and are solved, in parallel
-		// over the work queue; cache hits replay earlier epochs' solves
-		// without searching.
-		var toSolve []*Shard
-		for _, sh := range shards {
-			if violated[sh.Root] {
-				toSolve = append(toSolve, sh)
-			} else {
-				answerByTop(sh, G)
-			}
-		}
-		se.project(toSolve, supports, G)
-		hits, err := se.solveShards(ctx, toSolve)
-		if err != nil {
-			return err
-		}
-		se.solves += len(toSolve) - hits
-
-		// (d) feed discovered merges back; fixpoint when nothing new. A
-		// shard's closure may derive merges whose endpoints were plain
-		// spectators at planning time (a join key collapsing mid-search
-		// fires a rule over constants outside Members), so every
-		// discovered endpoint becomes headable and is coupled into the
-		// component that derived it — the next round re-plans around it.
-		changed := false
-		for _, sh := range shards {
-			for _, p := range sh.possible {
-				if G.Add(p) {
+			// Couple every mergeable constant of the match into one
+			// component: no rule application or denial violation may
+			// span two shards.
+			var first db.Const = -1
+			couple := func(c db.Const) {
+				if !mergeable(c) {
+					return
+				}
+				if first < 0 {
+					first = c
+					return
+				}
+				if unionComp(first, c) {
 					changed = true
 				}
-				markHead(p.A)
-				markHead(p.B)
-				unionComp(p.A, p.B)
 			}
-		}
+			for _, c := range vals {
+				couple(c)
+			}
+			for _, c := range constVals {
+				couple(c)
+			}
+		})
 		if !changed {
-			se.shards = shards
 			break
 		}
 	}
 
-	sort.Slice(se.shards, func(i, j int) bool { return se.shards[i].Root < se.shards[j].Root })
+	// The coupling analysis evaluates similarity on representative
+	// names, which is faithful only while no mergeable constant sits at
+	// a similarity position (the value-level shadow of the
+	// attribute-level sim-safety check). If the instance violates that,
+	// fall back to one monolithic solve — exact, just unsharded.
+	if se.simPositionsClash(mergeable) {
+		se.mono = true
+		return nil
+	}
+
+	// A component no violated denial match of D_G touches has G's
+	// restriction as its local top, and that top is consistent: it is
+	// the component's one maximal solution. Only the other components
+	// get projected tuples and are solved, in parallel over the work
+	// queue.
+	supports, violated := se.collectSupports(G, plans, comp, mergeable)
+	se.shards = se.planShards(comp, hasHead, supports)
+	var toSolve []*Shard
+	for _, sh := range se.shards {
+		if violated[sh.Root] {
+			toSolve = append(toSolve, sh)
+		} else {
+			answerByTop(sh, G)
+		}
+	}
+	se.project(toSolve, supports, G)
+	if err := se.solveShards(ctx, toSolve); err != nil {
+		return err
+	}
+	se.solves = len(toSolve)
 
 	// Stage 2: choice-independent denial violations. A real denial match
 	// on the base database none of whose constants can ever merge is
@@ -651,7 +608,7 @@ func (se *ShardedEngine) simPositionsClash(mergeable func(db.Const) bool) bool {
 }
 
 // collectSupports runs one more pass over the relaxed matches with the
-// final components of this round and gathers, per shard component, the
+// final components and gathers, per shard component, the
 // set of D_G constants any of its matches can reach. It also reports
 // the components some denial match of D_G, inequalities included,
 // touches: those whose restriction of G violates Δ.
@@ -709,7 +666,7 @@ func (se *ShardedEngine) collectSupports(G *eqrel.Partition, plans []*couplingPl
 		}
 	})
 	// Every member (through its G-image) supports its own shard, even if
-	// no match mentions it this round.
+	// no match mentions it.
 	for i := 0; i < comp.N(); i++ {
 		c := db.Const(i)
 		if comp.ClassSize(c) > 1 && mergeable(c) {
@@ -719,8 +676,8 @@ func (se *ShardedEngine) collectSupports(G *eqrel.Partition, plans []*couplingPl
 	return supports, violated
 }
 
-// planShards materializes this round's shards, ordered by root, from
-// the component partition and support sets.
+// planShards materializes the shards, ordered by root, from the
+// component partition and support sets.
 func (se *ShardedEngine) planShards(comp *eqrel.Partition, hasHead map[db.Const]bool,
 	supports map[db.Const]map[db.Const]bool) []*Shard {
 
@@ -802,40 +759,12 @@ func (se *ShardedEngine) project(shards []*Shard, supports map[db.Const]map[db.C
 	}
 }
 
-// solveShards solves the shards on a bounded worker pool,
-// returning how many were served from the cross-epoch solve cache
-// instead. Each worker buffers its instrumentation in an obs.Local
-// flushed on exit, mirroring the parallel searcher's discipline.
-func (se *ShardedEngine) solveShards(ctx context.Context, shards []*Shard) (int, error) {
-	if len(shards) == 0 {
-		return 0, nil
-	}
-	// Consult the solve cache first: a hit replays the cached result
-	// surfaces (shared frozen slices), only misses reach the pool.
-	toSolve := shards
-	var keys map[*Shard]string
-	cache := se.sopts.SolveCache
-	if cache != nil {
-		toSolve = make([]*Shard, 0, len(shards))
-		keys = make(map[*Shard]string, len(shards))
-		for _, sh := range shards {
-			key := se.shardKey(sh)
-			keys[sh] = key
-			if res, ok := cache.get(key); ok {
-				sh.maximal, sh.possible = res.maximal, res.possible
-				sh.certain, sh.solvable = res.certain, res.solvable
-				continue
-			}
-			toSolve = append(toSolve, sh)
-		}
-		hits := len(shards) - len(toSolve)
-		se.cacheHits += hits
-		se.cacheMisses += len(toSolve)
-		se.eng.rec.Inc(obs.CoreShardCacheHits, int64(hits))
-		se.eng.rec.Inc(obs.CoreShardCacheMisses, int64(len(toSolve)))
-		if len(toSolve) == 0 {
-			return hits, nil
-		}
+// solveShards solves the shards on a bounded worker pool. Each worker
+// buffers its instrumentation in an obs.Local flushed on exit,
+// mirroring the parallel searcher's discipline.
+func (se *ShardedEngine) solveShards(ctx context.Context, toSolve []*Shard) error {
+	if len(toSolve) == 0 {
+		return nil
 	}
 	se.eng.sess.freezeShared()
 	workers := se.eng.sess.workers()
@@ -871,13 +800,6 @@ func (se *ShardedEngine) solveShards(ctx context.Context, shards []*Shard) (int,
 			for sh := range tasks {
 				if err := se.solveShard(cctx, sh, inner, rec); err != nil {
 					fail(err)
-					continue
-				}
-				if cache != nil {
-					cache.put(keys[sh], &shardResult{
-						maximal: sh.maximal, possible: sh.possible,
-						certain: sh.certain, solvable: sh.solvable,
-					})
 				}
 			}
 		}()
@@ -887,7 +809,7 @@ func (se *ShardedEngine) solveShards(ctx context.Context, shards []*Shard) (int,
 	}
 	close(tasks)
 	wg.Wait()
-	return len(shards) - len(toSolve), firstErr
+	return firstErr
 }
 
 // solveShard builds the shard's local instance — renumbered projected

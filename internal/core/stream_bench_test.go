@@ -3,12 +3,11 @@ package core
 // stream_bench_test.go measures the payoff of the streaming layer: one
 // iteration is one applied single-fact batch (alternately retracting
 // and re-inserting the same Author fact) followed by a full resolve of
-// the new epoch through a MutableSession — so the sharded planner
-// re-runs, but untouched shards replay out of the cross-epoch solve
-// cache and similarity verdicts come out of the shared memo tier. The
-// baseline is the same instance resolved from scratch: a freshly
-// generated dataset (cold similarity memos) on a fresh ShardedEngine
-// with no solve cache.
+// the new epoch through a MutableSession — so the lattice top (and,
+// when it is inconsistent, the stitch) is recomputed, but similarity
+// verdicts come out of the shared memo tier. The baseline is the same
+// instance resolved from scratch: a freshly generated dataset (cold
+// similarity memos) on a fresh ShardedEngine.
 //
 // When LACE_BENCH_GUARD=1 (set by the CI stream job, not the normal
 // test run), BenchmarkIncrementalUpdate writes BENCH_stream.json next
@@ -55,8 +54,8 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Epoch 0 pays the full first resolve, warming the solve cache and
-	// the shared similarity memo; it is not part of the measurement.
+	// Epoch 0 pays the full first resolve, warming the shared similarity
+	// memo; it is not part of the measurement.
 	if _, err := m.Snapshot().PossibleMergesCtx(ctx); err != nil {
 		b.Fatal(err)
 	}

@@ -46,10 +46,15 @@ const (
 	// CoreShardSolves counts per-shard solution-space solves performed by
 	// the sharded engine.
 	CoreShardSolves = "core.shard.solves"
-	// CoreShardCacheHits / CoreShardCacheMisses expose the cross-epoch
-	// per-shard solve cache, keyed by the projected instance's content:
-	// a hit replays a previous solve's results without re-searching.
-	CoreShardCacheHits   = "core.shard.solve_cache.hits"
+	// CoreShardCacheHits named the hits of the removed cross-epoch
+	// per-shard solve cache.
+	//
+	// Deprecated: never incremented, and not in CanonicalCounters.
+	CoreShardCacheHits = "core.shard.solve_cache.hits"
+	// CoreShardCacheMisses named the misses of the removed cross-epoch
+	// per-shard solve cache.
+	//
+	// Deprecated: never incremented, and not in CanonicalCounters.
 	CoreShardCacheMisses = "core.shard.solve_cache.misses"
 
 	// CQEvalCalls counts conjunctive-query evaluations;
@@ -119,9 +124,9 @@ const (
 	// parallel solution search (1 for sequential runs).
 	CoreSearchWorkers = "core.search.workers"
 	// CoreShardCount / CoreShardRounds / CoreShardLargest describe the
-	// most recent sharded resolution: nontrivial similarity components
-	// solved as shards, stitch-fixpoint rounds until no cross-shard
-	// merges remained, and the largest shard's member count.
+	// most recent sharded resolution: nontrivial components answered or
+	// solved as shards, stitch passes (0 when the lattice top answered,
+	// 1 when it was inconsistent), and the largest shard's member count.
 	CoreShardCount   = "core.shard.count"
 	CoreShardRounds  = "core.shard.stitch_rounds"
 	CoreShardLargest = "core.shard.largest"
@@ -239,7 +244,6 @@ func CanonicalCounters() []string {
 		CoreFixpointDeltaRounds, DBInducedIncremental,
 		CoreDenialChecks, CoreJustifyChecks, CoreJustifyReplays,
 		CoreShardSolves,
-		CoreShardCacheHits, CoreShardCacheMisses,
 		CQEvalCalls, CQEvalMatches,
 		ASPDecisions, ASPPropagations, ASPConflicts,
 		ASPSATLearned, ASPSATRestarts,

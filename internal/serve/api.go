@@ -135,10 +135,11 @@ type FactsResponse struct {
 	// no longer be served.
 	Fingerprint string `json:"db_fingerprint"`
 	// DirtyShards counts the previous epoch's shard components the batch
-	// touched; after an epoch answered by the top, the lattice-top
-	// classes it names, a lower bound on what it changed (-1 when
-	// unavailable: the previous epoch was never resolved, or fell back
-	// to a monolithic solve).
+	// names; after an epoch answered by the top, the lattice-top classes
+	// it names, a lower bound on what it changed. It does not predict
+	// what the new epoch re-solves: every epoch resolves afresh. It is -1
+	// when unavailable: the previous epoch was never resolved, or fell
+	// back to a monolithic solve.
 	DirtyShards int `json:"dirty_shards"`
 }
 

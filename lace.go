@@ -277,16 +277,14 @@ func NewEngine(d *Database, spec *Spec, sims *SimRegistry, opts Options) (*Engin
 	return core.New(d, spec, sims, opts)
 }
 
-// Sharded resolution: the instance is partitioned into coupled
-// components, each component is solved as its own Shard, and a
-// stitching fixpoint recombines the per-shard results.
-// Results are identical to the monolithic Engine on the same instance.
+// Sharded resolution: the lattice top answers a consistent instance;
+// an inconsistent one is partitioned into coupled components in one
+// stitch pass, and each component the top cannot answer is solved as
+// its own Shard. Results are identical to the monolithic Engine on the
+// same instance.
 type (
 	// ShardedEngine resolves an instance shard by shard.
 	ShardedEngine = core.ShardedEngine
-	// ShardOptions tunes the partition layer (the cross-epoch solve
-	// cache).
-	ShardOptions = core.ShardOptions
 	// ShardStats summarizes a finished sharded resolution.
 	ShardStats = core.ShardStats
 )
@@ -294,8 +292,8 @@ type (
 // NewShardedEngine validates the specification and returns a sharded
 // engine. The core Options apply per shard (Parallelism bounds
 // concurrent shard solves).
-func NewShardedEngine(d *Database, spec *Spec, sims *SimRegistry, opts Options, sopts ShardOptions) (*ShardedEngine, error) {
-	return core.NewSharded(d, spec, sims, opts, sopts)
+func NewShardedEngine(d *Database, spec *Spec, sims *SimRegistry, opts Options) (*ShardedEngine, error) {
+	return core.NewSharded(d, spec, sims, opts, core.ShardOptions{})
 }
 
 // Streaming types, re-exported for the mutable-session API.
@@ -316,8 +314,8 @@ type (
 
 // NewMutableSession builds a mutable session over the initial database,
 // numbered epoch (0 for a fresh instance; a recovered lineage resumes
-// at its last logged epoch). Every epoch resolves through a
-// ShardedEngine sharing one cross-epoch per-shard solve cache.
+// at its last logged epoch). Every epoch resolves through its own
+// ShardedEngine.
 func NewMutableSession(d *Database, spec *Spec, sims *SimRegistry, opts Options, epoch uint64) (*MutableSession, error) {
 	return core.NewMutable(d, spec, sims, opts, epoch)
 }
