@@ -13,6 +13,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"testing"
@@ -642,6 +643,108 @@ func TestMutableTopFlips(t *testing.T) {
 	t.Logf("epochs by stitch rounds: %v", byRounds)
 	if byRounds[0] == 0 || byRounds[1] == 0 {
 		t.Fatalf("epochs by stitch rounds %v: want both top-answered (0) and stitched (1) epochs", byRounds)
+	}
+}
+
+// TestMutableReplayMatchesFresh replays a write stream like the
+// write-mixed benchmark's on small generated instances (MaxDup 1): each
+// write flips one of a fixed set of Author tuples, chosen by the
+// binary-reflected Gray code of the write's index, so the database never
+// returns to an earlier state. Every epoch's possible merges, certain
+// merges and maximal solutions must equal both a fresh sharded engine
+// over the same database and the monolithic engine, and at least one
+// epoch must have an inconsistent top, so the stitch is exercised.
+func TestMutableReplayMatchesFresh(t *testing.T) {
+	const tuples, writes = 8, 40
+	ctx := context.Background()
+	stitched := 0
+	seeds := []int64{1, 2, 3, 4}
+	for _, seed := range seeds {
+		cfg := workload.DefaultScaleConfig(seed, 60)
+		cfg.MaxDup = 1
+		ds, err := workload.GenerateScale(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewMutable(ds.DB, ds.Spec, ds.Sims, Options{Parallelism: 1}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := ds.DB.Interner()
+		all := ds.DB.Tuples("Author")
+		var set []db.FactSpec
+		for _, i := range rand.New(rand.NewSource(seed)).Perm(len(all))[:tuples] {
+			args := make([]string, len(all[i]))
+			for j, c := range all[i] {
+				args[j] = in.Name(c)
+			}
+			set = append(set, db.FactSpec{Rel: "Author", Args: args})
+		}
+		check := func(snap *EpochSnapshot) {
+			label := fmt.Sprintf("seed %d epoch %d", seed, snap.Epoch())
+			st, err := snap.Sharded().Stats()
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			stitched += st.Rounds
+			fresh, err := NewSharded(snap.DB(), ds.Spec, ds.Sims, Options{Parallelism: 1}, ShardOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mono, err := New(snap.DB(), ds.Spec, ds.Sims, Options{Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range []struct {
+				name string
+				get  func(resolver) (any, error)
+			}{
+				{"possible", func(r resolver) (any, error) { return r.PossibleMergesCtx(ctx) }},
+				{"certain", func(r resolver) (any, error) { return r.CertainMergesCtx(ctx) }},
+				{"maximal", func(r resolver) (any, error) {
+					sols, err := r.MaximalSolutionsCtx(ctx)
+					keys := make([]string, len(sols))
+					for i, E := range sols {
+						keys[i] = E.Key()
+					}
+					return keys, err
+				}},
+			} {
+				got, err := q.get(snap.se)
+				if err != nil {
+					t.Fatalf("%s: snapshot %s: %v", label, q.name, err)
+				}
+				for _, ref := range []struct {
+					name string
+					r    resolver
+				}{{"a fresh sharded engine", fresh}, {"the monolithic engine", mono}} {
+					want, err := q.get(ref.r)
+					if err != nil {
+						t.Fatalf("%s: %s %s: %v", label, ref.name, q.name, err)
+					}
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("%s: %s diverges from %s:\n  replay %v\n  fresh  %v", label, q.name, ref.name, got, want)
+					}
+				}
+			}
+		}
+		check(m.Snapshot())
+		for i := 0; i < writes; i++ {
+			k := bits.TrailingZeros(uint(i+1)) % tuples
+			b := Batch{Insert: []db.FactSpec{set[k]}}
+			if gray := i ^ (i >> 1); gray>>k&1 == 0 {
+				b = Batch{Retract: []db.FactSpec{set[k]}}
+			}
+			_, snap, err := m.Apply(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(snap)
+		}
+	}
+	t.Logf("%d of %d epochs stitched", stitched, len(seeds)*(writes+1))
+	if stitched == 0 {
+		t.Fatal("no epoch had an inconsistent top: the stitch went unexercised")
 	}
 }
 

@@ -311,31 +311,22 @@ func (se *ShardedEngine) stitch(ctx context.Context, T *eqrel.Partition, indT *d
 	// potential merge endpoint; only such components become shards.
 	// Entries are keyed by class representative (the minimum id, which
 	// never changes owner), so stale keys of absorbed classes are never
-	// read back. Every member of a nontrivial T-class is an endpoint: the
-	// rule branch below skips pairs already merged in G, so it would
-	// never mark them.
+	// read back. The endpoints are exactly the members of T's
+	// nontrivial classes, and coupling unions only components that both
+	// hold one, so the union's representative is already marked.
 	hasHead := make(map[db.Const]bool)
 	for _, cls := range T.NontrivialClasses() {
 		hasHead[cls[0]] = true
 	}
 	mergeable := func(c db.Const) bool { return hasHead[comp.Rep(c)] }
-	markHead := func(c db.Const) { hasHead[comp.Rep(c)] = true }
-	unionComp := func(a, b db.Const) bool {
-		ra, rb := comp.Rep(a), comp.Rep(b)
-		if ra == rb {
-			return false
-		}
-		h := hasHead[ra] || hasHead[rb]
-		comp.Union(a, b)
-		if h {
-			hasHead[comp.Rep(a)] = true
-		}
-		return true
-	}
 
-	// Stage 1: coupling analysis on D_G until the components stop
-	// growing. G = T is final: every solution lies below T, so no shard
-	// can derive a merge outside it.
+	// Stage 1: coupling analysis on D_G, one pass. G = T is final:
+	// every solution lies below T, so no shard can derive a merge
+	// outside it. The mergeable constants are exactly the members of
+	// T's nontrivial classes from the start, coupling only ever unions
+	// mergeable components, and a rule match on D_T has u = v because T
+	// is closed under every merge rule; so a second pass would find
+	// every match's mergeable constants already in one component.
 	G := T
 	if !G.IsIdentity() {
 		e.storeKey(G.Key(), indT)
@@ -343,61 +334,54 @@ func (se *ShardedEngine) stitch(ctx context.Context, T *eqrel.Partition, indT *d
 	if err := ctx.Err(); err != nil {
 		return limits.Wrap(err)
 	}
-	for {
-		changed := false
-		se.forEachCouplingMatch(G, plans, func(cp *couplingPlan, vals []db.Const, constVals []db.Const) {
-			// Skip matches whose dropped inequality binds a constant
-			// that provably never merges: they can never become real.
-			for _, nq := range cp.neq {
-				a := termVal(nq[0], cp, vals, G)
-				b := termVal(nq[1], cp, vals, G)
-				if a == b && G.ClassSize(a) == 1 {
-					return
-				}
+	var openRule error
+	se.forEachCouplingMatch(G, plans, func(cp *couplingPlan, vals []db.Const, constVals []db.Const) {
+		// Skip matches whose dropped inequality binds a constant that
+		// provably never merges: they can never become real.
+		for _, nq := range cp.neq {
+			a := termVal(nq[0], cp, vals, G)
+			b := termVal(nq[1], cp, vals, G)
+			if a == b && G.ClassSize(a) == 1 {
+				return
 			}
-			if cp.rule {
-				u, v := vals[cp.x], vals[cp.y]
-				if u == v {
-					// Either already merged in G (a T-class, marked
-					// above) or a trivial self-derivation: no new
-					// endpoint either way.
-					if G.ClassSize(u) == 1 {
-						return
-					}
-				} else {
-					markHead(u)
-					markHead(v)
-					if unionComp(u, v) {
-						changed = true
-					}
-				}
-			}
-			// Couple every mergeable constant of the match into one
-			// component: no rule application or denial violation may
-			// span two shards.
-			var first db.Const = -1
-			couple := func(c db.Const) {
-				if !mergeable(c) {
-					return
-				}
-				if first < 0 {
-					first = c
-					return
-				}
-				if unionComp(first, c) {
-					changed = true
-				}
-			}
-			for _, c := range vals {
-				couple(c)
-			}
-			for _, c := range constVals {
-				couple(c)
-			}
-		})
-		if !changed {
-			break
 		}
+		if cp.rule {
+			u, v := vals[cp.x], vals[cp.y]
+			if u != v {
+				if openRule == nil {
+					openRule = fmt.Errorf("core: internal error: rule %s derives %d = %d on the lattice top's induced database", cp.name, u, v)
+				}
+				return
+			}
+			// Either already merged in G (a T-class, marked above) or
+			// a trivial self-derivation: no endpoint either way.
+			if G.ClassSize(u) == 1 {
+				return
+			}
+		}
+		// Couple every mergeable constant of the match into one
+		// component: no rule application or denial violation may span
+		// two shards.
+		var first db.Const = -1
+		couple := func(c db.Const) {
+			if !mergeable(c) {
+				return
+			}
+			if first < 0 {
+				first = c
+				return
+			}
+			comp.Union(first, c)
+		}
+		for _, c := range vals {
+			couple(c)
+		}
+		for _, c := range constVals {
+			couple(c)
+		}
+	})
+	if openRule != nil {
+		return openRule
 	}
 
 	// The coupling analysis evaluates similarity on representative

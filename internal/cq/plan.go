@@ -23,19 +23,27 @@ type Plan struct {
 	varIdx  map[string]int
 	headIdx []int
 	// steps is the execution order, each atom compiled down to integer
-	// variable slots so the join loop never touches variable names;
-	// relSteps lists the step positions holding relational atoms, in
-	// order.
-	steps    []planStep
-	relSteps []int
+	// variable slots so the join loop never touches variable names.
+	steps []planStep
+	// relAtoms lists the indexes of the relational atoms, in atom order.
+	relAtoms []int
 	// nconst counts constant arguments (see planArg.ci).
 	nconst int
 	// layout is the per-step bind/check layout of a run with no
 	// pre-bound variables.
 	layout []stepLayout
+	// pivots[k] is the join order RunDelta uses for the split whose
+	// delta atom is relAtoms[k]: that atom first, then the greedy order.
+	pivots []pivotOrder
 	// execs recycles execution states, so a run allocates nothing once
 	// the pool is warm.
 	execs sync.Pool
+}
+
+// pivotOrder is one delta-first variant of a plan's join order.
+type pivotOrder struct {
+	steps  []planStep
+	layout []stepLayout
 }
 
 // planArg is one compiled atom argument: a binding slot for variables,
@@ -65,19 +73,19 @@ type stepLayout struct {
 	probes []int  // argument positions known at step entry
 }
 
-// layoutFor computes the per-step layout for a run in which the slots
-// marked in bound are set before the first step. The steps' slices
-// share two backing arrays.
-func (p *Plan) layoutFor(bound []bool) []stepLayout {
+// layoutFor computes the per-step layout of steps for a run in which
+// the slots marked in bound are set before the first step. The layouts'
+// slices share two backing arrays.
+func layoutFor(steps []planStep, bound []bool) []stepLayout {
 	bound = append([]bool(nil), bound...)
 	nargs := 0
-	for _, st := range p.steps {
+	for _, st := range steps {
 		nargs += len(st.args)
 	}
 	flags := make([]bool, nargs)
 	slots := make([]int, 0, nargs)
-	out := make([]stepLayout, len(p.steps))
-	for i, st := range p.steps {
+	out := make([]stepLayout, len(steps))
+	for i, st := range steps {
 		if st.kind != KindRel {
 			continue
 		}
@@ -110,9 +118,10 @@ func (p *Plan) layoutFor(bound []bool) []stepLayout {
 // relational atom with the most bound variables (ties: fewer arguments,
 // a static proxy for selectivity; then atom order), scheduling
 // similarity and inequality filters as soon as their variables are
-// bound. A non-nil schema enables relation/arity checking; safety
-// violations (variables never bound by a relational atom, head
-// variables missing from the body) are reported as errors.
+// bound. Each relational atom also gets a delta-first variant of that
+// order, which RunDelta uses. A non-nil schema enables relation/arity
+// checking; safety violations (variables never bound by a relational
+// atom, head variables missing from the body) are reported as errors.
 func Prepare(atoms []Atom, head []string, schema *db.Schema) (*Plan, error) {
 	p := &Plan{atoms: atoms, head: head, varIdx: make(map[string]int)}
 	for _, a := range atoms {
@@ -142,13 +151,12 @@ func Prepare(atoms []Atom, head []string, schema *db.Schema) (*Plan, error) {
 		p.headIdx[i] = idx
 	}
 
-	bound := make(map[string]bool)
-	used := make([]bool, len(atoms))
-	schedule := func(i int) {
-		used[i] = true
-		a := atoms[i]
+	// Compile every atom once, in atom order; the orders below are
+	// permutations of these steps.
+	compiled := make([]planStep, len(atoms))
+	for i, a := range atoms {
 		if a.Kind == KindRel {
-			p.relSteps = append(p.relSteps, len(p.steps))
+			p.relAtoms = append(p.relAtoms, i)
 		}
 		st := planStep{atom: i, kind: a.Kind, pred: a.Pred, args: make([]planArg, len(a.Args))}
 		for k, t := range a.Args {
@@ -159,7 +167,44 @@ func Prepare(atoms []Atom, head []string, schema *db.Schema) (*Plan, error) {
 				p.nconst++
 			}
 		}
-		p.steps = append(p.steps, st)
+		compiled[i] = st
+	}
+	order := greedyOrder(atoms, -1)
+	if len(order) < len(atoms) {
+		for i, a := range atoms {
+			if !slices.Contains(order, i) {
+				return nil, fmt.Errorf("cq: unsafe atom %s: variables never bound by a relational atom", a)
+			}
+		}
+	}
+	stepsOf := func(order []int) []planStep {
+		steps := make([]planStep, len(order))
+		for i, a := range order {
+			steps[i] = compiled[a]
+		}
+		return steps
+	}
+	p.steps = stepsOf(order)
+	none := make([]bool, len(p.varIdx))
+	p.layout = layoutFor(p.steps, none)
+	p.pivots = make([]pivotOrder, len(p.relAtoms))
+	for k, a := range p.relAtoms {
+		steps := stepsOf(greedyOrder(atoms, a))
+		p.pivots[k] = pivotOrder{steps: steps, layout: layoutFor(steps, none)}
+	}
+	return p, nil
+}
+
+// greedyOrder returns the atom indexes in Prepare's join order, starting
+// with relational atom first when first >= 0. Atoms that never become
+// schedulable (unsafe ones) are left out.
+func greedyOrder(atoms []Atom, first int) []int {
+	order := make([]int, 0, len(atoms))
+	bound := make(map[string]bool)
+	used := make([]bool, len(atoms))
+	schedule := func(i int) {
+		used[i] = true
+		order = append(order, i)
 	}
 	scheduleFilters := func() {
 		// Deterministic order: ascending atom index.
@@ -179,7 +224,19 @@ func Prepare(atoms []Atom, head []string, schema *db.Schema) (*Plan, error) {
 			}
 		}
 	}
+	scheduleRel := func(i int) {
+		schedule(i)
+		for _, t := range atoms[i].Args {
+			if t.IsVar {
+				bound[t.Name] = true
+			}
+		}
+		scheduleFilters()
+	}
 	scheduleFilters()
+	if first >= 0 {
+		scheduleRel(first)
+	}
 	for {
 		best, bestBound, bestArity := -1, -1, 0
 		for i, a := range atoms {
@@ -197,23 +254,10 @@ func Prepare(atoms []Atom, head []string, schema *db.Schema) (*Plan, error) {
 			}
 		}
 		if best == -1 {
-			break
+			return order
 		}
-		schedule(best)
-		for _, t := range atoms[best].Args {
-			if t.IsVar {
-				bound[t.Name] = true
-			}
-		}
-		scheduleFilters()
+		scheduleRel(best)
 	}
-	for i, a := range atoms {
-		if !used[i] {
-			return nil, fmt.Errorf("cq: unsafe atom %s: variables never bound by a relational atom", a)
-		}
-	}
-	p.layout = p.layoutFor(make([]bool, len(p.varIdx)))
-	return p, nil
 }
 
 // Head returns the plan's head projection.
@@ -272,27 +316,30 @@ func (p *Plan) Holds(d *db.Database, sims *sim.Registry, rs RunSpec) bool {
 	return found
 }
 
-// Delta holds the per-relation tuple marks of one semi-naive round:
-// for every relation, which tuples contain a touched constant. It is
-// computed once per round with NewDelta and shared by every plan's
-// RunDelta in that round, so the database is scanned once, not once per
-// rule.
+// Delta holds the touched tuples of one semi-naive round: for every
+// relation, which tuples contain a touched constant, as marks and as an
+// ascending row list. It is computed once per round with NewDelta and
+// shared by every plan's RunDelta in that round, so the database is
+// scanned once, not once per rule.
 type Delta struct {
 	// marks[rel][i] reports whether tuple i of rel contains a touched
-	// constant; relations without any touched tuple have no entry.
+	// constant and rows[rel] lists those i; relations without any
+	// touched tuple have no entry.
 	marks map[string][]bool
+	rows  map[string][]int32
 }
 
 // NewDelta scans d, marking every tuple that contains a constant the
 // touched predicate accepts.
 func NewDelta(d *db.Database, touched func(db.Const) bool) *Delta {
-	delta := &Delta{marks: make(map[string][]bool)}
+	delta := &Delta{marks: make(map[string][]bool), rows: make(map[string][]int32)}
 	for _, r := range d.Schema().Relations() {
 		t := d.Table(r.Name)
 		if t == nil {
 			continue
 		}
 		var m []bool
+		var rows []int32
 		for ti, tup := range t.Tuples() {
 			for _, c := range tup {
 				if touched(c) {
@@ -300,12 +347,14 @@ func NewDelta(d *db.Database, touched func(db.Const) bool) *Delta {
 						m = make([]bool, t.Len())
 					}
 					m[ti] = true
+					rows = append(rows, int32(ti))
 					break
 				}
 			}
 		}
 		if m != nil {
 			delta.marks[r.Name] = m
+			delta.rows[r.Name] = rows
 		}
 	}
 	return delta
@@ -318,11 +367,12 @@ func NewDelta(d *db.Database, touched func(db.Const) bool) *Delta {
 // contains the surviving representative of a merged class, so seeding
 // evaluation from the touched representatives finds every match that is
 // new in D_{E'} — rule bodies are negation-free, hence old matches
-// never need re-deriving. Implemented by the standard split: for each
-// relational atom position i, run the plan with atom i restricted to
-// touched tuples and earlier relational atoms restricted to untouched
-// ones, which partitions the qualifying matches by their first touched
-// atom.
+// never need re-deriving. Implemented by the standard split, one run per
+// relational atom p in atom order: p ranges over its touched tuples
+// only, earlier atoms over untouched ones and later atoms over all,
+// which partitions the qualifying matches by their first touched atom.
+// Each split runs p's delta-first join order, so it starts from the
+// delta rows and pays for the delta, not the database.
 func (p *Plan) RunDelta(d *db.Database, sims *sim.Registry, rs RunSpec, delta *Delta, cb func(ans []db.Const) bool) {
 	rec := obs.OrNop(rs.Rec)
 	rec.Inc(obs.CQEvalCalls, 1)
@@ -330,23 +380,32 @@ func (p *Plan) RunDelta(d *db.Database, sims *sim.Registry, rs RunSpec, delta *D
 	ex := p.getExec(d, sims, rs)
 	ex.deltaCB = cb
 	if ex.modeBuf == nil {
-		ex.modeBuf = make([]int8, len(p.steps))
+		ex.modeBuf = make([]int8, len(p.atoms))
+		ex.markBuf = make([][]bool, len(p.atoms))
 	}
-	ex.modes = ex.modeBuf
-	ex.marks = delta.marks
-	for di, si := range p.relSteps {
-		if delta.marks[p.steps[si].pred] == nil {
+	ex.modes, ex.markOf = ex.modeBuf, ex.markBuf
+	for _, a := range p.relAtoms {
+		ex.markOf[a] = delta.marks[p.atoms[a].Pred]
+	}
+	for k, a := range p.relAtoms {
+		ex.rows = delta.rows[p.atoms[a].Pred]
+		if len(ex.rows) == 0 {
 			continue // no touched tuple can seed this split
 		}
-		for j, sj := range p.relSteps {
+		for j, b := range p.relAtoms {
 			switch {
-			case j < di:
-				ex.modes[sj] = modeClean
-			case j == di:
-				ex.modes[sj] = modeDelta
+			case j < k:
+				ex.modes[b] = modeClean
+			case j == k:
+				ex.modes[b] = modeDelta
 			default:
-				ex.modes[sj] = modeAny
+				ex.modes[b] = modeAny
 			}
+		}
+		po := &p.pivots[k]
+		ex.steps, ex.layout = po.steps, po.layout
+		if ex.bound != nil {
+			ex.layout = layoutFor(po.steps, ex.bound)
 		}
 		if !ex.run(0) {
 			break
@@ -356,7 +415,7 @@ func (p *Plan) RunDelta(d *db.Database, sims *sim.Registry, rs RunSpec, delta *D
 	p.putExec(ex)
 }
 
-// Execution-time restrictions on relational steps for RunDelta.
+// Execution-time restrictions on relational atoms for RunDelta.
 const (
 	modeAny   int8 = iota // no restriction
 	modeClean             // only tuples without touched constants
@@ -371,21 +430,28 @@ const (
 type exec struct {
 	p      *Plan
 	in     *db.Interner
+	steps  []planStep
 	layout []stepLayout
+	// bound marks the variables RunSpec.Bind pre-binds (nil for none).
+	bound []bool
 
-	tables   []*db.Table     // per step (nil for non-relational steps)
-	simPreds []sim.Predicate // per step (nil unless a resolvable sim step)
+	tables   []*db.Table     // per atom (nil for non-relational atoms)
+	simPreds []sim.Predicate // per atom (nil unless a resolvable sim atom)
 	consts   []db.Const      // per constant argument, after RunSpec.Rep
 
 	binding     []db.Const
 	ans         []db.Const
 	wit         []Match
 	withWitness bool
-	// Delta-run restrictions (nil for ordinary runs); modeBuf is the
-	// recycled backing of modes.
+	// Delta-run restrictions, per atom (nil for ordinary runs): the mode
+	// and the touched-tuple marks of its relation; rows lists the
+	// touched tuples of the split's delta atom. modeBuf and markBuf are
+	// the recycled backings of modes and markOf.
 	modes   []int8
+	markOf  [][]bool
+	rows    []int32
 	modeBuf []int8
-	marks   map[string][]bool
+	markBuf [][]bool
 
 	// At most one of cb and deltaCB is set; with neither, the first
 	// match stops the run (Holds).
@@ -399,7 +465,7 @@ type exec struct {
 func (p *Plan) getExec(d *db.Database, sims *sim.Registry, rs RunSpec) *exec {
 	ex, _ := p.execs.Get().(*exec)
 	if ex == nil {
-		n, nv := len(p.steps), len(p.varIdx)
+		n, nv := len(p.atoms), len(p.varIdx)
 		vals := make([]db.Const, p.nconst+nv+len(p.head))
 		ex = &exec{
 			p:        p,
@@ -419,10 +485,10 @@ func (p *Plan) getExec(d *db.Database, sims *sim.Registry, rs RunSpec) *exec {
 		st := &p.steps[i]
 		switch st.kind {
 		case KindRel:
-			ex.tables[i] = d.Table(st.pred)
+			ex.tables[st.atom] = d.Table(st.pred)
 		case KindSim:
 			if sims != nil {
-				ex.simPreds[i], _ = sims.Lookup(st.pred)
+				ex.simPreds[st.atom], _ = sims.Lookup(st.pred)
 			}
 		}
 		for _, ag := range st.args {
@@ -438,19 +504,18 @@ func (p *Plan) getExec(d *db.Database, sims *sim.Registry, rs RunSpec) *exec {
 	for i := range ex.binding {
 		ex.binding[i] = db.NoConst
 	}
-	ex.layout = p.layout
-	var bound []bool
+	ex.steps, ex.layout = p.steps, p.layout
 	for v, c := range rs.Bind {
 		if vi, ok := p.varIdx[v]; ok && c != db.NoConst {
 			ex.binding[vi] = c
-			if bound == nil {
-				bound = make([]bool, len(ex.binding))
+			if ex.bound == nil {
+				ex.bound = make([]bool, len(ex.binding))
 			}
-			bound[vi] = true
+			ex.bound[vi] = true
 		}
 	}
-	if bound != nil {
-		ex.layout = p.layoutFor(bound)
+	if ex.bound != nil {
+		ex.layout = layoutFor(p.steps, ex.bound)
 	}
 	return ex
 }
@@ -460,7 +525,9 @@ func (p *Plan) getExec(d *db.Database, sims *sim.Registry, rs RunSpec) *exec {
 func (p *Plan) putExec(ex *exec) {
 	clear(ex.tables)
 	clear(ex.simPreds)
-	ex.in, ex.layout, ex.modes, ex.marks = nil, nil, nil, nil
+	clear(ex.markBuf)
+	ex.in, ex.steps, ex.layout, ex.bound = nil, nil, nil, nil
+	ex.modes, ex.markOf, ex.rows = nil, nil, nil
 	ex.cb, ex.deltaCB, ex.matches = nil, nil, 0
 	ex.wit = ex.wit[:0]
 	p.execs.Put(ex)
@@ -488,16 +555,17 @@ func (e *exec) emit() bool {
 	return e.cb(e.ans, e.wit)
 }
 
-// run enumerates homomorphisms from plan step `step` onward; it
-// returns false when the callback stopped the enumeration.
+// run enumerates homomorphisms from step `step` of the run's join
+// order onward; it returns false when the callback stopped the
+// enumeration.
 func (e *exec) run(step int) bool {
-	if step == len(e.p.steps) {
+	if step == len(e.steps) {
 		return e.emit()
 	}
-	st := &e.p.steps[step]
+	st := &e.steps[step]
 	switch st.kind {
 	case KindSim:
-		pr := e.simPreds[step]
+		pr := e.simPreds[st.atom]
 		if pr == nil {
 			return true // unknown predicate (or nil registry): non-match
 		}
@@ -514,33 +582,40 @@ func (e *exec) run(step int) bool {
 	}
 	// Relational atom: take candidates from the most selective index
 	// over the positions known at entry, else scan.
-	table := e.tables[step]
+	table := e.tables[st.atom]
 	if table == nil {
 		return true // empty relation: no matches
 	}
 	ly := &e.layout[step]
+	// A nil mark slice means the relation has no touched tuples: all
+	// clean, none delta.
 	var mode int8
 	var mark []bool
 	if e.modes != nil {
-		mode = e.modes[step]
-		if mode != modeAny {
-			mark = e.marks[st.pred]
-		}
-	}
-	// A nil mark slice means the relation has no touched tuples: all
-	// clean, none delta.
-	skip := func(ti int) bool {
-		return mode == modeClean && mark != nil && mark[ti] ||
-			mode == modeDelta && (mark == nil || !mark[ti])
+		mode, mark = e.modes[st.atom], e.markOf[st.atom]
 	}
 	tuples := table.Tuples()
-	if len(ly.probes) > 0 {
-		var list []int32
-		for i, k := range ly.probes {
-			if l := table.Lookup(k, e.argVal(st.args[k])); i == 0 || len(l) < len(list) {
-				list = l
+	var list []int32
+	for i, k := range ly.probes {
+		if l := table.Lookup(k, e.argVal(st.args[k])); i == 0 || len(l) < len(list) {
+			list = l
+		}
+	}
+	if mode == modeDelta && (len(ly.probes) == 0 || len(e.rows) <= len(list)) {
+		// The split's delta atom: only its touched rows qualify, and
+		// try checks the known positions.
+		for _, ti := range e.rows {
+			if !e.try(step, st, ly, tuples[ti]) {
+				return false
 			}
 		}
+		return true
+	}
+	skip := func(ti int) bool {
+		return mode == modeClean && mark != nil && mark[ti] ||
+			mode == modeDelta && !mark[ti]
+	}
+	if len(ly.probes) > 0 {
 		for _, ti := range list {
 			if !skip(int(ti)) && !e.try(step, st, ly, tuples[ti]) {
 				return false

@@ -330,3 +330,137 @@ func TestRunDeltaMatchesFilteredOracle(t *testing.T) {
 		}
 	}
 }
+
+// deltaInstance extends randomInstance's generator with the query
+// shapes the delta-first splits must handle: shape 0 is randomInstance
+// itself; 1 is σ3's body (Paper/Paper and Wrote/Wrote self-joins with a
+// similarity filter); 2 puts constants in atoms that become pivots; 3
+// repeats variables inside and across atoms; 4 mixes all three.
+func deltaInstance(rng *rand.Rand, shape int) (*db.Database, []Atom, []string, *sim.Registry) {
+	if shape == 0 {
+		return randomInstance(rng)
+	}
+	s := db.NewSchema()
+	s.MustAdd("Paper", "id", "title", "venue")
+	s.MustAdd("Wrote", "paper", "author", "pos")
+	s.MustAdd("R", "a", "b")
+	d := db.New(s, nil)
+	names := []string{"c0", "c1", "c2", "c3", "c4", "c5"}
+	pick := func() string { return names[rng.Intn(len(names))] }
+	for i := 0; i < 2+rng.Intn(8); i++ {
+		d.MustInsert("Paper", pick(), pick(), pick())
+	}
+	for i := 0; i < 2+rng.Intn(8); i++ {
+		d.MustInsert("Wrote", pick(), pick(), pick())
+	}
+	for i := 0; i < rng.Intn(6); i++ {
+		d.MustInsert("R", pick(), pick())
+	}
+	c := func() Term {
+		id, _ := d.Interner().Lookup(pick())
+		return C(id)
+	}
+	reg := sim.NewRegistry(sim.NewTable("approx").Add("c0", "c1").Add("c2", "c3"))
+	x, y, t, t2, v, a, z := Var("x"), Var("y"), Var("t"), Var("t2"), Var("c"), Var("a"), Var("z")
+	var atoms []Atom
+	switch shape {
+	case 1:
+		atoms = []Atom{
+			Rel("Paper", x, t, v), Rel("Paper", y, t2, v),
+			Rel("Wrote", x, a, z), Rel("Wrote", y, a, z),
+			Sim("approx", t, t2),
+		}
+	case 2:
+		atoms = []Atom{Rel("Paper", x, c(), v), Rel("Wrote", x, a, c())}
+		if rng.Intn(2) == 0 {
+			atoms = append(atoms, Rel("R", c(), a))
+		}
+	case 3:
+		atoms = []Atom{
+			Rel("R", x, x), Rel("Wrote", x, a, a), Rel("Paper", y, a, y),
+		}
+	default:
+		atoms = []Atom{
+			Rel("Paper", x, t, v), Rel("Paper", y, t, v),
+			Rel("Wrote", x, a, c()), Rel("Wrote", y, a, a),
+			Neq(x, y),
+		}
+	}
+	heads := [][]string{{"x", "y"}, {"x", "a"}, {"x"}, nil}
+	head := heads[rng.Intn(len(heads))]
+	if shape == 2 {
+		head = heads[1+rng.Intn(3)] // shape 2 has no y
+	}
+	return d, atoms, head, reg
+}
+
+// FuzzRunDelta checks RunDelta's multiplicities against the
+// witness-filtered RunWith oracle on deltaInstance's shapes, with a
+// random, an all-touched or a none-touched delta, with and without a
+// constant remapping.
+func FuzzRunDelta(f *testing.F) {
+	for seed := int64(0); seed < 128; seed++ {
+		for shape := uint8(0); shape < 5; shape++ {
+			for touch := uint8(0); touch < 3; touch++ {
+				f.Add(seed, shape, touch, seed%2 == 0)
+			}
+		}
+	}
+	f.Fuzz(checkRunDelta)
+}
+
+// checkRunDelta is one FuzzRunDelta case.
+func checkRunDelta(t *testing.T, seed int64, shape, touch uint8, remap bool) {
+	rng := rand.New(rand.NewSource(seed))
+	d, atoms, head, reg := deltaInstance(rng, int(shape%5))
+	n := d.Interner().Size()
+	touchedSet := make(map[db.Const]bool)
+	switch touch % 3 {
+	case 0:
+		for i := 0; i < 1+rng.Intn(3); i++ {
+			touchedSet[db.Const(rng.Intn(n))] = true
+		}
+	case 1:
+		for c := 0; c < n; c++ {
+			touchedSet[db.Const(c)] = true
+		}
+	}
+	rs := RunSpec{}
+	if remap {
+		// Fold the two largest ids together, as a merge step would.
+		rs.Rep = func(c db.Const) db.Const { return min(c, db.Const(n-2)) }
+	}
+	p, err := Prepare(atoms, head, d.Schema())
+	if err != nil {
+		t.Fatalf("shape %d: %v", shape%5, err)
+	}
+	delta := NewDelta(d, func(c db.Const) bool { return touchedSet[c] })
+	got := make(map[string]int)
+	p.RunDelta(d, reg, rs, delta, func(ans []db.Const) bool {
+		got[db.TupleKey(ans)]++
+		return true
+	})
+	want := make(map[string]int)
+	rs.Witness = true
+	p.RunWith(d, reg, rs, func(ans []db.Const, wit []Match) bool {
+		for _, m := range wit {
+			for _, c := range m.Tuple {
+				if touchedSet[c] {
+					want[db.TupleKey(ans)]++
+					return true
+				}
+			}
+		}
+		return true
+	})
+	if len(got) != len(want) {
+		t.Fatalf("shape %d: delta found %d distinct answers, oracle %d (atoms %v, touched %v)",
+			shape%5, len(got), len(want), atoms, touchedSet)
+	}
+	for k, m := range want {
+		if got[k] != m {
+			t.Fatalf("shape %d: answer %q seen %d times by delta, %d by oracle (atoms %v)",
+				shape%5, k, got[k], m, atoms)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -217,9 +218,9 @@ func TestInsertMaintainsIndexes(t *testing.T) {
 	checkLookups(t, tbl)
 }
 
-// checkLookups asserts that every column lookup of tbl, for every id up
-// to one past the largest constant in it, returns exactly the ascending
-// positions a scan finds.
+// checkLookups asserts that every column lookup of tbl returns exactly
+// the ascending positions a scan finds, for NoConst and for every id up
+// to two past the largest constant in it.
 func checkLookups(t *testing.T, tbl *Table) {
 	t.Helper()
 	maxC := Const(0)
@@ -228,8 +229,14 @@ func checkLookups(t *testing.T, tbl *Table) {
 			maxC = max(maxC, c)
 		}
 	}
+	checkLookupsUpTo(t, tbl, maxC+2)
+}
+
+// checkLookupsUpTo is checkLookups over the ids NoConst, 0, ..., maxC.
+func checkLookupsUpTo(t *testing.T, tbl *Table, maxC Const) {
+	t.Helper()
 	for col := 0; col < tbl.Relation().Arity(); col++ {
-		for c := Const(0); c <= maxC+1; c++ {
+		for c := NoConst; c <= maxC; c++ {
 			var want []int32
 			for pos, tup := range tbl.Tuples() {
 				if tup[col] == c {
@@ -239,6 +246,63 @@ func checkLookups(t *testing.T, tbl *Table) {
 			if got := tbl.Lookup(col, c); !slices.Equal(got, want) {
 				t.Fatalf("%s column %d value %d: Lookup = %v, scan = %v", tbl.Relation().Name, col, c, got, want)
 			}
+		}
+	}
+}
+
+// TestLookupRandomTables checks the dense column index on random tables
+// whose columns use a window of the interned ids, probing below each
+// column's minimum, above its maximum, NoConst and ids interned after
+// the build: right after a build, and after every insert into the built
+// index of a value inside the range, below it or above it.
+func TestLookupRandomTables(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		s := NewSchema()
+		s.MustAdd("R", "a", "b", "c")
+		d := New(s, nil)
+		in := d.Interner()
+		low := 1 + rng.Intn(6) // ids below every column's minimum
+		for i := 0; i < low; i++ {
+			in.Intern(fmt.Sprintf("low%d", i))
+		}
+		row := func() []string {
+			return []string{
+				fmt.Sprintf("c%d", rng.Intn(6)),
+				fmt.Sprintf("c%d", 3+rng.Intn(4)),
+				fmt.Sprintf("c%d", rng.Intn(10)),
+			}
+		}
+		for i := 0; i < 1+rng.Intn(12); i++ {
+			d.MustInsert("R", row()...)
+		}
+		tbl := d.Table("R")
+		switch rng.Intn(3) {
+		case 0:
+			d.Freeze()
+		case 1:
+			tbl.Lookup(rng.Intn(3), 0) // builds one column
+		default:
+			tbl.build(0, 3)
+		}
+		// Constants interned after the build lie beyond every range.
+		for i := 0; i < 3; i++ {
+			in.Intern(fmt.Sprintf("new%d", i))
+		}
+		checkLookupsUpTo(t, tbl, Const(in.Size())+1)
+		if d.Frozen() {
+			continue
+		}
+		for i := 0; i < 1+rng.Intn(6); i++ {
+			args := row()
+			switch rng.Intn(3) {
+			case 0:
+				args[rng.Intn(3)] = fmt.Sprintf("low%d", rng.Intn(low))
+			case 1:
+				args[rng.Intn(3)] = fmt.Sprintf("new%d", rng.Intn(5))
+			}
+			d.MustInsert("R", args...)
+			checkLookupsUpTo(t, tbl, Const(in.Size())+1)
 		}
 	}
 }

@@ -27,13 +27,14 @@ type Table struct {
 	frozen bool
 }
 
-// colIndex is a sorted-position column index: the positions of every
-// tuple ordered by (column value, position), with the values alongside
-// for binary search. The positions holding one value are therefore a
-// contiguous run, in ascending order.
+// colIndex is a dense column index over the column's own value range
+// [lo, lo+len(off)-2]: the positions of the tuples holding value v are
+// pos[off[v-lo]:off[v-lo+1]], in ascending order, so a lookup is two
+// array loads. A value outside the range has no tuples.
 type colIndex struct {
 	built bool
-	vals  []Const
+	lo    Const
+	off   []int32
 	pos   []int32
 }
 
@@ -136,17 +137,38 @@ func (t *Table) insert(args []Const) bool {
 	pos := len(t.tuples)
 	t.slots[i] = int32(pos + 1)
 	t.tuples = append(t.tuples, args)
-	// The new position is the largest so far, so it goes at the end of
-	// its value's run and every run stays in ascending order.
 	for c := range t.cols {
-		ix := &t.cols[c]
-		if ix.built {
-			at := upperBound(ix.vals, args[c])
-			ix.vals = slices.Insert(ix.vals, at, args[c])
-			ix.pos = slices.Insert(ix.pos, at, int32(pos))
+		if ix := &t.cols[c]; ix.built {
+			ix.add(args[c], int32(pos))
 		}
 	}
 	return true
+}
+
+// add records that the tuple at position p, the largest so far, holds
+// v, widening the value range when v lies outside it. p goes at the
+// end of v's run, so every run stays in ascending order.
+func (ix *colIndex) add(v Const, p int32) {
+	switch hi := ix.lo + Const(len(ix.off)) - 2; {
+	case len(ix.off) == 0:
+		ix.lo, ix.off = v, make([]int32, 2)
+	case v < ix.lo:
+		// The new runs all start at 0, before the old first run.
+		off := make([]int32, int(ix.lo-v)+len(ix.off))
+		copy(off[ix.lo-v:], ix.off)
+		ix.lo, ix.off = v, off
+	case v > hi:
+		// The new runs all start at the end of the positions.
+		n := ix.off[len(ix.off)-1]
+		for ; hi < v; hi++ {
+			ix.off = append(ix.off, n)
+		}
+	}
+	i := int(v - ix.lo)
+	ix.pos = slices.Insert(ix.pos, int(ix.off[i+1]), p)
+	for j := i + 1; j < len(ix.off); j++ {
+		ix.off[j]++
+	}
 }
 
 func (t *Table) contains(args []Const) bool {
@@ -159,8 +181,11 @@ func (t *Table) contains(args []Const) bool {
 // slice is shared with the table; callers must not modify it.
 func (t *Table) Lookup(col int, v Const) []int32 {
 	ix := t.index(col)
-	lo := lowerBound(ix.vals, v)
-	hi := lo + upperBound(ix.vals[lo:], v)
+	i := int(v) - int(ix.lo)
+	if i < 0 || i >= len(ix.off)-1 {
+		return nil
+	}
+	lo, hi := ix.off[i], ix.off[i+1]
 	return ix.pos[lo:hi:hi]
 }
 
@@ -173,68 +198,64 @@ func (t *Table) index(col int) *colIndex {
 }
 
 // build builds the missing indexes of columns [from, to), all sharing
-// one values array and one positions array.
+// one offsets array and one positions array. Each column is a counting
+// sort over its own value range: the offsets first count every value,
+// then hold each run's end, and a backward pass places every position
+// at its run's end and decrements it, leaving each run's start and the
+// positions of a run ascending. No comparator and no cursor array.
 func (t *Table) build(from, to int) {
 	if t.cols == nil {
 		t.cols = make([]colIndex, t.rel.Arity())
 	}
 	n := len(t.tuples)
-	vals := make([]Const, (to-from)*n)
-	pos := make([]int32, (to-from)*n)
+	if n == 0 {
+		for col := from; col < to; col++ {
+			t.cols[col].built = true
+		}
+		return
+	}
 	tuples := t.tuples
+	// widths[col-from] is the offsets length of a column to build, one
+	// more than the number of values in its range; 0 for a built one.
+	var buf [8]int
+	widths := buf[:0]
+	noff, npos := 0, 0
 	for col := from; col < to; col++ {
-		cv, cp := vals[:n:n], pos[:n:n]
-		vals, pos = vals[n:], pos[n:]
-		if t.cols[col].built {
+		w := 0
+		if ix := &t.cols[col]; !ix.built {
+			lo, hi := tuples[0][col], tuples[0][col]
+			for _, tup := range tuples[1:] {
+				lo, hi = min(lo, tup[col]), max(hi, tup[col])
+			}
+			ix.lo, w = lo, int(hi-lo)+2
+			npos += n
+		}
+		widths = append(widths, w)
+		noff += w
+	}
+	off := make([]int32, noff)
+	pos := make([]int32, npos)
+	for col := from; col < to; col++ {
+		ix := &t.cols[col]
+		if ix.built {
 			continue
 		}
-		for i := range cp {
-			cp[i] = int32(i)
+		m := widths[col-from]
+		co, cp := off[:m:m], pos[:n:n]
+		off, pos = off[m:], pos[n:]
+		for _, tup := range tuples {
+			co[tup[col]-ix.lo]++
 		}
-		slices.SortFunc(cp, func(a, b int32) int {
-			if va, vb := tuples[a][col], tuples[b][col]; va != vb {
-				if va < vb {
-					return -1
-				}
-				return 1
-			}
-			return int(a - b)
-		})
-		for i, p := range cp {
-			cv[i] = tuples[p][col]
+		for i := 1; i < m; i++ {
+			co[i] += co[i-1]
 		}
-		t.cols[col] = colIndex{built: true, vals: cv, pos: cp}
+		for p := n - 1; p >= 0; p-- {
+			i := tuples[p][col] - ix.lo
+			co[i]--
+			cp[co[i]] = int32(p)
+		}
+		ix.built, ix.off, ix.pos = true, co, cp
 	}
-}
-
-// lowerBound returns the first index of sorted vals holding a value
-// >= v.
-func lowerBound(vals []Const, v Const) int {
-	lo, hi := 0, len(vals)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if vals[m] < v {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo
-}
-
-// upperBound returns the first index of sorted vals holding a value
-// > v.
-func upperBound(vals []Const, v Const) int {
-	lo, hi := 0, len(vals)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if vals[m] <= v {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo
 }
 
 func (t *Table) freeze() {

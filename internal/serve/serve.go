@@ -277,8 +277,13 @@ func (s *Server) newEpochState(snap *core.EpochSnapshot) *epochState {
 }
 
 // epochReady waits for the epoch's background resolution under the
-// request's own deadline; result calls after it return immediately.
+// request's own deadline; result calls after it return immediately. A
+// request whose deadline has already passed is cut short even when the
+// resolution is ready, rather than by the select's random pick.
 func (s *Server) epochReady(ctx context.Context, st *epochState) error {
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		return limits.Wrap(context.DeadlineExceeded)
+	}
 	select {
 	case <-st.ready:
 		return nil
