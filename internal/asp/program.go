@@ -15,7 +15,6 @@ package asp
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -220,23 +219,4 @@ func (p *Program) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Predicates returns the sorted predicate names used in the program.
-func (p *Program) Predicates() []string {
-	seen := make(map[string]bool)
-	for _, r := range p.Rules {
-		if r.Head != nil {
-			seen[r.Head.Pred] = true
-		}
-		for _, l := range r.Body {
-			seen[l.Atom.Pred] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -48,16 +48,14 @@ type Options struct {
 	// lattice top is consistent is answered without a search, so the
 	// budget does not apply there.
 	MaxStates int
-	// CacheSize bounds the induced-database cache in entries; 0 means
-	// DefaultCacheSize. When full, the least recently used entry is
-	// evicted. Parallel workers split this budget between them.
-	CacheSize int
-	// Parallelism sets the number of workers used by the solution-space
-	// searches (MaximalSolutions, Existence, merge sets) and the greedy
-	// pass. 0 means runtime.GOMAXPROCS(0); 1 forces the sequential
-	// searcher, which preserves the exact sequential visit order and
-	// counter values. Set outputs are canonically ordered, so parallel
-	// and sequential runs return identical results.
+	// Parallelism sets the number of workers of the lattice walk behind
+	// the solution-space searches (MaximalSolutions, Existence, merge
+	// sets, the general IsMaximalSolution probe) and of the sharded
+	// engine's shard solves. 0 means runtime.GOMAXPROCS(0). One worker
+	// walks depth-first on the caller's goroutine and Context, in the
+	// visit order SolutionsCtx documents; more fan the walk out over a
+	// work queue. Set outputs are canonically ordered, so every worker
+	// count returns identical results.
 	Parallelism int
 	// Recorder receives the engine's instrumentation events (search
 	// states, cache behaviour, query evaluations, justifications). Nil
@@ -68,7 +66,9 @@ type Options struct {
 // DefaultMaxStates is the default search budget.
 const DefaultMaxStates = 1 << 22
 
-// DefaultCacheSize is the default induced-database cache bound.
+// DefaultCacheSize bounds an engine's induced-database cache in
+// entries. When full, the least recently used entry is evicted. The
+// workers of a parallel walk split the bound between them.
 const DefaultCacheSize = 4096
 
 // preparedQuery pairs a cached cq.Plan with the properties the
@@ -112,7 +112,7 @@ func New(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Options) (*E
 	}
 	root := &Context{
 		sess:  sess,
-		cache: newInducedCache(sess.opts.CacheSize),
+		cache: newInducedCache(DefaultCacheSize),
 		sims:  sims,
 		rec:   sess.rec,
 	}
@@ -122,7 +122,7 @@ func New(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Options) (*E
 // Fork returns an engine that shares this engine's immutable Session —
 // database, validated specification, normalized options and precompiled
 // query plans — but owns fresh mutable evaluation state: its own
-// induced-database LRU cache (with the full configured budget) and a
+// induced-database LRU cache (DefaultCacheSize entries) and a
 // fork of the similarity registry. The forked engine may be used from a
 // different goroutine than the receiver; each engine (original or fork)
 // must still be used by one goroutine at a time. Forking freezes the
@@ -131,7 +131,7 @@ func New(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Options) (*E
 // to serve concurrent requests from one prepared session.
 func (e *Engine) Fork() *Engine {
 	e.sess.freezeShared()
-	return &Engine{Context: e.sess.newWorkerContext(1, e.sess.rec)}
+	return &Engine{Context: e.sess.newWorkerContext(DefaultCacheSize, e.sess.rec)}
 }
 
 // DB returns the engine's database.
@@ -150,12 +150,6 @@ func (e *Engine) Recorder() obs.Recorder { return e.rec }
 // built without Options.Recorder use the no-op recorder and return an
 // empty snapshot; pass an *obs.Registry to collect live statistics.
 func (e *Engine) Stats() obs.Snapshot { return e.rec.Snapshot() }
-
-// parallelEnabled reports whether solution-space searches should use
-// the parallel work-queue.
-func (e *Engine) parallelEnabled() bool {
-	return e.sess.opts.Parallelism > 1
-}
 
 // Identity returns the trivial equivalence relation EqRel(∅, D) sized to
 // the engine's constant domain.

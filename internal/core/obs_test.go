@@ -10,12 +10,10 @@ import (
 	"repro/internal/rules"
 )
 
-// obsSetup builds a four-constant engine with a live registry and a
-// small cache so the eviction path is reachable.
-func obsSetup(t *testing.T, opts Options) (*Engine, *db.Database, *obs.Registry) {
+// obsSetup builds a four-constant engine with a live registry.
+func obsSetup(t *testing.T) (*Engine, *db.Database, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	opts.Recorder = reg
 	s := db.NewSchema()
 	s.MustAdd("R", "a", "b")
 	d := db.New(s, nil)
@@ -25,7 +23,7 @@ func obsSetup(t *testing.T, opts Options) (*Engine, *db.Database, *obs.Registry)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(d, spec, nil, opts)
+	e, err := New(d, spec, nil, Options{Recorder: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +36,8 @@ func obsSetup(t *testing.T, opts Options) (*Engine, *db.Database, *obs.Registry)
 // recently used), so the cache keeps its working set instead of
 // flushing wholesale.
 func TestInducedCacheCounters(t *testing.T) {
-	e, d, reg := obsSetup(t, Options{CacheSize: 2})
+	e, d, reg := obsSetup(t)
+	e.cache = newInducedCache(2)
 	pair := func(a, b string) *eqrel.Partition {
 		return e.FromPairs([]eqrel.Pair{eqrel.MakePair(lookup(t, d, a), lookup(t, d, b))})
 	}
@@ -125,7 +124,7 @@ func TestPlanAndFixpointCounters(t *testing.T) {
 // TestSearchStats checks that a full enumeration records search states,
 // solutions, and the core.search phase duration.
 func TestSearchStats(t *testing.T) {
-	e, _, _ := obsSetup(t, Options{})
+	e, _, _ := obsSetup(t)
 	n := 0
 	if err := e.SolutionsCtx(context.Background(), func(*eqrel.Partition) bool { n++; return false }); err != nil {
 		t.Fatal(err)

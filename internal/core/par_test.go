@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/eqrel"
+	"repro/internal/obs"
 )
 
 // TestParallelMatchesSequential is the differential gate for the
@@ -194,6 +196,87 @@ func TestParallelSolutionsOrderUnchanged(t *testing.T) {
 	for i := range ka {
 		if ka[i] != kb[i] {
 			t.Fatalf("visit order diverged at %d", i)
+		}
+	}
+}
+
+// refSolutions is the depth-first walk SolutionsCtx's visit order is
+// pinned to, written as a plain recursion: from the hard closure of the
+// identity, skip a state seen before, visit a consistent state, prune an
+// inconsistent one under a restricted spec, and recurse into the
+// hard-closed child of each active pair in order. It returns the keys
+// of the solutions in visit order and the number of states explored.
+func refSolutions(t *testing.T, e *Engine) ([]string, int) {
+	t.Helper()
+	root := e.Identity()
+	if err := e.HardClose(root); err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[string]bool)
+	var keys []string
+	var rec func(st state)
+	rec = func(st state) {
+		if seen[st.key] {
+			return
+		}
+		seen[st.key] = true
+		ok, err := e.satisfiesDenials(st.E, st.ind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			keys = append(keys, st.key)
+		} else if e.Spec().IsRestricted() {
+			return
+		}
+		act, err := e.activePairs(st.E, st.ind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range act {
+			child, err := e.expand(st, a.Pair)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec(child)
+		}
+	}
+	rec(e.stateOf(root))
+	return keys, len(seen)
+}
+
+// TestSolutionsOrderMatchesReference: SolutionsCtx visits the solutions
+// of random instances in exactly refSolutions' order and explores the
+// same states, on an engine configured for one worker and on one
+// configured for four.
+func TestSolutionsOrderMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 40; trial++ {
+		d, spec, sims := randomInstance(t, rng)
+		ref, err := New(d, spec, sims, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, states := refSolutions(t, ref)
+		for _, par := range []int{1, 4} {
+			reg := obs.NewRegistry()
+			e, err := New(d, spec, sims, Options{Parallelism: par, Recorder: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			if err := e.SolutionsCtx(context.Background(), func(E *eqrel.Partition) bool {
+				got = append(got, E.Key())
+				return false
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d (par %d): visit order %q, reference %q", trial, par, got, want)
+			}
+			if n := reg.Snapshot().Counter(obs.CoreSearchStates); n != int64(states) {
+				t.Fatalf("trial %d (par %d): %d states explored, reference %d", trial, par, n, states)
+			}
 		}
 	}
 }

@@ -60,13 +60,18 @@ soft s2: N(x,n), N(y,n2), approx(n,n2) ~> EQ(x,y).`
 	if rng.Intn(2) == 0 {
 		src += "\nhard h1: S(z,x), S(z,y) => EQ(x,y)."
 	}
-	switch rng.Intn(4) {
+	switch rng.Intn(6) {
 	case 0:
 		src += "\ndenial d1: S(k,v), S(k,v2), v != v2."
 	case 1:
 		src += "\ndenial d1: R(x,x)."
 	case 2:
 		src += "\ndenial d1: S(k,v), R(v,k)."
+	case 3: // no denial
+	case 4:
+		src += "\ndenial d1: S(k,v), v != \"c1\"."
+	case 5:
+		src += "\ndenial d1: S(k,v), \"c0\" != \"c2\"."
 	}
 	spec, err := rules.ParseSpec(src, sch, d.Interner(), reg)
 	if err != nil {

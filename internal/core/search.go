@@ -11,130 +11,25 @@ import (
 	"repro/internal/obs"
 )
 
-// searcher performs depth-first exploration of the candidate-solution
-// lattice. States are hard-closed candidate solutions, deduplicated by
-// their canonical partition key. Children extend a state by one
-// soft-active pair followed by hard closure; by the monotonicity of
-// activity (rule bodies are negation-free) every solution is reachable
-// this way. This is the sequential searcher; parsearch.go holds the
-// work-queue variant used when Options.Parallelism > 1.
-type searcher struct {
-	c   *Context
-	ctx context.Context
-	// visited doubles as the dedup set and the state counter.
-	visited map[string]bool
-	budget  int
-	// prune enables the restricted-fragment optimization: when no
-	// denial constraint uses inequalities, violations persist under
-	// growth, so inconsistent states cannot lead to solutions.
-	prune bool
-	// visit lets the visitor stop the search.
-	visit func(E *eqrel.Partition) (stop bool, err error)
-}
-
-func (e *Engine) newSearcher(ctx context.Context, visit func(*eqrel.Partition) (bool, error)) *searcher {
-	return &searcher{
-		c:       e.Context,
-		ctx:     ctx,
-		visited: make(map[string]bool),
-		budget:  e.sess.opts.MaxStates,
-		prune:   e.sess.spec.IsRestricted(),
-		visit:   visit,
-	}
-}
-
-// run explores from the hard closure of start. It returns ErrBudget when
-// the state budget is exhausted (results so far are incomplete).
-func (s *searcher) run(start *eqrel.Partition) error {
-	root := start.Clone()
-	if err := s.c.HardClose(root); err != nil {
-		return err
-	}
-	_, err := s.rec(s.c.stateOf(root))
-	return err
-}
-
-func (s *searcher) rec(st state) (stop bool, err error) {
-	if err := s.ctx.Err(); err != nil {
-		// Wrapped so callers can match limits.ErrCanceled uniformly
-		// across the native search and the ASP pipeline;
-		// errors.Is(err, context.Canceled) still holds via Unwrap.
-		return true, limits.Wrap(err)
-	}
-	if s.visited[st.key] {
-		return false, nil
-	}
-	if len(s.visited) >= s.budget {
-		s.c.rec.Inc(obs.CoreSearchBudget, 1)
-		return true, ErrBudget
-	}
-	s.visited[st.key] = true
-	s.c.rec.Inc(obs.CoreSearchStates, 1)
-
-	consistent, err := s.c.satisfiesDenials(st.E, st.ind)
-	if err != nil {
-		return true, err
-	}
-	if consistent {
-		// Hard rules are satisfied by construction (states are
-		// hard-closed), and every state is a candidate solution, so a
-		// consistent state is a solution.
-		if stop, err := s.visit(st.E); stop || err != nil {
-			return true, err
-		}
-	} else if s.prune {
-		// Restricted specifications: denial violations are preserved
-		// under further merges (no inequality atoms), so no descendant
-		// can be a solution.
-		return false, nil
-	}
-	act, err := s.c.activePairs(st.E, st.ind)
-	if err != nil {
-		return true, err
-	}
-	for _, a := range act {
-		// Hard-active pairs cannot appear here: the state is hard-closed.
-		child, err := s.c.expand(st, a.Pair)
-		if err != nil {
-			return true, err
-		}
-		if stop, err := s.rec(child); stop || err != nil {
-			return true, err
-		}
-	}
-	return false, nil
-}
-
 // SolutionsCtx enumerates solutions of (D, Σ), invoking visit for each (the
 // partition is live; clone to retain). Enumeration stops early when
 // visit returns true. The error is ErrBudget when the search budget was
 // exhausted before the space was fully explored, and wraps ctx.Err()
-// when ctx is done first. SolutionsCtx always uses the sequential
-// searcher — its visit order is part of its contract — regardless of
+// when ctx is done first. SolutionsCtx always walks with one worker, on
+// the caller's goroutine and depth-first in active-pair order — its
+// visit order is part of its contract — regardless of
 // Options.Parallelism.
 func (e *Engine) SolutionsCtx(ctx context.Context, visit func(E *eqrel.Partition) bool) error {
-	sp := e.rec.Start(obs.SpanCoreSearch)
-	count := 0
-	s := e.newSearcher(ctx, func(E *eqrel.Partition) (bool, error) {
-		count++
-		e.rec.Inc(obs.CoreSearchSolutions, 1)
-		return visit(E), nil
-	})
-	err := s.run(e.Identity())
-	sp.AttrInt("solutions", int64(count)).AttrInt("states", int64(len(s.visited))).End()
-	return err
+	return e.walk(ctx, e.Identity(), 1, visit)
 }
 
 // enumSolutions runs visit over the solutions reachable from the
-// identity using the parallel searcher when enabled, the sequential one
-// otherwise. visit must accumulate order-independent results only
-// (sets, antichains, first-hit flags): under parallelism calls are
-// serialized but their order depends on scheduling.
+// identity with Options.Parallelism workers. visit must accumulate
+// order-independent results only (sets, antichains, first-hit flags):
+// with several workers calls are serialized but their order depends on
+// scheduling.
 func (e *Engine) enumSolutions(ctx context.Context, visit func(E *eqrel.Partition) bool) error {
-	if e.parallelEnabled() {
-		return e.parSolutions(ctx, e.Identity(), visit)
-	}
-	return e.SolutionsCtx(ctx, visit)
+	return e.walk(ctx, e.Identity(), e.sess.workers(), visit)
 }
 
 // ExistenceCtx decides whether Sol(D, Σ) ≠ ∅ and returns a witness
@@ -315,18 +210,10 @@ func (e *Engine) IsMaximalSolution(ctx context.Context, E *eqrel.Partition) (boo
 		// strictly larger solution must pass through some currently
 		// soft-active pair, so this is complete.
 		found := false
-		if e.parallelEnabled() {
-			err = e.parSolutions(ctx, ext.E, func(*eqrel.Partition) bool {
-				found = true
-				return true
-			})
-		} else {
-			s := e.newSearcher(ctx, func(*eqrel.Partition) (bool, error) {
-				found = true
-				return true, nil
-			})
-			err = s.run(ext.E)
-		}
+		err = e.walk(ctx, ext.E, e.sess.workers(), func(*eqrel.Partition) bool {
+			found = true
+			return true
+		})
 		if err != nil {
 			return false, err
 		}

@@ -26,7 +26,7 @@ type Session struct {
 	spec *rules.Spec
 	sims *sim.Registry // base registry; worker contexts use forks
 	dom  int           // interner size when the session was built
-	opts Options       // normalized: MaxStates/CacheSize/Parallelism resolved
+	opts Options       // normalized: MaxStates/Parallelism resolved
 	rec  obs.Recorder
 
 	// hardRules and mergeRules are the specification's Γh and Γ, listed
@@ -68,9 +68,6 @@ type topVerdict struct{ T *eqrel.Partition }
 func normalizeOptions(opts Options) Options {
 	if opts.MaxStates <= 0 {
 		opts.MaxStates = DefaultMaxStates
-	}
-	if opts.CacheSize <= 0 {
-		opts.CacheSize = DefaultCacheSize
 	}
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = runtime.GOMAXPROCS(0)
@@ -192,18 +189,14 @@ func (s *Session) freezeShared() {
 // workers returns the resolved worker count for parallel phases.
 func (s *Session) workers() int { return s.opts.Parallelism }
 
-// newWorkerContext returns a fresh per-worker evaluation context: a
-// slice of the configured induced-DB cache budget and a fork of the
-// similarity registry (fresh unsynchronized memo tier over the shared
-// read-mostly tier). rec should be the worker's buffering recorder.
-func (s *Session) newWorkerContext(workers int, rec obs.Recorder) *Context {
-	size := s.opts.CacheSize / workers
-	if size < 64 {
-		size = 64
-	}
+// newWorkerContext returns a fresh evaluation context: an induced-DB
+// cache of cacheSize entries (at least 64) and a fork of the similarity
+// registry (fresh unsynchronized memo tier over the shared read-mostly
+// tier). rec should be the worker's buffering recorder.
+func (s *Session) newWorkerContext(cacheSize int, rec obs.Recorder) *Context {
 	return &Context{
 		sess:  s,
-		cache: newInducedCache(size),
+		cache: newInducedCache(max(cacheSize, 64)),
 		sims:  s.sims.Fork(),
 		rec:   obs.OrNop(rec),
 	}

@@ -11,24 +11,24 @@ package core
 // below T, so a consistent T is the unique maximal solution and answers
 // the instance with no components, coupling analysis or shard solves; it
 // is recorded as one single-choice shard per nontrivial T-class. Only an
-// inconsistent T runs the stitch, with G = T and the components at T's
-// classes. A merge only ever comes from a match of a rule body,
-// similarity atoms included, so what guarantees sharded ≡ monolithic is
-// the coupling analysis: each merge rule and each denial constraint is
-// evaluated on D_G with its inequality atoms dropped and every variable
-// exposed in the head. Sim-safety (enforced by Spec.Validate) makes rule
-// and denial matches forward-map under merging, and every solution lies
-// below T = G, so every match any solution can ever exhibit is the image
-// of one of these relaxed matches; the constants of each relaxed match
-// that can merge at all are unioned into one component, hence no rule
-// application or denial violation can ever span two shards. Inequality
-// atoms are the one non-monotone ingredient, and dropping them is
-// conservative; the only matches skipped are those whose dropped
-// inequality binds one constant that provably never merges (a singleton
-// class of T), which can never become a real match in any state. The
-// shards can only derive merges already in G, so nothing they find is
-// fed back: the stitch is a single pass. A component's local top is T
-// restricted to it, so a
+// inconsistent T runs the stitch, with the components at T's classes.
+// A merge only ever comes from a match of a rule body, similarity atoms
+// included, so what guarantees sharded ≡ monolithic is the coupling
+// analysis: each merge rule and each denial constraint is evaluated on
+// D_T with its inequality atoms dropped and every variable exposed in
+// the head. Sim-safety (enforced by Spec.Validate) makes rule and
+// denial matches forward-map under merging, and every solution lies
+// below T, so every match any solution can ever exhibit is the image of
+// one of these relaxed matches; the constants of each relaxed match
+// that can merge at all, those of its dropped inequalities included,
+// are unioned into one component, hence no rule application or denial
+// violation can ever span two shards. Inequality atoms are the one
+// non-monotone ingredient, and dropping them is conservative; the only
+// matches skipped are those whose dropped inequality binds one constant
+// that provably never merges (a singleton class of T), which can never
+// become a real match in any state. The shards can only derive merges
+// already in T, so nothing they find is fed back: the stitch is a
+// single pass. A component's local top is T restricted to it, so a
 // component no violated denial match of D_T touches is answered by T
 // too; only the others are solved. See DESIGN.md §11 for the full
 // argument.
@@ -65,9 +65,9 @@ type Shard struct {
 	// constants this shard's solutions may merge.
 	Members []db.Const
 
-	// support is the sorted set of D_G-level constants reachable by a
+	// support is the sorted set of D_T-level constants reachable by a
 	// relaxed match touching this component; the projected database is
-	// every base tuple whose G-image stays inside it.
+	// every base tuple whose T-image stays inside it.
 	support []db.Const
 	// tuples are the projected base tuples per relation, in base
 	// insertion order, so the local database is deterministic.
@@ -108,7 +108,8 @@ type couplingPlan struct {
 	plan *preparedQuery
 	// neq lists the dropped inequality atoms as term resolvers.
 	neq [][2]cq.Term
-	// consts are the constant ids appearing in the kept atoms.
+	// consts are the constant ids of the body, dropped inequality atoms
+	// included.
 	consts []db.Const
 }
 
@@ -292,97 +293,17 @@ func answerByTop(sh *Shard, T *eqrel.Partition) {
 	sh.solvable = true
 }
 
-// stitch resolves an instance whose top T violates Δ in one pass: G is
-// T and the component partition starts at T's classes, every member a
-// potential merge endpoint. Every solution lies below T, so the shards
-// can only derive merges already in G and nothing is fed back; only
-// components a violated denial touches are solved (DESIGN.md §11). indT
-// is T's induced database.
+// stitch resolves an instance whose top T violates Δ in one pass: the
+// component partition starts at T's classes, every member a potential
+// merge endpoint. Every solution lies below T, so the shards can only
+// derive merges already in T and nothing is fed back; only components
+// a violated denial touches are solved (DESIGN.md §11). indT is T's
+// induced database D_T.
 func (se *ShardedEngine) stitch(ctx context.Context, T *eqrel.Partition, indT *db.Database) error {
 	e := se.eng
-	comp := T.Clone()
-
-	plans, err := se.couplingPlans()
-	if err != nil {
-		return err
-	}
-
-	// hasHead marks component representatives whose component contains a
-	// potential merge endpoint; only such components become shards.
-	// Entries are keyed by class representative (the minimum id, which
-	// never changes owner), so stale keys of absorbed classes are never
-	// read back. The endpoints are exactly the members of T's
-	// nontrivial classes, and coupling unions only components that both
-	// hold one, so the union's representative is already marked.
-	hasHead := make(map[db.Const]bool)
-	for _, cls := range T.NontrivialClasses() {
-		hasHead[cls[0]] = true
-	}
-	mergeable := func(c db.Const) bool { return hasHead[comp.Rep(c)] }
-
-	// Stage 1: coupling analysis on D_G, one pass. G = T is final:
-	// every solution lies below T, so no shard can derive a merge
-	// outside it. The mergeable constants are exactly the members of
-	// T's nontrivial classes from the start, coupling only ever unions
-	// mergeable components, and a rule match on D_T has u = v because T
-	// is closed under every merge rule; so a second pass would find
-	// every match's mergeable constants already in one component.
-	G := T
-	if !G.IsIdentity() {
-		e.storeKey(G.Key(), indT)
-	}
-	if err := ctx.Err(); err != nil {
-		return limits.Wrap(err)
-	}
-	var openRule error
-	se.forEachCouplingMatch(G, plans, func(cp *couplingPlan, vals []db.Const, constVals []db.Const) {
-		// Skip matches whose dropped inequality binds a constant that
-		// provably never merges: they can never become real.
-		for _, nq := range cp.neq {
-			a := termVal(nq[0], cp, vals, G)
-			b := termVal(nq[1], cp, vals, G)
-			if a == b && G.ClassSize(a) == 1 {
-				return
-			}
-		}
-		if cp.rule {
-			u, v := vals[cp.x], vals[cp.y]
-			if u != v {
-				if openRule == nil {
-					openRule = fmt.Errorf("core: internal error: rule %s derives %d = %d on the lattice top's induced database", cp.name, u, v)
-				}
-				return
-			}
-			// Either already merged in G (a T-class, marked above) or
-			// a trivial self-derivation: no endpoint either way.
-			if G.ClassSize(u) == 1 {
-				return
-			}
-		}
-		// Couple every mergeable constant of the match into one
-		// component: no rule application or denial violation may span
-		// two shards.
-		var first db.Const = -1
-		couple := func(c db.Const) {
-			if !mergeable(c) {
-				return
-			}
-			if first < 0 {
-				first = c
-				return
-			}
-			comp.Union(first, c)
-		}
-		for _, c := range vals {
-			couple(c)
-		}
-		for _, c := range constVals {
-			couple(c)
-		}
-	})
-	if openRule != nil {
-		return openRule
-	}
+	// Every solution lies below T, so the constants some solution may
+	// merge are exactly the members of T's nontrivial classes.
+	mergeable := func(c db.Const) bool { return T.ClassSize(c) > 1 }
 
 	// The coupling analysis evaluates similarity on representative
 	// names, which is faithful only while no mergeable constant sits at
@@ -393,41 +314,143 @@ func (se *ShardedEngine) stitch(ctx context.Context, T *eqrel.Partition, indT *d
 		se.mono = true
 		return nil
 	}
+	plans, err := se.couplingPlans()
+	if err != nil {
+		return err
+	}
+	if err := ctx.Err(); err != nil {
+		return limits.Wrap(err)
+	}
 
-	// A component no violated denial match of D_G touches has G's
+	// Stage 1: one pass over the relaxed matches on D_T. A match's
+	// anchor is its first mergeable constant. Its mergeable constants
+	// are coupled into the anchor's component, so no rule application
+	// or denial violation may span two shards; all its constants
+	// support the anchor's T-class; and a denial match whose dropped
+	// inequalities all hold on D_T marks that class violated. A
+	// violated denial match with no mergeable constant is violated in
+	// every state below T, so no solution exists. One pass reaches the
+	// components' fixpoint: coupling only unions mergeable constants,
+	// and T is closed under every merge rule, so a second pass would
+	// find every match's mergeable constants in one component already.
+	comp := T.Clone()
+	classSupport := make(map[db.Const]map[db.Const]bool) // by T-class representative
+	classViolated := make(map[db.Const]bool)
+	unsolvable := false
+	var openRule error
+	rep := e.repFor(T)
+	for _, cp := range plans {
+		consts := make([]db.Const, len(cp.consts))
+		for i, c := range cp.consts {
+			consts[i] = c
+			if rep != nil {
+				consts[i] = rep(c)
+			}
+		}
+		cp.plan.plan.RunWith(indT, e.sims, cq.RunSpec{Rec: e.rec, Rep: rep}, func(vals []db.Const, _ []cq.Match) bool {
+			holds := true
+			for _, nq := range cp.neq {
+				if a := termVal(nq[0], cp, vals, T); a == termVal(nq[1], cp, vals, T) {
+					if !mergeable(a) {
+						return true // binds a constant that never merges: never a real match
+					}
+					holds = false
+				}
+			}
+			couples := true
+			if cp.rule {
+				u, v := vals[cp.x], vals[cp.y]
+				if u != v {
+					openRule = fmt.Errorf("core: internal error: rule %s derives %d = %d on the lattice top's induced database", cp.name, u, v)
+					return false
+				}
+				// A head in a T-class is merged already; a T-singleton
+				// head derives nothing in any state below T.
+				couples = mergeable(u)
+			}
+			var anchor db.Const = -1
+		find:
+			for _, cs := range [2][]db.Const{vals, consts} {
+				for _, c := range cs {
+					if mergeable(c) {
+						anchor = c
+						break find
+					}
+				}
+			}
+			if anchor < 0 {
+				if !cp.rule && holds {
+					unsolvable = true
+				}
+				return true
+			}
+			cls := T.Rep(anchor)
+			sup := classSupport[cls]
+			if sup == nil {
+				sup = make(map[db.Const]bool)
+				classSupport[cls] = sup
+			}
+			for _, cs := range [2][]db.Const{vals, consts} {
+				for _, c := range cs {
+					sup[c] = true
+					if couples && mergeable(c) {
+						comp.Union(anchor, c)
+					}
+				}
+			}
+			if !cp.rule && holds {
+				classViolated[cls] = true
+			}
+			return true
+		})
+		if openRule != nil {
+			return openRule
+		}
+	}
+
+	// Fold the classes' supports and marks into their components. Every
+	// class's representative supports its component even when no match
+	// mentions it.
+	supports := make(map[db.Const]map[db.Const]bool)
+	violated := make(map[db.Const]bool)
+	for _, cls := range T.NontrivialClasses() {
+		root := comp.Rep(cls[0])
+		sup := supports[root]
+		if sup == nil {
+			sup = make(map[db.Const]bool)
+			supports[root] = sup
+		}
+		sup[cls[0]] = true
+		for c := range classSupport[cls[0]] {
+			sup[c] = true
+		}
+		if classViolated[cls[0]] {
+			violated[root] = true
+		}
+	}
+
+	// A component no violated denial match of D_T touches has T's
 	// restriction as its local top, and that top is consistent: it is
 	// the component's one maximal solution. Only the other components
 	// get projected tuples and are solved, in parallel over the work
 	// queue.
-	supports, violated := se.collectSupports(G, plans, comp, mergeable)
-	se.shards = se.planShards(comp, hasHead, supports)
+	se.shards = se.planShards(comp, supports)
 	var toSolve []*Shard
 	for _, sh := range se.shards {
 		if violated[sh.Root] {
 			toSolve = append(toSolve, sh)
 		} else {
-			answerByTop(sh, G)
+			answerByTop(sh, T)
 		}
 	}
-	se.project(toSolve, supports, G)
+	se.project(toSolve, supports, T)
 	if err := se.solveShards(ctx, toSolve); err != nil {
 		return err
 	}
 	se.solves = len(toSolve)
-
-	// Stage 2: choice-independent denial violations. A real denial match
-	// on the base database none of whose constants can ever merge is
-	// violated in every reachable state, so no solution exists.
-	unsolvable, err := se.permanentViolation(mergeable)
-	if err != nil {
-		return err
-	}
-	if !unsolvable {
-		for _, sh := range se.shards {
-			if !sh.solvable {
-				unsolvable = true
-				break
-			}
+	for _, sh := range se.shards {
+		if !sh.solvable {
+			unsolvable = true
 		}
 	}
 	se.unsolvable = unsolvable
@@ -442,16 +465,18 @@ func (se *ShardedEngine) couplingPlans() ([]*couplingPlan, error) {
 		cp := &couplingPlan{name: name}
 		var kept []cq.Atom
 		for _, a := range atoms {
-			if a.Kind == cq.KindNeq {
-				cp.neq = append(cp.neq, [2]cq.Term{a.Args[0], a.Args[1]})
-				continue
-			}
-			kept = append(kept, a)
+			// A dropped inequality's constants are constants of the
+			// match too: they must be coupled and projected with it.
 			for _, t := range a.Args {
 				if !t.IsVar {
 					cp.consts = append(cp.consts, t.Const)
 				}
 			}
+			if a.Kind == cq.KindNeq {
+				cp.neq = append(cp.neq, [2]cq.Term{a.Args[0], a.Args[1]})
+				continue
+			}
+			kept = append(kept, a)
 		}
 		cp.vars = cq.Vars(kept)
 		pq, err := prepare(kept, cp.vars, se.eng.sess.d.Schema())
@@ -496,37 +521,12 @@ func indexOf(ss []string, s string) int {
 }
 
 // termVal resolves a dropped-inequality term against a match: variables
-// through the answer row, constants through their G-representative.
-func termVal(t cq.Term, cp *couplingPlan, vals []db.Const, G *eqrel.Partition) db.Const {
+// through the answer row, constants through their T-representative.
+func termVal(t cq.Term, cp *couplingPlan, vals []db.Const, T *eqrel.Partition) db.Const {
 	if t.IsVar {
 		return vals[indexOf(cp.vars, t.Name)]
 	}
-	return G.Rep(t.Const)
-}
-
-// forEachCouplingMatch enumerates every relaxed match of every plan on
-// D_G, handing the callback the variable bindings (aligned with
-// cp.vars) and the G-representatives of the plan's constants.
-func (se *ShardedEngine) forEachCouplingMatch(G *eqrel.Partition, plans []*couplingPlan,
-	fn func(cp *couplingPlan, vals []db.Const, constVals []db.Const)) {
-	e := se.eng
-	ind := e.Induced(G)
-	rep := e.repFor(G)
-	for _, cp := range plans {
-		cp := cp
-		constVals := make([]db.Const, len(cp.consts))
-		for i, c := range cp.consts {
-			constVals[i] = c
-			if rep != nil {
-				constVals[i] = rep(c)
-			}
-		}
-		cp.plan.plan.RunWith(ind, e.sims, cq.RunSpec{Rec: e.rec, Rep: rep},
-			func(ans []db.Const, _ []cq.Match) bool {
-				fn(cp, ans, constVals)
-				return true
-			})
-	}
+	return T.Rep(t.Const)
 }
 
 // simPositionsClash reports whether a mergeable constant occurs at a
@@ -591,86 +591,12 @@ func (se *ShardedEngine) simPositionsClash(mergeable func(db.Const) bool) bool {
 	return false
 }
 
-// collectSupports runs one more pass over the relaxed matches with the
-// final components and gathers, per shard component, the
-// set of D_G constants any of its matches can reach. It also reports
-// the components some denial match of D_G, inequalities included,
-// touches: those whose restriction of G violates Δ.
-func (se *ShardedEngine) collectSupports(G *eqrel.Partition, plans []*couplingPlan,
-	comp *eqrel.Partition, mergeable func(db.Const) bool) (supports map[db.Const]map[db.Const]bool, violated map[db.Const]bool) {
-
-	supports = make(map[db.Const]map[db.Const]bool)
-	violated = make(map[db.Const]bool)
-	add := func(root, c db.Const) {
-		s := supports[root]
-		if s == nil {
-			s = make(map[db.Const]bool)
-			supports[root] = s
-		}
-		s[c] = true
-	}
-	se.forEachCouplingMatch(G, plans, func(cp *couplingPlan, vals []db.Const, constVals []db.Const) {
-		holds := true // every dropped inequality holds on D_G
-		for _, nq := range cp.neq {
-			a := termVal(nq[0], cp, vals, G)
-			b := termVal(nq[1], cp, vals, G)
-			if a == b {
-				if G.ClassSize(a) == 1 {
-					return
-				}
-				holds = false
-			}
-		}
-		var root db.Const = -1
-		for _, c := range vals {
-			if mergeable(c) {
-				root = comp.Rep(c)
-				break
-			}
-		}
-		if root < 0 {
-			for _, c := range constVals {
-				if mergeable(c) {
-					root = comp.Rep(c)
-					break
-				}
-			}
-		}
-		if root < 0 {
-			return // no shard touched: spectator-only match
-		}
-		if !cp.rule && holds {
-			violated[root] = true
-		}
-		for _, c := range vals {
-			add(root, c)
-		}
-		for _, c := range constVals {
-			add(root, c)
-		}
-	})
-	// Every member (through its G-image) supports its own shard, even if
-	// no match mentions it.
-	for i := 0; i < comp.N(); i++ {
-		c := db.Const(i)
-		if comp.ClassSize(c) > 1 && mergeable(c) {
-			add(comp.Rep(c), G.Rep(c))
-		}
-	}
-	return supports, violated
-}
-
 // planShards materializes the shards, ordered by root, from the
 // component partition and support sets.
-func (se *ShardedEngine) planShards(comp *eqrel.Partition, hasHead map[db.Const]bool,
-	supports map[db.Const]map[db.Const]bool) []*Shard {
-
+func (se *ShardedEngine) planShards(comp *eqrel.Partition, supports map[db.Const]map[db.Const]bool) []*Shard {
 	var all []*Shard
 	for _, cls := range comp.NontrivialClasses() {
 		root := cls[0]
-		if !hasHead[root] {
-			continue
-		}
 		sup := supports[root]
 		supList := make([]db.Const, 0, len(sup))
 		for c := range sup {
@@ -683,12 +609,12 @@ func (se *ShardedEngine) planShards(comp *eqrel.Partition, hasHead map[db.Const]
 }
 
 // project gives each shard its projected base tuples.
-func (se *ShardedEngine) project(shards []*Shard, supports map[db.Const]map[db.Const]bool, G *eqrel.Partition) {
+func (se *ShardedEngine) project(shards []*Shard, supports map[db.Const]map[db.Const]bool, T *eqrel.Partition) {
 	if len(shards) == 0 {
 		return
 	}
 	d := se.eng.sess.d
-	// constToRoots: which shards' supports contain a given D_G constant,
+	// constToRoots: which shards' supports contain a given D_T constant,
 	// indexed by constant. Each (constant, root) pair is appended exactly
 	// once, so the per-constant lists are duplicate-free.
 	constToRoots := make([][]db.Const, d.Interner().Size())
@@ -702,7 +628,7 @@ func (se *ShardedEngine) project(shards []*Shard, supports map[db.Const]map[db.C
 	}
 
 	// Project base tuples: a tuple joins every shard whose support
-	// contains its entire G-image. Such a shard appears in every image
+	// contains its entire T-image. Such a shard appears in every image
 	// constant's root list, so it suffices to scan the most selective
 	// (shortest) list — shared spectator constants like positions or
 	// years have long lists, but every tuple also carries an entity
@@ -714,7 +640,7 @@ func (se *ShardedEngine) project(shards []*Shard, supports map[db.Const]map[db.C
 			var best []db.Const
 			skip := false
 			for _, c := range t {
-				r := G.Rep(c)
+				r := T.Rep(c)
 				img = append(img, r)
 				lst := constToRoots[r]
 				if len(lst) == 0 {
@@ -745,7 +671,7 @@ func (se *ShardedEngine) project(shards []*Shard, supports map[db.Const]map[db.C
 
 // solveShards solves the shards on a bounded worker pool. Each worker
 // buffers its instrumentation in an obs.Local flushed on exit,
-// mirroring the parallel searcher's discipline.
+// mirroring the lattice walk's discipline.
 func (se *ShardedEngine) solveShards(ctx context.Context, toSolve []*Shard) error {
 	if len(toSolve) == 0 {
 		return nil
@@ -827,16 +753,17 @@ func (se *ShardedEngine) solveShard(ctx context.Context, sh *Shard, inner int, r
 	lopts := sess.opts
 	lopts.Parallelism = inner
 	lopts.Recorder = rec
-	if lopts.CacheSize > 64*inner && len(sh.Members) < 1024 {
-		lopts.CacheSize = 64 * inner
-	}
 	lsess, err := buildSession(ldb, lspec, lsims, lopts)
 	if err != nil {
 		return fmt.Errorf("core: shard %d: %w", sh.Root, err)
 	}
+	cacheSize := DefaultCacheSize
+	if len(sh.Members) < 1024 {
+		cacheSize = min(cacheSize, 64*inner)
+	}
 	leng := &Engine{Context: &Context{
 		sess:  lsess,
-		cache: newInducedCache(lsess.opts.CacheSize),
+		cache: newInducedCache(cacheSize),
 		sims:  lsims,
 		rec:   lsess.rec,
 	}}
@@ -961,48 +888,6 @@ func sliceRegistry(base *sim.Registry, spec *rules.Spec) *sim.Registry {
 		}
 	}
 	return out
-}
-
-// permanentViolation reports whether some denial constraint has a match
-// on the base database none of whose constants is mergeable: such a
-// violation survives every merge sequence, so Sol(D, Σ) = ∅.
-func (se *ShardedEngine) permanentViolation(mergeable func(db.Const) bool) (bool, error) {
-	e := se.eng
-	for _, dn := range e.sess.spec.Denials {
-		vars := cq.Vars(dn.Atoms)
-		pq, err := prepare(dn.Atoms, vars, e.sess.d.Schema())
-		if err != nil {
-			return false, fmt.Errorf("core: denial %s: %w", dn.Name, err)
-		}
-		var consts []db.Const
-		for _, a := range dn.Atoms {
-			for _, t := range a.Args {
-				if !t.IsVar {
-					consts = append(consts, t.Const)
-				}
-			}
-		}
-		permanent := false
-		pq.plan.RunWith(e.sess.d, e.sims, cq.RunSpec{Rec: e.rec},
-			func(ans []db.Const, _ []cq.Match) bool {
-				for _, c := range ans {
-					if mergeable(c) {
-						return true
-					}
-				}
-				for _, c := range consts {
-					if mergeable(c) {
-						return true
-					}
-				}
-				permanent = true
-				return false
-			})
-		if permanent {
-			return true, nil
-		}
-	}
-	return false, nil
 }
 
 // --- results ----------------------------------------------------------

@@ -305,6 +305,52 @@ denial d1: R(x,x).`, sch, d.Interner(), reg)
 	}
 }
 
+// TestShardInequalityConstants: a constant that occurs only in a
+// denial's inequality atom is a constant of every match of that denial.
+// In the first instance R(z), z != "e1" is violated in every state,
+// so no solution exists, though the match's only mergeable constant
+// sits in the inequality. In the second, R(z), "e1" != "e2" forces e1
+// and e2 together, which the shard solving them can only see when R(z)
+// is projected into it.
+func TestShardInequalityConstants(t *testing.T) {
+	for _, tc := range []struct {
+		name, facts, denials string
+		maximal              int
+	}{
+		{"neq var-const", "", `denial d: R(x), x != "e1".`, 0},
+		{"neq const-const", `E(e3,k1). T(e1,p). T(e3,n).`,
+			`denial d1: T(x,"p"), T(x,"n").
+			denial d2: R(x), "e1" != "e2".`, 1},
+	} {
+		d, err := db.ParseDatabase(`rel T(id, ty). E(e1,k1). E(e2,k1). R(z). `+tc.facts, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := sim.NewRegistry()
+		spec, err := rules.ParseSpec(`soft s: E(x,k), E(y,k) ~> EQ(x,y).
+			`+tc.denials, d.Schema(), d.Interner(), reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mono, err := New(d, spec, reg, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms, err := mono.MaximalSolutionsCtx(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ms) != tc.maximal {
+			t.Fatalf("%s: %d monolithic maximal solutions, want %d", tc.name, len(ms), tc.maximal)
+		}
+		se, err := NewSharded(d, spec, reg, Options{}, ShardOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertShardedEquals(t, tc.name, mono, se)
+	}
+}
+
 // TestShardStatsShape: stats reflect the resolved partition.
 func TestShardStatsShape(t *testing.T) {
 	ds, err := workload.Generate(workload.DefaultConfig(7))

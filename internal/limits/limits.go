@@ -164,14 +164,6 @@ func (b *Budget) Tick() error {
 	return nil
 }
 
-// GroundRules returns how many ground rules have been charged.
-func (b *Budget) GroundRules() int {
-	if b == nil {
-		return 0
-	}
-	return b.groundRules
-}
-
 // Clauses returns how many clauses have been charged.
 func (b *Budget) Clauses() int {
 	if b == nil {

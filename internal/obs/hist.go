@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"math/bits"
-	"time"
-)
+import "math/bits"
 
 // hist.go implements the log-bucketed histogram backing every Observe
 // call. Buckets are powers of two, so recording is a bit-length
@@ -214,10 +211,4 @@ func min64(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-// DurationQuantiles is a convenience view of a duration histogram's
-// quantiles as time.Durations.
-func (s HistogramStats) DurationQuantiles() (p50, p90, p99, p999 time.Duration) {
-	return time.Duration(s.P50), time.Duration(s.P90), time.Duration(s.P99), time.Duration(s.P999)
 }

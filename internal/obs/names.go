@@ -15,8 +15,8 @@ const (
 	CoreSearchSolutions = "core.search.solutions"
 	// CoreSearchBudget counts searches aborted by Options.MaxStates.
 	CoreSearchBudget = "core.search.budget_exhausted"
-	// CoreSearchTasks counts tasks processed by parallel-search workers
-	// (zero on sequential runs).
+	// CoreSearchTasks counts states processed by the workers of lattice
+	// walks with more than one worker (zero when every walk has one).
 	CoreSearchTasks = "core.search.tasks"
 	// CoreCacheHits / CoreCacheMisses / CoreCacheEvictions expose the
 	// induced-database cache: the cache is LRU, so each eviction drops
@@ -121,7 +121,8 @@ const (
 // Gauges (sizes of the most recent construction).
 const (
 	// CoreSearchWorkers records the worker count of the most recent
-	// parallel solution search (1 for sequential runs).
+	// lattice walk with more than one worker; one-worker walks leave it
+	// unset.
 	CoreSearchWorkers = "core.search.workers"
 	// CoreShardCount / CoreShardRounds / CoreShardLargest describe the
 	// most recent sharded resolution: nontrivial components answered or

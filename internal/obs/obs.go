@@ -134,13 +134,6 @@ func (s Snapshot) Duration(name string) DurationStats { return s.Durations[name]
 // absent).
 func (s Snapshot) Histogram(name string) HistogramStats { return s.Histograms[name] }
 
-// DerivedValue returns the named derived metric and whether it was
-// computed.
-func (s Snapshot) DerivedValue(name string) (float64, bool) {
-	v, ok := s.Derived[name]
-	return v, ok
-}
-
 // Empty reports whether nothing was recorded.
 func (s Snapshot) Empty() bool {
 	return len(s.Counters) == 0 && len(s.Gauges) == 0 && len(s.Durations) == 0 &&

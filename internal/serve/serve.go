@@ -8,8 +8,8 @@
 //
 // Request handling reuses the repository's concurrency and budget
 // layers: every request runs under a context deadline (the PR 4 budget
-// discipline), searches inside a request may fan out over the PR 3
-// parallel searcher, and a tripped budget or deadline produces a
+// discipline), searches inside a request may fan out over several
+// workers of the lattice walk, and a tripped budget or deadline produces a
 // partial-result JSON body with HTTP status 413 (state budget
 // exhausted) or 504 (deadline), never a hung connection. Successful
 // responses are cached in an LRU keyed by (endpoint, canonical request
@@ -55,9 +55,9 @@ type Config struct {
 	// Workers bounds the number of requests evaluated concurrently (the
 	// worker pool size); excess requests queue. 0 means GOMAXPROCS.
 	Workers int
-	// Parallelism is passed to core.Options: the fan-out of the
-	// solution-space search inside one request. 0 means GOMAXPROCS,
-	// 1 forces the sequential searcher.
+	// Parallelism is passed to core.Options: the worker count of the
+	// lattice walk inside one request. 0 means GOMAXPROCS; 1 walks on
+	// the request's own engine context.
 	Parallelism int
 	// MaxStates is the search-state budget (core Options.MaxStates). It
 	// bounds each shard search of an epoch's one background resolution,

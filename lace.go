@@ -96,12 +96,15 @@ type (
 
 	// Engine evaluates a specification over a database.
 	Engine = core.Engine
-	// Options tunes solution search budgets and parallelism. Set
-	// Parallelism > 1 to fan the solution-space search of ExistenceCtx,
-	// MaximalSolutionsCtx and Certain/PossibleMergesCtx out over that
-	// many workers (0 = GOMAXPROCS); results are identical to the
-	// sequential search. Every search method takes a context, which
-	// cancels it early.
+	// Options tunes the search budget (MaxStates), the worker count
+	// (Parallelism) and instrumentation (Recorder). Set Parallelism > 1
+	// to fan the lattice walk of ExistenceCtx, MaximalSolutionsCtx and
+	// Certain/PossibleMergesCtx out over that many workers
+	// (0 = GOMAXPROCS); results are identical to the one-worker walk.
+	// The induced-database cache has a fixed bound
+	// (core.DefaultCacheSize entries per engine, split between
+	// workers). Every search method takes a context, which cancels it
+	// early.
 	Options = core.Options
 	// Justification is a Definition-4 derivation of a merge.
 	Justification = core.Justification
