@@ -20,7 +20,7 @@ func fixedClock() func() time.Time {
 	}
 }
 
-func sampleLog(t *testing.T) *bytes.Buffer {
+func sampleLog(t testing.TB) *bytes.Buffer {
 	t.Helper()
 	var buf bytes.Buffer
 	l := New(&buf)

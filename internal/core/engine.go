@@ -5,17 +5,20 @@
 // the polynomial-time algorithms for the restricted fragments of
 // Theorems 8 and 9.
 //
-// The solver is split into two layers. A Session is the immutable half:
-// database, validated specification, similarity registry and one
-// prepared query plan per rule body and denial constraint, built once
-// and safe for any number of goroutines. A Context is the mutable half:
-// an induced-database LRU cache, a similarity-memo fork and a recorder,
-// owned by one goroutine at a time. The Engine the public API hands out
-// is a root Context over its Session; parallel searches spawn one extra
-// Context per worker. Fixpoint closures are semi-naive: after the first
-// round only rule matches seeded from constants whose representative
-// changed are re-derived, and successive induced databases are computed
-// incrementally from their parent.
+// The solver is split into two layers. A Session is the immutable
+// half: database, validated specification, similarity registry and
+// one prepared query plan per rule body and denial constraint (each
+// plan bound to its similarity predicates when compiled), built once
+// and safe for any number of goroutines; the registry's predicates
+// memoize their verdicts in one concurrency-safe memo that every
+// goroutine shares. A Context is the mutable half: an
+// induced-database LRU cache and a recorder, owned by one goroutine
+// at a time. The Engine the public API hands out is a root Context
+// over its Session; parallel searches spawn one extra Context per
+// worker. Fixpoint closures are semi-naive: after the first round
+// only rule matches seeded from constants whose representative
+// changed are re-derived, and successive induced databases are
+// computed incrementally from their parent.
 package core
 
 import (
@@ -83,14 +86,13 @@ type preparedQuery struct {
 }
 
 // Context is the per-worker, mutable half of the solver: an LRU cache
-// of induced databases D_E, a similarity registry (the base one for the
-// root context, a fork for search workers) and a recorder (a buffering
-// obs.Local for workers). All shared, immutable state is reached
-// through sess. A Context must be used by one goroutine at a time.
+// of induced databases D_E and a recorder (a buffering obs.Local for
+// workers). All shared state, the similarity registry included, is
+// reached through sess. A Context must be used by one goroutine at a
+// time.
 type Context struct {
 	sess  *Session
 	cache *inducedCache // partition key -> induced DB, LRU
-	sims  *sim.Registry
 	rec   obs.Recorder
 }
 
@@ -110,28 +112,23 @@ func New(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Options) (*E
 	if err != nil {
 		return nil, err
 	}
-	root := &Context{
-		sess:  sess,
-		cache: newInducedCache(DefaultCacheSize),
-		sims:  sims,
-		rec:   sess.rec,
-	}
-	return &Engine{Context: root}, nil
+	return &Engine{Context: sess.newContext(DefaultCacheSize, sess.rec)}, nil
 }
 
-// Fork returns an engine that shares this engine's immutable Session —
-// database, validated specification, normalized options and precompiled
-// query plans — but owns fresh mutable evaluation state: its own
-// induced-database LRU cache (DefaultCacheSize entries) and a
-// fork of the similarity registry. The forked engine may be used from a
-// different goroutine than the receiver; each engine (original or fork)
-// must still be used by one goroutine at a time. Forking freezes the
-// shared base database, so no further inserts are possible on any
-// engine over this session. This is the hook a long-running server uses
-// to serve concurrent requests from one prepared session.
+// Fork returns an engine that shares this engine's immutable Session
+// — database, validated specification, normalized options and
+// precompiled query plans, similarity registry and its memo — but
+// owns fresh mutable evaluation state: its own induced-database LRU
+// cache (DefaultCacheSize entries) and recorder. The forked engine
+// may be used from a different goroutine than the receiver; each
+// engine (original or fork) must still be used by one goroutine at a
+// time. Forking freezes the shared base database, so no further
+// inserts are possible on any engine over this session. This is the
+// hook a long-running server uses to serve concurrent requests from
+// one prepared session.
 func (e *Engine) Fork() *Engine {
 	e.sess.freezeShared()
-	return &Engine{Context: e.sess.newWorkerContext(DefaultCacheSize, e.sess.rec)}
+	return &Engine{Context: e.sess.newContext(DefaultCacheSize, e.sess.rec)}
 }
 
 // DB returns the engine's database.
@@ -322,7 +319,7 @@ func (c *Context) activePairs(E *eqrel.Partition, ind *db.Database) ([]Active, e
 		if err != nil {
 			return nil, fmt.Errorf("core: rule %s: %w", r.Name, err)
 		}
-		pq.plan.RunWith(ind, c.sims, cq.RunSpec{Rec: c.rec, Rep: rep}, note)
+		pq.plan.RunWith(ind, cq.RunSpec{Rec: c.rec, Rep: rep}, note)
 	}
 	slices.SortFunc(out, func(a, b Active) int {
 		return cmp.Or(cmp.Compare(a.Pair.A, b.Pair.A), cmp.Compare(a.Pair.B, b.Pair.B))
@@ -377,7 +374,7 @@ func (c *Context) closeFrom(ctx context.Context, E *eqrel.Partition, ind *db.Dat
 	collectMatch := func(ans []db.Const, _ []cq.Match) bool { return collect(ans) }
 	rep := c.repFor(E)
 	for _, pq := range prepared {
-		pq.plan.RunWith(ind, c.sims, cq.RunSpec{Rec: c.rec, Rep: rep}, collectMatch)
+		pq.plan.RunWith(ind, cq.RunSpec{Rec: c.rec, Rep: rep}, collectMatch)
 	}
 	for len(pending) > 0 {
 		if err := ctx.Err(); err != nil {
@@ -410,9 +407,9 @@ func (c *Context) closeFrom(ctx context.Context, E *eqrel.Partition, ind *db.Dat
 		delta := cq.NewDelta(ind, func(cst db.Const) bool { return touched[cst] })
 		for _, pq := range prepared {
 			if pq.deltaUnsafe {
-				pq.plan.RunWith(ind, c.sims, cq.RunSpec{Rec: c.rec, Rep: rep}, collectMatch)
+				pq.plan.RunWith(ind, cq.RunSpec{Rec: c.rec, Rep: rep}, collectMatch)
 			} else {
-				pq.plan.RunDelta(ind, c.sims, cq.RunSpec{Rec: c.rec, Rep: rep}, delta, collect)
+				pq.plan.RunDelta(ind, cq.RunSpec{Rec: c.rec, Rep: rep}, delta, collect)
 			}
 		}
 	}
@@ -444,7 +441,7 @@ func (c *Context) SatisfiesHard(E *eqrel.Partition) (bool, error) {
 			return false, fmt.Errorf("core: rule %s: %w", r.Name, err)
 		}
 		violated := false
-		pq.plan.RunWith(ind, c.sims, cq.RunSpec{Rec: c.rec, Rep: rep},
+		pq.plan.RunWith(ind, cq.RunSpec{Rec: c.rec, Rep: rep},
 			func(ans []db.Const, _ []cq.Match) bool {
 				if ans[0] != ans[1] && !E.Same(ans[0], ans[1]) {
 					violated = true
@@ -475,7 +472,7 @@ func (c *Context) satisfiesDenials(E *eqrel.Partition, ind *db.Database) (bool, 
 		if err != nil {
 			return false, fmt.Errorf("core: denial %s: %w", dn.Name, err)
 		}
-		if pq.plan.Holds(ind, c.sims, cq.RunSpec{Rec: c.rec, Rep: rep}) {
+		if pq.plan.Holds(ind, cq.RunSpec{Rec: c.rec, Rep: rep}) {
 			return false, nil
 		}
 	}
@@ -498,7 +495,7 @@ func (c *Context) violatedDenials(E *eqrel.Partition, ind *db.Database) ([]strin
 		if err != nil {
 			return nil, fmt.Errorf("core: denial %s: %w", dn.Name, err)
 		}
-		if pq.plan.Holds(ind, c.sims, cq.RunSpec{Rec: c.rec, Rep: rep}) {
+		if pq.plan.Holds(ind, cq.RunSpec{Rec: c.rec, Rep: rep}) {
 			out = append(out, dn.Name)
 		}
 	}

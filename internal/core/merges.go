@@ -119,7 +119,7 @@ func (e *Engine) AnswersIn(q *cq.CQ, E *eqrel.Partition) ([][]db.Const, error) {
 	}
 	seen := make(map[string]bool)
 	var out [][]db.Const
-	pq.plan.RunWith(e.Induced(E), e.sims, cq.RunSpec{Rec: e.rec, Rep: e.repFor(E)},
+	pq.plan.RunWith(e.Induced(E), cq.RunSpec{Rec: e.rec, Rep: e.repFor(E)},
 		func(ans []db.Const, _ []cq.Match) bool {
 			k := db.TupleKey(ans)
 			if !seen[k] {
@@ -151,7 +151,7 @@ func (e *Engine) HoldsIn(q *cq.CQ, tuple []db.Const, E *eqrel.Partition) (bool, 
 		}
 		bind[h] = c
 	}
-	return pq.plan.Holds(e.Induced(E), e.sims, cq.RunSpec{Rec: e.rec, Rep: e.repFor(E), Bind: bind}), nil
+	return pq.plan.Holds(e.Induced(E), cq.RunSpec{Rec: e.rec, Rep: e.repFor(E), Bind: bind}), nil
 }
 
 // IsPossibleAnswerCtx decides PossAnswer (Theorem 7: NP-complete): whether

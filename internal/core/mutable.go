@@ -15,9 +15,10 @@ package core
 //   - db.Apply shares every untouched relation with the parent epoch
 //     and clones the interner with ids preserved, so constant ids —
 //     and everything keyed by them — stay valid along the lineage;
-//   - the similarity memo's shared tier persists across epochs (minus
-//     the entries Invalidate drops for retracted names), so verdicts
-//     are computed once per lineage, not once per epoch.
+//   - every epoch reads the session's one similarity registry, whose
+//     memo persists across epochs (minus the entries Invalidate drops
+//     for retracted names), so verdicts are computed once per lineage,
+//     not once per epoch.
 //
 // Each epoch's resolution is computed afresh: the top of the candidate
 // lattice and, when it is inconsistent, the one-pass stitch it seeds.
@@ -265,12 +266,10 @@ func (m *MutableSession) ApplyDurable(b Batch, precommit func(ApplyResult) error
 	return res, snap, nil
 }
 
-// newSnapshot builds one epoch's ShardedEngine over a fork of the
-// session's similarity registry. Epochs may resolve concurrently, and
-// each root engine writes its registry's unsynchronized memo tier;
-// forks still share the memoized verdicts.
+// newSnapshot builds one epoch's ShardedEngine over the session's
+// similarity registry.
 func (m *MutableSession) newSnapshot(epoch uint64, d *db.Database) (*EpochSnapshot, error) {
-	se, err := NewSharded(d, m.spec, m.sims.Fork(), m.opts, ShardOptions{})
+	se, err := NewSharded(d, m.spec, m.sims, m.opts, ShardOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -16,6 +16,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cq"
@@ -764,6 +765,44 @@ func TestMutableApplyRejects(t *testing.T) {
 	}
 	if got := m.Snapshot().Epoch(); got != 0 {
 		t.Fatalf("rejected batches advanced the epoch to %d", got)
+	}
+}
+
+// TestEpochsShareSimilarityMemo: every epoch of a lineage reads the
+// session's one similarity memo, so once epoch 0 has resolved, an empty
+// batch's epoch resolves without evaluating the metric again.
+func TestEpochsShareSimilarityMemo(t *testing.T) {
+	ctx := context.Background()
+	ds, err := workload.GenerateScale(workload.DefaultScaleConfig(3, 300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int64
+	metric := func(a, b string) float64 {
+		calls.Add(1)
+		return sim.NormalizedLevenshtein(a, b)
+	}
+	sims := sim.NewRegistry(sim.Threshold("approx", metric, 0.82))
+	m, err := NewMutable(ds.DB, ds.Spec, sims, Options{Parallelism: 2}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Snapshot().PossibleMergesCtx(ctx); err != nil {
+		t.Fatal(err)
+	}
+	cold := calls.Load()
+	if cold == 0 {
+		t.Fatal("epoch 0 resolved without evaluating the metric")
+	}
+	_, snap, err := m.Apply(Batch{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := snap.PossibleMergesCtx(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if warm := calls.Load() - cold; warm != 0 {
+		t.Errorf("epoch 1 made %d metric calls after epoch 0 made %d, want 0", warm, cold)
 	}
 }
 

@@ -54,9 +54,8 @@ type relaxedJoin struct {
 
 	// The match under construction.
 	p     *relaxedPlan
-	preds []sim.Predicate // the similarity predicates of p.sim
-	bind  []db.Const      // variable slot -> class representative
-	occ   [][]db.Const    // occurrence slot -> original constants, body order
+	bind  []db.Const   // variable slot -> class representative
+	occ   [][]db.Const // occurrence slot -> original constants, body order
 	facts []db.Fact
 	sims  []SimFact
 	cand  [][]int32 // per relational atom: merged candidate positions
@@ -93,6 +92,7 @@ type relaxedArg struct {
 
 type relaxedSim struct {
 	pred string
+	p    sim.Predicate // nil when unregistered: never holds
 	args [2]relaxedArg
 }
 
@@ -139,12 +139,13 @@ func (s *Session) relaxedPlanFor(r *rules.Rule) *relaxedPlan {
 	if p, ok := s.relaxedPlans.Load(r); ok {
 		return p.(*relaxedPlan)
 	}
-	p, _ := s.relaxedPlans.LoadOrStore(r, compileRelaxed(r))
+	p, _ := s.relaxedPlans.LoadOrStore(r, compileRelaxed(r, s.sims))
 	return p.(*relaxedPlan)
 }
 
-// compileRelaxed compiles r's body for the relaxed join.
-func compileRelaxed(r *rules.Rule) *relaxedPlan {
+// compileRelaxed compiles r's body for the relaxed join, binding each
+// similarity atom to its predicate in sims.
+func compileRelaxed(r *rules.Rule, sims *sim.Registry) *relaxedPlan {
 	p := &relaxedPlan{}
 	// Variables are keyed by name, constants by value.
 	slots := make(map[any]int)
@@ -189,6 +190,9 @@ func compileRelaxed(r *rules.Rule) *relaxedPlan {
 	p.simAt = make([][]int, len(p.rel)+1)
 	for k, a := range simAtoms {
 		s := relaxedSim{pred: a.Pred}
+		if sims != nil {
+			s.p, _ = sims.Lookup(a.Pred)
+		}
 		level := 0
 		for i, t := range a.Args {
 			s.args[i] = relaxedArg{isVar: t.IsVar, cst: t.Const}
@@ -212,14 +216,6 @@ func compileRelaxed(r *rules.Rule) *relaxedPlan {
 // enumeration.
 func (j *relaxedJoin) matches(r *rules.Rule, keep func(a, b db.Const) bool, cb func(relaxedMatch) bool) {
 	p := j.e.sess.relaxedPlanFor(r)
-	j.preds = j.preds[:0]
-	for _, s := range p.sim {
-		pred, ok := j.e.sims.Lookup(s.pred)
-		if !ok {
-			return // no match satisfies an unregistered predicate
-		}
-		j.preds = append(j.preds, pred)
-	}
 	j.p, j.keep, j.cb = p, keep, cb
 	j.bind = slices.Grow(j.bind[:0], p.nslots)[:p.nslots]
 	for len(j.occ) < p.nslots {
@@ -346,7 +342,7 @@ func (j *relaxedJoin) checkSims(i int) bool {
 		// values (sim attributes never merge), so evaluating the
 		// predicate on the representative names is faithful.
 		na, nb := in.Name(vals[0]), in.Name(vals[1])
-		if !j.preds[k].Holds(na, nb) {
+		if s.p == nil || !s.p.Holds(na, nb) {
 			return false
 		}
 		j.sims[k] = SimFact{Pred: s.pred, A: na, B: nb}

@@ -85,7 +85,7 @@ func (e *Engine) relaxedMatchesRef(r *rules.Rule, E *eqrel.Partition, cb func(re
 			return emit()
 		}
 		a := simAtoms[i]
-		p, ok := e.sims.Lookup(a.Pred)
+		p, ok := e.Sims().Lookup(a.Pred)
 		if !ok {
 			return true
 		}

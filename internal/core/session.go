@@ -19,12 +19,12 @@ import (
 // normalized options and the prepared query plans, built once by New
 // and read-only afterwards. Any number of goroutines may read a
 // Session concurrently; all mutable evaluation state (induced-database
-// cache, similarity memo tier, counter buffers) lives in per-worker
-// Contexts.
+// cache, counter buffers) lives in per-worker Contexts. The similarity
+// predicates' memos are the one shared exception: they lock.
 type Session struct {
 	d    *db.Database
 	spec *rules.Spec
-	sims *sim.Registry // base registry; worker contexts use forks
+	sims *sim.Registry // shared by every context; plans bind its predicates
 	dom  int           // interner size when the session was built
 	opts Options       // normalized: MaxStates/Parallelism resolved
 	rec  obs.Recorder
@@ -124,7 +124,7 @@ func (s *Session) compile(key any, atoms []cq.Atom, head []string) error {
 		return nil
 	}
 	s.rec.Inc(obs.CorePlanCacheMisses, 1)
-	pq, err := prepare(atoms, head, s.d.Schema())
+	pq, err := prepare(atoms, head, s.d.Schema(), s.sims)
 	if err != nil {
 		return err
 	}
@@ -149,7 +149,7 @@ func (s *Session) planFor(rec obs.Recorder, key any, atoms []cq.Atom, head []str
 		return v.(*preparedQuery), nil
 	}
 	rec.Inc(obs.CorePlanCacheMisses, 1)
-	pq, err := prepare(atoms, head, s.d.Schema())
+	pq, err := prepare(atoms, head, s.d.Schema(), s.sims)
 	if err != nil {
 		return nil, err
 	}
@@ -159,9 +159,10 @@ func (s *Session) planFor(rec obs.Recorder, key any, atoms []cq.Atom, head []str
 	return pq, nil
 }
 
-// prepare compiles a query body and computes its delta-safety.
-func prepare(atoms []cq.Atom, head []string, schema *db.Schema) (*preparedQuery, error) {
-	p, err := cq.Prepare(atoms, head, schema)
+// prepare compiles a query body, binding its similarity atoms to sims,
+// and computes its delta-safety.
+func prepare(atoms []cq.Atom, head []string, schema *db.Schema, sims *sim.Registry) (*preparedQuery, error) {
+	p, err := cq.Prepare(atoms, head, schema, sims)
 	if err != nil {
 		return nil, err
 	}
@@ -189,15 +190,13 @@ func (s *Session) freezeShared() {
 // workers returns the resolved worker count for parallel phases.
 func (s *Session) workers() int { return s.opts.Parallelism }
 
-// newWorkerContext returns a fresh evaluation context: an induced-DB
-// cache of cacheSize entries (at least 64) and a fork of the similarity
-// registry (fresh unsynchronized memo tier over the shared read-mostly
-// tier). rec should be the worker's buffering recorder.
-func (s *Session) newWorkerContext(cacheSize int, rec obs.Recorder) *Context {
+// newContext returns a fresh evaluation context: an induced-DB cache of
+// cacheSize entries (at least 64) and rec, the session's recorder for a
+// root context or a worker's buffering recorder.
+func (s *Session) newContext(cacheSize int, rec obs.Recorder) *Context {
 	return &Context{
 		sess:  s,
 		cache: newInducedCache(max(cacheSize, 64)),
-		sims:  s.sims.Fork(),
 		rec:   obs.OrNop(rec),
 	}
 }

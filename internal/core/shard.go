@@ -4,7 +4,7 @@ package core
 // monolithic solution-space search over the whole instance, the domain
 // is split into coupled components, and each component is answered by
 // the lattice top or solved as an independent Shard (its own projected
-// database, rewritten spec, sim-registry slice and Session).
+// database, rewritten spec and Session over the shared sim registry).
 //
 // Resolution is one pass from the top T of the candidate lattice: the
 // closure of the identity under every merge rule. Every solution lies
@@ -347,7 +347,7 @@ func (se *ShardedEngine) stitch(ctx context.Context, T *eqrel.Partition, indT *d
 				consts[i] = rep(c)
 			}
 		}
-		cp.plan.plan.RunWith(indT, e.sims, cq.RunSpec{Rec: e.rec, Rep: rep}, func(vals []db.Const, _ []cq.Match) bool {
+		cp.plan.plan.RunWith(indT, cq.RunSpec{Rec: e.rec, Rep: rep}, func(vals []db.Const, _ []cq.Match) bool {
 			holds := true
 			for _, nq := range cp.neq {
 				if a := termVal(nq[0], cp, vals, T); a == termVal(nq[1], cp, vals, T) {
@@ -479,7 +479,7 @@ func (se *ShardedEngine) couplingPlans() ([]*couplingPlan, error) {
 			kept = append(kept, a)
 		}
 		cp.vars = cq.Vars(kept)
-		pq, err := prepare(kept, cp.vars, se.eng.sess.d.Schema())
+		pq, err := prepare(kept, cp.vars, se.eng.sess.d.Schema(), se.eng.sess.sims)
 		if err != nil {
 			return nil, fmt.Errorf("core: coupling plan %s: %w", name, err)
 		}
@@ -723,9 +723,9 @@ func (se *ShardedEngine) solveShards(ctx context.Context, toSolve []*Shard) erro
 }
 
 // solveShard builds the shard's local instance — renumbered projected
-// database, constant-rewritten spec, sim-registry slice, per-shard
-// Session — enumerates its maximal solutions and maps the results back
-// to global constants.
+// database, constant-rewritten spec, per-shard Session over the
+// session's similarity registry — enumerates its maximal solutions and
+// maps the results back to global constants.
 func (se *ShardedEngine) solveShard(ctx context.Context, sh *Shard, inner int, rec obs.Recorder) error {
 	sp := rec.Start(obs.SpanShardSolve)
 	defer sp.AttrInt("members", int64(len(sh.Members))).End()
@@ -748,12 +748,11 @@ func (se *ShardedEngine) solveShard(ctx context.Context, sh *Shard, inner int, r
 		}
 	}
 	lspec := rewriteSpec(sess.spec, gin, lin)
-	lsims := sliceRegistry(sess.sims, lspec)
 
 	lopts := sess.opts
 	lopts.Parallelism = inner
 	lopts.Recorder = rec
-	lsess, err := buildSession(ldb, lspec, lsims, lopts)
+	lsess, err := buildSession(ldb, lspec, sess.sims, lopts)
 	if err != nil {
 		return fmt.Errorf("core: shard %d: %w", sh.Root, err)
 	}
@@ -761,12 +760,7 @@ func (se *ShardedEngine) solveShard(ctx context.Context, sh *Shard, inner int, r
 	if len(sh.Members) < 1024 {
 		cacheSize = min(cacheSize, 64*inner)
 	}
-	leng := &Engine{Context: &Context{
-		sess:  lsess,
-		cache: newInducedCache(cacheSize),
-		sims:  lsims,
-		rec:   lsess.rec,
-	}}
+	leng := &Engine{Context: lsess.newContext(cacheSize, lsess.rec)}
 
 	ms, err := leng.MaximalSolutionsCtx(ctx)
 	if err != nil {
@@ -859,35 +853,6 @@ func rewriteSpec(spec *rules.Spec, gin, lin *db.Interner) *rules.Spec {
 		ls.Denials = append(ls.Denials, &nd)
 	}
 	return ls
-}
-
-// sliceRegistry forks the base registry and keeps only the predicates
-// the spec uses: the per-shard sim registry slice. Forking gives each
-// shard its own unsynchronized memo tier over the shared one, so
-// concurrent shard solves never race.
-func sliceRegistry(base *sim.Registry, spec *rules.Spec) *sim.Registry {
-	names := make(map[string]bool)
-	each := func(atoms []cq.Atom) {
-		for _, a := range atoms {
-			if a.Kind == cq.KindSim {
-				names[a.Pred] = true
-			}
-		}
-	}
-	for _, r := range spec.Rules {
-		each(r.Body.Atoms)
-	}
-	for _, dn := range spec.Denials {
-		each(dn.Atoms)
-	}
-	f := base.Fork()
-	out := sim.NewRegistry()
-	for n := range names {
-		if p, ok := f.Lookup(n); ok {
-			out.Register(p)
-		}
-	}
-	return out
 }
 
 // --- results ----------------------------------------------------------

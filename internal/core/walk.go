@@ -100,8 +100,8 @@ func (e *Engine) walk(ctx context.Context, start *eqrel.Partition, workers int, 
 }
 
 // fanOut runs the walk from root on workers goroutines, each with its
-// own evaluation Context (a slice of e's induced-DB cache, a forked sim
-// memo) and buffering recorder, and returns once every task is done.
+// own evaluation Context (a slice of e's induced-DB cache) and
+// buffering recorder, and returns once every task is done.
 func (w *walker) fanOut(e *Engine, root state, workers int) {
 	root.ind.Freeze()
 	// 64 queued states per worker keep every worker fed; past that a
@@ -114,7 +114,7 @@ func (w *walker) fanOut(e *Engine, root state, workers int) {
 	locals := make([]*obs.Local, workers)
 	for i := range locals {
 		locals[i] = obs.NewLocal(e.rec)
-		cx := e.sess.newWorkerContext(e.cache.max/workers, locals[i])
+		cx := e.sess.newContext(e.cache.max/workers, locals[i])
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -21,13 +21,13 @@ func TestRunWithAllocsFlat(t *testing.T) {
 	}
 	allocs := func(n int) float64 {
 		d := chainDB(n)
-		p, err := Prepare(atoms, []string{"x", "z"}, d.Schema())
+		p, err := Prepare(atoms, []string{"x", "z"}, d.Schema(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		count := 0
 		cb := func([]db.Const, []Match) bool { count++; return true }
-		return testing.AllocsPerRun(20, func() { p.RunWith(d, nil, RunSpec{}, cb) })
+		return testing.AllocsPerRun(20, func() { p.RunWith(d, RunSpec{}, cb) })
 	}
 	small, large := allocs(100), allocs(1000)
 	if small != large {

@@ -69,8 +69,8 @@ func BenchmarkBooleanEarlyExit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, err := Prepare(atoms, nil, d.Schema())
-		if err != nil || !p.Holds(d, nil, RunSpec{}) {
+		p, err := Prepare(atoms, nil, d.Schema(), nil)
+		if err != nil || !p.Holds(d, RunSpec{}) {
 			b.Fatal("unsatisfiable")
 		}
 	}
@@ -88,12 +88,12 @@ func BenchmarkWitnessOverhead(b *testing.B) {
 		b.Run(fmt.Sprintf("witness=%v", wit), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				p, err := Prepare(atoms, nil, d.Schema())
+				p, err := Prepare(atoms, nil, d.Schema(), nil)
 				if err != nil {
 					b.Fatal(err)
 				}
 				count := 0
-				p.RunWith(d, nil, RunSpec{Witness: wit}, func([]db.Const, []Match) bool {
+				p.RunWith(d, RunSpec{Witness: wit}, func([]db.Const, []Match) bool {
 					count++
 					return true
 				})

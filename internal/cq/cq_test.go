@@ -127,11 +127,11 @@ func TestSatisfiable(t *testing.T) {
 	d := bibDB(t)
 	holds := func(atoms []Atom) bool {
 		t.Helper()
-		p, err := Prepare(atoms, nil, d.Schema())
+		p, err := Prepare(atoms, nil, d.Schema(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return p.Holds(d, nil, RunSpec{})
+		return p.Holds(d, RunSpec{})
 	}
 	if !holds([]Atom{Rel("Paper", Var("p"), Var("t"), Var("c"))}) {
 		t.Fatal("Holds = false, want a Paper match")
@@ -152,12 +152,12 @@ func TestWitness(t *testing.T) {
 		Rel("Wrote", Var("p"), Var("a"), Var("z")),
 		Rel("Paper", Var("p"), Var("t"), Var("c")),
 	}
-	p, err := Prepare(atoms, []string{"a"}, d.Schema())
+	p, err := Prepare(atoms, []string{"a"}, d.Schema(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	count := 0
-	p.RunWith(d, nil, RunSpec{Witness: true}, func(ans []db.Const, wit []Match) bool {
+	p.RunWith(d, RunSpec{Witness: true}, func(ans []db.Const, wit []Match) bool {
 		count++
 		if len(wit) != 2 {
 			t.Fatalf("witness has %d matches, want 2", len(wit))
@@ -182,12 +182,12 @@ func TestWitness(t *testing.T) {
 
 func TestEarlyStop(t *testing.T) {
 	d := bibDB(t)
-	p, err := Prepare([]Atom{Rel("Author", Var("x"), Var("e"), Var("u"))}, []string{"x"}, d.Schema())
+	p, err := Prepare([]Atom{Rel("Author", Var("x"), Var("e"), Var("u"))}, []string{"x"}, d.Schema(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	calls := 0
-	p.RunWith(d, nil, RunSpec{}, func(_ []db.Const, _ []Match) bool {
+	p.RunWith(d, RunSpec{}, func(_ []db.Const, _ []Match) bool {
 		calls++
 		return false
 	})

@@ -19,11 +19,11 @@ type Match struct {
 func Eval(q *CQ, d *db.Database, sims *sim.Registry) ([][]db.Const, error) {
 	seen := make(map[string]bool)
 	var out [][]db.Const
-	p, err := Prepare(q.Atoms, q.Head, d.Schema())
+	p, err := Prepare(q.Atoms, q.Head, d.Schema(), sims)
 	if err != nil {
 		return nil, err
 	}
-	p.RunWith(d, sims, RunSpec{}, func(ans []db.Const, _ []Match) bool {
+	p.RunWith(d, RunSpec{}, func(ans []db.Const, _ []Match) bool {
 		k := db.TupleKey(ans)
 		if !seen[k] {
 			seen[k] = true

@@ -15,8 +15,9 @@ import (
 // ordering, filter scheduling, safety checks, the bind/check layout of
 // every step) happens once; the plan binds to a database only at run
 // time, so one plan can be cached per rule or denial and reused against
-// every induced database the dynamic semantics visits. Plans are
-// immutable after Prepare and safe to share across goroutines.
+// every induced database the dynamic semantics visits. Similarity atoms
+// are bound to their predicates at Prepare. Plans are immutable after
+// Prepare and safe to share across goroutines.
 type Plan struct {
 	atoms   []Atom
 	head    []string
@@ -59,6 +60,9 @@ type planStep struct {
 	kind Kind
 	pred string
 	args []planArg
+	// sim is a similarity step's predicate; nil (an unregistered
+	// predicate or a nil registry) never matches.
+	sim sim.Predicate
 }
 
 // stepLayout is what a relational step does with each argument, fixed
@@ -122,7 +126,8 @@ func layoutFor(steps []planStep, bound []bool) []stepLayout {
 // order, which RunDelta uses. A non-nil schema enables relation/arity
 // checking; safety violations (variables never bound by a relational
 // atom, head variables missing from the body) are reported as errors.
-func Prepare(atoms []Atom, head []string, schema *db.Schema) (*Plan, error) {
+// Each similarity atom's predicate is looked up in sims once, here.
+func Prepare(atoms []Atom, head []string, schema *db.Schema, sims *sim.Registry) (*Plan, error) {
 	p := &Plan{atoms: atoms, head: head, varIdx: make(map[string]int)}
 	for _, a := range atoms {
 		if a.Kind == KindRel && schema != nil {
@@ -159,6 +164,9 @@ func Prepare(atoms []Atom, head []string, schema *db.Schema) (*Plan, error) {
 			p.relAtoms = append(p.relAtoms, i)
 		}
 		st := planStep{atom: i, kind: a.Kind, pred: a.Pred, args: make([]planArg, len(a.Args))}
+		if a.Kind == KindSim && sims != nil {
+			st.sim, _ = sims.Lookup(a.Pred)
+		}
 		for k, t := range a.Args {
 			if t.IsVar {
 				st.args[k] = planArg{vi: p.varIdx[t.Name]}
@@ -291,10 +299,10 @@ type RunSpec struct {
 // counter advances once per run and cq.eval.matches by the number of
 // homomorphisms enumerated. The ans and wit slices are reused between
 // calls; callers must copy if they retain them.
-func (p *Plan) RunWith(d *db.Database, sims *sim.Registry, rs RunSpec, cb func(ans []db.Const, wit []Match) bool) {
+func (p *Plan) RunWith(d *db.Database, rs RunSpec, cb func(ans []db.Const, wit []Match) bool) {
 	rec := obs.OrNop(rs.Rec)
 	rec.Inc(obs.CQEvalCalls, 1)
-	ex := p.getExec(d, sims, rs)
+	ex := p.getExec(d, rs)
 	ex.cb = cb
 	ex.run(0)
 	rec.Inc(obs.CQEvalMatches, ex.matches)
@@ -304,11 +312,11 @@ func (p *Plan) RunWith(d *db.Database, sims *sim.Registry, rs RunSpec, cb func(a
 // Holds reports whether the plan has at least one homomorphism into d
 // under the given RunSpec (Boolean satisfiability; stops at the first
 // match).
-func (p *Plan) Holds(d *db.Database, sims *sim.Registry, rs RunSpec) bool {
+func (p *Plan) Holds(d *db.Database, rs RunSpec) bool {
 	rec := obs.OrNop(rs.Rec)
 	rec.Inc(obs.CQEvalCalls, 1)
 	rs.Witness = false
-	ex := p.getExec(d, sims, rs)
+	ex := p.getExec(d, rs)
 	ex.run(0) // no callback: the first match stops the run
 	found := ex.matches > 0
 	rec.Inc(obs.CQEvalMatches, ex.matches)
@@ -373,11 +381,11 @@ func NewDelta(d *db.Database, touched func(db.Const) bool) *Delta {
 // which partitions the qualifying matches by their first touched atom.
 // Each split runs p's delta-first join order, so it starts from the
 // delta rows and pays for the delta, not the database.
-func (p *Plan) RunDelta(d *db.Database, sims *sim.Registry, rs RunSpec, delta *Delta, cb func(ans []db.Const) bool) {
+func (p *Plan) RunDelta(d *db.Database, rs RunSpec, delta *Delta, cb func(ans []db.Const) bool) {
 	rec := obs.OrNop(rs.Rec)
 	rec.Inc(obs.CQEvalCalls, 1)
 	rs.Witness = false
-	ex := p.getExec(d, sims, rs)
+	ex := p.getExec(d, rs)
 	ex.deltaCB = cb
 	if ex.modeBuf == nil {
 		ex.modeBuf = make([]int8, len(p.atoms))
@@ -423,10 +431,10 @@ const (
 )
 
 // exec is the state of one backtracking-join execution of a plan. The
-// database's tables, the registry's sim predicates and the run-time
-// value of every constant argument are resolved once at the start of a
-// run, so the join loop performs no string-keyed lookups and no
-// allocation. Execs are recycled through Plan.execs.
+// database's tables and the run-time value of every constant argument
+// are resolved once at the start of a run, so the join loop performs no
+// string-keyed lookups and no allocation. Execs are recycled through
+// Plan.execs.
 type exec struct {
 	p      *Plan
 	in     *db.Interner
@@ -435,9 +443,8 @@ type exec struct {
 	// bound marks the variables RunSpec.Bind pre-binds (nil for none).
 	bound []bool
 
-	tables   []*db.Table     // per atom (nil for non-relational atoms)
-	simPreds []sim.Predicate // per atom (nil unless a resolvable sim atom)
-	consts   []db.Const      // per constant argument, after RunSpec.Rep
+	tables []*db.Table // per atom (nil for non-relational atoms)
+	consts []db.Const  // per constant argument, after RunSpec.Rep
 
 	binding     []db.Const
 	ans         []db.Const
@@ -460,20 +467,19 @@ type exec struct {
 	matches int64
 }
 
-// getExec returns an exec bound to d, sims and rs, recycled from the
-// plan's pool when one is free.
-func (p *Plan) getExec(d *db.Database, sims *sim.Registry, rs RunSpec) *exec {
+// getExec returns an exec bound to d and rs, recycled from the plan's
+// pool when one is free.
+func (p *Plan) getExec(d *db.Database, rs RunSpec) *exec {
 	ex, _ := p.execs.Get().(*exec)
 	if ex == nil {
 		n, nv := len(p.atoms), len(p.varIdx)
 		vals := make([]db.Const, p.nconst+nv+len(p.head))
 		ex = &exec{
-			p:        p,
-			tables:   make([]*db.Table, n),
-			simPreds: make([]sim.Predicate, n),
-			consts:   vals[:p.nconst:p.nconst],
-			binding:  vals[p.nconst : p.nconst+nv : p.nconst+nv],
-			ans:      vals[p.nconst+nv:],
+			p:       p,
+			tables:  make([]*db.Table, n),
+			consts:  vals[:p.nconst:p.nconst],
+			binding: vals[p.nconst : p.nconst+nv : p.nconst+nv],
+			ans:     vals[p.nconst+nv:],
 		}
 	}
 	ex.in = d.Interner()
@@ -483,13 +489,8 @@ func (p *Plan) getExec(d *db.Database, sims *sim.Registry, rs RunSpec) *exec {
 	}
 	for i := range p.steps {
 		st := &p.steps[i]
-		switch st.kind {
-		case KindRel:
+		if st.kind == KindRel {
 			ex.tables[st.atom] = d.Table(st.pred)
-		case KindSim:
-			if sims != nil {
-				ex.simPreds[st.atom], _ = sims.Lookup(st.pred)
-			}
 		}
 		for _, ag := range st.args {
 			if ag.vi < 0 {
@@ -524,7 +525,6 @@ func (p *Plan) getExec(d *db.Database, sims *sim.Registry, rs RunSpec) *exec {
 // the pool.
 func (p *Plan) putExec(ex *exec) {
 	clear(ex.tables)
-	clear(ex.simPreds)
 	clear(ex.markBuf)
 	ex.in, ex.steps, ex.layout, ex.bound = nil, nil, nil, nil
 	ex.modes, ex.markOf, ex.rows = nil, nil, nil
@@ -565,12 +565,11 @@ func (e *exec) run(step int) bool {
 	st := &e.steps[step]
 	switch st.kind {
 	case KindSim:
-		pr := e.simPreds[st.atom]
-		if pr == nil {
+		if st.sim == nil {
 			return true // unknown predicate (or nil registry): non-match
 		}
 		x, y := e.argVal(st.args[0]), e.argVal(st.args[1])
-		if pr.Holds(e.in.Name(x), e.in.Name(y)) {
+		if st.sim.Holds(e.in.Name(x), e.in.Name(y)) {
 			return e.run(step + 1)
 		}
 		return true

@@ -142,12 +142,12 @@ func TestPlanRunMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
 		d, atoms, head, reg := randomInstance(rng)
-		p, err := Prepare(atoms, head, d.Schema())
+		p, err := Prepare(atoms, head, d.Schema(), reg)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		var got [][]db.Const
-		p.RunWith(d, reg, RunSpec{}, func(ans []db.Const, _ []Match) bool {
+		p.RunWith(d, RunSpec{}, func(ans []db.Const, _ []Match) bool {
 			got = append(got, append([]db.Const(nil), ans...))
 			return true
 		})
@@ -193,13 +193,13 @@ func TestPlanReuseAcrossDatabases(t *testing.T) {
 	d2.MustInsert("R", "p", "q")
 
 	atoms := []Atom{Rel("R", Var("u"), Var("v"))}
-	p, err := Prepare(atoms, []string{"u", "v"}, s)
+	p, err := Prepare(atoms, []string{"u", "v"}, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	count := func(d *db.Database) int {
 		n := 0
-		p.RunWith(d, nil, RunSpec{}, func([]db.Const, []Match) bool { n++; return true })
+		p.RunWith(d, RunSpec{}, func([]db.Const, []Match) bool { n++; return true })
 		return n
 	}
 	if got := count(d1); got != 2 {
@@ -254,12 +254,12 @@ func TestPlanRunWithRepAndBind(t *testing.T) {
 		if len(head) > 0 && rng.Intn(2) == 0 {
 			bind = map[string]db.Const{head[0]: db.Const(rng.Intn(n))}
 		}
-		p, err := Prepare(atoms, head, d.Schema())
+		p, err := Prepare(atoms, head, d.Schema(), reg)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		var got [][]db.Const
-		p.RunWith(d, reg, RunSpec{Rep: rep, Bind: bind}, func(ans []db.Const, _ []Match) bool {
+		p.RunWith(d, RunSpec{Rep: rep, Bind: bind}, func(ans []db.Const, _ []Match) bool {
 			got = append(got, append([]db.Const(nil), ans...))
 			return true
 		})
@@ -291,20 +291,20 @@ func TestRunDeltaMatchesFilteredOracle(t *testing.T) {
 			touchedSet[db.Const(rng.Intn(n))] = true
 		}
 		delta := NewDelta(d, func(c db.Const) bool { return touchedSet[c] })
-		p, err := Prepare(atoms, head, d.Schema())
+		p, err := Prepare(atoms, head, d.Schema(), reg)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		// Count multiplicity: each qualifying match must appear once.
 		got := make(map[string]int)
-		p.RunDelta(d, reg, RunSpec{}, delta, func(ans []db.Const) bool {
+		p.RunDelta(d, RunSpec{}, delta, func(ans []db.Const) bool {
 			got[db.TupleKey(ans)]++
 			return true
 		})
 		// Oracle: full enumeration with witnesses, keeping matches whose
 		// witness uses >= 1 touched tuple.
 		want := make(map[string]int)
-		p.RunWith(d, reg, RunSpec{Witness: true}, func(ans []db.Const, wit []Match) bool {
+		p.RunWith(d, RunSpec{Witness: true}, func(ans []db.Const, wit []Match) bool {
 			uses := false
 			for _, m := range wit {
 				for _, c := range m.Tuple {
@@ -430,19 +430,19 @@ func checkRunDelta(t *testing.T, seed int64, shape, touch uint8, remap bool) {
 		// Fold the two largest ids together, as a merge step would.
 		rs.Rep = func(c db.Const) db.Const { return min(c, db.Const(n-2)) }
 	}
-	p, err := Prepare(atoms, head, d.Schema())
+	p, err := Prepare(atoms, head, d.Schema(), reg)
 	if err != nil {
 		t.Fatalf("shape %d: %v", shape%5, err)
 	}
 	delta := NewDelta(d, func(c db.Const) bool { return touchedSet[c] })
 	got := make(map[string]int)
-	p.RunDelta(d, reg, rs, delta, func(ans []db.Const) bool {
+	p.RunDelta(d, rs, delta, func(ans []db.Const) bool {
 		got[db.TupleKey(ans)]++
 		return true
 	})
 	want := make(map[string]int)
 	rs.Witness = true
-	p.RunWith(d, reg, rs, func(ans []db.Const, wit []Match) bool {
+	p.RunWith(d, rs, func(ans []db.Const, wit []Match) bool {
 		for _, m := range wit {
 			for _, c := range m.Tuple {
 				if touchedSet[c] {

@@ -67,11 +67,11 @@ func Cluster(d *db.Database, spec *Spec, sims *sim.Registry, seed int64) (*eqrel
 	v := votes{must: make(map[eqrel.Pair]bool), score: make(map[eqrel.Pair]int)}
 	eval := func(rs []*rules.Rule, f func(p eqrel.Pair)) error {
 		for _, r := range rs {
-			p, err := cq.Prepare(r.Body.Atoms, r.Body.Head, d.Schema())
+			p, err := cq.Prepare(r.Body.Atoms, r.Body.Head, d.Schema(), sims)
 			if err != nil {
 				return err
 			}
-			p.RunWith(d, sims, cq.RunSpec{}, func(ans []db.Const, _ []cq.Match) bool {
+			p.RunWith(d, cq.RunSpec{}, func(ans []db.Const, _ []cq.Match) bool {
 				if ans[0] != ans[1] {
 					f(eqrel.MakePair(ans[0], ans[1]))
 				}

@@ -118,7 +118,7 @@ func NewEvaluator(spec *Spec, d *db.Database) (*Evaluator, error) {
 		if err := cq.Validate(c.Atoms, nil, es, nil); err != nil {
 			return nil, fmt.Errorf("el: condition %d: %w", i, err)
 		}
-		p, err := cq.Prepare(c.Atoms, nil, es)
+		p, err := cq.Prepare(c.Atoms, nil, es, nil)
 		if err != nil {
 			return nil, fmt.Errorf("el: condition %d: %w", i, err)
 		}
@@ -183,7 +183,7 @@ func (ev *Evaluator) satisfied(l Link, dj *db.Database) (bool, error) {
 			}
 			continue
 		}
-		if ev.plans[i].Holds(dj, nil, cq.RunSpec{Bind: map[string]db.Const{"x": l.A, "y": l.B}}) {
+		if ev.plans[i].Holds(dj, cq.RunSpec{Bind: map[string]db.Const{"x": l.A, "y": l.B}}) {
 			return true, nil
 		}
 	}

@@ -5,10 +5,10 @@ import "testing"
 func TestInvalidateDropsSharedEntries(t *testing.T) {
 	r := Default()
 	p, _ := r.Lookup("jw90")
-	// Memoize a few pairs through the base instance and a fork.
+	// Memoize a few pairs through the predicate and its alias.
 	p.Holds("jonathan", "jonathon")
 	p.Holds("jonathan", "maria")
-	f, _ := r.Fork().Lookup("~") // alias resolves to the same shared tier
+	f, _ := r.Lookup("~") // the alias resolves to the same memo
 	f.Holds("maria", "marla")
 
 	dropped := r.Invalidate("jonathan")

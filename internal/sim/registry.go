@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Predicate is a binary similarity predicate over constant names. All
 // implementations must be symmetric and reflexive, matching the paper's
-// use of ≈ ("the symmetric and reflexive closure of ...").
+// use of ≈ ("the symmetric and reflexive closure of ..."), and safe for
+// concurrent use: one registry serves every goroutine of a session, its
+// parallel walk workers, request forks and shard solves. Table is
+// read-only after construction and Threshold locks its memo.
 type Predicate interface {
 	// Name is the identifier used in rule bodies.
 	Name() string
@@ -27,36 +29,32 @@ type Metric func(a, b string) float64
 // solver re-checks the same pairs on every fixpoint round and every
 // candidate partition, so each metric computation should happen once.
 //
-// The memo is two-tier: a plain map owned by the predicate instance
-// (single-goroutine hot path, one map lookup per repeat query) backed
-// by a read-mostly sync.Map shared between the instance and every view
-// produced by Fork. A predicate instance itself must only be used from
-// one goroutine at a time; concurrent workers each take a Fork, which
-// shares the computed results without sharing the unsynchronized tier.
+// The memo is one map behind a read-write lock, shared by every
+// goroutine that holds the predicate. A hit takes the read lock and
+// allocates nothing; a miss computes the metric outside the lock and
+// stores the verdict under the write lock. Verdicts are pure functions
+// of the two names, so two goroutines racing on one miss store the
+// same value.
 func Threshold(name string, metric Metric, theta float64) Predicate {
-	return &thresholdPred{name: name, metric: metric, theta: theta,
-		local: make(map[memoKey]bool), shared: &sync.Map{}, sharedLen: &atomic.Int64{}}
+	return &thresholdPred{name: name, metric: metric, theta: theta, memo: make(map[memoKey]bool)}
 }
 
 // memoKey is the memo key of an unordered name pair, stored with
 // a <= b. Keeping the names as separate fields (rather than joining
 // them with a separator that may itself occur in a name) makes distinct
-// pairs distinct keys, and a local-tier hit allocates nothing.
+// pairs distinct keys, and a hit allocates nothing.
 type memoKey struct{ a, b string }
 
-// memoCap bounds each memo tier so a pathological workload cannot hold
-// the cross product of its active domain in memory.
+// memoCap bounds the memo so a pathological workload cannot hold the
+// cross product of its active domain in memory.
 const memoCap = 1 << 20
 
 type thresholdPred struct {
 	name   string
 	metric Metric
 	theta  float64
-	// local is the per-instance tier: unsynchronized, single goroutine.
-	local map[memoKey]bool
-	// shared and sharedLen form the cross-fork tier, keyed by memoKey.
-	shared    *sync.Map
-	sharedLen *atomic.Int64
+	mu     sync.RWMutex
+	memo   map[memoKey]bool
 }
 
 func (p *thresholdPred) Name() string { return p.name }
@@ -69,33 +67,19 @@ func (p *thresholdPred) Holds(a, b string) bool {
 		a, b = b, a
 	}
 	key := memoKey{a, b}
-	if v, ok := p.local[key]; ok {
+	p.mu.RLock()
+	v, ok := p.memo[key]
+	p.mu.RUnlock()
+	if ok {
 		return v
 	}
-	if v, ok := p.shared.Load(key); ok {
-		held := v.(bool)
-		if len(p.local) < memoCap {
-			p.local[key] = held
-		}
-		return held
+	v = p.metric(a, b) >= p.theta || p.metric(b, a) >= p.theta
+	p.mu.Lock()
+	if len(p.memo) < memoCap {
+		p.memo[key] = v
 	}
-	v := p.metric(a, b) >= p.theta || p.metric(b, a) >= p.theta
-	if len(p.local) < memoCap {
-		p.local[key] = v
-	}
-	if p.sharedLen.Load() < memoCap {
-		if _, loaded := p.shared.LoadOrStore(key, v); !loaded {
-			p.sharedLen.Add(1)
-		}
-	}
+	p.mu.Unlock()
 	return v
-}
-
-// fork returns a view with a fresh unsynchronized tier sharing the
-// read-mostly tier, safe to use from a different goroutine than p.
-func (p *thresholdPred) fork() Predicate {
-	return &thresholdPred{name: p.name, metric: p.metric, theta: p.theta,
-		local: make(map[memoKey]bool), shared: p.shared, sharedLen: p.sharedLen}
 }
 
 // Table is a predicate given by an explicit extension; its Holds is the
@@ -169,56 +153,14 @@ func (r *Registry) MustLookup(name string) (Predicate, error) {
 	return nil, fmt.Errorf("sim: unknown similarity predicate %q (have %v)", name, r.Names())
 }
 
-// Fork returns a registry whose predicates are safe to use from a
-// different goroutine than the receiver's. Threshold predicates are
-// forked (fresh unsynchronized memo tier, shared read-mostly tier);
-// aliases are rebuilt around the fork of their target so alias and
-// target stay the same instance; Table extensions and any external
-// Predicate implementations are shared as-is — Tables are read-only
-// after construction, and external implementations must be safe for
-// concurrent use if the engine is run with parallelism. A nil receiver
-// forks to nil.
-func (r *Registry) Fork() *Registry {
-	if r == nil {
-		return nil
-	}
-	forked := make(map[Predicate]Predicate, len(r.preds))
-	var forkOf func(p Predicate) Predicate
-	forkOf = func(p Predicate) Predicate {
-		if f, ok := forked[p]; ok {
-			return f
-		}
-		var f Predicate
-		switch q := p.(type) {
-		case *thresholdPred:
-			f = q.fork()
-		case alias:
-			f = alias{q.name, forkOf(q.p)}
-		default:
-			f = p
-		}
-		forked[p] = f
-		return f
-	}
-	nr := &Registry{preds: make(map[string]Predicate, len(r.preds))}
-	for n, p := range r.preds {
-		nr.preds[n] = forkOf(p)
-	}
-	return nr
-}
-
 // Invalidate drops every memoized similarity verdict that mentions one
-// of the given constant names from the shared (cross-fork) memo tier of
-// each threshold predicate, returning the number of entries dropped.
-// The streaming layer calls it when facts are retracted, so the memo
-// does not accrete verdicts for names the database no longer contains.
-//
-// Only the shared sync.Map tier is touched — deleting from it is safe
-// while concurrent forks read — so a fork's unsynchronized local tier
-// may retain a stale-but-correct entry until the fork is discarded
-// (verdicts are pure functions of the names, so retained entries are
-// never wrong, merely unused). Table predicates are extensional and are
-// left alone. A nil receiver drops nothing.
+// of the given constant names from the memo of each threshold
+// predicate, returning the number of entries dropped. The streaming
+// layer calls it when facts are retracted, so the memo does not accrete
+// verdicts for names the database no longer contains. Concurrent Holds
+// calls are safe: a dropped verdict is recomputed identically on its
+// next use. Table predicates are extensional and are left alone. A nil
+// receiver drops nothing.
 func (r *Registry) Invalidate(names ...string) int {
 	if r == nil || len(names) == 0 {
 		return 0
@@ -228,7 +170,7 @@ func (r *Registry) Invalidate(names ...string) int {
 		set[n] = true
 	}
 	dropped := 0
-	seen := make(map[*sync.Map]bool)
+	seen := make(map[*thresholdPred]bool)
 	for _, p := range r.preds {
 		for {
 			if a, ok := p.(alias); ok {
@@ -238,18 +180,18 @@ func (r *Registry) Invalidate(names ...string) int {
 			break
 		}
 		tp, ok := p.(*thresholdPred)
-		if !ok || seen[tp.shared] {
+		if !ok || seen[tp] {
 			continue
 		}
-		seen[tp.shared] = true
-		tp.shared.Range(func(k, _ any) bool {
-			if key := k.(memoKey); set[key.a] || set[key.b] {
-				tp.shared.Delete(k)
-				tp.sharedLen.Add(-1)
+		seen[tp] = true
+		tp.mu.Lock()
+		for key := range tp.memo {
+			if set[key.a] || set[key.b] {
+				delete(tp.memo, key)
 				dropped++
 			}
-			return true
-		})
+		}
+		tp.mu.Unlock()
 	}
 	return dropped
 }
