@@ -74,6 +74,10 @@ type env struct {
 	// tasks (solve, greedy).
 	snap *lace.EpochSnapshot
 	eng  *lace.Engine
+	// query is certans/possans's parsed -query. It is parsed before the
+	// session freezes the database, whose interner then takes no new
+	// constant, so the query's own constants get ids in it.
+	query *lace.CQ
 }
 
 func run(args []string) error {
@@ -118,7 +122,14 @@ func run(args []string) error {
 	if rec != nil {
 		opts.Recorder = rec
 	}
-	e, err := load(*dataPath, *specPath, *simTable, opts)
+	query := ""
+	if task == "certans" || task == "possans" {
+		if *queryArg == "" {
+			return fmt.Errorf("-query is required")
+		}
+		query = *queryArg
+	}
+	e, err := load(*dataPath, *specPath, *simTable, query, opts)
 	if err != nil {
 		return err
 	}
@@ -260,13 +271,7 @@ func run(args []string) error {
 			return nil
 
 		case "certans", "possans":
-			if *queryArg == "" {
-				return fmt.Errorf("-query is required")
-			}
-			q, err := lace.ParseQuery(*queryArg, e.d.Schema(), in, e.sims)
-			if err != nil {
-				return err
-			}
+			q := e.query
 			answers := e.snap.PossibleAnswersCtx
 			if task == "certans" {
 				answers = e.snap.CertainAnswersCtx
@@ -350,16 +355,23 @@ func verdict(ok bool) string {
 	return "NO"
 }
 
-// load reads the inputs and builds the resolution snapshot.
-func load(dataPath, specPath, simTable string, opts lace.Options) (*env, error) {
+// load reads the inputs, parses query when it is not empty, and builds
+// the resolution snapshot.
+func load(dataPath, specPath, simTable, query string, opts lace.Options) (*env, error) {
 	d, spec, sims, err := lace.LoadFiles(dataPath, specPath, simTable)
 	if err != nil {
 		return nil, err
+	}
+	var q *lace.CQ
+	if query != "" {
+		if q, err = lace.ParseQuery(query, d.Schema(), d.Interner(), sims); err != nil {
+			return nil, err
+		}
 	}
 	ms, err := lace.NewMutableSession(d, spec, sims, opts, 0)
 	if err != nil {
 		return nil, err
 	}
 	snap := ms.Snapshot()
-	return &env{d: d, spec: spec, sims: sims, snap: snap, eng: snap.Engine()}, nil
+	return &env{d: d, spec: spec, sims: sims, snap: snap, eng: snap.Engine(), query: q}, nil
 }

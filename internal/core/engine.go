@@ -231,7 +231,7 @@ func (c *Context) expand(s state, pr eqrel.Pair) (state, error) {
 		ind = c.deriveInduced(s.ind, E, []db.Const{u, v})
 		c.storeKey(key, ind)
 	}
-	ind, merged, err := c.closeFrom(context.TODO(), E, ind, c.sess.hardRules, nil)
+	ind, merged, err := c.closeFrom(context.TODO(), E, ind, c.sess.hardRules, nil, nil)
 	if err != nil {
 		return state{}, err
 	}
@@ -339,7 +339,7 @@ func (c *Context) activePairs(E *eqrel.Partition, ind *db.Database) ([]Active, e
 // class (see DESIGN.md). accept must be stable under growth of E
 // (e.g. membership in a fixed target partition).
 func (c *Context) closeFixpoint(E *eqrel.Partition, rs []*rules.Rule, accept func(u, v db.Const) bool) error {
-	ind, merged, err := c.closeFrom(context.TODO(), E, c.Induced(E), rs, accept)
+	ind, merged, err := c.closeFrom(context.TODO(), E, c.Induced(E), rs, accept, nil)
 	if err == nil && merged {
 		c.storeKey(E.Key(), ind)
 	}
@@ -347,10 +347,15 @@ func (c *Context) closeFixpoint(E *eqrel.Partition, rs []*rules.Rule, accept fun
 }
 
 // closeFrom is closeFixpoint starting from ind, the induced database of
-// E. It returns the induced database of the closed E and whether the
-// closure merged anything; the caller decides what to cache. It stops
-// between rounds once ctx is done.
-func (c *Context) closeFrom(ctx context.Context, E *eqrel.Partition, ind *db.Database, rs []*rules.Rule, accept func(u, v db.Const) bool) (*db.Database, bool, error) {
+// E. Its first round evaluates only the matches that use a tuple seed
+// marks, and a nil seed stands for every tuple: a full first
+// evaluation. A seed must be complete: every match on ind whose head
+// pair E lacks uses a tuple it marks. A closure continued from a
+// closed partition is seeded by the tuples changed since (see
+// carryTop). It returns the induced database of the closed E and
+// whether the closure merged anything; the caller decides what to
+// cache. It stops between rounds once ctx is done.
+func (c *Context) closeFrom(ctx context.Context, E *eqrel.Partition, ind *db.Database, rs []*rules.Rule, accept func(u, v db.Const) bool, seed *cq.Delta) (*db.Database, bool, error) {
 	if len(rs) == 0 {
 		return ind, false, nil
 	}
@@ -372,17 +377,25 @@ func (c *Context) closeFrom(ctx context.Context, E *eqrel.Partition, ind *db.Dat
 		return true
 	}
 	collectMatch := func(ans []db.Const, _ []cq.Match) bool { return collect(ans) }
-	rep := c.repFor(E)
-	for _, pq := range prepared {
-		pq.plan.RunWith(ind, cq.RunSpec{Rec: c.rec, Rep: rep}, collectMatch)
-	}
-	for len(pending) > 0 {
+	delta := seed
+	for {
+		rep := c.repFor(E)
+		for _, pq := range prepared {
+			if delta == nil || pq.deltaUnsafe {
+				pq.plan.RunWith(ind, cq.RunSpec{Rec: c.rec, Rep: rep}, collectMatch)
+			} else {
+				pq.plan.RunDelta(ind, cq.RunSpec{Rec: c.rec, Rep: rep}, delta, collect)
+			}
+		}
+		if len(pending) == 0 {
+			return ind, merged, nil
+		}
 		if err := ctx.Err(); err != nil {
 			return nil, false, limits.Wrap(err)
 		}
 		// Union this round's pairs; both old representatives of every
 		// merge form the touched set that seeds the next delta round.
-		touched := make(map[db.Const]bool)
+		var touched []db.Const
 		for _, pr := range pending {
 			ra, rb := E.Rep(pr.A), E.Rep(pr.B)
 			if ra == rb {
@@ -390,30 +403,16 @@ func (c *Context) closeFrom(ctx context.Context, E *eqrel.Partition, ind *db.Dat
 			}
 			E.Union(ra, rb)
 			merged = true
-			touched[ra] = true
-			touched[rb] = true
+			touched = append(touched, ra, rb)
 		}
 		pending = pending[:0]
 		if len(touched) == 0 {
-			break
+			return ind, merged, nil
 		}
-		dirty := make([]db.Const, 0, len(touched))
-		for cst := range touched {
-			dirty = append(dirty, cst)
-		}
-		ind = c.deriveInduced(ind, E, dirty)
+		ind = c.deriveInduced(ind, E, touched)
 		c.rec.Inc(obs.CoreFixpointDeltaRounds, 1)
-		rep = c.repFor(E)
-		delta := cq.NewDelta(ind, func(cst db.Const) bool { return touched[cst] })
-		for _, pq := range prepared {
-			if pq.deltaUnsafe {
-				pq.plan.RunWith(ind, cq.RunSpec{Rec: c.rec, Rep: rep}, collectMatch)
-			} else {
-				pq.plan.RunDelta(ind, cq.RunSpec{Rec: c.rec, Rep: rep}, delta, collect)
-			}
-		}
+		delta = cq.NewDelta(ind, touched)
 	}
-	return ind, merged, nil
 }
 
 // HardClose extends E in place with all hard-rule-derivable merges until
@@ -465,14 +464,33 @@ func (c *Context) SatisfiesDenials(E *eqrel.Partition) (bool, error) {
 // satisfiesDenials is SatisfiesDenials over ind, the induced database
 // of E.
 func (c *Context) satisfiesDenials(E *eqrel.Partition, ind *db.Database) (bool, error) {
+	return c.satisfiesDenialsDelta(E, ind, nil)
+}
+
+// satisfiesDenialsDelta is satisfiesDenials when only the matches that
+// use a tuple delta marks can violate Δ (a nil delta checks every
+// match): each denial runs in delta mode, except those with a constant
+// in an inequality or similarity atom, whose verdict a representative
+// change can flip with no tuple changed, and which run in full.
+func (c *Context) satisfiesDenialsDelta(E *eqrel.Partition, ind *db.Database, delta *cq.Delta) (bool, error) {
 	c.rec.Inc(obs.CoreDenialChecks, 1)
-	rep := c.repFor(E)
+	rs := cq.RunSpec{Rec: c.rec, Rep: c.repFor(E)}
+	violated := false
+	stop := func([]db.Const) bool {
+		violated = true
+		return false
+	}
 	for _, dn := range c.sess.spec.Denials {
 		pq, err := c.planFor(dn, dn.Atoms, nil)
 		if err != nil {
 			return false, fmt.Errorf("core: denial %s: %w", dn.Name, err)
 		}
-		if pq.plan.Holds(ind, cq.RunSpec{Rec: c.rec, Rep: rep}) {
+		if delta == nil || pq.deltaUnsafe {
+			violated = pq.plan.Holds(ind, rs)
+		} else {
+			pq.plan.RunDelta(ind, rs, delta, stop)
+		}
+		if violated {
 			return false, nil
 		}
 	}

@@ -152,7 +152,7 @@ func (c *Context) top(ctx context.Context) (*eqrel.Partition, *db.Database, bool
 		return nil, nil, false, limits.Wrap(err)
 	}
 	T := c.Identity()
-	ind, _, err := c.closeFrom(ctx, T, c.sess.d, c.sess.mergeRules, nil)
+	ind, _, err := c.closeFrom(ctx, T, c.sess.d, c.sess.mergeRules, nil, nil)
 	if err != nil {
 		return nil, nil, false, err
 	}

@@ -3,9 +3,10 @@ package core
 // stream_bench_test.go measures the payoff of the streaming layer: one
 // iteration is one applied single-fact batch (alternately retracting
 // and re-inserting the same Author fact) followed by a full resolve of
-// the new epoch through a MutableSession — so the lattice top (and,
-// when it is inconsistent, the stitch) is recomputed, but similarity
-// verdicts come out of the shared memo tier. The baseline is the same
+// the new epoch through a MutableSession — so the lattice top is
+// carried from the previous epoch's (re-closing the classes the batch
+// reaches) and, when it is inconsistent, the stitch is recomputed,
+// while similarity verdicts come out of the shared memo. The baseline is the same
 // instance resolved from scratch: a freshly generated dataset (cold
 // similarity memos) on a fresh ShardedEngine.
 //

@@ -327,8 +327,7 @@ func (p *Plan) Holds(d *db.Database, rs RunSpec) bool {
 // Delta holds the touched tuples of one semi-naive round: for every
 // relation, which tuples contain a touched constant, as marks and as an
 // ascending row list. It is computed once per round with NewDelta and
-// shared by every plan's RunDelta in that round, so the database is
-// scanned once, not once per rule.
+// shared by every plan's RunDelta in that round.
 type Delta struct {
 	// marks[rel][i] reports whether tuple i of rel contains a touched
 	// constant and rows[rel] lists those i; relations without any
@@ -337,35 +336,56 @@ type Delta struct {
 	rows  map[string][]int32
 }
 
-// NewDelta scans d, marking every tuple that contains a constant the
-// touched predicate accepts.
-func NewDelta(d *db.Database, touched func(db.Const) bool) *Delta {
+// NewDelta marks every tuple of d that holds a touched constant. The
+// rows come from the dense column indexes (db.Table.RowsHolding), so a
+// round costs in proportion to the touched rows, not to the database.
+// touched may hold duplicates, NoConst and ids no tuple holds.
+func NewDelta(d *db.Database, touched []db.Const) *Delta {
 	delta := &Delta{marks: make(map[string][]bool), rows: make(map[string][]int32)}
+	if len(touched) == 0 {
+		return delta
+	}
 	for _, r := range d.Schema().Relations() {
 		t := d.Table(r.Name)
 		if t == nil {
 			continue
 		}
-		var m []bool
-		var rows []int32
-		for ti, tup := range t.Tuples() {
-			for _, c := range tup {
-				if touched(c) {
-					if m == nil {
-						m = make([]bool, t.Len())
-					}
-					m[ti] = true
-					rows = append(rows, int32(ti))
-					break
-				}
-			}
+		rows := t.RowsHolding(touched)
+		if len(rows) == 0 {
+			continue
 		}
-		if m != nil {
-			delta.marks[r.Name] = m
-			delta.rows[r.Name] = rows
+		m := make([]bool, t.Len())
+		for _, ti := range rows {
+			m[ti] = true
 		}
+		delta.marks[r.Name] = m
+		delta.rows[r.Name] = rows
 	}
 	return delta
+}
+
+// Touch marks the tuples of relation rel at the given positions of d
+// (any order, duplicates allowed) as touched too, for a round whose
+// changed tuples are known by position rather than by a constant.
+func (dl *Delta) Touch(d *db.Database, rel string, rows []int32) {
+	t := d.Table(rel)
+	if t == nil || len(rows) == 0 {
+		return
+	}
+	m := dl.marks[rel]
+	if m == nil {
+		m = make([]bool, t.Len())
+		dl.marks[rel] = m
+	}
+	all := slices.Clone(dl.rows[rel]) // may be shared with an index
+	for _, ti := range rows {
+		if !m[ti] {
+			m[ti] = true
+			all = append(all, ti)
+		}
+	}
+	slices.Sort(all)
+	dl.rows[rel] = all
 }
 
 // RunDelta enumerates exactly the matches that use at least one touched

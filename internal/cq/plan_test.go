@@ -290,7 +290,7 @@ func TestRunDeltaMatchesFilteredOracle(t *testing.T) {
 		for i := 0; i < rng.Intn(3); i++ {
 			touchedSet[db.Const(rng.Intn(n))] = true
 		}
-		delta := NewDelta(d, func(c db.Const) bool { return touchedSet[c] })
+		delta := NewDelta(d, constList(touchedSet))
 		p, err := Prepare(atoms, head, d.Schema(), reg)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -434,7 +434,7 @@ func checkRunDelta(t *testing.T, seed int64, shape, touch uint8, remap bool) {
 	if err != nil {
 		t.Fatalf("shape %d: %v", shape%5, err)
 	}
-	delta := NewDelta(d, func(c db.Const) bool { return touchedSet[c] })
+	delta := NewDelta(d, constList(touchedSet))
 	got := make(map[string]int)
 	p.RunDelta(d, rs, delta, func(ans []db.Const) bool {
 		got[db.TupleKey(ans)]++

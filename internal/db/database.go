@@ -2,6 +2,7 @@ package db
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -75,7 +76,8 @@ func (d *Database) Tuples(rel string) [][]Const {
 
 // Freeze makes the database immutable and safe for concurrent readers:
 // every column index is built eagerly (so Lookup never writes
-// again) and subsequent inserts fail. This is the invariant MapFrom
+// again), subsequent inserts fail, and its interner is frozen too (a
+// new name panics; see Interner.Freeze). This is the invariant MapFrom
 // relies on when induced databases are shared across search workers —
 // untouched tables are shared by reference into the derived database,
 // which is sound only because neither the tuples nor the indexes of a
@@ -91,6 +93,7 @@ func (d *Database) Freeze() {
 	for _, t := range d.tables {
 		t.freeze()
 	}
+	d.interner.Freeze()
 	d.frozen = true
 }
 
@@ -131,6 +134,9 @@ func (d *Database) Insert(rel string, args ...Const) (bool, error) {
 
 // InsertNames interns the given constant names and inserts the fact.
 func (d *Database) InsertNames(rel string, names ...string) (bool, error) {
+	if d.frozen {
+		return false, fmt.Errorf("db: insert into frozen database (relation %q)", rel)
+	}
 	args := make([]Const, len(names))
 	for i, n := range names {
 		args[i] = d.interner.Intern(n)
@@ -238,43 +244,99 @@ func (d *Database) Map(rep func(Const) Const) *Database {
 // parent.Map(rep), which differential tests assert on randomized
 // databases and partitions.
 func MapFrom(parent *Database, dirty []Const, rep func(Const) Const) *Database {
-	isDirty := dirtyPredicate(dirty)
-	nd := New(parent.schema, parent.interner)
-	// Induced databases bypass Insert, so their hash accumulators are
-	// never maintained; nobody fingerprints them, but mark them invalid
-	// so a stray Fingerprint call falls back to the full scan.
-	nd.hashOK = false
+	nd := parent.derived()
+	set := constSet{list: dirty}
 	for name, t := range parent.tables {
-		if !t.touchesAny(dirty, isDirty) {
-			nd.tables[name] = t
-			nd.nfacts += t.Len()
-			continue
+		rows := t.rowsHolding(&set)
+		if len(rows) > 0 {
+			t = t.derive(rows, true, nil, rep)
 		}
-		nt := t.mapDirty(isDirty, rep)
-		nd.nfacts += nt.Len()
-		nd.tables[name] = nt
+		nd.tables[name] = t
+		nd.nfacts += t.Len()
 	}
 	return nd
 }
 
-// dirtyPredicate returns a membership test for the dirty set: linear
-// probing for the common two-constant case, a map beyond that.
-func dirtyPredicate(dirty []Const) func(Const) bool {
-	if len(dirty) <= 8 {
-		return func(c Const) bool {
-			for _, dc := range dirty {
-				if c == dc {
-					return true
-				}
+// Rebase derives base.Map(rep) from parent, the image of an older
+// database under an older representative function, over the same
+// schema: every row of parent holding a constant of stale, or listed by
+// position in drop, is dropped, and the image under rep of every tuple
+// of extra (keyed by relation) is added, duplicates suppressed. Tables
+// with none of these are shared with parent wholesale; the result reads
+// base's interner. The caller guarantees what makes the result
+// base.Map(rep): every row of parent that is kept is the image under
+// rep of a tuple of base, and every tuple of base whose image is not
+// such a row is in extra. Both parent and result must be treated as
+// immutable afterwards.
+func Rebase(base, parent *Database, stale []Const, drop map[string][]int32, extra map[string][][]Const, rep func(Const) Const) *Database {
+	nd := base.derived()
+	set := constSet{list: stale}
+	for name, t := range parent.tables {
+		rows := t.rowsHolding(&set)
+		if len(drop[name]) > 0 {
+			rows = append(slices.Clone(rows), drop[name]...)
+			slices.Sort(rows)
+			rows = slices.Compact(rows)
+		}
+		if len(rows) > 0 || len(extra[name]) > 0 {
+			t = t.derive(rows, false, extra[name], rep)
+		}
+		nd.tables[name] = t
+		nd.nfacts += t.Len()
+	}
+	for name, tuples := range extra {
+		if parent.tables[name] != nil || len(tuples) == 0 {
+			continue
+		}
+		r, _ := parent.schema.Relation(name)
+		t := newTable(r, 0).derive(nil, false, tuples, rep)
+		nd.tables[name] = t
+		nd.nfacts += t.Len()
+	}
+	return nd
+}
+
+// derived returns an empty database for an induced database derived
+// from d: same schema and interner, no tables yet. Induced databases
+// bypass Insert, so their hash accumulators are never maintained;
+// nobody fingerprints them, but they are marked invalid so a stray
+// Fingerprint call falls back to the full scan.
+func (d *Database) derived() *Database {
+	nd := New(d.schema, d.interner)
+	nd.hashOK = false
+	return nd
+}
+
+// constSet is a membership test over a constant list: linear probing
+// for a few constants, a dense bitset indexed by constant id (built on
+// first use) beyond that.
+type constSet struct {
+	list []Const
+	bits []uint64
+}
+
+func (s *constSet) has(c Const) bool {
+	if len(s.list) <= 8 {
+		for _, x := range s.list {
+			if c == x {
+				return true
 			}
-			return false
+		}
+		return false
+	}
+	if s.bits == nil {
+		hi := Const(0)
+		for _, x := range s.list {
+			hi = max(hi, x)
+		}
+		s.bits = make([]uint64, hi/64+1)
+		for _, x := range s.list {
+			if x >= 0 {
+				s.bits[x/64] |= 1 << (x % 64)
+			}
 		}
 	}
-	ds := make(map[Const]bool, len(dirty))
-	for _, c := range dirty {
-		ds[c] = true
-	}
-	return func(c Const) bool { return ds[c] }
+	return c >= 0 && int(c/64) < len(s.bits) && s.bits[c/64]&(1<<(c%64)) != 0
 }
 
 // Equal reports whether two databases over the same schema and interner

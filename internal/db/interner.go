@@ -24,6 +24,10 @@ const NoConst Const = -1
 type Interner struct {
 	byName map[string]Const
 	names  []string
+	// frozen interners belong to a frozen database and may be shared
+	// along an epoch lineage (see Apply): a new name would grow the id
+	// space under every database sharing them, so interning one panics.
+	frozen bool
 }
 
 // NewInterner returns an empty interner.
@@ -31,10 +35,15 @@ func NewInterner() *Interner {
 	return &Interner{byName: make(map[string]Const)}
 }
 
-// Intern returns the id for name, assigning a fresh one if needed.
+// Intern returns the id for name, assigning a fresh one if needed. It
+// panics when a frozen interner would need a fresh id: intern into a
+// Clone instead.
 func (in *Interner) Intern(name string) Const {
 	if id, ok := in.byName[name]; ok {
 		return id
+	}
+	if in.frozen {
+		panic(fmt.Sprintf("db: intern of new name %q into a frozen interner (intern into a Clone)", name))
 	}
 	id := Const(len(in.names))
 	in.byName[name] = id
@@ -57,12 +66,24 @@ func (in *Interner) Name(c Const) string {
 	return in.names[c]
 }
 
+// Freeze makes the interner reject new names; looking up and
+// re-interning known names stays allowed. Database.Freeze calls it. It
+// is idempotent, and a repeated call only reads.
+func (in *Interner) Freeze() {
+	if !in.frozen {
+		in.frozen = true
+	}
+}
+
+// Frozen reports whether Freeze has been called.
+func (in *Interner) Frozen() bool { return in.frozen }
+
 // Size returns the number of interned constants.
 func (in *Interner) Size() int { return len(in.names) }
 
-// Clone returns an independent copy of the interner: existing names
-// keep their ids, and interning into the clone leaves the receiver
-// untouched. A server uses clones to parse ad-hoc queries (which may
+// Clone returns an independent, unfrozen copy of the interner: existing
+// names keep their ids, and interning into the clone leaves the
+// receiver untouched. A server uses clones to parse ad-hoc queries (which may
 // intern fresh query constants) without mutating the interner shared by
 // concurrent readers.
 func (in *Interner) Clone() *Interner {

@@ -6,10 +6,12 @@ package db
 // without touching the parent — untouched relations are shared by
 // reference (sound because both sides are frozen), touched relations
 // are rebuilt skipping the retracted tuple keys (the tombstones) and
-// appending the inserts. The interner is cloned, and Interner.Clone
-// preserves ids, so constant ids are stable along an epoch lineage:
-// specifications, equivalence pairs and cached per-shard results keyed
-// by constant id stay valid across epochs.
+// appending the inserts. A batch naming only known constants shares the
+// parent's interner, which Freeze has made reject new names; one naming
+// a new constant clones it, and Interner.Clone preserves ids. Either
+// way constant ids are stable along an epoch lineage: specifications,
+// equivalence pairs and a carried lattice top keyed by constant id stay
+// valid across epochs.
 //
 // The content fingerprint makes epoch identity observable in O(1): the
 // XOR and the sum of per-fact FNV-1a hashes over rendered names are
@@ -43,8 +45,9 @@ func (f FactSpec) String() string {
 // Apply builds the epoch successor of parent under one batch: retract
 // first, then insert. The parent is frozen (idempotent) and never
 // modified; the result is a fresh frozen database sharing the parent's
-// schema, every untouched table by reference, and a clone of the
-// parent's interner (ids preserved, new names appended). Retracting an
+// schema, every untouched table by reference, and the parent's interner
+// when every inserted name is already interned, a clone of it (ids
+// preserved, new names appended) otherwise. Retracting an
 // absent fact and inserting a present one are counted-zero no-ops; the
 // returned counts are the facts actually removed and actually added.
 // A validation error (undeclared relation, arity mismatch) rejects the
@@ -62,7 +65,16 @@ func Apply(parent *Database, insert, retract []FactSpec) (nd *Database, inserted
 	}
 	parent.Freeze()
 
-	in := parent.interner.Clone()
+	in := parent.interner
+known:
+	for _, f := range insert {
+		for _, n := range f.Args {
+			if _, ok := in.Lookup(n); !ok {
+				in = in.Clone()
+				break known
+			}
+		}
+	}
 
 	// Tombstones: per touched relation, the keys of the tuples this
 	// batch removes. A retract naming a constant the parent never

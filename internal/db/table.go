@@ -176,6 +176,19 @@ func (t *Table) contains(args []Const) bool {
 	return ok
 }
 
+// Position returns the position of the tuple equal to tup, or -1 when
+// the table holds no such tuple.
+func (t *Table) Position(tup []Const) int {
+	if len(tup) != t.rel.Arity() {
+		return -1
+	}
+	i, ok := t.probe(tup)
+	if !ok {
+		return -1
+	}
+	return int(t.slots[i]) - 1
+}
+
 // Lookup returns the positions of the tuples whose column col holds v,
 // in ascending order, building the column's index on first use. The
 // slice is shared with the table; callers must not modify it.
@@ -272,61 +285,85 @@ func (t *Table) freeze() {
 	t.frozen = true
 }
 
-// touchesAny reports whether any tuple mentions a dirty constant. A
-// table with every column index built answers with one lookup per
-// (column, constant) instead of a scan.
-func (t *Table) touchesAny(dirty []Const, isDirty func(Const) bool) bool {
-	complete := t.cols != nil
-	for i := range t.cols {
-		complete = complete && t.cols[i].built
-	}
-	if complete {
-		for col := range t.cols {
-			for _, c := range dirty {
-				if len(t.Lookup(col, c)) > 0 {
-					return true
-				}
-			}
-		}
+// indexed reports whether every column index is built, as in every
+// table of a frozen database.
+func (t *Table) indexed() bool {
+	if t.cols == nil {
 		return false
 	}
-	for _, tup := range t.tuples {
-		for _, c := range tup {
-			if isDirty(c) {
-				return true
-			}
+	for i := range t.cols {
+		if !t.cols[i].built {
+			return false
 		}
 	}
-	return false
+	return true
 }
 
-// mapDirty returns the table obtained by applying rep to every tuple
-// that holds a constant isDirty accepts, sharing every other tuple by
-// reference and suppressing the duplicates the remapping creates. The
-// remapped tuples share one backing array.
-func (t *Table) mapDirty(isDirty func(Const) bool, rep func(Const) Const) *Table {
-	touches := func(tup []Const) bool {
-		for _, c := range tup {
-			if isDirty(c) {
-				return true
+// RowsHolding returns the ascending positions of the tuples holding at
+// least one of cs, read from the column indexes (built on first use),
+// so it costs in proportion to the rows found, not to the table. cs may
+// hold duplicates, NoConst and ids outside every column's range. The
+// slice may be shared with an index; callers must not modify it.
+func (t *Table) RowsHolding(cs []Const) []int32 {
+	var rows []int32
+	sources := 0
+	for col := 0; col < t.rel.Arity(); col++ {
+		for _, c := range cs {
+			if l := t.Lookup(col, c); len(l) > 0 {
+				if sources == 0 {
+					rows = l
+				} else {
+					rows = append(rows, l...)
+				}
+				sources++
 			}
 		}
-		return false
 	}
-	touched := 0
-	for _, tup := range t.tuples {
-		if touches(tup) {
-			touched++
+	if sources > 1 {
+		slices.Sort(rows)
+		rows = slices.Compact(rows)
+	}
+	return rows
+}
+
+// rowsHolding is RowsHolding for a derivation: from the indexes when
+// they are all built, otherwise in one pass over the tuples with set's
+// membership test, so it never builds an index the derived table
+// would not share.
+func (t *Table) rowsHolding(set *constSet) []int32 {
+	if len(set.list) == 0 {
+		return nil
+	}
+	if t.indexed() {
+		return t.RowsHolding(set.list)
+	}
+	var rows []int32
+	for i, tup := range t.tuples {
+		for _, c := range tup {
+			if set.has(c) {
+				rows = append(rows, int32(i))
+				break
+			}
 		}
 	}
+	return rows
+}
+
+// derive returns a table holding t's tuples in order, except that the
+// tuple at each position of rows (ascending) is replaced by its image
+// under rep when remap is set and dropped otherwise, followed by the
+// image under rep of every tuple of extra. Kept tuples are shared by
+// reference, duplicates the images create are suppressed, and the
+// images share one backing array.
+func (t *Table) derive(rows []int32, remap bool, extra [][]Const, rep func(Const) Const) *Table {
 	arity := t.rel.Arity()
-	arena := make([]Const, touched*arity)
-	nt := newTable(t.rel, len(t.tuples))
-	for _, tup := range t.tuples {
-		if !touches(tup) {
-			nt.insert(tup)
-			continue
-		}
+	images := len(extra)
+	if remap {
+		images += len(rows)
+	}
+	arena := make([]Const, images*arity)
+	nt := newTable(t.rel, len(t.tuples)-len(rows)+images)
+	add := func(tup []Const) {
 		m := arena[:arity:arity]
 		for i, c := range tup {
 			m[i] = rep(c)
@@ -334,6 +371,19 @@ func (t *Table) mapDirty(isDirty func(Const) bool, rep func(Const) Const) *Table
 		if nt.insert(m) {
 			arena = arena[arity:]
 		}
+	}
+	for i, tup := range t.tuples {
+		if len(rows) > 0 && int(rows[0]) == i {
+			rows = rows[1:]
+			if remap {
+				add(tup)
+			}
+			continue
+		}
+		nt.insert(tup)
+	}
+	for _, tup := range extra {
+		add(tup)
 	}
 	return nt
 }
