@@ -806,6 +806,76 @@ func TestEpochsShareSimilarityMemo(t *testing.T) {
 	}
 }
 
+// TestRetractedNamesKeepVerdictsUntilSweep: a retraction does not drop
+// the memoized verdicts of the names it removes from the database at
+// once, so a re-inserted name finds them still there; once forgetBatch
+// names are gone, one sweep drops them all and the gone set empties.
+// The first Author's institution has other Authors (about five per
+// institution), so σ2 compares its email with theirs.
+func TestRetractedNamesKeepVerdictsUntilSweep(t *testing.T) {
+	ctx := context.Background()
+	ds, err := workload.GenerateScale(workload.DefaultScaleConfig(3, 300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int64
+	metric := func(a, b string) float64 {
+		calls.Add(1)
+		return sim.NormalizedLevenshtein(a, b)
+	}
+	sims := sim.NewRegistry(sim.Threshold("approx", metric, 0.82))
+	m, err := NewMutable(ds.DB, ds.Spec, sims, Options{Parallelism: 1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolve := func(b Batch) {
+		t.Helper()
+		_, snap, err := m.Apply(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := snap.PossibleMergesCtx(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.Snapshot().PossibleMergesCtx(ctx); err != nil {
+		t.Fatal(err)
+	}
+	in := ds.DB.Interner()
+	var authors []db.FactSpec
+	for _, tu := range ds.DB.Tuples("Author") {
+		authors = append(authors, db.FactSpec{Rel: "Author", Args: []string{in.Name(tu[0]), in.Name(tu[1]), in.Name(tu[2])}})
+	}
+	if len(authors) <= forgetBatch {
+		t.Fatalf("%d Author tuples, want more than %d", len(authors), forgetBatch)
+	}
+	one := Batch{Retract: authors[:1]}
+	resolve(one)
+	if !m.gone[authors[0].Args[1]] {
+		t.Fatalf("the retracted email %q is not recorded as gone", authors[0].Args[1])
+	}
+	before := calls.Load()
+	resolve(Batch{Insert: authors[:1]})
+	if n := calls.Load() - before; n != 0 {
+		t.Errorf("re-inserting a retracted Author made %d metric calls, want 0", n)
+	}
+	if len(m.gone) != 0 {
+		t.Errorf("after the re-insert %d names are still gone", len(m.gone))
+	}
+	// Retract it again, then forgetBatch-1 Authors of other
+	// institutions: the last of those batches sweeps.
+	resolve(one)
+	resolve(Batch{Retract: authors[len(authors)-forgetBatch+1:]})
+	if len(m.gone) != 0 {
+		t.Errorf("%d names still gone after a sweep", len(m.gone))
+	}
+	before = calls.Load()
+	resolve(Batch{Insert: authors[:1]})
+	if calls.Load() == before {
+		t.Error("re-inserting an Author after the sweep made no metric call")
+	}
+}
+
 // TestMutableConcurrentEpochResolves: snapshots of different epochs may
 // resolve at the same time. Every batch inserts an Author whose email
 // no epoch has seen, so each epoch's resolution computes fresh

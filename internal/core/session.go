@@ -45,6 +45,10 @@ type Session struct {
 	// relaxedPlans caches the relaxed-join compilation of each rule
 	// (relaxed.go), keyed by *rules.Rule pointer, on first use.
 	relaxedPlans sync.Map
+	// coupling holds the sharded engine's coupling plans, compiled on
+	// first use. Like plans, it is shared by every epoch of a mutable
+	// session (newSessionFrom).
+	coupling *couplingPlanSet
 
 	// freezeOnce freezes the base database the first time a parallel
 	// phase starts (eager column indexes, immutable tables), making it
@@ -83,23 +87,49 @@ func newSession(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Optio
 	if err := spec.Validate(d.Schema(), sims); err != nil {
 		return nil, err
 	}
-	return buildSession(d, spec, sims, normalizeOptions(opts))
+	return buildSession(d, spec, sims, normalizeOptions(opts), nil)
+}
+
+// newSessionFrom builds the session of a mutable session's next epoch
+// over d, sharing prev's validated specification, options and compiled
+// plans. Plans hold no database state, and d keeps prev's schema and
+// extends its interner with every id preserved, so they serve it as
+// they are.
+func newSessionFrom(d *db.Database, prev *Session) *Session {
+	return &Session{
+		d:          d,
+		spec:       prev.spec,
+		sims:       prev.sims,
+		dom:        d.Interner().Size(),
+		opts:       prev.opts,
+		rec:        prev.rec,
+		plans:      prev.plans,
+		coupling:   prev.coupling,
+		hardRules:  prev.hardRules,
+		mergeRules: prev.mergeRules,
+	}
 }
 
 // buildSession assembles a Session over an already-validated
 // specification with already-normalized options. The sharded engine
 // builds one per shard from a projection of a validated instance, where
 // re-validating the (structurally identical) rewritten spec per shard
-// would be pure overhead.
-func buildSession(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Options) (*Session, error) {
+// would be pure overhead. plans, when not nil, holds plans already
+// compiled for some of the spec's rules and denials; the rest are
+// compiled into it.
+func buildSession(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Options, plans map[any]*preparedQuery) (*Session, error) {
+	if plans == nil {
+		plans = make(map[any]*preparedQuery)
+	}
 	s := &Session{
-		d:     d,
-		spec:  spec,
-		sims:  sims,
-		dom:   d.Interner().Size(),
-		opts:  opts,
-		rec:   obs.OrNop(opts.Recorder),
-		plans: make(map[any]*preparedQuery),
+		d:        d,
+		spec:     spec,
+		sims:     sims,
+		dom:      d.Interner().Size(),
+		opts:     opts,
+		rec:      obs.OrNop(opts.Recorder),
+		plans:    plans,
+		coupling: &couplingPlanSet{},
 
 		hardRules:  spec.HardRules(),
 		mergeRules: spec.MergeRules(),

@@ -183,21 +183,27 @@ func (p *Partition) Clone() *Partition {
 
 // classes groups member ids by root; only classes with at least minSize
 // members are returned, each sorted ascending, ordered by representative.
+// classes lists the classes of at least minSize members in one pass by
+// ascending id: a class is opened at its first member, its minimum, so
+// the classes come out ordered by representative and their members
+// ascending, with no sort.
 func (p *Partition) classes(minSize int) [][]db.Const {
-	byRoot := make(map[db.Const][]db.Const)
+	out := make([][]db.Const, 0)
+	slot := make([]int32, p.n) // by root: 1 + its index in out, 0 until opened
 	for i := 0; i < p.n; i++ {
 		c := db.Const(i)
 		r := p.find(c)
-		if int(p.size[r]) >= minSize {
-			byRoot[r] = append(byRoot[r], c)
+		size := int(p.size[r])
+		if size < minSize {
+			continue
 		}
+		if slot[r] == 0 {
+			out = append(out, make([]db.Const, 0, size))
+			slot[r] = int32(len(out))
+		}
+		k := slot[r] - 1
+		out[k] = append(out[k], c)
 	}
-	out := make([][]db.Const, 0, len(byRoot))
-	for _, members := range byRoot {
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-		out = append(out, members)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	return out
 }
 
