@@ -123,6 +123,54 @@ func TestAPIOneShape(t *testing.T) {
 	}
 }
 
+// facadeResults maps each exported top-level function of the facade to
+// the type names of its results, pointers written with a leading "*".
+func facadeResults(t *testing.T) map[string][]string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "lace.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]string)
+	for _, decl := range f.Decls {
+		fd, ok := decl.(*ast.FuncDecl)
+		if !ok || fd.Recv != nil || !fd.Name.IsExported() || fd.Type.Results == nil {
+			continue
+		}
+		for _, r := range fd.Type.Results.List {
+			name := recvName(r.Type)
+			if _, ptr := r.Type.(*ast.StarExpr); ptr {
+				name = "*" + name
+			}
+			for range max(1, len(r.Names)) {
+				out[fd.Name.Name] = append(out[fd.Name.Name], name)
+			}
+		}
+	}
+	return out
+}
+
+// TestFacadeOneResolver fails unless the facade has exactly one
+// constructor of a resolution handle: one exported function returns
+// *EpochSnapshot, and none returns an engine (*Engine, *ShardedEngine)
+// that answers the same questions.
+func TestFacadeOneResolver(t *testing.T) {
+	var snapshots []string
+	for fn, results := range facadeResults(t) {
+		for _, r := range results {
+			switch r {
+			case "*EpochSnapshot":
+				snapshots = append(snapshots, fn)
+			case "*Engine", "*ShardedEngine":
+				t.Errorf("facade function %s returns %s; resolve through NewSnapshot", fn, r)
+			}
+		}
+	}
+	if len(snapshots) != 1 {
+		t.Errorf("facade functions returning *EpochSnapshot: %v, want exactly one", snapshots)
+	}
+}
+
 // TestTwinScanFindsPairs keeps the scan honest: a synthetic package
 // with a Rec twin, a Budget twin, an At twin and a method twin is
 // reported.

@@ -44,7 +44,7 @@ import (
 func BenchmarkFigure1RunningExample(b *testing.B) {
 	f := fixtures.New()
 	for i := 0; i < b.N; i++ {
-		eng, err := NewEngine(f.DB, f.Spec, f.Sims, Options{})
+		eng, err := core.New(f.DB, f.Spec, f.Sims, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func BenchmarkFigure1RunningExample(b *testing.B) {
 // BenchmarkJustifyKappa replays and justifies the recursive merge κ.
 func BenchmarkJustifyKappa(b *testing.B) {
 	f := fixtures.New()
-	eng, err := NewEngine(f.DB, f.Spec, f.Sims, Options{})
+	eng, err := core.New(f.DB, f.Spec, f.Sims, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func BenchmarkASPSolve(b *testing.B) {
 
 func BenchmarkNativeSolve(b *testing.B) {
 	f := fixtures.New()
-	eng, err := NewEngine(f.DB, f.Spec, f.Sims, Options{})
+	eng, err := core.New(f.DB, f.Spec, f.Sims, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -458,7 +458,7 @@ func BenchmarkTheorem11EL(b *testing.B) {
 func BenchmarkProposition1(b *testing.B) {
 	f := fixtures.New()
 	tr := f.Spec.Prop1Transform()
-	eng, err := NewEngine(f.DB, tr, f.Sims, Options{})
+	eng, err := core.New(f.DB, tr, f.Sims, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -485,7 +485,7 @@ func BenchmarkWorkloadLACE(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			eng, err := NewEngine(ds.DB, ds.Spec, ds.Sims, Options{})
+			eng, err := core.New(ds.DB, ds.Spec, ds.Sims, Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -567,7 +567,7 @@ func BenchmarkLocalMergeResolve(b *testing.B) {
 // running example's η (the impossible pair needing the full analysis).
 func BenchmarkExplainMerge(b *testing.B) {
 	f := fixtures.New()
-	eng, err := NewEngine(f.DB, f.Spec, f.Sims, Options{})
+	eng, err := core.New(f.DB, f.Spec, f.Sims, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

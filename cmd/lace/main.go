@@ -70,12 +70,11 @@ type env struct {
 	sims *lace.SimRegistry
 	// snap answers every task defined over the maximal solutions
 	// (existence, maxsolve, merges, certmerge, possmerge, certans,
-	// possans, justify). eng is its engine, which runs the enumeration
-	// tasks (solve, greedy).
+	// possans, justify); its engine runs the enumeration tasks (solve,
+	// greedy).
 	snap *lace.EpochSnapshot
-	eng  *lace.Engine
 	// query is certans/possans's parsed -query. It is parsed before the
-	// session freezes the database, whose interner then takes no new
+	// snapshot freezes the database, whose interner then takes no new
 	// constant, so the query's own constants get ids in it.
 	query *lace.CQ
 }
@@ -209,7 +208,7 @@ func run(args []string) error {
 
 		case "solve":
 			count := 0
-			err := e.eng.SolutionsCtx(ctx, func(E *eqrel.Partition) bool {
+			err := e.snap.Engine().SolutionsCtx(ctx, func(E *eqrel.Partition) bool {
 				count++
 				fmt.Printf("solution %d: %s\n", count, E.Format(in))
 				return *limit > 0 && count >= *limit
@@ -318,7 +317,7 @@ func run(args []string) error {
 			return nil
 
 		case "greedy":
-			sol, ok, err := e.eng.GreedySolutionCtx(ctx)
+			sol, ok, err := e.snap.Engine().GreedySolutionCtx(ctx)
 			if err != nil {
 				return err
 			}
@@ -368,10 +367,9 @@ func load(dataPath, specPath, simTable, query string, opts lace.Options) (*env, 
 			return nil, err
 		}
 	}
-	ms, err := lace.NewMutableSession(d, spec, sims, opts, 0)
+	snap, err := lace.NewSnapshot(d, spec, sims, opts)
 	if err != nil {
 		return nil, err
 	}
-	snap := ms.Snapshot()
-	return &env{d: d, spec: spec, sims: sims, snap: snap, eng: snap.Engine(), query: q}, nil
+	return &env{d: d, spec: spec, sims: sims, snap: snap, query: q}, nil
 }

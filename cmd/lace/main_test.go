@@ -12,6 +12,7 @@ import (
 	"time"
 
 	lace "repro"
+	"repro/internal/core"
 	"repro/internal/eqrel"
 	"repro/internal/limits"
 )
@@ -280,7 +281,7 @@ func monolithic(t *testing.T, task string, flags ...string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := lace.NewEngine(d, spec, sims, lace.Options{Parallelism: 1})
+	eng, err := core.New(d, spec, sims, core.Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

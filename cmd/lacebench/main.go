@@ -22,7 +22,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -236,11 +235,11 @@ func timeIt(fn func() error) (time.Duration, error) {
 // E1: the running example.
 func e1Figure1() error {
 	f := fixtures.New()
-	eng, err := lace.NewEngine(f.DB, f.Spec, f.Sims, engineOpts())
+	snap, err := lace.NewSnapshot(f.DB, f.Spec, f.Sims, engineOpts())
 	if err != nil {
 		return err
 	}
-	ms, err := eng.MaximalSolutionsCtx(context.Background())
+	ms, err := snap.MaximalSolutionsCtx(context.Background())
 	if err != nil {
 		return err
 	}
@@ -248,20 +247,17 @@ func e1Figure1() error {
 	for i, m := range ms {
 		fmt.Printf("  M%d = %s\n", i+1, m.Format(f.DB.Interner()))
 	}
-	cm, err := eng.CertainMergesCtx(context.Background())
+	cm, err := snap.CertainMergesCtx(context.Background())
 	if err != nil {
 		return err
 	}
-	pm, err := eng.PossibleMergesCtx(context.Background())
+	pm, err := snap.PossibleMergesCtx(context.Background())
 	if err != nil {
 		return err
 	}
 	fmt.Printf("certain merges: %d (paper: alpha,beta,(a1,a3),zeta,theta,kappa = 6)\n", len(cm))
 	fmt.Printf("possible merges: %d (paper: certain + chi + lambda = 8)\n", len(pm))
-	eta, err := eng.IsPossibleMergeCtx(context.Background(), f.Const("c3"), f.Const("c4"))
-	if err != nil {
-		return err
-	}
+	eta := slices.Contains(pm, eqrel.MakePair(f.Const("c3"), f.Const("c4")))
 	fmt.Printf("eta possible: %v (paper: false)\n", eta)
 	return nil
 }
@@ -269,14 +265,15 @@ func e1Figure1() error {
 // E2: justifications of Example 5.
 func e2Justifications() error {
 	f := fixtures.New()
-	eng, err := lace.NewEngine(f.DB, f.Spec, f.Sims, engineOpts())
+	snap, err := lace.NewSnapshot(f.DB, f.Spec, f.Sims, engineOpts())
 	if err != nil {
 		return err
 	}
-	ms, err := eng.MaximalSolutionsCtx(context.Background())
+	ms, err := snap.MaximalSolutionsCtx(context.Background())
 	if err != nil {
 		return err
 	}
+	eng := snap.Engine()
 	j, err := eng.Justify(ms[0], f.Const("c2"), f.Const("c3"))
 	if err != nil {
 		return err
@@ -610,13 +607,13 @@ func e8Answers() error {
 // e9ASP: Theorem 10 cross-check and timing.
 func e9ASP() error {
 	f := fixtures.New()
-	eng, err := lace.NewEngine(f.DB, f.Spec, f.Sims, engineOpts())
+	snap, err := lace.NewSnapshot(f.DB, f.Spec, f.Sims, engineOpts())
 	if err != nil {
 		return err
 	}
 	nativeCount := 0
 	nativeTime, err := timeIt(func() error {
-		return eng.SolutionsCtx(context.Background(), func(*eqrel.Partition) bool { nativeCount++; return false })
+		return snap.Engine().SolutionsCtx(context.Background(), func(*eqrel.Partition) bool { nativeCount++; return false })
 	})
 	if err != nil {
 		return err
@@ -706,12 +703,11 @@ func e10Theorem11() error {
 // e11Prop1: the hard-to-soft transformation preserves solutions.
 func e11Prop1() error {
 	f := fixtures.New()
-	eng, err := lace.NewEngine(f.DB, f.Spec, f.Sims, engineOpts())
+	snap, err := lace.NewSnapshot(f.DB, f.Spec, f.Sims, engineOpts())
 	if err != nil {
 		return err
 	}
-	tr := f.Spec.Prop1Transform()
-	eng2, err := lace.NewEngine(f.DB, tr, f.Sims, engineOpts())
+	snap2, err := lace.NewSnapshot(f.DB, f.Spec.Prop1Transform(), f.Sims, engineOpts())
 	if err != nil {
 		return err
 	}
@@ -722,11 +718,11 @@ func e11Prop1() error {
 		})
 		return set, dt, err
 	}
-	s1, t1, err := collect(eng)
+	s1, t1, err := collect(snap.Engine())
 	if err != nil {
 		return err
 	}
-	s2, t2, err := collect(eng2)
+	s2, t2, err := collect(snap2.Engine())
 	if err != nil {
 		return err
 	}
@@ -796,7 +792,7 @@ func e13Workload() error {
 		if err != nil {
 			return err
 		}
-		eng, err := lace.NewEngine(ds.DB, ds.Spec, ds.Sims, engineOpts())
+		snap, err := lace.NewSnapshot(ds.DB, ds.Spec, ds.Sims, engineOpts())
 		if err != nil {
 			return err
 		}
@@ -804,7 +800,7 @@ func e13Workload() error {
 		laceTime, err := timeIt(func() error {
 			var ok bool
 			var err error
-			sol, ok, err = eng.GreedySolutionCtx(context.Background())
+			sol, ok, err = snap.Engine().GreedySolutionCtx(context.Background())
 			if err == nil && !ok {
 				return fmt.Errorf("greedy inconsistent")
 			}
@@ -828,76 +824,6 @@ func e13Workload() error {
 			scale, ds.DB.NumFacts(),
 			lq.Precision, lq.Recall, lq.F1, laceTime.Round(time.Millisecond),
 			bq.Precision, bq.Recall, bq.F1, baseTime.Round(time.Millisecond))
-	}
-
-	// Parallelism sweeps. CertainMerges on the full workload spec walks
-	// the complete solution space (the general Pi^p_2 path), which is
-	// exponential in the dirty-duplicate count, so the exact sweep runs
-	// at a scale where full enumeration terminates; the scale-40
-	// instance is swept under a fixed MaxStates budget instead — every
-	// engine explores the same number of states, making the rows a pure
-	// search-throughput comparison.
-	exactScale := 12
-	if *quick {
-		exactScale = 8
-	}
-	if err := e13ParSweep("exact CertainMerges", exactScale, 0); err != nil {
-		return err
-	}
-	budget := 5000
-	if *quick {
-		budget = 1000
-	}
-	return e13ParSweep("budgeted search throughput", 40, budget)
-}
-
-// e13ParSweep times CertainMerges on the seed-13 workload at the given
-// scale for parallelism 1/2/4/8. maxStates == 0 runs to completion;
-// otherwise every engine stops at the shared state budget (ErrBudget is
-// the expected outcome and not an error here).
-func e13ParSweep(label string, scale, maxStates int) error {
-	cfg := workload.DefaultConfig(seedOr(13))
-	cfg.Authors = scale
-	cfg.Papers = scale + scale/2
-	cfg.Conferences = scale/4 + 2
-	ds, err := workload.Generate(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\nparallelism sweep: %s, scale=%d, %d facts", label, scale, ds.DB.NumFacts())
-	if maxStates > 0 {
-		fmt.Printf(", MaxStates=%d", maxStates)
-	}
-	fmt.Printf(" (GOMAXPROCS=%d)\n", runtime.GOMAXPROCS(0))
-	fmt.Printf("%-10s %-14s %-10s %s\n", "parallel", "time", "speedup", "certain merges")
-	var baseline time.Duration
-	for _, p := range []int{1, 2, 4, 8} {
-		eng, err := lace.NewEngine(ds.DB, ds.Spec, ds.Sims,
-			core.Options{Recorder: rec, Parallelism: p, MaxStates: maxStates})
-		if err != nil {
-			return err
-		}
-		var cm []eqrel.Pair
-		dt, err := timeIt(func() error {
-			var err error
-			cm, err = eng.CertainMergesCtx(context.Background())
-			if maxStates > 0 && errors.Is(err, core.ErrBudget) {
-				err = nil
-			}
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		if p == 1 {
-			baseline = dt
-		}
-		result := fmt.Sprintf("%d", len(cm))
-		if maxStates > 0 {
-			result = "(budget)"
-		}
-		fmt.Printf("%-10d %-14v %-10.2f %s\n", p, dt.Round(time.Millisecond),
-			float64(baseline)/float64(dt), result)
 	}
 	return nil
 }
@@ -938,7 +864,7 @@ func e14FDOnly() error {
 func e15Extensions() error {
 	// Quantitative: weighting sigma3 selects the λ-solution uniquely.
 	f := fixtures.New()
-	eng, err := lace.NewEngine(f.DB, f.Spec, f.Sims, engineOpts())
+	snap, err := lace.NewSnapshot(f.DB, f.Spec, f.Sims, engineOpts())
 	if err != nil {
 		return err
 	}
@@ -947,7 +873,7 @@ func e15Extensions() error {
 			r.Weight = 10
 		}
 	}
-	best, err := eng.BestSolutions(context.Background())
+	best, err := snap.Engine().BestSolutions(context.Background())
 	if err != nil {
 		return err
 	}
@@ -955,7 +881,7 @@ func e15Extensions() error {
 
 	// Explanations: classify the named pairs of Example 6.
 	for _, pr := range [][2]string{{"p2", "p3"}, {"a6", "a7"}, {"c3", "c4"}} {
-		x, err := eng.ExplainMergeCtx(context.Background(), f.Const(pr[0]), f.Const(pr[1]))
+		x, err := snap.Engine().ExplainMergeCtx(context.Background(), f.Const(pr[0]), f.Const(pr[1]))
 		if err != nil {
 			return err
 		}
@@ -1036,10 +962,11 @@ func e17Shards() error {
 		if err != nil {
 			return err
 		}
-		se, err := core.NewSharded(ds.DB, ds.Spec, ds.Sims, engineOpts(), core.ShardOptions{})
+		snap, err := lace.NewSnapshot(ds.DB, ds.Spec, ds.Sims, engineOpts())
 		if err != nil {
 			return err
 		}
+		se := snap.Sharded()
 		var pm []eqrel.Pair
 		dt, err := timeIt(func() error {
 			var err error

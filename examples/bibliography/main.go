@@ -22,10 +22,13 @@ func main() {
 	ctx := context.Background()
 	f := fixtures.New()
 	in := f.DB.Interner()
-	eng, err := lace.NewEngine(f.DB, f.Spec, f.Sims, lace.Options{})
+	snap, err := lace.NewSnapshot(f.DB, f.Spec, f.Sims, lace.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The snapshot answers the paper's questions; its engine lists the
+	// solution lattice and justifies merges.
+	eng := snap.Engine()
 
 	fmt.Println("== Figure 1: database Dex ==")
 	fmt.Printf("%d facts over %d relations\n\n", f.DB.NumFacts(), len(f.Schema.Relations()))
@@ -34,7 +37,7 @@ func main() {
 	fmt.Print(fixtures.SpecText)
 
 	fmt.Println("\n== Example 4: maximal solutions ==")
-	maximal, err := eng.MaximalSolutionsCtx(ctx)
+	maximal, err := snap.MaximalSolutionsCtx(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,7 +56,11 @@ func main() {
 		"kappa (a4,a5)": {"a4", "a5"},
 	}
 	fmt.Println("\n== Example 6: merge classification ==")
-	certain, err := eng.CertainMergesCtx(ctx)
+	certain, err := snap.CertainMergesCtx(ctx)
+	if err != nil {
+		log.Fatal(err)
+	}
+	possible, err := snap.PossibleMergesCtx(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,17 +68,12 @@ func main() {
 		"theta (p2,p3)", "kappa (a4,a5)", "chi   (a6,a7)", "lambda(p4,p5)", "eta   (c3,c4)"}
 	for _, name := range order {
 		pr := named[name]
-		a, b := f.Const(pr[0]), f.Const(pr[1])
-		cert := slices.Contains(certain, eqrel.MakePair(a, b))
-		poss, err := eng.IsPossibleMergeCtx(ctx, a, b)
-		if err != nil {
-			log.Fatal(err)
-		}
+		p := eqrel.MakePair(f.Const(pr[0]), f.Const(pr[1]))
 		status := "impossible"
 		switch {
-		case cert:
+		case slices.Contains(certain, p):
 			status = "CERTAIN"
-		case poss:
+		case slices.Contains(possible, p):
 			status = "possible"
 		}
 		fmt.Printf("  %-14s %s\n", name, status)

@@ -33,7 +33,7 @@ func main() {
 func quantitative() {
 	fmt.Println("== 1. Quantitative extension: weighted evidence ==")
 	f := fixtures.New()
-	eng, err := lace.NewEngine(f.DB, f.Spec, f.Sims, lace.Options{})
+	snap, err := lace.NewSnapshot(f.DB, f.Spec, f.Sims, lace.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func quantitative() {
 			r.Weight = 10 // trust shared-author title evidence strongly
 		}
 	}
-	best, err := eng.BestSolutions(context.Background())
+	best, err := snap.Engine().BestSolutions(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,12 +56,12 @@ func quantitative() {
 func explanations() {
 	fmt.Println("== 2. Explanation facilities: merge status across MaxSol ==")
 	f := fixtures.New()
-	eng, err := lace.NewEngine(f.DB, f.Spec, f.Sims, lace.Options{})
+	snap, err := lace.NewSnapshot(f.DB, f.Spec, f.Sims, lace.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	for _, pr := range [][2]string{{"p2", "p3"}, {"a6", "a7"}, {"c3", "c4"}, {"a1", "a4"}} {
-		x, err := eng.ExplainMergeCtx(context.Background(), f.Const(pr[0]), f.Const(pr[1]))
+		x, err := snap.Engine().ExplainMergeCtx(context.Background(), f.Const(pr[0]), f.Const(pr[1]))
 		if err != nil {
 			log.Fatal(err)
 		}

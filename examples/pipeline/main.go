@@ -34,12 +34,12 @@ func main() {
 			log.Fatal(err)
 		}
 
-		eng, err := lace.NewEngine(ds.DB, ds.Spec, ds.Sims, lace.Options{})
+		snap, err := lace.NewSnapshot(ds.DB, ds.Spec, ds.Sims, lace.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
 		t0 := time.Now()
-		sol, ok, err := eng.GreedySolutionCtx(context.Background())
+		sol, ok, err := snap.Engine().GreedySolutionCtx(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}

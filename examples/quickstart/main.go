@@ -40,12 +40,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 3. Solve.
-	eng, err := lace.NewEngine(d, spec, sims, lace.Options{})
+	// 3. Solve. The snapshot answers every question of the paper; it
+	// freezes the database.
+	snap, err := lace.NewSnapshot(d, spec, sims, lace.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	merges, err := eng.CertainMergesCtx(ctx)
+	merges, err := snap.CertainMergesCtx(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ans, err := eng.CertainAnswersCtx(ctx, q)
+	ans, err := snap.CertainAnswersCtx(ctx, q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,14 +69,14 @@ func main() {
 		fmt.Printf("  %s\n", d.Interner().Name(t[0]))
 	}
 
-	// 5. Justify the merge.
-	maximal, err := eng.MaximalSolutionsCtx(ctx)
+	// 5. Justify the merge, on the snapshot's engine.
+	maximal, err := snap.MaximalSolutionsCtx(ctx)
 	if err != nil || len(maximal) == 0 {
 		log.Fatalf("no maximal solutions: %v", err)
 	}
 	p1, _ := d.Interner().Lookup("p1")
 	p2, _ := d.Interner().Lookup("p2")
-	j, err := eng.Justify(maximal[0], p1, p2)
+	j, err := snap.Engine().Justify(maximal[0], p1, p2)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -33,11 +33,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		eng, err := lace.NewEngine(d, spec, nil, lace.Options{})
+		snap, err := lace.NewSnapshot(d, spec, nil, lace.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		cm, err := eng.CertainMergesCtx(context.Background())
+		cm, err := snap.CertainMergesCtx(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,6 +8,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -16,6 +17,7 @@ import (
 	"testing"
 
 	"repro/internal/db"
+	"repro/internal/limits"
 	"repro/internal/rules"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -315,9 +317,10 @@ func FuzzCarriedTop(f *testing.F) {
 	})
 }
 
-// TestCarriedTopAfterCancelledPredecessor: a predecessor whose
-// resolution was cancelled has no top to carry; its successor closes
-// from the identity and still answers like a fresh engine.
+// TestCarriedTopAfterCancelledPredecessor: a cancelled resolution is
+// not kept. Epoch 0 and then its successor are first asked under a
+// cancelled context; on a live one the successor still carries its top
+// from epoch 0's, and epoch 0 answers like a fresh engine.
 func TestCarriedTopAfterCancelledPredecessor(t *testing.T) {
 	ds, err := workload.GenerateScale(workload.DefaultScaleConfig(2, 60))
 	if err != nil {
@@ -327,10 +330,11 @@ func TestCarriedTopAfterCancelledPredecessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	dead, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := m.Snapshot().PossibleMergesCtx(ctx); err == nil {
-		t.Fatal("a cancelled resolution succeeded")
+	snap0 := m.Snapshot()
+	if _, err := snap0.PossibleMergesCtx(dead); !errors.Is(err, limits.ErrCanceled) {
+		t.Fatalf("epoch 0 under a cancelled context: err = %v, want ErrCanceled", err)
 	}
 	author := ds.DB.Tuples("Author")[0]
 	in := ds.DB.Interner()
@@ -339,17 +343,13 @@ func TestCarriedTopAfterCancelledPredecessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if assertCarriedMatchesFresh(t, "after a cancelled predecessor", snap, ds.Spec, ds.Sims) {
-		t.Fatal("the top was carried from a cancelled predecessor")
+	if _, err := snap.CertainMergesCtx(dead); !errors.Is(err, limits.ErrCanceled) {
+		t.Fatalf("epoch 1 under a cancelled context: err = %v, want ErrCanceled", err)
 	}
-	// The next epoch carries again.
-	_, snap, err = m.Apply(Batch{Insert: []db.FactSpec{f}})
-	if err != nil {
-		t.Fatal(err)
+	if !assertCarriedMatchesFresh(t, "after a cancelled predecessor", snap, ds.Spec, ds.Sims) {
+		t.Fatal("the successor of a cancelled resolution did not carry its top")
 	}
-	if !assertCarriedMatchesFresh(t, "the epoch after", snap, ds.Spec, ds.Sims) {
-		t.Fatal("the epoch after the fallback did not carry its top")
-	}
+	assertResolvesAsFresh(t, "epoch 0 after a cancelled call", snap0.se, ds.DB)
 }
 
 // TestCarriedTopWhilePredecessorResolves applies epoch N+1 while epoch

@@ -108,3 +108,42 @@ func TestEpochLineageCollectable(t *testing.T) {
 	assertCarriedMatchesFresh(t, "the last unresolved epoch", last, ds.Spec, ds.Sims)
 	runtime.KeepAlive(m)
 }
+
+// TestSnapshotDropsTop: a snapshot from NewSnapshot is no session's
+// epoch, so once it has resolved its induced database D_T is
+// collectable; a session's epoch 0 keeps it for its successor.
+func TestSnapshotDropsTop(t *testing.T) {
+	ctx := context.Background()
+	for _, session := range []bool{false, true} {
+		ds, err := workload.GenerateScale(workload.DefaultScaleConfig(3, 100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap *EpochSnapshot
+		if session {
+			m, err := NewMutable(ds.DB, ds.Spec, ds.Sims, Options{Parallelism: 1}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap = m.Snapshot()
+		} else if snap, err = NewSnapshot(ds.DB, ds.Spec, ds.Sims, Options{Parallelism: 1}, 0); err != nil {
+			t.Fatal(err)
+		}
+		top, err := snap.se.latticeTop(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ind := weak.Make(top.ind)
+		top = nil
+		if _, err := snap.PossibleMergesCtx(ctx); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			runtime.GC()
+		}
+		if kept := ind.Value() != nil; kept != session {
+			t.Errorf("session epoch %v: D_T reachable after resolving = %v", session, kept)
+		}
+		runtime.KeepAlive(snap)
+	}
+}

@@ -27,10 +27,10 @@ package core
 //     changed, continuing the closure from the rest, and re-records
 //     only the classes of the stitch's coupling analysis whose matches
 //     the batch can have changed (carry.go, DESIGN.md §12). Only when
-//     the predecessor's top failed, was cancelled or clashed at a
-//     similarity position (where the engine falls back to a monolithic
-//     solve), or ends a chain of maxPendingTops unresolved epochs, does
-//     an epoch close the identity over its whole database.
+//     the predecessor's top failed or clashed at a similarity position
+//     (where the engine falls back to a monolithic solve), or ends a
+//     chain of maxPendingTops unresolved epochs, does an epoch close
+//     the identity over its whole database.
 
 import (
 	"context"
@@ -78,7 +78,8 @@ type ApplyResult struct {
 	DirtyShards int
 }
 
-// EpochSnapshot is one epoch's immutable resolution handle: the frozen
+// EpochSnapshot is the one resolution handle, of an instance
+// (NewSnapshot) or of one epoch of a MutableSession: the frozen
 // database, its fingerprint, and the ShardedEngine resolving it.
 // Snapshots taken before a mutation keep answering against their own
 // epoch.
@@ -235,23 +236,36 @@ func holdsName(d *db.Database, n string) bool {
 	return false
 }
 
+// NewSnapshot validates the specification and returns the resolution
+// handle of (d, spec, sims), numbered epoch, resolved by a
+// ShardedEngine on its first result call. The database is frozen. The
+// snapshot is not an epoch of a session: nothing reads its lattice top
+// after it has resolved, so its engine drops the top then.
+func NewSnapshot(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Options, epoch uint64) (*EpochSnapshot, error) {
+	d.Freeze()
+	se, err := NewSharded(d, spec, sims, opts, ShardOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return &EpochSnapshot{epoch: epoch, d: d, fp: d.Fingerprint(), se: se}, nil
+}
+
 // NewMutable builds a mutable session over the initial database,
-// numbered epoch (0 for a fresh instance). Every epoch is resolved by a
-// ShardedEngine. The database is frozen; all later epochs are
-// copy-on-write overlays.
+// numbered epoch (0 for a fresh instance). Epoch 0 is NewSnapshot's,
+// kept carryable so that its successor reads its top; all later epochs
+// are copy-on-write overlays.
 //
 // Recovery passes a nonzero epoch: a database rebuilt by replaying a
 // write-ahead log through epoch N resumes its lineage at N, so the next
 // Apply yields N+1 and epoch numbers stay aligned with the log.
 func NewMutable(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Options, epoch uint64) (*MutableSession, error) {
-	d.Freeze()
-	m := &MutableSession{sims: sims}
-	se, err := NewSharded(d, spec, sims, opts, ShardOptions{})
+	snap, err := NewSnapshot(d, spec, sims, opts, epoch)
 	if err != nil {
 		return nil, err
 	}
-	se.epoch = true
-	m.cur.Store(&EpochSnapshot{epoch: epoch, d: d, fp: d.Fingerprint(), se: se})
+	snap.se.carryable = true
+	m := &MutableSession{sims: sims}
+	m.cur.Store(snap)
 	return m, nil
 }
 

@@ -209,12 +209,14 @@ func assertAnswersEqual(t *testing.T, label string, ref answerer, snap *EpochSna
 }
 
 // bibQueries parses constant-free queries over the shared bibliographic
-// schema (Figure 1 and the workload generator use the same one).
+// schema (Figure 1 and the workload generator use the same one), one
+// of them with an inequality atom.
 func bibQueries(t *testing.T, sch *db.Schema) []*cq.CQ {
 	t.Helper()
 	texts := []string{
 		`(x, y) : CorrAuth(p, x), CorrAuth(p, y)`,
 		`(a) : Chair(c, a)`,
+		`(x, y) : CorrAuth(p, x), CorrAuth(p, y), x != y`,
 	}
 	out := make([]*cq.CQ, len(texts))
 	for i, src := range texts {

@@ -132,24 +132,26 @@ type couplingPlan struct {
 type ShardedEngine struct {
 	eng *Engine
 
-	// The top phase runs once, before the stitch, and a successor epoch
-	// waits on it alone. from links to the predecessor epoch until the
-	// phase has read it; pending counts the engines of the chain ending
-	// here whose tops were uncomputed when it was built, this one
-	// included (see maxPendingTops). Only an epoch of a mutable session
-	// (epoch set) can have a successor, so any other engine drops top
-	// once it has resolved.
-	topOnce  sync.Once
-	top      *latticeTop
-	topErr   error
-	topDone  atomic.Bool
-	epoch    bool
-	from     *lineage
-	pending  int
-	carried  bool // the top was carried from the predecessor's
-	reclosed int  // constants of the T-classes a carried top re-closed
+	// The top phase runs before the stitch, and a successor epoch waits
+	// on it alone. from links to the predecessor epoch until the phase
+	// has read it; pending counts the engines of the chain ending here
+	// whose tops were uncomputed when it was built, this one included
+	// (see maxPendingTops). Only an epoch of a mutable session
+	// (carryable set) can have a successor, so any other engine's run
+	// drops top as soon as it has read it. Both phases keep their first
+	// outcome, results or a search error such as ErrBudget, but not a
+	// cancelled or expired context: the next call runs the phase again.
+	topMu     sync.Mutex
+	top       *latticeTop
+	topErr    error
+	topDone   atomic.Bool
+	carryable bool
+	from      *lineage
+	pending   int
+	carried   bool // the top was carried from the predecessor's
+	reclosed  int  // constants of the T-classes a carried top re-closed
 
-	once sync.Once
+	mu   sync.Mutex
 	err  error
 	done atomic.Bool // run completed without error
 
@@ -179,7 +181,7 @@ func NewSharded(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Optio
 // uncomputed tops.
 func newShardedFrom(d *db.Database, prev *ShardedEngine, retract, insert []db.Fact) *ShardedEngine {
 	sess := newSessionFrom(d, prev.eng.sess)
-	se := &ShardedEngine{eng: &Engine{Context: sess.newContext(DefaultCacheSize, sess.rec)}, pending: 1, epoch: true}
+	se := &ShardedEngine{eng: &Engine{Context: sess.newContext(DefaultCacheSize, sess.rec)}, pending: 1, carryable: true}
 	pending := 1
 	if !prev.topDone.Load() {
 		pending += prev.pending
@@ -191,36 +193,44 @@ func newShardedFrom(d *db.Database, prev *ShardedEngine, retract, insert []db.Fa
 	return se
 }
 
-// latticeTop computes the instance's lattice top once: carried from the
+// latticeTop computes the instance's lattice top: carried from the
 // predecessor epoch's when there is one whose top succeeded without a
 // similarity clash, closed from the identity otherwise (and when the
 // carried top would clash). An inconsistent top's coupling is computed
-// here too when it was not carried. The reference to the predecessor
-// is dropped either way, so no epoch pins older ones.
+// here too when it was not carried. Once an outcome is kept, the
+// reference to the predecessor is dropped, so no epoch pins older ones.
 func (se *ShardedEngine) latticeTop(ctx context.Context) (*latticeTop, error) {
-	se.topOnce.Do(func() {
-		from := se.from
-		se.from = nil
-		if from != nil {
-			if prev, err := from.prev.latticeTop(ctx); err == nil && !prev.clash {
-				se.top, se.reclosed, se.topErr = se.carryTop(ctx, prev, from.retract, from.insert)
-				se.carried = se.top != nil
-			}
+	se.topMu.Lock()
+	defer se.topMu.Unlock()
+	if se.topDone.Load() {
+		return se.top, se.topErr
+	}
+	var top *latticeTop
+	var err error
+	if from := se.from; from != nil {
+		if prev, perr := from.prev.latticeTop(ctx); perr == nil && !prev.clash {
+			top, se.reclosed, err = se.carryTop(ctx, prev, from.retract, from.insert)
+			se.carried = top != nil
 		}
-		if se.top == nil && se.topErr == nil {
-			T, ind, consistent, err := se.eng.top(ctx)
-			if se.topErr = err; err == nil {
-				se.top = se.finishTop(T, ind, consistent)
-			}
+	}
+	if top == nil && err == nil {
+		T, ind, consistent, terr := se.eng.top(ctx)
+		if err = terr; err == nil {
+			top = se.finishTop(T, ind, consistent)
 		}
-		if top := se.top; top != nil && top.coupling == nil && !top.consistent && !top.clash {
-			if top.coupling, se.topErr = se.couple(ctx, top); se.topErr != nil {
-				se.top = nil
-			}
+	}
+	if top != nil && top.coupling == nil && !top.consistent && !top.clash {
+		top.coupling, err = se.couple(ctx, top)
+	}
+	if err != nil {
+		if ctx.Err() != nil {
+			return nil, err // cut short by the caller: not kept
 		}
-		se.topDone.Store(true)
-	})
-	return se.top, se.topErr
+		top = nil
+	}
+	se.top, se.topErr, se.from = top, err, nil
+	se.topDone.Store(true)
+	return top, err
 }
 
 // Engine returns the underlying monolithic engine (the fallback target
@@ -248,15 +258,24 @@ func (se *ShardedEngine) rounds() int {
 	return 0
 }
 
-// resolve runs the full pipeline once: the top, then (when it is
-// inconsistent) the stitch; it remembers per-shard results.
+// resolve runs the full pipeline: the top, then (when it is
+// inconsistent) the stitch; it remembers per-shard results. A run cut
+// short by its caller's context is not kept, so a later call on a live
+// context runs again.
 func (se *ShardedEngine) resolve(ctx context.Context) error {
-	se.once.Do(func() {
-		se.err = se.run(ctx)
-		if se.err == nil {
-			se.done.Store(true)
+	if se.done.Load() {
+		return nil
+	}
+	se.mu.Lock()
+	defer se.mu.Unlock()
+	if !se.done.Load() && se.err == nil {
+		err := se.run(ctx)
+		if err != nil && ctx.Err() != nil {
+			return err
 		}
-	})
+		se.err = err
+		se.done.Store(err == nil)
+	}
 	return se.err
 }
 
@@ -302,9 +321,15 @@ func (se *ShardedEngine) run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	if !se.epoch {
-		se.top = nil // no successor will read it; this run holds its own
+	if !se.carryable {
+		// No successor will read the top; this run holds its own, and a
+		// run retried after a cancellation computes it again.
+		se.topMu.Lock()
+		se.top = nil
+		se.topDone.Store(false)
+		se.topMu.Unlock()
 	}
+	se.shards = nil // left over from a cancelled run
 	consistent := top.consistent
 	if consistent {
 		se.shards = topShards(top.T)
@@ -330,7 +355,7 @@ func (se *ShardedEngine) run(ctx context.Context) error {
 	rec.Gauge(obs.CoreShardLargest, int64(largest))
 	sp.AttrInt("shards", int64(len(se.shards))).AttrInt("rounds", int64(se.rounds())).
 		AttrInt("top_consistent", boolInt(consistent)).AttrInt("top_carried", boolInt(se.carried)).
-		AttrInt("top_reclosed", int64(se.reclosed))
+		AttrInt("top_reclosed", int64(se.reclosed)).AttrInt("top_kept", boolInt(se.carryable))
 	return nil
 }
 

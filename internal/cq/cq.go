@@ -43,7 +43,7 @@ type Kind int
 const (
 	KindRel Kind = iota // relational atom R(t1,...,tk)
 	KindSim             // similarity atom p(t1,t2)
-	KindNeq             // inequality t1 != t2 (denial constraints only)
+	KindNeq             // inequality t1 != t2 (denials and queries; Spec.Validate rejects it in rule bodies)
 )
 
 // Atom is a relational, similarity, or inequality atom.

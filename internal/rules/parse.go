@@ -289,6 +289,9 @@ func (p *parser) termFromToken(t lex.Token) (cq.Term, error) {
 	case lex.Ident:
 		return cq.Var(t.Text), nil
 	case lex.String:
+		if _, ok := p.interner.Lookup(t.Text); !ok && p.interner.Frozen() {
+			return cq.Term{}, p.lx.Errf(t.Line, "constant %q is not in the frozen database; parse against a Clone of its interner", t.Text)
+		}
 		return cq.C(p.interner.Intern(t.Text)), nil
 	default:
 		return cq.Term{}, p.lx.Errf(t.Line, "expected a variable or quoted constant, got %q", t.Text)

@@ -276,7 +276,7 @@ func (s *Spec) Validate(schema *db.Schema, sims *sim.Registry) error {
 		// V(x) ⤳ EQ(x,x) in the Σsg^dgbc specification.
 		for _, a := range r.Body.Atoms {
 			if a.Kind == cq.KindNeq {
-				return fmt.Errorf("rules: rule %s contains an inequality atom; those are only allowed in denial constraints", r.Name)
+				return fmt.Errorf("rules: rule %s contains an inequality atom; those are allowed in denial constraints and queries, not in rule bodies", r.Name)
 			}
 		}
 		if err := r.Body.Validate(schema, sims); err != nil {

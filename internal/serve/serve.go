@@ -121,19 +121,21 @@ const maxQueryCache = 512
 // Server is the resolution server. Build one with New, mount Handler on
 // an http.Server, and call Shutdown to drain.
 //
-// Every server — mutable or not — serves out of a core.MutableSession:
-// read-only servers simply never apply a batch, so they stay on epoch 0
-// forever. A request captures the current epochState once, up front, and
-// runs entirely against it; a mutation arriving mid-request advances the
-// served epoch without disturbing in-flight readers, whose snapshot (and
-// therefore whose cache keys, interner and engines) is frozen.
+// A mutable server serves out of a core.MutableSession. A read-only one
+// serves one core.EpochSnapshot, numbered InitialEpoch, for its
+// lifetime; no epoch succeeds it, so it keeps no lattice top once
+// resolved. A request captures the current epochState once, up front,
+// and runs entirely against it; a mutation arriving mid-request
+// advances the served epoch without disturbing in-flight readers,
+// whose snapshot (and therefore whose cache keys, interner and
+// engines) is frozen.
 type Server struct {
 	cfg Config
 	rec *obs.Registry
 
-	// ms owns the epoch lineage; mutable gates POST /v1/facts.
-	ms      *core.MutableSession
-	mutable bool
+	// ms owns a mutable server's epoch lineage. It is nil on a
+	// read-only server, whose POST /v1/facts answers 403.
+	ms *core.MutableSession
 
 	// cur is the served epoch. writeMu orders Apply with the store, so
 	// concurrent mutations can never publish epochs out of order.
@@ -178,7 +180,7 @@ type Server struct {
 	mux *http.ServeMux
 }
 
-// New validates the configuration, builds the shared session and the
+// New validates the configuration, builds the served epoch and the
 // worker pool, and returns a ready Server.
 func New(cfg Config) (*Server, error) {
 	if cfg.DB == nil || cfg.Spec == nil || cfg.Sims == nil {
@@ -208,16 +210,25 @@ func New(cfg Config) (*Server, error) {
 		Parallelism: cfg.Parallelism,
 		Recorder:    rec,
 	}
-	ms, err := core.NewMutable(cfg.DB, cfg.Spec, cfg.Sims, opts, cfg.InitialEpoch)
+	var ms *core.MutableSession
+	var snap *core.EpochSnapshot
+	var err error
+	if cfg.Mutable {
+		ms, err = core.NewMutable(cfg.DB, cfg.Spec, cfg.Sims, opts, cfg.InitialEpoch)
+	} else {
+		snap, err = core.NewSnapshot(cfg.DB, cfg.Spec, cfg.Sims, opts, cfg.InitialEpoch)
+	}
 	if err != nil {
 		return nil, err
+	}
+	if ms != nil {
+		snap = ms.Snapshot()
 	}
 	baseCtx, abort := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:     cfg,
 		rec:     rec,
 		ms:      ms,
-		mutable: cfg.Mutable,
 		pool:    make(chan struct{}, cfg.Workers),
 		cache:   newResponseCache(cfg.CacheSize, rec),
 		queries: make(map[string]*cq.CQ),
@@ -235,7 +246,7 @@ func New(cfg Config) (*Server, error) {
 		s.pool <- struct{}{}
 	}
 	rec.Gauge(obs.ServeWorkers, int64(cfg.Workers))
-	s.cur.Store(s.newEpochState(ms.Snapshot()))
+	s.cur.Store(s.newEpochState(snap))
 	rec.Gauge(obs.ServeEpoch, int64(cfg.InitialEpoch))
 
 	s.mux = http.NewServeMux()
@@ -582,7 +593,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Facts:       snap.DB().NumFacts(),
 		Workers:     s.cfg.Workers,
 		Epoch:       snap.Epoch(),
-		Mutable:     s.mutable,
+		Mutable:     s.ms != nil,
 		Draining:    s.draining.Load(),
 	})
 }
@@ -774,7 +785,7 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, Envelope{Error: "POST required"})
 		return
 	}
-	if !s.mutable {
+	if s.ms == nil {
 		writeJSON(w, http.StatusForbidden, Envelope{Error: "server is read-only (start with mutations enabled to accept /v1/facts)"})
 		return
 	}

@@ -24,8 +24,9 @@ import (
 )
 
 // shardedRequests are the endpoint requests the differential replays
-// besides the explanations: every decision endpoint, answers to two
-// headed queries, and a Boolean query under both semantics.
+// besides the explanations: every decision endpoint, answers to three
+// headed queries (one with an inequality), and a Boolean query under
+// both semantics.
 var shardedRequests = []struct {
 	path string
 	req  any
@@ -35,6 +36,7 @@ var shardedRequests = []struct {
 	{"/v1/solutions/maximal", nil},
 	{"/v1/answers", AnswersRequest{Query: `(x, y) : CorrAuth(p, x), CorrAuth(p, y)`}},
 	{"/v1/answers", AnswersRequest{Query: `(a) : Chair(c, a)`, Semantics: "possible"}},
+	{"/v1/answers", AnswersRequest{Query: `(x, y) : CorrAuth(p, x), CorrAuth(p, y), x != y`, Semantics: "possible"}},
 	{"/v1/answers", AnswersRequest{Query: `Chair(c, a), Author(a, e, u)`}},
 	{"/v1/answers", AnswersRequest{Query: `Chair(c, a), Author(a, e, u)`, Semantics: "possible"}},
 }

@@ -7,6 +7,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"strings"
@@ -159,6 +160,53 @@ func TestInitialEpochResumes(t *testing.T) {
 	})
 	if code != http.StatusOK || fr.Epoch != 6 {
 		t.Fatalf("first batch after resume: %d, epoch %d; want 200, 6", code, fr.Epoch)
+	}
+}
+
+// TestReadOnlyServerKeepsNoTop: a read-only server numbers its snapshot
+// InitialEpoch, as laced -recover without -mutable does, and its
+// resolved engine keeps no lattice top, since no epoch succeeds it; a
+// mutable server's keeps its top for the next epoch to carry. The
+// core.shard.plan span reports which in top_kept.
+func TestReadOnlyServerKeepsNoTop(t *testing.T) {
+	for _, mutable := range []bool{false, true} {
+		reg := obs.NewRegistry()
+		var trace bytes.Buffer
+		reg.TraceTo(&trace)
+		s, _ := newTestServer(t, loadFig1(t), func(c *Config) {
+			c.Mutable = mutable
+			c.InitialEpoch = 3
+			c.Recorder = reg
+		})
+		<-s.cur.Load().ready
+		if got := s.Epoch(); got != 3 {
+			t.Fatalf("mutable=%v: epoch = %d, want 3", mutable, got)
+		}
+		if got := s.ms != nil; got != mutable {
+			t.Fatalf("mutable=%v: server holds a mutable session: %v", mutable, got)
+		}
+		var plans []float64
+		dec := json.NewDecoder(&trace)
+		for dec.More() {
+			var ev struct {
+				Span  string
+				Attrs map[string]any
+			}
+			if err := dec.Decode(&ev); err != nil {
+				t.Fatal(err)
+			}
+			if ev.Span == obs.SpanShardPlan {
+				kept, _ := ev.Attrs["top_kept"].(float64)
+				plans = append(plans, kept)
+			}
+		}
+		want := 0.0
+		if mutable {
+			want = 1
+		}
+		if len(plans) != 1 || plans[0] != want {
+			t.Fatalf("mutable=%v: top_kept of the resolved epoch = %v, want [%v]", mutable, plans, want)
+		}
 	}
 }
 

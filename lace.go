@@ -15,8 +15,11 @@
 //     (internal/eqrel), similarity predicates (internal/sim)
 //   - conjunctive queries (internal/cq) and specifications with the
 //     textual rule language (internal/rules)
-//   - the native semantics engine (internal/core): solutions, maximal
-//     solutions, certain/possible merges and answers, justifications
+//   - the native semantics (internal/core): one resolution handle,
+//     the EpochSnapshot from NewSnapshot, answers existence, maximal
+//     solutions, and certain and possible merges and answers; its
+//     Engine lists the solution lattice and gives justifications,
+//     scores and greedy solutions
 //   - the answer set programming pipeline (internal/asp +
 //     internal/encode) implementing Section 5 of the paper
 //
@@ -31,8 +34,8 @@
 //	spec, _ := lace.ParseSpec(
 //	    `soft Person(x,e), Person(y,e2), lev08(e,e2) ~> EQ(x,y).`,
 //	    schema, d.Interner(), sims)
-//	eng, _ := lace.NewEngine(d, spec, sims, lace.Options{})
-//	merges, _ := eng.CertainMergesCtx(context.Background())
+//	snap, _ := lace.NewSnapshot(d, spec, sims, lace.Options{})
+//	merges, _ := snap.CertainMergesCtx(context.Background())
 //
 // See the examples directory for complete programs, including the
 // paper's Figure 1 running example.
@@ -94,7 +97,9 @@ type (
 	// Denial is a denial constraint.
 	Denial = rules.Denial
 
-	// Engine evaluates a specification over a database.
+	// Engine is the monolithic evaluator behind a snapshot
+	// (EpochSnapshot.Engine): it lists the solution lattice and gives
+	// justifications, scores and greedy solutions.
 	Engine = core.Engine
 	// Options tunes the search budget (MaxStates), the worker count
 	// (Parallelism) and instrumentation (Recorder). Set Parallelism > 1
@@ -275,30 +280,6 @@ func LoadFiles(dataPath, specPath, simTablePath string) (*Database, *Spec, *SimR
 	return d, spec, sims, nil
 }
 
-// NewEngine validates the specification and returns a semantics engine.
-func NewEngine(d *Database, spec *Spec, sims *SimRegistry, opts Options) (*Engine, error) {
-	return core.New(d, spec, sims, opts)
-}
-
-// Sharded resolution: the lattice top answers a consistent instance;
-// an inconsistent one is partitioned into coupled components in one
-// stitch pass, and each component the top cannot answer is solved as
-// its own Shard. Results are identical to the monolithic Engine on the
-// same instance.
-type (
-	// ShardedEngine resolves an instance shard by shard.
-	ShardedEngine = core.ShardedEngine
-	// ShardStats summarizes a finished sharded resolution.
-	ShardStats = core.ShardStats
-)
-
-// NewShardedEngine validates the specification and returns a sharded
-// engine. The core Options apply per shard (Parallelism bounds
-// concurrent shard solves).
-func NewShardedEngine(d *Database, spec *Spec, sims *SimRegistry, opts Options) (*ShardedEngine, error) {
-	return core.NewSharded(d, spec, sims, opts, core.ShardOptions{})
-}
-
 // Streaming types, re-exported for the mutable-session API.
 type (
 	// MutableSession accepts batched fact mutations against a fixed
@@ -309,11 +290,26 @@ type (
 	Batch = core.Batch
 	// ApplyResult summarizes one applied batch.
 	ApplyResult = core.ApplyResult
-	// EpochSnapshot is one epoch's immutable resolution handle.
+	// EpochSnapshot is the one resolution handle: existence, maximal
+	// solutions, certain and possible merges and answers, and merge
+	// explanations. Build one with NewSnapshot, or take a mutable
+	// session's.
 	EpochSnapshot = core.EpochSnapshot
 	// FactSpec names one fact by relation and argument constant names.
 	FactSpec = db.FactSpec
 )
+
+// NewSnapshot validates the specification and returns the resolution
+// handle of (d, spec, sims). It freezes d, so parse queries naming
+// constants d lacks against a Clone of its interner. The snapshot
+// resolves once, on its first result call, through the sharded engine:
+// the lattice top answers a consistent instance, and an inconsistent one
+// is split into coupled components solved independently, with results
+// identical to a whole-instance search. The core Options apply per
+// component (Parallelism bounds concurrent component solves).
+func NewSnapshot(d *Database, spec *Spec, sims *SimRegistry, opts Options) (*EpochSnapshot, error) {
+	return core.NewSnapshot(d, spec, sims, opts, 0)
+}
 
 // NewMutableSession builds a mutable session over the initial database,
 // numbered epoch (0 for a fresh instance; a recovered lineage resumes

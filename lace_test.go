@@ -12,7 +12,7 @@ import (
 )
 
 // facadeSetup builds the quickstart scenario through the facade only.
-func facadeSetup(t *testing.T) (*Database, *Spec, *SimRegistry, *Engine) {
+func facadeSetup(t *testing.T) (*Database, *Spec, *SimRegistry, *EpochSnapshot) {
 	t.Helper()
 	schema := NewSchema()
 	schema.MustAdd("Person", "id", "email")
@@ -32,16 +32,16 @@ func facadeSetup(t *testing.T) (*Database, *Spec, *SimRegistry, *Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewEngine(d, spec, sims, Options{})
+	snap, err := NewSnapshot(d, spec, sims, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, spec, sims, eng
+	return d, spec, sims, snap
 }
 
 func TestFacadeQuickstart(t *testing.T) {
-	d, _, _, eng := facadeSetup(t)
-	merges, err := eng.CertainMergesCtx(context.Background())
+	d, _, _, snap := facadeSetup(t)
+	merges, err := snap.CertainMergesCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +70,11 @@ func TestFacadeParseDatabaseAndQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := &Spec{}
-	eng, err := NewEngine(d, spec, nil, Options{})
+	snap, err := NewSnapshot(d, spec, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := eng.CertainAnswersCtx(context.Background(), q)
+	ans, err := snap.CertainAnswersCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestFacadeParseDatabaseAndQuery(t *testing.T) {
 }
 
 func TestFacadeASPPipeline(t *testing.T) {
-	d, spec, sims, eng := facadeSetup(t)
+	d, spec, sims, snap := facadeSetup(t)
 	prog, err := EncodeASP(d, spec, sims)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestFacadeASPPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	nativeCount := 0
-	if err := eng.SolutionsCtx(context.Background(), func(*eqrel.Partition) bool { nativeCount++; return false }); err != nil {
+	if err := snap.Engine().SolutionsCtx(context.Background(), func(*eqrel.Partition) bool { nativeCount++; return false }); err != nil {
 		t.Fatal(err)
 	}
 	aspCount := 0
@@ -124,24 +124,49 @@ func TestFacadeSimBuilders(t *testing.T) {
 }
 
 func TestFacadeExplainAndScore(t *testing.T) {
-	_, spec, _, eng := facadeSetup(t)
+	_, spec, _, snap := facadeSetup(t)
 	spec.Rules[0].Weight = 2.5
-	best, err := eng.BestSolutions(context.Background())
+	best, err := snap.Engine().BestSolutions(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(best) != 1 || best[0].Score != 2.5 {
 		t.Errorf("best = %+v, want one solution scoring 2.5", best)
 	}
-	d := eng.DB()
+	d := snap.DB()
 	p1, _ := d.Interner().Lookup("p1")
 	p3, _ := d.Interner().Lookup("p3")
-	x, err := eng.ExplainMergeCtx(context.Background(), p1, p3)
+	xs, err := snap.ExplainMergesCtx(context.Background(), []Pair{{A: p1, B: p3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if x.Status != MergeImpossible || !x.NeverDerivable {
+	if x := xs[0]; x.Status != MergeImpossible || !x.NeverDerivable {
 		t.Errorf("explanation = %+v", x)
+	}
+}
+
+// TestFacadeParseQueryAfterResolve: once a snapshot has frozen the
+// database, a query naming a constant the database lacks is an error
+// naming it, not a panic; parsed against a Clone of the interner, it
+// has no answers.
+func TestFacadeParseQueryAfterResolve(t *testing.T) {
+	d, _, sims, snap := facadeSetup(t)
+	ctx := context.Background()
+	if _, err := snap.CertainMergesCtx(ctx); err != nil {
+		t.Fatal(err)
+	}
+	const src = `(x) : Person(x, "zed@x.org")`
+	_, err := ParseQuery(src, d.Schema(), d.Interner(), sims)
+	if err == nil || !strings.Contains(err.Error(), `"zed@x.org"`) {
+		t.Fatalf("ParseQuery naming an absent constant: err = %v, want one naming it", err)
+	}
+	q, err := ParseQuery(src, d.Schema(), d.Interner().Clone(), sims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ans, err := snap.CertainAnswersCtx(ctx, q)
+	if err != nil || len(ans) != 0 {
+		t.Fatalf("answers = %v, %v; want none", ans, err)
 	}
 }
 
