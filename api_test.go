@@ -11,6 +11,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -168,6 +169,105 @@ func TestFacadeOneResolver(t *testing.T) {
 	}
 	if len(snapshots) != 1 {
 		t.Errorf("facade functions returning *EpochSnapshot: %v, want exactly one", snapshots)
+	}
+}
+
+// shimNames are the names internal/core keeps only for the bench/
+// module, which compiles against them: the package-level ones and the
+// EpochSnapshot method Sharded.
+var shimNames = map[string]bool{"NewSharded": true, "NewMutableSharded": true, "ShardOptions": true}
+
+// shimUses lists the positions in the Go file at path that declare or
+// reference a package-level shim name, or declare or call a method
+// named Sharded.
+func shimUses(t *testing.T, fset *token.FileSet, path string) []string {
+	t.Helper()
+	f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var uses []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		var at ast.Node
+		switch x := n.(type) {
+		case *ast.Ident:
+			if shimNames[x.Name] {
+				at = x
+			}
+		case *ast.FuncDecl:
+			if x.Recv != nil && x.Name.Name == "Sharded" {
+				at = x.Name
+			}
+		case *ast.CallExpr:
+			if sel, ok := x.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Sharded" {
+				at = sel.Sel
+			}
+		}
+		if at != nil {
+			uses = append(uses, fset.Position(at.Pos()).String())
+		}
+		return true
+	})
+	return uses
+}
+
+// TestCoreOneResolutionType fails unless internal/core has one
+// resolution type besides the monolithic Engine: among its exported
+// types only Engine and EpochSnapshot declare CertainMergesCtx, and no
+// Go file of this module but internal/core/shims.go declares or uses
+// the shims the bench/ module (a separate module, not scanned) still
+// compiles against.
+func TestCoreOneResolutionType(t *testing.T) {
+	for scope, names := range exportedFuncs(t, "internal/core") {
+		recv, ok := strings.CutPrefix(scope, "internal/core.(")
+		recv = strings.TrimSuffix(recv, ")")
+		if ok && names["CertainMergesCtx"] && token.IsExported(recv) && recv != "Engine" && recv != "EpochSnapshot" {
+			t.Errorf("internal/core type %s declares CertainMergesCtx; resolve through EpochSnapshot", recv)
+		}
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "." {
+				return nil
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(path, ".go") && filepath.ToSlash(path) != "internal/core/shims.go" {
+			for _, at := range shimUses(t, fset, path) {
+				t.Errorf("%s: uses a bench/-only shim of internal/core/shims.go", at)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestShimScanFindsUses keeps the shim scan honest: a synthetic file
+// declaring and using each shim is reported at every use.
+func TestShimScanFindsUses(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "p.go")
+	src := `package p
+
+type ShardOptions struct{}
+
+func (s *T) Sharded() *T { return s }
+
+func f(s *T) { _ = NewSharded; _ = NewMutableSharded; s.Sharded(); _ = s.Sharded }
+`
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(shimUses(t, token.NewFileSet(), path)); got != 5 {
+		t.Fatalf("shim scan found %d uses, want 5 (the method value s.Sharded is not a call)", got)
 	}
 }
 

@@ -145,8 +145,8 @@ func run(args []string) error {
 		}
 		// Only a task that resolved the instance reports its shards;
 		// -stats never adds a resolution of its own.
-		if se := e.snap.Sharded(); *statsFlag && se.Resolved() {
-			if st, err := se.Stats(); err == nil {
+		if *statsFlag && e.snap.Resolved() {
+			if st, err := e.snap.Stats(); err == nil {
 				fmt.Fprintf(os.Stderr, "shards: %d (largest %d members), %d stitch rounds (0: answered by the top), %d solves, monolithic fallback: %v\n",
 					st.Shards, maxInt(st.Sizes), st.Rounds, st.Solves, st.Monolithic)
 			}

@@ -880,11 +880,17 @@ func e15Extensions() error {
 	fmt.Printf("weighted best maximal solutions: %d (score %.1f)\n", len(best), best[0].Score)
 
 	// Explanations: classify the named pairs of Example 6.
-	for _, pr := range [][2]string{{"p2", "p3"}, {"a6", "a7"}, {"c3", "c4"}} {
-		x, err := snap.Engine().ExplainMergeCtx(context.Background(), f.Const(pr[0]), f.Const(pr[1]))
-		if err != nil {
-			return err
-		}
+	named := [][2]string{{"p2", "p3"}, {"a6", "a7"}, {"c3", "c4"}}
+	pairs := make([]eqrel.Pair, len(named))
+	for i, pr := range named {
+		pairs[i] = eqrel.MakePair(f.Const(pr[0]), f.Const(pr[1]))
+	}
+	xs, err := snap.ExplainMergesCtx(context.Background(), pairs)
+	if err != nil {
+		return err
+	}
+	for i, x := range xs {
+		pr := named[i]
 		fmt.Printf("explain (%s,%s): %s", pr[0], pr[1], x.Status)
 		if len(x.BlockedBy) > 0 {
 			fmt.Printf(" (blocked by %s)", strings.Join(x.BlockedBy, ", "))
@@ -966,21 +972,20 @@ func e17Shards() error {
 		if err != nil {
 			return err
 		}
-		se := snap.Sharded()
 		var pm []eqrel.Pair
 		dt, err := timeIt(func() error {
 			var err error
-			pm, err = se.PossibleMergesCtx(context.Background())
+			pm, err = snap.PossibleMergesCtx(context.Background())
 			return err
 		})
 		if err != nil {
 			return err
 		}
-		cm, err := se.CertainMergesCtx(context.Background())
+		cm, err := snap.CertainMergesCtx(context.Background())
 		if err != nil {
 			return err
 		}
-		st, err := se.Stats()
+		st, err := snap.Stats()
 		if err != nil {
 			return err
 		}

@@ -18,6 +18,7 @@ import (
 
 	lace "repro"
 	"repro/internal/cq"
+	"repro/internal/eqrel"
 	"repro/internal/fixtures"
 	"repro/internal/rules"
 )
@@ -60,11 +61,15 @@ func explanations() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	var pairs []lace.Pair
 	for _, pr := range [][2]string{{"p2", "p3"}, {"a6", "a7"}, {"c3", "c4"}, {"a1", "a4"}} {
-		x, err := snap.Engine().ExplainMergeCtx(context.Background(), f.Const(pr[0]), f.Const(pr[1]))
-		if err != nil {
-			log.Fatal(err)
-		}
+		pairs = append(pairs, eqrel.MakePair(f.Const(pr[0]), f.Const(pr[1])))
+	}
+	xs, err := snap.ExplainMergesCtx(context.Background(), pairs)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, x := range xs {
 		fmt.Print(x.Format(f.DB.Interner()))
 	}
 	fmt.Println()

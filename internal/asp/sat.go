@@ -239,17 +239,9 @@ func (s *Solver) SetRecorder(rec obs.Recorder) { s.rec = obs.OrNop(rec) }
 func (s *Solver) SetBudget(b *limits.Budget) { s.budget = b }
 
 // Decisions returns the number of decision points taken so far.
-//
-// Deprecated: Decisions was an exported field; it is now an accessor
-// over the obs-backed counter. Attach an obs.Recorder via SetRecorder
-// and read the asp.sat.decisions counter instead.
 func (s *Solver) Decisions() int64 { return s.decisions }
 
 // Propagations returns the number of unit propagations so far.
-//
-// Deprecated: Propagations was an exported field; it is now an accessor
-// over the obs-backed counter. Attach an obs.Recorder via SetRecorder
-// and read the asp.sat.propagations counter instead.
 func (s *Solver) Propagations() int64 { return s.propagations }
 
 // Conflicts returns the number of conflicts hit so far.

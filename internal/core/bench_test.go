@@ -8,6 +8,7 @@ import (
 	"repro/internal/db"
 	"repro/internal/eqrel"
 	"repro/internal/fixtures"
+	"repro/internal/lru"
 	"repro/internal/workload"
 )
 
@@ -50,7 +51,7 @@ func BenchmarkInducedUncached(b *testing.B) {
 	e, E := benchEngine(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.cache.reset()
+		e.cache = lru.New[*db.Database](e.cache.Cap())
 		if _, err := e.SatisfiesDenials(E); err != nil {
 			b.Fatal(err)
 		}

@@ -30,7 +30,7 @@ func TestCancelledMidResolveNotKept(t *testing.T) {
 			t.Fatal("the resolve never finished within the countdown")
 		}
 		f := fixtures.New()
-		se, err := NewSharded(f.DB, f.Spec, f.Sims, Options{Parallelism: 1}, ShardOptions{})
+		se, err := NewSnapshot(f.DB, f.Spec, f.Sims, Options{Parallelism: 1}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,15 +62,15 @@ func (c *countdownCtx) Err() error {
 }
 
 // assertResolvesAsFresh requires se to answer on a live context as a
-// fresh sharded engine over d does: merges, maximal solutions, stats.
-func assertResolvesAsFresh(t *testing.T, label string, se *ShardedEngine, d *db.Database) {
+// fresh snapshot over d does: merges, maximal solutions, stats.
+func assertResolvesAsFresh(t *testing.T, label string, se *EpochSnapshot, d *db.Database) {
 	t.Helper()
 	ctx := context.Background()
-	fresh, err := NewSharded(d, se.eng.sess.spec, se.eng.sess.sims, Options{Parallelism: 1}, ShardOptions{})
+	fresh, err := NewSnapshot(d, se.eng.sess.spec, se.eng.sess.sims, Options{Parallelism: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range []*ShardedEngine{se, fresh} {
+	for _, e := range []*EpochSnapshot{se, fresh} {
 		if _, err := e.PossibleMergesCtx(ctx); err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -105,7 +105,7 @@ func assertResolvesAsFresh(t *testing.T, label string, se *ShardedEngine, d *db.
 // ErrCanceled.
 func TestConcurrentCancelledAndLiveResolves(t *testing.T) {
 	f := fixtures.New()
-	se, err := NewSharded(f.DB, f.Spec, f.Sims, Options{Parallelism: 1}, ShardOptions{})
+	se, err := NewSnapshot(f.DB, f.Spec, f.Sims, Options{Parallelism: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,12 +40,12 @@ type latticeTop struct {
 	coupling   *coupling
 }
 
-// lineage links an epoch's engine to its predecessor's until its own
+// lineage links an epoch to its predecessor until its own
 // top is computed: the predecessor, and the batch between the two as
 // tuples of constant ids (both epochs share every id the predecessor
 // knew).
 type lineage struct {
-	prev            *ShardedEngine
+	prev            *EpochSnapshot
 	retract, insert []db.Fact
 }
 
@@ -58,12 +58,12 @@ const maxPendingTops = 16
 
 // finishTop records a computed top, deciding its similarity clash and
 // making T and D_T safe for concurrent readers.
-func (se *ShardedEngine) finishTop(T *eqrel.Partition, ind *db.Database, consistent bool) *latticeTop {
+func (s *EpochSnapshot) finishTop(T *eqrel.Partition, ind *db.Database, consistent bool) *latticeTop {
 	T.Flatten()
-	if se.eng.sess.d.Frozen() {
+	if s.eng.sess.d.Frozen() {
 		ind.Freeze()
 	}
-	clash := se.simPositionsClash(func(c db.Const) bool { return T.ClassSize(c) > 1 })
+	clash := s.simPositionsClash(func(c db.Const) bool { return T.ClassSize(c) > 1 })
 	return &latticeTop{T: T, ind: ind, consistent: consistent, clash: clash}
 }
 
@@ -93,8 +93,8 @@ func (se *ShardedEngine) finishTop(T *eqrel.Partition, ind *db.Database, consist
 //     all hold. Otherwise, when prev's T satisfied Δ, only the denial
 //     matches that use a tuple changed since D_T can be violated, so Δ
 //     is checked in delta mode over the changed representatives.
-func (se *ShardedEngine) carryTop(ctx context.Context, prev *latticeTop, retract, insert []db.Fact) (top *latticeTop, reclosed int, err error) {
-	c := se.eng.Context
+func (s *EpochSnapshot) carryTop(ctx context.Context, prev *latticeTop, retract, insert []db.Fact) (top *latticeTop, reclosed int, err error) {
+	c := s.eng.Context
 	d := c.sess.d
 	Tp, indP := prev.T, prev.ind
 	domP := Tp.N()
@@ -214,12 +214,12 @@ func (se *ShardedEngine) carryTop(ctx context.Context, prev *latticeTop, retract
 	}
 
 	// 4. The coupling, carried when prev's was, and consistency.
-	top = se.finishTop(T, ind, false)
+	top = s.finishTop(T, ind, false)
 	if top.clash {
 		return nil, 0, nil
 	}
 	if prev.coupling != nil {
-		if top.coupling, err = se.carryCoupling(ctx, prev, top, retract, insert); err != nil {
+		if top.coupling, err = s.carryCoupling(ctx, prev, top, retract, insert); err != nil {
 			return nil, 0, err
 		}
 	}
@@ -267,8 +267,8 @@ func (se *ShardedEngine) carryTop(ctx context.Context, prev *latticeTop, retract
 // classes of candidate matches on either side: their records are
 // rebuilt from every match holding their representative, and every
 // other class keeps its predecessor's record.
-func (se *ShardedEngine) carryCoupling(ctx context.Context, prev, top *latticeTop, retract, insert []db.Fact) (*coupling, error) {
-	e := se.eng
+func (s *EpochSnapshot) carryCoupling(ctx context.Context, prev, top *latticeTop, retract, insert []db.Fact) (*coupling, error) {
+	e := s.eng
 	Tp, indP, T, ind := prev.T, prev.ind, top.T, top.ind
 	domP, dom := Tp.N(), T.N()
 	repP := func(x db.Const) db.Const {

@@ -4,7 +4,7 @@ package core
 // top: after any batch, an epoch's top, carried from its predecessor's,
 // must equal the top a fresh engine closes from the identity — the
 // partition, its induced database, the consistency verdict — and the
-// epoch must answer like a fresh sharded engine.
+// epoch must answer like a fresh snapshot.
 
 import (
 	"context"
@@ -24,16 +24,16 @@ import (
 )
 
 // assertCarriedMatchesFresh compares snap's top and answers with a
-// fresh sharded engine over the same database, and reports whether the
+// fresh snapshot over the same database, and reports whether the
 // snapshot's top was carried.
 func assertCarriedMatchesFresh(t testing.TB, label string, snap *EpochSnapshot, spec *rules.Spec, sims *sim.Registry) bool {
 	t.Helper()
 	ctx := context.Background()
-	got, err := snap.se.latticeTop(ctx)
+	got, err := snap.latticeTop(ctx)
 	if err != nil {
 		t.Fatalf("%s: carried top: %v", label, err)
 	}
-	fresh, err := NewSharded(snap.DB(), spec, sims, Options{Parallelism: 1}, ShardOptions{})
+	fresh, err := NewSnapshot(snap.DB(), spec, sims, Options{Parallelism: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func assertCarriedMatchesFresh(t testing.TB, label string, snap *EpochSnapshot, 
 	}
 	if !got.T.Equal(want.T) {
 		t.Fatalf("%s: carried top (carried %v, %d re-closed)\n  %v\ndiffers from the fresh top\n  %v",
-			label, snap.se.carried, snap.se.reclosed, got.T.Format(snap.DB().Interner()), want.T.Format(snap.DB().Interner()))
+			label, snap.carried, snap.reclosed, got.T.Format(snap.DB().Interner()), want.T.Format(snap.DB().Interner()))
 	}
 	if !got.ind.Equal(want.ind) || !want.ind.Equal(got.ind) {
 		t.Fatalf("%s: carried D_T\n%s\ndiffers from the fresh D_T\n%s", label, got.ind, want.ind)
@@ -62,7 +62,7 @@ func assertCarriedMatchesFresh(t testing.TB, label string, snap *EpochSnapshot, 
 	} else if !got.consistent && !got.clash {
 		t.Fatalf("%s: inconsistent top without a coupling", label)
 	}
-	gs, err := snap.se.Stats()
+	gs, err := snap.Stats()
 	if err != nil {
 		t.Fatalf("%s: snapshot stats: %v", label, err)
 	}
@@ -71,15 +71,15 @@ func assertCarriedMatchesFresh(t testing.TB, label string, snap *EpochSnapshot, 
 		t.Fatalf("%s: fresh stats: %v", label, err)
 	}
 	if fmt.Sprint(gs) != fmt.Sprint(ws) {
-		t.Fatalf("%s: shard stats diverge from a fresh sharded engine:\n  carried %+v\n  fresh   %+v", label, gs, ws)
+		t.Fatalf("%s: shard stats diverge from a fresh snapshot:\n  carried %+v\n  fresh   %+v", label, gs, ws)
 	}
 	for _, q := range []struct {
 		name string
-		get  func(resolver) (any, error)
+		get  func(resolution) (any, error)
 	}{
-		{"possible", func(r resolver) (any, error) { return r.PossibleMergesCtx(ctx) }},
-		{"certain", func(r resolver) (any, error) { return r.CertainMergesCtx(ctx) }},
-		{"maximal", func(r resolver) (any, error) {
+		{"possible", func(r resolution) (any, error) { return r.PossibleMergesCtx(ctx) }},
+		{"certain", func(r resolution) (any, error) { return r.CertainMergesCtx(ctx) }},
+		{"maximal", func(r resolution) (any, error) {
 			sols, err := r.MaximalSolutionsCtx(ctx)
 			keys := make([]string, len(sols))
 			for i, E := range sols {
@@ -88,7 +88,7 @@ func assertCarriedMatchesFresh(t testing.TB, label string, snap *EpochSnapshot, 
 			return keys, err
 		}},
 	} {
-		g, err := q.get(snap.se)
+		g, err := q.get(snap)
 		if err != nil {
 			t.Fatalf("%s: snapshot %s: %v", label, q.name, err)
 		}
@@ -97,10 +97,10 @@ func assertCarriedMatchesFresh(t testing.TB, label string, snap *EpochSnapshot, 
 			t.Fatalf("%s: fresh %s: %v", label, q.name, err)
 		}
 		if fmt.Sprint(g) != fmt.Sprint(w) {
-			t.Fatalf("%s: %s diverges from a fresh sharded engine:\n  carried %v\n  fresh   %v", label, q.name, g, w)
+			t.Fatalf("%s: %s diverges from a fresh snapshot:\n  carried %v\n  fresh   %v", label, q.name, g, w)
 		}
 	}
-	return snap.se.carried
+	return snap.carried
 }
 
 // couplingDiff describes the first difference between two couplings,
@@ -243,7 +243,7 @@ denial d1: Paper(x,v), Paper(x,w), v != w.`, sch, d.Interner(), reg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		top, err := m.Snapshot().se.latticeTop(context.Background())
+		top, err := m.Snapshot().latticeTop(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,7 +281,7 @@ denial d1: Paper(x,v), Paper(x,w), v != w.`, sch, d.Interner(), reg)
 			t.Fatal("σ2 insert: top not carried")
 		}
 		fa, _ := snap.DB().Interner().Lookup("fresh_author")
-		if got, _ := snap.se.latticeTop(context.Background()); !got.T.Same(fa, member[0]) {
+		if got, _ := snap.latticeTop(context.Background()); !got.T.Same(fa, member[0]) {
 			t.Fatal("the inserted Author did not join the member's class")
 		}
 		// Retract it again: its class is re-closed back to the old one.
@@ -289,8 +289,8 @@ denial d1: Paper(x,v), Paper(x,w), v != w.`, sch, d.Interner(), reg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !assertCarriedMatchesFresh(t, "σ2 retract", snap, ds.Spec, ds.Sims) || snap.se.reclosed == 0 {
-			t.Fatalf("σ2 retract: carried %v, %d constants re-closed", snap.se.carried, snap.se.reclosed)
+		if !assertCarriedMatchesFresh(t, "σ2 retract", snap, ds.Spec, ds.Sims) || snap.reclosed == 0 {
+			t.Fatalf("σ2 retract: carried %v, %d constants re-closed", snap.carried, snap.reclosed)
 		}
 		// A batch interning a new name in another relation.
 		wrote := ds.DB.Tuples("Wrote")[0]
@@ -349,7 +349,7 @@ func TestCarriedTopAfterCancelledPredecessor(t *testing.T) {
 	if !assertCarriedMatchesFresh(t, "after a cancelled predecessor", snap, ds.Spec, ds.Sims) {
 		t.Fatal("the successor of a cancelled resolution did not carry its top")
 	}
-	assertResolvesAsFresh(t, "epoch 0 after a cancelled call", snap0.se, ds.DB)
+	assertResolvesAsFresh(t, "epoch 0 after a cancelled call", snap0, ds.DB)
 }
 
 // TestCarriedTopWhilePredecessorResolves applies epoch N+1 while epoch

@@ -31,6 +31,7 @@ import (
 	"repro/internal/db"
 	"repro/internal/eqrel"
 	"repro/internal/limits"
+	"repro/internal/lru"
 	"repro/internal/obs"
 	"repro/internal/rules"
 	"repro/internal/sim"
@@ -92,7 +93,7 @@ type preparedQuery struct {
 // time.
 type Context struct {
 	sess  *Session
-	cache *inducedCache // partition key -> induced DB, LRU
+	cache *lru.Cache[*db.Database] // partition key -> induced DB
 	rec   obs.Recorder
 }
 
@@ -169,7 +170,7 @@ func (c *Context) Induced(E *eqrel.Partition) *db.Database {
 // inducedKey is Induced for a non-identity partition whose canonical
 // key the caller already holds.
 func (c *Context) inducedKey(E *eqrel.Partition, key string) *db.Database {
-	if ind, ok := c.cache.get(key); ok {
+	if ind, ok := c.cache.Get(key); ok {
 		c.rec.Inc(obs.CoreCacheHits, 1)
 		return ind
 	}
@@ -180,8 +181,8 @@ func (c *Context) inducedKey(E *eqrel.Partition, key string) *db.Database {
 }
 
 func (c *Context) storeKey(key string, ind *db.Database) {
-	if evicted := c.cache.put(key, ind); evicted > 0 {
-		c.rec.Inc(obs.CoreCacheEvictions, int64(evicted))
+	if c.cache.Put(key, ind) {
+		c.rec.Inc(obs.CoreCacheEvictions, 1)
 	}
 }
 
@@ -223,7 +224,7 @@ func (c *Context) expand(s state, pr eqrel.Pair) (state, error) {
 	u, v := s.E.Rep(pr.A), s.E.Rep(pr.B)
 	E.Add(pr)
 	key := E.Key()
-	ind, ok := c.cache.get(key)
+	ind, ok := c.cache.Get(key)
 	if ok {
 		c.rec.Inc(obs.CoreCacheHits, 1)
 	} else {

@@ -89,26 +89,39 @@ func (x *MergeExplanation) Format(in *db.Interner) string {
 // supporting evidence. It enumerates the maximal solutions, so it has
 // the complexity of CertMerge (Π^p_2 in general).
 func (e *Engine) ExplainMergeCtx(ctx context.Context, a, b db.Const) (*MergeExplanation, error) {
-	xs, err := e.explainMerges(ctx, e, []eqrel.Pair{eqrel.MakePair(a, b)})
+	pairs := []eqrel.Pair{eqrel.MakePair(a, b)}
+	if err := irreflexive(pairs); err != nil {
+		return nil, err
+	}
+	with, without, err := e.witnesses(ctx, pairs)
+	if err != nil {
+		return nil, err
+	}
+	xs, err := e.explainMerges(pairs, with, without)
 	if err != nil {
 		return nil, err
 	}
 	return xs[0], nil
 }
 
-// explainMerges explains each pair over the maximal solutions r
-// resolves, with the evidence computed on e. Pairs justified in the
-// same witness share one replay of it.
-func (e *Engine) explainMerges(ctx context.Context, r resolver, pairs []eqrel.Pair) ([]*MergeExplanation, error) {
+// irreflexive rejects a reflexive pair before anything is resolved to
+// explain it.
+func irreflexive(pairs []eqrel.Pair) error {
 	for _, p := range pairs {
 		if p.A == p.B {
-			return nil, fmt.Errorf("core: reflexive pairs are trivially certain")
+			return fmt.Errorf("core: reflexive pairs are trivially certain")
 		}
 	}
-	with, without, err := r.witnesses(ctx, pairs)
-	if err != nil {
-		return nil, err
-	}
+	return nil
+}
+
+// explainMerges explains each pair given its witnesses: with[i] and
+// without[i] are the first maximal solutions in canonical order that
+// contain and exclude pairs[i], nil where none does. The evidence is
+// computed on e; pairs justified in the same witness share one replay
+// of it.
+func (e *Engine) explainMerges(pairs []eqrel.Pair, with, without []*eqrel.Partition) ([]*MergeExplanation, error) {
+	var err error
 	replays := make(map[*eqrel.Partition]*derivation)
 	var closure *eqrel.Partition
 	xs := make([]*MergeExplanation, len(pairs))

@@ -18,9 +18,9 @@ import (
 )
 
 // TestEpochLineageCollectable: after 50 applies with only the latest
-// snapshot held, the engines and induced databases of epoch 0 and every
+// snapshot held, the snapshots and induced databases of epoch 0 and every
 // intermediate epoch are collectable; so are all but the last
-// maxPendingTops engines of 50 applies nobody resolved.
+// maxPendingTops snapshots of 50 applies nobody resolved.
 func TestEpochLineageCollectable(t *testing.T) {
 	ctx := context.Background()
 	ds, err := workload.GenerateScale(workload.DefaultScaleConfig(3, 100))
@@ -46,17 +46,17 @@ func TestEpochLineageCollectable(t *testing.T) {
 		}
 	}
 
-	var engines []weak.Pointer[ShardedEngine]
+	var snaps []weak.Pointer[EpochSnapshot]
 	var inds []weak.Pointer[db.Database]
 	record := func(snap *EpochSnapshot) {
 		if _, err := snap.PossibleMergesCtx(ctx); err != nil {
 			t.Fatal(err)
 		}
-		top, err := snap.se.latticeTop(ctx)
+		top, err := snap.latticeTop(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		engines = append(engines, weak.Make(snap.se))
+		snaps = append(snaps, weak.Make(snap))
 		inds = append(inds, weak.Make(top.ind))
 	}
 	record(m.Snapshot())
@@ -66,41 +66,41 @@ func TestEpochLineageCollectable(t *testing.T) {
 			t.Fatal(err)
 		}
 		record(snap)
-		if !snap.se.carried {
+		if !snap.carried {
 			t.Fatalf("epoch %d did not carry its top", snap.Epoch())
 		}
 	}
 	collected()
 	for i := 0; i < 50; i++ {
-		if engines[i].Value() != nil {
-			t.Errorf("epoch %d's engine is still reachable", i)
+		if snaps[i].Value() != nil {
+			t.Errorf("epoch %d's snapshot is still reachable", i)
 		}
 		if inds[i].Value() != nil {
 			t.Errorf("epoch %d's induced database D_T is still reachable", i)
 		}
 	}
-	if engines[50].Value() == nil || inds[50].Value() == nil {
+	if snaps[50].Value() == nil || inds[50].Value() == nil {
 		t.Fatal("the latest epoch was collected while its snapshot is held")
 	}
 
 	// Unresolved epochs link to their predecessors, but a chain stops at
 	// maxPendingTops links.
-	engines = engines[:0]
+	snaps = snaps[:0]
 	for i := 0; i < 50; i++ {
 		_, snap, err := m.Apply(toggle(i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		engines = append(engines, weak.Make(snap.se))
+		snaps = append(snaps, weak.Make(snap))
 	}
 	collected()
 	for i := 0; i < 50-maxPendingTops; i++ {
-		if engines[i].Value() != nil {
+		if snaps[i].Value() != nil {
 			t.Errorf("unresolved epoch %d of 50 is still reachable", i)
 		}
 	}
 	last := m.Snapshot()
-	if !last.se.topDone.Load() {
+	if !last.topDone.Load() {
 		if _, err := last.PossibleMergesCtx(ctx); err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestSnapshotDropsTop(t *testing.T) {
 		} else if snap, err = NewSnapshot(ds.DB, ds.Spec, ds.Sims, Options{Parallelism: 1}, 0); err != nil {
 			t.Fatal(err)
 		}
-		top, err := snap.se.latticeTop(ctx)
+		top, err := snap.latticeTop(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -183,22 +183,26 @@ func (e *Engine) IsPossibleAnswerCtx(ctx context.Context, q *cq.CQ, tuple []db.C
 // all maximal solutions E, with each representative answer expanded to
 // every original-constant tuple in its equivalence classes.
 func (e *Engine) PossibleAnswersCtx(ctx context.Context, q *cq.CQ) ([][]db.Const, error) {
-	return e.answers(ctx, e, q, false)
+	maximal, err := e.MaximalSolutionsCtx(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return e.answers(q, maximal, false)
 }
 
 // CertainAnswersCtx returns certAns(q, D, Σ): the tuples that are answers
 // in every maximal solution (empty when none exists).
 func (e *Engine) CertainAnswersCtx(ctx context.Context, q *cq.CQ) ([][]db.Const, error) {
-	return e.answers(ctx, e, q, true)
-}
-
-// answers returns the answers to q, evaluated on e, in every (certain)
-// or in some maximal solution r resolves, sorted.
-func (e *Engine) answers(ctx context.Context, r resolver, q *cq.CQ, certain bool) ([][]db.Const, error) {
-	maximal, err := r.MaximalSolutionsCtx(ctx)
+	maximal, err := e.MaximalSolutionsCtx(ctx)
 	if err != nil {
 		return nil, err
 	}
+	return e.answers(q, maximal, true)
+}
+
+// answers returns the answers to q, evaluated on e, in every (certain)
+// or in some of the maximal solutions, sorted.
+func (e *Engine) answers(q *cq.CQ, maximal []*eqrel.Partition, certain bool) ([][]db.Const, error) {
 	// A solution's expanded answers are distinct, so a tuple's count is
 	// the number of maximal solutions answering it.
 	counts := make(map[string]int)

@@ -7,7 +7,7 @@ package core
 // EpochSnapshot (one atomic load) and keep it for as long as they like;
 // a writer applying the next batch never disturbs them, because every
 // structure a snapshot reaches is frozen: the database (copy-on-write
-// overlay over its parent), the engines, and any resolved shard
+// overlay over its parent), the engine, and any resolved shard
 // results.
 //
 // Incrementality comes from four reuses, none of which weakens the
@@ -28,18 +28,15 @@ package core
 //     only the classes of the stitch's coupling analysis whose matches
 //     the batch can have changed (carry.go, DESIGN.md §12). Only when
 //     the predecessor's top failed or clashed at a similarity position
-//     (where the engine falls back to a monolithic solve), or ends a
+//     (where the epoch is solved whole), or ends a
 //     chain of maxPendingTops unresolved epochs, does an epoch close
 //     the identity over its whole database.
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/cq"
 	"repro/internal/db"
-	"repro/internal/eqrel"
 	"repro/internal/rules"
 	"repro/internal/sim"
 )
@@ -76,90 +73,6 @@ type ApplyResult struct {
 	// the same institution). It is -1 when unavailable: a previous epoch
 	// that never resolved, or one that fell back to a monolithic solve.
 	DirtyShards int
-}
-
-// EpochSnapshot is the one resolution handle, of an instance
-// (NewSnapshot) or of one epoch of a MutableSession: the frozen
-// database, its fingerprint, and the ShardedEngine resolving it.
-// Snapshots taken before a mutation keep answering against their own
-// epoch.
-//
-// The snapshot is the one place an epoch is resolved: every result
-// method answers from the epoch's ShardedEngine, which asks the lattice
-// top first and resolves the epoch once, and evaluates queries and
-// derivations on a private Fork of its engine. The result methods are
-// safe for concurrent use.
-type EpochSnapshot struct {
-	epoch uint64
-	d     *db.Database
-	fp    string
-	se    *ShardedEngine
-}
-
-// Epoch returns the snapshot's epoch number (0 for the initial load).
-func (s *EpochSnapshot) Epoch() uint64 { return s.epoch }
-
-// DB returns the snapshot's frozen database.
-func (s *EpochSnapshot) DB() *db.Database { return s.d }
-
-// Fingerprint returns the snapshot database's content fingerprint.
-func (s *EpochSnapshot) Fingerprint() string { return s.fp }
-
-// Engine returns the sharded engine's own monolithic engine. Callers
-// running queries concurrently must Fork it per goroutine, as always.
-func (s *EpochSnapshot) Engine() *Engine { return s.se.eng }
-
-// Sharded returns the snapshot's sharded engine.
-func (s *EpochSnapshot) Sharded() *ShardedEngine { return s.se }
-
-// resolver is the question set both engines answer; query answers and
-// explanations are evaluated over either one's solutions.
-type resolver interface {
-	CertainMergesCtx(ctx context.Context) ([]eqrel.Pair, error)
-	PossibleMergesCtx(ctx context.Context) ([]eqrel.Pair, error)
-	MaximalSolutionsCtx(ctx context.Context) ([]*eqrel.Partition, error)
-	ExistenceCtx(ctx context.Context) (*eqrel.Partition, bool, error)
-	witnesses(ctx context.Context, pairs []eqrel.Pair) (with, without []*eqrel.Partition, err error)
-}
-
-// CertainMergesCtx returns the snapshot's certain merges.
-func (s *EpochSnapshot) CertainMergesCtx(ctx context.Context) ([]eqrel.Pair, error) {
-	return s.se.CertainMergesCtx(ctx)
-}
-
-// PossibleMergesCtx returns the snapshot's possible merges.
-func (s *EpochSnapshot) PossibleMergesCtx(ctx context.Context) ([]eqrel.Pair, error) {
-	return s.se.PossibleMergesCtx(ctx)
-}
-
-// MaximalSolutionsCtx returns the snapshot's maximal solutions.
-func (s *EpochSnapshot) MaximalSolutionsCtx(ctx context.Context) ([]*eqrel.Partition, error) {
-	return s.se.MaximalSolutionsCtx(ctx)
-}
-
-// ExistenceCtx reports whether the snapshot's instance has a solution
-// (see ShardedEngine.ExistenceCtx for the witness).
-func (s *EpochSnapshot) ExistenceCtx(ctx context.Context) (*eqrel.Partition, bool, error) {
-	return s.se.ExistenceCtx(ctx)
-}
-
-// CertainAnswersCtx returns the certain answers to q over the snapshot's
-// maximal solutions.
-func (s *EpochSnapshot) CertainAnswersCtx(ctx context.Context, q *cq.CQ) ([][]db.Const, error) {
-	return s.se.eng.Fork().answers(ctx, s.se, q, true)
-}
-
-// PossibleAnswersCtx returns the possible answers to q over the
-// snapshot's maximal solutions.
-func (s *EpochSnapshot) PossibleAnswersCtx(ctx context.Context, q *cq.CQ) ([][]db.Const, error) {
-	return s.se.eng.Fork().answers(ctx, s.se, q, false)
-}
-
-// ExplainMergesCtx explains each pair across the snapshot's maximal
-// solutions. It picks each witness and counterexample shard by shard,
-// so it never composes the product of the shards' maximal solutions.
-func (s *EpochSnapshot) ExplainMergesCtx(ctx context.Context, pairs []eqrel.Pair) ([]*MergeExplanation, error) {
-	return s.se.eng.Fork().explainMerges(ctx, s.se, pairs)
 }
 
 // MutableSession accepts batched fact mutations against a fixed
@@ -236,20 +149,6 @@ func holdsName(d *db.Database, n string) bool {
 	return false
 }
 
-// NewSnapshot validates the specification and returns the resolution
-// handle of (d, spec, sims), numbered epoch, resolved by a
-// ShardedEngine on its first result call. The database is frozen. The
-// snapshot is not an epoch of a session: nothing reads its lattice top
-// after it has resolved, so its engine drops the top then.
-func NewSnapshot(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Options, epoch uint64) (*EpochSnapshot, error) {
-	d.Freeze()
-	se, err := NewSharded(d, spec, sims, opts, ShardOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return &EpochSnapshot{epoch: epoch, d: d, fp: d.Fingerprint(), se: se}, nil
-}
-
 // NewMutable builds a mutable session over the initial database,
 // numbered epoch (0 for a fresh instance). Epoch 0 is NewSnapshot's,
 // kept carryable so that its successor reads its top; all later epochs
@@ -263,18 +162,10 @@ func NewMutable(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Optio
 	if err != nil {
 		return nil, err
 	}
-	snap.se.carryable = true
+	snap.carryable = true
 	m := &MutableSession{sims: sims}
 	m.cur.Store(snap)
 	return m, nil
-}
-
-// NewMutableSharded is NewMutable at epoch 0.
-//
-// Deprecated: every session resolves sharded; use NewMutable. The
-// ShardOptions argument is ignored.
-func NewMutableSharded(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Options, _ ShardOptions) (*MutableSession, error) {
-	return NewMutable(d, spec, sims, opts, 0)
 }
 
 // Snapshot returns the current epoch's snapshot. The caller may hold
@@ -284,8 +175,8 @@ func (m *MutableSession) Snapshot() *EpochSnapshot { return m.cur.Load() }
 
 // Apply atomically applies one batch, producing the next epoch. On a
 // validation error the batch is rejected whole and the current epoch
-// is unchanged. The returned snapshot is the new current snapshot; its
-// engines are built but not yet resolved — the first result call (or a
+// is unchanged. The returned snapshot is the new current snapshot; it
+// is built but not yet resolved — the first result call (or a
 // background warmer) pays the resolve.
 func (m *MutableSession) Apply(b Batch) (ApplyResult, *EpochSnapshot, error) {
 	return m.ApplyDurable(b, nil)
@@ -308,8 +199,7 @@ func (m *MutableSession) ApplyDurable(b Batch, precommit func(ApplyResult) error
 	if err != nil {
 		return ApplyResult{}, nil, err
 	}
-	se := newShardedFrom(nd, prev.se, batchFacts(prev.d.Interner(), b.Retract), batchFacts(nd.Interner(), b.Insert))
-	snap := &EpochSnapshot{epoch: prev.epoch + 1, d: nd, fp: nd.Fingerprint(), se: se}
+	snap := prev.next(nd, batchFacts(prev.d.Interner(), b.Retract), batchFacts(nd.Interner(), b.Insert))
 	res := ApplyResult{
 		Epoch:       snap.epoch,
 		Inserted:    ins,
@@ -327,7 +217,7 @@ func (m *MutableSession) ApplyDurable(b Batch, precommit func(ApplyResult) error
 			}
 		}
 	}
-	res.DirtyShards = prev.se.TouchedShards(consts)
+	res.DirtyShards = prev.TouchedShards(consts)
 	if precommit != nil {
 		if err := precommit(res); err != nil {
 			return ApplyResult{}, nil, err

@@ -410,7 +410,7 @@ func TestMutableNoOpBatch(t *testing.T) {
 	if _, err := snap0.PossibleMergesCtx(ctx); err != nil {
 		t.Fatal(err)
 	}
-	st0, err := snap0.Sharded().Stats()
+	st0, err := snap0.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +458,7 @@ func TestMutableNoOpBatch(t *testing.T) {
 			t.Fatalf("no-op epoch answers %s, epoch 0 answered %s", answers, want)
 		}
 	}
-	st1, err := snap1.Sharded().Stats()
+	st1, err := snap1.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +517,7 @@ func TestMutableDirtyScopedResolve(t *testing.T) {
 	if _, err := m.Snapshot().PossibleMergesCtx(ctx); err != nil {
 		t.Fatal(err)
 	}
-	st0, err := m.Snapshot().Sharded().Stats()
+	st0, err := m.Snapshot().Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -601,7 +601,7 @@ func TestMutableTopFlips(t *testing.T) {
 	byRounds := make(map[int]int) // stitch rounds -> epochs
 	check := func(snap *EpochSnapshot) {
 		label := fmt.Sprintf("epoch %d", snap.Epoch())
-		st, err := snap.Sharded().Stats()
+		st, err := snap.Stats()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -609,19 +609,19 @@ func TestMutableTopFlips(t *testing.T) {
 			t.Fatalf("%s: %d stitch rounds, monolithic fallback %v", label, st.Rounds, st.Monolithic)
 		}
 		byRounds[st.Rounds]++
-		fresh, err := NewSharded(snap.DB(), ds.Spec, ds.Sims, Options{Parallelism: 1}, ShardOptions{})
+		fresh, err := NewSnapshot(snap.DB(), ds.Spec, ds.Sims, Options{Parallelism: 1}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, q := range []struct {
 			name string
-			get  func(resolver) (any, error)
+			get  func(resolution) (any, error)
 		}{
-			{"certain", func(r resolver) (any, error) { return r.CertainMergesCtx(ctx) }},
-			{"possible", func(r resolver) (any, error) { return r.PossibleMergesCtx(ctx) }},
-			{"maximal", func(r resolver) (any, error) { return r.MaximalSolutionsCtx(ctx) }},
+			{"certain", func(r resolution) (any, error) { return r.CertainMergesCtx(ctx) }},
+			{"possible", func(r resolution) (any, error) { return r.PossibleMergesCtx(ctx) }},
+			{"maximal", func(r resolution) (any, error) { return r.MaximalSolutionsCtx(ctx) }},
 		} {
-			got, err := q.get(snap.se)
+			got, err := q.get(snap)
 			if err != nil {
 				t.Fatalf("%s: snapshot %s: %v", label, q.name, err)
 			}
@@ -654,7 +654,7 @@ func TestMutableTopFlips(t *testing.T) {
 // write flips one of a fixed set of Author tuples, chosen by the
 // binary-reflected Gray code of the write's index, so the database never
 // returns to an earlier state. Every epoch's possible merges, certain
-// merges and maximal solutions must equal both a fresh sharded engine
+// merges and maximal solutions must equal both a fresh snapshot
 // over the same database and the monolithic engine, and at least one
 // epoch must have an inconsistent top, so the stitch is exercised.
 func TestMutableReplayMatchesFresh(t *testing.T) {
@@ -685,12 +685,12 @@ func TestMutableReplayMatchesFresh(t *testing.T) {
 		}
 		check := func(snap *EpochSnapshot) {
 			label := fmt.Sprintf("seed %d epoch %d", seed, snap.Epoch())
-			st, err := snap.Sharded().Stats()
+			st, err := snap.Stats()
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 			stitched += st.Rounds
-			fresh, err := NewSharded(snap.DB(), ds.Spec, ds.Sims, Options{Parallelism: 1}, ShardOptions{})
+			fresh, err := NewSnapshot(snap.DB(), ds.Spec, ds.Sims, Options{Parallelism: 1}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -700,11 +700,11 @@ func TestMutableReplayMatchesFresh(t *testing.T) {
 			}
 			for _, q := range []struct {
 				name string
-				get  func(resolver) (any, error)
+				get  func(resolution) (any, error)
 			}{
-				{"possible", func(r resolver) (any, error) { return r.PossibleMergesCtx(ctx) }},
-				{"certain", func(r resolver) (any, error) { return r.CertainMergesCtx(ctx) }},
-				{"maximal", func(r resolver) (any, error) {
+				{"possible", func(r resolution) (any, error) { return r.PossibleMergesCtx(ctx) }},
+				{"certain", func(r resolution) (any, error) { return r.CertainMergesCtx(ctx) }},
+				{"maximal", func(r resolution) (any, error) {
 					sols, err := r.MaximalSolutionsCtx(ctx)
 					keys := make([]string, len(sols))
 					for i, E := range sols {
@@ -713,14 +713,14 @@ func TestMutableReplayMatchesFresh(t *testing.T) {
 					return keys, err
 				}},
 			} {
-				got, err := q.get(snap.se)
+				got, err := q.get(snap)
 				if err != nil {
 					t.Fatalf("%s: snapshot %s: %v", label, q.name, err)
 				}
 				for _, ref := range []struct {
 					name string
-					r    resolver
-				}{{"a fresh sharded engine", fresh}, {"the monolithic engine", mono}} {
+					r    resolution
+				}{{"a fresh snapshot", fresh}, {"the monolithic engine", mono}} {
 					want, err := q.get(ref.r)
 					if err != nil {
 						t.Fatalf("%s: %s %s: %v", label, ref.name, q.name, err)

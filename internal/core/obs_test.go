@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/db"
 	"repro/internal/eqrel"
+	"repro/internal/lru"
 	"repro/internal/obs"
 	"repro/internal/rules"
 )
@@ -37,7 +38,7 @@ func obsSetup(t *testing.T) (*Engine, *db.Database, *obs.Registry) {
 // flushing wholesale.
 func TestInducedCacheCounters(t *testing.T) {
 	e, d, reg := obsSetup(t)
-	e.cache = newInducedCache(2)
+	e.cache = lru.New[*db.Database](2)
 	pair := func(a, b string) *eqrel.Partition {
 		return e.FromPairs([]eqrel.Pair{eqrel.MakePair(lookup(t, d, a), lookup(t, d, b))})
 	}
@@ -60,7 +61,7 @@ func TestInducedCacheCounters(t *testing.T) {
 	if got := snap.Counter(obs.CoreCacheEvictions); got != 2 {
 		t.Errorf("cache evictions = %d, want 2", got)
 	}
-	if got := e.cache.len(); got != 2 {
+	if got := e.cache.Len(); got != 2 {
 		t.Errorf("cache size = %d, want 2", got)
 	}
 	// The identity partition bypasses the cache entirely.

@@ -145,7 +145,7 @@ func (e *Engine) consistentTop(ctx context.Context) (*eqrel.Partition, error) {
 // top computes the top T of the candidate lattice by closing the
 // identity under every merge rule over the base database, and returns
 // T, its induced database D_T and whether (D, T) satisfies Δ. It is the
-// one closure both consistentTop and the sharded engine's planning
+// one closure both consistentTop and a snapshot's planning
 // start from.
 func (c *Context) top(ctx context.Context) (*eqrel.Partition, *db.Database, bool, error) {
 	if err := ctx.Err(); err != nil {

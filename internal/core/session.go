@@ -9,6 +9,7 @@ import (
 	"repro/internal/cq"
 	"repro/internal/db"
 	"repro/internal/eqrel"
+	"repro/internal/lru"
 	"repro/internal/obs"
 	"repro/internal/rules"
 	"repro/internal/sim"
@@ -45,7 +46,7 @@ type Session struct {
 	// relaxedPlans caches the relaxed-join compilation of each rule
 	// (relaxed.go), keyed by *rules.Rule pointer, on first use.
 	relaxedPlans sync.Map
-	// coupling holds the sharded engine's coupling plans, compiled on
+	// coupling holds the snapshots' coupling plans, compiled on
 	// first use. Like plans, it is shared by every epoch of a mutable
 	// session (newSessionFrom).
 	coupling *couplingPlanSet
@@ -66,7 +67,7 @@ type Session struct {
 type topVerdict struct{ T *eqrel.Partition }
 
 // normalizeOptions resolves the zero values of Options to their
-// documented defaults. Session construction and the sharded engine both
+// documented defaults. Session construction and shard solves both
 // normalize exactly once, so per-shard sessions inherit already-resolved
 // budgets instead of re-deriving them.
 func normalizeOptions(opts Options) Options {
@@ -111,7 +112,7 @@ func newSessionFrom(d *db.Database, prev *Session) *Session {
 }
 
 // buildSession assembles a Session over an already-validated
-// specification with already-normalized options. The sharded engine
+// specification with already-normalized options. A snapshot
 // builds one per shard from a projection of a validated instance, where
 // re-validating the (structurally identical) rewritten spec per shard
 // would be pure overhead. plans, when not nil, holds plans already
@@ -226,7 +227,7 @@ func (s *Session) workers() int { return s.opts.Parallelism }
 func (s *Session) newContext(cacheSize int, rec obs.Recorder) *Context {
 	return &Context{
 		sess:  s,
-		cache: newInducedCache(max(cacheSize, 64)),
+		cache: lru.New[*db.Database](max(cacheSize, 64)),
 		rec:   obs.OrNop(rec),
 	}
 }

@@ -54,11 +54,6 @@ import (
 	"repro/internal/sim"
 )
 
-// ShardOptions is accepted and ignored by NewSharded.
-//
-// Deprecated: the sharded engine has no options; pass ShardOptions{}.
-type ShardOptions struct{}
-
 // Shard is one unit of resolution: a coupled component of the constant
 // space together with its projected sub-instance and the per-shard
 // Session solving it.
@@ -96,9 +91,11 @@ type ShardStats struct {
 	// stitch. Solves counts the per-shard solves performed; a shard the
 	// top answers is not solved.
 	Rounds, Solves int
-	// Monolithic reports that the engine fell back to one whole-instance
-	// solve (a mergeable constant occurred at a similarity position, the
-	// one case where the coupling analysis would be unsound).
+	// Monolithic reports that the inconsistent top clashed at a
+	// similarity position, the one case where the coupling analysis
+	// would be unsound, so the instance is solved whole (see
+	// solveWhole). Nothing is sharded then: Rounds is 1, and Shards,
+	// Sizes and Solves are zero.
 	Monolithic bool
 }
 
@@ -117,27 +114,35 @@ type couplingPlan struct {
 	consts []db.Const
 }
 
-// ShardedEngine resolves an instance from the top of its candidate
+// EpochSnapshot is the one resolution handle, of an instance
+// (NewSnapshot) or of one epoch of a MutableSession: the frozen
+// database, its fingerprint, and its resolution. Snapshots taken before
+// a mutation keep answering against their own epoch.
+//
+// A snapshot resolves its instance from the top of the candidate
 // lattice: a consistent top is the answer; an inconsistent one is
 // partitioned into coupled components in one stitch pass. A component
 // the top answers is recorded as is; the rest are each solved as a
-// Shard over the parallel work queue. Results are byte-identical to the monolithic
-// Engine on the same instance.
+// Shard over the parallel work queue. A top that clashes at a
+// similarity position is solved whole, once, as one shard. Results are
+// byte-identical to the monolithic Engine on the same instance.
 //
 // The first result call resolves the whole instance once (under that
-// call's context); later calls reuse the per-shard results. The result
-// methods are safe for concurrent use: the resolved results are
-// read-only, and an instance that falls back to a monolithic solve runs
-// it on a private Fork per call.
-type ShardedEngine struct {
-	eng *Engine
+// call's context); later calls reuse the per-shard results, and query
+// answers and derivations are evaluated on a private Fork of the
+// snapshot's engine. The result methods are safe for concurrent use.
+type EpochSnapshot struct {
+	epoch uint64
+	d     *db.Database
+	fp    string
+	eng   *Engine
 
 	// The top phase runs before the stitch, and a successor epoch waits
 	// on it alone. from links to the predecessor epoch until the phase
-	// has read it; pending counts the engines of the chain ending here
+	// has read it; pending counts the snapshots of the chain ending here
 	// whose tops were uncomputed when it was built, this one included
 	// (see maxPendingTops). Only an epoch of a mutable session
-	// (carryable set) can have a successor, so any other engine's run
+	// (carryable set) can have a successor, so any other snapshot's run
 	// drops top as soon as it has read it. Both phases keep their first
 	// outcome, results or a search error such as ErrBudget, but not a
 	// cancelled or expired context: the next call runs the phase again.
@@ -158,40 +163,66 @@ type ShardedEngine struct {
 	shards     []*Shard // ordered by root
 	stitched   bool     // the top was inconsistent and the stitch ran
 	solves     int
-	mono       bool // fell back to a single monolithic solve
+	mono       bool // the top clashed: one shard, solved whole
 	unsolvable bool // Sol(D, Σ) = ∅
 }
 
-// NewSharded builds a sharded engine over (d, spec, sims). The core
-// Options apply per shard (MaxStates bounds each shard's search;
-// Parallelism bounds concurrent shard solves). The ShardOptions value is
-// ignored.
-func NewSharded(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Options, _ ShardOptions) (*ShardedEngine, error) {
+// NewSnapshot validates the specification and returns the resolution
+// handle of (d, spec, sims), numbered epoch, resolved on its first
+// result call. The database is frozen. The snapshot is not an epoch of
+// a session: nothing reads its lattice top after it has resolved, so it
+// drops the top then. The core Options apply per shard (MaxStates
+// bounds each shard's search; Parallelism bounds concurrent shard
+// solves).
+func NewSnapshot(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Options, epoch uint64) (*EpochSnapshot, error) {
+	d.Freeze()
+	return newSnapshot(d, spec, sims, opts, epoch)
+}
+
+// newSnapshot is NewSnapshot without freezing d.
+func newSnapshot(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Options, epoch uint64) (*EpochSnapshot, error) {
 	eng, err := New(d, spec, sims, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &ShardedEngine{eng: eng, pending: 1}, nil
+	return &EpochSnapshot{epoch: epoch, d: d, fp: d.Fingerprint(), eng: eng, pending: 1}, nil
 }
 
-// newShardedFrom is NewSharded for an epoch whose predecessor's engine
-// is prev and whose batch retracted and inserted the given tuples. It
-// shares prev's session plans (newSessionFrom). Its top is carried from
-// prev's unless that would make a chain of more than maxPendingTops
-// uncomputed tops.
-func newShardedFrom(d *db.Database, prev *ShardedEngine, retract, insert []db.Fact) *ShardedEngine {
-	sess := newSessionFrom(d, prev.eng.sess)
-	se := &ShardedEngine{eng: &Engine{Context: sess.newContext(DefaultCacheSize, sess.rec)}, pending: 1, carryable: true}
+// next builds the epoch after s over d, whose batch retracted and
+// inserted the given tuples. It shares s's session plans
+// (newSessionFrom). Its top is carried from s's unless that would make
+// a chain of more than maxPendingTops uncomputed tops.
+func (s *EpochSnapshot) next(d *db.Database, retract, insert []db.Fact) *EpochSnapshot {
+	sess := newSessionFrom(d, s.eng.sess)
+	n := &EpochSnapshot{
+		epoch: s.epoch + 1, d: d, fp: d.Fingerprint(),
+		eng:     &Engine{Context: sess.newContext(DefaultCacheSize, sess.rec)},
+		pending: 1, carryable: true,
+	}
 	pending := 1
-	if !prev.topDone.Load() {
-		pending += prev.pending
+	if !s.topDone.Load() {
+		pending += s.pending
 	}
 	if pending <= maxPendingTops {
-		se.from = &lineage{prev: prev, retract: retract, insert: insert}
-		se.pending = pending
+		n.from = &lineage{prev: s, retract: retract, insert: insert}
+		n.pending = pending
 	}
-	return se
+	return n
 }
+
+// Epoch returns the snapshot's epoch number (0 for the initial load).
+func (s *EpochSnapshot) Epoch() uint64 { return s.epoch }
+
+// DB returns the snapshot's database.
+func (s *EpochSnapshot) DB() *db.Database { return s.d }
+
+// Fingerprint returns the snapshot database's content fingerprint.
+func (s *EpochSnapshot) Fingerprint() string { return s.fp }
+
+// Engine returns the snapshot's monolithic engine, the owner of its
+// session. Callers running queries concurrently must Fork it per
+// goroutine, as always.
+func (s *EpochSnapshot) Engine() *Engine { return s.eng }
 
 // latticeTop computes the instance's lattice top: carried from the
 // predecessor epoch's when there is one whose top succeeded without a
@@ -199,28 +230,28 @@ func newShardedFrom(d *db.Database, prev *ShardedEngine, retract, insert []db.Fa
 // carried top would clash). An inconsistent top's coupling is computed
 // here too when it was not carried. Once an outcome is kept, the
 // reference to the predecessor is dropped, so no epoch pins older ones.
-func (se *ShardedEngine) latticeTop(ctx context.Context) (*latticeTop, error) {
-	se.topMu.Lock()
-	defer se.topMu.Unlock()
-	if se.topDone.Load() {
-		return se.top, se.topErr
+func (s *EpochSnapshot) latticeTop(ctx context.Context) (*latticeTop, error) {
+	s.topMu.Lock()
+	defer s.topMu.Unlock()
+	if s.topDone.Load() {
+		return s.top, s.topErr
 	}
 	var top *latticeTop
 	var err error
-	if from := se.from; from != nil {
+	if from := s.from; from != nil {
 		if prev, perr := from.prev.latticeTop(ctx); perr == nil && !prev.clash {
-			top, se.reclosed, err = se.carryTop(ctx, prev, from.retract, from.insert)
-			se.carried = top != nil
+			top, s.reclosed, err = s.carryTop(ctx, prev, from.retract, from.insert)
+			s.carried = top != nil
 		}
 	}
 	if top == nil && err == nil {
-		T, ind, consistent, terr := se.eng.top(ctx)
+		T, ind, consistent, terr := s.eng.top(ctx)
 		if err = terr; err == nil {
-			top = se.finishTop(T, ind, consistent)
+			top = s.finishTop(T, ind, consistent)
 		}
 	}
 	if top != nil && top.coupling == nil && !top.consistent && !top.clash {
-		top.coupling, err = se.couple(ctx, top)
+		top.coupling, err = s.couple(ctx, top)
 	}
 	if err != nil {
 		if ctx.Err() != nil {
@@ -228,31 +259,52 @@ func (se *ShardedEngine) latticeTop(ctx context.Context) (*latticeTop, error) {
 		}
 		top = nil
 	}
-	se.top, se.topErr, se.from = top, err, nil
-	se.topDone.Store(true)
+	s.top, s.topErr, s.from = top, err, nil
+	s.topDone.Store(true)
 	return top, err
 }
 
-// Engine returns the underlying monolithic engine (the fallback target
-// and the owner of the shared base session).
-func (se *ShardedEngine) Engine() *Engine { return se.eng }
-
 // Stats returns the partition summary of the resolved instance. It
-// resolves first if no result method ran yet.
-func (se *ShardedEngine) Stats() (ShardStats, error) {
-	if err := se.resolve(context.Background()); err != nil {
+// resolves first if no result method ran yet, except on a top that
+// clashes at a similarity position: nothing is sharded there, so the
+// top phase alone decides the summary.
+func (s *EpochSnapshot) Stats() (ShardStats, error) {
+	ctx := context.Background()
+	mono, err := s.fallsBack(ctx)
+	if err != nil {
 		return ShardStats{}, err
 	}
-	st := ShardStats{Shards: len(se.shards), Rounds: se.rounds(), Solves: se.solves, Monolithic: se.mono}
-	for _, sh := range se.shards {
+	if mono {
+		return ShardStats{Rounds: 1, Monolithic: true}, nil
+	}
+	if err := s.resolve(ctx); err != nil {
+		return ShardStats{}, err
+	}
+	st := ShardStats{Shards: len(s.shards), Rounds: s.rounds(), Solves: s.solves}
+	for _, sh := range s.shards {
 		st.Sizes = append(st.Sizes, len(sh.Members))
 	}
 	return st, nil
 }
 
+// fallsBack reports whether the instance is solved whole, as one shard:
+// whether its top is inconsistent and clashes at a similarity position.
+// It reads the resolution once there is one, else the top phase alone,
+// so it never solves.
+func (s *EpochSnapshot) fallsBack(ctx context.Context) (bool, error) {
+	if s.Resolved() {
+		return s.mono, nil
+	}
+	top, err := s.latticeTop(ctx)
+	if err != nil {
+		return false, err
+	}
+	return !top.consistent && top.clash, nil
+}
+
 // rounds is ShardStats.Rounds: 1 when the stitch ran, else 0.
-func (se *ShardedEngine) rounds() int {
-	if se.stitched {
+func (s *EpochSnapshot) rounds() int {
+	if s.stitched {
 		return 1
 	}
 	return 0
@@ -262,27 +314,27 @@ func (se *ShardedEngine) rounds() int {
 // inconsistent) the stitch; it remembers per-shard results. A run cut
 // short by its caller's context is not kept, so a later call on a live
 // context runs again.
-func (se *ShardedEngine) resolve(ctx context.Context) error {
-	if se.done.Load() {
+func (s *EpochSnapshot) resolve(ctx context.Context) error {
+	if s.done.Load() {
 		return nil
 	}
-	se.mu.Lock()
-	defer se.mu.Unlock()
-	if !se.done.Load() && se.err == nil {
-		err := se.run(ctx)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.done.Load() && s.err == nil {
+		err := s.run(ctx)
 		if err != nil && ctx.Err() != nil {
 			return err
 		}
-		se.err = err
-		se.done.Store(err == nil)
+		s.err = err
+		s.done.Store(err == nil)
 	}
-	return se.err
+	return s.err
 }
 
 // Resolved reports whether a resolution pass has already completed
 // successfully. It never triggers one — use it to ask "are the shard
 // results available right now" from a goroutine that must not block.
-func (se *ShardedEngine) Resolved() bool { return se.done.Load() }
+func (s *EpochSnapshot) Resolved() bool { return s.done.Load() }
 
 // TouchedShards counts resolved shards whose support contains any of
 // the given constants: after a stitch, the number of components a fact
@@ -290,14 +342,14 @@ func (se *ShardedEngine) Resolved() bool { return se.done.Load() }
 // the top, whose shards are the nontrivial T-classes supported by their
 // members only, it is the number of T-classes the constants name, a
 // lower bound on the classes such a batch can change. It returns -1
-// when no resolution has completed yet, or when the engine fell back to
-// a monolithic solve (where per-shard accounting is meaningless).
-func (se *ShardedEngine) TouchedShards(consts map[db.Const]bool) int {
-	if !se.Resolved() || se.mono {
+// when no resolution has completed yet, or when the instance was solved
+// whole (where per-shard accounting is meaningless).
+func (s *EpochSnapshot) TouchedShards(consts map[db.Const]bool) int {
+	if !s.Resolved() || s.mono {
 		return -1
 	}
 	n := 0
-	for _, sh := range se.shards {
+	for _, sh := range s.shards {
 		for _, c := range sh.support {
 			if consts[c] {
 				n++
@@ -308,8 +360,8 @@ func (se *ShardedEngine) TouchedShards(consts map[db.Const]bool) int {
 	return n
 }
 
-func (se *ShardedEngine) run(ctx context.Context) error {
-	e := se.eng
+func (s *EpochSnapshot) run(ctx context.Context) error {
+	e := s.eng
 	rec := e.rec
 	sp := rec.Start(obs.SpanShardPlan)
 	defer sp.End()
@@ -317,45 +369,46 @@ func (se *ShardedEngine) run(ctx context.Context) error {
 	// Stage 0: the top T of the candidate lattice. Every solution lies
 	// below T, so a consistent T is the unique maximal solution and
 	// answers the instance; an inconsistent one seeds the stitch.
-	top, err := se.latticeTop(ctx)
+	top, err := s.latticeTop(ctx)
 	if err != nil {
 		return err
 	}
-	if !se.carryable {
+	if !s.carryable {
 		// No successor will read the top; this run holds its own, and a
 		// run retried after a cancellation computes it again.
-		se.topMu.Lock()
-		se.top = nil
-		se.topDone.Store(false)
-		se.topMu.Unlock()
+		s.topMu.Lock()
+		s.top = nil
+		s.topDone.Store(false)
+		s.topMu.Unlock()
 	}
-	se.shards = nil // left over from a cancelled run
+	s.shards = nil // left over from a cancelled run
 	consistent := top.consistent
-	if consistent {
-		se.shards = topShards(top.T)
-	} else {
-		se.stitched = true
-		if err := se.stitch(ctx, top); err != nil {
+	switch {
+	case consistent:
+		s.shards = topShards(top.T)
+	case top.clash:
+		s.stitched = true
+		return s.solveWhole(ctx, top.T)
+	default:
+		s.stitched = true
+		if err := s.stitch(ctx, top); err != nil {
 			return err
-		}
-		if se.mono {
-			return nil
 		}
 	}
 
-	rec.Gauge(obs.CoreShardCount, int64(len(se.shards)))
-	rec.Gauge(obs.CoreShardRounds, int64(se.rounds()))
+	rec.Gauge(obs.CoreShardCount, int64(len(s.shards)))
+	rec.Gauge(obs.CoreShardRounds, int64(s.rounds()))
 	largest := 0
-	for _, sh := range se.shards {
+	for _, sh := range s.shards {
 		rec.Observe(obs.HistShardSize, time.Duration(int64(len(sh.Members))))
 		if len(sh.Members) > largest {
 			largest = len(sh.Members)
 		}
 	}
 	rec.Gauge(obs.CoreShardLargest, int64(largest))
-	sp.AttrInt("shards", int64(len(se.shards))).AttrInt("rounds", int64(se.rounds())).
-		AttrInt("top_consistent", boolInt(consistent)).AttrInt("top_carried", boolInt(se.carried)).
-		AttrInt("top_reclosed", int64(se.reclosed)).AttrInt("top_kept", boolInt(se.carryable))
+	sp.AttrInt("shards", int64(len(s.shards))).AttrInt("rounds", int64(s.rounds())).
+		AttrInt("top_consistent", boolInt(consistent)).AttrInt("top_carried", boolInt(s.carried)).
+		AttrInt("top_reclosed", int64(s.reclosed)).AttrInt("top_kept", boolInt(s.carryable))
 	return nil
 }
 
@@ -398,22 +451,39 @@ func answerByTop(sh *Shard, T *eqrel.Partition) {
 	sh.solvable = true
 }
 
+// solveWhole resolves an instance whose inconsistent top clashes at a
+// similarity position. The coupling analysis evaluates similarity on
+// representative names, which is faithful only while no mergeable
+// constant sits at a similarity position (the value-level shadow of the
+// attribute-level sim-safety check), so the instance is solved by one
+// monolithic search instead: exact, just unsharded. Its maximal
+// solutions are recorded as one shard whose members are every constant
+// of a nontrivial T-class; every solution lies below T, so no merge
+// falls outside them, and composition and witnesses read the shard like
+// any solved one.
+func (s *EpochSnapshot) solveWhole(ctx context.Context, T *eqrel.Partition) error {
+	ms, err := s.eng.Fork().MaximalSolutionsCtx(ctx)
+	if err != nil {
+		return err
+	}
+	var members []db.Const
+	for _, cls := range T.NontrivialClasses() {
+		members = append(members, cls...)
+	}
+	slices.Sort(members)
+	sh := &Shard{Root: members[0], Members: members, support: members}
+	sh.record(ms, func(c db.Const) db.Const { return c })
+	s.shards, s.mono, s.unsolvable = []*Shard{sh}, true, !sh.solvable
+	return nil
+}
+
 // stitch resolves an instance whose top T violates Δ in one pass: the
 // component partition starts at T's classes, every member a potential
 // merge endpoint. Every solution lies below T, so the shards can only
 // derive merges already in T and nothing is fed back; only components
 // a violated denial touches are solved (DESIGN.md §11).
-func (se *ShardedEngine) stitch(ctx context.Context, top *latticeTop) error {
+func (s *EpochSnapshot) stitch(ctx context.Context, top *latticeTop) error {
 	T := top.T
-	// The coupling analysis evaluates similarity on representative
-	// names, which is faithful only while no mergeable constant sits at
-	// a similarity position (the value-level shadow of the
-	// attribute-level sim-safety check). If the instance violates that,
-	// fall back to one monolithic solve — exact, just unsharded.
-	if top.clash {
-		se.mono = true
-		return nil
-	}
 	// Stage 1: the components, from the coupling of the relaxed matches
 	// on D_T that the top phase computed (couple) or carried (carry.go).
 	// A match's mergeable constants are coupled into its anchor's
@@ -461,24 +531,24 @@ func (se *ShardedEngine) stitch(ctx context.Context, top *latticeTop) error {
 				sh.support = slices.Compact(merged)
 			}
 		}
-		se.shards = append(se.shards, sh)
+		s.shards = append(s.shards, sh)
 		if violated {
 			toSolve = append(toSolve, sh)
 		} else {
 			answerByTop(sh, T)
 		}
 	}
-	se.project(toSolve, T)
-	if err := se.solveShards(ctx, toSolve); err != nil {
+	s.project(toSolve, T)
+	if err := s.solveShards(ctx, toSolve); err != nil {
 		return err
 	}
-	se.solves = len(toSolve)
-	for _, sh := range se.shards {
+	s.solves = len(toSolve)
+	for _, sh := range s.shards {
 		if !sh.solvable {
 			unsolvable = true
 		}
 	}
-	se.unsolvable = unsolvable
+	s.unsolvable = unsolvable
 	return nil
 }
 
@@ -645,8 +715,8 @@ func planConsts(cp *couplingPlan, rep func(db.Const) db.Const) []db.Const {
 
 // couple computes top's coupling in one pass over every relaxed match
 // on D_T.
-func (se *ShardedEngine) couple(ctx context.Context, top *latticeTop) (*coupling, error) {
-	e := se.eng
+func (s *EpochSnapshot) couple(ctx context.Context, top *latticeTop) (*coupling, error) {
+	e := s.eng
 	T, indT := top.T, top.ind
 	mergeable := func(c db.Const) bool { return T.ClassSize(c) > 1 }
 	plans, err := e.sess.couplingPlans()
@@ -769,8 +839,8 @@ func termVal(t cq.Term, cp *couplingPlan, vals []db.Const, T *eqrel.Partition) d
 // similarity-bound position of the base database (or directly inside a
 // sim atom), the one configuration under which representative-name
 // similarity evaluation could diverge from base-name evaluation.
-func (se *ShardedEngine) simPositionsClash(mergeable func(db.Const) bool) bool {
-	spec := se.eng.sess.spec
+func (s *EpochSnapshot) simPositionsClash(mergeable func(db.Const) bool) bool {
+	spec := s.eng.sess.spec
 	type pos struct {
 		rel string
 		idx int
@@ -818,7 +888,7 @@ func (se *ShardedEngine) simPositionsClash(mergeable func(db.Const) bool) bool {
 		}
 	}
 	for _, p := range posns {
-		for _, t := range se.eng.sess.d.Tuples(p.rel) {
+		for _, t := range s.eng.sess.d.Tuples(p.rel) {
 			if mergeable(t[p.idx]) {
 				return true
 			}
@@ -832,12 +902,12 @@ func (se *ShardedEngine) simPositionsClash(mergeable func(db.Const) bool) bool {
 // a member of a support constant's T-class, so the first column's index
 // finds every candidate from those members, at a cost in proportion to
 // the shard, not to the database.
-func (se *ShardedEngine) project(shards []*Shard, T *eqrel.Partition) {
+func (s *EpochSnapshot) project(shards []*Shard, T *eqrel.Partition) {
 	if len(shards) == 0 {
 		return
 	}
-	se.eng.sess.freezeShared()
-	d := se.eng.sess.d
+	s.eng.sess.freezeShared()
+	d := s.eng.sess.d
 	// The members of a support constant's class: a T-singleton is its
 	// own, a shard's classes are among its members, and the rare class
 	// of another component (from a match that couples nothing) is read
@@ -877,8 +947,8 @@ func (se *ShardedEngine) project(shards []*Shard, T *eqrel.Partition) {
 			}
 			tuples := t.Tuples()
 			var rows []int32
-			for _, s := range sh.support {
-				for _, c := range classes[s] {
+			for _, sc := range sh.support {
+				for _, c := range classes[sc] {
 				next:
 					for _, row := range t.Lookup(0, c) {
 						for _, x := range tuples[row][1:] {
@@ -907,12 +977,12 @@ const minParallelShard = 16
 // solveShards solves the shards on a bounded worker pool. Each worker
 // buffers its instrumentation in an obs.Local flushed on exit,
 // mirroring the lattice walk's discipline.
-func (se *ShardedEngine) solveShards(ctx context.Context, toSolve []*Shard) error {
+func (s *EpochSnapshot) solveShards(ctx context.Context, toSolve []*Shard) error {
 	if len(toSolve) == 0 {
 		return nil
 	}
-	se.eng.sess.freezeShared()
-	workers := min(se.eng.sess.workers(), len(toSolve))
+	s.eng.sess.freezeShared()
+	workers := min(s.eng.sess.workers(), len(toSolve))
 	if workers == 1 {
 		// One shard, or one worker: the caller's goroutine solves. A lone
 		// shard may use the full configured parallelism inside its own
@@ -921,9 +991,9 @@ func (se *ShardedEngine) solveShards(ctx context.Context, toSolve []*Shard) erro
 		for _, sh := range toSolve {
 			inner := 1
 			if len(toSolve) == 1 && len(sh.Members) >= minParallelShard {
-				inner = se.eng.sess.workers()
+				inner = s.eng.sess.workers()
 			}
-			if err := se.solveShard(ctx, sh, inner, se.eng.rec); err != nil {
+			if err := s.solveShard(ctx, sh, inner, s.eng.rec); err != nil {
 				return err
 			}
 		}
@@ -947,10 +1017,10 @@ func (se *ShardedEngine) solveShards(ctx context.Context, toSolve []*Shard) erro
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rec := obs.NewLocal(se.eng.rec)
+			rec := obs.NewLocal(s.eng.rec)
 			defer rec.Flush()
 			for sh := range tasks {
-				if err := se.solveShard(cctx, sh, 1, rec); err != nil {
+				if err := s.solveShard(cctx, sh, 1, rec); err != nil {
 					fail(err)
 				}
 			}
@@ -968,12 +1038,12 @@ func (se *ShardedEngine) solveShards(ctx context.Context, toSolve []*Shard) erro
 // database, constant-rewritten spec, per-shard Session over the
 // session's similarity registry — enumerates its maximal solutions and
 // maps the results back to global constants.
-func (se *ShardedEngine) solveShard(ctx context.Context, sh *Shard, inner int, rec obs.Recorder) error {
+func (s *EpochSnapshot) solveShard(ctx context.Context, sh *Shard, inner int, rec obs.Recorder) error {
 	sp := rec.Start(obs.SpanShardSolve)
 	defer sp.AttrInt("members", int64(len(sh.Members))).End()
 	rec.Inc(obs.CoreShardSolves, 1)
 
-	sess := se.eng.sess
+	sess := s.eng.sess
 	gin := sess.d.Interner()
 	lin := db.NewInterner()
 	ldb := db.New(sess.d.Schema(), lin)
@@ -1031,6 +1101,13 @@ func (se *ShardedEngine) solveShard(ctx context.Context, sh *Shard, inner int, r
 		toGlobal[i] = g
 	}
 
+	sh.record(ms, func(c db.Const) db.Const { return toGlobal[c] })
+	return nil
+}
+
+// record stores the shard's maximal solutions ms, mapped to global
+// constants by toGlobal, with their possible and certain merges.
+func (sh *Shard) record(ms []*eqrel.Partition, toGlobal func(db.Const) db.Const) {
 	sh.solvable = len(ms) > 0
 	sh.maximal = make([][]eqrel.Pair, len(ms))
 	possible := make(map[eqrel.Pair]bool)
@@ -1040,7 +1117,7 @@ func (se *ShardedEngine) solveShard(ctx context.Context, sh *Shard, inner int, r
 		global := make([]eqrel.Pair, len(pairs))
 		set := make(map[eqrel.Pair]bool, len(pairs))
 		for j, p := range pairs {
-			gp := eqrel.MakePair(toGlobal[p.A], toGlobal[p.B])
+			gp := eqrel.MakePair(toGlobal(p.A), toGlobal(p.B))
 			global[j] = gp
 			possible[gp] = true
 			set[gp] = true
@@ -1065,7 +1142,6 @@ func (se *ShardedEngine) solveShard(ctx context.Context, sh *Shard, inner int, r
 	})
 	sh.possible = sortedPairs(possible)
 	sh.certain = sortedPairs(certain)
-	return nil
 }
 
 func sortPairsInPlace(ps []eqrel.Pair) {
@@ -1127,24 +1203,21 @@ func rewriteSpec(spec *rules.Spec, gin, lin *db.Interner) *rules.Spec {
 // instance's maximal solutions: independence of shards makes the global
 // set the product of the per-shard sets. The product size is capped by
 // Options.MaxStates; exceeding it returns ErrBudget.
-func (se *ShardedEngine) MaximalSolutionsCtx(ctx context.Context) ([]*eqrel.Partition, error) {
-	if err := se.resolve(ctx); err != nil {
+func (s *EpochSnapshot) MaximalSolutionsCtx(ctx context.Context) ([]*eqrel.Partition, error) {
+	if err := s.resolve(ctx); err != nil {
 		return nil, err
 	}
-	if se.mono {
-		return se.eng.Fork().MaximalSolutionsCtx(ctx)
-	}
-	if se.unsolvable {
+	if s.unsolvable {
 		return nil, nil
 	}
-	sols := []*eqrel.Partition{se.eng.Identity()}
-	for _, sh := range se.shards {
+	sols := []*eqrel.Partition{s.eng.Identity()}
+	for _, sh := range s.shards {
 		next := make([]*eqrel.Partition, 0, len(sols)*len(sh.maximal))
 		for _, base := range sols {
 			for j, pairs := range sh.maximal {
-				if len(next) >= se.eng.sess.opts.MaxStates {
+				if len(next) >= s.eng.sess.opts.MaxStates {
 					return nil, fmt.Errorf("core: %w: maximal-solution product exceeds MaxStates=%d",
-						ErrBudget, se.eng.sess.opts.MaxStates)
+						ErrBudget, s.eng.sess.opts.MaxStates)
 				}
 				// The last extension of base takes base itself: no other
 				// product member refers to it any more.
@@ -1168,18 +1241,15 @@ func (se *ShardedEngine) MaximalSolutionsCtx(ctx context.Context) ([]*eqrel.Part
 // CertainMergesCtx is the union of the shards' certain merges: a pair is
 // in every maximal solution iff it is in every maximal solution of its
 // own shard. Empty when no solution exists.
-func (se *ShardedEngine) CertainMergesCtx(ctx context.Context) ([]eqrel.Pair, error) {
-	if err := se.resolve(ctx); err != nil {
+func (s *EpochSnapshot) CertainMergesCtx(ctx context.Context) ([]eqrel.Pair, error) {
+	if err := s.resolve(ctx); err != nil {
 		return nil, err
 	}
-	if se.mono {
-		return se.eng.Fork().CertainMergesCtx(ctx)
-	}
-	if se.unsolvable {
+	if s.unsolvable {
 		return nil, nil
 	}
 	set := make(map[eqrel.Pair]bool)
-	for _, sh := range se.shards {
+	for _, sh := range s.shards {
 		for _, p := range sh.certain {
 			set[p] = true
 		}
@@ -1188,16 +1258,13 @@ func (se *ShardedEngine) CertainMergesCtx(ctx context.Context) ([]eqrel.Pair, er
 }
 
 // PossibleMergesCtx is the union of the shards' possible merges.
-func (se *ShardedEngine) PossibleMergesCtx(ctx context.Context) ([]eqrel.Pair, error) {
-	if err := se.resolve(ctx); err != nil {
+func (s *EpochSnapshot) PossibleMergesCtx(ctx context.Context) ([]eqrel.Pair, error) {
+	if err := s.resolve(ctx); err != nil {
 		return nil, err
 	}
-	if se.mono {
-		return se.eng.Fork().PossibleMergesCtx(ctx)
-	}
 	set := make(map[eqrel.Pair]bool)
-	if !se.unsolvable {
-		for _, sh := range se.shards {
+	if !s.unsolvable {
+		for _, sh := range s.shards {
 			for _, p := range sh.possible {
 				set[p] = true
 			}
@@ -1208,36 +1275,74 @@ func (se *ShardedEngine) PossibleMergesCtx(ctx context.Context) ([]eqrel.Pair, e
 	return sortedPairs(set), nil
 }
 
-// ExistenceCtx reports whether a solution exists. A restricted
-// specification is decided by Theorem 8's hard-closure check, without
-// resolving, and its witness is that hard closure; an instance that fell
-// back to a monolithic solve is decided by the monolithic search, which
-// stops at its first solution. Otherwise the witness is the first
-// maximal solution in canonical order: each shard's first maximal
-// solution, composed.
-func (se *ShardedEngine) ExistenceCtx(ctx context.Context) (*eqrel.Partition, bool, error) {
-	if se.eng.sess.spec.IsRestricted() {
-		return se.eng.Fork().ExistenceCtx(ctx)
+// ExistenceCtx reports whether a solution exists. Two cases are decided
+// without resolving, by the monolithic engine: a restricted
+// specification by Theorem 8's hard-closure check, whose witness is that
+// hard closure, and an instance solved whole (see fallsBack) by the
+// monolithic search, which stops at its first solution. Otherwise the
+// witness is the first maximal solution in canonical order: each
+// shard's first maximal solution, composed.
+func (s *EpochSnapshot) ExistenceCtx(ctx context.Context) (*eqrel.Partition, bool, error) {
+	if s.eng.sess.spec.IsRestricted() {
+		return s.eng.Fork().ExistenceCtx(ctx)
 	}
-	if err := se.resolve(ctx); err != nil {
+	mono, err := s.fallsBack(ctx)
+	if err != nil {
 		return nil, false, err
 	}
-	if se.mono {
-		return se.eng.Fork().ExistenceCtx(ctx)
+	if mono {
+		return s.eng.Fork().ExistenceCtx(ctx)
 	}
-	if se.unsolvable {
+	if err := s.resolve(ctx); err != nil {
+		return nil, false, err
+	}
+	if s.unsolvable {
 		return nil, false, nil
 	}
-	return se.composed(-1, 0), true, nil
+	return s.composed(-1, 0), true, nil
 }
 
-// composed returns the maximal solution taking choice k in shard s and
-// every other shard's first choice; s = -1 takes the first choice
+// CertainAnswersCtx returns the certain answers to q over the snapshot's
+// maximal solutions.
+func (s *EpochSnapshot) CertainAnswersCtx(ctx context.Context, q *cq.CQ) ([][]db.Const, error) {
+	maximal, err := s.MaximalSolutionsCtx(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return s.eng.Fork().answers(q, maximal, true)
+}
+
+// PossibleAnswersCtx returns the possible answers to q over the
+// snapshot's maximal solutions.
+func (s *EpochSnapshot) PossibleAnswersCtx(ctx context.Context, q *cq.CQ) ([][]db.Const, error) {
+	maximal, err := s.MaximalSolutionsCtx(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return s.eng.Fork().answers(q, maximal, false)
+}
+
+// ExplainMergesCtx explains each pair across the snapshot's maximal
+// solutions. It picks each witness and counterexample shard by shard,
+// so it never composes the product of the shards' maximal solutions.
+func (s *EpochSnapshot) ExplainMergesCtx(ctx context.Context, pairs []eqrel.Pair) ([]*MergeExplanation, error) {
+	if err := irreflexive(pairs); err != nil {
+		return nil, err
+	}
+	with, without, err := s.witnesses(ctx, pairs)
+	if err != nil {
+		return nil, err
+	}
+	return s.eng.Fork().explainMerges(pairs, with, without)
+}
+
+// composed returns the maximal solution taking choice k in shard i and
+// every other shard's first choice; i = -1 takes the first choice
 // everywhere.
-func (se *ShardedEngine) composed(s, k int) *eqrel.Partition {
-	E := se.eng.Identity()
-	for i, sh := range se.shards {
-		if i == s {
+func (s *EpochSnapshot) composed(i, k int) *eqrel.Partition {
+	E := s.eng.Identity()
+	for j, sh := range s.shards {
+		if j == i {
 			E.AddAll(sh.maximal[k])
 		} else {
 			E.AddAll(sh.maximal[0])
@@ -1253,21 +1358,18 @@ func (se *ShardedEngine) composed(s, k int) *eqrel.Partition {
 // so the product's canonical order compares the shards' choices on
 // their own members independently: among the maximal solutions taking
 // a given choice in one shard, the first takes every other shard's
-// first choice, which solveShard puts at index 0.
-func (se *ShardedEngine) witnesses(ctx context.Context, pairs []eqrel.Pair) (with, without []*eqrel.Partition, err error) {
-	if err := se.resolve(ctx); err != nil {
+// first choice, which Shard.record puts at index 0.
+func (s *EpochSnapshot) witnesses(ctx context.Context, pairs []eqrel.Pair) (with, without []*eqrel.Partition, err error) {
+	if err := s.resolve(ctx); err != nil {
 		return nil, nil, err
-	}
-	if se.mono {
-		return se.eng.Fork().witnesses(ctx, pairs)
 	}
 	with = make([]*eqrel.Partition, len(pairs))
 	without = make([]*eqrel.Partition, len(pairs))
-	if se.unsolvable {
+	if s.unsolvable {
 		return with, without, nil
 	}
 	shardOf := make(map[db.Const]int)
-	for i, sh := range se.shards {
+	for i, sh := range s.shards {
 		for _, c := range sh.Members {
 			shardOf[c] = i
 		}
@@ -1275,30 +1377,30 @@ func (se *ShardedEngine) witnesses(ctx context.Context, pairs []eqrel.Pair) (wit
 	// compose builds each named solution once, so pairs sharing a
 	// witness share its Partition (and its replay).
 	cache := make(map[[2]int]*eqrel.Partition)
-	compose := func(s, k int) *eqrel.Partition {
+	compose := func(i, k int) *eqrel.Partition {
 		if k == 0 {
-			s = -1
+			i = -1
 		}
-		key := [2]int{s, k}
+		key := [2]int{i, k}
 		if cache[key] == nil {
-			cache[key] = se.composed(s, k)
+			cache[key] = s.composed(i, k)
 		}
 		return cache[key]
 	}
 	for pi, p := range pairs {
-		s, ok := shardOf[p.A]
-		if t, okB := shardOf[p.B]; !ok || !okB || s != t {
+		i, ok := shardOf[p.A]
+		if j, okB := shardOf[p.B]; !ok || !okB || i != j {
 			// No shard merges the pair: every maximal solution excludes it.
 			without[pi] = compose(-1, 0)
 			continue
 		}
-		for k, ps := range se.shards[s].maximal {
+		for k, ps := range s.shards[i].maximal {
 			if !containsPair(ps, p) {
 				if without[pi] == nil {
-					without[pi] = compose(s, k)
+					without[pi] = compose(i, k)
 				}
 			} else if with[pi] == nil {
-				with[pi] = compose(s, k)
+				with[pi] = compose(i, k)
 			}
 		}
 	}

@@ -3,7 +3,7 @@ package core
 // shard_bench_test.go measures end-to-end sharded resolution on the
 // scale workload: one iteration is one complete resolve — the stitch
 // fixpoint with its per-shard solves and the merge-set composition —
-// of a fresh ShardedEngine over a 2000-entity Zipf-skewed instance.
+// of a fresh EpochSnapshot over a 2000-entity Zipf-skewed instance.
 //
 // When LACE_BENCH_GUARD=1 (set by the CI shard job, not by the normal
 // test run), BenchmarkShardWorkload additionally writes
@@ -47,11 +47,14 @@ func BenchmarkShardWorkload(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// NewSnapshot freezes the database, once; freeze it untimed so
+	// every iteration times the resolve alone.
+	ds.DB.Freeze()
 	var last ShardStats
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		se, err := NewSharded(ds.DB, ds.Spec, ds.Sims, Options{Parallelism: 1}, ShardOptions{})
+		se, err := NewSnapshot(ds.DB, ds.Spec, ds.Sims, Options{Parallelism: 1}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -16,14 +16,24 @@ import (
 	"repro/internal/db"
 	"repro/internal/eqrel"
 	"repro/internal/fixtures"
+	"repro/internal/obs"
 	"repro/internal/rules"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// assertShardedEquals compares every decision surface of the two
-// engines and fails with a diff on the first divergence.
-func assertShardedEquals(t *testing.T, label string, mono *Engine, se *ShardedEngine) {
+// resolution is the question set both Engine and EpochSnapshot answer,
+// for the tables of tests that compare the two.
+type resolution interface {
+	CertainMergesCtx(ctx context.Context) ([]eqrel.Pair, error)
+	PossibleMergesCtx(ctx context.Context) ([]eqrel.Pair, error)
+	MaximalSolutionsCtx(ctx context.Context) ([]*eqrel.Partition, error)
+}
+
+// assertShardedEquals compares every decision surface of the monolithic
+// engine and the snapshot and fails with a diff on the first
+// divergence.
+func assertShardedEquals(t *testing.T, label string, mono *Engine, se *EpochSnapshot) {
 	t.Helper()
 
 	mc, err := mono.CertainMergesCtx(context.Background())
@@ -107,11 +117,15 @@ func assertShardedEquals(t *testing.T, label string, mono *Engine, se *ShardedEn
 	// Explanations take the canonically first maximal solution containing
 	// and excluding each pair; the sharded engine names them shard by
 	// shard, so this pins its ordering argument.
-	mx, err := mono.explainMerges(context.Background(), mono, mp)
+	with, without, err := mono.witnesses(context.Background(), mp)
+	if err != nil {
+		t.Fatalf("%s: monolithic witnesses: %v", label, err)
+	}
+	mx, err := mono.explainMerges(mp, with, without)
 	if err != nil {
 		t.Fatalf("%s: monolithic explain: %v", label, err)
 	}
-	sx, err := se.Engine().Fork().explainMerges(context.Background(), se, mp)
+	sx, err := se.ExplainMergesCtx(context.Background(), mp)
 	if err != nil {
 		t.Fatalf("%s: sharded explain: %v", label, err)
 	}
@@ -138,7 +152,7 @@ func TestShardDifferentialFigure1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	se, err := NewSharded(f.DB, f.Spec, f.Sims, Options{}, ShardOptions{})
+	se, err := NewSnapshot(f.DB, f.Spec, f.Sims, Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +195,7 @@ func TestShardDifferentialShiftedIDs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		se, err := NewSharded(d, spec, f.Sims, Options{}, ShardOptions{})
+		se, err := NewSnapshot(d, spec, f.Sims, Options{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +214,7 @@ func TestShardDifferentialWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	se, err := NewSharded(ds.DB, ds.Spec, ds.Sims, Options{}, ShardOptions{})
+	se, err := NewSnapshot(ds.DB, ds.Spec, ds.Sims, Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +237,7 @@ func TestShardDifferentialRandom(t *testing.T) {
 			t.Fatal(err)
 		}
 		par := 1 + trial%3 // exercise 1, 2 and 3 shard workers
-		se, err := NewSharded(d, spec, reg, Options{Parallelism: par}, ShardOptions{})
+		se, err := NewSnapshot(d, spec, reg, Options{Parallelism: par}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +259,7 @@ func FuzzShardedEqualsMonolithic(f *testing.F) {
 			t.Fatal(err)
 		}
 		par := 1 + int(uint64(seed)%3)
-		se, err := NewSharded(d, spec, reg, Options{Parallelism: par}, ShardOptions{})
+		se, err := NewSnapshot(d, spec, reg, Options{Parallelism: par}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,7 +305,7 @@ denial d1: R(x,x).`, sch, d.Interner(), reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	se, err := NewSharded(d, spec, reg, Options{}, ShardOptions{})
+	se, err := NewSnapshot(d, spec, reg, Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +357,7 @@ func TestShardInequalityConstants(t *testing.T) {
 		if len(ms) != tc.maximal {
 			t.Fatalf("%s: %d monolithic maximal solutions, want %d", tc.name, len(ms), tc.maximal)
 		}
-		se, err := NewSharded(d, spec, reg, Options{}, ShardOptions{})
+		se, err := NewSnapshot(d, spec, reg, Options{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,7 +371,7 @@ func TestShardStatsShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	se, err := NewSharded(ds.DB, ds.Spec, ds.Sims, Options{}, ShardOptions{})
+	se, err := NewSnapshot(ds.DB, ds.Spec, ds.Sims, Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +429,7 @@ func TestShardDeterministicAcrossParallelism(t *testing.T) {
 	}
 	var keys []string
 	for _, par := range []int{1, 4} {
-		se, err := NewSharded(ds.DB, ds.Spec, ds.Sims, Options{Parallelism: par}, ShardOptions{})
+		se, err := NewSnapshot(ds.DB, ds.Spec, ds.Sims, Options{Parallelism: par}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -493,7 +507,7 @@ func TestShardTopFirst(t *testing.T) {
 		if (top != nil) != tc.consistent {
 			t.Fatalf("%s: consistent top %v, want %v", tc.name, top != nil, tc.consistent)
 		}
-		se, err := NewSharded(tc.d, tc.spec, tc.sims, Options{}, ShardOptions{})
+		se, err := NewSnapshot(tc.d, tc.spec, tc.sims, Options{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -541,9 +555,9 @@ func TestShardSimilarityCallsMatchMonolithic(t *testing.T) {
 			var calls atomic.Int64
 			sims := counting(&calls)
 			opts := Options{Parallelism: 1}
-			var r resolver
+			var r resolution
 			if sharded {
-				se, err := NewSharded(ds.DB, ds.Spec, sims, opts, ShardOptions{})
+				se, err := NewSnapshot(ds.DB, ds.Spec, sims, opts, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -570,6 +584,119 @@ func TestShardSimilarityCallsMatchMonolithic(t *testing.T) {
 			t.Errorf("%d entities: sharded resolution made %d metric calls, monolithic %d",
 				entities, sharded, mono)
 		}
+	}
+}
+
+// clashInstance has TestShardExistenceDefers's fallback shape: comps
+// components of k entities sharing a key, each with a p-typed and an
+// n-typed entity, and a soft rule comparing names that are also
+// mergeable entity ids, so the lattice top is inconsistent and clashes
+// at a similarity position.
+func clashInstance(t testing.TB, comps, k int) (*db.Database, *rules.Spec, *sim.Registry) {
+	t.Helper()
+	s := db.NewSchema()
+	s.MustAdd("A", "id", "key")
+	s.MustAdd("T", "id", "ty")
+	s.MustAdd("N", "id", "name")
+	d := db.New(s, nil)
+	for i := 0; i < comps; i++ {
+		for j := 0; j < k; j++ {
+			d.MustInsert("A", fmt.Sprintf("e%d_%d", i, j), fmt.Sprintf("k%d", i))
+		}
+		d.MustInsert("T", fmt.Sprintf("e%d_0", i), "p")
+		d.MustInsert("T", fmt.Sprintf("e%d_1", i), "n")
+		d.MustInsert("N", fmt.Sprintf("f%d", i), fmt.Sprintf("e%d_2", i))
+	}
+	reg := sim.NewRegistry(sim.NewTable("approx"))
+	spec, err := rules.ParseSpec(`soft s: A(x,k), A(y,k) ~> EQ(x,y).
+		soft s2: N(x,n), N(y,m), approx(n,m) ~> EQ(x,y).
+		denial d: T(x,t), T(x,t2), t != t2.`, s, d.Interner(), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, spec, reg
+}
+
+// TestShardDifferentialClash: an instance whose top clashes at a
+// similarity position is solved whole, as one shard, and answers every
+// surface, explanations included, like the monolithic engine.
+func TestShardDifferentialClash(t *testing.T) {
+	d, spec, reg := clashInstance(t, 3, 4)
+	mono, err := New(d, spec, reg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := NewSnapshot(d, spec, reg, Options{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertShardedEquals(t, "clash 3x4", mono, snap)
+	st, err := snap.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Monolithic {
+		t.Fatalf("stats %+v: the clashing top did not fall back to a whole solve", st)
+	}
+}
+
+// TestShardFallbackResolvesOnce: an instance solved whole walks its
+// lattice once, on its first result call; every later call of every
+// result method reads the recorded shard and explores no state.
+func TestShardFallbackResolvesOnce(t *testing.T) {
+	ctx := context.Background()
+	d, spec, reg := clashInstance(t, 3, 4)
+	q, err := rules.ParseQuery(`(x) : T(x,"p")`, d.Schema(), d.Interner(), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRegistry()
+	snap, err := NewSnapshot(d, spec, reg, Options{Parallelism: 1, Recorder: rec}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := func() int64 { return rec.Snapshot().Counter(obs.CoreSearchStates) }
+	possible, err := snap.PossibleMergesCtx(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	once := states()
+	if once == 0 {
+		t.Fatal("the first result call explored no state")
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := snap.CertainMergesCtx(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := snap.PossibleMergesCtx(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := snap.MaximalSolutionsCtx(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := snap.CertainAnswersCtx(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := snap.PossibleAnswersCtx(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := snap.ExplainMergesCtx(ctx, possible); err != nil {
+			t.Fatal(err)
+		}
+		if got := states(); got != once {
+			t.Fatalf("round %d: %d states explored, %d after the first call", i+1, got, once)
+		}
+	}
+	t.Logf("the whole solve explored %d states", once)
+	st, err := snap.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Monolithic {
+		t.Fatalf("stats %+v: no fallback", st)
+	}
+	if n := snap.TouchedShards(map[db.Const]bool{possible[0].A: true}); n != -1 {
+		t.Fatalf("TouchedShards = %d on a whole solve, want -1", n)
 	}
 }
 
@@ -623,7 +750,7 @@ func TestShardExistenceDefers(t *testing.T) {
 		if err != nil || !mok {
 			t.Fatalf("fallback=%v: monolithic existence %v, %v", fallback, mok, err)
 		}
-		se, err := NewSharded(d, spec, reg, opts, ShardOptions{})
+		se, err := NewSnapshot(d, spec, reg, opts, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

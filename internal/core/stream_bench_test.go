@@ -8,7 +8,7 @@ package core
 // reaches) and, when it is inconsistent, the stitch is recomputed,
 // while similarity verdicts come out of the shared memo. The baseline is the same
 // instance resolved from scratch: a freshly generated dataset (cold
-// similarity memos) on a fresh ShardedEngine.
+// similarity memos) on a fresh EpochSnapshot.
 //
 // When LACE_BENCH_GUARD=1 (set by the CI stream job, not the normal
 // test run), BenchmarkIncrementalUpdate writes BENCH_stream.json next
@@ -102,7 +102,7 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 
 	// Baseline: resolve the same instance from scratch. A fresh
 	// GenerateScale call rebuilds the similarity registry too, so its
-	// memo tier is cold, and the fresh ShardedEngine gets no solve
+	// memo tier is cold, and the fresh EpochSnapshot gets no solve
 	// cache — exactly what every epoch would cost without the
 	// streaming layer.
 	const rebuilds = 2
@@ -112,8 +112,11 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		// NewSnapshot freezes the database, a one-time cost no epoch
+		// pays (db.Apply freezes each overlay); freeze it untimed.
+		cold.DB.Freeze()
 		t0 := time.Now()
-		se, err := NewSharded(cold.DB, cold.Spec, cold.Sims, Options{Parallelism: 1}, ShardOptions{})
+		se, err := NewSnapshot(cold.DB, cold.Spec, cold.Sims, Options{Parallelism: 1}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

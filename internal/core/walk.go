@@ -114,7 +114,7 @@ func (w *walker) fanOut(e *Engine, root state, workers int) {
 	locals := make([]*obs.Local, workers)
 	for i := range locals {
 		locals[i] = obs.NewLocal(e.rec)
-		cx := e.sess.newContext(e.cache.max/workers, locals[i])
+		cx := e.sess.newContext(e.cache.Cap()/workers, locals[i])
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

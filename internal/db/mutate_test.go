@@ -1,6 +1,7 @@
 package db
 
 import (
+	"fmt"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -207,4 +208,19 @@ func TestFactSpecString(t *testing.T) {
 	if got := f.String(); got != `R(p, "has space")` {
 		t.Errorf("String() = %q", got)
 	}
+}
+
+// ExampleDatabase_Fingerprint: the fingerprint hashes content by
+// constant name, so two databases holding the same facts, inserted in
+// a different order under different constant ids, share it.
+func ExampleDatabase_Fingerprint() {
+	s := NewSchema()
+	s.MustAdd("R", "a", "b")
+	d1, d2 := New(s, nil), New(s, nil)
+	d1.MustInsert("R", "x", "y")
+	d1.MustInsert("R", "y", "z")
+	d2.MustInsert("R", "y", "z")
+	d2.MustInsert("R", "x", "y")
+	fmt.Println(len(d1.Fingerprint()), d1.Fingerprint() == d2.Fingerprint())
+	// Output: 32 true
 }

@@ -3,7 +3,7 @@ package serve
 import (
 	"sync"
 
-	"repro/internal/db"
+	"repro/internal/lru"
 	"repro/internal/obs"
 )
 
@@ -12,24 +12,16 @@ import (
 // cached: interrupted or failed requests must re-run, since a retry
 // with a larger budget may succeed.
 type responseCache struct {
-	mu         sync.Mutex
-	max        int
-	m          map[string]*respEntry
-	head, tail *respEntry // head = most recently used
-	rec        obs.Recorder
-}
-
-type respEntry struct {
-	key        string
-	body       []byte
-	prev, next *respEntry
+	mu  sync.Mutex
+	lru *lru.Cache[[]byte]
+	rec obs.Recorder
 }
 
 func newResponseCache(max int, rec obs.Recorder) *responseCache {
 	if max < 1 {
 		return nil // disabled; all methods are nil-safe
 	}
-	return &responseCache{max: max, m: make(map[string]*respEntry), rec: obs.OrNop(rec)}
+	return &responseCache{lru: lru.New[[]byte](max), rec: obs.OrNop(rec)}
 }
 
 // get returns the cached body for key, marking it most recently used,
@@ -40,14 +32,13 @@ func (c *responseCache) get(key string) ([]byte, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.m[key]
+	body, ok := c.lru.Get(key)
 	if !ok {
 		c.rec.Inc(obs.ServeCacheMisses, 1)
 		return nil, false
 	}
 	c.rec.Inc(obs.ServeCacheHits, 1)
-	c.moveToFront(e)
-	return e.body, true
+	return body, true
 }
 
 // put inserts key, evicting the least recently used entry when full.
@@ -57,20 +48,9 @@ func (c *responseCache) put(key string, body []byte) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.m[key]; ok {
-		e.body = body
-		c.moveToFront(e)
-		return
-	}
-	if len(c.m) >= c.max {
-		lru := c.tail
-		c.unlink(lru)
-		delete(c.m, lru.key)
+	if c.lru.Put(key, body) {
 		c.rec.Inc(obs.ServeCacheEvictions, 1)
 	}
-	e := &respEntry{key: key, body: body}
-	c.m[key] = e
-	c.pushFront(e)
 }
 
 // len returns the number of cached responses.
@@ -80,49 +60,5 @@ func (c *responseCache) len() int {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.m)
-}
-
-func (c *responseCache) pushFront(e *respEntry) {
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *responseCache) unlink(e *respEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (c *responseCache) moveToFront(e *respEntry) {
-	if c.head == e {
-		return
-	}
-	c.unlink(e)
-	c.pushFront(e)
-}
-
-// Fingerprint returns a stable content hash of the database. It keys
-// the response cache (a response is only reusable against the same
-// data) and is reported by /healthz so operators can tell which dataset
-// — and, on a mutable server, which epoch's contents — an instance
-// serves. It delegates to the database's own incremental fingerprint,
-// so on the mutation path each epoch's key is O(batch), not O(database).
-func Fingerprint(d *db.Database) string {
-	return d.Fingerprint()
+	return c.lru.Len()
 }

@@ -70,7 +70,7 @@ func TestResponseCacheDisabled(t *testing.T) {
 
 func TestFingerprintStable(t *testing.T) {
 	a, b := fixtures.New(), fixtures.New()
-	fa, fb := Fingerprint(a.DB), Fingerprint(b.DB)
+	fa, fb := a.DB.Fingerprint(), b.DB.Fingerprint()
 	if fa != fb {
 		t.Errorf("same instance, different fingerprints: %s vs %s", fa, fb)
 	}
@@ -78,13 +78,13 @@ func TestFingerprintStable(t *testing.T) {
 	// (different insertion order, different interner ids) must reproduce
 	// the exact same content hash.
 	bib := loadBib(t)
-	if got := Fingerprint(bib.db); got != fa {
+	if got := bib.db.Fingerprint(); got != fa {
 		t.Errorf("bib file parse fingerprint %s != fixture fingerprint %s", got, fa)
 	}
 	// Any content change moves the hash.
 	c := fixtures.New()
 	c.DB.MustInsert("Author", "a99", "fresh@example.org", "Nowhere")
-	if got := Fingerprint(c.DB); got == fa {
+	if got := c.DB.Fingerprint(); got == fa {
 		t.Error("fingerprint unchanged after inserting a fact")
 	}
 }

@@ -245,7 +245,7 @@ func TestMutableE2EMatchesOracle(t *testing.T) {
 				t.Fatalf("batch %d: oracle apply: %v", i, err)
 			}
 			od = nd
-			if got := Fingerprint(od); got != fr.Fingerprint {
+			if got := od.Fingerprint(); got != fr.Fingerprint {
 				t.Fatalf("batch %d: oracle fingerprint %q != server %q", i, got, fr.Fingerprint)
 			}
 			check(fr.Epoch)

@@ -87,7 +87,7 @@ type Config struct {
 	// into the hash-chained audit log.
 	Audit *audit.Log
 	// Sharded is not read: every server resolves each epoch once, in
-	// the background, through core.ShardedEngine.
+	// the background, through its core.EpochSnapshot.
 	//
 	// Deprecated: ignored.
 	Sharded bool

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -149,8 +148,8 @@ func TestHealthz(t *testing.T) {
 	if h.Status != "ok" || h.Facts != in.db.NumFacts() || h.Workers != 4 {
 		t.Errorf("healthz = %+v", h)
 	}
-	if h.Fingerprint != Fingerprint(in.db) {
-		t.Errorf("fingerprint %q != recomputed %q", h.Fingerprint, Fingerprint(in.db))
+	if h.Fingerprint != in.db.Fingerprint() {
+		t.Errorf("fingerprint %q != recomputed %q", h.Fingerprint, in.db.Fingerprint())
 	}
 }
 
@@ -529,10 +528,4 @@ func TestOversizedBody(t *testing.T) {
 			t.Errorf("%s: status %d error %q, want 413 naming the limit", path, resp.StatusCode, env.Error)
 		}
 	}
-}
-
-func ExampleFingerprint() {
-	f := fixtures.New()
-	fmt.Println(len(Fingerprint(f.DB)) > 0)
-	// Output: true
 }

@@ -243,7 +243,7 @@ func TestShardedEndpointsSearchFree(t *testing.T) {
 			if err := s.epochReady(context.Background(), st); err != nil {
 				t.Fatal(err)
 			}
-			if stats, err := st.snap.Sharded().Stats(); err != nil || stats.Monolithic {
+			if stats, err := st.snap.Stats(); err != nil || stats.Monolithic {
 				t.Skipf("fixture resolves monolithically (err %v)", err)
 			}
 			before := rec.Snapshot().Counter(obs.CoreSearchStates)

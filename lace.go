@@ -302,7 +302,7 @@ type (
 // NewSnapshot validates the specification and returns the resolution
 // handle of (d, spec, sims). It freezes d, so parse queries naming
 // constants d lacks against a Clone of its interner. The snapshot
-// resolves once, on its first result call, through the sharded engine:
+// resolves once, on its first result call, sharded:
 // the lattice top answers a consistent instance, and an inconsistent one
 // is split into coupled components solved independently, with results
 // identical to a whole-instance search. The core Options apply per
@@ -313,8 +313,8 @@ func NewSnapshot(d *Database, spec *Spec, sims *SimRegistry, opts Options) (*Epo
 
 // NewMutableSession builds a mutable session over the initial database,
 // numbered epoch (0 for a fresh instance; a recovered lineage resumes
-// at its last logged epoch). Every epoch resolves through its own
-// ShardedEngine.
+// at its last logged epoch). Every epoch is an EpochSnapshot, resolved
+// like NewSnapshot's.
 func NewMutableSession(d *Database, spec *Spec, sims *SimRegistry, opts Options, epoch uint64) (*MutableSession, error) {
 	return core.NewMutable(d, spec, sims, opts, epoch)
 }
