@@ -640,6 +640,98 @@ func TestShardDifferentialClash(t *testing.T) {
 	}
 }
 
+// randomClashInstance draws an instance built to reach the whole-solve
+// fallback, which randomInstance never does: components of 3-4
+// entities sharing a key, component 0 holding a p-typed and an n-typed
+// entity (so the top violates the denial), and names that are entity
+// ids, so the top merges a constant at a similarity position. Types,
+// names, the approx pairs, a linking relation and the denial's form
+// are random.
+func randomClashInstance(t testing.TB, rng *rand.Rand) (*db.Database, *rules.Spec, *sim.Registry) {
+	t.Helper()
+	s := db.NewSchema()
+	s.MustAdd("A", "id", "key")
+	s.MustAdd("T", "id", "ty")
+	s.MustAdd("N", "id", "name")
+	s.MustAdd("R", "a", "b")
+	d := db.New(s, nil)
+	var ents []string
+	comps := 1 + rng.Intn(3)
+	for i := 0; i < comps; i++ {
+		k := 3 + rng.Intn(2)
+		for j := 0; j < k; j++ {
+			e := fmt.Sprintf("e%d_%d", i, j)
+			ents = append(ents, e)
+			d.MustInsert("A", e, fmt.Sprintf("k%d", i))
+		}
+		if i == 0 {
+			d.MustInsert("T", "e0_0", "p")
+			d.MustInsert("T", "e0_1", "n")
+		} else if rng.Intn(2) == 0 {
+			d.MustInsert("T", fmt.Sprintf("e%d_%d", i, rng.Intn(k)), "p")
+			d.MustInsert("T", fmt.Sprintf("e%d_%d", i, rng.Intn(k)), "n")
+		}
+	}
+	d.MustInsert("N", "f0", fmt.Sprintf("e0_%d", rng.Intn(3)))
+	for i := 1; i < 1+rng.Intn(3); i++ {
+		d.MustInsert("N", fmt.Sprintf("f%d", i), ents[rng.Intn(len(ents))])
+	}
+	tbl := sim.NewTable("approx")
+	for i := rng.Intn(4); i > 0; i-- {
+		tbl.Add(ents[rng.Intn(len(ents))], ents[rng.Intn(len(ents))])
+	}
+	for i := rng.Intn(3); i > 0; i-- {
+		d.MustInsert("R", fmt.Sprintf("f%d", rng.Intn(3)), fmt.Sprintf("f%d", rng.Intn(3)))
+	}
+	src := `soft s: A(x,k), A(y,k) ~> EQ(x,y).
+		soft s2: N(x,n), N(y,m), approx(n,m) ~> EQ(x,y).
+		soft s3: R(x,y) ~> EQ(x,y).`
+	if rng.Intn(2) == 0 {
+		src += "\ndenial d: T(x,t), T(x,t2), t != t2."
+	} else {
+		src += "\ndenial d: T(x,\"p\"), T(x,\"n\")."
+	}
+	reg := sim.NewRegistry(tbl)
+	spec, err := rules.ParseSpec(src, s, d.Interner(), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, spec, reg
+}
+
+// TestShardDifferentialRandomClash: random instances whose top clashes
+// at a similarity position each fall back to the whole solve and
+// answer every surface like the monolithic engine, under one to three
+// workers.
+func TestShardDifferentialRandomClash(t *testing.T) {
+	rng := rand.New(rand.NewSource(2829))
+	trials := 40
+	if testing.Short() {
+		trials = 10
+	}
+	for trial := 0; trial < trials; trial++ {
+		d, spec, reg := randomClashInstance(t, rng)
+		mono, err := New(d, spec, reg, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		par := 1 + trial%3
+		snap, err := NewSnapshot(d, spec, reg, Options{Parallelism: par}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("trial %d (par %d)", trial, par)
+		st, err := snap.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.Monolithic {
+			t.Fatalf("%s: stats %+v, the instance did not fall back to a whole solve", label, st)
+		}
+		assertShardedEquals(t, label, mono, snap)
+	}
+}
+
 // TestShardFallbackResolvesOnce: an instance solved whole walks its
 // lattice once, on its first result call; every later call of every
 // result method reads the recorded shard and explores no state.

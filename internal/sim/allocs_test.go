@@ -16,3 +16,12 @@ func TestHoldsMemoHitAllocs(t *testing.T) {
 		t.Errorf("memo-hit Holds allocates %.1f objects, want 0", got)
 	}
 }
+
+// TestLevenshteinAllocs pins that the edit-distance kernel scores an
+// ASCII pair without allocating.
+func TestLevenshteinAllocs(t *testing.T) {
+	a, b := "qhxvmzta pkbnwrle duoscfgi", "qhxvmzta pkbwrle duoscfgi"
+	if got := testing.AllocsPerRun(100, func() { NormalizedLevenshtein(a, b) }); got != 0 {
+		t.Errorf("ASCII NormalizedLevenshtein allocates %.1f objects, want 0", got)
+	}
+}

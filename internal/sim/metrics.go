@@ -8,11 +8,85 @@
 // reproduce Figure 1, where the extension of ≈ is given directly).
 package sim
 
-import "strings"
+import (
+	"strings"
+	"unicode/utf8"
+)
 
 // Levenshtein returns the edit distance between a and b (unit costs for
-// insertion, deletion and substitution), computed over runes.
+// insertion, deletion and substitution), computed over runes. When both
+// strings are ASCII and the shorter has at most 64 bytes it runs the
+// bit-parallel kernel of levenshteinASCII and allocates nothing; other
+// inputs take the rune DP of levenshteinDP.
 func Levenshtein(a, b string) int {
+	if isASCII(a) && isASCII(b) {
+		return levenshteinASCII(a, b)
+	}
+	return levenshteinDP(a, b)
+}
+
+// isASCII reports whether every byte of s is below utf8.RuneSelf, so
+// that bytes and runes coincide.
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
+// levenshteinASCII is Myers' bit-vector edit distance (JACM 1999) in
+// Hyyrö's formulation (2001) over two ASCII strings. The shorter string
+// is the pattern: bit i of peq[c] says its byte i is c, and pv/mv hold
+// the +1/-1 vertical deltas of the current DP column, so one column
+// costs a few word operations instead of a pass over the pattern. The
+// pattern must fit one 64-bit word; a longer one takes levenshteinDP.
+func levenshteinASCII(a, b string) int {
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	m := len(a)
+	if m == 0 {
+		return len(b)
+	}
+	if m > 64 {
+		return levenshteinDP(a, b)
+	}
+	// Both strings are ASCII, so masking a byte with 0x7f changes
+	// nothing; it only lets the compiler drop the bounds checks.
+	var peq [utf8.RuneSelf]uint64
+	for i := 0; i < m; i++ {
+		peq[a[i]&0x7f] |= 1 << uint(i)
+	}
+	last := uint64(1) << uint(m-1)
+	pv, mv := ^uint64(0), uint64(0)
+	dist := m
+	for j := 0; j < len(b); j++ {
+		eq := peq[b[j]&0x7f]
+		xv := eq | mv
+		xh := (((eq & pv) + pv) ^ pv) | eq
+		ph := mv | ^(xh | pv)
+		mh := pv & xh
+		if ph&last != 0 {
+			dist++
+		} else if mh&last != 0 {
+			dist--
+		}
+		// The DP's first row is 0, 1, 2, ...: every column enters the
+		// pattern with a +1 horizontal delta.
+		ph = ph<<1 | 1
+		mh <<= 1
+		pv = mh | ^(xv | ph)
+		mv = ph & xv
+	}
+	return dist
+}
+
+// levenshteinDP is the O(len(a)·len(b)) rune DP: the kernel's fallback
+// beyond one word or outside ASCII, and the reference the fuzz test
+// compares it with.
+func levenshteinDP(a, b string) int {
 	ra, rb := []rune(a), []rune(b)
 	if len(ra) == 0 {
 		return len(rb)
@@ -46,13 +120,18 @@ func Levenshtein(a, b string) int {
 	return prev[len(rb)]
 }
 
-// NormalizedLevenshtein returns 1 - dist/maxLen, in [0,1]; identical
-// strings (including two empty strings) score 1.
+// NormalizedLevenshtein returns 1 - dist/maxLen, in [0,1], with lengths
+// in runes; identical strings (including two empty strings) score 1.
 func NormalizedLevenshtein(a, b string) float64 {
 	if a == b {
 		return 1
 	}
-	la, lb := len([]rune(a)), len([]rune(b))
+	var la, lb, d int
+	if isASCII(a) && isASCII(b) {
+		la, lb, d = len(a), len(b), levenshteinASCII(a, b)
+	} else {
+		la, lb, d = utf8.RuneCountInString(a), utf8.RuneCountInString(b), levenshteinDP(a, b)
+	}
 	max := la
 	if lb > max {
 		max = lb
@@ -60,12 +139,17 @@ func NormalizedLevenshtein(a, b string) float64 {
 	if max == 0 {
 		return 1
 	}
-	return 1 - float64(Levenshtein(a, b))/float64(max)
+	return 1 - float64(d)/float64(max)
 }
 
 // Jaro returns the Jaro similarity of a and b in [0,1].
 func Jaro(a, b string) float64 {
-	ra, rb := []rune(a), []rune(b)
+	return jaro([]rune(a), []rune(b))
+}
+
+// jaro is Jaro over rune slices, so JaroWinkler converts its strings
+// once for both the Jaro score and the prefix scan.
+func jaro(ra, rb []rune) float64 {
 	la, lb := len(ra), len(rb)
 	if la == 0 && lb == 0 {
 		return 1
@@ -81,8 +165,8 @@ func Jaro(a, b string) float64 {
 	if window < 0 {
 		window = 0
 	}
-	matchA := make([]bool, la)
-	matchB := make([]bool, lb)
+	flags := make([]bool, la+lb)
+	matchA, matchB := flags[:la], flags[la:]
 	matches := 0
 	for i := 0; i < la; i++ {
 		lo := i - window
@@ -127,9 +211,9 @@ func Jaro(a, b string) float64 {
 // JaroWinkler returns the Jaro-Winkler similarity with the standard
 // prefix scale 0.1 and maximum prefix length 4.
 func JaroWinkler(a, b string) float64 {
-	j := Jaro(a, b)
-	prefix := 0
 	ra, rb := []rune(a), []rune(b)
+	j := jaro(ra, rb)
+	prefix := 0
 	for prefix < len(ra) && prefix < len(rb) && prefix < 4 && ra[prefix] == rb[prefix] {
 		prefix++
 	}

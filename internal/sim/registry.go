@@ -20,14 +20,19 @@ type Predicate interface {
 	Holds(a, b string) bool
 }
 
-// Metric is a normalized string similarity in [0,1].
+// Metric is a normalized string similarity in [0,1]. A metric must be
+// symmetric, metric(a,b) == metric(b,a) exactly, as the paper's
+// similarity metrics are: Threshold scores each unordered pair once.
+// Every metric in this package is.
 type Metric func(a, b string) float64
 
 // Threshold builds a predicate that holds when metric(a,b) >= theta.
 // Reflexivity requires metric(a,a) = 1 and theta <= 1, which all metrics
-// in this package satisfy. Results are memoized per unordered pair: the
-// solver re-checks the same pairs on every fixpoint round and every
-// candidate partition, so each metric computation should happen once.
+// in this package satisfy; symmetry of the predicate rests on the
+// metric's own, since each unordered pair is scored once, on its names
+// in sorted order. Results are memoized per unordered pair: the solver
+// re-checks the same pairs on every fixpoint round and every candidate
+// partition, so each metric computation should happen once.
 //
 // The memo is one map behind a read-write lock, shared by every
 // goroutine that holds the predicate. A hit takes the read lock and
@@ -73,7 +78,7 @@ func (p *thresholdPred) Holds(a, b string) bool {
 	if ok {
 		return v
 	}
-	v = p.metric(a, b) >= p.theta || p.metric(b, a) >= p.theta
+	v = p.metric(a, b) >= p.theta
 	p.mu.Lock()
 	if len(p.memo) < memoCap {
 		p.memo[key] = v

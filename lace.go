@@ -230,7 +230,8 @@ func DefaultSims() *SimRegistry { return sim.Default() }
 // form used by Figure 1 of the paper.
 func NewSimTable(name string) *sim.Table { return sim.NewTable(name) }
 
-// SimThreshold builds a threshold predicate over a metric in [0,1].
+// SimThreshold builds a threshold predicate over a metric in [0,1]. The
+// metric must be symmetric: each unordered pair is scored once.
 func SimThreshold(name string, metric sim.Metric, theta float64) SimPredicate {
 	return sim.Threshold(name, metric, theta)
 }
