@@ -144,7 +144,7 @@ func runCarried(t testing.TB, label string, d *db.Database, spec *rules.Spec, si
 	fresh, carried := 0, 0
 	for step := 0; step < steps; step++ {
 		b := randomBatch(rng, m.Snapshot().DB(), &retracted, &fresh)
-		_, snap, err := m.Apply(b)
+		_, snap, err := m.ApplyDurable(b, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +224,7 @@ denial d1: Paper(x,v), Paper(x,w), v != w.`, sch, d.Interner(), reg)
 			{Retract: []db.FactSpec{{Rel: "Wrote", Args: []string{"p3", "a1"}}}},
 			{Retract: []db.FactSpec{{Rel: "Paper", Args: []string{"p1", "v"}}}},
 		} {
-			_, snap, err := m.Apply(b)
+			_, snap, err := m.ApplyDurable(b, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -270,7 +270,7 @@ denial d1: Paper(x,v), Paper(x,w), v != w.`, sch, d.Interner(), reg)
 			t.Fatalf("%q and %q are not similar", email, near)
 		}
 		newAuthor := db.FactSpec{Rel: "Author", Args: []string{"fresh_author", near, in.Name(member[2])}}
-		_, snap, err := m.Apply(Batch{Insert: []db.FactSpec{newAuthor}})
+		_, snap, err := m.ApplyDurable(Batch{Insert: []db.FactSpec{newAuthor}}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +285,7 @@ denial d1: Paper(x,v), Paper(x,w), v != w.`, sch, d.Interner(), reg)
 			t.Fatal("the inserted Author did not join the member's class")
 		}
 		// Retract it again: its class is re-closed back to the old one.
-		_, snap, err = m.Apply(Batch{Retract: []db.FactSpec{newAuthor}})
+		_, snap, err = m.ApplyDurable(Batch{Retract: []db.FactSpec{newAuthor}}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,8 +294,8 @@ denial d1: Paper(x,v), Paper(x,w), v != w.`, sch, d.Interner(), reg)
 		}
 		// A batch interning a new name in another relation.
 		wrote := ds.DB.Tuples("Wrote")[0]
-		_, snap, err = m.Apply(Batch{Insert: []db.FactSpec{{Rel: "Wrote", Args: []string{
-			in.Name(wrote[0]), "fresh_coauthor", in.Name(wrote[2])}}}})
+		_, snap, err = m.ApplyDurable(Batch{Insert: []db.FactSpec{{Rel: "Wrote", Args: []string{
+			in.Name(wrote[0]), "fresh_coauthor", in.Name(wrote[2])}}}}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,7 +339,7 @@ func TestCarriedTopAfterCancelledPredecessor(t *testing.T) {
 	author := ds.DB.Tuples("Author")[0]
 	in := ds.DB.Interner()
 	f := db.FactSpec{Rel: "Author", Args: []string{in.Name(author[0]), in.Name(author[1]), in.Name(author[2])}}
-	_, snap, err := m.Apply(Batch{Retract: []db.FactSpec{f}})
+	_, snap, err := m.ApplyDurable(Batch{Retract: []db.FactSpec{f}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestCarriedTopWhilePredecessorResolves(t *testing.T) {
 		if i >= 4 {
 			b = Batch{Insert: []db.FactSpec{f}}
 		}
-		_, snap, err := m.Apply(b)
+		_, snap, err := m.ApplyDurable(b, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -69,7 +69,7 @@ func TestNewMutableAtResumesEpoch(t *testing.T) {
 	if got := m.Snapshot().Epoch(); got != 7 {
 		t.Fatalf("initial epoch = %d, want 7", got)
 	}
-	res, _, err := m.Apply(Batch{})
+	res, _, err := m.ApplyDurable(Batch{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func TestEpochLineageCollectable(t *testing.T) {
 	}
 	record(m.Snapshot())
 	for i := 0; i < 50; i++ {
-		_, snap, err := m.Apply(toggle(i))
+		_, snap, err := m.ApplyDurable(toggle(i), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestEpochLineageCollectable(t *testing.T) {
 	// maxPendingTops links.
 	snaps = snaps[:0]
 	for i := 0; i < 50; i++ {
-		_, snap, err := m.Apply(toggle(i))
+		_, snap, err := m.ApplyDurable(toggle(i), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,9 +17,9 @@ package core
 //     a clone with ids preserved), so constant ids — and everything
 //     keyed by them — stay valid along the lineage;
 //   - every epoch reads the session's one similarity registry, whose
-//     memo persists across epochs (minus the entries forget drops, in
-//     batches, for names no longer in the database), so verdicts are
-//     computed once per lineage, not once per epoch;
+//     memo persists across epochs (a verdict is a pure function of two
+//     names, so it is never stale), so verdicts are computed once per
+//     lineage, not once per epoch;
 //   - every epoch's session shares its predecessor's compiled plans
 //     (newSessionFrom);
 //   - each epoch's lattice top is carried from its predecessor's: the
@@ -51,7 +51,7 @@ type Batch struct {
 
 // ApplyResult summarizes one applied batch.
 type ApplyResult struct {
-	// Epoch is the new epoch number (the first Apply yields 1).
+	// Epoch is the new epoch number (the first batch yields 1).
 	Epoch uint64
 	// Inserted / Retracted count the facts actually added and removed
 	// (no-op inserts of present facts and retracts of absent facts are
@@ -77,76 +77,11 @@ type ApplyResult struct {
 
 // MutableSession accepts batched fact mutations against a fixed
 // specification and similarity registry, maintaining one resolved
-// EpochSnapshot per epoch. Apply is single-writer (internally
+// EpochSnapshot per epoch. ApplyDurable is single-writer (internally
 // serialized); Snapshot may be called from any goroutine.
 type MutableSession struct {
-	sims *sim.Registry
-
-	mu  sync.Mutex // serializes Apply
+	mu  sync.Mutex // serializes ApplyDurable
 	cur atomic.Pointer[EpochSnapshot]
-	// gone holds the retracted names the current database no longer
-	// holds whose memoized similarity verdicts are still kept (see
-	// forget).
-	gone map[string]bool
-}
-
-// forgetBatch is how many gone names the similarity memo keeps verdicts
-// for before one sweep drops them all. A sweep scans the whole memo, so
-// sweeping per retraction would cost every retracting epoch a pass over
-// it; batching makes that cost amortized constant and bounds what the
-// memo keeps for absent names.
-const forgetBatch = 64
-
-// forget records the names a published batch retracted that d, the
-// new epoch's database, no longer holds, and clears the ones it
-// (re)inserted. Once forgetBatch names are gone it drops every verdict
-// naming one of them from the similarity memo. Kept verdicts are never
-// wrong (they are pure functions of the names), so this only bounds
-// memory; a name that comes back finds its verdicts still memoized.
-func (m *MutableSession) forget(b Batch, d *db.Database) {
-	for _, f := range b.Insert {
-		for _, n := range f.Args {
-			delete(m.gone, n)
-		}
-	}
-	for _, f := range b.Retract {
-		for _, n := range f.Args {
-			if !holdsName(d, n) {
-				if m.gone == nil {
-					m.gone = make(map[string]bool)
-				}
-				m.gone[n] = true
-			}
-		}
-	}
-	if len(m.gone) >= forgetBatch {
-		names := make([]string, 0, len(m.gone))
-		for n := range m.gone {
-			names = append(names, n)
-		}
-		m.sims.Invalidate(names...)
-		clear(m.gone)
-	}
-}
-
-// holdsName reports whether some tuple of d holds the constant named n.
-func holdsName(d *db.Database, n string) bool {
-	c, ok := d.Interner().Lookup(n)
-	if !ok {
-		return false
-	}
-	for _, r := range d.Schema().Relations() {
-		t := d.Table(r.Name)
-		if t == nil {
-			continue
-		}
-		for col := 0; col < r.Arity(); col++ {
-			if len(t.Lookup(col, c)) > 0 {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // NewMutable builds a mutable session over the initial database,
@@ -156,41 +91,36 @@ func holdsName(d *db.Database, n string) bool {
 //
 // Recovery passes a nonzero epoch: a database rebuilt by replaying a
 // write-ahead log through epoch N resumes its lineage at N, so the next
-// Apply yields N+1 and epoch numbers stay aligned with the log.
+// batch yields N+1 and epoch numbers stay aligned with the log.
 func NewMutable(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Options, epoch uint64) (*MutableSession, error) {
 	snap, err := NewSnapshot(d, spec, sims, opts, epoch)
 	if err != nil {
 		return nil, err
 	}
 	snap.carryable = true
-	m := &MutableSession{sims: sims}
+	m := &MutableSession{}
 	m.cur.Store(snap)
 	return m, nil
 }
 
 // Snapshot returns the current epoch's snapshot. The caller may hold
-// it across any number of subsequent Apply calls; it keeps answering
-// against its own epoch.
+// it across any number of subsequent ApplyDurable calls; it keeps
+// answering against its own epoch.
 func (m *MutableSession) Snapshot() *EpochSnapshot { return m.cur.Load() }
 
-// Apply atomically applies one batch, producing the next epoch. On a
-// validation error the batch is rejected whole and the current epoch
-// is unchanged. The returned snapshot is the new current snapshot; it
-// is built but not yet resolved — the first result call (or a
-// background warmer) pays the resolve.
-func (m *MutableSession) Apply(b Batch) (ApplyResult, *EpochSnapshot, error) {
-	return m.ApplyDurable(b, nil)
-}
-
-// ApplyDurable is Apply with a precommit hook: after the next epoch is
-// fully built but before it is published, precommit is called with the
-// would-be result. If it returns an error the staged epoch is discarded
-// — the session stays at the previous epoch and the error is returned.
-// A write-ahead server passes the log append (+fsync) as precommit, so
-// a batch is never observable by readers unless its record is durable.
+// ApplyDurable atomically applies one batch, producing the next epoch.
+// On a validation error the batch is rejected whole and the current
+// epoch is unchanged. The returned snapshot is the new current
+// snapshot; it is built but not yet resolved — the first result call
+// (or a background warmer) pays the resolve.
 //
-// The hook runs under the writer lock; it must not call back into the
-// session.
+// A non-nil precommit is called with the would-be result after the
+// next epoch is fully built but before it is published. If it returns
+// an error the staged epoch is discarded — the session stays at the
+// previous epoch and the error is returned. A write-ahead server passes
+// the log append (+fsync) as precommit, so a batch is never observable
+// by readers unless its record is durable. The hook runs under the
+// writer lock; it must not call back into the session.
 func (m *MutableSession) ApplyDurable(b Batch, precommit func(ApplyResult) error) (ApplyResult, *EpochSnapshot, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -223,7 +153,6 @@ func (m *MutableSession) ApplyDurable(b Batch, precommit func(ApplyResult) error
 			return ApplyResult{}, nil, err
 		}
 	}
-	m.forget(b, nd)
 	m.cur.Store(snap)
 	return res, snap, nil
 }

@@ -306,7 +306,7 @@ func runMutableDifferential(t *testing.T, name string, m *MutableSession,
 
 	for step := 0; step < steps; step++ {
 		b := randomBatch(rng, m.Snapshot().DB(), &retractedPool, &fresh)
-		res, snap, err := m.Apply(b)
+		res, snap, err := m.ApplyDurable(b, nil)
 		if err != nil {
 			t.Fatalf("%s step %d: apply: %v", name, step, err)
 		}
@@ -421,7 +421,7 @@ func TestMutableNoOpBatch(t *testing.T) {
 		t.Fatal("epoch 0: no shard solved; figure 1's top is inconsistent")
 	}
 
-	res, snap1, err := m.Apply(Batch{})
+	res, snap1, err := m.ApplyDurable(Batch{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,10 +527,10 @@ func TestMutableDirtyScopedResolve(t *testing.T) {
 
 	// Move copy x's a6 to a different institution: breaks the sigma2
 	// support of its a6~a7 merge without touching copy y.
-	res, snap, err := m.Apply(Batch{
+	res, snap, err := m.ApplyDurable(Batch{
 		Retract: []db.FactSpec{{Rel: "Author", Args: []string{"x.a6", "x." + fixtures.E6, "x.Tokyo"}}},
 		Insert:  []db.FactSpec{{Rel: "Author", Args: []string{"x.a6", "x." + fixtures.E6, "x.Osaka"}}},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -637,7 +637,7 @@ func TestMutableTopFlips(t *testing.T) {
 	}
 	check(m.Snapshot())
 	for _, b := range batches {
-		_, snap, err := m.Apply(b)
+		_, snap, err := m.ApplyDurable(b, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -738,7 +738,7 @@ func TestMutableReplayMatchesFresh(t *testing.T) {
 			if gray := i ^ (i >> 1); gray>>k&1 == 0 {
 				b = Batch{Retract: []db.FactSpec{set[k]}}
 			}
-			_, snap, err := m.Apply(b)
+			_, snap, err := m.ApplyDurable(b, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -759,10 +759,10 @@ func TestMutableApplyRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := m.Apply(Batch{Insert: []db.FactSpec{{Rel: "Nope", Args: []string{"x"}}}}); err == nil {
+	if _, _, err := m.ApplyDurable(Batch{Insert: []db.FactSpec{{Rel: "Nope", Args: []string{"x"}}}}, nil); err == nil {
 		t.Fatal("undeclared relation accepted")
 	}
-	if _, _, err := m.Apply(Batch{Retract: []db.FactSpec{{Rel: "Chair", Args: []string{"only-one"}}}}); err == nil {
+	if _, _, err := m.ApplyDurable(Batch{Retract: []db.FactSpec{{Rel: "Chair", Args: []string{"only-one"}}}}, nil); err == nil {
 		t.Fatal("arity mismatch accepted")
 	}
 	if got := m.Snapshot().Epoch(); got != 0 {
@@ -796,7 +796,7 @@ func TestEpochsShareSimilarityMemo(t *testing.T) {
 	if cold == 0 {
 		t.Fatal("epoch 0 resolved without evaluating the metric")
 	}
-	_, snap, err := m.Apply(Batch{})
+	_, snap, err := m.ApplyDurable(Batch{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -808,13 +808,13 @@ func TestEpochsShareSimilarityMemo(t *testing.T) {
 	}
 }
 
-// TestRetractedNamesKeepVerdictsUntilSweep: a retraction does not drop
-// the memoized verdicts of the names it removes from the database at
-// once, so a re-inserted name finds them still there; once forgetBatch
-// names are gone, one sweep drops them all and the gone set empties.
-// The first Author's institution has other Authors (about five per
-// institution), so σ2 compares its email with theirs.
-func TestRetractedNamesKeepVerdictsUntilSweep(t *testing.T) {
+// TestRetractedNamesKeepVerdicts: retracting facts never drops the
+// memoized verdicts of the names they remove, however many names go, so
+// a re-inserted name finds its verdicts still there. The first Author's
+// institution has other Authors (about five per institution), so σ2
+// compares its email with theirs; more than 64 other Authors go before
+// it comes back.
+func TestRetractedNamesKeepVerdicts(t *testing.T) {
 	ctx := context.Background()
 	ds, err := workload.GenerateScale(workload.DefaultScaleConfig(3, 300))
 	if err != nil {
@@ -832,7 +832,7 @@ func TestRetractedNamesKeepVerdictsUntilSweep(t *testing.T) {
 	}
 	resolve := func(b Batch) {
 		t.Helper()
-		_, snap, err := m.Apply(b)
+		_, snap, err := m.ApplyDurable(b, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -848,33 +848,16 @@ func TestRetractedNamesKeepVerdictsUntilSweep(t *testing.T) {
 	for _, tu := range ds.DB.Tuples("Author") {
 		authors = append(authors, db.FactSpec{Rel: "Author", Args: []string{in.Name(tu[0]), in.Name(tu[1]), in.Name(tu[2])}})
 	}
-	if len(authors) <= forgetBatch {
-		t.Fatalf("%d Author tuples, want more than %d", len(authors), forgetBatch)
+	const others = 65
+	if len(authors) <= others {
+		t.Fatalf("%d Author tuples, want more than %d", len(authors), others)
 	}
-	one := Batch{Retract: authors[:1]}
-	resolve(one)
-	if !m.gone[authors[0].Args[1]] {
-		t.Fatalf("the retracted email %q is not recorded as gone", authors[0].Args[1])
-	}
+	resolve(Batch{Retract: authors[:1]})
+	resolve(Batch{Retract: authors[len(authors)-others:]})
 	before := calls.Load()
 	resolve(Batch{Insert: authors[:1]})
 	if n := calls.Load() - before; n != 0 {
-		t.Errorf("re-inserting a retracted Author made %d metric calls, want 0", n)
-	}
-	if len(m.gone) != 0 {
-		t.Errorf("after the re-insert %d names are still gone", len(m.gone))
-	}
-	// Retract it again, then forgetBatch-1 Authors of other
-	// institutions: the last of those batches sweeps.
-	resolve(one)
-	resolve(Batch{Retract: authors[len(authors)-forgetBatch+1:]})
-	if len(m.gone) != 0 {
-		t.Errorf("%d names still gone after a sweep", len(m.gone))
-	}
-	before = calls.Load()
-	resolve(Batch{Insert: authors[:1]})
-	if calls.Load() == before {
-		t.Error("re-inserting an Author after the sweep made no metric call")
+		t.Errorf("re-inserting a retracted Author after %d others went made %d metric calls, want 0", others, n)
 	}
 }
 
@@ -897,8 +880,8 @@ func TestMutableConcurrentEpochResolves(t *testing.T) {
 	inst := in.Name(ds.DB.Tuples("Author")[0][2])
 	snaps := []*EpochSnapshot{m.Snapshot()}
 	for i := 0; i < 4; i++ {
-		_, snap, err := m.Apply(Batch{Insert: []db.FactSpec{{Rel: "Author", Args: []string{
-			fmt.Sprintf("fresh_a%d", i), fmt.Sprintf("never.seen.%d@%s.org", i, inst), inst}}}})
+		_, snap, err := m.ApplyDurable(Batch{Insert: []db.FactSpec{{Rel: "Author", Args: []string{
+			fmt.Sprintf("fresh_a%d", i), fmt.Sprintf("never.seen.%d@%s.org", i, inst), inst}}}}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

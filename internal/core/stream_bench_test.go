@@ -80,7 +80,7 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 		if i%2 == 1 {
 			batch = Batch{Insert: []db.FactSpec{spec}}
 		}
-		res, snap, err := m.Apply(batch)
+		res, snap, err := m.ApplyDurable(batch, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -137,7 +137,7 @@ type Server struct {
 	// read-only server, whose POST /v1/facts answers 403.
 	ms *core.MutableSession
 
-	// cur is the served epoch. writeMu orders Apply with the store, so
+	// cur is the served epoch. writeMu orders ApplyDurable with the store, so
 	// concurrent mutations can never publish epochs out of order.
 	cur     atomic.Pointer[epochState]
 	writeMu sync.Mutex

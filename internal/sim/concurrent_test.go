@@ -45,31 +45,3 @@ func TestConcurrentHolds(t *testing.T) {
 	p, _ := reg.Lookup("jw90")
 	holdsAll(t, p)
 }
-
-// TestInvalidateConcurrentWithHolds: Invalidate sweeps the memo while
-// other goroutines read and fill it; no verdict changes, before or
-// after the sweep.
-func TestInvalidateConcurrentWithHolds(t *testing.T) {
-	reg := Default()
-	p, _ := reg.Lookup("jw90")
-	holdsAll(t, p)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				holdsAll(t, p)
-			}
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 20; i++ {
-			reg.Invalidate(concurrentWords[i%len(concurrentWords)], "jonathan")
-		}
-	}()
-	wg.Wait()
-	holdsAll(t, p)
-}

@@ -10,7 +10,10 @@ import (
 // implementations must be symmetric and reflexive, matching the paper's
 // use of ≈ ("the symmetric and reflexive closure of ..."), and safe for
 // concurrent use: one registry serves every goroutine of a session, its
-// parallel walk workers, request forks and shard solves. Table is
+// parallel walk workers, request forks and shard solves, and every
+// epoch of a streaming lineage. Holds must be a pure function of the
+// two names, as the paper's similarity relations are fixed: a verdict
+// is never invalidated by a change to the database. Table is
 // read-only after construction and Threshold locks its memo.
 type Predicate interface {
 	// Name is the identifier used in rule bodies.
@@ -39,7 +42,8 @@ type Metric func(a, b string) float64
 // allocates nothing; a miss computes the metric outside the lock and
 // stores the verdict under the write lock. Verdicts are pure functions
 // of the two names, so two goroutines racing on one miss store the
-// same value.
+// same value, and a verdict is never stale: nothing ever removes one
+// except the reset at memoCap.
 func Threshold(name string, metric Metric, theta float64) Predicate {
 	return &thresholdPred{name: name, metric: metric, theta: theta, memo: make(map[memoKey]bool)}
 }
@@ -51,7 +55,9 @@ func Threshold(name string, metric Metric, theta float64) Predicate {
 type memoKey struct{ a, b string }
 
 // memoCap bounds the memo so a pathological workload cannot hold the
-// cross product of its active domain in memory.
+// cross product of its active domain in memory. A miss that finds the
+// memo full empties it and starts again, so a long-lived predicate
+// whose names churn keeps memoizing the pairs now in use.
 const memoCap = 1 << 20
 
 type thresholdPred struct {
@@ -80,9 +86,10 @@ func (p *thresholdPred) Holds(a, b string) bool {
 	}
 	v = p.metric(a, b) >= p.theta
 	p.mu.Lock()
-	if len(p.memo) < memoCap {
-		p.memo[key] = v
+	if len(p.memo) >= memoCap {
+		clear(p.memo)
 	}
+	p.memo[key] = v
 	p.mu.Unlock()
 	return v
 }
@@ -156,49 +163,6 @@ func (r *Registry) MustLookup(name string) (Predicate, error) {
 		return p, nil
 	}
 	return nil, fmt.Errorf("sim: unknown similarity predicate %q (have %v)", name, r.Names())
-}
-
-// Invalidate drops every memoized similarity verdict that mentions one
-// of the given constant names from the memo of each threshold
-// predicate, returning the number of entries dropped. The streaming
-// layer calls it when facts are retracted, so the memo does not accrete
-// verdicts for names the database no longer contains. Concurrent Holds
-// calls are safe: a dropped verdict is recomputed identically on its
-// next use. Table predicates are extensional and are left alone. A nil
-// receiver drops nothing.
-func (r *Registry) Invalidate(names ...string) int {
-	if r == nil || len(names) == 0 {
-		return 0
-	}
-	set := make(map[string]bool, len(names))
-	for _, n := range names {
-		set[n] = true
-	}
-	dropped := 0
-	seen := make(map[*thresholdPred]bool)
-	for _, p := range r.preds {
-		for {
-			if a, ok := p.(alias); ok {
-				p = a.p
-				continue
-			}
-			break
-		}
-		tp, ok := p.(*thresholdPred)
-		if !ok || seen[tp] {
-			continue
-		}
-		seen[tp] = true
-		tp.mu.Lock()
-		for key := range tp.memo {
-			if set[key.a] || set[key.b] {
-				delete(tp.memo, key)
-				dropped++
-			}
-		}
-		tp.mu.Unlock()
-	}
-	return dropped
 }
 
 // Names returns the sorted predicate names.

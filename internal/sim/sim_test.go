@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -188,5 +189,40 @@ func TestThresholdMemoKeysNamesApart(t *testing.T) {
 	}
 	if p.Holds("a", "b\x00c") {
 		t.Error(`Holds("a", "b\x00c") = true after memoizing ("a\x00b", "c"), want false`)
+	}
+}
+
+// TestThresholdMemoResetsWhenFull: once the memo holds memoCap pairs, a
+// miss empties it and stores its own verdict, so a new pair is scored
+// once and then answered from the memo rather than scored on every
+// call.
+func TestThresholdMemoResetsWhenFull(t *testing.T) {
+	calls := 0
+	counting := func(a, b string) float64 { calls++; return 0 }
+	p := Threshold("counting", counting, 0.5).(*thresholdPred)
+	// memoCap distinct pairs: every (x, y) with x from xs and y from
+	// ys, whose names differ, so no pair repeats.
+	const side = 1024
+	xs, ys := make([]string, memoCap/side), make([]string, side)
+	for i := range xs {
+		xs[i] = fmt.Sprintf("x%d", i)
+	}
+	for i := range ys {
+		ys[i] = fmt.Sprintf("y%d", i)
+	}
+	for i := 0; i < memoCap; i++ {
+		p.Holds(xs[i/side], ys[i%side])
+	}
+	if calls != memoCap || len(p.memo) != memoCap {
+		t.Fatalf("after %d distinct pairs: %d metric calls, %d memo entries; want %d of each", memoCap, calls, len(p.memo), memoCap)
+	}
+	for i := 0; i < 3; i++ {
+		p.Holds("new", "pair")
+	}
+	if got := calls - memoCap; got != 1 {
+		t.Errorf("three Holds of a new pair on a full memo made %d metric calls, want 1", got)
+	}
+	if len(p.memo) != 1 {
+		t.Errorf("memo holds %d entries after the reset, want 1", len(p.memo))
 	}
 }
