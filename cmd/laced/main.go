@@ -108,7 +108,7 @@ func run(args []string, stop <-chan struct{}, ready func(addr string), out io.Wr
 		simTable   = fs.String("simtable", "", "TSV file of similar value pairs for approx()")
 		addr       = fs.String("addr", ":8080", "listen address")
 		workers    = fs.Int("workers", 0, "concurrent request limit (0 = GOMAXPROCS)")
-		parallel   = fs.Int("parallel", 0, "search parallelism per request (0 = GOMAXPROCS, 1 = sequential)")
+		parallel   = fs.Int("parallel", 0, "workers of each epoch's background resolution: concurrent shard solves, a lone shard's walk (0 = GOMAXPROCS, 1 = sequential)")
 		budget     = fs.Int("budget", 0, "search-state budget of each shard search and of a request's maximal-solution product (0 = default)")
 		reqTimeout = fs.Duration("req-timeout", 30*time.Second, "default per-request deadline (0 = none)")
 		maxTimeout = fs.Duration("max-timeout", time.Minute, "cap on client-requested deadlines")

@@ -56,6 +56,47 @@ type lineage struct {
 // pins nothing.
 const maxPendingTops = 16
 
+// rep maps a constant of this epoch or a later one through T: to its
+// representative when T knows it, to itself when a later batch interned
+// it.
+func (t *latticeTop) rep(x db.Const) db.Const {
+	if x >= 0 && int(x) < t.T.N() {
+		return t.T.Rep(x)
+	}
+	return x
+}
+
+// imageRows lists, by relation, the rows of ind holding the image under
+// rep of each of the facts that has one.
+func imageRows(ind *db.Database, rep func(db.Const) db.Const, facts []db.Fact) map[string][]int32 {
+	rows := make(map[string][]int32)
+	img := make([]db.Const, 0, 8)
+	for _, f := range facts {
+		t := ind.Table(f.Rel)
+		if t == nil {
+			continue
+		}
+		img = img[:0]
+		for _, x := range f.Args {
+			img = append(img, rep(x))
+		}
+		if p := t.Position(img); p >= 0 {
+			rows[f.Rel] = append(rows[f.Rel], int32(p))
+		}
+	}
+	return rows
+}
+
+// imageDelta is the delta of ind over the rows holding a constant of
+// consts plus the given rows, those of a batch's images (imageRows).
+func imageDelta(ind *db.Database, consts []db.Const, rows map[string][]int32) *cq.Delta {
+	delta := cq.NewDelta(ind, consts)
+	for rel, rs := range rows {
+		delta.Touch(ind, rel, rs)
+	}
+	return delta
+}
+
 // finishTop records a computed top, deciding its similarity clash and
 // making T and D_T safe for concurrent readers.
 func (s *EpochSnapshot) finishTop(T *eqrel.Partition, ind *db.Database, consistent bool) *latticeTop {
@@ -98,30 +139,7 @@ func (s *EpochSnapshot) carryTop(ctx context.Context, prev *latticeTop, retract,
 	d := c.sess.d
 	Tp, indP := prev.T, prev.ind
 	domP := Tp.N()
-	repP := func(x db.Const) db.Const {
-		if x >= 0 && int(x) < domP {
-			return Tp.Rep(x)
-		}
-		return x
-	}
-	imageRows := func(ind *db.Database, rep func(db.Const) db.Const, facts []db.Fact) map[string][]int32 {
-		rows := make(map[string][]int32)
-		img := make([]db.Const, 0, 8)
-		for _, f := range facts {
-			t := ind.Table(f.Rel)
-			if t == nil {
-				continue
-			}
-			img = img[:0]
-			for _, x := range f.Args {
-				img = append(img, rep(x))
-			}
-			if p := t.Position(img); p >= 0 {
-				rows[f.Rel] = append(rows[f.Rel], int32(p))
-			}
-		}
-		return rows
-	}
+	repP := prev.rep
 
 	// 1. The classes to re-close. Rule bodies carry no inequality atom,
 	// so the session's rule plans are the stitch's relaxed rule plans up
@@ -143,10 +161,7 @@ func (s *EpochSnapshot) carryTop(ctx context.Context, prev *latticeTop, retract,
 		}
 	}
 	retracted := imageRows(indP, repP, retract)
-	delta := cq.NewDelta(indP, frontier)
-	for rel, rows := range retracted {
-		delta.Touch(indP, rel, rows)
-	}
+	delta := imageDelta(indP, frontier, retracted)
 	addHead := func(ans []db.Const) bool {
 		mark(repP(ans[0]))
 		mark(repP(ans[1]))
@@ -203,10 +218,7 @@ func (s *EpochSnapshot) carryTop(ctx context.Context, prev *latticeTop, retract,
 	ind := db.Rebase(d, indP, stale, retracted, extra, L.Rep)
 
 	// 3. The continued closure.
-	seed := cq.NewDelta(ind, members)
-	for rel, rows := range imageRows(ind, L.Rep, insert) {
-		seed.Touch(ind, rel, rows)
-	}
+	seed := imageDelta(ind, members, imageRows(ind, L.Rep, insert))
 	T := L // the closure grows L into the top
 	ind, _, err = c.closeFrom(ctx, T, ind, c.sess.mergeRules, nil, seed)
 	if err != nil {
@@ -233,10 +245,7 @@ func (s *EpochSnapshot) carryTop(ctx context.Context, prev *latticeTop, retract,
 				changed = append(changed, r)
 			}
 		}
-		touched := cq.NewDelta(ind, changed)
-		for rel, rows := range imageRows(ind, T.Rep, insert) {
-			touched.Touch(ind, rel, rows)
-		}
+		touched := imageDelta(ind, changed, imageRows(ind, T.Rep, insert))
 		top.consistent, err = c.satisfiesDenialsDelta(T, ind, touched)
 	default:
 		top.consistent, err = c.satisfiesDenials(T, ind)
@@ -271,12 +280,7 @@ func (s *EpochSnapshot) carryCoupling(ctx context.Context, prev, top *latticeTop
 	e := s.eng
 	Tp, indP, T, ind := prev.T, prev.ind, top.T, top.ind
 	domP, dom := Tp.N(), T.N()
-	repP := func(x db.Const) db.Const {
-		if x >= 0 && int(x) < domP {
-			return Tp.Rep(x)
-		}
-		return x
-	}
+	repP := prev.rep
 	mergeableP := func(c db.Const) bool { return c >= 0 && int(c) < domP && Tp.ClassSize(c) > 1 }
 	mergeable := func(c db.Const) bool { return T.ClassSize(c) > 1 }
 
@@ -329,24 +333,6 @@ func (s *EpochSnapshot) carryCoupling(ctx context.Context, prev, top *latticeTop
 		}
 	}
 	batch := append(append([]db.Fact(nil), retract...), insert...)
-	candidates := func(d *db.Database, reps []db.Const, rep func(db.Const) db.Const) *cq.Delta {
-		delta := cq.NewDelta(d, reps)
-		img := make([]db.Const, 0, 8)
-		for _, f := range batch {
-			t := d.Table(f.Rel)
-			if t == nil {
-				continue
-			}
-			img = img[:0]
-			for _, x := range f.Args {
-				img = append(img, rep(x))
-			}
-			if p := t.Position(img); p >= 0 {
-				delta.Touch(d, f.Rel, []int32{int32(p)})
-			}
-		}
-		return delta
-	}
 
 	trivial := prev.coupling.trivial
 	dirty := make(map[db.Const]bool)
@@ -381,7 +367,7 @@ func (s *EpochSnapshot) carryCoupling(ctx context.Context, prev, top *latticeTop
 		return nil
 	}
 	// The candidate matches of D_T' leave; those of D_T arrive.
-	if err := each(indP, Tp, repP, mergeableP, candidates(indP, repsP, repP), func(m couplingMatch, _, _ []db.Const) {
+	if err := each(indP, Tp, repP, mergeableP, imageDelta(indP, repsP, imageRows(indP, repP, batch)), func(m couplingMatch, _, _ []db.Const) {
 		switch {
 		case m.anchor < 0:
 			if m.violated {
@@ -393,7 +379,7 @@ func (s *EpochSnapshot) carryCoupling(ctx context.Context, prev, top *latticeTop
 	}); err != nil {
 		return nil, err
 	}
-	if err := each(ind, T, T.Rep, mergeable, candidates(ind, reps, T.Rep), func(m couplingMatch, _, _ []db.Const) {
+	if err := each(ind, T, T.Rep, mergeable, imageDelta(ind, reps, imageRows(ind, T.Rep, batch)), func(m couplingMatch, _, _ []db.Const) {
 		switch {
 		case m.anchor < 0:
 			if m.violated {

@@ -55,8 +55,9 @@ import (
 )
 
 // Shard is one unit of resolution: a coupled component of the constant
-// space together with its projected sub-instance and the per-shard
-// Session solving it.
+// space and its answer, the component's maximal choices. newShard makes
+// every shard and record stores every answer, whether the top gives it
+// or a solve of the component's projected sub-instance does.
 type Shard struct {
 	// Root is the component representative (minimum constant id).
 	Root db.Const
@@ -65,14 +66,11 @@ type Shard struct {
 	Members []db.Const
 
 	// support is the sorted set of D_T-level constants reachable by a
-	// relaxed match touching this component; the projected database is
-	// every base tuple whose T-image stays inside it.
+	// relaxed match touching this component; a solve projects every base
+	// tuple whose T-image stays inside it.
 	support []db.Const
-	// tuples are the projected base tuples per relation, in base
-	// insertion order, so the local database is deterministic.
-	tuples map[string][][]db.Const
 
-	// Results in global constant ids.
+	// Results in global constant ids (see record).
 	maximal  [][]eqrel.Pair
 	possible []eqrel.Pair
 	certain  []eqrel.Pair
@@ -419,6 +417,12 @@ func boolInt(b bool) int64 {
 	return 0
 }
 
+// newShard returns the shard of a component: its members, ascending,
+// and its support.
+func newShard(members, support []db.Const) *Shard {
+	return &Shard{Root: members[0], Members: members, support: support}
+}
+
 // topShards records a consistent top T as the resolution: one
 // single-choice shard per nontrivial T-class, whose members, support,
 // only maximal choice, possible merges and certain merges are all that
@@ -428,27 +432,25 @@ func topShards(T *eqrel.Partition) []*Shard {
 	classes := T.NontrivialClasses()
 	shards := make([]*Shard, len(classes))
 	for i, cls := range classes {
-		shards[i] = &Shard{Root: cls[0], Members: cls, support: cls}
-		answerByTop(shards[i], T)
+		shards[i] = newShard(cls, cls)
+		shards[i].record([][]eqrel.Pair{topChoice(T, cls)})
 	}
 	return shards
 }
 
-// answerByTop records T's restriction to the shard's members as its
-// only maximal choice, its possible merges and its certain merges.
-// Members ascend, so the pairs come out in canonical order.
-func answerByTop(sh *Shard, T *eqrel.Partition) {
+// topChoice is T's restriction to members, a shard's one maximal choice
+// when the top answers it. Members ascend, so the pairs come out in
+// canonical order.
+func topChoice(T *eqrel.Partition, members []db.Const) []eqrel.Pair {
 	var pairs []eqrel.Pair
-	for i, a := range sh.Members {
-		for _, b := range sh.Members[i+1:] {
+	for i, a := range members {
+		for _, b := range members[i+1:] {
 			if T.Same(a, b) {
 				pairs = append(pairs, eqrel.Pair{A: a, B: b})
 			}
 		}
 	}
-	sh.maximal = [][]eqrel.Pair{pairs}
-	sh.possible, sh.certain = pairs, pairs
-	sh.solvable = true
+	return pairs
 }
 
 // solveWhole resolves an instance whose inconsistent top clashes at a
@@ -471,8 +473,8 @@ func (s *EpochSnapshot) solveWhole(ctx context.Context, T *eqrel.Partition) erro
 		members = append(members, cls...)
 	}
 	slices.Sort(members)
-	sh := &Shard{Root: members[0], Members: members, support: members}
-	sh.record(ms, func(c db.Const) db.Const { return c })
+	sh := newShard(members, members)
+	sh.record(choicesOf(ms, nil))
 	s.shards, s.mono, s.unsolvable = []*Shard{sh}, true, !sh.solvable
 	return nil
 }
@@ -508,11 +510,15 @@ func (s *EpochSnapshot) stitch(ctx context.Context, top *latticeTop) error {
 	// violated class marks it. A component no violated denial match of
 	// D_T touches has T's restriction as its local top, and that top is
 	// consistent: it is the component's one maximal solution. Only the
-	// other components get projected tuples and are solved, in parallel
-	// over the work queue.
+	// other components are solved, in parallel over the work queue, each
+	// projecting its own sub-instance; others lists T's nontrivial classes
+	// by representative, for the rare support that names a class of
+	// another component (from a match that couples nothing), and is built
+	// only then.
 	var toSolve []*Shard
+	var others map[db.Const][]db.Const
 	for _, members := range comp.NontrivialClasses() {
-		sh := &Shard{Root: members[0], Members: members}
+		var support []db.Const
 		violated := false
 		for _, c := range members {
 			if T.Rep(c) != c {
@@ -523,23 +529,31 @@ func (s *EpochSnapshot) stitch(ctx context.Context, top *latticeTop) error {
 				sup = cc.support
 				violated = violated || cc.violated
 			}
-			if sh.support == nil {
-				sh.support = sup
+			if support == nil {
+				support = sup
 			} else {
-				merged := append(slices.Clone(sh.support), sup...)
+				merged := append(slices.Clone(support), sup...)
 				slices.Sort(merged)
-				sh.support = slices.Compact(merged)
+				support = slices.Compact(merged)
 			}
 		}
+		sh := newShard(members, support)
 		s.shards = append(s.shards, sh)
-		if violated {
-			toSolve = append(toSolve, sh)
-		} else {
-			answerByTop(sh, T)
+		if !violated {
+			sh.record([][]eqrel.Pair{topChoice(T, members)})
+			continue
+		}
+		toSolve = append(toSolve, sh)
+		for _, c := range support {
+			if _, own := slices.BinarySearch(members, c); !own && others == nil && T.ClassSize(c) > 1 {
+				others = make(map[db.Const][]db.Const)
+				for _, cls := range T.NontrivialClasses() {
+					others[cls[0]] = cls
+				}
+			}
 		}
 	}
-	s.project(toSolve, T)
-	if err := s.solveShards(ctx, toSolve); err != nil {
+	if err := s.solveShards(ctx, toSolve, T, others); err != nil {
 		return err
 	}
 	s.solves = len(toSolve)
@@ -897,161 +911,126 @@ func (s *EpochSnapshot) simPositionsClash(mergeable func(db.Const) bool) bool {
 	return false
 }
 
-// project gives each shard its projected base tuples: those whose whole
-// T-image lies in the shard's support. Such a tuple's first constant is
-// a member of a support constant's T-class, so the first column's index
-// finds every candidate from those members, at a cost in proportion to
-// the shard, not to the database.
-func (s *EpochSnapshot) project(shards []*Shard, T *eqrel.Partition) {
-	if len(shards) == 0 {
-		return
-	}
-	s.eng.sess.freezeShared()
-	d := s.eng.sess.d
-	// The members of a support constant's class: a T-singleton is its
-	// own, a shard's classes are among its members, and the rare class
-	// of another component (from a match that couples nothing) is read
-	// from all of T's classes.
-	var others map[db.Const][]db.Const
-	for _, sh := range shards {
-		sh.tuples = make(map[string][][]db.Const)
-		sup := make(map[db.Const]bool, len(sh.support))
-		for _, c := range sh.support {
-			sup[c] = true
-		}
-		classes := make(map[db.Const][]db.Const)
-		for _, m := range sh.Members {
-			r := T.Rep(m)
-			classes[r] = append(classes[r], m)
-		}
-		for _, c := range sh.support {
-			if _, ok := classes[c]; ok {
-				continue
-			}
-			if T.ClassSize(c) == 1 {
-				classes[c] = []db.Const{c}
-				continue
-			}
-			if others == nil {
-				others = make(map[db.Const][]db.Const)
-				for _, cls := range T.NontrivialClasses() {
-					others[cls[0]] = cls
-				}
-			}
-			classes[c] = others[c]
-		}
-		for _, rel := range d.Schema().Relations() {
-			t := d.Table(rel.Name)
-			if t == nil || rel.Arity() == 0 {
-				continue
-			}
-			tuples := t.Tuples()
-			var rows []int32
-			for _, sc := range sh.support {
-				for _, c := range classes[sc] {
-				next:
-					for _, row := range t.Lookup(0, c) {
-						for _, x := range tuples[row][1:] {
-							if !sup[T.Rep(x)] {
-								continue next
-							}
-						}
-						rows = append(rows, row)
-					}
-				}
-			}
-			slices.Sort(rows)
-			for _, row := range rows {
-				sh.tuples[rel.Name] = append(sh.tuples[rel.Name], tuples[row])
-			}
-		}
-	}
-}
-
 // minParallelShard is the smallest shard whose search runs on more than
 // one worker. A shard of a few members has a lattice of a few states,
 // which one worker walks faster than several can hand states to each
 // other, and without goroutine handoffs to wait on.
 const minParallelShard = 16
 
-// solveShards solves the shards on a bounded worker pool. Each worker
-// buffers its instrumentation in an obs.Local flushed on exit,
-// mirroring the lattice walk's discipline.
-func (s *EpochSnapshot) solveShards(ctx context.Context, toSolve []*Shard) error {
+// solveShards solves the shards on a bounded worker pool over a
+// pre-filled task list. Worker 0 is the caller's goroutine; one more
+// goroutine starts per further shard, up to the configured parallelism,
+// and each buffers its instrumentation in an obs.Local flushed on exit,
+// mirroring the lattice walk's discipline. A lone shard may use the full
+// configured parallelism inside its own search once it is large enough
+// for a parallel walk to pay for its goroutines. The first error
+// cancels the rest.
+func (s *EpochSnapshot) solveShards(ctx context.Context, toSolve []*Shard, T *eqrel.Partition, others map[db.Const][]db.Const) error {
 	if len(toSolve) == 0 {
 		return nil
 	}
-	s.eng.sess.freezeShared()
-	workers := min(s.eng.sess.workers(), len(toSolve))
-	if workers == 1 {
-		// One shard, or one worker: the caller's goroutine solves. A lone
-		// shard may use the full configured parallelism inside its own
-		// search once it is large enough for a parallel walk to pay for
-		// its goroutines.
-		for _, sh := range toSolve {
-			inner := 1
-			if len(toSolve) == 1 && len(sh.Members) >= minParallelShard {
-				inner = s.eng.sess.workers()
-			}
-			if err := s.solveShard(ctx, sh, inner, s.eng.rec); err != nil {
-				return err
-			}
-		}
-		return nil
+	sess := s.eng.sess
+	sess.freezeShared()
+	inner := 1
+	if len(toSolve) == 1 && len(toSolve[0].Members) >= minParallelShard {
+		inner = sess.workers()
 	}
+	tasks := make(chan *Shard, len(toSolve))
+	for _, sh := range toSolve {
+		tasks <- sh
+	}
+	close(tasks)
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	tasks := make(chan *Shard)
-	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			cancel()
+	work := func(rec obs.Recorder) {
+		for sh := range tasks {
+			if err := s.solveShard(cctx, sh, T, others, inner, rec); err != nil {
+				mu.Lock()
+				if firstErr == nil {
+					firstErr = err
+					cancel()
+				}
+				mu.Unlock()
+				return
+			}
 		}
-		mu.Unlock()
 	}
-	for w := 0; w < workers; w++ {
+	var wg sync.WaitGroup
+	for w := 1; w < min(sess.workers(), len(toSolve)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			rec := obs.NewLocal(s.eng.rec)
 			defer rec.Flush()
-			for sh := range tasks {
-				if err := s.solveShard(cctx, sh, 1, rec); err != nil {
-					fail(err)
-				}
-			}
+			work(rec)
 		}()
 	}
-	for _, sh := range toSolve {
-		tasks <- sh
-	}
-	close(tasks)
+	work(s.eng.rec)
 	wg.Wait()
 	return firstErr
 }
 
-// solveShard builds the shard's local instance — renumbered projected
-// database, constant-rewritten spec, per-shard Session over the
-// session's similarity registry — enumerates its maximal solutions and
-// maps the results back to global constants.
-func (s *EpochSnapshot) solveShard(ctx context.Context, sh *Shard, inner int, rec obs.Recorder) error {
+// solveShard builds the shard's local instance — its projected database,
+// renumbered; the constant-rewritten spec; a Session over the session's
+// similarity registry — enumerates its maximal solutions and records
+// them in global constants.
+//
+// The projected database holds the base tuples whose whole T-image lies
+// in the shard's support, relation by relation in schema order and by
+// ascending row position, so the local instance is deterministic. Such a
+// tuple's first constant is a member of a support constant's T-class, so
+// the first column's index finds every candidate from those members, at
+// a cost in proportion to the shard, not to the database. The shard's
+// members are whole T-classes, a support constant outside them is a
+// T-singleton or the representative of another component's class, and
+// others holds those classes (it is only read).
+func (s *EpochSnapshot) solveShard(ctx context.Context, sh *Shard, T *eqrel.Partition, others map[db.Const][]db.Const, inner int, rec obs.Recorder) error {
 	sp := rec.Start(obs.SpanShardSolve)
 	defer sp.AttrInt("members", int64(len(sh.Members))).End()
 	rec.Inc(obs.CoreShardSolves, 1)
 
 	sess := s.eng.sess
-	gin := sess.d.Interner()
+	d, gin := sess.d, sess.d.Interner()
+	sup := make(map[db.Const]bool, len(sh.support))
+	firsts := append([]db.Const(nil), sh.Members...)
+	for _, c := range sh.support {
+		sup[c] = true
+		if _, own := slices.BinarySearch(sh.Members, c); !own {
+			if T.ClassSize(c) == 1 {
+				firsts = append(firsts, c)
+			} else {
+				firsts = append(firsts, others[c]...)
+			}
+		}
+	}
 	lin := db.NewInterner()
-	ldb := db.New(sess.d.Schema(), lin)
+	ldb := db.New(d.Schema(), lin)
+	var rows []int32
 	var names []string
-	for _, rel := range sess.d.Schema().Relations() {
-		for _, t := range sh.tuples[rel.Name] {
+	for _, rel := range d.Schema().Relations() {
+		t := d.Table(rel.Name)
+		if t == nil || rel.Arity() == 0 {
+			continue
+		}
+		tuples := t.Tuples()
+		rows = rows[:0]
+		for _, c := range firsts {
+		next:
+			for _, row := range t.Lookup(0, c) {
+				for _, x := range tuples[row][1:] {
+					if !sup[T.Rep(x)] {
+						continue next
+					}
+				}
+				rows = append(rows, row)
+			}
+		}
+		slices.Sort(rows)
+		for _, row := range rows {
 			names = names[:0]
-			for _, c := range t {
+			for _, c := range tuples[row] {
 				names = append(names, gin.Name(c))
 			}
 			if _, err := ldb.InsertNames(rel.Name, names...); err != nil {
@@ -1100,48 +1079,58 @@ func (s *EpochSnapshot) solveShard(ctx context.Context, sh *Shard, inner int, re
 		}
 		toGlobal[i] = g
 	}
-
-	sh.record(ms, func(c db.Const) db.Const { return toGlobal[c] })
+	sh.record(choicesOf(ms, toGlobal))
 	return nil
 }
 
-// record stores the shard's maximal solutions ms, mapped to global
-// constants by toGlobal, with their possible and certain merges.
-func (sh *Shard) record(ms []*eqrel.Partition, toGlobal func(db.Const) db.Const) {
-	sh.solvable = len(ms) > 0
-	sh.maximal = make([][]eqrel.Pair, len(ms))
-	possible := make(map[eqrel.Pair]bool)
-	var certain map[eqrel.Pair]bool
+// choicesOf renders maximal solutions as sorted merge sets in global
+// constants, mapping each constant through toGlobal (nil: unchanged).
+func choicesOf(ms []*eqrel.Partition, toGlobal []db.Const) [][]eqrel.Pair {
+	choices := make([][]eqrel.Pair, len(ms))
 	for i, m := range ms {
 		pairs := m.Pairs()
-		global := make([]eqrel.Pair, len(pairs))
-		set := make(map[eqrel.Pair]bool, len(pairs))
-		for j, p := range pairs {
-			gp := eqrel.MakePair(toGlobal(p.A), toGlobal(p.B))
-			global[j] = gp
-			possible[gp] = true
-			set[gp] = true
-		}
-		sortPairsInPlace(global)
-		sh.maximal[i] = global
-		if i == 0 {
-			certain = set
-		} else {
-			for p := range certain {
-				if !set[p] {
-					delete(certain, p)
-				}
+		if toGlobal != nil {
+			for j, p := range pairs {
+				pairs[j] = eqrel.MakePair(toGlobal[p.A], toGlobal[p.B])
 			}
+			sortPairsInPlace(pairs)
+		}
+		choices[i] = pairs
+	}
+	return choices
+}
+
+// record stores the shard's maximal choices, each a sorted merge set in
+// global constants, with their possible and certain merges, and whether
+// the shard has a solution at all. A single choice is its own possible
+// and certain merges, stored with no map and no sort. Several are
+// ordered canonically on the shard's own members, the order the
+// instance's maximal solutions compare them in (see witnesses).
+func (sh *Shard) record(choices [][]eqrel.Pair) {
+	sh.maximal, sh.solvable = choices, len(choices) > 0
+	if len(choices) == 1 {
+		sh.possible, sh.certain = choices[0], choices[0]
+		return
+	}
+	// A choice holds each pair once, so a pair every choice counts is
+	// certain.
+	count := make(map[eqrel.Pair]int)
+	for _, choice := range choices {
+		for _, p := range choice {
+			count[p]++
 		}
 	}
-	// Order the choices canonically on the shard's own members, the
-	// order the instance's maximal solutions compare them in (see
-	// witnesses).
-	sort.Slice(sh.maximal, func(i, j int) bool {
-		return memberKey(sh.Members, sh.maximal[i]) < memberKey(sh.Members, sh.maximal[j])
+	for p, n := range count {
+		sh.possible = append(sh.possible, p)
+		if n == len(choices) {
+			sh.certain = append(sh.certain, p)
+		}
+	}
+	sortPairsInPlace(sh.possible)
+	sortPairsInPlace(sh.certain)
+	sort.Slice(choices, func(i, j int) bool {
+		return memberKey(sh.Members, choices[i]) < memberKey(sh.Members, choices[j])
 	})
-	sh.possible = sortedPairs(possible)
-	sh.certain = sortedPairs(certain)
 }
 
 func sortPairsInPlace(ps []eqrel.Pair) {

@@ -90,7 +90,8 @@ func Live(r Recorder) bool {
 
 // DurationStats summarizes the samples observed under one name: the
 // histogram's count, sum and extrema read as durations. Snapshot derives
-// one for every histogram name.
+// one for every duration histogram, and none for a value histogram
+// (IsValueHist), whose samples are counts.
 type DurationStats struct {
 	Count int64         `json:"count"`
 	Total time.Duration `json:"total_ns"`
@@ -109,8 +110,9 @@ func (d DurationStats) Mean() time.Duration {
 // Snapshot is a point-in-time copy of a recorder's metrics, suitable
 // for JSON encoding. All maps are copied under one lock acquisition, so
 // a snapshot is internally consistent. Durations is a view of
-// Histograms: for every name, Durations[name] is derived from
-// Histograms[name].
+// Histograms: for every duration histogram's name, Durations[name] is
+// derived from Histograms[name]; value histograms appear in Histograms
+// only.
 type Snapshot struct {
 	Counters   map[string]int64          `json:"counters,omitempty"`
 	Gauges     map[string]int64          `json:"gauges,omitempty"`
@@ -340,9 +342,14 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	if len(r.hists) > 0 {
 		s.Histograms = make(map[string]HistogramStats, len(r.hists))
-		s.Durations = make(map[string]DurationStats, len(r.hists))
 		for k, h := range r.hists {
 			s.Histograms[k] = h.Stats()
+			if IsValueHist(k) {
+				continue
+			}
+			if s.Durations == nil {
+				s.Durations = make(map[string]DurationStats, len(r.hists))
+			}
 			s.Durations[k] = DurationStats{Count: h.count, Total: time.Duration(h.sum),
 				Min: time.Duration(h.min), Max: time.Duration(h.max)}
 		}

@@ -175,6 +175,48 @@ func TestSnapshotFormat(t *testing.T) {
 	}
 }
 
+// TestValueHistsAreNotDurations: a value histogram (core.shard.size
+// counts members) is reported once, as a distribution of counts: it gets
+// no DurationStats and no row in the phase table, while the
+// distribution table and Histograms keep it.
+func TestValueHistsAreNotDurations(t *testing.T) {
+	r := NewRegistry()
+	r.Observe(HistShardSize, 3)
+	r.Observe(HistShardSize, 5)
+	r.Observe(SpanCoreSearch, time.Millisecond)
+	snap := r.Snapshot()
+	if d, ok := snap.Durations[HistShardSize]; ok {
+		t.Errorf("value histogram %s reported as durations: %+v", HistShardSize, d)
+	}
+	if d := snap.Duration(SpanCoreSearch); d.Count != 1 || d.Total != time.Millisecond {
+		t.Errorf("duration histogram %s: %+v", SpanCoreSearch, d)
+	}
+	if h := snap.Histogram(HistShardSize); h.Count != 2 || h.Min != 3 || h.Max != 5 {
+		t.Errorf("value histogram %s: %+v", HistShardSize, h)
+	}
+	out := snap.Format()
+	if n := strings.Count(out, HistShardSize); n != 1 {
+		t.Errorf("Format() lists %s %d times, want once (distribution table):\n%s", HistShardSize, n, out)
+	}
+	raw, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back struct {
+		Durations  map[string]json.RawMessage `json:"durations"`
+		Histograms map[string]json.RawMessage `json:"histograms"`
+	}
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := back.Durations[HistShardSize]; ok {
+		t.Errorf("JSON durations carry %s", HistShardSize)
+	}
+	if _, ok := back.Histograms[HistShardSize]; !ok {
+		t.Errorf("JSON histograms lack %s", HistShardSize)
+	}
+}
+
 func TestCanonicalNameLists(t *testing.T) {
 	seen := make(map[string]bool)
 	for _, list := range [][]string{CanonicalCounters(), CanonicalGauges(), CanonicalPhases()} {

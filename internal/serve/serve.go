@@ -55,9 +55,13 @@ type Config struct {
 	// Workers bounds the number of requests evaluated concurrently (the
 	// worker pool size); excess requests queue. 0 means GOMAXPROCS.
 	Workers int
-	// Parallelism is passed to core.Options: the worker count of the
-	// lattice walk inside one request. 0 means GOMAXPROCS; 1 walks on
-	// the request's own engine context.
+	// Parallelism is passed to core.Options. It bounds the epoch's one
+	// background resolution, not a request: no endpoint walks the
+	// lattice, each reads the epoch's resolved snapshot. It is the number
+	// of shards solved concurrently, the worker count of a lone shard's
+	// walk, and that of the whole solve of a top that clashes at a
+	// similarity position. 0 means GOMAXPROCS; 1 resolves on one
+	// goroutine.
 	Parallelism int
 	// MaxStates is the search-state budget (core Options.MaxStates). It
 	// bounds each shard search of an epoch's one background resolution,

@@ -377,7 +377,3 @@ func NewBudget(ctx context.Context, lim Limits) *Budget {
 // metrics with its Snapshot method — or with Engine.Stats /
 // ASPSolver.Stats, which snapshot the attached recorder.
 func NewRecorder() *StatsRegistry { return obs.NewRegistry() }
-
-// NopRecorder returns the zero-cost no-op recorder (the default when
-// Options.Recorder is nil).
-func NopRecorder() Recorder { return obs.Nop{} }

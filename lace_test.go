@@ -5,6 +5,7 @@ package lace
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -201,5 +202,74 @@ func TestFacadeLocalMerges(t *testing.T) {
 	q2, _ := d.Interner().Lookup("q2")
 	if !res.Global.Same(q1, q2) {
 		t.Error("combined pipeline missed the global merge")
+	}
+}
+
+// TestFacadeMutableSession drives the streaming API through the facade:
+// a batch advances the epoch and the fingerprint, the new epoch answers
+// like a fresh snapshot over the same database, and the snapshot taken
+// before the batch, resolved only after it, still answers its own
+// epoch. The batch gives p2 a second phone, so merging p1 and p2 now
+// violates onePhone.
+func TestFacadeMutableSession(t *testing.T) {
+	ctx := context.Background()
+	d, spec, sims, atLoad := facadeSetup(t)
+	ms, err := NewMutableSession(d, spec, sims, Options{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := ms.Snapshot()
+	b := Batch{
+		Retract: []FactSpec{{Rel: "Phone", Args: []string{"p2", "555-0100"}}},
+		Insert:  []FactSpec{{Rel: "Phone", Args: []string{"p2", "555-0123"}}},
+	}
+	res, snap, err := ms.ApplyDurable(b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd, ins, ret, err := ApplyFacts(d, b.Insert, b.Retract)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Epoch != 1 || snap.Epoch() != 1 || old.Epoch() != 0 || ms.Snapshot() != snap || res.Inserted != ins || res.Retracted != ret {
+		t.Fatalf("apply: result %+v, epochs %d then %d; ApplyFacts inserted %d, retracted %d", res, old.Epoch(), snap.Epoch(), ins, ret)
+	}
+	if res.Fingerprint != snap.Fingerprint() || snap.Fingerprint() != nd.Fingerprint() || old.Fingerprint() != d.Fingerprint() || snap.Fingerprint() == old.Fingerprint() {
+		t.Fatalf("fingerprints: result %s, epoch 1 %s, ApplyFacts %s, epoch 0 %s",
+			res.Fingerprint, snap.Fingerprint(), nd.Fingerprint(), old.Fingerprint())
+	}
+
+	fresh, err := NewSnapshot(nd, spec, sims, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameMerges := func(label string, got, want *EpochSnapshot) []eqrel.Pair {
+		t.Helper()
+		var certain []eqrel.Pair
+		for i, merges := range []func(*EpochSnapshot, context.Context) ([]eqrel.Pair, error){
+			(*EpochSnapshot).CertainMergesCtx, (*EpochSnapshot).PossibleMergesCtx,
+		} {
+			g, err := merges(got, ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := merges(want, ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(g) != fmt.Sprint(w) {
+				t.Errorf("%s: merges %v, want %v", label, g, w)
+			}
+			if i == 0 {
+				certain = g
+			}
+		}
+		return certain
+	}
+	if c := sameMerges("epoch 1 against a fresh snapshot", snap, fresh); len(c) != 0 {
+		t.Errorf("epoch 1 certain merges %v, want none (onePhone forbids p1 = p2)", c)
+	}
+	if c := sameMerges("epoch 0, resolved after the batch", old, atLoad); len(c) != 1 {
+		t.Errorf("epoch 0 certain merges %v, want (p1,p2)", c)
 	}
 }
