@@ -183,7 +183,10 @@ func benchMain() int {
 // printStats emits the uniform per-experiment stats block: every
 // canonical phase and counter appears (zero when the experiment did not
 // exercise that layer), followed by any extra recorded entries, so the
-// blocks of different experiments line up row by row.
+// blocks of different experiments line up row by row. Between the two
+// sits the distribution table of the recorded value histograms (shard
+// sizes, justification steps, per-solve ASP counts), as
+// obs.Snapshot.Format prints it.
 func printStats(id string, snap obs.Snapshot, asJSON bool) {
 	if asJSON {
 		out := struct {
@@ -217,6 +220,7 @@ func printStats(id string, snap obs.Snapshot, asJSON bool) {
 		fmt.Printf("%-28s %8d %12v %12v\n", name, d.Count,
 			d.Total.Round(time.Microsecond), d.Mean().Round(time.Microsecond))
 	}
+	snap.WriteDistributions(os.Stdout)
 	fmt.Printf("%-46s %12s\n", "counter", "value")
 	for _, name := range obs.CanonicalCounters() {
 		fmt.Printf("%-46s %12d\n", name, snap.Counter(name))

@@ -320,7 +320,9 @@ func (c *Context) activePairs(E *eqrel.Partition, ind *db.Database) ([]Active, e
 		if err != nil {
 			return nil, fmt.Errorf("core: rule %s: %w", r.Name, err)
 		}
-		pq.plan.RunWith(ind, cq.RunSpec{Rec: c.rec, Rep: rep}, note)
+		// note drops reflexive answers and canonicalises the pair, so the
+		// run may prune mirror matches.
+		pq.plan.RunWith(ind, cq.RunSpec{Rec: c.rec, Rep: rep, Unordered: true}, note)
 	}
 	slices.SortFunc(out, func(a, b Active) int {
 		return cmp.Or(cmp.Compare(a.Pair.A, b.Pair.A), cmp.Compare(a.Pair.B, b.Pair.B))
@@ -337,8 +339,9 @@ func (c *Context) activePairs(E *eqrel.Partition, ind *db.Database) ([]Active, e
 // round. This is complete because rule bodies are negation-free: a
 // match that is new in D_{E'} must use a tuple of D_{E'} \ D_E, and
 // every such tuple contains the surviving representative of a merged
-// class (see DESIGN.md). accept must be stable under growth of E
-// (e.g. membership in a fixed target partition).
+// class (see DESIGN.md). accept must be symmetric, as the closure
+// offers each unordered pair in one orientation only, and stable under
+// growth of E (e.g. membership in a fixed target partition).
 func (c *Context) closeFixpoint(E *eqrel.Partition, rs []*rules.Rule, accept func(u, v db.Const) bool) error {
 	ind, merged, err := c.closeFrom(context.TODO(), E, c.Induced(E), rs, accept, nil)
 	if err == nil && merged {
@@ -380,12 +383,14 @@ func (c *Context) closeFrom(ctx context.Context, E *eqrel.Partition, ind *db.Dat
 	collectMatch := func(ans []db.Const, _ []cq.Match) bool { return collect(ans) }
 	delta := seed
 	for {
-		rep := c.repFor(E)
+		// collect reads each answer as an unordered pair of distinct
+		// constants, so the runs prune mirror matches.
+		rs := cq.RunSpec{Rec: c.rec, Rep: c.repFor(E), Unordered: true}
 		for _, pq := range prepared {
 			if delta == nil || pq.deltaUnsafe {
-				pq.plan.RunWith(ind, cq.RunSpec{Rec: c.rec, Rep: rep}, collectMatch)
+				pq.plan.RunWith(ind, rs, collectMatch)
 			} else {
-				pq.plan.RunDelta(ind, cq.RunSpec{Rec: c.rec, Rep: rep}, delta, collect)
+				pq.plan.RunDelta(ind, rs, delta, collect)
 			}
 		}
 		if len(pending) == 0 {

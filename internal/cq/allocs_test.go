@@ -13,24 +13,38 @@ import (
 
 // TestRunWithAllocsFlat pins that the join loop allocates nothing per
 // tuple tried: an unselective two-atom join allocates the same number
-// of objects per run over 100 and over 1000 chain tuples.
+// of objects per run over 100 and over 1000 chain tuples, in a plain
+// run and in an Unordered run of a symmetric join, whose mirror filter
+// rejects every match.
 func TestRunWithAllocsFlat(t *testing.T) {
-	atoms := []Atom{
-		Rel("R", Var("x"), Var("y")),
-		Rel("R", Var("y"), Var("z")),
-	}
-	allocs := func(n int) float64 {
-		d := chainDB(n)
-		p, err := Prepare(atoms, []string{"x", "z"}, d.Schema(), nil)
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		atoms []Atom
+		head  []string
+		rs    RunSpec
+	}{
+		{"plain", []Atom{Rel("R", Var("x"), Var("y")), Rel("R", Var("y"), Var("z"))}, []string{"x", "z"}, RunSpec{}},
+		{"unordered", []Atom{Rel("R", Var("x"), Var("z")), Rel("R", Var("y"), Var("z"))}, []string{"x", "y"}, RunSpec{Unordered: true}},
+	} {
+		allocs := func(n int) float64 {
+			d := chainDB(n)
+			p, err := Prepare(tc.atoms, tc.head, d.Schema(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.rs.Unordered && !p.Symmetric() {
+				t.Fatalf("%s: plan records no mirror slots", tc.name)
+			}
+			count := 0
+			cb := func([]db.Const, []Match) bool { count++; return true }
+			return testing.AllocsPerRun(20, func() { p.RunWith(d, tc.rs, cb) })
 		}
-		count := 0
-		cb := func([]db.Const, []Match) bool { count++; return true }
-		return testing.AllocsPerRun(20, func() { p.RunWith(d, RunSpec{}, cb) })
-	}
-	small, large := allocs(100), allocs(1000)
-	if small != large {
-		t.Fatalf("RunWith allocations grow with the tuples tried: %.1f per run on 100 tuples, %.1f on 1000", small, large)
+		small, large := allocs(100), allocs(1000)
+		if small != large {
+			t.Fatalf("%s: RunWith allocations grow with the tuples tried: %.1f per run on 100 tuples, %.1f on 1000", tc.name, small, large)
+		}
+		if small != 0 {
+			t.Fatalf("%s: a warm RunWith allocates %.1f objects per run", tc.name, small)
+		}
 	}
 }

@@ -36,6 +36,11 @@ type Plan struct {
 	// pivots[k] is the join order RunDelta uses for the split whose
 	// delta atom is relAtoms[k]: that atom first, then the greedy order.
 	pivots []pivotOrder
+	// unordered is the join order with the mirror filter on the two
+	// head slots, which runs that set RunSpec.Unordered take; each pivot
+	// order has its own. It is nil unless the body is symmetric in the
+	// head variables (see symmetricHead).
+	unordered *pivotOrder
 	// execs recycles execution states, so a run allocates nothing once
 	// the pool is warm.
 	execs sync.Pool
@@ -45,7 +50,15 @@ type Plan struct {
 type pivotOrder struct {
 	steps  []planStep
 	layout []stepLayout
+	// unordered is the same order with the mirror filter; nil when the
+	// plan records no mirror slots.
+	unordered *pivotOrder
 }
+
+// kindMirror marks the compiled mirror filter, which keeps a partial
+// match only while its x value is below its y value. It is never the
+// kind of an atom.
+const kindMirror Kind = -1
 
 // planArg is one compiled atom argument: a binding slot for variables,
 // an inline constant otherwise.
@@ -195,12 +208,129 @@ func Prepare(atoms []Atom, head []string, schema *db.Schema, sims *sim.Registry)
 	p.steps = stepsOf(order)
 	none := make([]bool, len(p.varIdx))
 	p.layout = layoutFor(p.steps, none)
+	symmetric := symmetricHead(compiled, p.headIdx, len(p.varIdx))
+	unordered := func(steps []planStep) *pivotOrder {
+		if !symmetric {
+			return nil
+		}
+		steps = withMirror(steps, p.headIdx[0], p.headIdx[1])
+		return &pivotOrder{steps: steps, layout: layoutFor(steps, none)}
+	}
+	p.unordered = unordered(p.steps)
 	p.pivots = make([]pivotOrder, len(p.relAtoms))
 	for k, a := range p.relAtoms {
 		steps := stepsOf(greedyOrder(atoms, a))
-		p.pivots[k] = pivotOrder{steps: steps, layout: layoutFor(steps, none)}
+		p.pivots[k] = pivotOrder{steps: steps, layout: layoutFor(steps, none), unordered: unordered(steps)}
 	}
 	return p, nil
+}
+
+// mirrorBudget bounds the candidate atom pairings symmetricHead tries, so
+// a large body of same-relation atoms costs Prepare a bounded search
+// (and, when the bound is hit, only the pruning).
+const mirrorBudget = 1 << 12
+
+// symmetricHead reports whether the head is two distinct variables
+// (x, y) and the body maps onto itself under a variable map π with
+// π(x) = y and π(y) = x that sends distinct atoms to distinct atoms.
+// Constants map to themselves, and a similarity or
+// inequality atom may map onto its target with the arguments swapped,
+// as both are symmetric. If μ is a match, so is μ∘π: it uses the same
+// tuples and reports the head (μ(y), μ(x)). Keeping only the matches
+// whose x value is below their y value therefore loses no unordered
+// pair of distinct head values, in a full run or in any RunDelta split.
+func symmetricHead(atoms []planStep, headIdx []int, nvars int) bool {
+	if len(headIdx) != 2 || headIdx[0] == headIdx[1] {
+		return false
+	}
+	x, y := headIdx[0], headIdx[1]
+	pi := make([]int, nvars)
+	for i := range pi {
+		pi[i] = -1
+	}
+	pi[x], pi[y] = y, x
+	used := make([]bool, len(atoms))
+	budget := mirrorBudget
+	var set []int // variables mapped by the pairing under test
+	var mapFrom func(i int) bool
+	mapFrom = func(i int) bool {
+		if i == len(atoms) {
+			return true
+		}
+		a := &atoms[i]
+		swaps := 1
+		if a.kind != KindRel && len(a.args) == 2 {
+			swaps = 2
+		}
+		for j := range atoms {
+			b := &atoms[j]
+			if used[j] || b.kind != a.kind || b.pred != a.pred || len(b.args) != len(a.args) {
+				continue
+			}
+			for sw := 0; sw < swaps; sw++ {
+				if budget--; budget < 0 {
+					return false
+				}
+				mark := len(set)
+				ok := true
+				for k, ag := range a.args {
+					bg := b.args[k]
+					if sw == 1 {
+						bg = b.args[1-k]
+					}
+					switch {
+					case ag.vi < 0 || bg.vi < 0:
+						ok = ag.vi == bg.vi && ag.c == bg.c
+					case pi[ag.vi] < 0:
+						pi[ag.vi] = bg.vi
+						set = append(set, ag.vi)
+					default:
+						ok = pi[ag.vi] == bg.vi
+					}
+					if !ok {
+						break
+					}
+				}
+				if ok {
+					used[j] = true
+					if mapFrom(i + 1) {
+						return true
+					}
+					used[j] = false
+				}
+				for _, v := range set[mark:] {
+					pi[v] = -1
+				}
+				set = set[:mark]
+			}
+		}
+		return false
+	}
+	return mapFrom(0)
+}
+
+// withMirror returns a copy of steps with the mirror filter on slots x
+// and y placed directly after the relational step that binds the second
+// of them, ahead of the filters scheduled there, so every step before
+// it runs as in the plain order.
+func withMirror(steps []planStep, x, y int) []planStep {
+	var boundX, boundY bool
+	for i, st := range steps {
+		if st.kind != KindRel {
+			continue
+		}
+		for _, ag := range st.args {
+			boundX = boundX || ag.vi == x
+			boundY = boundY || ag.vi == y
+		}
+		if boundX && boundY {
+			out := make([]planStep, 0, len(steps)+1)
+			out = append(out, steps[:i+1]...)
+			out = append(out, planStep{atom: -1, kind: kindMirror, args: []planArg{{vi: x}, {vi: y}}})
+			return append(out, steps[i+1:]...)
+		}
+	}
+	panic("cq: mirror slots never bound") // Prepare rejects unsafe heads
 }
 
 // greedyOrder returns the atom indexes in Prepare's join order, starting
@@ -271,6 +401,12 @@ func greedyOrder(atoms []Atom, first int) []int {
 // Head returns the plan's head projection.
 func (p *Plan) Head() []string { return p.head }
 
+// Symmetric reports whether Prepare recorded mirror slots: the head is
+// two distinct variables (x, y) and the body maps onto itself with x
+// and y swapped, so runs that set RunSpec.Unordered prune mirror
+// matches.
+func (p *Plan) Symmetric() bool { return p.unordered != nil }
+
 // RunSpec configures one execution of a prepared plan. The zero value
 // is a plain uninstrumented run.
 type RunSpec struct {
@@ -289,6 +425,15 @@ type RunSpec struct {
 	// Witness enables witness tracking: the callback receives the
 	// matched tuple per relational atom.
 	Witness bool
+	// Unordered declares that the caller reads each answer as an
+	// unordered pair of distinct constants: it drops (a,a) and takes
+	// (a,b) and (b,a) for one answer. On a Symmetric plan the run then
+	// enumerates only the matches whose first head value is below the
+	// second, which leaves the set of such pairs unchanged and prunes
+	// every mirror and reflexive match. Holds ignores it, and so does a
+	// run whose Bind pre-binds a plan variable (a bound x would lose its
+	// answers (x, c) with c below x).
+	Unordered bool
 }
 
 // RunWith enumerates every homomorphism from the plan's atoms into d
@@ -297,8 +442,9 @@ type RunSpec struct {
 // when rs.Witness is set, the matched tuple per relational atom. cb
 // returning false stops the enumeration. The recorder's cq.eval.calls
 // counter advances once per run and cq.eval.matches by the number of
-// homomorphisms enumerated. The ans and wit slices are reused between
-// calls; callers must copy if they retain them.
+// homomorphisms enumerated (after the mirror pruning of an Unordered
+// run). The ans and wit slices are reused between calls; callers must
+// copy if they retain them.
 func (p *Plan) RunWith(d *db.Database, rs RunSpec, cb func(ans []db.Const, wit []Match) bool) {
 	rec := obs.OrNop(rs.Rec)
 	rec.Inc(obs.CQEvalCalls, 1)
@@ -315,7 +461,7 @@ func (p *Plan) RunWith(d *db.Database, rs RunSpec, cb func(ans []db.Const, wit [
 func (p *Plan) Holds(d *db.Database, rs RunSpec) bool {
 	rec := obs.OrNop(rs.Rec)
 	rec.Inc(obs.CQEvalCalls, 1)
-	rs.Witness = false
+	rs.Witness, rs.Unordered = false, false
 	ex := p.getExec(d, rs)
 	ex.run(0) // no callback: the first match stops the run
 	found := ex.matches > 0
@@ -400,7 +546,9 @@ func (dl *Delta) Touch(d *db.Database, rel string, rows []int32) {
 // only, earlier atoms over untouched ones and later atoms over all,
 // which partitions the qualifying matches by their first touched atom.
 // Each split runs p's delta-first join order, so it starts from the
-// delta rows and pays for the delta, not the database.
+// delta rows and pays for the delta, not the database. An Unordered run
+// prunes mirror matches in every split: a match and its mirror use the
+// same tuples, so they fall in the same split.
 func (p *Plan) RunDelta(d *db.Database, rs RunSpec, delta *Delta, cb func(ans []db.Const) bool) {
 	rec := obs.OrNop(rs.Rec)
 	rec.Inc(obs.CQEvalCalls, 1)
@@ -431,6 +579,9 @@ func (p *Plan) RunDelta(d *db.Database, rs RunSpec, delta *Delta, cb func(ans []
 			}
 		}
 		po := &p.pivots[k]
+		if ex.unordered {
+			po = po.unordered
+		}
 		ex.steps, ex.layout = po.steps, po.layout
 		if ex.bound != nil {
 			ex.layout = layoutFor(po.steps, ex.bound)
@@ -462,6 +613,8 @@ type exec struct {
 	layout []stepLayout
 	// bound marks the variables RunSpec.Bind pre-binds (nil for none).
 	bound []bool
+	// unordered reports that the run takes the mirror-filtered orders.
+	unordered bool
 
 	tables []*db.Table // per atom (nil for non-relational atoms)
 	consts []db.Const  // per constant argument, after RunSpec.Rep
@@ -538,6 +691,9 @@ func (p *Plan) getExec(d *db.Database, rs RunSpec) *exec {
 	if ex.bound != nil {
 		ex.layout = layoutFor(p.steps, ex.bound)
 	}
+	if ex.unordered = rs.Unordered && p.unordered != nil && ex.bound == nil; ex.unordered {
+		ex.steps, ex.layout = p.unordered.steps, p.unordered.layout
+	}
 	return ex
 }
 
@@ -546,7 +702,7 @@ func (p *Plan) getExec(d *db.Database, rs RunSpec) *exec {
 func (p *Plan) putExec(ex *exec) {
 	clear(ex.tables)
 	clear(ex.markBuf)
-	ex.in, ex.steps, ex.layout, ex.bound = nil, nil, nil, nil
+	ex.in, ex.steps, ex.layout, ex.bound, ex.unordered = nil, nil, nil, nil, false
 	ex.modes, ex.markOf, ex.rows = nil, nil, nil
 	ex.cb, ex.deltaCB, ex.matches = nil, nil, 0
 	ex.wit = ex.wit[:0]
@@ -583,21 +739,23 @@ func (e *exec) run(step int) bool {
 		return e.emit()
 	}
 	st := &e.steps[step]
-	switch st.kind {
-	case KindSim:
-		if st.sim == nil {
-			return true // unknown predicate (or nil registry): non-match
-		}
+	if st.kind != KindRel {
+		// A filter over two bound values.
 		x, y := e.argVal(st.args[0]), e.argVal(st.args[1])
-		if st.sim.Holds(e.in.Name(x), e.in.Name(y)) {
-			return e.run(step + 1)
+		var ok bool
+		switch st.kind {
+		case KindSim:
+			// An unknown predicate (or a nil registry) never matches.
+			ok = st.sim != nil && st.sim.Holds(e.in.Name(x), e.in.Name(y))
+		case KindNeq:
+			ok = x != y
+		default: // kindMirror
+			ok = x < y
 		}
-		return true
-	case KindNeq:
-		if e.argVal(st.args[0]) != e.argVal(st.args[1]) {
-			return e.run(step + 1)
+		if !ok {
+			return true
 		}
-		return true
+		return e.run(step + 1)
 	}
 	// Relational atom: take candidates from the most selective index
 	// over the positions known at entry, else scan.

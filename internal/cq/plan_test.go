@@ -1,6 +1,7 @@
 package cq
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -331,11 +332,19 @@ func TestRunDeltaMatchesFilteredOracle(t *testing.T) {
 	}
 }
 
+// deltaShapes counts deltaInstance's query shapes.
+const deltaShapes = 8
+
 // deltaInstance extends randomInstance's generator with the query
 // shapes the delta-first splits must handle: shape 0 is randomInstance
 // itself; 1 is σ3's body (Paper/Paper and Wrote/Wrote self-joins with a
 // similarity filter); 2 puts constants in atoms that become pivots; 3
-// repeats variables inside and across atoms; 4 mixes all three.
+// repeats variables inside and across atoms; 4 mixes all three. Shapes
+// 5-7 are symmetric in x and y, for the mirror pruning of Unordered
+// runs: 5 has a constant, repeated variables and swapped similarity
+// arguments; 6 is ρ1's body, whose symmetry also swaps two non-head
+// variables; 7 joins R(x,y) with R(y,x) under an inequality. Their
+// head is (x,y) or (y,x) three times in four.
 func deltaInstance(rng *rand.Rand, shape int) (*db.Database, []Atom, []string, *sim.Registry) {
 	if shape == 0 {
 		return randomInstance(rng)
@@ -379,17 +388,38 @@ func deltaInstance(rng *rand.Rand, shape int) (*db.Database, []Atom, []string, *
 		atoms = []Atom{
 			Rel("R", x, x), Rel("Wrote", x, a, a), Rel("Paper", y, a, y),
 		}
-	default:
+	case 4:
 		atoms = []Atom{
 			Rel("Paper", x, t, v), Rel("Paper", y, t, v),
 			Rel("Wrote", x, a, c()), Rel("Wrote", y, a, a),
 			Neq(x, y),
 		}
+	case 5:
+		k := c()
+		atoms = []Atom{
+			Rel("Paper", x, t, k), Rel("Paper", y, t2, k),
+			Rel("Wrote", x, a, a), Rel("Wrote", y, a, a),
+			Sim("approx", t2, t),
+		}
+	case 6:
+		atoms = []Atom{
+			Rel("R", z, x), Rel("R", z, y),
+			Rel("Wrote", x, a, t), Rel("Wrote", y, a, t2),
+		}
+	default:
+		atoms = []Atom{
+			Rel("R", x, y), Rel("R", y, x),
+			Rel("Paper", x, t, a), Rel("Paper", y, t, a),
+			Neq(y, x),
+		}
 	}
 	heads := [][]string{{"x", "y"}, {"x", "a"}, {"x"}, nil}
 	head := heads[rng.Intn(len(heads))]
-	if shape == 2 {
+	switch {
+	case shape == 2:
 		head = heads[1+rng.Intn(3)] // shape 2 has no y
+	case shape >= 5 && rng.Intn(4) > 0:
+		head = [][]string{{"x", "y"}, {"y", "x"}}[rng.Intn(2)]
 	}
 	return d, atoms, head, reg
 }
@@ -397,10 +427,12 @@ func deltaInstance(rng *rand.Rand, shape int) (*db.Database, []Atom, []string, *
 // FuzzRunDelta checks RunDelta's multiplicities against the
 // witness-filtered RunWith oracle on deltaInstance's shapes, with a
 // random, an all-touched or a none-touched delta, with and without a
-// constant remapping.
+// constant remapping. It also checks the Unordered contract
+// (checkUnordered) of RunWith and RunDelta on each case, with and
+// without a pre-bound head variable.
 func FuzzRunDelta(f *testing.F) {
 	for seed := int64(0); seed < 128; seed++ {
-		for shape := uint8(0); shape < 5; shape++ {
+		for shape := uint8(0); shape < deltaShapes; shape++ {
 			for touch := uint8(0); touch < 3; touch++ {
 				f.Add(seed, shape, touch, seed%2 == 0)
 			}
@@ -412,7 +444,8 @@ func FuzzRunDelta(f *testing.F) {
 // checkRunDelta is one FuzzRunDelta case.
 func checkRunDelta(t *testing.T, seed int64, shape, touch uint8, remap bool) {
 	rng := rand.New(rand.NewSource(seed))
-	d, atoms, head, reg := deltaInstance(rng, int(shape%5))
+	shape %= deltaShapes
+	d, atoms, head, reg := deltaInstance(rng, int(shape))
 	n := d.Interner().Size()
 	touchedSet := make(map[db.Const]bool)
 	switch touch % 3 {
@@ -432,7 +465,7 @@ func checkRunDelta(t *testing.T, seed int64, shape, touch uint8, remap bool) {
 	}
 	p, err := Prepare(atoms, head, d.Schema(), reg)
 	if err != nil {
-		t.Fatalf("shape %d: %v", shape%5, err)
+		t.Fatalf("shape %d: %v", shape, err)
 	}
 	delta := NewDelta(d, constList(touchedSet))
 	got := make(map[string]int)
@@ -455,12 +488,18 @@ func checkRunDelta(t *testing.T, seed int64, shape, touch uint8, remap bool) {
 	})
 	if len(got) != len(want) {
 		t.Fatalf("shape %d: delta found %d distinct answers, oracle %d (atoms %v, touched %v)",
-			shape%5, len(got), len(want), atoms, touchedSet)
+			shape, len(got), len(want), atoms, touchedSet)
 	}
 	for k, m := range want {
 		if got[k] != m {
 			t.Fatalf("shape %d: answer %q seen %d times by delta, %d by oracle (atoms %v)",
-				shape%5, k, got[k], m, atoms)
+				shape, k, got[k], m, atoms)
 		}
+	}
+	what := fmt.Sprintf("shape %d (atoms %v, head %v, touched %v)", shape, atoms, head, touchedSet)
+	checkUnordered(t, p, d, rs, delta, what)
+	if len(head) > 0 {
+		rs.Bind = map[string]db.Const{head[len(head)-1]: db.Const(rng.Intn(n))}
+		checkUnordered(t, p, d, rs, delta, what+" bound")
 	}
 }

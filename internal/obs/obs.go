@@ -160,22 +160,7 @@ func (s Snapshot) Format() string {
 				d.Max.Round(time.Microsecond))
 		}
 	}
-	var valueNames []string
-	for name := range s.Histograms {
-		if IsValueHist(name) {
-			valueNames = append(valueNames, name)
-		}
-	}
-	if len(valueNames) > 0 {
-		sort.Strings(valueNames)
-		fmt.Fprintf(&b, "%-34s %8s %10s %10s %10s %10s\n",
-			"distribution", "count", "min", "p50", "p99", "max")
-		for _, name := range valueNames {
-			h := s.Histograms[name]
-			fmt.Fprintf(&b, "%-34s %8d %10d %10d %10d %10d\n",
-				name, h.Count, h.Min, h.P50, h.P99, h.Max)
-		}
-	}
+	s.WriteDistributions(&b)
 	if len(s.Counters) > 0 || len(s.Gauges) > 0 {
 		fmt.Fprintf(&b, "%-46s %12s\n", "counter", "value")
 		for _, name := range sortedKeys(s.Counters) {
@@ -186,6 +171,31 @@ func (s Snapshot) Format() string {
 		}
 	}
 	return b.String()
+}
+
+// WriteDistributions writes the distribution table of the snapshot's
+// value histograms (IsValueHist) to w, one row per histogram in name
+// order with its count, min, p50, p99 and max in its own units. It
+// writes nothing when the snapshot holds none. Format prints the same
+// table.
+func (s Snapshot) WriteDistributions(w io.Writer) {
+	var names []string
+	for name := range s.Histograms {
+		if IsValueHist(name) {
+			names = append(names, name)
+		}
+	}
+	if len(names) == 0 {
+		return
+	}
+	sort.Strings(names)
+	fmt.Fprintf(w, "%-34s %8s %10s %10s %10s %10s\n",
+		"distribution", "count", "min", "p50", "p99", "max")
+	for _, name := range names {
+		h := s.Histograms[name]
+		fmt.Fprintf(w, "%-34s %8d %10d %10d %10d %10d\n",
+			name, h.Count, h.Min, h.P50, h.P99, h.Max)
+	}
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -226,5 +227,41 @@ func TestCanonicalNameLists(t *testing.T) {
 			}
 			seen[name] = true
 		}
+	}
+}
+
+// TestWriteDistributions pins the shared distribution table: one row
+// per value histogram with its count, min, p50, p99 and max, no row for
+// a duration histogram, nothing for a snapshot without value
+// histograms, and the same table inside Format.
+func TestWriteDistributions(t *testing.T) {
+	r := NewRegistry()
+	var empty strings.Builder
+	r.Observe(SpanCoreSearch, time.Millisecond)
+	r.Snapshot().WriteDistributions(&empty)
+	if empty.Len() != 0 {
+		t.Errorf("a snapshot without value histograms wrote:\n%s", empty.String())
+	}
+	for _, v := range []time.Duration{3, 5, 5, 7} {
+		r.Observe(HistShardSize, v)
+	}
+	r.Observe(HistCoreJustifySteps, 2)
+	snap := r.Snapshot()
+	var b strings.Builder
+	snap.WriteDistributions(&b)
+	lines := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
+	if len(lines) != 3 || !strings.HasPrefix(lines[0], "distribution") {
+		t.Fatalf("want a header and two rows, got:\n%s", b.String())
+	}
+	h := snap.Histogram(HistShardSize)
+	row := fmt.Sprintf("%-34s %8d %10d %10d %10d %10d", HistShardSize, 4, 3, h.P50, h.P99, 7)
+	if lines[1] != fmt.Sprintf("%-34s %8d %10d %10d %10d %10d", HistCoreJustifySteps, 1, 2, 2, 2, 2) || lines[2] != row {
+		t.Errorf("rows out of name order or wrong:\n%s", b.String())
+	}
+	if strings.Contains(b.String(), SpanCoreSearch) {
+		t.Errorf("duration histogram %s in the distribution table:\n%s", SpanCoreSearch, b.String())
+	}
+	if !strings.Contains(snap.Format(), b.String()) {
+		t.Errorf("Format() does not carry the distribution table:\n%s", snap.Format())
 	}
 }

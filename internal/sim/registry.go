@@ -8,7 +8,12 @@ import (
 
 // Predicate is a binary similarity predicate over constant names. All
 // implementations must be symmetric and reflexive, matching the paper's
-// use of ≈ ("the symmetric and reflexive closure of ..."), and safe for
+// use of ≈ ("the symmetric and reflexive closure of ..."). Symmetry is
+// relied on beyond the memo: a query plan treats a similarity atom as
+// unordered when it detects a rule body symmetric in its head
+// variables, and the closure then enumerates each merge in one
+// orientation only (cq.Plan.Symmetric), so an asymmetric predicate
+// would lose merges. Implementations must also be safe for
 // concurrent use: one registry serves every goroutine of a session, its
 // parallel walk workers, request forks and shard solves, and every
 // epoch of a streaming lineage. Holds must be a pure function of the

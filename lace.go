@@ -82,6 +82,9 @@ type (
 	// SimRegistry holds the similarity predicates available to rules.
 	SimRegistry = sim.Registry
 	// SimPredicate is a reflexive, symmetric predicate on strings.
+	// Symmetry is required, not only assumed by the similarity memo:
+	// the closure enumerates each merge of a symmetric rule body in one
+	// orientation only, so an asymmetric predicate would lose merges.
 	SimPredicate = sim.Predicate
 
 	// CQ is a conjunctive query.
