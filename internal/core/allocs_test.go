@@ -71,7 +71,7 @@ func TestSearchAllocsPerState(t *testing.T) {
 	}
 }
 
-// maxReplayAllocsPerStep bounds the heap allocations of one Replay per
+// maxReplayAllocsPerStep bounds the heap allocations of one replay per
 // derivation step it emits: the step's copied facts, similarity atoms
 // and dependencies, its slot in the step log and edge index, and the
 // per-stage class snapshot amortized over the steps.
@@ -108,13 +108,13 @@ func TestReplayAllocsPerStep(t *testing.T) {
 		{"figure 1", fe, func() []*eqrel.Partition { return []*eqrel.Partition{m1(fe, f), m2(fe, f)} }},
 	} {
 		for i, E := range c.E() {
-			d, err := c.e.Replay(E)
+			d, err := c.e.replay(E)
 			if err != nil {
 				t.Fatal(err)
 			}
 			steps := len(d.steps)
 			allocs := testing.AllocsPerRun(5, func() {
-				if _, err := c.e.Replay(E); err != nil {
+				if _, err := c.e.replay(E); err != nil {
 					t.Fatal(err)
 				}
 			})

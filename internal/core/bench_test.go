@@ -170,7 +170,7 @@ func BenchmarkReplayReadCold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Replay(maximal[0]); err != nil {
+		if _, err := e.replay(maximal[0]); err != nil {
 			b.Fatal(err)
 		}
 	}

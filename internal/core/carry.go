@@ -277,7 +277,6 @@ func (s *EpochSnapshot) carryTop(ctx context.Context, prev *latticeTop, retract,
 // rebuilt from every match holding their representative, and every
 // other class keeps its predecessor's record.
 func (s *EpochSnapshot) carryCoupling(ctx context.Context, prev, top *latticeTop, retract, insert []db.Fact) (*coupling, error) {
-	e := s.eng
 	Tp, indP, T, ind := prev.T, prev.ind, top.T, top.ind
 	domP, dom := Tp.N(), T.N()
 	repP := prev.rep
@@ -321,7 +320,7 @@ func (s *EpochSnapshot) carryCoupling(ctx context.Context, prev, top *latticeTop
 		}
 	}
 
-	plans, err := e.sess.couplingPlans()
+	plans, err := s.eng.sess.couplingPlans()
 	if err != nil {
 		return nil, err
 	}
@@ -341,33 +340,8 @@ func (s *EpochSnapshot) carryCoupling(ctx context.Context, prev, top *latticeTop
 			dirty[r] = true
 		}
 	}
-	var failed error
-	each := func(d *db.Database, T *eqrel.Partition, rep func(db.Const) db.Const, mergeable func(db.Const) bool,
-		delta *cq.Delta, visit func(couplingMatch, []db.Const, []db.Const)) error {
-		for _, cp := range plans {
-			if err := ctx.Err(); err != nil {
-				return limits.Wrap(err)
-			}
-			consts := planConsts(cp, rep)
-			cp.plan.plan.RunDelta(d, cq.RunSpec{Rec: e.rec, Rep: rep}, delta, func(vals []db.Const) bool {
-				m, err := classify(cp, vals, consts, T, mergeable)
-				if err != nil {
-					failed = err
-					return false
-				}
-				if m.real {
-					visit(m, vals, consts)
-				}
-				return true
-			})
-			if failed != nil {
-				return failed
-			}
-		}
-		return nil
-	}
 	// The candidate matches of D_T' leave; those of D_T arrive.
-	if err := each(indP, Tp, repP, mergeableP, imageDelta(indP, repsP, imageRows(indP, repP, batch)), func(m couplingMatch, _, _ []db.Const) {
+	if err := s.runCoupling(ctx, indP, Tp, repP, mergeableP, imageDelta(indP, repsP, imageRows(indP, repP, batch)), func(m couplingMatch, _, _ []db.Const) {
 		switch {
 		case m.anchor < 0:
 			if m.violated {
@@ -379,7 +353,7 @@ func (s *EpochSnapshot) carryCoupling(ctx context.Context, prev, top *latticeTop
 	}); err != nil {
 		return nil, err
 	}
-	if err := each(ind, T, T.Rep, mergeable, imageDelta(ind, reps, imageRows(ind, T.Rep, batch)), func(m couplingMatch, _, _ []db.Const) {
+	if err := s.runCoupling(ctx, ind, T, T.Rep, mergeable, imageDelta(ind, reps, imageRows(ind, T.Rep, batch)), func(m couplingMatch, _, _ []db.Const) {
 		switch {
 		case m.anchor < 0:
 			if m.violated {
@@ -404,10 +378,9 @@ func (s *EpochSnapshot) carryCoupling(ctx context.Context, prev, top *latticeTop
 		rerecord = append(rerecord, r)
 	}
 	rb := newCouplingBuilder()
-	keep := func(cls db.Const) bool { return dirty[cls] }
-	if err := each(ind, T, T.Rep, mergeable, cq.NewDelta(ind, rerecord), func(m couplingMatch, vals, consts []db.Const) {
-		if m.anchor >= 0 {
-			rb.record(m, vals, consts, T, mergeable, keep)
+	if err := s.runCoupling(ctx, ind, T, T.Rep, mergeable, cq.NewDelta(ind, rerecord), func(m couplingMatch, vals, consts []db.Const) {
+		if m.anchor >= 0 && dirty[T.Rep(m.anchor)] {
+			rb.record(m, vals, consts, T, mergeable)
 		}
 	}); err != nil {
 		return nil, err

@@ -134,7 +134,7 @@ func (e *Engine) explainMerges(pairs []eqrel.Pair, with, without []*eqrel.Partit
 				x.Status = Certain
 			}
 			if replays[W] == nil {
-				if replays[W], err = e.Replay(W); err != nil {
+				if replays[W], err = e.replay(W); err != nil {
 					return nil, err
 				}
 			}

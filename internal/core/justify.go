@@ -91,13 +91,13 @@ type edgeRef struct {
 	other db.Const
 }
 
-// Replay reconstructs a derivation of the solution E: starting from the
+// replay reconstructs a derivation of the solution E: starting from the
 // identity, it repeatedly applies rules (restricted to pairs of E) on
 // the original database modulo the current relation, recording for every
 // newly derived pair the rule, supporting facts, similarity atoms, and
 // join dependencies. E must be a solution (or at least a candidate
 // solution); otherwise an error is returned.
-func (e *Engine) Replay(E *eqrel.Partition) (*derivation, error) {
+func (e *Engine) replay(E *eqrel.Partition) (*derivation, error) {
 	e.rec.Inc(obs.CoreJustifyReplays, 1)
 	d := &derivation{adj: make(map[db.Const][]edgeRef)}
 	cur := e.Identity()
@@ -156,7 +156,7 @@ func (e *Engine) Justify(E *eqrel.Partition, a, b db.Const) (*Justification, err
 	if !E.Same(a, b) {
 		return nil, fmt.Errorf("core: pair (%d,%d) is not in the solution", a, b)
 	}
-	d, err := e.Replay(E)
+	d, err := e.replay(E)
 	if err != nil {
 		return nil, err
 	}

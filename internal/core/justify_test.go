@@ -199,7 +199,7 @@ func TestReplayReconstructsSolutions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range maximal {
-		d, err := e.Replay(m)
+		d, err := e.replay(m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +219,7 @@ func TestReplayReconstructsSolutions(t *testing.T) {
 func TestReplayRejectsNonCandidate(t *testing.T) {
 	e, f := fig1Engine(t)
 	bogus := e.FromPairs([]eqrel.Pair{pairOf(f, "a1", "a4")})
-	if _, err := e.Replay(bogus); err == nil {
+	if _, err := e.replay(bogus); err == nil {
 		t.Error("replay of a non-candidate succeeded")
 	}
 }

@@ -12,24 +12,24 @@ import (
 	"repro/internal/workload"
 )
 
-// diffReplay checks that Replay, every Justify of E's pairs and
+// diffReplay checks that replay, every Justify of E's pairs and
 // ScoreSolution on the indexed relaxed join are byte-identical to the
 // frozen nested-loop reference.
 func diffReplay(t *testing.T, name string, e *Engine, E *eqrel.Partition) {
 	t.Helper()
-	d, err := e.Replay(E)
+	d, err := e.replay(E)
 	ref, refErr := e.replayRef(E)
 	if fmt.Sprint(err) != fmt.Sprint(refErr) {
-		t.Fatalf("%s: Replay error %v, reference %v", name, err, refErr)
+		t.Fatalf("%s: replay error %v, reference %v", name, err, refErr)
 	}
 	if err != nil {
 		return
 	}
 	if got, want := fmt.Sprintf("%#v", d.steps), fmt.Sprintf("%#v", ref.steps); got != want {
-		t.Fatalf("%s: Replay steps differ\n got %s\nwant %s", name, got, want)
+		t.Fatalf("%s: replay steps differ\n got %s\nwant %s", name, got, want)
 	}
 	if !reflect.DeepEqual(d.adj, ref.adj) {
-		t.Fatalf("%s: Replay edge index differs", name)
+		t.Fatalf("%s: replay edge index differs", name)
 	}
 	in := e.DB().Interner()
 	for _, p := range E.Pairs() {

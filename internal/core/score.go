@@ -25,7 +25,7 @@ import (
 //
 // E must be a candidate solution (it is replayed).
 func (e *Engine) ScoreSolution(E *eqrel.Partition) (float64, error) {
-	d, err := e.Replay(E)
+	d, err := e.replay(E)
 	if err != nil {
 		return 0, err
 	}

@@ -622,13 +622,9 @@ func newCouplingBuilder() *couplingBuilder {
 	return &couplingBuilder{classes: make(map[db.Const]*classBuild)}
 }
 
-// record adds a classified match: to the trivial count when it has no
-// anchor, else to its anchor class's record, provided keep (nil: every
-// class) accepts the class.
-func (b *couplingBuilder) record(m couplingMatch, vals, consts []db.Const, T *eqrel.Partition, mergeable func(db.Const) bool, keep func(db.Const) bool) {
-	if !m.real {
-		return
-	}
+// record adds a real classified match: to the trivial count when it
+// has no anchor, else to its anchor class's record.
+func (b *couplingBuilder) record(m couplingMatch, vals, consts []db.Const, T *eqrel.Partition, mergeable func(db.Const) bool) {
 	if m.anchor < 0 {
 		if m.violated {
 			b.trivial++
@@ -636,9 +632,6 @@ func (b *couplingBuilder) record(m couplingMatch, vals, consts []db.Const, T *eq
 		return
 	}
 	cls := T.Rep(m.anchor)
-	if keep != nil && !keep(cls) {
-		return
-	}
 	cb := b.classes[cls]
 	if cb == nil {
 		cb = &classBuild{support: map[db.Const]bool{cls: true}, coupled: make(map[db.Const]bool)}
@@ -730,37 +723,57 @@ func planConsts(cp *couplingPlan, rep func(db.Const) db.Const) []db.Const {
 // couple computes top's coupling in one pass over every relaxed match
 // on D_T.
 func (s *EpochSnapshot) couple(ctx context.Context, top *latticeTop) (*coupling, error) {
-	e := s.eng
-	T, indT := top.T, top.ind
+	T := top.T
 	mergeable := func(c db.Const) bool { return T.ClassSize(c) > 1 }
-	plans, err := e.sess.couplingPlans()
-	if err != nil {
+	b := newCouplingBuilder()
+	if err := s.runCoupling(ctx, top.ind, T, s.eng.repFor(T), mergeable, nil, func(m couplingMatch, vals, consts []db.Const) {
+		b.record(m, vals, consts, T, mergeable)
+	}); err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, limits.Wrap(err)
+	cpl := &coupling{classes: make(map[db.Const]*classCoupling, len(b.classes)), trivial: b.trivial}
+	b.finish(cpl.classes)
+	return cpl, nil
+}
+
+// runCoupling runs every coupling plan over d, the database T induces
+// through rep, and visits each real classified match with its values
+// and the plan's constants under rep: every match when delta is nil,
+// only those using a touched row of delta otherwise.
+func (s *EpochSnapshot) runCoupling(ctx context.Context, d *db.Database, T *eqrel.Partition, rep func(db.Const) db.Const, mergeable func(db.Const) bool,
+	delta *cq.Delta, visit func(m couplingMatch, vals, consts []db.Const)) error {
+	plans, err := s.eng.sess.couplingPlans()
+	if err != nil {
+		return err
 	}
-	b := newCouplingBuilder()
-	rep := e.repFor(T)
+	rs := cq.RunSpec{Rec: s.eng.rec, Rep: rep}
+	var failed error
 	for _, cp := range plans {
+		if err := ctx.Err(); err != nil {
+			return limits.Wrap(err)
+		}
 		consts := planConsts(cp, rep)
-		var failed error
-		cp.plan.plan.RunWith(indT, cq.RunSpec{Rec: e.rec, Rep: rep}, func(vals []db.Const, _ []cq.Match) bool {
+		each := func(vals []db.Const) bool {
 			m, err := classify(cp, vals, consts, T, mergeable)
 			if err != nil {
 				failed = err
 				return false
 			}
-			b.record(m, vals, consts, T, mergeable, nil)
+			if m.real {
+				visit(m, vals, consts)
+			}
 			return true
-		})
+		}
+		if delta == nil {
+			cp.plan.plan.RunWith(d, rs, func(vals []db.Const, _ []cq.Match) bool { return each(vals) })
+		} else {
+			cp.plan.plan.RunDelta(d, rs, delta, each)
+		}
 		if failed != nil {
-			return nil, failed
+			return failed
 		}
 	}
-	cpl := &coupling{classes: make(map[db.Const]*classCoupling, len(b.classes)), trivial: b.trivial}
-	b.finish(cpl.classes)
-	return cpl, nil
+	return nil
 }
 
 // couplingPlanSet is a session's coupling plans, compiled once.

@@ -192,17 +192,15 @@ func (d *Database) ActiveDomain() []Const {
 	return out
 }
 
-// Clone returns a deep copy sharing the schema and interner.
+// Clone returns an unfrozen copy sharing the schema and interner. Its
+// tables are fresh (inserts into the copy leave d alone); the tuples,
+// which no table ever modifies, are shared.
 func (d *Database) Clone() *Database {
 	nd := New(d.schema, d.interner)
 	for name, t := range d.tables {
-		nt := newTable(t.rel, t.Len())
-		for _, tup := range t.tuples {
-			nt.insert(append([]Const(nil), tup...))
-		}
-		nd.tables[name] = nt
-		nd.nfacts += nt.Len()
+		nd.tables[name] = t.derive(nil, false, nil, nil)
 	}
+	nd.nfacts = d.nfacts
 	nd.hashXor, nd.hashSum, nd.hashOK = d.hashXor, d.hashSum, d.hashOK
 	return nd
 }

@@ -1,11 +1,30 @@
 package db
 
 // This file holds the canonical byte-string encodings shared by the
-// deduplication and visited-set maps across the repository. TupleKey
-// (database.go) covers fixed-width Const tuples; the helpers here cover
-// variable-width int sequences — ground ASP atoms and rules, partition
-// representative vectors — which previously each hand-rolled their own
-// encoding.
+// deduplication and visited-set maps across the repository: TupleKey
+// covers fixed-width Const tuples, AppendInt and IntsKey variable-width
+// int sequences (ground ASP atoms and rules, partition representative
+// vectors).
+
+import "strings"
+
+// TupleKey returns a compact byte-string key uniquely identifying a
+// tuple of constants (four little-endian bytes per component). It is
+// the canonical tuple encoding for string-keyed deduplication maps
+// (query answers, expanded answer sets); tables deduplicate through
+// their own hash set instead.
+func TupleKey(args []Const) string {
+	var b strings.Builder
+	b.Grow(len(args) * 4)
+	for _, c := range args {
+		v := uint32(c)
+		b.WriteByte(byte(v))
+		b.WriteByte(byte(v >> 8))
+		b.WriteByte(byte(v >> 16))
+		b.WriteByte(byte(v >> 24))
+	}
+	return b.String()
+}
 
 // AppendInt appends the canonical encoding of one int to dst: the
 // zigzag mapping (so small negative values such as the -1 head of a

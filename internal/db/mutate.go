@@ -1,27 +1,32 @@
 package db
 
 // mutate.go is the streaming-mutation substrate: frozen databases grow
-// copy-on-write epoch overlays. Apply builds the successor of a frozen
-// parent database under a batch of fact insertions and retractions
-// without touching the parent — untouched relations are shared by
-// reference (sound because both sides are frozen), touched relations
-// are rebuilt skipping the retracted tuple keys (the tombstones) and
-// appending the inserts. A batch naming only known constants shares the
-// parent's interner, which Freeze has made reject new names; one naming
-// a new constant clones it, and Interner.Clone preserves ids. Either
-// way constant ids are stable along an epoch lineage: specifications,
-// equivalence pairs and a carried lattice top keyed by constant id stay
-// valid across epochs.
+// copy-on-write epoch successors. Apply builds the successor of a
+// frozen parent database under a batch of fact insertions and
+// retractions without touching the parent. Untouched relations are
+// shared by reference (sound because both sides are frozen); each
+// touched relation is derived from the parent's table by the same
+// primitive as every induced database (Table.derive): the retracted
+// rows, found through the parent table's hash set, are dropped, and the
+// inserts are appended in batch order. A batch naming only known
+// constants shares the parent's interner, which Freeze has made reject
+// new names; one naming a new constant clones it, and Interner.Clone
+// preserves ids. Either way constant ids are stable along an epoch
+// lineage: specifications, equivalence pairs and a carried lattice top
+// keyed by constant id stay valid across epochs.
 //
 // The content fingerprint makes epoch identity observable in O(1): the
 // XOR and the sum of per-fact FNV-1a hashes over rendered names are
 // maintained by Insert, copied by Clone and adjusted arithmetically by
-// Apply (parent minus retracted plus inserted), so two databases with
-// the same facts — in any insertion order, behind any interner — render
-// the same fingerprint, and Apply never rescans the instance.
+// Apply (parent minus the dropped rows plus the derived table's new
+// tail), so two databases with the same facts — in any insertion order,
+// behind any interner — render the same fingerprint, and Apply never
+// rescans the instance.
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -47,11 +52,12 @@ func (f FactSpec) String() string {
 // modified; the result is a fresh frozen database sharing the parent's
 // schema, every untouched table by reference, and the parent's interner
 // when every inserted name is already interned, a clone of it (ids
-// preserved, new names appended) otherwise. Retracting an
-// absent fact and inserting a present one are counted-zero no-ops; the
-// returned counts are the facts actually removed and actually added.
-// A validation error (undeclared relation, arity mismatch) rejects the
-// whole batch: no partial application.
+// preserved, new names appended) otherwise. A touched table holds the
+// parent's tuples in order minus the retracted ones, then the inserts
+// in batch order. Retracting an absent fact and inserting a present one
+// are counted-zero no-ops; the returned counts are the facts actually
+// removed and actually added. A validation error (undeclared relation,
+// arity mismatch) rejects the whole batch: no partial application.
 func Apply(parent *Database, insert, retract []FactSpec) (nd *Database, inserted, retracted int, err error) {
 	for _, f := range retract {
 		if err := parent.validateSpec(f); err != nil {
@@ -76,99 +82,70 @@ known:
 		}
 	}
 
-	// Tombstones: per touched relation, the keys of the tuples this
-	// batch removes. A retract naming a constant the parent never
-	// interned cannot match any tuple and is dropped here.
-	tombs := make(map[string]map[string]bool)
+	// By relation: the parent rows the batch retracts and the tuples it
+	// inserts. A retract naming a constant the parent never interned
+	// matches no row.
+	drop := make(map[string][]int32)
+	add := make(map[string][][]Const)
 	args := make([]Const, 0, 8)
+retracts:
 	for _, f := range retract {
 		args = args[:0]
-		known := true
 		for _, n := range f.Args {
 			c, ok := in.Lookup(n)
 			if !ok {
-				known = false
-				break
+				continue retracts
 			}
 			args = append(args, c)
 		}
-		if !known {
-			continue
+		if t := parent.tables[f.Rel]; t != nil {
+			if p := t.Position(args); p >= 0 {
+				drop[f.Rel] = append(drop[f.Rel], int32(p))
+			}
 		}
-		set := tombs[f.Rel]
-		if set == nil {
-			set = make(map[string]bool)
-			tombs[f.Rel] = set
-		}
-		set[TupleKey(args)] = true
-	}
-
-	// Inserts are interned up front so every touched relation is known
-	// before tables are chosen for sharing vs. rebuild.
-	type pendingInsert struct {
-		rel  string
-		args []Const
-	}
-	pending := make([]pendingInsert, 0, len(insert))
-	touched := make(map[string]bool, len(tombs))
-	for rel := range tombs {
-		touched[rel] = true
 	}
 	for _, f := range insert {
-		cp := make([]Const, len(f.Args))
+		tup := make([]Const, len(f.Args))
 		for i, n := range f.Args {
-			cp[i] = in.Intern(n)
+			tup[i] = in.Intern(n)
 		}
-		pending = append(pending, pendingInsert{rel: f.Rel, args: cp})
-		touched[f.Rel] = true
+		add[f.Rel] = append(add[f.Rel], tup)
 	}
 
-	px, ps := parent.hashXor, parent.hashSum
-	if !parent.hashOK {
-		px, ps = parent.contentHash()
-	}
 	nd = New(parent.schema, in)
-	nd.hashXor, nd.hashSum = px, ps
-
-	for name, t := range parent.tables {
-		if !touched[name] {
-			// Both sides frozen: sharing tuples, hash set and indexes
-			// by reference is sound because neither ever changes again.
-			nd.tables[name] = t
-			nd.nfacts += t.Len()
+	nd.tables = maps.Clone(parent.tables)
+	nd.nfacts = parent.nfacts
+	nd.hashXor, nd.hashSum = parent.hashXor, parent.hashSum
+	if !parent.hashOK {
+		nd.hashXor, nd.hashSum = parent.contentHash()
+	}
+	for _, r := range parent.schema.Relations() {
+		rows, tuples := drop[r.Name], add[r.Name]
+		if len(rows) == 0 && len(tuples) == 0 {
 			continue
 		}
-		set := tombs[name]
-		nt := newTable(t.rel, t.Len())
-		for _, tup := range t.tuples {
-			if set != nil && set[TupleKey(tup)] {
-				retracted++
-				h := nd.factHash(name, tup)
-				nd.hashXor ^= h
-				nd.hashSum -= h
-				continue
-			}
-			// Tuple slices are shared with the parent: frozen tables
-			// never mutate them.
-			nt.insert(tup)
-		}
-		nd.tables[name] = nt
-		nd.nfacts += nt.Len()
-	}
-	for _, p := range pending {
-		t := nd.tables[p.rel]
+		t := parent.tables[r.Name]
 		if t == nil {
-			r, _ := parent.schema.Relation(p.rel)
 			t = newTable(r, 0)
-			nd.tables[p.rel] = t
 		}
-		if t.insert(p.args) {
-			inserted++
-			nd.nfacts++
-			h := nd.factHash(p.rel, p.args)
+		slices.Sort(rows)
+		rows = slices.Compact(rows)
+		for _, p := range rows {
+			h := nd.factHash(r.Name, t.tuples[p])
+			nd.hashXor ^= h
+			nd.hashSum -= h
+		}
+		kept := t.Len() - len(rows)
+		nt := t.derive(rows, false, tuples, nil)
+		for _, tup := range nt.tuples[kept:] {
+			h := nd.factHash(r.Name, tup)
 			nd.hashXor ^= h
 			nd.hashSum += h
 		}
+		retracted += len(rows)
+		inserted += nt.Len() - kept
+		nd.tables[r.Name] = nt
+		nd.nfacts += nt.Len() - t.Len()
 	}
 	nd.Freeze()
 	return nd, inserted, retracted, nil

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -94,6 +95,74 @@ func TestApplyRetractThenInsertSameFact(t *testing.T) {
 	}
 	if nd.Fingerprint() != d.Fingerprint() {
 		t.Error("retract+insert of the same fact changed the fingerprint")
+	}
+}
+
+// TestApplyTupleOrder pins the order Apply leaves each touched table
+// in, which the relaxed join and shard projection read: the parent's
+// tuples minus the retracted ones, then the inserts in batch order. One
+// batch retracts and re-inserts a fact, retracts a fact twice, inserts
+// another twice, retracts a fact naming an unknown constant, and
+// inserts a new name into a relation with no table yet.
+func TestApplyTupleOrder(t *testing.T) {
+	s := NewSchema()
+	s.MustAdd("R", "a", "b")
+	s.MustAdd("S", "x")
+	s.MustAdd("U", "x")
+	d := New(s, nil)
+	d.MustInsert("R", "p", "q")
+	d.MustInsert("R", "p", "r")
+	d.MustInsert("R", "s", "t")
+	d.MustInsert("R", "u", "v")
+	d.MustInsert("S", "z")
+
+	nd, ins, ret, err := Apply(d,
+		specs([]string{"R", "p", "q"}, []string{"R", "u", "p"}, []string{"R", "u", "p"}, []string{"U", "fresh"}),
+		specs([]string{"R", "p", "q"}, []string{"R", "s", "t"}, []string{"R", "s", "t"}, []string{"R", "p", "ghost"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ins != 3 || ret != 2 {
+		t.Fatalf("counts = (%d inserted, %d retracted), want (3, 2)", ins, ret)
+	}
+	if _, ok := nd.Interner().Lookup("fresh"); !ok {
+		t.Fatal("inserted name not interned")
+	}
+	if _, ok := d.Interner().Lookup("fresh"); ok {
+		t.Fatal("new name interned into the parent's interner")
+	}
+	render := func(of *Database, rel string) string {
+		var b strings.Builder
+		for _, tup := range of.Tuples(rel) {
+			b.WriteString("(")
+			for i, c := range tup {
+				if i > 0 {
+					b.WriteString(",")
+				}
+				b.WriteString(of.Interner().Name(c))
+			}
+			b.WriteString(")")
+		}
+		return b.String()
+	}
+	for rel, want := range map[string]string{
+		"R": "(p,r)(u,v)(p,q)(u,p)",
+		"S": "(z)",
+		"U": "(fresh)",
+	} {
+		if got := render(nd, rel); got != want {
+			t.Errorf("%s = %s, want %s", rel, got, want)
+		}
+	}
+	if got := render(d, "R"); got != "(p,q)(p,r)(s,t)(u,v)" {
+		t.Errorf("parent R = %s after Apply", got)
+	}
+	if nd.NumFacts() != 6 {
+		t.Errorf("NumFacts = %d, want 6", nd.NumFacts())
+	}
+	x, sum := nd.contentHash()
+	if want := fmt.Sprintf("%016x%016x", x, sum); nd.Fingerprint() != want {
+		t.Errorf("Fingerprint = %s, rescan = %s", nd.Fingerprint(), want)
 	}
 }
 

@@ -1,9 +1,6 @@
 package db
 
-import (
-	"slices"
-	"strings"
-)
+import "slices"
 
 // Table holds the extension of one relation: a duplicate-free list of
 // tuples in insertion order, a hash set over those tuples for
@@ -64,24 +61,6 @@ func (t *Table) Len() int { return len(t.tuples) }
 // Tuples returns all tuples in insertion order. The returned slice and
 // its elements are shared; callers must not modify them.
 func (t *Table) Tuples() [][]Const { return t.tuples }
-
-// TupleKey returns a compact byte-string key uniquely identifying a
-// tuple of constants (four little-endian bytes per component). It is
-// the canonical tuple encoding for string-keyed deduplication maps
-// (query answers, expanded answer sets, write-batch tombstones); tables
-// deduplicate through their own hash set instead.
-func TupleKey(args []Const) string {
-	var b strings.Builder
-	b.Grow(len(args) * 4)
-	for _, c := range args {
-		v := uint32(c)
-		b.WriteByte(byte(v))
-		b.WriteByte(byte(v >> 8))
-		b.WriteByte(byte(v >> 16))
-		b.WriteByte(byte(v >> 24))
-	}
-	return b.String()
-}
 
 // hashTuple mixes the components of a tuple into a 64-bit hash.
 func hashTuple(tup []Const) uint64 {
@@ -352,9 +331,9 @@ func (t *Table) rowsHolding(set *constSet) []int32 {
 // derive returns a table holding t's tuples in order, except that the
 // tuple at each position of rows (ascending) is replaced by its image
 // under rep when remap is set and dropped otherwise, followed by the
-// image under rep of every tuple of extra. Kept tuples are shared by
-// reference, duplicates the images create are suppressed, and the
-// images share one backing array.
+// image under rep of every tuple of extra; a nil rep is the identity.
+// Kept tuples are shared by reference, duplicates the images create are
+// suppressed, and the images share one backing array.
 func (t *Table) derive(rows []int32, remap bool, extra [][]Const, rep func(Const) Const) *Table {
 	arity := t.rel.Arity()
 	images := len(extra)
@@ -366,7 +345,10 @@ func (t *Table) derive(rows []int32, remap bool, extra [][]Const, rep func(Const
 	add := func(tup []Const) {
 		m := arena[:arity:arity]
 		for i, c := range tup {
-			m[i] = rep(c)
+			if rep != nil {
+				c = rep(c)
+			}
+			m[i] = c
 		}
 		if nt.insert(m) {
 			arena = arena[arity:]

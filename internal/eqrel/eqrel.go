@@ -8,7 +8,6 @@ package eqrel
 
 import (
 	"fmt"
-	"hash/maphash"
 	"sort"
 	"strings"
 
@@ -39,8 +38,7 @@ type Partition struct {
 	min    []db.Const // min id of the class, valid at roots
 	n      int
 	// nontrivial counts members of classes with >= 2 elements.
-	merged  int
-	version uint64
+	merged int
 }
 
 // New returns the identity partition over ids 0..n-1.
@@ -72,10 +70,6 @@ func NewFromPairs(n int, pairs []Pair) *Partition {
 // N returns the domain size.
 func (p *Partition) N() int { return p.n }
 
-// Version increases every time the partition changes; it is used to
-// invalidate induced-database caches.
-func (p *Partition) Version() uint64 { return p.version }
-
 // find returns the root of c with path compression. Compression writes
 // are guarded so they only happen when they change something: on a
 // flattened partition (see Flatten) find is a pure read, which is what
@@ -92,7 +86,7 @@ func (p *Partition) find(c db.Const) db.Const {
 }
 
 // Flatten fully compresses every path so each element points directly
-// at its root. Afterwards the read-only methods (Rep, Same, Key, Hash,
+// at its root. Afterwards the read-only methods (Rep, Same, Key,
 // Subset, Equal, Pairs, Classes, ...) perform no writes and are safe to
 // call from any number of goroutines concurrently; the parallel search
 // flattens a partition once before handing it to workers. Mutating
@@ -142,7 +136,6 @@ func (p *Partition) Union(a, b db.Const) bool {
 	if p.min[rb] < p.min[ra] {
 		p.min[ra] = p.min[rb]
 	}
-	p.version++
 	return true
 }
 
@@ -172,12 +165,11 @@ func (p *Partition) ClassSize(c db.Const) int { return int(p.size[p.find(c)]) }
 // Clone returns an independent copy.
 func (p *Partition) Clone() *Partition {
 	return &Partition{
-		parent:  append([]db.Const(nil), p.parent...),
-		size:    append([]int32(nil), p.size...),
-		min:     append([]db.Const(nil), p.min...),
-		n:       p.n,
-		merged:  p.merged,
-		version: p.version,
+		parent: append([]db.Const(nil), p.parent...),
+		size:   append([]int32(nil), p.size...),
+		min:    append([]db.Const(nil), p.min...),
+		n:      p.n,
+		merged: p.merged,
 	}
 }
 
@@ -285,14 +277,6 @@ func (p *Partition) Key() string {
 		buf = db.AppendInt(buf, int(p.Rep(db.Const(i))))
 	}
 	return string(buf)
-}
-
-var keySeed = maphash.MakeSeed()
-
-// Hash returns a 64-bit hash of the canonical key, for cheap state-set
-// pre-filtering.
-func (p *Partition) Hash() uint64 {
-	return maphash.String(keySeed, p.Key())
 }
 
 // String renders the nontrivial classes using the interner's names, e.g.

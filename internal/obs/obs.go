@@ -78,16 +78,6 @@ func OrNop(r Recorder) Recorder {
 	return r
 }
 
-// Live reports whether r actually records events — use it to guard
-// attribute computations that would be wasted on the no-op recorder.
-func Live(r Recorder) bool {
-	if r == nil {
-		return false
-	}
-	_, nop := r.(Nop)
-	return !nop
-}
-
 // DurationStats summarizes the samples observed under one name: the
 // histogram's count, sum and extrema read as durations. Snapshot derives
 // one for every duration histogram, and none for a value histogram

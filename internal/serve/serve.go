@@ -393,9 +393,7 @@ func (s *Server) admit(w http.ResponseWriter, meta *reqMeta) bool {
 	}
 	s.admitMu.Unlock()
 	if draining {
-		if meta != nil {
-			meta.outcome = "draining"
-		}
+		meta.outcome = "draining"
 		writeJSON(w, http.StatusServiceUnavailable, Envelope{Error: errDraining.Error()})
 	}
 	return !draining
@@ -476,34 +474,26 @@ func (s *Server) endpoint(w http.ResponseWriter, r *http.Request, name string,
 	resp any, env *Envelope) {
 
 	meta := metaFrom(r.Context())
-	if meta != nil {
-		meta.endpoint = name
-	}
+	meta.endpoint = name
 	if !s.admit(w, meta) {
 		return
 	}
 	defer s.inflight.Done()
 	s.rec.Inc(obs.ServeRequests, 1)
 	sp := s.rec.Start(obs.SpanServeRequest)
-	if meta != nil {
-		sp.AttrStr("request_id", meta.id)
-	}
+	sp.AttrStr("request_id", meta.id)
 	defer sp.AttrStr("endpoint", name).End()
 
 	cacheKey := name + "\x00" + key + "\x00" + st.snap.Fingerprint()
 	if body, ok := s.cache.get(cacheKey); ok {
-		if meta != nil {
-			meta.cache = "hit"
-		}
+		meta.cache = "hit"
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("X-Cache", "hit")
 		w.WriteHeader(http.StatusOK)
 		w.Write(body)
 		return
 	}
-	if meta != nil {
-		meta.cache = "miss"
-	}
+	meta.cache = "miss"
 
 	ctx, cancel := s.requestCtx(r, timeoutMS)
 	defer cancel()
@@ -511,21 +501,15 @@ func (s *Server) endpoint(w http.ResponseWriter, r *http.Request, name string,
 	err := s.acquire(ctx)
 	wait := s.now().Sub(waitStart)
 	s.rec.Observe(obs.ServePoolWait, wait)
-	if meta != nil {
-		meta.poolWait = wait
-	}
+	meta.poolWait = wait
 	if err != nil {
 		if errors.Is(err, errDraining) {
-			if meta != nil {
-				meta.outcome = "draining"
-			}
+			meta.outcome = "draining"
 			writeJSON(w, http.StatusServiceUnavailable, Envelope{Error: errDraining.Error()})
 			return
 		}
 		s.rec.Inc(obs.ServeInterrupted, 1)
-		if meta != nil {
-			meta.outcome = "interrupted"
-		}
+		meta.outcome = "interrupted"
 		writeJSON(w, s.statusFor(err), Envelope{Interrupted: true, Error: err.Error()})
 		return
 	}
@@ -543,14 +527,10 @@ func (s *Server) endpoint(w http.ResponseWriter, r *http.Request, name string,
 			// valid partial result, so return it under the marker.
 			env.Interrupted = true
 			s.rec.Inc(obs.ServeInterrupted, 1)
-			if meta != nil {
-				meta.outcome = "interrupted"
-			}
+			meta.outcome = "interrupted"
 		} else {
 			s.rec.Inc(obs.ServeErrors, 1)
-			if meta != nil {
-				meta.outcome = "error"
-			}
+			meta.outcome = "error"
 		}
 		writeJSON(w, status, resp)
 		return
@@ -781,9 +761,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 // the write lock so concurrent batches can't store epochs out of order.
 func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 	meta := metaFrom(r.Context())
-	if meta != nil {
-		meta.endpoint = "facts"
-	}
+	meta.endpoint = "facts"
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeJSON(w, http.StatusMethodNotAllowed, Envelope{Error: "POST required"})
@@ -820,15 +798,11 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 		s.writeMu.Unlock()
 		s.rec.Inc(obs.ServeErrors, 1)
 		if errors.Is(err, errWAL) {
-			if meta != nil {
-				meta.outcome = "error"
-			}
+			meta.outcome = "error"
 			writeJSON(w, http.StatusInternalServerError, Envelope{Error: err.Error()})
 			return
 		}
-		if meta != nil {
-			meta.outcome = "bad_request"
-		}
+		meta.outcome = "bad_request"
 		writeJSON(w, http.StatusBadRequest, Envelope{Error: err.Error()})
 		return
 	}

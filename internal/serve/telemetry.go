@@ -56,8 +56,8 @@ type reqMeta struct {
 
 type reqMetaKey struct{}
 
-// metaFrom returns the request's telemetry record, or nil outside the
-// middleware (direct handler tests).
+// metaFrom returns the request's telemetry record, which withTelemetry
+// installs on every request reaching a handler through Handler.
 func metaFrom(ctx context.Context) *reqMeta {
 	m, _ := ctx.Value(reqMetaKey{}).(*reqMeta)
 	return m
@@ -293,13 +293,11 @@ func (s *Server) appendAudit(recs []audit.Record) {
 // justification when one was found.
 func mergeRecord(meta *reqMeta, in *db.Interner, decision string, p eqrel.Pair, j *core.Justification) audit.Record {
 	rec := audit.Record{
-		Decision: decision,
-		A:        in.Name(p.A),
-		B:        in.Name(p.B),
-	}
-	if meta != nil {
-		rec.RequestID = meta.id
-		rec.Endpoint = meta.endpoint
+		Decision:  decision,
+		A:         in.Name(p.A),
+		B:         in.Name(p.B),
+		RequestID: meta.id,
+		Endpoint:  meta.endpoint,
 	}
 	if j != nil {
 		rec.Rule = lastRule(j)
@@ -328,10 +326,8 @@ func (s *Server) auditMutation(meta *reqMeta, req FactsRequest, res core.ApplyRe
 		Retract:       factLines(req.Retract),
 		Epoch:         res.Epoch,
 		DBFingerprint: res.Fingerprint,
-	}
-	if meta != nil {
-		rec.RequestID = meta.id
-		rec.Endpoint = meta.endpoint
+		RequestID:     meta.id,
+		Endpoint:      meta.endpoint,
 	}
 	start := s.now()
 	err := s.audit.Append(rec)
