@@ -13,7 +13,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/cq"
 	"repro/internal/db"
@@ -173,11 +172,7 @@ func (s *EpochSnapshot) carryTop(ctx context.Context, prev *latticeTop, retract,
 		}
 		frontier = frontier[:0:0]
 		for _, r := range c.sess.mergeRules {
-			pq, err := c.planFor(r, r.Body.Atoms, r.Body.Head)
-			if err != nil {
-				return nil, 0, fmt.Errorf("core: rule %s: %w", r.Name, err)
-			}
-			pq.plan.RunDelta(indP, cq.RunSpec{Rec: c.rec, Rep: repP}, delta, addHead)
+			c.plan(r).Run(indP, cq.RunSpec{Rec: c.rec, Rep: repP, Delta: delta}, addHead)
 		}
 		if len(frontier) == 0 {
 			break
@@ -246,12 +241,9 @@ func (s *EpochSnapshot) carryTop(ctx context.Context, prev *latticeTop, retract,
 			}
 		}
 		touched := imageDelta(ind, changed, imageRows(ind, T.Rep, insert))
-		top.consistent, err = c.satisfiesDenialsDelta(T, ind, touched)
+		top.consistent = c.satisfiesDenialsDelta(T, ind, touched)
 	default:
-		top.consistent, err = c.satisfiesDenials(T, ind)
-	}
-	if err != nil {
-		return nil, 0, err
+		top.consistent = c.satisfiesDenials(T, ind)
 	}
 	return top, len(members), nil
 }

@@ -24,7 +24,6 @@ package core
 import (
 	"cmp"
 	"context"
-	"fmt"
 	"slices"
 
 	"repro/internal/cq"
@@ -74,17 +73,6 @@ const DefaultMaxStates = 1 << 22
 // entries. When full, the least recently used entry is evicted. The
 // workers of a parallel walk split the bound between them.
 const DefaultCacheSize = 4096
-
-// preparedQuery pairs a cached cq.Plan with the properties the
-// semi-naive fixpoint needs to know about the query's shape.
-type preparedQuery struct {
-	plan *cq.Plan
-	// deltaUnsafe marks bodies with constants in similarity or
-	// inequality atoms: a representative change can flip such a filter
-	// without touching any tuple, so delta seeding is incomplete and
-	// the rule must be fully re-evaluated each round.
-	deltaUnsafe bool
-}
 
 // Context is the per-worker, mutable half of the solver: an LRU cache
 // of induced databases D_E and a recorder (a buffering obs.Local for
@@ -215,11 +203,12 @@ func (c *Context) stateOf(E *eqrel.Partition) state {
 }
 
 // expand returns the child of s that merges the classes of pr and then
-// closes under the hard rules. The child's induced database is derived
+// closes under the hard rules; the closure stops between rounds once
+// ctx is done. The child's induced database is derived
 // incrementally from s's — so only the root state ever pays a full
 // db.Map — and cached under the child's key before and after the
 // closure.
-func (c *Context) expand(s state, pr eqrel.Pair) (state, error) {
+func (c *Context) expand(ctx context.Context, s state, pr eqrel.Pair) (state, error) {
 	E := s.E.Clone()
 	u, v := s.E.Rep(pr.A), s.E.Rep(pr.B)
 	E.Add(pr)
@@ -232,7 +221,7 @@ func (c *Context) expand(s state, pr eqrel.Pair) (state, error) {
 		ind = c.deriveInduced(s.ind, E, []db.Const{u, v})
 		c.storeKey(key, ind)
 	}
-	ind, merged, err := c.closeFrom(context.TODO(), E, ind, c.sess.hardRules, nil, nil)
+	ind, merged, err := c.closeFrom(ctx, E, ind, c.sess.hardRules, nil, nil)
 	if err != nil {
 		return state{}, err
 	}
@@ -263,11 +252,31 @@ func (c *Context) repFor(E *eqrel.Partition) func(db.Const) db.Const {
 	}
 }
 
-// planFor returns the prepared plan for the query body keyed by key,
-// delegating to the session's shared plan caches with this context's
-// recorder.
-func (c *Context) planFor(key any, atoms []cq.Atom, head []string) (*preparedQuery, error) {
-	return c.sess.planFor(c.rec, key, atoms, head)
+// plan returns the plan buildSession compiled for key, a merge rule or
+// denial of the specification, counted as a plan-cache hit.
+func (c *Context) plan(key any) *cq.Plan {
+	c.rec.Inc(obs.CorePlanCacheHits, 1)
+	return c.sess.plans[key]
+}
+
+// queryPlan returns the plan of an ad-hoc query, prepared on first use
+// and cached in a concurrent map shared by all contexts. Plans contain
+// no database or partition state (constants are remapped at run time
+// via RunSpec.Rep), so one plan serves every search state and worker.
+func (c *Context) queryPlan(q *cq.CQ) (*cq.Plan, error) {
+	if v, ok := c.sess.dynPlans.Load(q); ok {
+		c.rec.Inc(obs.CorePlanCacheHits, 1)
+		return v.(*cq.Plan), nil
+	}
+	c.rec.Inc(obs.CorePlanCacheMisses, 1)
+	p, err := cq.Prepare(q.Atoms, q.Head, c.sess.d.Schema(), c.sess.sims)
+	if err != nil {
+		return nil, err
+	}
+	if v, loaded := c.sess.dynPlans.LoadOrStore(q, p); loaded {
+		p = v.(*cq.Plan)
+	}
+	return p, nil
 }
 
 // Active is an active pair (Definition 2): a pair of distinct class
@@ -285,16 +294,16 @@ type Active struct {
 // specification's rules, deduplicated, sorted, and annotated with the
 // deriving rules. Pairs already in E are excluded.
 func (c *Context) ActivePairs(E *eqrel.Partition) ([]Active, error) {
-	return c.activePairs(E, c.Induced(E))
+	return c.activePairs(E, c.Induced(E)), nil
 }
 
 // activePairs is ActivePairs over ind, the induced database of E.
-func (c *Context) activePairs(E *eqrel.Partition, ind *db.Database) ([]Active, error) {
+func (c *Context) activePairs(E *eqrel.Partition, ind *db.Database) []Active {
 	rep := c.repFor(E)
 	var out []Active
 	at := make(map[eqrel.Pair]int) // pair -> index in out
 	var r *rules.Rule              // the rule being evaluated
-	note := func(ans []db.Const, _ []cq.Match) bool {
+	note := func(ans []db.Const) bool {
 		u, v := ans[0], ans[1]
 		if u == v || E.Same(u, v) {
 			return true
@@ -316,18 +325,14 @@ func (c *Context) activePairs(E *eqrel.Partition, ind *db.Database) ([]Active, e
 		return true
 	}
 	for _, r = range c.sess.mergeRules {
-		pq, err := c.planFor(r, r.Body.Atoms, r.Body.Head)
-		if err != nil {
-			return nil, fmt.Errorf("core: rule %s: %w", r.Name, err)
-		}
 		// note drops reflexive answers and canonicalises the pair, so the
 		// run may prune mirror matches.
-		pq.plan.RunWith(ind, cq.RunSpec{Rec: c.rec, Rep: rep, Unordered: true}, note)
+		c.plan(r).Run(ind, cq.RunSpec{Rec: c.rec, Rep: rep, Unordered: true}, note)
 	}
 	slices.SortFunc(out, func(a, b Active) int {
 		return cmp.Or(cmp.Compare(a.Pair.A, b.Pair.A), cmp.Compare(a.Pair.B, b.Pair.B))
 	})
-	return out, nil
+	return out
 }
 
 // closeFixpoint extends E in place with every pair derivable by rs
@@ -358,18 +363,15 @@ func (c *Context) closeFixpoint(E *eqrel.Partition, rs []*rules.Rule, accept fun
 // closed partition is seeded by the tuples changed since (see
 // carryTop). It returns the induced database of the closed E and
 // whether the closure merged anything; the caller decides what to
-// cache. It stops between rounds once ctx is done.
+// cache. It stops between rounds once ctx is done. A rule whose plan
+// has a RepFilter runs in full every round (deltaFor).
 func (c *Context) closeFrom(ctx context.Context, E *eqrel.Partition, ind *db.Database, rs []*rules.Rule, accept func(u, v db.Const) bool, seed *cq.Delta) (*db.Database, bool, error) {
 	if len(rs) == 0 {
 		return ind, false, nil
 	}
-	prepared := make([]*preparedQuery, len(rs))
+	plans := make([]*cq.Plan, len(rs))
 	for i, r := range rs {
-		pq, err := c.planFor(r, r.Body.Atoms, r.Body.Head)
-		if err != nil {
-			return nil, false, fmt.Errorf("core: rule %s: %w", r.Name, err)
-		}
-		prepared[i] = pq
+		plans[i] = c.plan(r)
 	}
 	merged := false
 	var pending []eqrel.Pair
@@ -380,18 +382,14 @@ func (c *Context) closeFrom(ctx context.Context, E *eqrel.Partition, ind *db.Dat
 		}
 		return true
 	}
-	collectMatch := func(ans []db.Const, _ []cq.Match) bool { return collect(ans) }
 	delta := seed
 	for {
 		// collect reads each answer as an unordered pair of distinct
 		// constants, so the runs prune mirror matches.
 		rs := cq.RunSpec{Rec: c.rec, Rep: c.repFor(E), Unordered: true}
-		for _, pq := range prepared {
-			if delta == nil || pq.deltaUnsafe {
-				pq.plan.RunWith(ind, rs, collectMatch)
-			} else {
-				pq.plan.RunDelta(ind, rs, delta, collect)
-			}
+		for _, p := range plans {
+			rs.Delta = deltaFor(p, delta)
+			p.Run(ind, rs, collect)
 		}
 		if len(pending) == 0 {
 			return ind, merged, nil
@@ -441,19 +439,11 @@ func (c *Context) SatisfiesHard(E *eqrel.Partition) (bool, error) {
 	ind := c.Induced(E)
 	rep := c.repFor(E)
 	for _, r := range c.sess.hardRules {
-		pq, err := c.planFor(r, r.Body.Atoms, r.Body.Head)
-		if err != nil {
-			return false, fmt.Errorf("core: rule %s: %w", r.Name, err)
-		}
 		violated := false
-		pq.plan.RunWith(ind, cq.RunSpec{Rec: c.rec, Rep: rep},
-			func(ans []db.Const, _ []cq.Match) bool {
-				if ans[0] != ans[1] && !E.Same(ans[0], ans[1]) {
-					violated = true
-					return false
-				}
-				return true
-			})
+		c.plan(r).Run(ind, cq.RunSpec{Rec: c.rec, Rep: rep}, func(ans []db.Const) bool {
+			violated = ans[0] != ans[1] && !E.Same(ans[0], ans[1])
+			return !violated
+		})
 		if violated {
 			return false, nil
 		}
@@ -464,21 +454,20 @@ func (c *Context) SatisfiesHard(E *eqrel.Partition) (bool, error) {
 // SatisfiesDenials reports (D, E) |= Δ: no denial constraint body has a
 // homomorphism into the induced database D_E.
 func (c *Context) SatisfiesDenials(E *eqrel.Partition) (bool, error) {
-	return c.satisfiesDenials(E, c.Induced(E))
+	return c.satisfiesDenials(E, c.Induced(E)), nil
 }
 
 // satisfiesDenials is SatisfiesDenials over ind, the induced database
 // of E.
-func (c *Context) satisfiesDenials(E *eqrel.Partition, ind *db.Database) (bool, error) {
+func (c *Context) satisfiesDenials(E *eqrel.Partition, ind *db.Database) bool {
 	return c.satisfiesDenialsDelta(E, ind, nil)
 }
 
 // satisfiesDenialsDelta is satisfiesDenials when only the matches that
 // use a tuple delta marks can violate Δ (a nil delta checks every
-// match): each denial runs in delta mode, except those with a constant
-// in an inequality or similarity atom, whose verdict a representative
-// change can flip with no tuple changed, and which run in full.
-func (c *Context) satisfiesDenialsDelta(E *eqrel.Partition, ind *db.Database, delta *cq.Delta) (bool, error) {
+// match): each denial runs over deltaFor(delta), in full when its plan
+// has a RepFilter.
+func (c *Context) satisfiesDenialsDelta(E *eqrel.Partition, ind *db.Database, delta *cq.Delta) bool {
 	c.rec.Inc(obs.CoreDenialChecks, 1)
 	rs := cq.RunSpec{Rec: c.rec, Rep: c.repFor(E)}
 	violated := false
@@ -487,43 +476,43 @@ func (c *Context) satisfiesDenialsDelta(E *eqrel.Partition, ind *db.Database, de
 		return false
 	}
 	for _, dn := range c.sess.spec.Denials {
-		pq, err := c.planFor(dn, dn.Atoms, nil)
-		if err != nil {
-			return false, fmt.Errorf("core: denial %s: %w", dn.Name, err)
-		}
-		if delta == nil || pq.deltaUnsafe {
-			violated = pq.plan.Holds(ind, rs)
-		} else {
-			pq.plan.RunDelta(ind, rs, delta, stop)
-		}
+		p := c.plan(dn)
+		rs.Delta = deltaFor(p, delta)
+		p.Run(ind, rs, stop)
 		if violated {
-			return false, nil
+			return false
 		}
 	}
-	return true, nil
+	return true
+}
+
+// deltaFor is the delta over which a plan rerun after a merge finds
+// every new match: delta itself, or nil (a full run) when the plan has
+// a RepFilter.
+func deltaFor(p *cq.Plan, delta *cq.Delta) *cq.Delta {
+	if p.RepFilter() {
+		return nil
+	}
+	return delta
 }
 
 // ViolatedDenials returns the names of the denial constraints violated in
 // (D, E), for diagnostics.
 func (c *Context) ViolatedDenials(E *eqrel.Partition) ([]string, error) {
-	return c.violatedDenials(E, c.Induced(E))
+	return c.violatedDenials(E, c.Induced(E)), nil
 }
 
 // violatedDenials is ViolatedDenials over ind, the induced database of
 // E.
-func (c *Context) violatedDenials(E *eqrel.Partition, ind *db.Database) ([]string, error) {
-	rep := c.repFor(E)
+func (c *Context) violatedDenials(E *eqrel.Partition, ind *db.Database) []string {
+	rs := cq.RunSpec{Rec: c.rec, Rep: c.repFor(E)}
 	var out []string
 	for _, dn := range c.sess.spec.Denials {
-		pq, err := c.planFor(dn, dn.Atoms, nil)
-		if err != nil {
-			return nil, fmt.Errorf("core: denial %s: %w", dn.Name, err)
-		}
-		if pq.plan.Holds(ind, cq.RunSpec{Rec: c.rec, Rep: rep}) {
+		if c.plan(dn).Holds(ind, rs) {
 			out = append(out, dn.Name)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // IsCandidate implements the candidate-solution check of Theorem 1's

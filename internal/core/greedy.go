@@ -31,36 +31,22 @@ func (e *Engine) GreedySolutionCtx(ctx context.Context) (*eqrel.Partition, bool,
 		return nil, false, err
 	}
 	st := e.stateOf(E)
-	viol, err := e.violatedDenials(st.E, st.ind)
-	if err != nil {
-		return nil, false, err
-	}
-	cur := len(viol)
+	cur := len(e.violatedDenials(st.E, st.ind))
 	for {
-		act, err := e.activePairs(st.E, st.ind)
-		if err != nil {
-			return nil, false, err
-		}
 		progressed := false
-		for _, a := range act {
+		for _, a := range e.activePairs(st.E, st.ind) {
 			if err := ctx.Err(); err != nil {
 				return nil, false, limits.Wrap(err)
 			}
 			if st.E.Same(a.Pair.A, a.Pair.B) {
 				continue // merged by an earlier acceptance this sweep
 			}
-			cand, err := e.expand(st, a.Pair)
+			cand, err := e.expand(ctx, st, a.Pair)
 			if err != nil {
 				return nil, false, err
 			}
-			v, err := e.violatedDenials(cand.E, cand.ind)
-			if err != nil {
-				return nil, false, err
-			}
-			if len(v) <= cur {
-				st = cand
-				cur = len(v)
-				progressed = true
+			if v := len(e.violatedDenials(cand.E, cand.ind)); v <= cur {
+				st, cur, progressed = cand, v, true
 			}
 		}
 		if !progressed {

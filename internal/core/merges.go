@@ -113,21 +113,20 @@ func sortedPairs(set map[eqrel.Pair]bool) []eqrel.Pair {
 // representatives (one tuple per answer class), sorted. The plan for q
 // is prepared once and cached; constants are remapped at run time.
 func (e *Engine) AnswersIn(q *cq.CQ, E *eqrel.Partition) ([][]db.Const, error) {
-	pq, err := e.planFor(q, q.Atoms, q.Head)
+	p, err := e.queryPlan(q)
 	if err != nil {
 		return nil, err
 	}
 	seen := make(map[string]bool)
 	var out [][]db.Const
-	pq.plan.RunWith(e.Induced(E), cq.RunSpec{Rec: e.rec, Rep: e.repFor(E)},
-		func(ans []db.Const, _ []cq.Match) bool {
-			k := db.TupleKey(ans)
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, append([]db.Const(nil), ans...))
-			}
-			return true
-		})
+	p.Run(e.Induced(E), cq.RunSpec{Rec: e.rec, Rep: e.repFor(E)}, func(ans []db.Const) bool {
+		k := db.TupleKey(ans)
+		if !seen[k] {
+			seen[k] = true
+			out = append(out, append([]db.Const(nil), ans...))
+		}
+		return true
+	})
 	sortTuples(out)
 	return out, nil
 }
@@ -139,7 +138,7 @@ func (e *Engine) HoldsIn(q *cq.CQ, tuple []db.Const, E *eqrel.Partition) (bool, 
 	if len(tuple) != len(q.Head) {
 		return false, nil
 	}
-	pq, err := e.planFor(q, q.Atoms, q.Head)
+	p, err := e.queryPlan(q)
 	if err != nil {
 		return false, err
 	}
@@ -151,7 +150,7 @@ func (e *Engine) HoldsIn(q *cq.CQ, tuple []db.Const, E *eqrel.Partition) (bool, 
 		}
 		bind[h] = c
 	}
-	return pq.plan.Holds(e.Induced(E), cq.RunSpec{Rec: e.rec, Rep: e.repFor(E), Bind: bind}), nil
+	return p.Holds(e.Induced(E), cq.RunSpec{Rec: e.rec, Rep: e.repFor(E), Bind: bind}), nil
 }
 
 // IsPossibleAnswerCtx decides PossAnswer (Theorem 7: NP-complete): whether

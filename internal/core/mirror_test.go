@@ -40,11 +40,7 @@ func TestShardMirrorPruning(t *testing.T) {
 			t.Fatalf("%s: no merge rules", sp.name)
 		}
 		for _, r := range eng.sess.mergeRules {
-			pq, err := eng.planFor(r, r.Body.Atoms, r.Body.Head)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !pq.plan.Symmetric() {
+			if !eng.plan(r).Symmetric() {
 				t.Errorf("%s: rule %s records no mirror slots", sp.name, r.Name)
 			}
 		}

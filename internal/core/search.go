@@ -156,11 +156,7 @@ func (c *Context) top(ctx context.Context) (*eqrel.Partition, *db.Database, bool
 	if err != nil {
 		return nil, nil, false, err
 	}
-	ok, err := c.satisfiesDenials(T, ind)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	return T, ind, ok, nil
+	return T, ind, c.satisfiesDenials(T, ind), nil
 }
 
 // sortPartitions orders partitions by canonical key: the deterministic
@@ -185,23 +181,15 @@ func (e *Engine) IsMaximalSolution(ctx context.Context, E *eqrel.Partition) (boo
 		return false, err
 	}
 	cur := e.stateOf(E)
-	act, err := e.activePairs(E, cur.ind)
-	if err != nil {
-		return false, err
-	}
-	for _, a := range act {
-		ext, err := e.expand(cur, a.Pair)
+	for _, a := range e.activePairs(E, cur.ind) {
+		ext, err := e.expand(ctx, cur, a.Pair)
 		if err != nil {
 			return false, err
 		}
 		if e.sess.spec.IsRestricted() {
 			// Theorem 8: the minimal extension suffices — if it is
 			// inconsistent, every further extension stays inconsistent.
-			cons, err := e.satisfiesDenials(ext.E, ext.ind)
-			if err != nil {
-				return false, err
-			}
-			if cons {
+			if e.satisfiesDenials(ext.E, ext.ind) {
 				return false, nil
 			}
 			continue

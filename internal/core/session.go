@@ -35,10 +35,11 @@ type Session struct {
 	// rebuild them.
 	hardRules, mergeRules []*rules.Rule
 
-	// plans maps every rule and denial pointer of the specification to
-	// its prepared plan. The map is filled by newSession and never
-	// written again, so lock-free concurrent lookups are safe.
-	plans map[any]*preparedQuery
+	// plans maps every merge rule and denial pointer of the
+	// specification to its prepared plan. The map is filled by
+	// buildSession and never written again, so lock-free concurrent
+	// lookups are safe.
+	plans map[any]*cq.Plan
 	// dynPlans caches plans for ad-hoc queries (AnswersIn / HoldsIn),
 	// keyed by *cq.CQ pointer; concurrent because worker contexts share
 	// it.
@@ -118,9 +119,9 @@ func newSessionFrom(d *db.Database, prev *Session) *Session {
 // would be pure overhead. plans, when not nil, holds plans already
 // compiled for some of the spec's rules and denials; the rest are
 // compiled into it.
-func buildSession(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Options, plans map[any]*preparedQuery) (*Session, error) {
+func buildSession(d *db.Database, spec *rules.Spec, sims *sim.Registry, opts Options, plans map[any]*cq.Plan) (*Session, error) {
 	if plans == nil {
-		plans = make(map[any]*preparedQuery)
+		plans = make(map[any]*cq.Plan)
 	}
 	s := &Session{
 		d:        d,
@@ -155,60 +156,12 @@ func (s *Session) compile(key any, atoms []cq.Atom, head []string) error {
 		return nil
 	}
 	s.rec.Inc(obs.CorePlanCacheMisses, 1)
-	pq, err := prepare(atoms, head, s.d.Schema(), s.sims)
+	p, err := cq.Prepare(atoms, head, s.d.Schema(), s.sims)
 	if err != nil {
 		return err
 	}
-	s.plans[key] = pq
+	s.plans[key] = p
 	return nil
-}
-
-// planFor returns the prepared plan for the query body keyed by key (a
-// *rules.Rule, *rules.Denial, or *cq.CQ pointer). Rule and denial plans
-// come from the immutable precompiled map; ad-hoc query plans are
-// prepared on first use and cached in a concurrent map shared by all
-// contexts. Plans contain no database or partition state — constants
-// are remapped at run time via RunSpec.Rep — so one plan serves every
-// search state and every worker.
-func (s *Session) planFor(rec obs.Recorder, key any, atoms []cq.Atom, head []string) (*preparedQuery, error) {
-	if pq, ok := s.plans[key]; ok {
-		rec.Inc(obs.CorePlanCacheHits, 1)
-		return pq, nil
-	}
-	if v, ok := s.dynPlans.Load(key); ok {
-		rec.Inc(obs.CorePlanCacheHits, 1)
-		return v.(*preparedQuery), nil
-	}
-	rec.Inc(obs.CorePlanCacheMisses, 1)
-	pq, err := prepare(atoms, head, s.d.Schema(), s.sims)
-	if err != nil {
-		return nil, err
-	}
-	if v, loaded := s.dynPlans.LoadOrStore(key, pq); loaded {
-		pq = v.(*preparedQuery)
-	}
-	return pq, nil
-}
-
-// prepare compiles a query body, binding its similarity atoms to sims,
-// and computes its delta-safety.
-func prepare(atoms []cq.Atom, head []string, schema *db.Schema, sims *sim.Registry) (*preparedQuery, error) {
-	p, err := cq.Prepare(atoms, head, schema, sims)
-	if err != nil {
-		return nil, err
-	}
-	pq := &preparedQuery{plan: p}
-	for _, a := range atoms {
-		if a.Kind == cq.KindRel {
-			continue
-		}
-		for _, t := range a.Args {
-			if !t.IsVar {
-				pq.deltaUnsafe = true
-			}
-		}
-	}
-	return pq, nil
 }
 
 // freezeShared makes the base database safe for concurrent readers

@@ -104,7 +104,7 @@ type couplingPlan struct {
 	rule bool     // a merge rule (has a head pair) vs. a denial
 	x, y int      // head-pair positions in vars (rules only)
 	vars []string // the plan's head: all variables, sorted
-	plan *preparedQuery
+	plan *cq.Plan
 	// neq lists the dropped inequality atoms as term resolvers.
 	neq [][2]cq.Term
 	// consts are the constant ids of the body, dropped inequality atoms
@@ -746,14 +746,14 @@ func (s *EpochSnapshot) runCoupling(ctx context.Context, d *db.Database, T *eqre
 	if err != nil {
 		return err
 	}
-	rs := cq.RunSpec{Rec: s.eng.rec, Rep: rep}
+	rs := cq.RunSpec{Rec: s.eng.rec, Rep: rep, Delta: delta}
 	var failed error
 	for _, cp := range plans {
 		if err := ctx.Err(); err != nil {
 			return limits.Wrap(err)
 		}
 		consts := planConsts(cp, rep)
-		each := func(vals []db.Const) bool {
+		cp.plan.Run(d, rs, func(vals []db.Const) bool {
 			m, err := classify(cp, vals, consts, T, mergeable)
 			if err != nil {
 				failed = err
@@ -763,12 +763,7 @@ func (s *EpochSnapshot) runCoupling(ctx context.Context, d *db.Database, T *eqre
 				visit(m, vals, consts)
 			}
 			return true
-		}
-		if delta == nil {
-			cp.plan.plan.RunWith(d, rs, func(vals []db.Const, _ []cq.Match) bool { return each(vals) })
-		} else {
-			cp.plan.plan.RunDelta(d, rs, delta, each)
-		}
+		})
 		if failed != nil {
 			return failed
 		}
@@ -812,11 +807,10 @@ func (s *Session) compileCouplingPlans() ([]*couplingPlan, error) {
 			kept = append(kept, a)
 		}
 		cp.vars = cq.Vars(kept)
-		pq, err := prepare(kept, cp.vars, s.d.Schema(), s.sims)
-		if err != nil {
+		var err error
+		if cp.plan, err = cq.Prepare(kept, cp.vars, s.d.Schema(), s.sims); err != nil {
 			return nil, fmt.Errorf("core: coupling plan %s: %w", name, err)
 		}
-		cp.plan = pq
 		if head != nil {
 			cp.rule = true
 			cp.x = indexOf(cp.vars, head[0])
@@ -1054,15 +1048,15 @@ func (s *EpochSnapshot) solveShard(ctx context.Context, sh *Shard, T *eqrel.Part
 	lspec := rewriteSpec(sess.spec, gin, lin)
 	// A body without constants compiles to the same plan over any
 	// interner, so the shard reuses the instance's.
-	plans := make(map[any]*preparedQuery)
+	plans := make(map[any]*cq.Plan)
 	for i, r := range sess.spec.Rules {
-		if pq := sess.plans[r]; pq != nil && constantFree(r.Body.Atoms) {
-			plans[lspec.Rules[i]] = pq
+		if p := sess.plans[r]; p != nil && constantFree(r.Body.Atoms) {
+			plans[lspec.Rules[i]] = p
 		}
 	}
 	for i, dn := range sess.spec.Denials {
-		if pq := sess.plans[dn]; pq != nil && constantFree(dn.Atoms) {
-			plans[lspec.Denials[i]] = pq
+		if p := sess.plans[dn]; p != nil && constantFree(dn.Atoms) {
+			plans[lspec.Denials[i]] = p
 		}
 	}
 

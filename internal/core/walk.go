@@ -219,12 +219,7 @@ func (w *walker) process(cx *Context, t state) {
 		}
 	}
 
-	consistent, err := cx.satisfiesDenials(t.E, t.ind)
-	if err != nil {
-		w.fail(err)
-		return
-	}
-	if consistent {
+	if cx.satisfiesDenials(t.E, t.ind) {
 		// Hard rules are satisfied by construction (states are
 		// hard-closed), and every state is a candidate solution, so a
 		// consistent state is a solution.
@@ -237,19 +232,15 @@ func (w *walker) process(cx *Context, t state) {
 		// can be a solution.
 		return
 	}
-	act, err := cx.activePairs(t.E, t.ind)
-	if err != nil {
-		w.fail(err)
-		return
-	}
-	for _, a := range act {
+	for _, a := range cx.activePairs(t.E, t.ind) {
 		if w.ctx.Err() != nil {
 			return
 		}
 		// Hard-active pairs cannot appear here: the state is hard-closed.
-		child, err := cx.expand(t, a.Pair)
+		// The closure fails only when the walk's context is done; the
+		// walk then reports why it stopped.
+		child, err := cx.expand(w.ctx, t, a.Pair)
 		if err != nil {
-			w.fail(err)
 			return
 		}
 		w.submit(cx, child)

@@ -75,32 +75,3 @@ func BenchmarkBooleanEarlyExit(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkWitnessOverhead quantifies the cost of witness tracking
-// (used only by justification replay).
-func BenchmarkWitnessOverhead(b *testing.B) {
-	d := chainDB(200)
-	atoms := []Atom{
-		Rel("R", Var("x"), Var("y")),
-		Rel("R", Var("y"), Var("z")),
-	}
-	for _, wit := range []bool{false, true} {
-		b.Run(fmt.Sprintf("witness=%v", wit), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p, err := Prepare(atoms, nil, d.Schema(), nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				count := 0
-				p.RunWith(d, RunSpec{Witness: wit}, func([]db.Const, []Match) bool {
-					count++
-					return true
-				})
-				if count != 199 {
-					b.Fatalf("count=%d err=%v", count, err)
-				}
-			}
-		})
-	}
-}

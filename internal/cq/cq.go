@@ -2,9 +2,8 @@
 // query language of LACE rule bodies and denial constraints: relational
 // atoms, externally defined binary similarity atoms, and (for denial
 // constraints) inequality atoms. Evaluation is by backtracking joins with
-// greedy atom ordering and per-column hash indexes, and can report the
-// witness homomorphism for each answer, which the core engine uses to
-// build Definition-4 justifications.
+// greedy atom ordering and per-column hash indexes, through one
+// prepared Plan per body (Plan.Run enumerates, Plan.Holds decides).
 package cq
 
 import (

@@ -146,40 +146,6 @@ func TestSatisfiable(t *testing.T) {
 	}
 }
 
-func TestWitness(t *testing.T) {
-	d := bibDB(t)
-	atoms := []Atom{
-		Rel("Wrote", Var("p"), Var("a"), Var("z")),
-		Rel("Paper", Var("p"), Var("t"), Var("c")),
-	}
-	p, err := Prepare(atoms, []string{"a"}, d.Schema(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := 0
-	p.RunWith(d, RunSpec{Witness: true}, func(ans []db.Const, wit []Match) bool {
-		count++
-		if len(wit) != 2 {
-			t.Fatalf("witness has %d matches, want 2", len(wit))
-		}
-		// Witnesses must be actual database tuples joined on p.
-		seen := map[int][]db.Const{}
-		for _, m := range wit {
-			seen[m.AtomIndex] = m.Tuple
-		}
-		if seen[0] == nil || seen[1] == nil {
-			t.Fatalf("witness missing atom: %v", wit)
-		}
-		if seen[0][0] != seen[1][0] {
-			t.Errorf("witness tuples do not join on p: %v vs %v", seen[0], seen[1])
-		}
-		return true
-	})
-	if count != 3 {
-		t.Errorf("got %d homomorphisms, want 3", count)
-	}
-}
-
 func TestEarlyStop(t *testing.T) {
 	d := bibDB(t)
 	p, err := Prepare([]Atom{Rel("Author", Var("x"), Var("e"), Var("u"))}, []string{"x"}, d.Schema(), nil)
@@ -187,7 +153,7 @@ func TestEarlyStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := 0
-	p.RunWith(d, RunSpec{}, func(_ []db.Const, _ []Match) bool {
+	p.Run(d, RunSpec{}, func([]db.Const) bool {
 		calls++
 		return false
 	})

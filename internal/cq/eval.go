@@ -7,13 +7,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Match records which tuple satisfied a relational atom in a witness
-// homomorphism.
-type Match struct {
-	AtomIndex int // index into the evaluated atom list
-	Tuple     []db.Const
-}
-
 // Eval returns the set of answers to q over d (no duplicates), sorted
 // lexicographically.
 func Eval(q *CQ, d *db.Database, sims *sim.Registry) ([][]db.Const, error) {
@@ -23,7 +16,7 @@ func Eval(q *CQ, d *db.Database, sims *sim.Registry) ([][]db.Const, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.RunWith(d, RunSpec{}, func(ans []db.Const, _ []Match) bool {
+	p.Run(d, RunSpec{}, func(ans []db.Const) bool {
 		k := db.TupleKey(ans)
 		if !seen[k] {
 			seen[k] = true

@@ -84,15 +84,14 @@ func samePairs(a, b map[eqrel.Pair]bool) bool {
 	return true
 }
 
-// checkUnordered checks the Unordered contract on one instance, for
-// RunWith and for RunDelta over delta. On a Symmetric plan without a
+// checkUnordered checks the Unordered contract on one instance, for a
+// full run and for a run over delta. On a Symmetric plan without a
 // pre-bound variable, the unordered run reports the same unordered
 // pairs of distinct values as the full run, every answer (a,b) it
 // reports has a < b, and it reports each such answer exactly as often
 // as the full run does. Elsewhere it reports exactly the full answers.
 func checkUnordered(t *testing.T, p *Plan, d *db.Database, rs RunSpec, delta *Delta, what string) {
 	t.Helper()
-	rs.Witness = false
 	run := func(rs RunSpec, useDelta bool) (map[string]int, [][]db.Const) {
 		counts := make(map[string]int)
 		var answers [][]db.Const
@@ -102,10 +101,9 @@ func checkUnordered(t *testing.T, p *Plan, d *db.Database, rs RunSpec, delta *De
 			return true
 		}
 		if useDelta {
-			p.RunDelta(d, rs, delta, cb)
-		} else {
-			p.RunWith(d, rs, func(ans []db.Const, _ []Match) bool { return cb(ans) })
+			rs.Delta = delta
 		}
+		p.Run(d, rs, cb)
 		return counts, answers
 	}
 	un := rs
@@ -144,7 +142,7 @@ func sameCounts(a, b map[string]int) bool {
 	return true
 }
 
-// TestRunWithUnorderedMatchesOracle checks unordered RunWith runs
+// TestRunWithUnorderedMatchesOracle checks unordered full runs
 // against the brute-force oracle over every deltaInstance shape, with
 // and without a constant remapping: on a Symmetric plan the run keeps
 // the oracle's unordered pairs of distinct values, and with a
@@ -169,7 +167,7 @@ func TestRunWithUnorderedMatchesOracle(t *testing.T) {
 			rep = func(c db.Const) db.Const { return min(c, db.Const(n-2)) }
 		}
 		var got [][]db.Const
-		p.RunWith(d, RunSpec{Rep: rep, Unordered: true}, func(ans []db.Const, _ []Match) bool {
+		p.Run(d, RunSpec{Rep: rep, Unordered: true}, func(ans []db.Const) bool {
 			got = append(got, append([]db.Const(nil), ans...))
 			return true
 		})
@@ -179,7 +177,7 @@ func TestRunWithUnorderedMatchesOracle(t *testing.T) {
 		}
 		bind := map[string]db.Const{head[rng.Intn(2)]: db.Const(rng.Intn(n))}
 		got = got[:0]
-		p.RunWith(d, RunSpec{Rep: rep, Bind: bind, Unordered: true}, func(ans []db.Const, _ []Match) bool {
+		p.Run(d, RunSpec{Rep: rep, Bind: bind, Unordered: true}, func(ans []db.Const) bool {
 			got = append(got, append([]db.Const(nil), ans...))
 			return true
 		})

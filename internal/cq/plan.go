@@ -33,7 +33,7 @@ type Plan struct {
 	// layout is the per-step bind/check layout of a run with no
 	// pre-bound variables.
 	layout []stepLayout
-	// pivots[k] is the join order RunDelta uses for the split whose
+	// pivots[k] is the join order a delta run uses for the split whose
 	// delta atom is relAtoms[k]: that atom first, then the greedy order.
 	pivots []pivotOrder
 	// unordered is the join order with the mirror filter on the two
@@ -41,6 +41,9 @@ type Plan struct {
 	// order has its own. It is nil unless the body is symmetric in the
 	// head variables (see symmetricHead).
 	unordered *pivotOrder
+	// repFilter reports that a similarity or inequality atom has a
+	// constant argument (see RepFilter).
+	repFilter bool
 	// execs recycles execution states, so a run allocates nothing once
 	// the pool is warm.
 	execs sync.Pool
@@ -69,7 +72,7 @@ type planArg struct {
 }
 
 type planStep struct {
-	atom int // index into Plan.atoms (for witness reporting)
+	atom int // index into Plan.atoms
 	kind Kind
 	pred string
 	args []planArg
@@ -136,7 +139,7 @@ func layoutFor(steps []planStep, bound []bool) []stepLayout {
 // a static proxy for selectivity; then atom order), scheduling
 // similarity and inequality filters as soon as their variables are
 // bound. Each relational atom also gets a delta-first variant of that
-// order, which RunDelta uses. A non-nil schema enables relation/arity
+// order, which delta runs use. A non-nil schema enables relation/arity
 // checking; safety violations (variables never bound by a relational
 // atom, head variables missing from the body) are reported as errors.
 // Each similarity atom's predicate is looked up in sims once, here.
@@ -186,6 +189,7 @@ func Prepare(atoms []Atom, head []string, schema *db.Schema, sims *sim.Registry)
 			} else {
 				st.args[k] = planArg{vi: -1, c: t.Const, ci: p.nconst}
 				p.nconst++
+				p.repFilter = p.repFilter || a.Kind != KindRel
 			}
 		}
 		compiled[i] = st
@@ -238,7 +242,7 @@ const mirrorBudget = 1 << 12
 // as both are symmetric. If μ is a match, so is μ∘π: it uses the same
 // tuples and reports the head (μ(y), μ(x)). Keeping only the matches
 // whose x value is below their y value therefore loses no unordered
-// pair of distinct head values, in a full run or in any RunDelta split.
+// pair of distinct head values, in a full run or in any delta split.
 func symmetricHead(atoms []planStep, headIdx []int, nvars int) bool {
 	if len(headIdx) != 2 || headIdx[0] == headIdx[1] {
 		return false
@@ -407,6 +411,13 @@ func (p *Plan) Head() []string { return p.head }
 // matches.
 func (p *Plan) Symmetric() bool { return p.unordered != nil }
 
+// RepFilter reports whether a similarity or inequality atom of the body
+// has a constant argument. A change of RunSpec.Rep can flip such a
+// filter with no tuple changed, so after a merge a delta run of the
+// plan may miss new matches: a caller that reruns the plan after a
+// merge runs it in full instead.
+func (p *Plan) RepFilter() bool { return p.repFilter }
+
 // RunSpec configures one execution of a prepared plan. The zero value
 // is a plain uninstrumented run.
 type RunSpec struct {
@@ -422,9 +433,9 @@ type RunSpec struct {
 	// turning them into constants for index selection. Variables absent
 	// from the plan are ignored.
 	Bind map[string]db.Const
-	// Witness enables witness tracking: the callback receives the
-	// matched tuple per relational atom.
-	Witness bool
+	// Delta, when non-nil, restricts Run to the matches that use at
+	// least one tuple it marks (see Run). Holds ignores it.
+	Delta *Delta
 	// Unordered declares that the caller reads each answer as an
 	// unordered pair of distinct constants: it drops (a,a) and takes
 	// (a,b) and (b,a) for one answer. On a Symmetric plan the run then
@@ -436,32 +447,13 @@ type RunSpec struct {
 	Unordered bool
 }
 
-// RunWith enumerates every homomorphism from the plan's atoms into d
-// under the RunSpec (instrumentation, constant remapping, pre-bound
-// variables, witness tracking), calling cb with the head bindings and,
-// when rs.Witness is set, the matched tuple per relational atom. cb
-// returning false stops the enumeration. The recorder's cq.eval.calls
-// counter advances once per run and cq.eval.matches by the number of
-// homomorphisms enumerated (after the mirror pruning of an Unordered
-// run). The ans and wit slices are reused between calls; callers must
-// copy if they retain them.
-func (p *Plan) RunWith(d *db.Database, rs RunSpec, cb func(ans []db.Const, wit []Match) bool) {
-	rec := obs.OrNop(rs.Rec)
-	rec.Inc(obs.CQEvalCalls, 1)
-	ex := p.getExec(d, rs)
-	ex.cb = cb
-	ex.run(0)
-	rec.Inc(obs.CQEvalMatches, ex.matches)
-	p.putExec(ex)
-}
-
 // Holds reports whether the plan has at least one homomorphism into d
 // under the given RunSpec (Boolean satisfiability; stops at the first
 // match).
 func (p *Plan) Holds(d *db.Database, rs RunSpec) bool {
 	rec := obs.OrNop(rs.Rec)
 	rec.Inc(obs.CQEvalCalls, 1)
-	rs.Witness, rs.Unordered = false, false
+	rs.Unordered = false
 	ex := p.getExec(d, rs)
 	ex.run(0) // no callback: the first match stops the run
 	found := ex.matches > 0
@@ -473,7 +465,7 @@ func (p *Plan) Holds(d *db.Database, rs RunSpec) bool {
 // Delta holds the touched tuples of one semi-naive round: for every
 // relation, which tuples contain a touched constant, as marks and as an
 // ascending row list. It is computed once per round with NewDelta and
-// shared by every plan's RunDelta in that round.
+// shared by every plan's delta run in that round.
 type Delta struct {
 	// marks[rel][i] reports whether tuple i of rel contains a touched
 	// constant and rows[rel] lists those i; relations without any
@@ -534,67 +526,85 @@ func (dl *Delta) Touch(d *db.Database, rel string, rows []int32) {
 	dl.rows[rel] = all
 }
 
-// RunDelta enumerates exactly the matches that use at least one touched
-// tuple of the delta, each reported once (no witness tracking). This is
-// the semi-naive primitive of the fixpoint loops: when D_{E'} is
-// derived from D_E by merging classes, every tuple of D_{E'} \ D_E
-// contains the surviving representative of a merged class, so seeding
-// evaluation from the touched representatives finds every match that is
-// new in D_{E'} — rule bodies are negation-free, hence old matches
-// never need re-deriving. Implemented by the standard split, one run per
-// relational atom p in atom order: p ranges over its touched tuples
-// only, earlier atoms over untouched ones and later atoms over all,
-// which partitions the qualifying matches by their first touched atom.
-// Each split runs p's delta-first join order, so it starts from the
-// delta rows and pays for the delta, not the database. An Unordered run
-// prunes mirror matches in every split: a match and its mirror use the
-// same tuples, so they fall in the same split.
-func (p *Plan) RunDelta(d *db.Database, rs RunSpec, delta *Delta, cb func(ans []db.Const) bool) {
+// Run enumerates the matches of the plan's atoms into d under rs,
+// calling cb with the head bindings of each; cb returning false stops
+// the enumeration. With a nil rs.Delta every homomorphism is a match.
+// With a non-nil one, exactly the homomorphisms that use at least one
+// touched tuple of the delta are, each reported once. The recorder's
+// cq.eval.calls counter advances once per run and cq.eval.matches by
+// the number of matches enumerated (after the mirror pruning of an
+// Unordered run). The ans slice is reused between calls; callers must
+// copy it to retain it.
+//
+// A delta run is the semi-naive primitive of the fixpoint loops: when
+// D_{E'} is derived from D_E by merging classes, every tuple of
+// D_{E'} \ D_E contains the surviving representative of a merged
+// class, so seeding evaluation from the touched representatives finds
+// every match that is new in D_{E'} — rule bodies are negation-free,
+// hence old matches never need re-deriving (but see RepFilter).
+// Implemented by the standard split, one run per relational atom p in
+// atom order: p ranges over its touched tuples only, earlier atoms over
+// untouched ones and later atoms over all, which partitions the
+// qualifying matches by their first touched atom. Each split runs p's
+// delta-first join order, so it starts from the delta rows and pays for
+// the delta, not the database. An Unordered run prunes mirror matches
+// in every split: a match and its mirror use the same tuples, so they
+// fall in the same split.
+func (p *Plan) Run(d *db.Database, rs RunSpec, cb func(ans []db.Const) bool) {
 	rec := obs.OrNop(rs.Rec)
 	rec.Inc(obs.CQEvalCalls, 1)
-	rs.Witness = false
 	ex := p.getExec(d, rs)
-	ex.deltaCB = cb
-	if ex.modeBuf == nil {
-		ex.modeBuf = make([]int8, len(p.atoms))
-		ex.markBuf = make([][]bool, len(p.atoms))
-	}
-	ex.modes, ex.markOf = ex.modeBuf, ex.markBuf
-	for _, a := range p.relAtoms {
-		ex.markOf[a] = delta.marks[p.atoms[a].Pred]
-	}
-	for k, a := range p.relAtoms {
-		ex.rows = delta.rows[p.atoms[a].Pred]
-		if len(ex.rows) == 0 {
-			continue // no touched tuple can seed this split
-		}
-		for j, b := range p.relAtoms {
-			switch {
-			case j < k:
-				ex.modes[b] = modeClean
-			case j == k:
-				ex.modes[b] = modeDelta
-			default:
-				ex.modes[b] = modeAny
-			}
-		}
-		po := &p.pivots[k]
-		if ex.unordered {
-			po = po.unordered
-		}
-		ex.steps, ex.layout = po.steps, po.layout
-		if ex.bound != nil {
-			ex.layout = layoutFor(po.steps, ex.bound)
-		}
-		if !ex.run(0) {
-			break
-		}
+	ex.cb = cb
+	if rs.Delta == nil {
+		ex.run(0)
+	} else {
+		ex.runDelta(rs.Delta)
 	}
 	rec.Inc(obs.CQEvalMatches, ex.matches)
 	p.putExec(ex)
 }
 
-// Execution-time restrictions on relational atoms for RunDelta.
+// runDelta runs the delta-first splits of a delta run.
+func (e *exec) runDelta(delta *Delta) {
+	p := e.p
+	if e.modeBuf == nil {
+		e.modeBuf = make([]int8, len(p.atoms))
+		e.markBuf = make([][]bool, len(p.atoms))
+	}
+	e.modes, e.markOf = e.modeBuf, e.markBuf
+	for _, a := range p.relAtoms {
+		e.markOf[a] = delta.marks[p.atoms[a].Pred]
+	}
+	for k, a := range p.relAtoms {
+		e.rows = delta.rows[p.atoms[a].Pred]
+		if len(e.rows) == 0 {
+			continue // no touched tuple can seed this split
+		}
+		for j, b := range p.relAtoms {
+			switch {
+			case j < k:
+				e.modes[b] = modeClean
+			case j == k:
+				e.modes[b] = modeDelta
+			default:
+				e.modes[b] = modeAny
+			}
+		}
+		po := &p.pivots[k]
+		if e.unordered {
+			po = po.unordered
+		}
+		e.steps, e.layout = po.steps, po.layout
+		if e.bound != nil {
+			e.layout = layoutFor(po.steps, e.bound)
+		}
+		if !e.run(0) {
+			return
+		}
+	}
+}
+
+// Execution-time restrictions on relational atoms in a delta run.
 const (
 	modeAny   int8 = iota // no restriction
 	modeClean             // only tuples without touched constants
@@ -619,10 +629,8 @@ type exec struct {
 	tables []*db.Table // per atom (nil for non-relational atoms)
 	consts []db.Const  // per constant argument, after RunSpec.Rep
 
-	binding     []db.Const
-	ans         []db.Const
-	wit         []Match
-	withWitness bool
+	binding []db.Const
+	ans     []db.Const
 	// Delta-run restrictions, per atom (nil for ordinary runs): the mode
 	// and the touched-tuple marks of its relation; rows lists the
 	// touched tuples of the split's delta atom. modeBuf and markBuf are
@@ -633,10 +641,9 @@ type exec struct {
 	modeBuf []int8
 	markBuf [][]bool
 
-	// At most one of cb and deltaCB is set; with neither, the first
-	// match stops the run (Holds).
-	cb      func(ans []db.Const, wit []Match) bool
-	deltaCB func(ans []db.Const) bool
+	// cb receives each match; without one, the first match stops the
+	// run (Holds).
+	cb      func(ans []db.Const) bool
 	matches int64
 }
 
@@ -656,10 +663,6 @@ func (p *Plan) getExec(d *db.Database, rs RunSpec) *exec {
 		}
 	}
 	ex.in = d.Interner()
-	ex.withWitness = rs.Witness
-	if rs.Witness && ex.wit == nil {
-		ex.wit = make([]Match, 0, len(p.steps))
-	}
 	for i := range p.steps {
 		st := &p.steps[i]
 		if st.kind == KindRel {
@@ -704,8 +707,7 @@ func (p *Plan) putExec(ex *exec) {
 	clear(ex.markBuf)
 	ex.in, ex.steps, ex.layout, ex.bound, ex.unordered = nil, nil, nil, nil, false
 	ex.modes, ex.markOf, ex.rows = nil, nil, nil
-	ex.cb, ex.deltaCB, ex.matches = nil, nil, 0
-	ex.wit = ex.wit[:0]
+	ex.cb, ex.matches = nil, 0
 	p.execs.Put(ex)
 }
 
@@ -719,16 +721,13 @@ func (e *exec) argVal(a planArg) db.Const {
 // emit handles one complete match.
 func (e *exec) emit() bool {
 	e.matches++
-	if e.cb == nil && e.deltaCB == nil {
+	if e.cb == nil {
 		return false
 	}
 	for i, vi := range e.p.headIdx {
 		e.ans[i] = e.binding[vi]
 	}
-	if e.deltaCB != nil {
-		return e.deltaCB(e.ans)
-	}
-	return e.cb(e.ans, e.wit)
+	return e.cb(e.ans)
 }
 
 // run enumerates homomorphisms from step `step` of the run's join
@@ -824,13 +823,7 @@ func (e *exec) try(step int, st *planStep, ly *stepLayout, tup []db.Const) bool 
 		}
 	}
 	if ok {
-		if e.withWitness {
-			e.wit = append(e.wit, Match{AtomIndex: st.atom, Tuple: tup})
-		}
 		cont = e.run(step + 1)
-		if e.withWitness {
-			e.wit = e.wit[:len(e.wit)-1]
-		}
 	}
 	for _, vi := range ly.binds {
 		e.binding[vi] = db.NoConst

@@ -3,6 +3,7 @@ package cq
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 
 // oracleMatches enumerates homomorphisms by brute force: every
 // assignment of body variables to active-domain constants is checked
-// against all atoms. It is the specification Plan.RunWith is
+// against all atoms. It is the specification Plan.Run is
 // differentially tested against.
 func oracleMatches(t *testing.T, atoms []Atom, head []string, d *db.Database,
 	sims *sim.Registry, rep func(db.Const) db.Const, bind map[string]db.Const) [][]db.Const {
@@ -137,7 +138,7 @@ func randomInstance(rng *rand.Rand) (*db.Database, []Atom, []string, *sim.Regist
 	return d, atoms, heads[rng.Intn(len(heads))], reg
 }
 
-// TestPlanRunMatchesOracle differentially tests Plan.RunWith against the
+// TestPlanRunMatchesOracle differentially tests Plan.Run against the
 // brute-force oracle and the Eval wrapper on randomized instances.
 func TestPlanRunMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -148,7 +149,7 @@ func TestPlanRunMatchesOracle(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		var got [][]db.Const
-		p.RunWith(d, RunSpec{}, func(ans []db.Const, _ []Match) bool {
+		p.Run(d, RunSpec{}, func(ans []db.Const) bool {
 			got = append(got, append([]db.Const(nil), ans...))
 			return true
 		})
@@ -200,7 +201,7 @@ func TestPlanReuseAcrossDatabases(t *testing.T) {
 	}
 	count := func(d *db.Database) int {
 		n := 0
-		p.RunWith(d, RunSpec{}, func([]db.Const, []Match) bool { n++; return true })
+		p.Run(d, RunSpec{}, func([]db.Const) bool { n++; return true })
 		return n
 	}
 	if got := count(d1); got != 2 {
@@ -260,7 +261,7 @@ func TestPlanRunWithRepAndBind(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		var got [][]db.Const
-		p.RunWith(d, RunSpec{Rep: rep, Bind: bind}, func(ans []db.Const, _ []Match) bool {
+		p.Run(d, RunSpec{Rep: rep, Bind: bind}, func(ans []db.Const) bool {
 			got = append(got, append([]db.Const(nil), ans...))
 			return true
 		})
@@ -279,9 +280,59 @@ func TestPlanRunWithRepAndBind(t *testing.T) {
 	}
 }
 
-// TestRunDeltaMatchesFilteredOracle checks the semi-naive primitive:
-// RunDelta enumerates exactly the matches that use at least one tuple
-// containing a touched constant, each exactly once.
+// deltaOracle is the specification of a delta run: it counts, by head
+// answer, the matches of atoms into d under rs (its Delta and Unordered
+// ignored) that use a tuple holding a touched constant. It runs the
+// body with every variable in the head, so each match arrives once
+// with its whole assignment, and rebuilds each relational atom's tuple
+// from it.
+func deltaOracle(t *testing.T, atoms []Atom, head []string, d *db.Database, sims *sim.Registry,
+	rs RunSpec, touched map[db.Const]bool) map[string]int {
+	t.Helper()
+	vars := Vars(atoms)
+	full, err := Prepare(atoms, vars, d.Schema(), sims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var assign []db.Const
+	val := func(tm Term) db.Const {
+		switch {
+		case tm.IsVar:
+			i, _ := slices.BinarySearch(vars, tm.Name)
+			return assign[i]
+		case rs.Rep != nil:
+			return rs.Rep(tm.Const)
+		}
+		return tm.Const
+	}
+	uses := func() bool {
+		for _, a := range atoms {
+			for _, tm := range a.Args {
+				if a.Kind == KindRel && touched[val(tm)] {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	want := make(map[string]int)
+	ans := make([]db.Const, len(head))
+	rs.Delta, rs.Unordered = nil, false
+	full.Run(d, rs, func(vals []db.Const) bool {
+		if assign = vals; uses() {
+			for k, h := range head {
+				ans[k] = val(Var(h))
+			}
+			want[db.TupleKey(ans)]++
+		}
+		return true
+	})
+	return want
+}
+
+// TestRunDeltaMatchesFilteredOracle checks the semi-naive primitive: a
+// delta run enumerates exactly the matches that use at least one tuple
+// containing a touched constant, each exactly once (deltaOracle).
 func TestRunDeltaMatchesFilteredOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 300; trial++ {
@@ -298,36 +349,13 @@ func TestRunDeltaMatchesFilteredOracle(t *testing.T) {
 		}
 		// Count multiplicity: each qualifying match must appear once.
 		got := make(map[string]int)
-		p.RunDelta(d, RunSpec{}, delta, func(ans []db.Const) bool {
+		p.Run(d, RunSpec{Delta: delta}, func(ans []db.Const) bool {
 			got[db.TupleKey(ans)]++
 			return true
 		})
-		// Oracle: full enumeration with witnesses, keeping matches whose
-		// witness uses >= 1 touched tuple.
-		want := make(map[string]int)
-		p.RunWith(d, RunSpec{Witness: true}, func(ans []db.Const, wit []Match) bool {
-			uses := false
-			for _, m := range wit {
-				for _, c := range m.Tuple {
-					if touchedSet[c] {
-						uses = true
-					}
-				}
-			}
-			if uses {
-				want[db.TupleKey(ans)]++
-			}
-			return true
-		})
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: delta found %d distinct answers, oracle %d (touched %v)",
-				trial, len(got), len(want), touchedSet)
-		}
-		for k, n := range want {
-			if got[k] != n {
-				t.Fatalf("trial %d: answer %q seen %d times by delta, %d by oracle",
-					trial, k, got[k], n)
-			}
+		want := deltaOracle(t, atoms, head, d, reg, RunSpec{}, touchedSet)
+		if !sameCounts(got, want) {
+			t.Fatalf("trial %d: delta run counted %v, oracle %v (touched %v)", trial, got, want, touchedSet)
 		}
 	}
 }
@@ -424,12 +452,11 @@ func deltaInstance(rng *rand.Rand, shape int) (*db.Database, []Atom, []string, *
 	return d, atoms, head, reg
 }
 
-// FuzzRunDelta checks RunDelta's multiplicities against the
-// witness-filtered RunWith oracle on deltaInstance's shapes, with a
-// random, an all-touched or a none-touched delta, with and without a
-// constant remapping. It also checks the Unordered contract
-// (checkUnordered) of RunWith and RunDelta on each case, with and
-// without a pre-bound head variable.
+// FuzzRunDelta checks the multiplicities of delta runs against
+// deltaOracle on deltaInstance's shapes, with a random, an all-touched
+// or a none-touched delta, with and without a constant remapping. It
+// also checks the Unordered contract (checkUnordered) of full and delta
+// runs on each case, with and without a pre-bound head variable.
 func FuzzRunDelta(f *testing.F) {
 	for seed := int64(0); seed < 128; seed++ {
 		for shape := uint8(0); shape < deltaShapes; shape++ {
@@ -469,32 +496,13 @@ func checkRunDelta(t *testing.T, seed int64, shape, touch uint8, remap bool) {
 	}
 	delta := NewDelta(d, constList(touchedSet))
 	got := make(map[string]int)
-	p.RunDelta(d, rs, delta, func(ans []db.Const) bool {
+	p.Run(d, RunSpec{Rep: rs.Rep, Delta: delta}, func(ans []db.Const) bool {
 		got[db.TupleKey(ans)]++
 		return true
 	})
-	want := make(map[string]int)
-	rs.Witness = true
-	p.RunWith(d, rs, func(ans []db.Const, wit []Match) bool {
-		for _, m := range wit {
-			for _, c := range m.Tuple {
-				if touchedSet[c] {
-					want[db.TupleKey(ans)]++
-					return true
-				}
-			}
-		}
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("shape %d: delta found %d distinct answers, oracle %d (atoms %v, touched %v)",
-			shape, len(got), len(want), atoms, touchedSet)
-	}
-	for k, m := range want {
-		if got[k] != m {
-			t.Fatalf("shape %d: answer %q seen %d times by delta, %d by oracle (atoms %v)",
-				shape, k, got[k], m, atoms)
-		}
+	if want := deltaOracle(t, atoms, head, d, reg, rs, touchedSet); !sameCounts(got, want) {
+		t.Fatalf("shape %d: delta run counted %v, oracle %v (atoms %v, touched %v)",
+			shape, got, want, atoms, touchedSet)
 	}
 	what := fmt.Sprintf("shape %d (atoms %v, head %v, touched %v)", shape, atoms, head, touchedSet)
 	checkUnordered(t, p, d, rs, delta, what)

@@ -192,19 +192,6 @@ func (d *Database) ActiveDomain() []Const {
 	return out
 }
 
-// Clone returns an unfrozen copy sharing the schema and interner. Its
-// tables are fresh (inserts into the copy leave d alone); the tuples,
-// which no table ever modifies, are shared.
-func (d *Database) Clone() *Database {
-	nd := New(d.schema, d.interner)
-	for name, t := range d.tables {
-		nd.tables[name] = t.derive(nil, false, nil, nil)
-	}
-	nd.nfacts = d.nfacts
-	nd.hashXor, nd.hashSum, nd.hashOK = d.hashXor, d.hashSum, d.hashOK
-	return nd
-}
-
 // Map returns the database obtained by replacing every constant c with
 // rep(c). This is the induced database D_E of the paper when rep is the
 // representative function of an equivalence relation E. Duplicate tuples

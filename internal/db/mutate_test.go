@@ -250,18 +250,6 @@ func indexAligned(fresh, nd *Database) *Database {
 	return out
 }
 
-func TestCloneCarriesFingerprint(t *testing.T) {
-	d := New(mutSchema(), nil)
-	d.MustInsert("R", "p", "q")
-	c := d.Clone()
-	if c.Fingerprint() != d.Fingerprint() {
-		t.Error("clone fingerprint differs")
-	}
-	if !c.hashOK {
-		t.Error("clone of a hash-valid database lost hash validity")
-	}
-}
-
 func TestInducedFingerprintFallback(t *testing.T) {
 	d := New(mutSchema(), nil)
 	d.MustInsert("R", "p", "q")

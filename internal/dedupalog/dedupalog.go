@@ -71,7 +71,7 @@ func Cluster(d *db.Database, spec *Spec, sims *sim.Registry, seed int64) (*eqrel
 			if err != nil {
 				return err
 			}
-			p.RunWith(d, cq.RunSpec{}, func(ans []db.Const, _ []cq.Match) bool {
+			p.Run(d, cq.RunSpec{}, func(ans []db.Const) bool {
 				if ans[0] != ans[1] {
 					f(eqrel.MakePair(ans[0], ans[1]))
 				}
