@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/db"
 	"repro/internal/limits"
@@ -178,7 +177,7 @@ func Ground(p *Program, b *limits.Budget, rec obs.Recorder) (*GroundProgram, err
 	rec.Gauge(obs.ASPGroundAtoms, int64(len(gp.atoms)))
 	// Gauges keep only the latest grounding; the histogram keeps the
 	// distribution of ground-program sizes across the run.
-	rec.Observe(obs.HistASPGroundRules, time.Duration(int64(len(gp.Rules))))
+	rec.Observe(obs.HistASPGroundRules, int64(len(gp.Rules)))
 	sp.AttrInt("rules", int64(len(gp.Rules))).AttrInt("atoms", int64(len(gp.atoms)))
 	return gp, nil
 }

@@ -53,7 +53,6 @@ package asp
 
 import (
 	"sort"
-	"time"
 
 	"repro/internal/limits"
 	"repro/internal/obs"
@@ -786,16 +785,16 @@ func (s *Solver) Solve(assumptions ...Lit) ([]bool, bool, error) {
 		s.rec.Inc(obs.ASPSATRestarts, s.restarts-r0)
 		// Per-solve effort distributions: a flat counter hides whether
 		// 1k decisions were one hard solve or a thousand trivial ones.
-		s.rec.Observe(obs.HistASPDecisionsPerSolve, time.Duration(s.decisions-d0))
-		s.rec.Observe(obs.HistASPPropagationsPerSolve, time.Duration(s.propagations-p0))
-		s.rec.Observe(obs.HistASPConflictsPerSolve, time.Duration(s.conflicts-c0))
-		s.rec.Observe(obs.HistASPSATLearnedPerSolve, time.Duration(s.learned-l0))
-		s.rec.Observe(obs.HistASPSATRestartsPerSolve, time.Duration(s.restarts-r0))
+		s.rec.Observe(obs.HistASPDecisionsPerSolve, s.decisions-d0)
+		s.rec.Observe(obs.HistASPPropagationsPerSolve, s.propagations-p0)
+		s.rec.Observe(obs.HistASPConflictsPerSolve, s.conflicts-c0)
+		s.rec.Observe(obs.HistASPSATLearnedPerSolve, s.learned-l0)
+		s.rec.Observe(obs.HistASPSATRestartsPerSolve, s.restarts-r0)
 		avgLBD := int64(0)
 		if n := s.lbdCnt - lc0; n > 0 {
 			avgLBD = (s.lbdSum - ls0 + n/2) / n
 		}
-		s.rec.Observe(obs.HistASPSATLBDPerSolve, time.Duration(avgLBD))
+		s.rec.Observe(obs.HistASPSATLBDPerSolve, avgLBD)
 	}()
 	// Size per-solve scratch: decision levels are bounded by assigned
 	// variables plus one dummy level per assumption, plus the root.

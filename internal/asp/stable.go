@@ -2,7 +2,6 @@ package asp
 
 import (
 	"sort"
-	"time"
 
 	"repro/internal/limits"
 	"repro/internal/obs"
@@ -202,8 +201,8 @@ func (ss *StableSolver) Next(assumptions ...Lit) ([]bool, bool, error) {
 		// Stability-effort distributions for this model search: how
 		// many completion models assat rejected and how many loop
 		// formulas it had to learn.
-		ss.rec.Observe(obs.HistASPRestartsPerSolve, time.Duration(int64(restarts)))
-		ss.rec.Observe(obs.HistASPLearnedPerSolve, time.Duration(int64(learned)))
+		ss.rec.Observe(obs.HistASPRestartsPerSolve, int64(restarts))
+		ss.rec.Observe(obs.HistASPLearnedPerSolve, int64(learned))
 	}()
 	for restart := 0; ; restart++ {
 		if restart > 0 {

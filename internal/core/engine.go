@@ -51,14 +51,17 @@ type Options struct {
 	// lattice top is consistent is answered without a search, so the
 	// budget does not apply there.
 	MaxStates int
-	// Parallelism sets the number of workers of the lattice walk behind
-	// the solution-space searches (MaximalSolutions, Existence, merge
-	// sets, the general IsMaximalSolution probe) and of the sharded
-	// engine's shard solves. 0 means runtime.GOMAXPROCS(0). One worker
-	// walks depth-first on the caller's goroutine and Context, in the
-	// visit order SolutionsCtx documents; more fan the walk out over a
-	// work queue. Set outputs are canonically ordered, so every worker
-	// count returns identical results.
+	// Parallelism bounds the concurrency of a resolution. On an
+	// EpochSnapshot it is the number of shards solved concurrently, the
+	// worker count of a lone shard's walk, and that of the whole solve
+	// of a top that clashes at a similarity position. On an Engine it
+	// is the worker count of the lattice walk behind the solution-space
+	// searches (MaximalSolutions, Existence, merge sets, the general
+	// IsMaximalSolution probe). 0 means runtime.GOMAXPROCS(0). One
+	// worker walks depth-first on the caller's goroutine and Context,
+	// in the visit order SolutionsCtx documents; more fan the walk out
+	// over a work queue. Set outputs are canonically ordered, so every
+	// worker count returns identical results.
 	Parallelism int
 	// Recorder receives the engine's instrumentation events (search
 	// states, cache behaviour, query evaluations, justifications). Nil
@@ -292,7 +295,8 @@ type Active struct {
 
 // ActivePairs returns the pairs active in (D, E) w.r.t. the
 // specification's rules, deduplicated, sorted, and annotated with the
-// deriving rules. Pairs already in E are excluded.
+// deriving rules. Pairs already in E are excluded. The error is always
+// nil; the signature is kept for the benchmark module, which calls it.
 func (c *Context) ActivePairs(E *eqrel.Partition) ([]Active, error) {
 	return c.activePairs(E, c.Induced(E)), nil
 }
@@ -347,12 +351,12 @@ func (c *Context) activePairs(E *eqrel.Partition, ind *db.Database) []Active {
 // class (see DESIGN.md). accept must be symmetric, as the closure
 // offers each unordered pair in one orientation only, and stable under
 // growth of E (e.g. membership in a fixed target partition).
-func (c *Context) closeFixpoint(E *eqrel.Partition, rs []*rules.Rule, accept func(u, v db.Const) bool) error {
-	ind, merged, err := c.closeFrom(context.TODO(), E, c.Induced(E), rs, accept, nil)
-	if err == nil && merged {
+func (c *Context) closeFixpoint(E *eqrel.Partition, rs []*rules.Rule, accept func(u, v db.Const) bool) {
+	// closeFrom fails only when its context ends, and TODO never does.
+	ind, merged, _ := c.closeFrom(context.TODO(), E, c.Induced(E), rs, accept, nil)
+	if merged {
 		c.storeKey(E.Key(), ind)
 	}
-	return err
 }
 
 // closeFrom is closeFixpoint starting from ind, the induced database of
@@ -419,23 +423,30 @@ func (c *Context) closeFrom(ctx context.Context, E *eqrel.Partition, ind *db.Dat
 	}
 }
 
-// HardClose extends E in place with all hard-rule-derivable merges until
+// HardClose is hardClose with an error result that is always nil; the
+// signature is kept for the benchmark module, which calls it.
+func (c *Context) HardClose(E *eqrel.Partition) error {
+	c.hardClose(E)
+	return nil
+}
+
+// hardClose extends E in place with all hard-rule-derivable merges until
 // fixpoint. Every solution containing E also contains the result, so the
 // search only branches on soft choices.
-func (c *Context) HardClose(E *eqrel.Partition) error {
-	return c.closeFixpoint(E, c.sess.hardRules, nil)
+func (c *Context) hardClose(E *eqrel.Partition) {
+	c.closeFixpoint(E, c.sess.hardRules, nil)
 }
 
 // AllClose extends E in place with every derivable merge (hard and
 // soft) until fixpoint; with Δ = ∅ the result is the unique maximal
 // solution (Theorem 9).
-func (c *Context) AllClose(E *eqrel.Partition) error {
-	return c.closeFixpoint(E, c.sess.mergeRules, nil)
+func (c *Context) AllClose(E *eqrel.Partition) {
+	c.closeFixpoint(E, c.sess.mergeRules, nil)
 }
 
 // SatisfiesHard reports (D, E) |= Γh: every hard-rule answer pair is
 // already in E. It stops at the first violating pair.
-func (c *Context) SatisfiesHard(E *eqrel.Partition) (bool, error) {
+func (c *Context) SatisfiesHard(E *eqrel.Partition) bool {
 	ind := c.Induced(E)
 	rep := c.repFor(E)
 	for _, r := range c.sess.hardRules {
@@ -445,16 +456,16 @@ func (c *Context) SatisfiesHard(E *eqrel.Partition) (bool, error) {
 			return !violated
 		})
 		if violated {
-			return false, nil
+			return false
 		}
 	}
-	return true, nil
+	return true
 }
 
 // SatisfiesDenials reports (D, E) |= Δ: no denial constraint body has a
 // homomorphism into the induced database D_E.
-func (c *Context) SatisfiesDenials(E *eqrel.Partition) (bool, error) {
-	return c.satisfiesDenials(E, c.Induced(E)), nil
+func (c *Context) SatisfiesDenials(E *eqrel.Partition) bool {
+	return c.satisfiesDenials(E, c.Induced(E))
 }
 
 // satisfiesDenials is SatisfiesDenials over ind, the induced database
@@ -498,8 +509,8 @@ func deltaFor(p *cq.Plan, delta *cq.Delta) *cq.Delta {
 
 // ViolatedDenials returns the names of the denial constraints violated in
 // (D, E), for diagnostics.
-func (c *Context) ViolatedDenials(E *eqrel.Partition) ([]string, error) {
-	return c.violatedDenials(E, c.Induced(E)), nil
+func (c *Context) ViolatedDenials(E *eqrel.Partition) []string {
+	return c.violatedDenials(E, c.Induced(E))
 }
 
 // violatedDenials is ViolatedDenials over ind, the induced database of
@@ -520,25 +531,15 @@ func (c *Context) violatedDenials(E *eqrel.Partition, ind *db.Database) []string
 // that are active at the time, and compare the result with E. The
 // accept filter (membership in E) is stable under growth, so the
 // semi-naive closure applies.
-func (c *Context) IsCandidate(E *eqrel.Partition) (bool, error) {
+func (c *Context) IsCandidate(E *eqrel.Partition) bool {
 	cur := c.Identity()
-	if err := c.closeFixpoint(cur, c.sess.mergeRules, E.Same); err != nil {
-		return false, err
-	}
-	return cur.Equal(E), nil
+	c.closeFixpoint(cur, c.sess.mergeRules, E.Same)
+	return cur.Equal(E)
 }
 
 // IsSolution decides Rec: whether E ∈ Sol(D, Σ). Per Theorem 1 this
 // runs in polynomial time: check Γh and Δ on the induced database, then
 // verify E is a candidate solution.
-func (c *Context) IsSolution(E *eqrel.Partition) (bool, error) {
-	okHard, err := c.SatisfiesHard(E)
-	if err != nil || !okHard {
-		return false, err
-	}
-	okDen, err := c.SatisfiesDenials(E)
-	if err != nil || !okDen {
-		return false, err
-	}
-	return c.IsCandidate(E)
+func (c *Context) IsSolution(E *eqrel.Partition) bool {
+	return c.SatisfiesHard(E) && c.SatisfiesDenials(E) && c.IsCandidate(E)
 }

@@ -147,14 +147,12 @@ func (e *Engine) explainMerges(pairs []eqrel.Pair, with, without []*eqrel.Partit
 		// close under all rules ignoring denial constraints.
 		if closure == nil {
 			closure = e.Identity()
-			if err := e.AllClose(closure); err != nil {
-				return nil, err
-			}
+			e.AllClose(closure)
 		}
 		if !closure.Same(p.A, p.B) {
 			x.NeverDerivable = true
-		} else if x.BlockedBy, err = e.ViolatedDenials(closure); err != nil {
-			return nil, err
+		} else {
+			x.BlockedBy = e.ViolatedDenials(closure)
 		}
 	}
 	return xs, nil

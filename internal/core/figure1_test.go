@@ -81,17 +81,11 @@ func TestExample4MaximalSolutions(t *testing.T) {
 func TestExample4InitialState(t *testing.T) {
 	e, _ := fig1Engine(t)
 	id := e.Identity()
-	ok, err := e.IsSolution(id)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ok := e.IsSolution(id)
 	if ok {
 		t.Error("E0 must not be a solution: δ1 is initially violated")
 	}
-	viol, err := e.ViolatedDenials(id)
-	if err != nil {
-		t.Fatal(err)
-	}
+	viol := e.ViolatedDenials(id)
 	if len(viol) != 1 || viol[0] != "delta1" {
 		t.Errorf("violated denials = %v, want [delta1]", viol)
 	}
@@ -141,10 +135,7 @@ func TestExample4ActivePairs(t *testing.T) {
 func TestExample4HardClosure(t *testing.T) {
 	e, f := fig1Engine(t)
 	E := e.FromPairs([]eqrel.Pair{pairOf(f, "a1", "a2"), pairOf(f, "a2", "a3")})
-	ok, err := e.SatisfiesHard(E)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ok := e.SatisfiesHard(E)
 	if ok {
 		t.Error("E1 = {α, β} should violate hard rule ρ2")
 	}
@@ -171,10 +162,7 @@ func TestExample4SolutionRecognition(t *testing.T) {
 	e2 := e.FromPairs([]eqrel.Pair{
 		pairOf(f, "a1", "a2"), pairOf(f, "a2", "a3"), pairOf(f, "c2", "c3"),
 	})
-	ok, err := e.IsSolution(e2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ok := e.IsSolution(e2)
 	if !ok {
 		t.Error("E2 should be a solution")
 	}
@@ -186,10 +174,7 @@ func TestExample4SolutionRecognition(t *testing.T) {
 		t.Error("E2 is not maximal (θ, λ, χ are addable)")
 	}
 	w1 := m1(e, f)
-	ok, err = e.IsSolution(w1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ok = e.IsSolution(w1)
 	if !ok {
 		t.Error("M1 should be a solution")
 	}
@@ -208,17 +193,11 @@ func TestExample4NonCandidate(t *testing.T) {
 	e, f := fig1Engine(t)
 	// (a1, a4): no rule ever derives this pair.
 	E := e.FromPairs([]eqrel.Pair{pairOf(f, "a1", "a4")})
-	cand, err := e.IsCandidate(E)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cand := e.IsCandidate(E)
 	if cand {
 		t.Error("(a1,a4) merge is not derivable, must not be a candidate")
 	}
-	ok, err := e.IsSolution(E)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ok := e.IsSolution(E)
 	if ok {
 		t.Error("non-candidate accepted as solution")
 	}
@@ -229,10 +208,7 @@ func TestExample4MixedSolutionViolation(t *testing.T) {
 	e, f := fig1Engine(t)
 	E := m1(e, f)
 	E.Add(pairOf(f, "a6", "a7"))
-	ok, err := e.SatisfiesDenials(E)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ok := e.SatisfiesDenials(E)
 	if ok {
 		t.Error("M1 + χ should violate δ2")
 	}
@@ -241,10 +217,7 @@ func TestExample4MixedSolutionViolation(t *testing.T) {
 		pairOf(f, "a1", "a2"), pairOf(f, "a2", "a3"),
 		pairOf(f, "c2", "c3"), pairOf(f, "c3", "c4"),
 	})
-	ok, err = e.SatisfiesDenials(E2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ok = e.SatisfiesDenials(E2)
 	if ok {
 		t.Error("ζ + η should violate δ3 (a1 chairs c2 and wrote p6 at merged conference)")
 	}
@@ -345,10 +318,7 @@ func TestExistenceFigure1(t *testing.T) {
 	if !ok || sol == nil {
 		t.Fatal("Figure 1 instance should have solutions")
 	}
-	isSol, err := e.IsSolution(sol)
-	if err != nil {
-		t.Fatal(err)
-	}
+	isSol := e.IsSolution(sol)
 	if !isSol {
 		t.Error("Existence witness is not a solution")
 	}

@@ -27,9 +27,7 @@ import (
 // context fires.
 func (e *Engine) GreedySolutionCtx(ctx context.Context) (*eqrel.Partition, bool, error) {
 	E := e.Identity()
-	if err := e.HardClose(E); err != nil {
-		return nil, false, err
-	}
+	e.hardClose(E)
 	st := e.stateOf(E)
 	cur := len(e.violatedDenials(st.E, st.ind))
 	for {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/db"
 	"repro/internal/eqrel"
@@ -223,7 +222,7 @@ func (e *Engine) justifyIn(d *derivation, p eqrel.Pair) (*Justification, error) 
 	if err := emitPair(p, len(d.steps)); err != nil {
 		return nil, err
 	}
-	e.rec.Observe(obs.HistCoreJustifySteps, time.Duration(int64(len(j.Steps))))
+	e.rec.Observe(obs.HistCoreJustifySteps, int64(len(j.Steps)))
 	return j, nil
 }
 

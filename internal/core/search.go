@@ -39,7 +39,8 @@ func (e *Engine) enumSolutions(ctx context.Context, visit func(E *eqrel.Partitio
 // first may differ between runs; the boolean is deterministic.
 func (e *Engine) ExistenceCtx(ctx context.Context) (*eqrel.Partition, bool, error) {
 	if e.sess.spec.IsRestricted() {
-		return e.existenceRestricted()
+		h, ok := e.existenceRestricted()
+		return h, ok, nil
 	}
 	var found *eqrel.Partition
 	err := e.enumSolutions(ctx, func(E *eqrel.Partition) bool {
@@ -55,19 +56,13 @@ func (e *Engine) ExistenceCtx(ctx context.Context) (*eqrel.Partition, bool, erro
 // existenceRestricted implements Theorem 8: with inequality-free denial
 // constraints, a solution exists iff the hard closure of the identity is
 // consistent (every solution contains it, and violations persist).
-func (e *Engine) existenceRestricted() (*eqrel.Partition, bool, error) {
+func (e *Engine) existenceRestricted() (*eqrel.Partition, bool) {
 	h := e.Identity()
-	if err := e.HardClose(h); err != nil {
-		return nil, false, err
+	e.hardClose(h)
+	if !e.SatisfiesDenials(h) {
+		return nil, false
 	}
-	ok, err := e.SatisfiesDenials(h)
-	if err != nil {
-		return nil, false, err
-	}
-	if !ok {
-		return nil, false, nil
-	}
-	return h, true, nil
+	return h, true
 }
 
 // MaximalSolutionsCtx returns all ⊆-maximal solutions, ordered by
@@ -176,9 +171,8 @@ func sortPartitions(ps []*eqrel.Partition) {
 // IsMaximalSolution decides MaxRec (Theorem 3: coNP-complete in
 // general; Theorem 8: polynomial for restricted specifications).
 func (e *Engine) IsMaximalSolution(ctx context.Context, E *eqrel.Partition) (bool, error) {
-	isSol, err := e.IsSolution(E)
-	if err != nil || !isSol {
-		return false, err
+	if !e.IsSolution(E) {
+		return false, nil
 	}
 	cur := e.stateOf(E)
 	for _, a := range e.activePairs(E, cur.ind) {

@@ -43,7 +43,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/cq"
 	"repro/internal/db"
@@ -275,7 +274,7 @@ func (s *EpochSnapshot) Stats() (ShardStats, error) {
 	if mono {
 		return ShardStats{Rounds: 1, Monolithic: true}, nil
 	}
-	if err := s.resolve(ctx); err != nil {
+	if err := s.Resolve(ctx); err != nil {
 		return ShardStats{}, err
 	}
 	st := ShardStats{Shards: len(s.shards), Rounds: s.rounds(), Solves: s.solves}
@@ -308,11 +307,13 @@ func (s *EpochSnapshot) rounds() int {
 	return 0
 }
 
-// resolve runs the full pipeline: the top, then (when it is
-// inconsistent) the stitch; it remembers per-shard results. A run cut
-// short by its caller's context is not kept, so a later call on a live
-// context runs again.
-func (s *EpochSnapshot) resolve(ctx context.Context) error {
+// Resolve runs the full pipeline: the top, then (when it is
+// inconsistent) the stitch; it remembers per-shard results, which every
+// result method reads. Each result method resolves first; call Resolve
+// to pay for it ahead of the first question. A run cut short by its
+// caller's context is not kept, so a later call on a live context runs
+// again.
+func (s *EpochSnapshot) Resolve(ctx context.Context) error {
 	if s.done.Load() {
 		return nil
 	}
@@ -398,7 +399,7 @@ func (s *EpochSnapshot) run(ctx context.Context) error {
 	rec.Gauge(obs.CoreShardRounds, int64(s.rounds()))
 	largest := 0
 	for _, sh := range s.shards {
-		rec.Observe(obs.HistShardSize, time.Duration(int64(len(sh.Members))))
+		rec.Observe(obs.HistShardSize, int64(len(sh.Members)))
 		if len(sh.Members) > largest {
 			largest = len(sh.Members)
 		}
@@ -1200,7 +1201,7 @@ func rewriteSpec(spec *rules.Spec, gin, lin *db.Interner) *rules.Spec {
 // set the product of the per-shard sets. The product size is capped by
 // Options.MaxStates; exceeding it returns ErrBudget.
 func (s *EpochSnapshot) MaximalSolutionsCtx(ctx context.Context) ([]*eqrel.Partition, error) {
-	if err := s.resolve(ctx); err != nil {
+	if err := s.Resolve(ctx); err != nil {
 		return nil, err
 	}
 	if s.unsolvable {
@@ -1238,7 +1239,7 @@ func (s *EpochSnapshot) MaximalSolutionsCtx(ctx context.Context) ([]*eqrel.Parti
 // in every maximal solution iff it is in every maximal solution of its
 // own shard. Empty when no solution exists.
 func (s *EpochSnapshot) CertainMergesCtx(ctx context.Context) ([]eqrel.Pair, error) {
-	if err := s.resolve(ctx); err != nil {
+	if err := s.Resolve(ctx); err != nil {
 		return nil, err
 	}
 	if s.unsolvable {
@@ -1255,7 +1256,7 @@ func (s *EpochSnapshot) CertainMergesCtx(ctx context.Context) ([]eqrel.Pair, err
 
 // PossibleMergesCtx is the union of the shards' possible merges.
 func (s *EpochSnapshot) PossibleMergesCtx(ctx context.Context) ([]eqrel.Pair, error) {
-	if err := s.resolve(ctx); err != nil {
+	if err := s.Resolve(ctx); err != nil {
 		return nil, err
 	}
 	set := make(map[eqrel.Pair]bool)
@@ -1289,7 +1290,7 @@ func (s *EpochSnapshot) ExistenceCtx(ctx context.Context) (*eqrel.Partition, boo
 	if mono {
 		return s.eng.Fork().ExistenceCtx(ctx)
 	}
-	if err := s.resolve(ctx); err != nil {
+	if err := s.Resolve(ctx); err != nil {
 		return nil, false, err
 	}
 	if s.unsolvable {
@@ -1356,7 +1357,7 @@ func (s *EpochSnapshot) composed(i, k int) *eqrel.Partition {
 // a given choice in one shard, the first takes every other shard's
 // first choice, which Shard.record puts at index 0.
 func (s *EpochSnapshot) witnesses(ctx context.Context, pairs []eqrel.Pair) (with, without []*eqrel.Partition, err error) {
-	if err := s.resolve(ctx); err != nil {
+	if err := s.Resolve(ctx); err != nil {
 		return nil, nil, err
 	}
 	with = make([]*eqrel.Partition, len(pairs))

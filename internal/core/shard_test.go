@@ -91,10 +91,7 @@ func assertShardedEquals(t *testing.T, label string, mono *Engine, se *EpochSnap
 		t.Fatalf("%s: existence %v (monolithic) vs %v (sharded)", label, mok, sok)
 	}
 	if sok {
-		ok, err := mono.IsSolution(sw)
-		if err != nil {
-			t.Fatalf("%s: checking sharded witness: %v", label, err)
-		}
+		ok := mono.IsSolution(sw)
 		if !ok {
 			t.Fatalf("%s: sharded existence witness is not a solution: %v", label, sw)
 		}

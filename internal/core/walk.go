@@ -66,10 +66,7 @@ func (e *Engine) walk(ctx context.Context, start *eqrel.Partition, workers int, 
 	}
 	sp := e.rec.Start(obs.SpanCoreSearch)
 	root := start.Clone()
-	if err := e.HardClose(root); err != nil {
-		sp.End()
-		return err
-	}
+	e.hardClose(root)
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	w := &walker{

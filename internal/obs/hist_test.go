@@ -134,20 +134,20 @@ func TestLocalFlushMergesObservations(t *testing.T) {
 	loc := NewLocal(reg)
 	direct := NewRegistry()
 	for i := 1; i <= 500; i++ {
-		d := time.Duration(i) * time.Microsecond
+		d := int64(time.Duration(i) * time.Microsecond)
 		loc.Observe(SpanASPSolve, d)
 		direct.Observe(SpanASPSolve, d)
 	}
 	// Nothing reaches the registry before Flush.
-	if got := reg.Snapshot().Durations[SpanASPSolve].Count; got != 0 {
+	if got := reg.Snapshot().Duration(SpanASPSolve).Count; got != 0 {
 		t.Fatalf("pre-flush registry count = %d, want 0", got)
 	}
 	loc.Flush()
 	got := reg.Snapshot()
 	want := direct.Snapshot()
-	if got.Durations[SpanASPSolve] != want.Durations[SpanASPSolve] {
+	if got.Duration(SpanASPSolve) != want.Duration(SpanASPSolve) {
 		t.Fatalf("flushed durations %+v != direct %+v",
-			got.Durations[SpanASPSolve], want.Durations[SpanASPSolve])
+			got.Duration(SpanASPSolve), want.Duration(SpanASPSolve))
 	}
 	gh, wh := got.Histograms[SpanASPSolve], want.Histograms[SpanASPSolve]
 	if gh.Count != wh.Count || gh.Sum != wh.Sum || gh.P99 != wh.P99 {
@@ -155,7 +155,7 @@ func TestLocalFlushMergesObservations(t *testing.T) {
 	}
 	// Flush resets the buffer: a second flush adds nothing.
 	loc.Flush()
-	if again := reg.Snapshot().Durations[SpanASPSolve].Count; again != 500 {
+	if again := reg.Snapshot().Duration(SpanASPSolve).Count; again != 500 {
 		t.Fatalf("double flush: count = %d, want 500", again)
 	}
 }
@@ -164,35 +164,16 @@ func TestNestedLocalFlush(t *testing.T) {
 	reg := NewRegistry()
 	parent := NewLocal(reg)
 	child := NewLocal(parent)
-	child.Observe(SpanASPGround, 5*time.Millisecond)
+	child.Observe(SpanASPGround, int64(5*time.Millisecond))
 	child.Inc(ASPDecisions, 3)
 	child.Flush()
-	if got := reg.Snapshot().Durations[SpanASPGround].Count; got != 0 {
+	if got := reg.Snapshot().Duration(SpanASPGround).Count; got != 0 {
 		t.Fatalf("child flush leaked past parent: count = %d", got)
 	}
 	parent.Flush()
 	s := reg.Snapshot()
-	if s.Durations[SpanASPGround].Count != 1 || s.Counters[ASPDecisions] != 3 {
-		t.Fatalf("after parent flush: durs=%+v counters=%+v", s.Durations, s.Counters)
-	}
-}
-
-// fakeRecorder is a Recorder without MergeObservations: Local must
-// delegate Observe directly rather than buffering samples it could
-// never flush.
-type fakeRecorder struct {
-	Recorder
-	observed int
-}
-
-func (f *fakeRecorder) Observe(name string, d time.Duration) { f.observed++ }
-
-func TestLocalDelegatesToNonMerger(t *testing.T) {
-	f := &fakeRecorder{Recorder: Nop{}}
-	loc := NewLocal(f)
-	loc.Observe("anything.goes", time.Second)
-	if f.observed != 1 {
-		t.Fatalf("observed = %d, want direct delegation", f.observed)
+	if s.Duration(SpanASPGround).Count != 1 || s.Counters[ASPDecisions] != 3 {
+		t.Fatalf("after parent flush: hists=%+v counters=%+v", s.Histograms, s.Counters)
 	}
 }
 
@@ -201,13 +182,13 @@ func TestRegistryStrictMode(t *testing.T) {
 	reg.SetStrict(true)
 	// Canonical and prefix-declared names are accepted.
 	reg.Inc(ServeRequests, 1)
-	reg.Observe(ServeRequestPrefix+"certain", time.Millisecond)
+	reg.Observe(ServeRequestPrefix+"certain", int64(time.Millisecond))
 	reg.Gauge(ServePoolInUse, 2)
 	reg.Start(SpanServeRequest).End()
 
 	for _, call := range []func(){
 		func() { reg.Inc("serve.requets", 1) }, // typo
-		func() { reg.Observe("made.up.histogram", time.Second) },
+		func() { reg.Observe("made.up.histogram", int64(time.Second)) },
 		func() { reg.Gauge("bogus.gauge", 1) },
 	} {
 		func() {
@@ -226,8 +207,8 @@ func TestRegistryStrictMode(t *testing.T) {
 
 // TestSnapshotConsistencyUnderRace pins the point-in-time guarantee:
 // while writers hammer the registry, every snapshot must satisfy the
-// cross-map invariants (duration summary and histogram agree exactly,
-// since both are updated under one lock). Run with -race.
+// cross-map invariants (the duration read of a histogram agrees with it
+// exactly, and counters never go backwards). Run with -race.
 func TestSnapshotConsistencyUnderRace(t *testing.T) {
 	reg := NewRegistry()
 	const writers = 4
@@ -245,7 +226,7 @@ func TestSnapshotConsistencyUnderRace(t *testing.T) {
 				default:
 				}
 				reg.Inc(ServeRequests, 1)
-				reg.Observe(SpanASPSolve, time.Duration(rng.Int63n(1<<20)))
+				reg.Observe(SpanASPSolve, rng.Int63n(1<<20))
 				reg.Gauge(ServeInflight, rng.Int63n(10))
 			}
 		}(int64(w))
@@ -253,12 +234,10 @@ func TestSnapshotConsistencyUnderRace(t *testing.T) {
 	var lastCount int64
 	for i := 0; i < 200; i++ {
 		s := reg.Snapshot()
-		ds, hs := s.Durations[SpanASPSolve], s.Histograms[SpanASPSolve]
-		if ds.Count != hs.Count {
-			t.Fatalf("snapshot %d: duration count %d != histogram count %d", i, ds.Count, hs.Count)
-		}
-		if int64(ds.Total) != hs.Sum {
-			t.Fatalf("snapshot %d: duration total %d != histogram sum %d", i, int64(ds.Total), hs.Sum)
+		ds, hs := s.Duration(SpanASPSolve), s.Histograms[SpanASPSolve]
+		if ds.Count != hs.Count || int64(ds.Total) != hs.Sum ||
+			int64(ds.Min) != hs.Min || int64(ds.Max) != hs.Max {
+			t.Fatalf("snapshot %d: duration read %+v != histogram %+v", i, ds, hs)
 		}
 		if c := s.Counters[ServeRequests]; c < lastCount {
 			t.Fatalf("snapshot %d: counter went backwards (%d after %d)", i, c, lastCount)

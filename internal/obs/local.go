@@ -1,7 +1,5 @@
 package obs
 
-import "time"
-
 // Local is a per-worker buffering view of a shared Recorder, following
 // the package rule that hot loops accumulate counters locally and flush
 // at phase boundaries. Inc and Observe buffer into plain maps owned by
@@ -14,15 +12,6 @@ type Local struct {
 	shared Recorder
 	counts map[string]int64
 	hists  map[string]*Hist // buffered samples per name
-}
-
-// ObservationMerger is implemented by recorders that can fold a
-// worker's buffered sample distribution into themselves in one step
-// (Registry, and Local itself for nested buffering). Local.Flush uses
-// it when available; against any other Recorder, Observe delegates
-// directly instead of buffering, so no samples are ever lost.
-type ObservationMerger interface {
-	MergeObservations(name string, h *Hist)
 }
 
 // NewLocal returns a buffering view of shared (Nop if shared is nil).
@@ -41,16 +30,8 @@ func (l *Local) Inc(name string, delta int64) {
 // Gauge delegates to the shared recorder.
 func (l *Local) Gauge(name string, v int64) { l.shared.Gauge(name, v) }
 
-// Observe buffers the sample when the shared recorder can merge
-// distributions (ObservationMerger); otherwise it delegates directly.
-// Buffered samples reach the shared recorder on Flush.
-func (l *Local) Observe(name string, d time.Duration) {
-	if _, ok := l.shared.(ObservationMerger); !ok {
-		l.shared.Observe(name, d)
-		return
-	}
-	l.hist(name).Observe(int64(d))
-}
+// Observe buffers a sample; it reaches the shared recorder on Flush.
+func (l *Local) Observe(name string, v int64) { l.hist(name).Observe(v) }
 
 // MergeObservations folds an already-buffered distribution into this
 // Local's buffer (nested Local flushing through a parent Local).
@@ -89,11 +70,8 @@ func (l *Local) Flush() {
 		l.shared.Inc(n, v)
 	}
 	clear(l.counts)
-	if len(l.hists) > 0 {
-		m := l.shared.(ObservationMerger) // Observe only buffers when this holds
-		for n, h := range l.hists {
-			m.MergeObservations(n, h)
-		}
-		clear(l.hists)
+	for n, h := range l.hists {
+		l.shared.MergeObservations(n, h)
 	}
+	clear(l.hists)
 }

@@ -1,5 +1,5 @@
 // Package obs is the unified instrumentation layer of the repository:
-// counters, gauges, duration statistics and hierarchical span tracing
+// counters, gauges, sample histograms and hierarchical span tracing
 // behind a single Recorder interface. Every performance-relevant layer
 // (internal/core, internal/asp, internal/cq, internal/blocking) reports
 // through a Recorder, so one registry collects a uniform stats block
@@ -43,8 +43,13 @@ type Recorder interface {
 	Inc(name string, delta int64)
 	// Gauge sets the named gauge to v (last write wins).
 	Gauge(name string, v int64)
-	// Observe records one duration sample under name.
-	Observe(name string, d time.Duration)
+	// Observe records one sample under name. The name decides the unit
+	// (IsValueHist): nanoseconds for a duration histogram, a raw count
+	// for a value histogram.
+	Observe(name string, v int64)
+	// MergeObservations folds a buffered distribution of samples for
+	// name in one step; obs.Local flushes through it.
+	MergeObservations(name string, h *Hist)
 	// Start opens a span; the caller must End it. The returned span may
 	// be nil (the no-op recorder) — all Span methods are nil-safe.
 	Start(name string) *Span
@@ -62,7 +67,10 @@ func (Nop) Inc(string, int64) {}
 func (Nop) Gauge(string, int64) {}
 
 // Observe discards the sample.
-func (Nop) Observe(string, time.Duration) {}
+func (Nop) Observe(string, int64) {}
+
+// MergeObservations discards the distribution.
+func (Nop) MergeObservations(string, *Hist) {}
 
 // Start returns a nil span (all Span methods are nil-safe).
 func (Nop) Start(string) *Span { return nil }
@@ -79,9 +87,9 @@ func OrNop(r Recorder) Recorder {
 }
 
 // DurationStats summarizes the samples observed under one name: the
-// histogram's count, sum and extrema read as durations. Snapshot derives
-// one for every duration histogram, and none for a value histogram
-// (IsValueHist), whose samples are counts.
+// histogram's count, sum and extrema read as durations. Snapshot.Duration
+// reads one from a duration histogram, and the zero value for a value
+// histogram (IsValueHist), whose samples are counts.
 type DurationStats struct {
 	Count int64         `json:"count"`
 	Total time.Duration `json:"total_ns"`
@@ -99,14 +107,11 @@ func (d DurationStats) Mean() time.Duration {
 
 // Snapshot is a point-in-time copy of a recorder's metrics, suitable
 // for JSON encoding. All maps are copied under one lock acquisition, so
-// a snapshot is internally consistent. Durations is a view of
-// Histograms: for every duration histogram's name, Durations[name] is
-// derived from Histograms[name]; value histograms appear in Histograms
-// only.
+// a snapshot is internally consistent. Every distribution, duration or
+// value (IsValueHist), is stored once, in Histograms.
 type Snapshot struct {
 	Counters   map[string]int64          `json:"counters,omitempty"`
 	Gauges     map[string]int64          `json:"gauges,omitempty"`
-	Durations  map[string]DurationStats  `json:"durations,omitempty"`
 	Histograms map[string]HistogramStats `json:"histograms,omitempty"`
 	// Derived holds float metrics computed from the counters at
 	// snapshot time (e.g. serve.cache.hit_ratio).
@@ -119,8 +124,16 @@ func (s Snapshot) Counter(name string) int64 { return s.Counters[name] }
 // GaugeValue returns the named gauge (0 when absent).
 func (s Snapshot) GaugeValue(name string) int64 { return s.Gauges[name] }
 
-// Duration returns the stats observed under name (zero when absent).
-func (s Snapshot) Duration(name string) DurationStats { return s.Durations[name] }
+// Duration reads the duration histogram observed under name as
+// DurationStats (zero when absent or a value histogram).
+func (s Snapshot) Duration(name string) DurationStats {
+	if IsValueHist(name) {
+		return DurationStats{}
+	}
+	h := s.Histograms[name]
+	return DurationStats{Count: h.Count, Total: time.Duration(h.Sum),
+		Min: time.Duration(h.Min), Max: time.Duration(h.Max)}
+}
 
 // Histogram returns the histogram observed under name (zero when
 // absent).
@@ -128,8 +141,7 @@ func (s Snapshot) Histogram(name string) HistogramStats { return s.Histograms[na
 
 // Empty reports whether nothing was recorded.
 func (s Snapshot) Empty() bool {
-	return len(s.Counters) == 0 && len(s.Gauges) == 0 && len(s.Durations) == 0 &&
-		len(s.Histograms) == 0
+	return len(s.Counters) == 0 && len(s.Gauges) == 0 && len(s.Histograms) == 0
 }
 
 // Format renders the snapshot as an aligned human-readable table:
@@ -137,17 +149,14 @@ func (s Snapshot) Empty() bool {
 // histograms, then counters and gauges.
 func (s Snapshot) Format() string {
 	var b strings.Builder
-	if len(s.Durations) > 0 {
+	if names := s.histNames(false); len(names) > 0 {
 		fmt.Fprintf(&b, "%-28s %8s %12s %12s %12s %12s %12s\n",
 			"phase", "count", "total", "min", "p50", "p99", "max")
-		for _, name := range sortedKeys(s.Durations) {
-			d := s.Durations[name]
+		us := func(ns int64) time.Duration { return time.Duration(ns).Round(time.Microsecond) }
+		for _, name := range names {
 			h := s.Histograms[name]
-			fmt.Fprintf(&b, "%-28s %8d %12v %12v %12v %12v %12v\n", name, d.Count,
-				d.Total.Round(time.Microsecond), d.Min.Round(time.Microsecond),
-				time.Duration(h.P50).Round(time.Microsecond),
-				time.Duration(h.P99).Round(time.Microsecond),
-				d.Max.Round(time.Microsecond))
+			fmt.Fprintf(&b, "%-28s %8d %12v %12v %12v %12v %12v\n", name, h.Count,
+				us(h.Sum), us(h.Min), us(h.P50), us(h.P99), us(h.Max))
 		}
 	}
 	s.WriteDistributions(&b)
@@ -169,16 +178,10 @@ func (s Snapshot) Format() string {
 // writes nothing when the snapshot holds none. Format prints the same
 // table.
 func (s Snapshot) WriteDistributions(w io.Writer) {
-	var names []string
-	for name := range s.Histograms {
-		if IsValueHist(name) {
-			names = append(names, name)
-		}
-	}
+	names := s.histNames(true)
 	if len(names) == 0 {
 		return
 	}
-	sort.Strings(names)
 	fmt.Fprintf(w, "%-34s %8s %10s %10s %10s %10s\n",
 		"distribution", "count", "min", "p50", "p99", "max")
 	for _, name := range names {
@@ -186,6 +189,19 @@ func (s Snapshot) WriteDistributions(w io.Writer) {
 		fmt.Fprintf(w, "%-34s %8d %10d %10d %10d %10d\n",
 			name, h.Count, h.Min, h.P50, h.P99, h.Max)
 	}
+}
+
+// histNames returns the names of the snapshot's value histograms (value
+// true) or duration histograms (value false), sorted.
+func (s Snapshot) histNames(value bool) []string {
+	var names []string
+	for name := range s.Histograms {
+		if IsValueHist(name) == value {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	return names
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -274,10 +290,10 @@ func (r *Registry) Gauge(name string, v int64) {
 
 // Observe records one sample under name into its log-bucketed
 // histogram.
-func (r *Registry) Observe(name string, d time.Duration) {
+func (r *Registry) Observe(name string, v int64) {
 	r.checkName(name)
 	r.mu.Lock()
-	r.hist(name).Observe(int64(d))
+	r.hist(name).Observe(v)
 	r.mu.Unlock()
 }
 
@@ -322,8 +338,8 @@ func (r *Registry) Start(name string) *Span {
 
 // Snapshot copies the current metric state under one lock acquisition,
 // so the result is a consistent point-in-time view: counters, gauges
-// and histograms (with their duration views) all reflect the same
-// instant, and derived metrics are computed from that same instant.
+// and histograms all reflect the same instant, and derived metrics are
+// computed from that same instant.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -344,14 +360,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms = make(map[string]HistogramStats, len(r.hists))
 		for k, h := range r.hists {
 			s.Histograms[k] = h.Stats()
-			if IsValueHist(k) {
-				continue
-			}
-			if s.Durations == nil {
-				s.Durations = make(map[string]DurationStats, len(r.hists))
-			}
-			s.Durations[k] = DurationStats{Count: h.count, Total: time.Duration(h.sum),
-				Min: time.Duration(h.min), Max: time.Duration(h.max)}
 		}
 	}
 	s.Derived = DerivedMetrics(s)
@@ -412,7 +420,7 @@ func (sp *Span) End() {
 		return
 	}
 	d := time.Since(sp.start)
-	sp.reg.Observe(sp.name, d)
+	sp.reg.Observe(sp.name, int64(d))
 	sp.reg.endSpan(sp, d)
 }
 

@@ -24,7 +24,7 @@ func TestConcurrentRecording(t *testing.T) {
 				r.Inc("c.total", 1)
 				r.Inc("c.byworker", int64(w))
 				r.Gauge("g.last", int64(i))
-				r.Observe("d.step", time.Duration(i)*time.Microsecond)
+				r.Observe("d.step", int64(time.Duration(i)*time.Microsecond))
 			}
 		}(w)
 	}
@@ -139,7 +139,7 @@ func TestNopRecorderZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		r.Inc(CoreSearchStates, 1)
 		r.Gauge(ASPGroundRules, 42)
-		r.Observe(SpanCoreSearch, time.Millisecond)
+		r.Observe(SpanCoreSearch, int64(time.Millisecond))
 		sp := r.Start(SpanASPSolve)
 		sp.AttrInt("models", 7)
 		sp.AttrStr("mode", "enum")
@@ -170,21 +170,31 @@ func TestSnapshotFormat(t *testing.T) {
 	}
 }
 
-// TestValueHistsAreNotDurations: a value histogram (core.shard.size
-// counts members) is reported once, as a distribution of counts: it gets
-// no DurationStats and no row in the phase table, while the
-// distribution table and Histograms keep it.
+// TestValueHistsAreNotDurations: every histogram is stored once, in
+// Histograms. A value histogram (core.shard.size counts members) reads
+// as zero DurationStats and gets no row in the phase table, while the
+// distribution table keeps it; a duration histogram reads back as
+// DurationStats with its count, sum and extrema. The JSON snapshot has
+// no second, durations copy.
 func TestValueHistsAreNotDurations(t *testing.T) {
 	r := NewRegistry()
 	r.Observe(HistShardSize, 3)
 	r.Observe(HistShardSize, 5)
-	r.Observe(SpanCoreSearch, time.Millisecond)
+	r.Observe(SpanCoreSearch, int64(time.Millisecond))
+	r.Observe(SpanCoreSearch, int64(3*time.Millisecond))
 	snap := r.Snapshot()
-	if d, ok := snap.Durations[HistShardSize]; ok {
-		t.Errorf("value histogram %s reported as durations: %+v", HistShardSize, d)
+	if d := snap.Duration(HistShardSize); d != (DurationStats{}) {
+		t.Errorf("value histogram %s read as durations: %+v", HistShardSize, d)
 	}
-	if d := snap.Duration(SpanCoreSearch); d.Count != 1 || d.Total != time.Millisecond {
-		t.Errorf("duration histogram %s: %+v", SpanCoreSearch, d)
+	h := snap.Histogram(SpanCoreSearch)
+	want := DurationStats{Count: h.Count, Total: time.Duration(h.Sum),
+		Min: time.Duration(h.Min), Max: time.Duration(h.Max)}
+	if d := snap.Duration(SpanCoreSearch); d != want || d.Count != 2 ||
+		d.Total != 4*time.Millisecond || d.Min != time.Millisecond || d.Max != 3*time.Millisecond {
+		t.Errorf("duration histogram %s: %+v, histogram %+v", SpanCoreSearch, d, h)
+	}
+	if d := snap.Duration("never.observed"); d != (DurationStats{}) {
+		t.Errorf("absent name read as %+v", d)
 	}
 	if h := snap.Histogram(HistShardSize); h.Count != 2 || h.Min != 3 || h.Max != 5 {
 		t.Errorf("value histogram %s: %+v", HistShardSize, h)
@@ -197,18 +207,17 @@ func TestValueHistsAreNotDurations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back struct {
-		Durations  map[string]json.RawMessage `json:"durations"`
-		Histograms map[string]json.RawMessage `json:"histograms"`
-	}
+	var back map[string]map[string]json.RawMessage
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := back.Durations[HistShardSize]; ok {
-		t.Errorf("JSON durations carry %s", HistShardSize)
+	if _, ok := back["durations"]; ok {
+		t.Errorf("JSON snapshot carries a durations object:\n%s", raw)
 	}
-	if _, ok := back.Histograms[HistShardSize]; !ok {
-		t.Errorf("JSON histograms lack %s", HistShardSize)
+	for _, name := range []string{HistShardSize, SpanCoreSearch} {
+		if _, ok := back["histograms"][name]; !ok {
+			t.Errorf("JSON histograms lack %s", name)
+		}
 	}
 }
 
@@ -231,12 +240,12 @@ func TestCanonicalNameLists(t *testing.T) {
 func TestWriteDistributions(t *testing.T) {
 	r := NewRegistry()
 	var empty strings.Builder
-	r.Observe(SpanCoreSearch, time.Millisecond)
+	r.Observe(SpanCoreSearch, int64(time.Millisecond))
 	r.Snapshot().WriteDistributions(&empty)
 	if empty.Len() != 0 {
 		t.Errorf("a snapshot without value histograms wrote:\n%s", empty.String())
 	}
-	for _, v := range []time.Duration{3, 5, 5, 7} {
+	for _, v := range []int64{3, 5, 5, 7} {
 		r.Observe(HistShardSize, v)
 	}
 	r.Observe(HistCoreJustifySteps, 2)

@@ -16,10 +16,10 @@ func promSnapshot() Snapshot {
 	reg.Gauge(ServePoolInUse, 2)
 	reg.Gauge(ServeInflight, 5)
 	for i := 1; i <= 100; i++ {
-		reg.Observe(SpanASPSolve, time.Duration(i)*time.Millisecond)
-		reg.Observe(ServeRequestPrefix+"maximal", time.Duration(i)*time.Microsecond)
-		reg.Observe(ServeRequestPrefix+"certain", time.Duration(i)*100*time.Nanosecond)
-		reg.Observe(HistASPDecisionsPerSolve, time.Duration(i))
+		reg.Observe(SpanASPSolve, int64(time.Duration(i)*time.Millisecond))
+		reg.Observe(ServeRequestPrefix+"maximal", int64(time.Duration(i)*time.Microsecond))
+		reg.Observe(ServeRequestPrefix+"certain", int64(time.Duration(i)*100*time.Nanosecond))
+		reg.Observe(HistASPDecisionsPerSolve, int64(i))
 	}
 	return reg.Snapshot()
 }

@@ -284,7 +284,7 @@ func (s *Server) newEpochState(snap *core.EpochSnapshot) *epochState {
 	go func() {
 		defer s.resolving.Done()
 		defer close(st.ready)
-		if _, err := snap.PossibleMergesCtx(s.baseCtx); err != nil && s.baseCtx.Err() == nil {
+		if err := snap.Resolve(s.baseCtx); err != nil && s.baseCtx.Err() == nil {
 			s.rec.Inc(obs.ServeErrors, 1)
 		}
 	}()
@@ -500,7 +500,7 @@ func (s *Server) endpoint(w http.ResponseWriter, r *http.Request, name string,
 	waitStart := s.now()
 	err := s.acquire(ctx)
 	wait := s.now().Sub(waitStart)
-	s.rec.Observe(obs.ServePoolWait, wait)
+	s.rec.Observe(obs.ServePoolWait, int64(wait))
 	meta.poolWait = wait
 	if err != nil {
 		if errors.Is(err, errDraining) {

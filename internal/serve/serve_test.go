@@ -461,7 +461,7 @@ func TestMetricsJSONEndpoint(t *testing.T) {
 	if !ok || h.Count < 1 {
 		t.Errorf("missing per-endpoint histogram: %+v", snap.Histograms)
 	}
-	if snap.Histograms[obs.SpanServeRequest].Count != snap.Durations[obs.SpanServeRequest].Count {
+	if snap.Histograms[obs.SpanServeRequest].Count != snap.Duration(obs.SpanServeRequest).Count {
 		t.Errorf("histogram/duration count mismatch for %s", obs.SpanServeRequest)
 	}
 }

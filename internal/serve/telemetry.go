@@ -140,7 +140,7 @@ func (s *Server) withTelemetry(h http.Handler) http.Handler {
 				ep = strings.Trim(r.URL.Path, "/")
 			}
 			if ep != "" {
-				s.rec.Observe(obs.ServeRequestPrefix+ep, dur)
+				s.rec.Observe(obs.ServeRequestPrefix+ep, int64(dur))
 			}
 			if s.access != nil {
 				status := sw.status
@@ -331,7 +331,7 @@ func (s *Server) auditMutation(meta *reqMeta, req FactsRequest, res core.ApplyRe
 	}
 	start := s.now()
 	err := s.audit.Append(rec)
-	s.rec.Observe(obs.ServeWALAppend, s.now().Sub(start))
+	s.rec.Observe(obs.ServeWALAppend, int64(s.now().Sub(start)))
 	if err != nil {
 		if s.wal {
 			return fmt.Errorf("%w: %v", errWAL, err)

@@ -105,10 +105,10 @@ type (
 	// justifications, scores and greedy solutions.
 	Engine = core.Engine
 	// Options tunes the search budget (MaxStates), the worker count
-	// (Parallelism) and instrumentation (Recorder). Set Parallelism > 1
-	// to fan the lattice walk of ExistenceCtx, MaximalSolutionsCtx and
-	// Certain/PossibleMergesCtx out over that many workers
-	// (0 = GOMAXPROCS); results are identical to the one-worker walk.
+	// (Parallelism) and instrumentation (Recorder). On a snapshot,
+	// Parallelism bounds the shards solved concurrently and the workers
+	// of a lone shard's walk (0 = GOMAXPROCS); results are identical to
+	// a one-worker resolution.
 	// The induced-database cache has a fixed bound
 	// (core.DefaultCacheSize entries per engine, split between
 	// workers). Every search method takes a context, which cancels it
@@ -122,16 +122,19 @@ type (
 	// ASPProgram is a normal logic program (Section 5 encoding target).
 	ASPProgram = asp.Program
 
-	// Recorder receives instrumentation events (counters, gauges, phase
-	// durations, spans). Pass a *StatsRegistry in Options.Recorder to
-	// collect them; the default is a zero-cost no-op.
+	// Recorder receives instrumentation events: counters, gauges,
+	// samples (Observe: a duration in nanoseconds or an effort count,
+	// as the name says) and spans. Pass a *StatsRegistry in
+	// Options.Recorder to collect them; the default is a zero-cost
+	// no-op.
 	Recorder = obs.Recorder
 	// StatsRegistry is the live Recorder implementation: thread-safe
 	// counters plus an optional JSONL span trace (TraceTo).
 	StatsRegistry = obs.Registry
 	// Stats is an immutable snapshot of recorded metrics.
 	Stats = obs.Snapshot
-	// DurationStats aggregates the observations of one phase.
+	// DurationStats is a duration histogram's count, total and extrema,
+	// as Stats.Duration reads them.
 	DurationStats = obs.DurationStats
 
 	// MergeExplanation explains a pair's status across all maximal
